@@ -1,10 +1,30 @@
 //! Operator-level metrics: the quantities the paper's evaluation reports.
 
 use histok_sort::{CascadeStats, CmpSnapshot};
-use histok_storage::IoStatsSnapshot;
+use histok_storage::{IoStats, IoStatsSnapshot, StorageBackend};
 use histok_types::PhaseTotals;
 
 use crate::cutoff::FilterMetrics;
+
+/// One operator's I/O counters, with `modelled_io_ns` filled in from the
+/// backend's cost model.
+///
+/// [`StorageBackend::modelled_io_ns`] is the backend's *lifetime* clock,
+/// shared by every query that ever used it, so an operator records the
+/// reading when it is built (`modelled_at_build_ns`) and reports the
+/// advance since. Queries that share a backend *concurrently* (a
+/// `TopKServer` fleet) advance the clock for each other while they
+/// overlap: there the figure is an upper bound on the query's own I/O.
+pub(crate) fn io_snapshot(
+    stats: &IoStats,
+    backend: &dyn StorageBackend,
+    modelled_at_build_ns: u64,
+) -> IoStatsSnapshot {
+    let mut io = stats.snapshot();
+    let since_build = backend.modelled_io_ns().saturating_sub(modelled_at_build_ns);
+    io.modelled_io_ns = io.modelled_io_ns.max(since_build);
+    io
+}
 
 /// Everything a top-k operator can report about one execution.
 #[derive(Debug, Clone, Default)]
@@ -141,6 +161,50 @@ impl OperatorMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        HistogramTopK, OptimizedExternalTopK, ParallelTopK, TopKConfig, TopKOperator,
+        TraditionalExternalTopK,
+    };
+    use histok_storage::{MemoryBackend, ThrottleModel, ThrottledBackend};
+    use histok_types::{Row, SortSpec};
+    use std::sync::Arc;
+
+    /// Regression: `modelled_io_ns` used to be the backend's lifetime clock,
+    /// so the second query on a reused backend also reported the first's
+    /// I/O. Sequential queries must report disjoint shares of the clock.
+    #[test]
+    fn sequential_queries_on_one_backend_report_disjoint_modelled_io() {
+        type Backend = Arc<ThrottledBackend<MemoryBackend>>;
+        fn run(mut op: impl TopKOperator<u64>) -> u64 {
+            for k in (0..4_000u64).rev() {
+                op.push(Row::new(k, vec![0u8; 32])).unwrap();
+            }
+            assert_eq!(op.finish().unwrap().count(), 500);
+            op.metrics().io.modelled_io_ns
+        }
+        let spec = SortSpec::ascending(500);
+        let config = || TopKConfig::builder().memory_budget(8 * 1024).build().unwrap();
+        let query = |name: &str, be: Backend| match name {
+            "histogram" => run(HistogramTopK::with_arc(spec, config(), be).unwrap()),
+            "optimized" => run(OptimizedExternalTopK::with_arc(spec, config(), be).unwrap()),
+            "traditional" => run(TraditionalExternalTopK::with_arc(spec, 8 * 1024, be).unwrap()),
+            _ => run(ParallelTopK::with_arc(spec, config(), be, 2).unwrap()),
+        };
+        for name in ["histogram", "optimized", "traditional", "parallel"] {
+            let be: Backend = Arc::new(ThrottledBackend::new(
+                MemoryBackend::new(),
+                ThrottleModel::disaggregated(),
+            ));
+            let first = query(name, be.clone());
+            let second = query(name, be.clone());
+            assert!(first > 0 && second > 0, "{name}: the queries must spill");
+            assert_eq!(
+                first + second,
+                be.virtual_io_time().as_nanos() as u64,
+                "{name}: per-query modelled I/O must partition the backend's clock"
+            );
+        }
+    }
 
     #[test]
     fn spill_fraction_handles_empty_input() {

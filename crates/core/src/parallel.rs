@@ -27,7 +27,7 @@ use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
 use crate::config::TopKConfig;
 use crate::cutoff::{filter_from_config, CutoffFilter};
 use crate::histogram::HistogramBuilder;
-use crate::metrics::OperatorMetrics;
+use crate::metrics::{io_snapshot, OperatorMetrics};
 use crate::sizing::SizingPolicy;
 use crate::topk::{RowStream, SpecStream, TimedStream, TopKOperator};
 
@@ -138,6 +138,9 @@ pub struct ParallelTopK<K: SortKey> {
     spec: SortSpec,
     config: TopKConfig,
     backend: Arc<dyn StorageBackend>,
+    /// The backend's modelled-I/O clock when this operator was built (see
+    /// [`io_snapshot`]).
+    modelled_at_build_ns: u64,
     stats: IoStats,
     shared: Arc<Shared<K>>,
     senders: Vec<Sender<Row<K>>>,
@@ -277,6 +280,7 @@ impl<K: SortKey> ParallelTopK<K> {
         Ok(ParallelTopK {
             spec,
             config,
+            modelled_at_build_ns: backend.modelled_io_ns(),
             backend,
             stats,
             shared,
@@ -441,8 +445,7 @@ impl<K: SortKey> ParallelTopK<K> {
     /// Aggregated metrics.
     pub fn metrics(&self) -> OperatorMetrics {
         let filter = self.shared.filter.lock().metrics();
-        let mut io = self.stats.snapshot();
-        io.modelled_io_ns = io.modelled_io_ns.max(self.backend.modelled_io_ns());
+        let io = io_snapshot(&self.stats, self.backend.as_ref(), self.modelled_at_build_ns);
         let mut phases = self.timer.snapshot();
         phases.spill_write_ns = io.write_latency.total_ns;
         phases.final_merge_ns += self.final_merge_ns.load(Ordering::Relaxed);

@@ -25,7 +25,7 @@ use histok_types::{Aggregator, Error, Phase, PhaseTimer, Result, Row, SortKey, S
 
 use crate::config::{RunGenKind, RunGenMode, TopKConfig};
 use crate::cutoff::{CutoffFilter, DistinctVerdict, FilterMetrics};
-use crate::metrics::OperatorMetrics;
+use crate::metrics::{io_snapshot, OperatorMetrics};
 use crate::topk::{
     already_finished, FoldedStore, Offer, RetainedHeap, RowStream, SpecStream, TimedStream,
     TopKOperator,
@@ -54,6 +54,9 @@ pub struct HistogramTopK<K: SortKey> {
     spec: SortSpec,
     config: TopKConfig,
     backend: Arc<dyn StorageBackend>,
+    /// The backend's modelled-I/O clock when this operator was built (see
+    /// [`io_snapshot`]).
+    modelled_at_build_ns: u64,
     stats: IoStats,
     state: State<K>,
     rows_in: u64,
@@ -188,6 +191,7 @@ impl<K: SortKey> HistogramTopK<K> {
             agg,
             spec,
             config,
+            modelled_at_build_ns: backend.modelled_io_ns(),
             backend,
             stats: IoStats::new(),
             rows_in: 0,
@@ -492,8 +496,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
             (_, Some(m)) => m,
             _ => FilterMetrics::default(),
         };
-        let mut io = self.stats.snapshot();
-        io.modelled_io_ns = io.modelled_io_ns.max(self.backend.modelled_io_ns());
+        let io = io_snapshot(&self.stats, self.backend.as_ref(), self.modelled_at_build_ns);
         let mut phases = self.timer.snapshot();
         phases.spill_write_ns = io.write_latency.total_ns;
         phases.final_merge_ns += self.final_merge_ns.load(Ordering::Relaxed);

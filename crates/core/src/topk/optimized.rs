@@ -29,7 +29,7 @@ use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortOrder, SortSpec};
 
 use crate::config::{RunGenMode, TopKConfig};
-use crate::metrics::OperatorMetrics;
+use crate::metrics::{io_snapshot, OperatorMetrics};
 use crate::topk::{
     already_finished, HoldCatalog, Offer, RetainedHeap, RowStream, SpecStream, TimedStream,
     TopKOperator,
@@ -117,6 +117,9 @@ pub struct OptimizedExternalTopK<K: SortKey> {
     spec: SortSpec,
     config: TopKConfig,
     backend: Arc<dyn StorageBackend>,
+    /// The backend's modelled-I/O clock when this operator was built (see
+    /// [`io_snapshot`]).
+    modelled_at_build_ns: u64,
     stats: IoStats,
     state: State<K>,
     rows_in: u64,
@@ -171,6 +174,7 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
             io_scheduler: config.io_scheduler(),
             spec,
             config,
+            modelled_at_build_ns: backend.modelled_io_ns(),
             backend,
             stats: IoStats::new(),
             rows_in: 0,
@@ -413,8 +417,7 @@ impl<K: SortKey> TopKOperator<K> for OptimizedExternalTopK<K> {
             State::External(ext) => ext.obs.eliminated_at_spill,
             _ => self.eliminated_at_spill_final,
         };
-        let mut io = self.stats.snapshot();
-        io.modelled_io_ns = io.modelled_io_ns.max(self.backend.modelled_io_ns());
+        let io = io_snapshot(&self.stats, self.backend.as_ref(), self.modelled_at_build_ns);
         let mut phases = self.timer.snapshot();
         phases.spill_write_ns = io.write_latency.total_ns;
         phases.final_merge_ns += self.final_merge_ns.load(Ordering::Relaxed);

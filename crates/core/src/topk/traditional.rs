@@ -14,7 +14,7 @@ use histok_storage::{IoStats, StorageBackend};
 use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
 
 use crate::config::TopKConfig;
-use crate::metrics::OperatorMetrics;
+use crate::metrics::{io_snapshot, OperatorMetrics};
 use crate::topk::{already_finished, RowStream, SpecStream, TimedStream, TopKOperator};
 
 /// Top-k by fully sorting the input externally, then taking `k` rows.
@@ -22,6 +22,9 @@ pub struct TraditionalExternalTopK<K: SortKey> {
     spec: SortSpec,
     sorter: Option<ExternalSorter<K>>,
     backend: Arc<dyn StorageBackend>,
+    /// The backend's modelled-I/O clock when this operator was built (see
+    /// [`io_snapshot`]).
+    modelled_at_build_ns: u64,
     stats: IoStats,
     rows_in: u64,
     peak_bytes: usize,
@@ -118,6 +121,7 @@ impl<K: SortKey> TraditionalExternalTopK<K> {
         Ok(TraditionalExternalTopK {
             spec,
             sorter: Some(sorter),
+            modelled_at_build_ns: backend.modelled_io_ns(),
             backend,
             stats,
             rows_in: 0,
@@ -163,8 +167,7 @@ impl<K: SortKey> TopKOperator<K> for TraditionalExternalTopK<K> {
     }
 
     fn metrics(&self) -> OperatorMetrics {
-        let mut io = self.stats.snapshot();
-        io.modelled_io_ns = io.modelled_io_ns.max(self.backend.modelled_io_ns());
+        let io = io_snapshot(&self.stats, self.backend.as_ref(), self.modelled_at_build_ns);
         let mut phases = self.timer.snapshot();
         phases.spill_write_ns = io.write_latency.total_ns;
         phases.final_merge_ns += self.final_merge_ns.load(Ordering::Relaxed);

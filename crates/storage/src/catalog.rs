@@ -69,10 +69,8 @@ impl<K: SortKey> RunCatalog<K> {
         self
     }
 
-    /// Enables or disables the background [`SpillPipeline`] for new runs
-    /// (on by default).
-    ///
-    /// [`SpillPipeline`]: crate::pipeline::SpillPipeline
+    /// Enables or disables the background spill pipeline (see
+    /// [`crate::pipeline`]) for new runs (on by default).
     pub fn with_spill_pipeline(self, enabled: bool) -> Self {
         self.set_spill_pipeline(enabled);
         self

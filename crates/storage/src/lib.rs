@@ -41,7 +41,7 @@ pub use catalog::RunCatalog;
 pub use fault::{FaultBackend, FaultPlan};
 pub use file::FileBackend;
 pub use memory::MemoryBackend;
-pub use pipeline::{PrefetchingRunReader, SpillPipeline, SPILL_PIPELINE_DEPTH};
+pub use pipeline::{PrefetchingRunReader, SPILL_PIPELINE_DEPTH};
 pub use run::{BlockMeta, KeyRange, RunMeta, RunReader, RunWriter, DEFAULT_BLOCK_BYTES};
 pub use scheduler::{
     CensusGuard, IoClass, IoPriority, IoScheduler, IoSchedulerHandle, IoSchedulerMetrics,

@@ -6,13 +6,15 @@
 //! merging therefore *add* that latency to run generation and merge time.
 //! The two primitives here hide it instead:
 //!
-//! * [`SpillPipeline`] — a background writer per open run. The operator
-//!   thread appends rows into the active block buffer; on seal it hands
-//!   the raw payload to a bounded queue (capacity
-//!   [`SPILL_PIPELINE_DEPTH`]) and keeps filling the next block while the
-//!   background side CRCs, frames and writes the previous one. A full
-//!   queue is the backpressure: when storage is slower than compute, the
-//!   operator blocks, bounding memory to ≤2 sealed blocks in flight.
+//! * `SpillPipeline` — the background writer behind each pipelined
+//!   [`RunWriter`](crate::RunWriter). The operator thread appends rows
+//!   into the active block buffer; on seal it hands the frame (payload
+//!   behind a still-blank header, see `run.rs`) to a bounded queue
+//!   (capacity [`SPILL_PIPELINE_DEPTH`]) and keeps filling the next block
+//!   while the background side CRCs the previous one, patches its header
+//!   and writes it in a single request. A full queue is the backpressure:
+//!   when storage is slower than compute, the operator blocks, bounding
+//!   memory to ≤2 sealed blocks in flight.
 //! * [`PrefetchingRunReader`] — read-ahead per merge input. The background
 //!   side reads, CRC-checks and decodes blocks into a bounded buffer of
 //!   decoded row batches, so loser-tree refill pops rows that are already
@@ -23,7 +25,7 @@
 //! **Two execution modes.** Both primitives either spawn a dedicated OS
 //! thread (the legacy mode, one thread per open run / per merge source) or
 //! submit block-sized jobs to a shared [`IoScheduler`](crate::IoScheduler) pool
-//! ([`SpillPipeline::spawn_scheduled`] /
+//! (a `RunWriter` given a scheduler handle /
 //! [`PrefetchingRunReader::spawn_scheduled`]), which bounds the
 //! process-wide background thread count to the pool size no matter how
 //! many runs and sources are open. Scheduler jobs are state-machine steps:
@@ -64,22 +66,13 @@ use std::time::Instant;
 use histok_types::{Error, Result, Row, RowBatch, SortKey};
 
 use crate::backend::SpillWriter;
-use crate::crc::crc32;
-use crate::run::{encode_block_header, encode_end_marker, RunReader, BLOCK_HEADER_BYTES};
+use crate::run::{Frame, RunReader};
 use crate::scheduler::{lock, wait, IoClass, IoPriority, IoSchedulerHandle, ThreadCensus};
 use crate::stats::{IoStats, OverlapLedger};
 
 /// Maximum sealed blocks in flight between the operator thread and the
 /// pipeline's background side (double buffering).
 pub const SPILL_PIPELINE_DEPTH: usize = 2;
-
-/// What the operator thread ships to the background writer.
-enum SpillMsg {
-    /// A sealed block payload to CRC, frame and write.
-    Block { rows: u32, payload: Vec<u8> },
-    /// Write the end marker and finish the backend object.
-    Finish,
-}
 
 /// Shared state between a scheduled pipeline's producer and its jobs.
 struct PipeShared {
@@ -90,12 +83,10 @@ struct PipeShared {
 }
 
 struct PipeState {
-    queue: VecDeque<SpillMsg>,
+    queue: VecDeque<Frame>,
     /// The backend writer; taken out by the active job while it performs
-    /// I/O, consumed by the `Finish` step.
+    /// I/O, dropped behind the run's last frame.
     writer: Option<Box<dyn SpillWriter>>,
-    /// Run-file header, written by the first job step.
-    header: Option<Vec<u8>>,
     /// True while a pool job owns this component (at most one at a time).
     job_active: bool,
     finished: bool,
@@ -103,30 +94,29 @@ struct PipeState {
     abandoned: bool,
 }
 
-/// One scheduler job: drain queued messages until the queue is empty, the
+/// One scheduler job: write queued frames until the queue is empty, the
 /// run finishes/fails, or the component is abandoned. Never blocks.
 fn pipe_job(shared: &Arc<PipeShared>) {
     loop {
-        let (msg, writer, header) = {
+        let (mut frame, writer) = {
             let mut st = lock(&shared.state);
             if st.abandoned || st.failed.is_some() {
                 // Dropping the writer discards the unfinished object, per
                 // the SpillWriter contract.
                 st.writer = None;
-                st.header = None;
                 st.queue.clear();
                 st.job_active = false;
                 shared.cond.notify_all();
                 return;
             }
-            let Some(msg) = st.queue.pop_front() else {
+            let Some(frame) = st.queue.pop_front() else {
                 st.job_active = false;
                 shared.cond.notify_all();
                 return;
             };
             // Queue space freed: a producer blocked on backpressure can go.
             shared.cond.notify_all();
-            (msg, st.writer.take(), st.header.take())
+            (frame, st.writer.take())
         };
         let Some(mut writer) = writer else {
             let mut st = lock(&shared.state);
@@ -136,63 +126,35 @@ fn pipe_job(shared: &Arc<PipeShared>) {
             shared.cond.notify_all();
             return;
         };
-        let outcome: Result<bool> = (|| {
-            if let Some(h) = header {
-                writer.write_all(&h)?;
-            }
-            match msg {
-                SpillMsg::Block { rows, payload } => {
-                    let crc = crc32(&payload);
-                    let frame = encode_block_header(rows, payload.len() as u32, crc);
-                    let started = Instant::now();
-                    writer.write_all(&frame)?;
-                    writer.write_all(&payload)?;
-                    let elapsed = started.elapsed();
-                    shared.stats.record_write_timed(
-                        u64::from(rows),
-                        BLOCK_HEADER_BYTES as u64 + payload.len() as u64,
-                        elapsed,
-                    );
-                    shared.ledger.record_busy(elapsed);
-                    Ok(false)
-                }
-                SpillMsg::Finish => {
-                    let started = Instant::now();
-                    writer.write_all(&encode_end_marker())?;
-                    writer.finish()?;
-                    shared.ledger.record_busy(started.elapsed());
-                    Ok(true)
-                }
-            }
-        })();
+        let outcome = frame.write(writer.as_mut(), &shared.stats);
         let mut st = lock(&shared.state);
         match outcome {
-            Ok(false) => {
-                st.writer = Some(writer);
-            }
-            Ok(true) => {
-                drop(writer);
+            Ok(busy) => {
+                shared.ledger.record_busy(busy);
+                if !frame.last {
+                    st.writer = Some(writer);
+                    continue;
+                }
                 st.finished = true;
-                st.job_active = false;
-                shared.cond.notify_all();
-                return;
             }
             Err(e) => {
-                drop(writer);
                 st.failed = Some(e);
                 st.queue.clear();
-                st.job_active = false;
-                shared.cond.notify_all();
-                return;
             }
         }
+        // Finished or failed: either way the writer is done with (dropping
+        // it unfinished discards the object).
+        drop(writer);
+        st.job_active = false;
+        shared.cond.notify_all();
+        return;
     }
 }
 
 enum PipeMode {
     /// Legacy: a dedicated writer thread per open run.
     Thread {
-        tx: Option<SyncSender<SpillMsg>>,
+        tx: Option<SyncSender<Frame>>,
         handle: Option<JoinHandle<()>>,
         error: Arc<Mutex<Option<Error>>>,
     },
@@ -200,23 +162,23 @@ enum PipeMode {
     Scheduled { shared: Arc<PipeShared>, handle: IoSchedulerHandle, class: IoClass },
 }
 
-/// A background writer that turns sealed block payloads into CRC-framed
-/// writes against a [`SpillWriter`] — on a dedicated thread
+/// A background writer that turns sealed block frames into CRC-stamped
+/// single-request writes against a [`SpillWriter`] — on a dedicated thread
 /// ([`SpillPipeline::spawn`]) or a shared scheduler pool
-/// ([`SpillPipeline::spawn_scheduled`]). See the module docs for the
+/// ([`SpillPipeline::spawn_scheduled`]); [`RunWriter`](crate::RunWriter) is
+/// its only user. See the module docs for the
 /// backpressure, error, cancellation and accounting rules.
-pub struct SpillPipeline {
+pub(crate) struct SpillPipeline {
     mode: PipeMode,
     stats: IoStats,
     ledger: Arc<OverlapLedger>,
 }
 
 impl SpillPipeline {
-    /// Spawns a dedicated writer thread. `header` is written first (the
-    /// run-file header), so the operator thread performs no storage
-    /// request itself.
-    pub fn spawn(writer: Box<dyn SpillWriter>, header: Vec<u8>, stats: IoStats) -> Self {
-        let (tx, rx) = sync_channel::<SpillMsg>(SPILL_PIPELINE_DEPTH);
+    /// Spawns a dedicated writer thread; the operator thread performs no
+    /// storage request itself.
+    pub(crate) fn spawn(writer: Box<dyn SpillWriter>, stats: IoStats) -> Self {
+        let (tx, rx) = sync_channel::<Frame>(SPILL_PIPELINE_DEPTH);
         let error = Arc::new(Mutex::new(None));
         let latch = error.clone();
         let ledger = OverlapLedger::new(stats.clone());
@@ -224,11 +186,11 @@ impl SpillPipeline {
         let thread_ledger = ledger.clone();
         let handle = std::thread::spawn(move || {
             let _census = ThreadCensus::register();
-            if let Err(e) = run_writer_thread(writer, header, rx, &thread_stats, &thread_ledger) {
+            if let Err(e) = run_writer_thread(writer, &rx, &thread_stats, &thread_ledger) {
                 *lock(&latch) = Some(e);
-                // Returning drops `rx`: the operator's next `send` fails
-                // and surfaces the latched error.
             }
+            // Only now does `rx` drop, so the operator's next `send` fails
+            // with the error already latched.
         });
         SpillPipeline {
             mode: PipeMode::Thread { tx: Some(tx), handle: Some(handle), error },
@@ -240,9 +202,8 @@ impl SpillPipeline {
     /// As [`SpillPipeline::spawn`], but the writes run as
     /// [`IoPriority::SpillWrite`] jobs on `scheduler`'s pool instead of a
     /// dedicated thread.
-    pub fn spawn_scheduled(
+    pub(crate) fn spawn_scheduled(
         writer: Box<dyn SpillWriter>,
-        header: Vec<u8>,
         stats: IoStats,
         scheduler: IoSchedulerHandle,
     ) -> Self {
@@ -251,7 +212,6 @@ impl SpillPipeline {
             state: Mutex::new(PipeState {
                 queue: VecDeque::new(),
                 writer: Some(writer),
-                header: Some(header),
                 job_active: false,
                 finished: false,
                 failed: None,
@@ -269,17 +229,17 @@ impl SpillPipeline {
         }
     }
 
-    /// Queues one sealed block. Blocks while [`SPILL_PIPELINE_DEPTH`]
-    /// blocks are already in flight (backpressure); the blocked time is
+    /// Queues one sealed frame. Blocks while [`SPILL_PIPELINE_DEPTH`]
+    /// frames are already in flight (backpressure); the blocked time is
     /// booked as compute-side I/O wait.
-    pub fn write_block(&mut self, rows: u32, payload: Vec<u8>) -> Result<()> {
+    pub(crate) fn write_block(&mut self, frame: Frame) -> Result<()> {
         match &mut self.mode {
             PipeMode::Thread { tx, error, .. } => {
                 let Some(tx) = tx else {
                     return Err(take_error(error));
                 };
                 let started = Instant::now();
-                let sent = tx.send(SpillMsg::Block { rows, payload });
+                let sent = tx.send(frame);
                 let waited = started.elapsed();
                 self.stats.record_io_wait(waited);
                 self.ledger.record_wait(waited);
@@ -303,7 +263,7 @@ impl SpillPipeline {
                 if st.finished {
                     return Err(Error::Io(std::io::Error::other("write after pipeline finish")));
                 }
-                st.queue.push_back(SpillMsg::Block { rows, payload });
+                st.queue.push_back(frame);
                 if !st.job_active {
                     st.job_active = true;
                     let shared = shared.clone();
@@ -314,57 +274,39 @@ impl SpillPipeline {
         }
     }
 
-    /// Writes the end marker, finishes the backend object, waits out the
-    /// background side, and surfaces any latched error. The wait (drain +
-    /// completion) is booked as compute-side I/O wait; the component's
-    /// overlap ledger settles here.
-    pub fn finish(&mut self) -> Result<()> {
-        let result = match &mut self.mode {
+    /// Queues the run's last frame, waits out the background side — which
+    /// finishes the backend object behind that frame — and surfaces any
+    /// latched error. The wait (drain + completion) is booked as
+    /// compute-side I/O wait; the component's overlap ledger settles here.
+    pub(crate) fn finish(&mut self, last: Frame) -> Result<()> {
+        debug_assert!(last.last);
+        let queued = self.write_block(last);
+        let started = Instant::now();
+        let drained = match &mut self.mode {
             PipeMode::Thread { tx, handle, error } => {
-                let started = Instant::now();
-                if let Some(tx) = tx.take() {
-                    // A send failure means the thread already died on a
-                    // latched error; the join below surfaces it.
-                    let _ = tx.send(SpillMsg::Finish);
-                }
+                // The thread returns behind the last frame (or died on a
+                // latched error, which surfaces below).
+                tx.take();
                 if let Some(handle) = handle.take() {
                     let _ = handle.join();
                 }
-                let waited = started.elapsed();
-                self.stats.record_io_wait(waited);
-                self.ledger.record_wait(waited);
-                match lock(error).take() {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
+                lock(error).take()
             }
-            PipeMode::Scheduled { shared, handle, class } => {
-                let started = Instant::now();
+            PipeMode::Scheduled { shared, .. } => {
                 let mut st = lock(&shared.state);
-                if !st.finished && st.failed.is_none() {
-                    st.queue.push_back(SpillMsg::Finish);
-                    if !st.job_active {
-                        st.job_active = true;
-                        let job = shared.clone();
-                        handle.submit(class, move || pipe_job(&job));
-                    }
-                }
-                while st.job_active || (!st.finished && st.failed.is_none()) {
+                // If the last frame never made it into the queue, nothing
+                // will ever finish the run: only wait out a running job.
+                while st.job_active || (queued.is_ok() && !st.finished && st.failed.is_none()) {
                     st = wait(&shared.cond, st);
                 }
-                let result = match st.failed.take() {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                };
-                drop(st);
-                let waited = started.elapsed();
-                self.stats.record_io_wait(waited);
-                self.ledger.record_wait(waited);
-                result
+                st.failed.take()
             }
         };
+        let waited = started.elapsed();
+        self.stats.record_io_wait(waited);
+        self.ledger.record_wait(waited);
         self.ledger.settle();
-        result
+        queued.and(drained.map_or(Ok(()), Err))
     }
 }
 
@@ -378,7 +320,7 @@ impl Drop for SpillPipeline {
     fn drop(&mut self) {
         match &mut self.mode {
             PipeMode::Thread { tx, handle, .. } => {
-                // Disconnect without `Finish`: the thread abandons the run
+                // Disconnect before a last frame: the thread abandons the run
                 // (the backend object is never finished, matching a dropped
                 // synchronous writer) and exits; then join so no thread
                 // leaks.
@@ -392,7 +334,6 @@ impl Drop for SpillPipeline {
                 st.abandoned = true;
                 st.queue.clear();
                 st.writer = None;
-                st.header = None;
                 shared.cond.notify_all();
                 // Wait out at most one in-flight block job so nothing
                 // touches the component after it is gone.
@@ -405,43 +346,22 @@ impl Drop for SpillPipeline {
     }
 }
 
-/// The legacy pipeline thread body: header first, then blocks until
-/// `Finish` or disconnect. Storage busy time lands in the component ledger.
+/// The legacy pipeline thread body: frames until the run's last one or a
+/// disconnect. Storage busy time lands in the component ledger.
 fn run_writer_thread(
     mut writer: Box<dyn SpillWriter>,
-    header: Vec<u8>,
-    rx: Receiver<SpillMsg>,
+    rx: &Receiver<Frame>,
     stats: &IoStats,
     ledger: &OverlapLedger,
 ) -> Result<()> {
-    writer.write_all(&header)?;
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            SpillMsg::Block { rows, payload } => {
-                let crc = crc32(&payload);
-                let frame = encode_block_header(rows, payload.len() as u32, crc);
-                let started = Instant::now();
-                writer.write_all(&frame)?;
-                writer.write_all(&payload)?;
-                let elapsed = started.elapsed();
-                stats.record_write_timed(
-                    u64::from(rows),
-                    BLOCK_HEADER_BYTES as u64 + payload.len() as u64,
-                    elapsed,
-                );
-                ledger.record_busy(elapsed);
-            }
-            SpillMsg::Finish => {
-                let started = Instant::now();
-                writer.write_all(&encode_end_marker())?;
-                writer.finish()?;
-                ledger.record_busy(started.elapsed());
-                return Ok(());
-            }
+    while let Ok(mut frame) = rx.recv() {
+        ledger.record_busy(frame.write(writer.as_mut(), stats)?);
+        if frame.last {
+            return Ok(());
         }
     }
-    // Disconnected without `Finish`: the run was abandoned. Dropping the
-    // writer discards the object, per the SpillWriter contract.
+    // Disconnected before the last frame: the run was abandoned. Dropping
+    // the writer discards the object, per the SpillWriter contract.
     Ok(())
 }
 
@@ -1011,7 +931,7 @@ mod tests {
         }
         drop(w); // no finish: the pipeline must shut down and not leak
                  // The object was never finished, so it must not be readable.
-        assert!(RunReader::<u64>::open_named(&be, "gone", IoStats::new()).is_err());
+        assert!(be.open("gone").is_err());
     }
 
     #[test]
@@ -1032,6 +952,6 @@ mod tests {
             w.append(&Row::key_only(k)).unwrap();
         }
         drop(w); // no finish: the job must drop the writer, discarding it
-        assert!(RunReader::<u64>::open_named(&be, "sgone", IoStats::new()).is_err());
+        assert!(be.open("sgone").is_err());
     }
 }

@@ -15,12 +15,35 @@
 //! metadata (row count, byte size, last key) is retained in [`RunMeta`],
 //! enabling the §4.1 merge optimizations: a reader can skip whole blocks
 //! that an `OFFSET` clause or a cutoff key proves irrelevant.
+//!
+//! # Request budget
+//!
+//! Every backend call is a round trip (§2.1), so a block costs exactly
+//! **one** request in each direction (B = blocks of the run; `finish` and
+//! `skip` are requests too):
+//!
+//! | path | requests |
+//! |---|---|
+//! | write one run (sync, thread and scheduled sinks alike) | B + 1 (`finish`); B + 2 when the run ends exactly on a block boundary |
+//! | full scan of one run (plain or prefetching) | B |
+//! | range open reading R of B blocks | R, + 1 `skip` if the first in-range block is not block 0; 0 when R = 0 |
+//! | `skip_rows` across S whole blocks | ≤ 1 `skip` (+ 1 read for a straddling block) |
+//!
+//! The writer gets there by reserving the block header (and, on a run's
+//! first block, the file header) at the front of the buffer rows are
+//! encoded into: the sink patches rows/length/CRC *in place* and sends the
+//! whole frame with one `write_all` — no second buffer, no copy — and
+//! the end marker rides behind the last block. The reader sizes each
+//! request from the [`RunMeta`] block index it is opened with: one
+//! `read_exact` fetches header and payload together, the header is checked
+//! against the index, and the end marker is never read.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use histok_types::{Error, Result, Row, RowBatch, SortKey, SortOrder};
 
-use crate::backend::{SpillReader, StorageBackend};
+use crate::backend::{SpillReader, SpillWriter, StorageBackend};
 use crate::crc::crc32;
 use crate::pipeline::SpillPipeline;
 use crate::scheduler::IoSchedulerHandle;
@@ -29,20 +52,16 @@ use crate::stats::{IoStats, OverlapLedger};
 /// Target payload bytes per block (64 KiB).
 pub const DEFAULT_BLOCK_BYTES: usize = 64 * 1024;
 
-pub(crate) const FILE_MAGIC: u32 = 0x4853_544B; // "HSTK"
-pub(crate) const FILE_VERSION: u32 = 1;
-pub(crate) const BLOCK_MAGIC: u32 = 0x424C_4B31; // "BLK1"
-pub(crate) const BLOCK_HEADER_BYTES: usize = 16;
+const FILE_MAGIC: u32 = 0x4853_544B; // "HSTK"
+const FILE_VERSION: u32 = 1;
+const FILE_HEADER_BYTES: usize = 8;
+const BLOCK_MAGIC: u32 = 0x424C_4B31; // "BLK1"
+const BLOCK_HEADER_BYTES: usize = 16;
 
-/// Decoded block-header fields: `(row_count, payload_len, crc32)`.
-type BlockHeader = (u32, u32, u32);
-
-/// Builds the 16-byte framing header for a sealed block payload.
-pub(crate) fn encode_block_header(
-    rows: u32,
-    payload_len: u32,
-    crc: u32,
-) -> [u8; BLOCK_HEADER_BYTES] {
+/// Builds the 16-byte framing header for a sealed block payload. The
+/// end-of-run marker is the header of an empty block: all-zero counts and
+/// the CRC of no bytes, which is 0.
+fn encode_block_header(rows: u32, payload_len: u32, crc: u32) -> [u8; BLOCK_HEADER_BYTES] {
     let mut header = [0u8; BLOCK_HEADER_BYTES];
     header[0..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
     header[4..8].copy_from_slice(&rows.to_le_bytes());
@@ -51,9 +70,72 @@ pub(crate) fn encode_block_header(
     header
 }
 
-/// The end-of-run marker: an all-zero-count block header.
-pub(crate) fn encode_end_marker() -> [u8; BLOCK_HEADER_BYTES] {
-    encode_block_header(0, 0, 0)
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("a four-byte slice"))
+}
+
+/// Room a frame needs behind whatever precedes its block header: the
+/// header, the payload target with slack for the row that crosses it, and
+/// a trailing end marker.
+fn frame_capacity(block_target: usize) -> usize {
+    2 * BLOCK_HEADER_BYTES + block_target + 256
+}
+
+/// Bytes block `index` occupies on storage: its header and payload, plus
+/// the file header in front of block 0.
+fn frame_bytes(index: usize, payload_bytes: u32) -> usize {
+    let file_header = if index == 0 { FILE_HEADER_BYTES } else { 0 };
+    file_header + BLOCK_HEADER_BYTES + payload_bytes as usize
+}
+
+/// One sealed block on its way to storage, laid out as the single request
+/// that carries it: `[file header] block_header payload [end marker]`.
+///
+/// [`RunWriter`] encodes rows straight behind the reserved header bytes;
+/// whichever sink ends up with the frame — the calling thread, a pipeline
+/// thread or a scheduler job — completes it with [`Frame::write`].
+pub(crate) struct Frame {
+    /// The whole request. The block header at `header_at` is still blank;
+    /// anything before it (file header) and after the payload (end marker)
+    /// is final.
+    buf: Vec<u8>,
+    header_at: usize,
+    rows: u32,
+    payload_len: u32,
+    /// The run's final frame: the object is finished right after it.
+    pub(crate) last: bool,
+}
+
+impl Frame {
+    /// CRCs the payload, patches the block header in place and sends the
+    /// frame as **one** `write_all`; a `last` frame also finishes the
+    /// object. Books the block into `stats` and returns the time spent in
+    /// the backend, for the caller to book as wait or as overlapped busy
+    /// time. A rowless frame is the bare end marker and books no block.
+    pub(crate) fn write(
+        &mut self,
+        writer: &mut dyn SpillWriter,
+        stats: &IoStats,
+    ) -> Result<Duration> {
+        let payload_at = self.header_at + BLOCK_HEADER_BYTES;
+        let crc = crc32(&self.buf[payload_at..payload_at + self.payload_len as usize]);
+        let header = encode_block_header(self.rows, self.payload_len, crc);
+        self.buf[self.header_at..payload_at].copy_from_slice(&header);
+        // One Instant pair around the whole block request — never per row.
+        let started = Instant::now();
+        writer.write_all(&self.buf)?;
+        if self.rows > 0 {
+            stats.record_write_timed(
+                u64::from(self.rows),
+                BLOCK_HEADER_BYTES as u64 + u64::from(self.payload_len),
+                started.elapsed(),
+            );
+        }
+        if self.last {
+            writer.finish()?;
+        }
+        Ok(started.elapsed())
+    }
 }
 
 /// A key interval restricting a range-scoped [`RunReader`]: rows in
@@ -107,9 +189,6 @@ impl<K: Ord> KeyRange<K> {
 struct RangeState<K> {
     range: KeyRange<K>,
     order: SortOrder,
-    /// In-range blocks left to read; iteration ends (without touching the
-    /// end marker) when this reaches zero.
-    blocks_remaining: usize,
     /// True until the first in-range block has been decoded: only that
     /// block can hold rows preceding `lo`.
     trim_lo: bool,
@@ -162,7 +241,12 @@ pub struct RunWriter<K: SortKey> {
     sink: BlockSink,
     order: SortOrder,
     block_target: usize,
+    /// The frame under construction: reserved header bytes, then the rows
+    /// encoded so far (see [`Frame`]).
     block_buf: Vec<u8>,
+    /// Where the block header sits in `block_buf`: behind the file header
+    /// on the run's first block, at the front afterwards.
+    header_at: usize,
     rows_in_block: u32,
     blocks: Vec<BlockMeta<K>>,
     rows: u64,
@@ -179,14 +263,13 @@ pub struct RunWriter<K: SortKey> {
     /// starts.
     last_row_at: usize,
     stats: IoStats,
-    finished: bool,
 }
 
-/// Where sealed blocks go: either the calling thread CRCs and writes them
+/// Where sealed frames go: either the calling thread CRCs and writes them
 /// synchronously, or they are handed to a [`SpillPipeline`] writer thread
 /// (double-buffered, bounded backpressure — see `pipeline.rs`).
 enum BlockSink {
-    Sync(Box<dyn crate::backend::SpillWriter>),
+    Sync(Box<dyn SpillWriter>),
     Pipelined(SpillPipeline),
 }
 
@@ -243,47 +326,52 @@ impl<K: SortKey> RunWriter<K> {
             return Err(Error::InvalidConfig("block target must be positive".into()));
         }
         let name = name.into();
-        let mut writer = backend.create(&name)?;
-        let mut header = Vec::with_capacity(8);
-        header.extend_from_slice(&FILE_MAGIC.to_le_bytes());
-        header.extend_from_slice(&FILE_VERSION.to_le_bytes());
-        let sink = if pipelined {
-            // The file header is written by the background side, so the
-            // operator thread performs no storage request at all here.
-            match scheduler {
-                Some(handle) => BlockSink::Pipelined(SpillPipeline::spawn_scheduled(
-                    writer,
-                    header.clone(),
-                    stats.clone(),
-                    handle,
-                )),
-                None => BlockSink::Pipelined(SpillPipeline::spawn(
-                    writer,
-                    header.clone(),
-                    stats.clone(),
-                )),
+        let writer = backend.create(&name)?;
+        // Nothing is sent yet in any mode: the file header travels in the
+        // first frame.
+        let sink = match (pipelined, scheduler) {
+            (false, _) => BlockSink::Sync(writer),
+            (true, None) => BlockSink::Pipelined(SpillPipeline::spawn(writer, stats.clone())),
+            (true, Some(handle)) => {
+                BlockSink::Pipelined(SpillPipeline::spawn_scheduled(writer, stats.clone(), handle))
             }
-        } else {
-            writer.write_all(&header)?;
-            BlockSink::Sync(writer)
         };
-        Ok(RunWriter {
+        let mut block_buf = Vec::with_capacity(FILE_HEADER_BYTES + frame_capacity(block_target));
+        block_buf.extend_from_slice(&FILE_MAGIC.to_le_bytes());
+        block_buf.extend_from_slice(&FILE_VERSION.to_le_bytes());
+        let mut run = RunWriter {
             name,
             sink,
             order,
             block_target,
-            block_buf: Vec::with_capacity(block_target + 256),
+            block_buf,
+            header_at: 0,
             rows_in_block: 0,
             blocks: Vec::new(),
             rows: 0,
-            bytes: header.len() as u64,
+            bytes: FILE_HEADER_BYTES as u64,
             first_key: None,
             boundary_key: None,
             last_prefix: 0,
             last_row_at: 0,
             stats,
-            finished: false,
-        })
+        };
+        run.reserve_block_header();
+        Ok(run)
+    }
+
+    /// Opens the next frame in `block_buf` behind whatever it already
+    /// holds (the file header or nothing): a blank block header, with room
+    /// for a full payload and a trailing end marker.
+    fn reserve_block_header(&mut self) {
+        self.header_at = self.block_buf.len();
+        self.block_buf.reserve(frame_capacity(self.block_target));
+        self.block_buf.resize(self.header_at + BLOCK_HEADER_BYTES, 0);
+    }
+
+    /// Payload bytes encoded into the open frame so far.
+    fn payload_len(&self) -> usize {
+        self.block_buf.len() - self.header_at - BLOCK_HEADER_BYTES
     }
 
     /// Appends the next row. Keys must be non-decreasing in output order.
@@ -315,8 +403,8 @@ impl<K: SortKey> RunWriter<K> {
         row.encode(&mut self.block_buf);
         self.rows_in_block += 1;
         self.rows += 1;
-        if self.block_buf.len() >= self.block_target {
-            self.flush_block()?;
+        if self.payload_len() >= self.block_target {
+            self.seal_block(false)?;
         }
         Ok(())
     }
@@ -360,56 +448,64 @@ impl<K: SortKey> RunWriter<K> {
         }
     }
 
-    fn flush_block(&mut self) -> Result<()> {
-        if self.rows_in_block == 0 {
+    /// Seals the open frame and sends it to the sink. `last` marks the end
+    /// of the run: the end marker rides behind the block's payload, or —
+    /// when no rows are pending — the blank header *is* the end marker and
+    /// travels alone (with the file header, for an empty run).
+    fn seal_block(&mut self, last: bool) -> Result<()> {
+        if self.rows_in_block == 0 && !last {
             return Ok(());
         }
-        // The block's last key is decoded once here, at seal time — the
-        // per-row append path only recorded where its encoding starts.
-        self.boundary_key = Some(
-            self.decode_last_key()
-                .ok_or_else(|| Error::Corrupt("undecodable row in write buffer".into()))?,
-        );
-        let payload_len = self.block_buf.len() as u32;
-        match &mut self.sink {
-            BlockSink::Sync(writer) => {
-                let crc = crc32(&self.block_buf);
-                let header = encode_block_header(self.rows_in_block, payload_len, crc);
-                // One Instant pair around the whole block request — never
-                // per row. The compute thread is blocked for the duration,
-                // so the elapsed time is also I/O wait.
-                let started = std::time::Instant::now();
-                writer.write_all(&header)?;
-                writer.write_all(&self.block_buf)?;
-                let elapsed = started.elapsed();
-                self.stats.record_write_timed(
-                    self.rows_in_block as u64,
-                    BLOCK_HEADER_BYTES as u64 + payload_len as u64,
-                    elapsed,
-                );
-                self.stats.record_io_wait(elapsed);
-            }
-            BlockSink::Pipelined(pipeline) => {
-                // Hand the sealed payload to the writer thread (it CRCs,
-                // frames, writes, and books the stats) and start filling a
-                // fresh buffer. Blocks only when ≥2 blocks are in flight.
-                let payload = std::mem::replace(
-                    &mut self.block_buf,
-                    Vec::with_capacity(self.block_target + 256),
-                );
-                pipeline.write_block(self.rows_in_block, payload)?;
+        let payload_len = self.payload_len() as u32;
+        if self.rows_in_block > 0 {
+            // The block's last key is decoded once here, at seal time — the
+            // per-row append path only recorded where its encoding starts.
+            let last_key = self
+                .decode_last_key()
+                .ok_or_else(|| Error::Corrupt("undecodable row in write buffer".into()))?;
+            self.boundary_key = Some(last_key.clone());
+            self.blocks.push(BlockMeta {
+                rows: self.rows_in_block,
+                payload_bytes: payload_len,
+                last_key,
+            });
+            self.bytes += BLOCK_HEADER_BYTES as u64 + u64::from(payload_len);
+            if last {
+                self.block_buf.extend_from_slice(&encode_block_header(0, 0, 0));
             }
         }
-        self.bytes += BLOCK_HEADER_BYTES as u64 + payload_len as u64;
-        self.blocks.push(BlockMeta {
+        let mut frame = Frame {
+            buf: std::mem::take(&mut self.block_buf),
+            header_at: self.header_at,
             rows: self.rows_in_block,
-            payload_bytes: payload_len,
-            last_key: self.boundary_key.clone().expect("non-empty block implies a last key"),
-        });
-        self.block_buf.clear();
+            payload_len,
+            last,
+        };
+        let sent = match &mut self.sink {
+            BlockSink::Sync(writer) => {
+                let written = frame.write(writer.as_mut(), &self.stats);
+                self.block_buf = frame.buf;
+                self.block_buf.clear();
+                // The compute thread was blocked for the duration, so the
+                // time in the backend is also I/O wait.
+                written.map(|elapsed| self.stats.record_io_wait(elapsed))
+            }
+            // Hand the frame to the background side (it CRCs, patches the
+            // header, writes, and books the stats) and start filling a
+            // fresh buffer. Blocks only when ≥2 frames are in flight — or,
+            // behind the last frame, until the object is finished.
+            BlockSink::Pipelined(pipeline) if last => pipeline.finish(frame),
+            BlockSink::Pipelined(pipeline) => pipeline.write_block(frame),
+        };
+        // Open the next frame even after a failed send, so a caller that
+        // keeps appending meets the sink's error again, not a torn buffer.
+        // (`last` comes from `finish`, which consumes the writer.)
         self.rows_in_block = 0;
         self.last_row_at = 0;
-        Ok(())
+        if !last {
+            self.reserve_block_header();
+        }
+        sent
     }
 
     /// Rows appended so far.
@@ -434,22 +530,9 @@ impl<K: SortKey> RunWriter<K> {
 
     /// Seals the run and returns its metadata.
     pub fn finish(mut self) -> Result<RunMeta<K>> {
-        self.flush_block()?;
-        match &mut self.sink {
-            BlockSink::Sync(writer) => {
-                // End marker: an all-zero block header.
-                writer.write_all(&encode_end_marker())?;
-                writer.finish()?;
-            }
-            BlockSink::Pipelined(pipeline) => {
-                // The pipeline writes the end marker, finishes the backend
-                // object, joins its thread, and surfaces any latched error.
-                pipeline.finish()?;
-            }
-        }
+        self.seal_block(true)?;
         self.bytes += BLOCK_HEADER_BYTES as u64;
         self.stats.record_run_created();
-        self.finished = true;
         Ok(RunMeta {
             name: self.name.clone(),
             rows: self.rows,
@@ -464,12 +547,21 @@ impl<K: SortKey> RunWriter<K> {
 
 /// Streams rows back out of a finished run in sort order.
 ///
-/// Implements `Iterator<Item = Result<Row<K>>>`. Blocks are CRC-verified as
-/// they are decoded; [`RunReader::skip_rows`] skips whole blocks without
-/// reading their payload where possible.
+/// Implements `Iterator<Item = Result<Row<K>>>`. Each block is fetched in
+/// one request sized from the [`RunMeta`] block index and CRC-verified as
+/// it is decoded; [`RunReader::skip_rows`] skips whole blocks without
+/// reading them where possible.
 pub struct RunReader<K: SortKey> {
     reader: Box<dyn SpillReader>,
+    name: String,
     stats: IoStats,
+    /// `(rows, payload_bytes)` of every block of the run, in file order.
+    index: Vec<(u32, u32)>,
+    /// The block the backend reader is positioned at.
+    next_block: usize,
+    /// One past the last block this reader visits: the end of the run, or
+    /// of the key range it is scoped to. The end marker is never read.
+    end_block: usize,
     /// Decoded rows of the current block, yielded front to back.
     current: std::collections::VecDeque<Row<K>>,
     /// Normalized prefix of each buffered row, aligned with `current` —
@@ -487,27 +579,16 @@ pub struct RunReader<K: SortKey> {
 }
 
 impl<K: SortKey> RunReader<K> {
-    /// Opens `meta`'s object on `backend`.
+    /// Opens `meta`'s object on `backend`. No request is issued until the
+    /// first block is pulled.
     pub fn open(backend: &dyn StorageBackend, meta: &RunMeta<K>, stats: IoStats) -> Result<Self> {
-        Self::open_named(backend, &meta.name, stats)
-    }
-
-    /// Opens a run by object name (the file is self-delimiting).
-    pub fn open_named(backend: &dyn StorageBackend, name: &str, stats: IoStats) -> Result<Self> {
-        let mut reader = backend.open(name)?;
-        let mut header = [0u8; 8];
-        reader.read_exact(&mut header)?;
-        let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if magic != FILE_MAGIC {
-            return Err(Error::Corrupt(format!("bad run magic {magic:#x} in {name}")));
-        }
-        if version != FILE_VERSION {
-            return Err(Error::Corrupt(format!("unsupported run version {version} in {name}")));
-        }
         Ok(RunReader {
-            reader,
+            reader: backend.open(&meta.name)?,
+            name: meta.name.clone(),
             stats,
+            index: meta.blocks.iter().map(|b| (b.rows, b.payload_bytes)).collect(),
+            next_block: 0,
+            end_block: meta.blocks.len(),
             current: std::collections::VecDeque::new(),
             current_prefixes: std::collections::VecDeque::new(),
             done: false,
@@ -523,10 +604,10 @@ impl<K: SortKey> RunReader<K> {
     /// in-range rows: blocks wholly before `lo` are skipped with **one**
     /// byte-offset seek (never read, booked as `blocks_skipped` /
     /// `bytes_skipped`), and blocks wholly past the upper bound are booked
-    /// as skipped at open time and never visited — iteration ends after the
-    /// last in-range block without reading the end marker. Rows of the
-    /// first and last in-range block that fall outside the bounds are
-    /// dropped after decode (a boundary block may straddle the range).
+    /// as skipped at open time and never visited. A run the index proves
+    /// wholly outside the range costs no request at all. Rows of the first
+    /// and last in-range block that fall outside the bounds are dropped
+    /// after decode (a boundary block may straddle the range).
     ///
     /// Composes with [`crate::PrefetchingRunReader`]: the bounds are
     /// enforced inside the block-load path, so prefetch starts at the seek
@@ -543,10 +624,6 @@ impl<K: SortKey> RunReader<K> {
         }
         let order = meta.order;
         let blocks = &meta.blocks;
-        if blocks.is_empty() {
-            reader.done = true;
-            return Ok(reader);
-        }
         // First block that can hold a row ≥ lo: every earlier block has
         // last_key < lo, and a block's rows all sort at or before its last
         // key, so those blocks are wholly out of range.
@@ -554,42 +631,36 @@ impl<K: SortKey> RunReader<K> {
             Some(lo) => blocks.partition_point(|b| order.precedes(&b.last_key, lo)),
             None => 0,
         };
-        // Last block that can hold an in-range row: the first whose
-        // last_key reaches the upper bound (it may straddle). Every later
-        // block's rows sort at or after that key, hence past the bound.
-        let stop = match &range.hi {
+        // One past the last block that can hold an in-range row: the first
+        // whose last_key reaches the upper bound (it may straddle). Every
+        // later block's rows sort at or after that key, hence past the
+        // bound.
+        let end = match &range.hi {
             Some(hi) if range.hi_inclusive => {
-                blocks.partition_point(|b| !order.follows(&b.last_key, hi)).min(blocks.len() - 1)
+                blocks.partition_point(|b| !order.follows(&b.last_key, hi)) + 1
             }
-            Some(hi) => {
-                blocks.partition_point(|b| order.precedes(&b.last_key, hi)).min(blocks.len() - 1)
-            }
-            None => blocks.len() - 1,
-        };
-        if start >= blocks.len() || start > stop {
-            // The whole run sorts outside the range: nothing to read.
+            Some(hi) => blocks.partition_point(|b| order.precedes(&b.last_key, hi)) + 1,
+            None => blocks.len(),
+        }
+        .min(blocks.len());
+        if start >= end {
+            // The whole run sorts outside the range: nothing to read, and
+            // nothing to position.
             for b in blocks {
                 reader.stats.record_block_skip(u64::from(b.payload_bytes));
             }
             reader.done = true;
             return Ok(reader);
         }
-        // Skip the prefix in one byte-offset seek; each skipped block is
-        // booked individually (it was proven irrelevant by the index).
-        let mut prefix_bytes = 0u64;
-        for b in &blocks[..start] {
-            prefix_bytes += BLOCK_HEADER_BYTES as u64 + u64::from(b.payload_bytes);
+        // Skip the prefix in one byte-offset seek. The suffix past the last
+        // in-range block is never visited; either way each block is booked
+        // individually (it was proven irrelevant by the index).
+        reader.skip_blocks(start)?;
+        for b in &blocks[end..] {
             reader.stats.record_block_skip(u64::from(b.payload_bytes));
         }
-        if prefix_bytes > 0 {
-            reader.reader.skip(prefix_bytes)?;
-        }
-        // The suffix past the last in-range block is never visited.
-        for b in &blocks[stop + 1..] {
-            reader.stats.record_block_skip(u64::from(b.payload_bytes));
-        }
-        reader.range =
-            Some(RangeState { range, order, blocks_remaining: stop - start + 1, trim_lo: true });
+        reader.end_block = end;
+        reader.range = Some(RangeState { range, order, trim_lo: true });
         Ok(reader)
     }
 
@@ -605,50 +676,62 @@ impl<K: SortKey> RunReader<K> {
         &self.stats
     }
 
-    /// Reads the next block header; `Ok(None)` at the end marker. Also
-    /// returns the time the 16-byte header read took, so callers can fold
-    /// it into the block's timed span (the recorded byte count includes
-    /// the header, so the measured span must too).
-    fn read_block_header(&mut self) -> Result<(Option<BlockHeader>, std::time::Duration)> {
-        let mut header = [0u8; BLOCK_HEADER_BYTES];
-        let started = std::time::Instant::now();
-        self.reader.read_exact(&mut header)?;
-        let elapsed = started.elapsed();
-        let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        if magic != BLOCK_MAGIC {
-            return Err(Error::Corrupt(format!("bad block magic {magic:#x}")));
+    /// Moves the read position forward to block `to` with a single
+    /// byte-offset `skip` (none if already there), booking every block
+    /// passed over as skipped.
+    fn skip_blocks(&mut self, to: usize) -> Result<()> {
+        let mut bytes = 0u64;
+        for i in self.next_block..to {
+            let payload_bytes = self.index[i].1;
+            bytes += frame_bytes(i, payload_bytes) as u64;
+            self.stats.record_block_skip(u64::from(payload_bytes));
         }
-        let rows = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let payload_len = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[12..16].try_into().unwrap());
-        if rows == 0 && payload_len == 0 {
-            return Ok((None, elapsed));
+        if bytes > 0 {
+            self.reader.skip(bytes)?;
         }
-        Ok((Some((rows, payload_len, crc)), elapsed))
+        self.next_block = to;
+        Ok(())
     }
 
-    /// Reads, verifies and decodes one block (whose header was already
-    /// consumed) into `self.current`. `header_elapsed` is the time the
-    /// header read took; the recorded span covers header + payload, exactly
-    /// matching the recorded byte count.
-    fn decode_block(
-        &mut self,
-        rows: u32,
-        payload_len: u32,
-        crc: u32,
-        header_elapsed: std::time::Duration,
-    ) -> Result<()> {
-        let mut payload = vec![0u8; payload_len as usize];
+    /// Fetches the next block — header and payload in **one** request
+    /// sized from the index — verifies it and decodes it into
+    /// `self.current`. `Ok(false)` past the last block.
+    fn load_next_block(&mut self) -> Result<bool> {
+        debug_assert!(self.current.is_empty());
+        if self.next_block == self.end_block {
+            self.done = true;
+            return Ok(false);
+        }
+        let block = self.next_block;
+        let (rows, payload_len) = self.index[block];
+        let mut frame = vec![0u8; frame_bytes(block, payload_len)];
         // One Instant pair around the whole block request — never per row.
-        let started = std::time::Instant::now();
-        self.reader.read_exact(&mut payload)?;
-        let elapsed = header_elapsed + started.elapsed();
-        if crc32(&payload) != crc {
+        let started = Instant::now();
+        self.reader.read_exact(&mut frame)?;
+        let elapsed = started.elapsed();
+        self.next_block += 1;
+        let payload_at = frame.len() - payload_len as usize;
+        let header_at = payload_at - BLOCK_HEADER_BYTES;
+        if block == 0 {
+            self.check_file_header(&frame[..header_at])?;
+        }
+        // The request was sized from the index, so a header that disagrees
+        // with it means the bytes are not the block they were taken for.
+        let header = &frame[header_at..payload_at];
+        let found = (u32_at(header, 0), u32_at(header, 4), u32_at(header, 8));
+        if found != (BLOCK_MAGIC, rows, payload_len) {
+            return Err(Error::Corrupt(format!(
+                "block {block} of {} has header {found:x?}, index says {:x?}",
+                self.name,
+                (BLOCK_MAGIC, rows, payload_len)
+            )));
+        }
+        if crc32(&frame[payload_at..]) != u32_at(header, 12) {
             return Err(Error::Corrupt("block CRC mismatch".into()));
         }
         self.stats.record_read_timed(
-            rows as u64,
-            BLOCK_HEADER_BYTES as u64 + payload_len as u64,
+            u64::from(rows),
+            BLOCK_HEADER_BYTES as u64 + u64::from(payload_len),
             elapsed,
         );
         match &self.ledger {
@@ -658,7 +741,8 @@ impl<K: SortKey> RunReader<K> {
         // Decode out of one refcounted buffer: every row's payload becomes
         // a zero-copy slice of the block allocation instead of a fresh
         // per-row `Vec` (`Buf for &[u8]` copies; `Buf for Bytes` does not).
-        let mut buf = bytes::Bytes::from(payload);
+        let frame_len = frame.len();
+        let mut buf = bytes::Bytes::from(frame).slice(payload_at..frame_len);
         self.current.reserve(rows as usize);
         self.current_prefixes.reserve(rows as usize);
         for _ in 0..rows {
@@ -670,6 +754,20 @@ impl<K: SortKey> RunReader<K> {
             return Err(Error::Corrupt("trailing bytes after last row in block".into()));
         }
         self.trim_to_range();
+        Ok(true)
+    }
+
+    fn check_file_header(&self, header: &[u8]) -> Result<()> {
+        let (magic, version) = (u32_at(header, 0), u32_at(header, 4));
+        if magic != FILE_MAGIC {
+            return Err(Error::Corrupt(format!("bad run magic {magic:#x} in {}", self.name)));
+        }
+        if version != FILE_VERSION {
+            return Err(Error::Corrupt(format!(
+                "unsupported run version {version} in {}",
+                self.name
+            )));
+        }
         Ok(())
     }
 
@@ -679,7 +777,6 @@ impl<K: SortKey> RunReader<K> {
     /// trims are cheap no-ops on interior blocks.
     fn trim_to_range(&mut self) {
         let Some(state) = &mut self.range else { return };
-        state.blocks_remaining = state.blocks_remaining.saturating_sub(1);
         if state.trim_lo {
             state.trim_lo = false;
             if let Some(lo) = &state.range.lo {
@@ -702,27 +799,6 @@ impl<K: SortKey> RunReader<K> {
                 self.current_prefixes.pop_back();
             }
         }
-    }
-
-    /// True when a range-scoped reader has consumed its last in-range
-    /// block; iteration must stop without touching the file further.
-    fn range_exhausted(&self) -> bool {
-        self.range.as_ref().is_some_and(|s| s.blocks_remaining == 0)
-    }
-
-    fn load_next_block(&mut self) -> Result<bool> {
-        debug_assert!(self.current.is_empty());
-        if self.range_exhausted() {
-            self.done = true;
-            return Ok(false);
-        }
-        let (header, header_elapsed) = self.read_block_header()?;
-        let Some((rows, payload_len, crc)) = header else {
-            self.done = true;
-            return Ok(false);
-        };
-        self.decode_block(rows, payload_len, crc, header_elapsed)?;
-        Ok(true)
     }
 
     /// Drains the buffered rows and their prefix column into one batch.
@@ -751,44 +827,42 @@ impl<K: SortKey> RunReader<K> {
         }
     }
 
-    /// Skips the next `n` rows, avoiding payload reads for whole skipped
-    /// blocks (used by `OFFSET` positioning, §4.1).
+    /// Skips the next `n` rows (used by `OFFSET` positioning, §4.1). The
+    /// whole blocks the index proves skippable are passed over unread with
+    /// one `skip` request; only a straddling block is read.
     pub fn skip_rows(&mut self, mut n: u64) -> Result<()> {
-        // First drain buffered rows.
-        while n > 0 {
-            if let Some(_row) = self.current.pop_front() {
-                self.current_prefixes.pop_front();
-                self.rows_yielded += 1;
-                n -= 1;
-                continue;
+        loop {
+            // First drain buffered rows.
+            let buffered = n.min(self.current.len() as u64) as usize;
+            self.current.drain(..buffered);
+            self.current_prefixes.drain(..buffered);
+            self.rows_yielded += buffered as u64;
+            n -= buffered as u64;
+            if n == 0 {
+                return Ok(());
             }
-            if self.done || self.range_exhausted() {
-                self.done = true;
+            if self.done {
                 return Err(Error::Corrupt("skip past end of run".into()));
             }
-            // Peek the next block header; skip whole blocks without decode.
-            let (header, header_elapsed) = self.read_block_header()?;
-            let Some((rows, payload_len, crc)) = header else {
-                self.done = true;
-                return Err(Error::Corrupt("skip past end of run".into()));
-            };
-            // A range-scoped reader must always decode: the header's row
-            // count includes rows outside the range, so the whole-block
+            // A range-scoped reader must always decode: the index's row
+            // counts include rows outside the range, so the whole-block
             // shortcut would over-count the skip.
-            if self.range.is_none() && u64::from(rows) <= n {
-                // Whole-block skip: the payload is never read, which is the
-                // point — book it in the skip counters, not as a read.
-                self.reader.skip(payload_len as u64)?;
-                self.stats.record_block_skip(payload_len as u64);
-                self.rows_yielded += u64::from(rows);
-                n -= u64::from(rows);
-            } else {
-                // Partially-skipped block: decode it, with the same timed
-                // span / byte-count pairing as a normal block load.
-                self.decode_block(rows, payload_len, crc, header_elapsed)?;
+            if self.range.is_none() {
+                let mut to = self.next_block;
+                while to < self.end_block && u64::from(self.index[to].0) <= n {
+                    n -= u64::from(self.index[to].0);
+                    self.rows_yielded += u64::from(self.index[to].0);
+                    to += 1;
+                }
+                self.skip_blocks(to)?;
+                if n == 0 {
+                    return Ok(());
+                }
+            }
+            if !self.load_next_block()? {
+                return Err(Error::Corrupt("skip past end of run".into()));
             }
         }
-        Ok(())
     }
 
     /// Rows yielded (or skipped) so far.
@@ -995,10 +1069,13 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let be = MemoryBackend::new();
+        let mut meta = write_run(&be, "good", &[1, 2, 3], DEFAULT_BLOCK_BYTES);
         let mut w = be.create("junk").unwrap();
-        w.write_all(&[0u8; 64]).unwrap();
+        w.write_all(&vec![0u8; meta.bytes as usize]).unwrap();
         w.finish().unwrap();
-        assert!(RunReader::<u64>::open_named(&be, "junk", IoStats::new()).is_err());
+        meta.name = "junk".into();
+        let first = RunReader::<u64>::open(&be, &meta, IoStats::new()).unwrap().next().unwrap();
+        assert!(matches!(first, Err(Error::Corrupt(_))));
     }
 
     #[test]

@@ -61,10 +61,16 @@ pub struct IoStatsSnapshot {
     pub rows_read: u64,
     /// Bytes read back during merging.
     pub bytes_read: u64,
-    /// Count of block-level write requests (network round trips in the
-    /// disaggregated-storage model).
+    /// Blocks written, which is also the number of *data* requests sent:
+    /// a block travels in exactly one `write_all` (its header, and the
+    /// file header or end marker riding with it, included). Not counted:
+    /// the `finish` request per run, and the lone end-marker write of a
+    /// run that ends exactly on a block boundary.
     pub write_ops: u64,
-    /// Count of block-level read requests.
+    /// Blocks read back, which is also the number of data requests
+    /// issued: one `read_exact` per block. Positioning `skip` requests
+    /// (range opens, `skip_rows`) are not counted here; the blocks they
+    /// pass over are in `blocks_skipped`.
     pub read_ops: u64,
     /// Modelled I/O time in nanoseconds under the disaggregated-storage
     /// cost model (0 unless a throttled backend reported its virtual
