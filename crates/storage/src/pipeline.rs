@@ -8,19 +8,28 @@
 //!
 //! * `SpillPipeline` — the background writer behind each pipelined
 //!   [`RunWriter`](crate::RunWriter). The operator thread appends rows
-//!   into the active block buffer; on seal it hands the frame (payload
-//!   behind a still-blank header, see `run.rs`) to a bounded queue
-//!   (capacity [`SPILL_PIPELINE_DEPTH`]) and keeps filling the next block
-//!   while the background side CRCs the previous one, patches its header
-//!   and writes it in a single request. A full queue is the backpressure:
-//!   when storage is slower than compute, the operator blocks, bounding
-//!   memory to ≤2 sealed blocks in flight.
+//!   into the active frame; once it holds a request's worth of sealed
+//!   blocks (payloads behind still-blank headers, see `run.rs`) it hands
+//!   the frame to a bounded queue (capacity [`SPILL_PIPELINE_DEPTH`]) and
+//!   keeps filling the next one while the background side CRCs the
+//!   previous one, patches its headers and writes it in a single request.
+//!   A full queue is the backpressure: when storage is slower than
+//!   compute, the operator blocks holding the frame it could not queue.
+//!   Per open writer that is at most `SPILL_PIPELINE_DEPTH + 2` frames —
+//!   the one in the backend's hands, the queued ones, the one being
+//!   filled or waiting for room — of `REQUEST_BLOCKS` blocks each:
+//!   **1 MiB** at the default 64 KiB block.
 //! * [`PrefetchingRunReader`] — read-ahead per merge input. The background
-//!   side reads, CRC-checks and decodes blocks into a bounded buffer of
-//!   decoded row batches, so loser-tree refill pops rows that are already
-//!   in memory. Up to `readahead_blocks + 1` blocks are buffered in total:
-//!   `readahead_blocks` decoded batches in the buffer plus the in-hand
-//!   batch the consumer is draining.
+//!   side fetches requests and CRC-checks and decodes their blocks one at
+//!   a time into a bounded buffer of decoded row batches, so loser-tree
+//!   refill pops rows that are already in memory. Per source that is at
+//!   most `readahead_blocks` ready batches, the batch the consumer is
+//!   draining and (dedicated-thread mode) the one its thread holds while
+//!   blocked on the full buffer, plus ≤ `REQUEST_BLOCKS − 1` fetched
+//!   blocks not yet decoded: **(`readahead_blocks` + 5) × 64 KiB** of
+//!   block data. Rows are slices of the buffer their request arrived in,
+//!   so the request being drained stays whole until its last row is
+//!   dropped: up to `REQUEST_BLOCKS − 1` consumed blocks, 192 KiB, more.
 //!
 //! **Two execution modes.** Both primitives either spawn a dedicated OS
 //! thread (the legacy mode, one thread per open run / per merge source) or
@@ -440,8 +449,8 @@ enum PrefetchMode<K: SortKey> {
 /// ([`PrefetchingRunReader::spawn_scheduled`]).
 ///
 /// The background side reads, CRC-checks and decodes up to
-/// `readahead_blocks` batches ahead (so `readahead_blocks + 1` blocks are
-/// buffered in total, counting the in-hand batch); `next` pops rows from
+/// `readahead_blocks` batches ahead (the module docs give the memory
+/// ceiling that follows); `next` pops rows from
 /// the current decoded batch and only waits at batch boundaries. Errors
 /// arrive in-band and fuse the iterator; dropping the reader mid-stream
 /// tears the background side down (see the module docs).
@@ -676,9 +685,9 @@ impl<K: SortKey> Drop for PrefetchingRunReader<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::StorageBackend;
+    use crate::backend::{SpillReader, StorageBackend};
     use crate::memory::MemoryBackend;
-    use crate::run::RunWriter;
+    use crate::run::{RunWriter, REQUEST_BLOCKS};
     use crate::scheduler::IoScheduler;
     use crate::throttle::{ThrottleModel, ThrottledBackend};
     use histok_types::SortOrder;
@@ -778,7 +787,10 @@ mod tests {
         let mut w: RunWriter<u64> =
             RunWriter::with_options(&be, "ov", SortOrder::Ascending, stats.clone(), 64, true)
                 .unwrap();
-        for k in 0..40u64 {
+        // Six rows fill a block, so 260 rows are eleven requests: one or
+        // two would leave nothing hidden once the finish drain is netted
+        // out.
+        for k in 0..260u64 {
             w.append(&Row::key_only(k)).unwrap();
             // Compute "work" between appends so the writer thread drains
             // the queue and its sleeps overlap with this.
@@ -789,7 +801,7 @@ mod tests {
         let snap = stats.snapshot();
         assert!(snap.write_ops > 1);
         assert!(snap.overlapped_io_ns > 0, "pipeline writes should book overlapped time");
-        assert_eq!(snap.rows_written, 40);
+        assert_eq!(snap.rows_written, 260);
         assert!(
             snap.io_wait_ns + snap.overlapped_io_ns <= wall,
             "io_wait {} + overlapped {} must not exceed wall {wall}",
@@ -839,6 +851,164 @@ mod tests {
                 snap.io_wait_ns,
                 snap.overlapped_io_ns,
             );
+        }
+    }
+
+    /// A backend that counts the data requests reaching it and holds each
+    /// one at a gate until the test opens it: what the other side does
+    /// while storage stands still is then a number, not a race.
+    #[derive(Clone)]
+    struct Gate {
+        inner: MemoryBackend,
+        open: Arc<(Mutex<bool>, Condvar)>,
+        requests: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Gate {
+        fn new(open: bool) -> Self {
+            Gate {
+                inner: MemoryBackend::new(),
+                open: Arc::new((Mutex::new(open), Condvar::new())),
+                requests: Arc::default(),
+            }
+        }
+
+        fn requests(&self) -> usize {
+            self.requests.load(std::sync::atomic::Ordering::SeqCst)
+        }
+
+        fn open(&self) {
+            *lock(&self.open.0) = true;
+            self.open.1.notify_all();
+        }
+
+        fn pass(&self) {
+            self.requests.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let mut open = lock(&self.open.0);
+            while !*open {
+                open = wait(&self.open.1, open);
+            }
+        }
+    }
+
+    struct Gated<T>(T, Gate);
+
+    impl SpillWriter for Gated<Box<dyn SpillWriter>> {
+        fn write_all(&mut self, data: &[u8]) -> Result<()> {
+            self.1.pass();
+            self.0.write_all(data)
+        }
+        fn finish(&mut self) -> Result<u64> {
+            self.0.finish()
+        }
+    }
+
+    impl SpillReader for Gated<Box<dyn SpillReader>> {
+        fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
+            self.1.pass();
+            self.0.read_exact(buf)
+        }
+    }
+
+    impl StorageBackend for Gate {
+        fn create(&self, name: &str) -> Result<Box<dyn SpillWriter>> {
+            Ok(Box::new(Gated(self.inner.create(name)?, self.clone())))
+        }
+        fn open(&self, name: &str) -> Result<Box<dyn SpillReader>> {
+            Ok(Box::new(Gated(self.inner.open(name)?, self.clone())))
+        }
+        fn delete(&self, name: &str) -> Result<()> {
+            self.inner.delete(name)
+        }
+        fn size_of(&self, name: &str) -> Result<u64> {
+            self.inner.size_of(name)
+        }
+    }
+
+    /// Waits for `reached` (a state the code under test must get to), then
+    /// gives it time to go *past* it: a correct implementation is blocked
+    /// for good, so the pause can only expose a wrong one.
+    fn settle(reached: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !reached() {
+            assert!(Instant::now() < deadline, "never reached the expected stall point");
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(30));
+    }
+
+    /// The module docs' write ceiling: with storage standing still, the
+    /// producer is stopped once `SPILL_PIPELINE_DEPTH + 2` frames exist.
+    #[test]
+    fn a_stalled_backend_stops_the_producer_at_depth_plus_two_frames() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // Six twelve-byte rows fill a 64-byte block.
+        const FRAME_ROWS: u64 = 6 * REQUEST_BLOCKS as u64;
+        const CEILING: u64 = (SPILL_PIPELINE_DEPTH as u64 + 2) * FRAME_ROWS;
+        for scheduled in [false, true] {
+            let sched = IoScheduler::new(1);
+            let gate = Gate::new(false);
+            let offered = Arc::new(AtomicU64::new(0));
+            let producer = std::thread::spawn({
+                let (gate, offered, handle) = (gate.clone(), offered.clone(), sched.handle());
+                move || {
+                    let mut w: RunWriter<u64> = RunWriter::with_io(
+                        &gate,
+                        "stall",
+                        SortOrder::Ascending,
+                        IoStats::new(),
+                        64,
+                        true,
+                        scheduled.then_some(handle),
+                    )
+                    .unwrap();
+                    for k in 0..3 * CEILING {
+                        offered.fetch_add(1, Ordering::SeqCst);
+                        w.append(&Row::key_only(k)).unwrap();
+                    }
+                    w.finish().unwrap()
+                }
+            });
+            // The append that completes the last frame the pipeline has
+            // room for is the one that blocks.
+            settle(|| offered.load(Ordering::SeqCst) >= CEILING);
+            assert_eq!(offered.load(Ordering::SeqCst), CEILING, "scheduled={scheduled}");
+            assert_eq!(gate.requests(), 1, "scheduled={scheduled}: one frame is at the backend");
+            gate.open();
+            let meta = producer.join().unwrap();
+            assert_eq!(meta.rows, 3 * CEILING);
+        }
+    }
+
+    /// The module docs' read ceiling: behind a consumer that stops with one
+    /// batch in hand there are `readahead_blocks` ready batches, one more
+    /// in a dedicated thread's hands, and the undecoded rest of a request.
+    #[test]
+    fn a_stalled_consumer_bounds_what_is_fetched_behind_it() {
+        const READAHEAD: usize = 3;
+        for scheduled in [false, true] {
+            let sched = IoScheduler::new(1);
+            let gate = Gate::new(true);
+            let meta = write_run(&gate.inner, "ahead", 0..1000, 96, false);
+            assert!(meta.blocks.len() > 8 * REQUEST_BLOCKS);
+            let reader = RunReader::open(&gate, &meta, IoStats::new()).unwrap();
+            let mut pf = if scheduled {
+                PrefetchingRunReader::spawn_scheduled(reader, READAHEAD, sched.handle())
+            } else {
+                PrefetchingRunReader::spawn(reader, READAHEAD)
+            };
+            let in_hand = pf.next_batch().unwrap().unwrap();
+            // Pool jobs stop at a full buffer: 1 + READAHEAD blocks decoded,
+            // one request. A thread decodes one more before it blocks, and
+            // needs the second request for it.
+            let decoded = 1 + READAHEAD + usize::from(!scheduled);
+            let requests = decoded.div_ceil(REQUEST_BLOCKS);
+            settle(|| gate.requests() >= requests);
+            assert_eq!(gate.requests(), requests, "scheduled={scheduled}");
+            let rest: usize =
+                std::iter::from_fn(|| pf.next_batch().unwrap()).map(|b| b.len()).sum();
+            assert_eq!(in_hand.len() + rest, 1000);
+            assert_eq!(gate.requests(), meta.blocks.len().div_ceil(REQUEST_BLOCKS));
         }
     }
 

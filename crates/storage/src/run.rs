@@ -9,34 +9,39 @@
 //! end    := block with row_count == 0 && payload_len == 0
 //! ```
 //!
-//! Blocks target [`DEFAULT_BLOCK_BYTES`] of payload, so spills hit the
-//! backend in large sequential requests — the only access pattern that is
-//! affordable against the paper's disaggregated storage service. Per-block
-//! metadata (row count, byte size, last key) is retained in [`RunMeta`],
-//! enabling the §4.1 merge optimizations: a reader can skip whole blocks
-//! that an `OFFSET` clause or a cutoff key proves irrelevant.
+//! Blocks target [`DEFAULT_BLOCK_BYTES`] of payload and travel up to
+//! `REQUEST_BLOCKS` (four) at a time, so spills hit the backend in large
+//! sequential requests — the only access pattern that is affordable
+//! against the paper's disaggregated storage service. Per-block metadata
+//! (row count, byte size, last key) is retained in [`RunMeta`], enabling
+//! the §4.1 merge optimizations: a reader can skip whole blocks that an
+//! `OFFSET` clause or a cutoff key proves irrelevant.
 //!
 //! # Request budget
 //!
-//! Every backend call is a round trip (§2.1), so a block costs exactly
-//! **one** request in each direction (B = blocks of the run; `finish` and
-//! `skip` are requests too):
+//! Every backend call is a round trip (§2.1), so G = `REQUEST_BLOCKS`
+//! contiguous blocks share **one** request in each direction (B = blocks
+//! of the run; `finish` and `skip` are requests too):
 //!
 //! | path | requests |
 //! |---|---|
-//! | write one run (sync, thread and scheduled sinks alike) | B + 1 (`finish`); B + 2 when the run ends exactly on a block boundary |
-//! | full scan of one run (plain or prefetching) | B |
-//! | range open reading R of B blocks | R, + 1 `skip` if the first in-range block is not block 0; 0 when R = 0 |
-//! | `skip_rows` across S whole blocks | ≤ 1 `skip` (+ 1 read for a straddling block) |
+//! | write one run (sync, thread and scheduled sinks alike) | ⌈B / G⌉ + 1 (`finish`); one more when the run ends exactly on a request boundary; 1 + 1 for an empty run |
+//! | full scan of one run (plain or prefetching) | ⌈B / G⌉ |
+//! | range open reading R of B blocks | ⌈R / G⌉, + 1 `skip` if the first in-range block is not block 0; 0 when R = 0; never a byte past the last in-range block |
+//! | `skip_rows` across S whole blocks | ≤ 1 `skip` (none when all S are already fetched) + ≤ 1 read for a straddling block |
 //!
-//! The writer gets there by reserving the block header (and, on a run's
-//! first block, the file header) at the front of the buffer rows are
-//! encoded into: the sink patches rows/length/CRC *in place* and sends the
-//! whole frame with one `write_all` — no second buffer, no copy — and
-//! the end marker rides behind the last block. The reader sizes each
-//! request from the [`RunMeta`] block index it is opened with: one
-//! `read_exact` fetches header and payload together, the header is checked
-//! against the index, and the end marker is never read.
+//! The block stays the unit of everything else — CRC, index entry, decoded
+//! batch, read-ahead, skipping — which is why the request grew and the
+//! block did not (DESIGN.md §7 has the measurements). The writer reserves
+//! each block header (and, on a run's first block, the file header) in
+//! the buffer rows are encoded into and opens the next block behind the
+//! sealed ones: the sink patches rows/length/CRC of every block *in
+//! place* and sends the whole frame with one `write_all` — no second
+//! buffer, no copy — and the end marker rides behind the last block. The
+//! reader sizes each request from the [`RunMeta`] block index it is
+//! opened with: one `read_exact` fetches the headers and payloads of up
+//! to G blocks, each is checked against the index and its CRC only when
+//! it is decoded, and the end marker is never read.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,6 +56,11 @@ use crate::stats::{IoStats, OverlapLedger};
 
 /// Target payload bytes per block (64 KiB).
 pub const DEFAULT_BLOCK_BYTES: usize = 64 * 1024;
+
+/// Contiguous blocks carried by one backend request, in either direction
+/// (256 KiB at the default block size). A constant, not a knob: DESIGN.md
+/// §7 records the measurements behind four.
+pub(crate) const REQUEST_BLOCKS: usize = 4;
 
 const FILE_MAGIC: u32 = 0x4853_544B; // "HSTK"
 const FILE_VERSION: u32 = 1;
@@ -88,48 +98,51 @@ fn frame_bytes(index: usize, payload_bytes: u32) -> usize {
     file_header + BLOCK_HEADER_BYTES + payload_bytes as usize
 }
 
-/// One sealed block on its way to storage, laid out as the single request
-/// that carries it: `[file header] block_header payload [end marker]`.
+/// Up to [`REQUEST_BLOCKS`] sealed blocks on their way to storage, laid out
+/// as the single request that carries them:
+/// `[file header] (block_header payload)+ [end marker]`.
 ///
 /// [`RunWriter`] encodes rows straight behind the reserved header bytes;
 /// whichever sink ends up with the frame — the calling thread, a pipeline
 /// thread or a scheduler job — completes it with [`Frame::write`].
 pub(crate) struct Frame {
-    /// The whole request. The block header at `header_at` is still blank;
-    /// anything before it (file header) and after the payload (end marker)
-    /// is final.
+    /// The whole request. The headers of `blocks` are still placeholders;
+    /// anything before the first (file header) and behind the last payload
+    /// (end marker) is final.
     buf: Vec<u8>,
-    header_at: usize,
-    rows: u32,
-    payload_len: u32,
+    /// `(header_at, rows, payload_len)` of each block, in file order. Empty
+    /// for the bare end marker.
+    blocks: Vec<(usize, u32, u32)>,
     /// The run's final frame: the object is finished right after it.
     pub(crate) last: bool,
 }
 
 impl Frame {
-    /// CRCs the payload, patches the block header in place and sends the
-    /// frame as **one** `write_all`; a `last` frame also finishes the
-    /// object. Books the block into `stats` and returns the time spent in
-    /// the backend, for the caller to book as wait or as overlapped busy
-    /// time. A rowless frame is the bare end marker and books no block.
+    /// CRCs every payload, patches the block headers in place and sends
+    /// the frame as **one** `write_all`; a `last` frame also finishes the
+    /// object. Books the request into `stats` and returns the time spent
+    /// in the backend, for the caller to book as wait or as overlapped
+    /// busy time. A frame without blocks is the bare end marker and books
+    /// nothing.
     pub(crate) fn write(
         &mut self,
         writer: &mut dyn SpillWriter,
         stats: &IoStats,
     ) -> Result<Duration> {
-        let payload_at = self.header_at + BLOCK_HEADER_BYTES;
-        let crc = crc32(&self.buf[payload_at..payload_at + self.payload_len as usize]);
-        let header = encode_block_header(self.rows, self.payload_len, crc);
-        self.buf[self.header_at..payload_at].copy_from_slice(&header);
-        // One Instant pair around the whole block request — never per row.
+        let (mut rows, mut bytes) = (0u64, 0u64);
+        for &(header_at, block_rows, payload_len) in &self.blocks {
+            let payload_at = header_at + BLOCK_HEADER_BYTES;
+            let crc = crc32(&self.buf[payload_at..payload_at + payload_len as usize]);
+            let header = encode_block_header(block_rows, payload_len, crc);
+            self.buf[header_at..payload_at].copy_from_slice(&header);
+            rows += u64::from(block_rows);
+            bytes += BLOCK_HEADER_BYTES as u64 + u64::from(payload_len);
+        }
+        // One Instant pair around the whole request — never per row.
         let started = Instant::now();
         writer.write_all(&self.buf)?;
-        if self.rows > 0 {
-            stats.record_write_timed(
-                u64::from(self.rows),
-                BLOCK_HEADER_BYTES as u64 + u64::from(self.payload_len),
-                started.elapsed(),
-            );
+        if !self.blocks.is_empty() {
+            stats.record_write_timed(rows, bytes, started.elapsed());
         }
         if self.last {
             writer.finish()?;
@@ -241,11 +254,14 @@ pub struct RunWriter<K: SortKey> {
     sink: BlockSink,
     order: SortOrder,
     block_target: usize,
-    /// The frame under construction: reserved header bytes, then the rows
-    /// encoded so far (see [`Frame`]).
+    /// The frame under construction: the sealed blocks of the request,
+    /// then the open block's reserved header and the rows encoded so far
+    /// (see [`Frame`]).
     block_buf: Vec<u8>,
-    /// Where the block header sits in `block_buf`: behind the file header
-    /// on the run's first block, at the front afterwards.
+    /// `(header_at, rows, payload_len)` of the blocks sealed into
+    /// `block_buf` and not yet sent; fewer than [`REQUEST_BLOCKS`].
+    sealed: Vec<(usize, u32, u32)>,
+    /// Where the open block's header sits in `block_buf`.
     header_at: usize,
     rows_in_block: u32,
     blocks: Vec<BlockMeta<K>>,
@@ -345,6 +361,7 @@ impl<K: SortKey> RunWriter<K> {
             order,
             block_target,
             block_buf,
+            sealed: Vec::new(),
             header_at: 0,
             rows_in_block: 0,
             blocks: Vec::new(),
@@ -360,13 +377,15 @@ impl<K: SortKey> RunWriter<K> {
         Ok(run)
     }
 
-    /// Opens the next frame in `block_buf` behind whatever it already
-    /// holds (the file header or nothing): a blank block header, with room
-    /// for a full payload and a trailing end marker.
+    /// Opens the next block in `block_buf` behind whatever it already
+    /// holds (the file header, sealed blocks or nothing): a placeholder
+    /// header with room for a full payload and a trailing end marker. The
+    /// placeholder is the end marker itself, so a run that ends before
+    /// another row arrives needs nothing appended.
     fn reserve_block_header(&mut self) {
         self.header_at = self.block_buf.len();
         self.block_buf.reserve(frame_capacity(self.block_target));
-        self.block_buf.resize(self.header_at + BLOCK_HEADER_BYTES, 0);
+        self.block_buf.extend_from_slice(&encode_block_header(0, 0, 0));
     }
 
     /// Payload bytes encoded into the open frame so far.
@@ -448,16 +467,20 @@ impl<K: SortKey> RunWriter<K> {
         }
     }
 
-    /// Seals the open frame and sends it to the sink. `last` marks the end
-    /// of the run: the end marker rides behind the block's payload, or —
-    /// when no rows are pending — the blank header *is* the end marker and
-    /// travels alone (with the file header, for an empty run).
+    /// Seals the open block and, once the frame holds [`REQUEST_BLOCKS`]
+    /// of them or the run ends (`last`), sends it to the sink. Until then
+    /// the next block opens behind the sealed ones in the same buffer, so
+    /// at the end of the run its unused placeholder header is the end
+    /// marker: it rides behind the last payload, and travels alone (with
+    /// the file header, for an empty run) only when nothing is pending.
+    ///
+    /// Runs once per block, never per row: `#[cold]` keeps it out of the
+    /// per-row `append` path the operators inline into their push loops
+    /// (inlined there it cost `lineitem_k_fits`, which never spills, 7 %).
+    #[cold]
     fn seal_block(&mut self, last: bool) -> Result<()> {
-        if self.rows_in_block == 0 && !last {
-            return Ok(());
-        }
-        let payload_len = self.payload_len() as u32;
         if self.rows_in_block > 0 {
+            let payload_len = self.payload_len() as u32;
             // The block's last key is decoded once here, at seal time — the
             // per-row append path only recorded where its encoding starts.
             let last_key = self
@@ -470,15 +493,19 @@ impl<K: SortKey> RunWriter<K> {
                 last_key,
             });
             self.bytes += BLOCK_HEADER_BYTES as u64 + u64::from(payload_len);
-            if last {
-                self.block_buf.extend_from_slice(&encode_block_header(0, 0, 0));
+            self.sealed.push((self.header_at, self.rows_in_block, payload_len));
+            self.rows_in_block = 0;
+            self.last_row_at = 0;
+            if last || self.sealed.len() < REQUEST_BLOCKS {
+                self.reserve_block_header();
             }
+        }
+        if !last && self.sealed.len() < REQUEST_BLOCKS {
+            return Ok(());
         }
         let mut frame = Frame {
             buf: std::mem::take(&mut self.block_buf),
-            header_at: self.header_at,
-            rows: self.rows_in_block,
-            payload_len,
+            blocks: std::mem::take(&mut self.sealed),
             last,
         };
         let sent = match &mut self.sink {
@@ -491,7 +518,7 @@ impl<K: SortKey> RunWriter<K> {
                 written.map(|elapsed| self.stats.record_io_wait(elapsed))
             }
             // Hand the frame to the background side (it CRCs, patches the
-            // header, writes, and books the stats) and start filling a
+            // headers, writes, and books the stats) and start filling a
             // fresh buffer. Blocks only when ≥2 frames are in flight — or,
             // behind the last frame, until the object is finished.
             BlockSink::Pipelined(pipeline) if last => pipeline.finish(frame),
@@ -500,8 +527,6 @@ impl<K: SortKey> RunWriter<K> {
         // Open the next frame even after a failed send, so a caller that
         // keeps appending meets the sink's error again, not a torn buffer.
         // (`last` comes from `finish`, which consumes the writer.)
-        self.rows_in_block = 0;
-        self.last_row_at = 0;
         if !last {
             self.reserve_block_header();
         }
@@ -547,18 +572,26 @@ impl<K: SortKey> RunWriter<K> {
 
 /// Streams rows back out of a finished run in sort order.
 ///
-/// Implements `Iterator<Item = Result<Row<K>>>`. Each block is fetched in
-/// one request sized from the [`RunMeta`] block index and CRC-verified as
-/// it is decoded; [`RunReader::skip_rows`] skips whole blocks without
-/// reading them where possible.
+/// Implements `Iterator<Item = Result<Row<K>>>`. Blocks are fetched up to
+/// four at a time in one request sized from the [`RunMeta`] block index,
+/// and each is verified (header against the index, CRC) only as it is
+/// decoded, so the rows ahead of a damaged block still arrive;
+/// [`RunReader::skip_rows`] skips whole blocks without reading them where
+/// possible.
 pub struct RunReader<K: SortKey> {
     reader: Box<dyn SpillReader>,
     name: String,
     stats: IoStats,
     /// `(rows, payload_bytes)` of every block of the run, in file order.
     index: Vec<(u32, u32)>,
-    /// The block the backend reader is positioned at.
+    /// The next block to decode.
     next_block: usize,
+    /// The block the backend reader is positioned at (`>= next_block`).
+    fetched: usize,
+    /// Blocks `next_block .. fetched` as they arrived — `[file header]
+    /// block_header payload` each — sliced out of their request's buffer
+    /// and not yet verified or decoded.
+    pending: std::collections::VecDeque<bytes::Bytes>,
     /// One past the last block this reader visits: the end of the run, or
     /// of the key range it is scoped to. The end marker is never read.
     end_block: usize,
@@ -588,6 +621,8 @@ impl<K: SortKey> RunReader<K> {
             stats,
             index: meta.blocks.iter().map(|b| (b.rows, b.payload_bytes)).collect(),
             next_block: 0,
+            fetched: 0,
+            pending: std::collections::VecDeque::new(),
             end_block: meta.blocks.len(),
             current: std::collections::VecDeque::new(),
             current_prefixes: std::collections::VecDeque::new(),
@@ -676,40 +711,76 @@ impl<K: SortKey> RunReader<K> {
         &self.stats
     }
 
-    /// Moves the read position forward to block `to` with a single
-    /// byte-offset `skip` (none if already there), booking every block
-    /// passed over as skipped.
+    /// Moves the decode position forward to block `to`: blocks already
+    /// fetched are dropped from the queue, the rest are passed over with a
+    /// single byte-offset `skip` (none if there are none) and booked as
+    /// skipped.
     fn skip_blocks(&mut self, to: usize) -> Result<()> {
+        self.pending.drain(..self.pending.len().min(to - self.next_block));
+        self.next_block = to;
         let mut bytes = 0u64;
-        for i in self.next_block..to {
+        for i in self.fetched..to {
             let payload_bytes = self.index[i].1;
             bytes += frame_bytes(i, payload_bytes) as u64;
             self.stats.record_block_skip(u64::from(payload_bytes));
         }
         if bytes > 0 {
             self.reader.skip(bytes)?;
+            self.fetched = to;
         }
-        self.next_block = to;
         Ok(())
     }
 
-    /// Fetches the next block — header and payload in **one** request
-    /// sized from the index — verifies it and decodes it into
-    /// `self.current`. `Ok(false)` past the last block.
+    /// Fetches blocks `fetched .. min(fetched + REQUEST_BLOCKS, end_block)`
+    /// with **one** `read_exact` sized from the index — never a byte past
+    /// the last in-range block — and queues them, one slice of the
+    /// request's buffer per block, for [`RunReader::load_next_block`].
+    fn fetch_request(&mut self) -> Result<()> {
+        let blocks = self.fetched..self.end_block.min(self.fetched + REQUEST_BLOCKS);
+        let sizes = blocks.clone().map(|i| frame_bytes(i, self.index[i].1));
+        let mut request = vec![0u8; sizes.clone().sum()];
+        // One Instant pair around the whole request — never per row.
+        let started = Instant::now();
+        self.reader.read_exact(&mut request)?;
+        let elapsed = started.elapsed();
+        let file_header = if blocks.start == 0 { FILE_HEADER_BYTES } else { 0 };
+        self.stats.record_read_timed(
+            blocks.clone().map(|i| u64::from(self.index[i].0)).sum(),
+            (request.len() - file_header) as u64,
+            elapsed,
+        );
+        match &self.ledger {
+            Some(ledger) => ledger.record_busy(elapsed),
+            None => self.stats.record_io_wait(elapsed),
+        }
+        // Rows decode as zero-copy slices of this one refcounted buffer
+        // (`Buf for &[u8]` copies; `Buf for Bytes` does not).
+        let request = bytes::Bytes::from(request);
+        let mut at = 0;
+        for size in sizes {
+            self.pending.push_back(request.slice(at..at + size));
+            at += size;
+        }
+        self.fetched = blocks.end;
+        Ok(())
+    }
+
+    /// Verifies and decodes the next block into `self.current`, fetching
+    /// the request that holds it if it has not arrived yet. `Ok(false)`
+    /// past the last block.
     fn load_next_block(&mut self) -> Result<bool> {
         debug_assert!(self.current.is_empty());
         if self.next_block == self.end_block {
             self.done = true;
             return Ok(false);
         }
+        if self.pending.is_empty() {
+            self.fetch_request()?;
+        }
+        let frame = self.pending.pop_front().expect("a fetch queues at least one block");
         let block = self.next_block;
-        let (rows, payload_len) = self.index[block];
-        let mut frame = vec![0u8; frame_bytes(block, payload_len)];
-        // One Instant pair around the whole block request — never per row.
-        let started = Instant::now();
-        self.reader.read_exact(&mut frame)?;
-        let elapsed = started.elapsed();
         self.next_block += 1;
+        let (rows, payload_len) = self.index[block];
         let payload_at = frame.len() - payload_len as usize;
         let header_at = payload_at - BLOCK_HEADER_BYTES;
         if block == 0 {
@@ -729,20 +800,7 @@ impl<K: SortKey> RunReader<K> {
         if crc32(&frame[payload_at..]) != u32_at(header, 12) {
             return Err(Error::Corrupt("block CRC mismatch".into()));
         }
-        self.stats.record_read_timed(
-            u64::from(rows),
-            BLOCK_HEADER_BYTES as u64 + u64::from(payload_len),
-            elapsed,
-        );
-        match &self.ledger {
-            Some(ledger) => ledger.record_busy(elapsed),
-            None => self.stats.record_io_wait(elapsed),
-        }
-        // Decode out of one refcounted buffer: every row's payload becomes
-        // a zero-copy slice of the block allocation instead of a fresh
-        // per-row `Vec` (`Buf for &[u8]` copies; `Buf for Bytes` does not).
-        let frame_len = frame.len();
-        let mut buf = bytes::Bytes::from(frame).slice(payload_at..frame_len);
+        let mut buf = frame.slice(payload_at..frame.len());
         self.current.reserve(rows as usize);
         self.current_prefixes.reserve(rows as usize);
         for _ in 0..rows {

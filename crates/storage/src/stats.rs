@@ -61,16 +61,16 @@ pub struct IoStatsSnapshot {
     pub rows_read: u64,
     /// Bytes read back during merging.
     pub bytes_read: u64,
-    /// Blocks written, which is also the number of *data* requests sent:
-    /// a block travels in exactly one `write_all` (its header, and the
-    /// file header or end marker riding with it, included). Not counted:
-    /// the `finish` request per run, and the lone end-marker write of a
-    /// run that ends exactly on a block boundary.
+    /// *Data* requests sent: one `write_all` carrying up to four
+    /// contiguous blocks (their headers, and the file header or end
+    /// marker riding with them, included). Not counted: the `finish`
+    /// request per run, and the lone end-marker write of a run that ends
+    /// exactly on a request boundary.
     pub write_ops: u64,
-    /// Blocks read back, which is also the number of data requests
-    /// issued: one `read_exact` per block. Positioning `skip` requests
-    /// (range opens, `skip_rows`) are not counted here; the blocks they
-    /// pass over are in `blocks_skipped`.
+    /// Data requests issued: one `read_exact` fetching up to four
+    /// contiguous blocks. Positioning `skip` requests (range opens,
+    /// `skip_rows`) are not counted here; the blocks they pass over are in
+    /// `blocks_skipped`.
     pub read_ops: u64,
     /// Modelled I/O time in nanoseconds under the disaggregated-storage
     /// cost model (0 unless a throttled backend reported its virtual
@@ -103,14 +103,14 @@ impl IoStats {
         self.inner.runs_created.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a block write of `rows` rows totalling `bytes` bytes.
+    /// Records one write request of `rows` rows totalling `bytes` bytes.
     pub fn record_write(&self, rows: u64, bytes: u64) {
         self.inner.rows_written.fetch_add(rows, Ordering::Relaxed);
         self.inner.bytes_written.fetch_add(bytes, Ordering::Relaxed);
         self.inner.write_ops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a block read of `rows` rows totalling `bytes` bytes.
+    /// Records one read request of `rows` rows totalling `bytes` bytes.
     pub fn record_read(&self, rows: u64, bytes: u64) {
         self.inner.rows_read.fetch_add(rows, Ordering::Relaxed);
         self.inner.bytes_read.fetch_add(bytes, Ordering::Relaxed);
@@ -118,8 +118,8 @@ impl IoStats {
     }
 
     /// As [`IoStats::record_write`], also recording the request's observed
-    /// latency. Callers time one `Instant` pair around the whole block
-    /// request — never per row.
+    /// latency. Callers time one `Instant` pair around the whole request
+    /// — never per row.
     pub fn record_write_timed(&self, rows: u64, bytes: u64, latency: Duration) {
         self.record_write(rows, bytes);
         self.inner.write_latency.record(latency);

@@ -1,6 +1,6 @@
-//! Faults inside the one-request-per-block frame: now that a block's
-//! header travels and arrives with its payload, damage or a failure
-//! anywhere in the frame must still surface as the right `Error` — never a
+//! Faults inside a request: four blocks, headers and payloads, travel and
+//! arrive as one frame, so damage or a failure anywhere in it must still
+//! surface as the right `Error`, at the block it belongs to — never a
 //! mis-sized read, a panic, a hang, or a leaked thread or object.
 //!
 //! `ThreadCensus` is process-global, so every test here holds `SERIAL`.
@@ -35,8 +35,10 @@ const FILE_HEADER: u64 = 8;
 const BLOCK_HEADER: u64 = 16;
 /// Four 28-byte rows (8-byte key, 4-byte length, 16 payload bytes).
 const BLOCK: usize = 4 * 28;
-/// A block as it travels: header and payload in one request.
+/// A block on storage: header and payload.
 const FRAME: u64 = BLOCK_HEADER + BLOCK as u64;
+/// Blocks per request (`REQUEST_BLOCKS` in `run.rs`).
+const REQUEST_BLOCKS: u64 = 4;
 
 /// Writes keys `0..rows` in blocks of four. `scheduler` picks the sink:
 /// `None` = synchronous, `Some(None)` = dedicated thread, `Some(Some(_))` =
@@ -78,12 +80,17 @@ fn read_all(be: &dyn StorageBackend, meta: &RunMeta<u64>) -> (Vec<u64>, Option<E
 #[test]
 fn a_flipped_byte_anywhere_in_a_frame_is_corrupt() {
     serial_with_watchdog(|| {
-        // Every byte of the file header and of the headers of blocks 0 and
-        // 2, and a payload byte of each, flipped on its way to storage.
-        let block2 = FILE_HEADER + 2 * FRAME;
-        let header_bytes = (0..FILE_HEADER + BLOCK_HEADER).chain(block2..block2 + BLOCK_HEADER);
-        let payload_bytes = [FILE_HEADER + BLOCK_HEADER + 5, block2 + FRAME - 1];
-        for at in header_bytes.chain(payload_bytes) {
+        // Every byte of the file header, and every header byte and a
+        // payload byte of each of the four blocks that share the first
+        // request, flipped on its way to storage.
+        let mut flips: Vec<(u64, u64)> = (0..FILE_HEADER).map(|at| (at, 0)).collect();
+        for block in 0..REQUEST_BLOCKS {
+            let header = FILE_HEADER + block * FRAME;
+            flips.extend((header..header + BLOCK_HEADER).map(|at| (at, block)));
+            flips.push((header + BLOCK_HEADER + 5 + 20 * block, block));
+        }
+        flips.push((FILE_HEADER + REQUEST_BLOCKS * FRAME - 1, REQUEST_BLOCKS - 1));
+        for (at, block) in flips {
             let be = FaultBackend::new(
                 MemoryBackend::new(),
                 FaultPlan { corrupt_write_byte_at: Some(at), ..FaultPlan::none() },
@@ -92,9 +99,10 @@ fn a_flipped_byte_anywhere_in_a_frame_is_corrupt() {
             assert!(be.fault_fired());
             let (keys, err) = read_all(&be, &meta);
             assert!(matches!(err, Some(Error::Corrupt(_))), "byte {at}: got {err:?}");
-            // Whole blocks before the damaged one still arrive.
-            let intact = if at < block2 { 0 } else { 8 };
-            assert_eq!(keys, (0..intact).collect::<Vec<_>>(), "byte {at}");
+            // Blocks are verified as they are decoded, not as they arrive:
+            // the whole blocks ahead of the damaged one are still yielded,
+            // although they came in the same request.
+            assert_eq!(keys, (0..4 * block).collect::<Vec<_>>(), "byte {at}");
         }
     });
 }
@@ -144,9 +152,9 @@ fn a_read_budget_tripping_mid_block_is_injected_through_both_prefetchers() {
     serial_with_watchdog(|| {
         let inner = MemoryBackend::new();
         let meta = write_run(&inner, "r", 40, None).unwrap();
-        // The budget runs out 20 bytes into block 2's frame: blocks 0 and 1
-        // arrive whole, the request for block 2 fails as a unit.
-        let limit = FILE_HEADER + 2 * FRAME + 20;
+        // The budget runs out 20 bytes into the second request: blocks 0..=3
+        // arrive whole, the request for blocks 4..=7 fails as a unit.
+        let limit = FILE_HEADER + REQUEST_BLOCKS * FRAME + 20;
         for scheduled in [false, true] {
             let sched = IoScheduler::new(2);
             let be = FaultBackend::new(
@@ -161,7 +169,7 @@ fn a_read_budget_tripping_mid_block_is_injected_through_both_prefetchers() {
             };
             let results: Vec<Result<Row<u64>>> = pf.by_ref().collect();
             let keys: Vec<u64> = results.iter().flatten().map(|r| r.key).collect();
-            assert_eq!(keys, (0..8).collect::<Vec<_>>(), "scheduled={scheduled}");
+            assert_eq!(keys, (0..16).collect::<Vec<_>>(), "scheduled={scheduled}");
             assert!(
                 matches!(results.last(), Some(Err(Error::Injected(_)))),
                 "scheduled={scheduled}: got {:?}",
@@ -178,16 +186,17 @@ fn a_read_budget_tripping_mid_block_is_injected_through_both_prefetchers() {
 #[test]
 fn a_write_budget_tripping_mid_block_is_injected_through_both_pipelines() {
     serial_with_watchdog(|| {
-        // The budget runs out 20 bytes into block 2's frame.
-        let limit = FILE_HEADER + 2 * FRAME + 20;
+        // The budget runs out 20 bytes into the second request.
+        let limit = FILE_HEADER + REQUEST_BLOCKS * FRAME + 20;
         for scheduled in [false, true] {
             let sched = IoScheduler::new(2);
             let be = FaultBackend::new(
                 MemoryBackend::new(),
                 FaultPlan { fail_write_after_bytes: Some(limit), ..FaultPlan::none() },
             );
-            // The background side trips on block 2; the error reaches the
-            // caller on a later append or, at the latest, on finish.
+            // The background side trips on the second request; the error
+            // reaches the caller on a later append or, at the latest, on
+            // finish.
             let err = write_run(&be, "w", 400, Some(scheduled.then_some(&sched))).unwrap_err();
             assert!(matches!(err, Error::Injected(_)), "scheduled={scheduled}: got {err:?}");
             assert!(be.fault_fired());
