@@ -71,6 +71,10 @@ impl<K: SortKey> TopKOperator<K> for ApproximateTopK<K> {
         self.inner.push(row)
     }
 
+    fn push_batch(&mut self, rows: &mut Vec<Row<K>>) -> Result<()> {
+        self.inner.push_batch(rows)
+    }
+
     fn finish(&mut self) -> Result<RowStream<K>> {
         self.inner.finish()
     }

@@ -324,6 +324,19 @@ impl<K: SortKey> HistogramTopK<K> {
         Ok(())
     }
 
+    /// Phase 1 only: a full store that variable-size rows grew past the
+    /// budget (§2.3's robustness hazard), or whose lease shrank below it,
+    /// spills adaptively instead of failing.
+    fn spill_if_over_budget(&mut self) -> Result<()> {
+        if let State::InMemory(store) = &mut self.state {
+            if store.is_full() && store.bytes() > self.config.effective_memory_budget() {
+                let rows = store.drain_unordered();
+                self.switch_to_external(rows)?;
+            }
+        }
+        Ok(())
+    }
+
     fn push_external(&mut self, row: Row<K>) -> Result<()> {
         let State::External(ext) = &mut self.state else { unreachable!() };
         if self.config.filter_enabled && self.config.input_filter {
@@ -351,6 +364,12 @@ impl<K: SortKey> HistogramTopK<K> {
             // elimination — every duplicate must reach its group's
             // accumulator (DESIGN.md §14).
         }
+        self.admit_external(row)
+    }
+
+    /// A row that passed the input filter enters run generation.
+    fn admit_external(&mut self, row: Row<K>) -> Result<()> {
+        let State::External(ext) = &mut self.state else { unreachable!() };
         ext.gen.push(row, &mut ext.filter)?;
         self.peak_bytes = self.peak_bytes.max(ext.gen.buffered_bytes());
         Ok(())
@@ -384,18 +403,50 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                     Offer::Displaced | Offer::Rejected => self.eliminated_at_input += 1,
                 }
                 self.peak_bytes = self.peak_bytes.max(store.bytes());
-                if store.is_full() && store.bytes() > self.config.effective_memory_budget() {
-                    // Variable-size rows grew the full queue past its
-                    // budget (§2.3's robustness hazard): spill adaptively
-                    // instead of failing.
-                    let rows = store.drain_unordered();
-                    self.switch_to_external(rows)?;
-                }
-                Ok(())
+                self.spill_if_over_budget()
             }
             State::External(_) => self.push_external(row),
             State::Finished => Err(Error::InvalidConfig("push after finish".into())),
         }
+    }
+
+    /// As `push` row by row, with the cutoff test (Algorithm 1 line 4)
+    /// ahead of all per-row bookkeeping: a row a full phase-1 heap rejects,
+    /// or the phase-2 filter eliminates, is counted and dropped on one key
+    /// compare; only survivors reach the `push` body (DESIGN.md §10).
+    ///
+    /// One stated difference: `push` re-reads the `budget_lease` after
+    /// every row, a rejected row skips that read, so a lease shrunk below
+    /// the retained bytes while every row is being rejected switches the
+    /// operator to external mode at the end of the batch, not on the next
+    /// row.
+    fn push_batch(&mut self, rows: &mut Vec<Row<K>>) -> Result<()> {
+        // Dedup asks the distinct tracker and value aggregates eliminate
+        // nothing at input (see `push_external`): both go through `push`.
+        let filter_input =
+            self.config.filter_enabled && self.config.input_filter && self.agg.is_none();
+        for row in rows.drain(..) {
+            // The cutoff test alone, where the key decides the row's fate.
+            let verdict = match &self.state {
+                State::InMemory(MemStore::Heap(heap)) if heap.rejects(&row.key) => Some(true),
+                State::External(ext) if filter_input && !ext.filter.distinct_mode() => {
+                    Some(ext.filter.eliminate(&row.key))
+                }
+                _ => None,
+            };
+            let Some(eliminated) = verdict else {
+                self.push(row)?;
+                continue;
+            };
+            self.rows_in += 1;
+            if eliminated {
+                self.eliminated_at_input += 1;
+            } else {
+                // A phase-2 survivor is not tested a second time.
+                self.admit_external(row)?;
+            }
+        }
+        self.spill_if_over_budget()
     }
 
     fn finish(&mut self) -> Result<RowStream<K>> {
@@ -779,6 +830,47 @@ mod tests {
         let keys = shuffled(500, 12);
         let (out, _) = run_op(SortSpec::ascending(500), config(1 << 20), &keys);
         assert_eq!(out, (0..500).collect::<Vec<_>>());
+    }
+
+    /// A lease shrunk below the retained bytes while the heap is full and
+    /// every arriving row is rejected must still move the operator to
+    /// external mode: on the next row through `push`, within the batch
+    /// through `push_batch`.
+    #[test]
+    fn lease_revoked_while_every_row_is_rejected_still_spills() {
+        for batched in [false, true] {
+            let lease = histok_sort::BudgetHandle::new(1 << 20);
+            let cfg = TopKConfig::builder()
+                .memory_budget(1 << 20)
+                .budget_lease(lease.clone())
+                .block_bytes(1024)
+                .build()
+                .unwrap();
+            let mut op: HistogramTopK<u64> =
+                HistogramTopK::new(SortSpec::ascending(100), cfg, MemoryBackend::new()).unwrap();
+            let feed = |op: &mut HistogramTopK<u64>, keys: std::ops::Range<u64>| {
+                let mut rows: Vec<Row<u64>> = keys.map(Row::key_only).collect();
+                if batched {
+                    op.push_batch(&mut rows).unwrap();
+                } else {
+                    rows.drain(..).for_each(|row| op.push(row).unwrap());
+                }
+            };
+            feed(&mut op, 0..100);
+            // Full heap, roomy lease: rejected rows change nothing.
+            feed(&mut op, 1_000..1_256);
+            assert!(!op.is_external(), "batched={batched}");
+            // The server takes the lease back; only rejected rows follow.
+            lease.set_limit(64);
+            let next = if batched { 2_000..2_256 } else { 2_000..2_001 };
+            feed(&mut op, next.clone());
+            assert!(op.is_external(), "batched={batched}: revoked lease ignored");
+            let m = op.metrics();
+            assert_eq!(m.rows_in, 356 + (next.end - next.start));
+            assert_eq!(m.eliminated_at_input, m.rows_in - 100);
+            let out: Vec<u64> = op.finish().unwrap().map(|r| r.unwrap().key).collect();
+            assert_eq!(out, (0..100).collect::<Vec<_>>());
+        }
     }
 
     fn dedup_config(budget: usize) -> TopKConfig {

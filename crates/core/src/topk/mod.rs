@@ -34,6 +34,13 @@ pub trait TopKOperator<K: SortKey>: Send {
     /// Offers one input row.
     fn push(&mut self, row: Row<K>) -> Result<()>;
 
+    /// Offers every row of `rows` in order and leaves `rows` empty (also
+    /// on error). Observably identical to calling [`push`](Self::push) row
+    /// by row: same output, same counters, same spill decisions.
+    fn push_batch(&mut self, rows: &mut Vec<Row<K>>) -> Result<()> {
+        rows.drain(..).try_for_each(|row| self.push(row))
+    }
+
     /// Ends the input and returns the output stream (`offset` rows skipped,
     /// at most `limit` rows). Calling `finish` twice is an error.
     fn finish(&mut self) -> Result<RowStream<K>>;
@@ -101,22 +108,26 @@ impl<K: SortKey> RetainedHeap<K> {
         }
     }
 
+    /// The cutoff test of §2.3: true when the heap is full and `key` does
+    /// not sort strictly before its worst retained key, i.e. `offer` would
+    /// return [`Offer::Rejected`]. One key compare, no row needed.
+    #[inline]
+    pub(crate) fn rejects(&self, key: &K) -> bool {
+        self.cutoff().is_some_and(|worst| !self.order.precedes(key, worst))
+    }
+
     pub(crate) fn offer(&mut self, row: Row<K>) -> Offer {
-        let fp = row_footprint(&row);
+        if self.rejects(&row.key) {
+            return Offer::Rejected;
+        }
+        self.bytes += row_footprint(&row);
         if !self.is_full() {
-            self.bytes += fp;
             self.heap.push(row);
             return Offer::Grew;
         }
-        let worst = self.heap.peek().expect("full heap has a top");
-        if self.order.precedes(&row.key, &worst.key) {
-            self.bytes += fp;
-            let old = self.heap.replace_top(row).expect("full heap");
-            self.bytes -= row_footprint(&old);
-            Offer::Displaced
-        } else {
-            Offer::Rejected
-        }
+        let old = self.heap.replace_top(row).expect("full heap");
+        self.bytes -= row_footprint(&old);
+        Offer::Displaced
     }
 
     /// Removes all rows in unspecified order (used when switching to the

@@ -13,8 +13,9 @@
 //!
 //! — through a recognizable plan: `Scan → Filter? → TopK → output`.
 //!
-//! Operators implement [`Operator`] (open / next / close); [`Query`] wires
-//! them together and reports rows, metrics, and wall time.
+//! Operators implement [`Operator`] (open / next or next_batch / close);
+//! the top-k pulls its input a batch at a time. [`Query`] wires them
+//! together and reports rows, metrics, and wall time.
 
 #![deny(missing_docs)]
 
