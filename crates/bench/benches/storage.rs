@@ -4,6 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
+use histok_storage::crc::crc32;
 use histok_storage::{IoStats, MemoryBackend, RunReader, RunWriter};
 use histok_types::{Row, SortOrder};
 
@@ -92,5 +93,17 @@ fn bench_skip(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_write, bench_read, bench_skip);
+fn bench_crc32(c: &mut Criterion) {
+    // The checksum kernel alone, over one block payload and one four-block
+    // request: every spilled byte passes through it once per direction.
+    let mut g = c.benchmark_group("storage/crc32");
+    for len in [64 * 1024usize, 256 * 1024] {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("{}KiB", len / 1024), |b| b.iter(|| crc32(black_box(&data))));
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_write, bench_read, bench_skip, bench_crc32);
 criterion_main!(benches);

@@ -797,8 +797,12 @@ impl<K: SortKey> RunReader<K> {
                 (BLOCK_MAGIC, rows, payload_len)
             )));
         }
-        if crc32(&frame[payload_at..]) != u32_at(header, 12) {
-            return Err(Error::Corrupt("block CRC mismatch".into()));
+        let (found, expected) = (crc32(&frame[payload_at..]), u32_at(header, 12));
+        if found != expected {
+            return Err(Error::Corrupt(format!(
+                "block {block} of {} has payload CRC {found:#010x}, its header says {expected:#010x}",
+                self.name
+            )));
         }
         let mut buf = frame.slice(payload_at..frame.len());
         self.current.reserve(rows as usize);

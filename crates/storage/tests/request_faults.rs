@@ -8,6 +8,7 @@
 use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use histok_storage::crc::crc32;
 use histok_storage::{
     FaultBackend, FaultPlan, IoScheduler, IoStats, MemoryBackend, PrefetchingRunReader, RunMeta,
     RunReader, RunWriter, StorageBackend, ThreadCensus,
@@ -98,11 +99,32 @@ fn a_flipped_byte_anywhere_in_a_frame_is_corrupt() {
             let meta = write_run(&be, "flip", 20, None).unwrap();
             assert!(be.fault_fired());
             let (keys, err) = read_all(&be, &meta);
-            assert!(matches!(err, Some(Error::Corrupt(_))), "byte {at}: got {err:?}");
+            let Some(Error::Corrupt(message)) = err else {
+                panic!("byte {at}: got {err:?}");
+            };
             // Blocks are verified as they are decoded, not as they arrive:
             // the whole blocks ahead of the damaged one are still yielded,
             // although they came in the same request.
             assert_eq!(keys, (0..4 * block).collect::<Vec<_>>(), "byte {at}");
+            // Behind a block header's magic, row count and length only the
+            // checksum can tell, and its error names the run, the block,
+            // the CRC of the payload as stored and the one in the header.
+            let header = FILE_HEADER + block * FRAME;
+            if at >= header + 12 {
+                let mut stored = vec![0u8; meta.bytes as usize];
+                be.inner().open("flip").unwrap().read_exact(&mut stored).unwrap();
+                let frame = &stored[header as usize..(header + FRAME) as usize];
+                let expected = u32::from_le_bytes(frame[12..16].try_into().unwrap());
+                let found = crc32(&frame[16..]);
+                assert_eq!(
+                    message,
+                    format!(
+                        "block {block} of flip has payload CRC {found:#010x}, \
+                         its header says {expected:#010x}"
+                    ),
+                    "byte {at}"
+                );
+            }
         }
     });
 }
