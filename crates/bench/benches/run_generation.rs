@@ -10,10 +10,15 @@ use histok_sort::run_gen::{LoadSortStore, ReplacementSelection, ResiduePolicy, R
 use histok_sort::NoopObserver;
 use histok_storage::{IoStats, MemoryBackend, RunCatalog};
 use histok_types::{F64Key, Row, SortOrder};
-use histok_workload::{Distribution, Workload};
+use histok_workload::{Distribution, Workload, LINEITEM_PAYLOAD_BYTES};
 
 const ROWS: u64 = 100_000;
 const MEM_ROWS: usize = 1_000;
+
+/// The benchmark's figure-scale workspace (`bench_e2e`: M = 14,000 rows x
+/// 146 B) and enough `lineitem` rows to cycle it ~70 times.
+const LINEITEM_ROWS: u64 = 1_000_000;
+const LINEITEM_BUDGET: usize = 14_000 * 146;
 
 fn catalog() -> Arc<RunCatalog<F64Key>> {
     Arc::new(
@@ -27,6 +32,19 @@ fn catalog() -> Arc<RunCatalog<F64Key>> {
     )
 }
 
+/// Replacement selection over `rows` under `budget` bytes, everything
+/// spilled; returns the number of runs.
+fn replacement_selection_runs(rows: &[Row<F64Key>], budget: usize) -> usize {
+    let cat = catalog();
+    let mut gen = ReplacementSelection::new(cat.clone(), budget);
+    let mut obs = NoopObserver;
+    for row in rows.iter().cloned() {
+        gen.push(row, &mut obs).unwrap();
+    }
+    gen.finish(&mut obs, ResiduePolicy::SpillToRuns).unwrap();
+    cat.len()
+}
+
 fn bench_generators(c: &mut Criterion) {
     let rows: Vec<Row<F64Key>> = Workload::uniform(ROWS, 1).rows().collect();
     let budget = MEM_ROWS * 64;
@@ -35,16 +53,7 @@ fn bench_generators(c: &mut Criterion) {
     g.sample_size(10);
 
     g.bench_function("replacement_selection_100k", |b| {
-        b.iter(|| {
-            let cat = catalog();
-            let mut gen = ReplacementSelection::new(cat.clone(), budget);
-            let mut obs = NoopObserver;
-            for row in rows.iter().cloned() {
-                gen.push(row, &mut obs).unwrap();
-            }
-            gen.finish(&mut obs, ResiduePolicy::SpillToRuns).unwrap();
-            black_box(cat.len())
-        })
+        b.iter(|| black_box(replacement_selection_runs(&rows, budget)))
     });
 
     g.bench_function("load_sort_store_100k", |b| {
@@ -75,6 +84,19 @@ fn bench_generators(c: &mut Criterion) {
         })
     });
 
+    // The cases above keep 1,000 key-only rows buffered: the whole selection
+    // structure sits in L1 and its cost hides. This one is the shape the
+    // spilling `bench_e2e` workloads run: 14,000 buffered rows with the
+    // 82-byte payload, ~1.5 MB of nodes and slots.
+    let rows: Vec<Row<F64Key>> = Workload::uniform(LINEITEM_ROWS, 1)
+        .with_payload_bytes(LINEITEM_PAYLOAD_BYTES)
+        .rows()
+        .collect();
+    g.throughput(Throughput::Elements(LINEITEM_ROWS));
+    g.bench_function("replacement_selection_14k_lineitem", |b| {
+        b.iter(|| black_box(replacement_selection_runs(&rows, LINEITEM_BUDGET)))
+    });
+
     g.finish();
 }
 
@@ -92,16 +114,10 @@ fn bench_nearly_sorted(c: &mut Criterion) {
 
     g.bench_function("replacement_selection", |b| {
         b.iter(|| {
-            let cat = catalog();
-            let mut gen = ReplacementSelection::new(cat.clone(), budget);
-            let mut obs = NoopObserver;
-            for row in rows.iter().cloned() {
-                gen.push(row, &mut obs).unwrap();
-            }
-            gen.finish(&mut obs, ResiduePolicy::SpillToRuns).unwrap();
+            let runs = replacement_selection_runs(&rows, budget);
             // The point of the ablation: a handful of runs, not ~100.
-            assert!(cat.len() < 10, "expected few runs, got {}", cat.len());
-            black_box(cat.len())
+            assert!(runs < 10, "expected few runs, got {runs}");
+            black_box(runs)
         })
     });
 

@@ -81,7 +81,7 @@ pub struct TopKConfig {
     /// 0.0 (the default) = exact.
     pub approx_slack: f64,
     /// Offset-value coding on the sort hot path (loser-tree duels,
-    /// selection-heap sifts, cutoff prefix checks). On by default; off
+    /// selection-tree matches, cutoff prefix checks). On by default; off
     /// forces full key comparisons everywhere (differential baseline).
     pub ovc_enabled: bool,
     /// Spill runs through a background writer thread that overlaps block

@@ -3,7 +3,7 @@
 //! Three strategies are provided, matching the paper's discussion:
 //!
 //! * [`ReplacementSelection`] — the production choice (§5.1.2). A selection
-//!   heap keeps consuming input while it writes: rows that can still extend
+//!   tree keeps consuming input while it writes: rows that can still extend
 //!   the current run go out immediately; rows that sort before the last
 //!   written key are deferred to the next run. Runs average twice the
 //!   memory size on random input and can be capped at `k` rows (one of the
