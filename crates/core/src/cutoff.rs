@@ -13,7 +13,8 @@
 //! bucket is inserted, and the sharpened cutoff immediately starts
 //! eliminating rows — including later rows of the very run being written.
 
-use std::collections::BTreeSet;
+use std::collections::{hash_map::RandomState, HashSet};
+use std::hash::{BuildHasher, Hasher};
 
 use histok_sort::{BinaryHeapBy, SpillObserver};
 use histok_types::{AggregateOp, Result, SortKey, SortOrder};
@@ -111,55 +112,100 @@ pub enum DistinctVerdict {
     Worse,
 }
 
+/// The tracker's hasher: one folded 64×64→128-bit multiply per eight key
+/// bytes. `HashSet` picks the bucket from the hash's *low* bits, and the low
+/// bits of a bare product depend only on the low bits of the key — all zero
+/// for doubles such as 0.5 or `i / 65536.0` — so the product's high half is
+/// folded down onto its low half.
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let wide = u128::from(self.0 ^ word) * 0x9E37_79B9_7F4A_7C15_u128;
+        self.0 = (wide as u64) ^ (wide >> 64) as u64;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One tracker's random seed, where each of its hashes starts: keys are
+/// table data, and an unseeded mixer's collisions could be prepared. No
+/// verdict depends on a hash value, so every count still repeats exactly.
+struct KeyHashSeed(u64);
+
+impl BuildHasher for KeyHashSeed {
+    type Hasher = KeyHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher(self.0)
+    }
+}
+
 /// Exact distinct-key input model for dedup queries: the best `target`
 /// *distinct* keys seen so far. Replaces the row-count histogram, whose
 /// cutoffs are unsound when the limit counts groups instead of rows
-/// (DESIGN.md §14). Memory is bounded by `target` keys — the same order as
-/// the retained output itself.
-#[derive(Debug)]
+/// (DESIGN.md §14). It is asked two things — *is this key tracked?* by every
+/// row, *which tracked key is worst?* only when a new key meets a full
+/// tracker — and holds one structure for each: at most `target` keys, twice.
 struct DistinctTracker<K: SortKey> {
-    set: BTreeSet<K>,
+    set: HashSet<K, KeyHashSeed>,
+    /// The keys of `set`, worst on top.
+    heap: BinaryHeapBy<K, fn(&K, &K) -> bool>,
     target: usize,
     order: SortOrder,
 }
 
 impl<K: SortKey> DistinctTracker<K> {
     fn new(target: u64, order: SortOrder) -> Self {
-        DistinctTracker { set: BTreeSet::new(), target: target.max(1) as usize, order }
-    }
-
-    /// The worst retained distinct key (`BTreeSet` iterates ascending).
-    fn worst(&self) -> Option<&K> {
-        match self.order {
-            SortOrder::Ascending => self.set.iter().next_back(),
-            SortOrder::Descending => self.set.iter().next(),
+        let worst_first: fn(&K, &K) -> bool = match order {
+            SortOrder::Ascending => |a, b| a > b,
+            SortOrder::Descending => |a, b| a < b,
+        };
+        DistinctTracker {
+            set: HashSet::with_hasher(KeyHashSeed(RandomState::new().hash_one(0u8))),
+            heap: BinaryHeapBy::new(worst_first),
+            target: target.max(1) as usize,
+            order,
         }
     }
 
     /// The cutoff this tracker proves: once `target` distinct keys are
     /// tracked, at least `target` groups sort at or before the worst one.
     fn cutoff(&self) -> Option<&K> {
-        if self.set.len() >= self.target {
-            self.worst()
-        } else {
-            None
-        }
+        self.heap.peek().filter(|_| self.set.len() >= self.target)
     }
 
+    /// One probe for a `Duplicate`, one more compare for a `Worse`; only an
+    /// `Admit` changes the tracker.
     fn observe(&mut self, key: &K) -> DistinctVerdict {
         if self.set.contains(key) {
             return DistinctVerdict::Duplicate;
         }
         if self.set.len() >= self.target {
-            let worst = self.worst().expect("full tracker has a worst key");
+            let worst = self.heap.peek().expect("full tracker has a worst key");
             if self.order.follows(key, worst) {
                 return DistinctVerdict::Worse;
             }
             // Strictly better than the worst retained key: the worst
             // group can never re-enter the output (the retained key set
             // only ever improves), so evict it for good.
-            let worst = worst.clone();
+            let worst = self.heap.replace_top(key.clone()).expect("peeked");
             self.set.remove(&worst);
+        } else {
+            self.heap.push(key.clone());
         }
         self.set.insert(key.clone());
         DistinctVerdict::Admit
@@ -311,7 +357,9 @@ impl<K: SortKey> CutoffFilter<K> {
     pub fn observe_input(&mut self, key: &K) -> DistinctVerdict {
         let Some(tracker) = &mut self.distinct else { return DistinctVerdict::Admit };
         let verdict = tracker.observe(key);
-        if let Some(cut) = tracker.cutoff() {
+        // Only an `Admit` changes the tracker, and with it the cutoff it proves.
+        let proved = tracker.cutoff().filter(|_| verdict == DistinctVerdict::Admit);
+        if let Some(cut) = proved {
             let tighter = match &self.cutoff {
                 Some(cur) => self.order.precedes(cut, cur),
                 None => true,
@@ -497,6 +545,7 @@ impl<K: SortKey> SpillObserver<K> for CutoffFilter<K> {
 mod tests {
     use super::*;
     use histok_types::F64Key;
+    use std::collections::BTreeSet;
 
     /// Inserts the decile buckets of one §3.2.1-style run: boundaries at
     /// `scale * i/10` for i = 1..=9, 100 rows each.
@@ -815,6 +864,162 @@ mod tests {
         f.run_finished();
         assert_eq!(f.metrics().buckets_inserted, 0);
         assert!(f.cutoff().is_none());
+    }
+
+    /// The tracker as it was before the hash set: one ordered set answers
+    /// both questions by descent. Kept as the reference for
+    /// `tracker_answers_what_the_btreeset_answered`.
+    struct BTreeSetTracker<K> {
+        set: BTreeSet<K>,
+        target: usize,
+        order: SortOrder,
+    }
+
+    impl<K: SortKey> BTreeSetTracker<K> {
+        fn worst(&self) -> Option<&K> {
+            match self.order {
+                SortOrder::Ascending => self.set.iter().next_back(),
+                SortOrder::Descending => self.set.iter().next(),
+            }
+        }
+
+        fn cutoff(&self) -> Option<&K> {
+            if self.set.len() >= self.target {
+                self.worst()
+            } else {
+                None
+            }
+        }
+
+        fn observe(&mut self, key: &K) -> DistinctVerdict {
+            if self.set.contains(key) {
+                return DistinctVerdict::Duplicate;
+            }
+            if self.set.len() >= self.target {
+                let worst = self.worst().expect("full tracker has a worst key");
+                if self.order.follows(key, worst) {
+                    return DistinctVerdict::Worse;
+                }
+                let worst = worst.clone();
+                self.set.remove(&worst);
+            }
+            self.set.insert(key.clone());
+            DistinctVerdict::Admit
+        }
+    }
+
+    /// One stream through both trackers: same verdict and same cutoff after
+    /// every step, same tracked keys at the end. Returns the verdict counts
+    /// (admit, duplicate, worse) summed over all cells.
+    fn same_answers<K: SortKey>(keys: &[K]) -> [usize; 3] {
+        let mut seen = [0; 3];
+        for target in [1, 2, 57, 4_000] {
+            for order in [SortOrder::Ascending, SortOrder::Descending] {
+                let mut new = DistinctTracker::new(target, order);
+                let mut old =
+                    BTreeSetTracker { set: BTreeSet::new(), target: target as usize, order };
+                for (i, key) in keys.iter().enumerate() {
+                    let verdict = new.observe(key);
+                    assert_eq!(verdict, old.observe(key), "row {i} {key:?} k={target} {order:?}");
+                    assert_eq!(new.cutoff(), old.cutoff(), "row {i} {key:?} k={target} {order:?}");
+                    seen[verdict as usize] += 1;
+                }
+                assert_eq!(new.set.len(), new.heap.len());
+                let tracked: BTreeSet<K> = new.heap.iter().cloned().collect();
+                assert_eq!(tracked, old.set, "k={target} {order:?}: tracked keys");
+                assert!(old.set.iter().all(|key| new.set.contains(key)));
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn tracker_answers_what_the_btreeset_answered() {
+        use histok_types::{BytesKey, KeyPair};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const ROWS: usize = 20_000;
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut stream = |f: &mut dyn FnMut(&mut StdRng) -> u64| -> Vec<u64> {
+            (0..ROWS).map(|_| f(&mut rng)).collect()
+        };
+        // Duplicate-heavy: never fills a tracker of 57.
+        let few = stream(&mut |rng| rng.gen::<u64>() % 37);
+        // Zipf-like: a hot head that recurs, a long tail of first sightings.
+        let skewed = stream(&mut |rng| (400_000.0 * rng.gen::<f64>().powi(6)) as u64);
+        // Negatives, both zeros, a narrow hot band inside a wide range.
+        let floats: Vec<F64Key> = stream(&mut |rng| rng.gen::<u64>())
+            .into_iter()
+            .map(|r| match r % 50 {
+                0 => F64Key(0.0),
+                1 => F64Key(-0.0),
+                2..=25 => F64Key(((r >> 8) % 1_000) as f64 / 16.0 - 31.25),
+                _ => F64Key(((r >> 8) % 80_000) as f64 / 16.0 - 2_500.0),
+            })
+            .collect();
+        let bytes = |v: u64| BytesKey::new(format!("nine-byte{v:06}"));
+        let strings: Vec<BytesKey> = skewed.iter().map(|&v| bytes(v % 9_000)).collect();
+        let pairs: Vec<KeyPair<u64, BytesKey>> =
+            few.iter().zip(&skewed).map(|(&a, &b)| KeyPair(a, bytes(b % 300))).collect();
+
+        let mut seen = same_answers(&few);
+        for more in [
+            same_answers(&skewed),
+            same_answers(&floats),
+            same_answers(&strings),
+            same_answers(&pairs),
+        ] {
+            assert!(more.iter().all(|&n| n > 0), "every stream meets every verdict: {more:?}");
+            seen.iter_mut().zip(more).for_each(|(n, m)| *n += m);
+        }
+        assert_eq!(seen.iter().sum::<usize>(), 5 * 8 * ROWS);
+    }
+
+    /// `HashSet` takes the bucket from a hash's low bits and a 7-bit tag from
+    /// its top: keys that differ only in their high bits (doubles with short
+    /// mantissas) or only in their last bytes (strings sharing a prefix)
+    /// must still spread over both. The budget is deterministic — distinct
+    /// start buckets and tag shares, not a timer — and a hash that leaves
+    /// the low bits a function of the key's low bits misses it by orders of
+    /// magnitude (a bare multiply reaches one bucket for the doubles, the
+    /// same followed by `h ^= h >> 29` reaches 512).
+    #[test]
+    fn tracker_hash_spreads_keys_that_share_their_low_bits_or_prefix() {
+        use histok_types::BytesKey;
+        const KEYS: usize = 60_000;
+        // What a set of 60,000 allocates: 8/7 of the keys, next power of two.
+        const BUCKETS: u64 = 131_072;
+
+        fn check<K: SortKey>(keys: Vec<K>) {
+            for seed in [0, 1, 0x243F_6A88_85A3_08D3, u64::MAX] {
+                let hasher = KeyHashSeed(seed);
+                let mut buckets = HashSet::new();
+                let mut tags = [0usize; 128];
+                for key in &keys {
+                    let hash = hasher.hash_one(key);
+                    buckets.insert(hash % BUCKETS);
+                    tags[(hash >> 57) as usize] += 1;
+                }
+                // Uniform hashing reaches 131,072 × (1 − e^(−60,000/131,072))
+                // ≈ 48,150 distinct buckets and gives every tag 469 keys; a
+                // multiplicative hash of evenly spaced keys lands above or
+                // below that (37,235 for the doubles at seed 0), never near
+                // the failures.
+                let reached = buckets.len();
+                assert!(reached >= 30_000, "seed {seed}: {reached} start buckets, {KEYS} keys");
+                let worst_tag = tags.iter().max().expect("128 tags");
+                assert!(*worst_tag <= 2 * KEYS / 128, "seed {seed}: a tag holds {worst_tag} keys");
+            }
+
+            // And the tracker itself: every key is new once, then known.
+            let mut tracker = DistinctTracker::new(KEYS as u64, SortOrder::Ascending);
+            assert!(keys.iter().all(|key| tracker.observe(key) == DistinctVerdict::Admit));
+            assert!(keys.iter().all(|key| tracker.observe(key) == DistinctVerdict::Duplicate));
+            assert_eq!(tracker.cutoff(), keys.iter().max());
+        }
+
+        // Low 36 bits of every key zero; 0.5 and its like among them.
+        check((0..KEYS).map(|i| F64Key(i as f64 / 65_536.0)).collect());
+        check((0..KEYS).map(|i| BytesKey::new(format!("twelve-bytes{i:06}"))).collect());
     }
 
     #[test]

@@ -61,6 +61,10 @@ pub struct HistogramTopK<K: SortKey> {
     state: State<K>,
     rows_in: u64,
     eliminated_at_input: u64,
+    /// Duplicates the distinct tracker folded away at operator input and
+    /// their encoded bytes; `metrics` adds them to what `fold_stats` holds.
+    folded_at_input: u64,
+    bytes_folded_at_input: u64,
     peak_bytes: usize,
     /// Filter metrics frozen at finish time.
     final_filter: Option<FilterMetrics>,
@@ -196,6 +200,8 @@ impl<K: SortKey> HistogramTopK<K> {
             stats: IoStats::new(),
             rows_in: 0,
             eliminated_at_input: 0,
+            folded_at_input: 0,
+            bytes_folded_at_input: 0,
             peak_bytes: 0,
             final_filter: None,
             spilled: false,
@@ -337,37 +343,41 @@ impl<K: SortKey> HistogramTopK<K> {
         Ok(())
     }
 
-    fn push_external(&mut self, row: Row<K>) -> Result<()> {
+    /// The phase-2 input filter (Algorithm 1 line 4): false when `row` ends
+    /// here, counted. It reads the key (and, for a folded duplicate, the
+    /// row's size) and nothing else, so it runs ahead of `agg.init`.
+    fn survives_input(&mut self, row: &Row<K>) -> bool {
         let State::External(ext) = &mut self.state else { unreachable!() };
-        if self.config.filter_enabled && self.config.input_filter {
-            if ext.filter.distinct_mode() {
-                // Dedup mode (Algorithm 1 line 4 adapted to DISTINCT):
-                // duplicates of a tracked key fold into nothing — their
-                // representative is already in the pipeline — and keys
-                // strictly worse than `retained` known distinct keys die.
-                match ext.filter.observe_input(&row.key) {
-                    DistinctVerdict::Admit => {}
-                    DistinctVerdict::Duplicate => {
-                        self.fold_stats.record_pre_spill(1, row.encoded_len() as u64);
-                        return Ok(());
-                    }
-                    DistinctVerdict::Worse => {
-                        self.eliminated_at_input += 1;
-                        return Ok(());
-                    }
-                }
-            } else if self.agg.is_none() && ext.filter.eliminate(&row.key) {
-                self.eliminated_at_input += 1;
-                return Ok(());
-            }
-            // Value aggregates (`agg` set, not distinct mode): no input
-            // elimination — every duplicate must reach its group's
-            // accumulator (DESIGN.md §14).
+        if !(self.config.filter_enabled && self.config.input_filter) {
+            return true;
         }
-        self.admit_external(row)
+        if ext.filter.distinct_mode() {
+            // Dedup mode (line 4 adapted to DISTINCT): a duplicate of a
+            // tracked key folds into nothing — its representative is in the
+            // pipeline; its bytes are the raw row's, which FIRST's identity
+            // `init` makes the accumulator's — and a key strictly worse than
+            // `retained` known distinct keys dies.
+            debug_assert_eq!(self.config.fold_op(), Some(histok_types::AggregateOp::First));
+            match ext.filter.observe_input(&row.key) {
+                DistinctVerdict::Admit => return true,
+                DistinctVerdict::Duplicate => {
+                    self.folded_at_input += 1;
+                    self.bytes_folded_at_input += row.encoded_len() as u64;
+                }
+                DistinctVerdict::Worse => self.eliminated_at_input += 1,
+            }
+            return false;
+        }
+        // Value aggregates (`agg` set, not distinct mode): no input
+        // elimination — every duplicate must reach its group's accumulator
+        // (DESIGN.md §14).
+        let eliminated = self.agg.is_none() && ext.filter.eliminate(&row.key);
+        self.eliminated_at_input += u64::from(eliminated);
+        !eliminated
     }
 
-    /// A row that passed the input filter enters run generation.
+    /// A row that passed the input filter enters run generation, as an
+    /// accumulator.
     fn admit_external(&mut self, row: Row<K>) -> Result<()> {
         let State::External(ext) = &mut self.state else { unreachable!() };
         ext.gen.push(row, &mut ext.filter)?;
@@ -378,25 +388,31 @@ impl<K: SortKey> HistogramTopK<K> {
 
 use crate::topk::HoldCatalog;
 
+/// Operator boundary: in fold mode the raw payload becomes an accumulator
+/// exactly once per input row that is kept. Rows re-entering run generation
+/// at the external switch are already accumulators and bypass this.
+fn accumulator<K: SortKey>(agg: &Option<Arc<dyn Aggregator>>, row: Row<K>) -> Row<K> {
+    match agg {
+        Some(agg) => Row { payload: agg.init(row.payload), key: row.key },
+        None => row,
+    }
+}
+
 impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
     fn push(&mut self, row: Row<K>) -> Result<()> {
         self.rows_in += 1;
-        // Operator boundary: in fold mode the raw payload becomes an
-        // accumulator exactly once per input row. Rows re-entering run
-        // generation at the external switch are already accumulators and
-        // bypass this.
-        let row = match &self.agg {
-            Some(agg) => Row { payload: agg.init(row.payload), key: row.key },
-            None => row,
-        };
         match &mut self.state {
             State::InMemory(store) => {
+                let row = accumulator(&self.agg, row);
                 let fp = histok_sort::row_footprint(&row);
                 if !store.is_full() && store.bytes() + fp > self.config.effective_memory_budget() {
                     // The output no longer fits: activate run generation.
                     let rows = store.drain_unordered();
                     self.switch_to_external(rows)?;
-                    return self.push_external(row);
+                    if !self.survives_input(&row) {
+                        return Ok(());
+                    }
+                    return self.admit_external(row);
                 }
                 match store.offer(row) {
                     Offer::Grew | Offer::Folded => {}
@@ -405,15 +421,21 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                 self.peak_bytes = self.peak_bytes.max(store.bytes());
                 self.spill_if_over_budget()
             }
-            State::External(_) => self.push_external(row),
+            State::External(_) => {
+                if !self.survives_input(&row) {
+                    return Ok(());
+                }
+                self.admit_external(accumulator(&self.agg, row))
+            }
             State::Finished => Err(Error::InvalidConfig("push after finish".into())),
         }
     }
 
     /// As `push` row by row, with the cutoff test (Algorithm 1 line 4)
     /// ahead of all per-row bookkeeping: a row a full phase-1 heap rejects,
-    /// or the phase-2 filter eliminates, is counted and dropped on one key
-    /// compare; only survivors reach the `push` body (DESIGN.md §10).
+    /// the phase-2 filter eliminates, or the distinct tracker has seen
+    /// before is counted and dropped on one key compare or probe; only
+    /// survivors reach the `push` body (DESIGN.md §10).
     ///
     /// One stated difference: `push` re-reads the `budget_lease` after
     /// every row, a rejected row skips that read, so a lease shrunk below
@@ -421,17 +443,27 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
     /// operator to external mode at the end of the batch, not on the next
     /// row.
     fn push_batch(&mut self, rows: &mut Vec<Row<K>>) -> Result<()> {
-        // Dedup asks the distinct tracker and value aggregates eliminate
-        // nothing at input (see `push_external`): both go through `push`.
-        let filter_input =
-            self.config.filter_enabled && self.config.input_filter && self.agg.is_none();
+        let filtering = self.config.filter_enabled && self.config.input_filter;
+        // Phase-2 dedup: `push`'s external arm per row, in arrival order,
+        // minus the call and state matches (−6.5 % `zipf_dedup` `query_s`,
+        // DESIGN.md §10). Decided once: phase 2 lasts until `finish`.
+        if filtering && matches!(&self.state, State::External(ext) if ext.filter.distinct_mode()) {
+            for row in rows.drain(..) {
+                self.rows_in += 1;
+                if self.survives_input(&row) {
+                    self.admit_external(accumulator(&self.agg, row))?;
+                }
+            }
+            return Ok(());
+        }
+        // Value aggregates eliminate nothing at input (see `survives_input`)
+        // and go through `push`, as does dedup while it is in phase 1.
+        let filter_input = filtering && self.agg.is_none();
         for row in rows.drain(..) {
             // The cutoff test alone, where the key decides the row's fate.
             let verdict = match &self.state {
                 State::InMemory(MemStore::Heap(heap)) if heap.rejects(&row.key) => Some(true),
-                State::External(ext) if filter_input && !ext.filter.distinct_mode() => {
-                    Some(ext.filter.eliminate(&row.key))
-                }
+                State::External(ext) if filter_input => Some(ext.filter.eliminate(&row.key)),
                 _ => None,
             };
             let Some(eliminated) = verdict else {
@@ -571,8 +603,8 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                 .unwrap_or_default(),
             cascade: self.cascade,
             queued_ns: 0,
-            rows_folded: fold.rows_folded,
-            bytes_folded_pre_spill: fold.bytes_folded_pre_spill,
+            rows_folded: fold.rows_folded + self.folded_at_input,
+            bytes_folded_pre_spill: fold.bytes_folded_pre_spill + self.bytes_folded_at_input,
         }
     }
 

@@ -9,7 +9,7 @@ use histok_core::{
     ApproximateTopK, HistogramTopK, InMemoryTopK, OperatorMetrics, OptimizedExternalTopK,
     ParallelTopK, TopKConfig, TopKOperator, TraditionalExternalTopK,
 };
-use histok_storage::MemoryBackend;
+use histok_storage::{FaultBackend, FaultPlan, MemoryBackend};
 use histok_types::{AggregateOp, Result, Row, SortSpec};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
@@ -94,7 +94,7 @@ fn operator(kind: Kind, spec: SortSpec, config: TopKConfig) -> Option<Box<dyn To
     }
 }
 
-type Counters = [u64; 7];
+type Counters = [u64; 8];
 
 fn counters(m: &OperatorMetrics) -> Counters {
     [
@@ -105,6 +105,7 @@ fn counters(m: &OperatorMetrics) -> Counters {
         m.io.write_ops,
         m.runs(),
         m.rows_folded,
+        m.bytes_folded_pre_spill,
     ]
 }
 
@@ -192,7 +193,7 @@ fn push_batch_is_push_for_every_operator() {
                                 counters(&want_metrics),
                                 "{cell} batch={size}: counters differ (rows_in, \
                                  eliminated_at_input, eliminated_at_spill, bytes_written, \
-                                 write_ops, runs, rows_folded)"
+                                 write_ops, runs, rows_folded, bytes_folded_pre_spill)"
                             );
                         }
                     }
@@ -203,4 +204,56 @@ fn push_batch_is_push_for_every_operator() {
     // 4 plain-only operators × 8 cells + 2 folding operators × 24 cells.
     assert_eq!(cells, 80);
     assert!(spilled_cells >= 30, "the spilling half of the grid must spill: {spilled_cells}");
+}
+
+/// A batch that fails part-way reports what `push` row by row reports when
+/// it fails on the same row: the duplicates the distinct tracker folded
+/// away before the failing row are counted, none after it.
+#[test]
+fn a_failed_dedup_batch_keeps_its_fold_counts() {
+    let rows = input();
+    // Synchronous spill: the write fault surfaces on the row that fills the
+    // block, on both entry points.
+    let config = || {
+        let row_bytes = histok_sort::row_footprint(&Row::new(0u64, vec![0u8; 22]));
+        TopKConfig::builder()
+            .memory_budget(60 * row_bytes)
+            .block_bytes(1024)
+            .spill_pipeline(false)
+            .dedup(true)
+            .build()
+            .expect("valid config")
+    };
+    let feed = |plan: FaultPlan, batch: usize| {
+        let backend = FaultBackend::new(MemoryBackend::new(), plan);
+        let mut op = HistogramTopK::new(SortSpec::ascending(K), config(), backend).expect("op");
+        let mut buf = Vec::with_capacity(batch);
+        let failed = rows.chunks(batch).any(|chunk| {
+            buf.extend_from_slice(chunk);
+            let result = if batch == 1 {
+                op.push(buf.pop().expect("one row"))
+            } else {
+                op.push_batch(&mut buf)
+            };
+            assert!(buf.is_empty(), "the batch is consumed, also on error");
+            result.is_err()
+        });
+        (failed, op.metrics())
+    };
+    let (failed, whole) = feed(FaultPlan::none(), 1);
+    assert!(!failed && whole.spilled && whole.rows_folded > 0);
+    // Fail half-way through the bytes the whole input spills while arriving.
+    let plan = || FaultPlan {
+        fail_write_after_bytes: Some(whole.io.bytes_written / 2),
+        ..FaultPlan::none()
+    };
+    let (failed, want) = feed(plan(), 1);
+    assert!(failed, "the fault must fire while rows are arriving");
+    assert!(want.rows_folded > 0 && want.rows_in < INPUT as u64);
+    for batch in [7, 256] {
+        assert_ne!(want.rows_in % batch as u64, 0, "batch={batch}: must fail mid-batch");
+        let (failed, got) = feed(plan(), batch);
+        assert!(failed, "batch={batch}");
+        assert_eq!(counters(&got), counters(&want), "batch={batch}: counters at the failure");
+    }
 }

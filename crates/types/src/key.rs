@@ -11,13 +11,15 @@
 use bytes::{Buf, BufMut};
 use std::cmp::Ordering;
 use std::fmt::Debug;
+use std::hash::{Hash, Hasher};
 
 use crate::error::{Error, Result};
 use crate::memsize::HeapSize;
 
 /// A value of the sort expression, as required by every `histok` operator.
 ///
-/// The trait bundles the total order with two binary codecs:
+/// The trait bundles the total order, a `Hash` that agrees with its `Eq`
+/// (dedup queries track distinct keys in a hash set), and two binary codecs:
 ///
 /// * the *storage* codec ([`SortKey::encode`]/[`SortKey::decode`]), which
 ///   must round-trip exactly (`decode(encode(k)) == k`) so keys can live in
@@ -30,7 +32,7 @@ use crate::memsize::HeapSize;
 ///   most of the time, with a single `u64` comparison on
 ///   [`SortKey::norm_prefix`]. The encoding must also be prefix-free across
 ///   distinct keys, so concatenations (pair keys) stay order-preserving.
-pub trait SortKey: Clone + Ord + Debug + Send + Sync + HeapSize + 'static {
+pub trait SortKey: Clone + Ord + Hash + Debug + Send + Sync + HeapSize + 'static {
     /// Byte length of [`SortKey::norm_encode`]'s output when it is the same
     /// for every value of the type; `None` for variable-width keys.
     const NORM_WIDTH: Option<usize>;
@@ -156,6 +158,14 @@ impl PartialEq for F64Key {
     }
 }
 impl Eq for F64Key {}
+/// Hashes the bit pattern: `total_cmp` equality is bit equality, so `0.0` and
+/// `-0.0`, or two NaNs with different payloads, are different keys to both.
+impl Hash for F64Key {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.to_bits().hash(state);
+    }
+}
 impl PartialOrd for F64Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
@@ -207,7 +217,7 @@ impl SortKey for F64Key {
 ///
 /// Useful for string sort columns; the encoding is a `u32` length prefix
 /// followed by the bytes.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BytesKey(pub Vec<u8>);
 
 impl BytesKey {
@@ -295,7 +305,7 @@ impl SortKey for BytesKey {
 ///
 /// Multi-column `ORDER BY a, b` clauses map to `KeyPair<A, B>`; deeper
 /// nesting (`KeyPair<A, KeyPair<B, C>>`) covers arbitrary arity.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KeyPair<A, B>(pub A, pub B);
 
 impl<A: SortKey, B: SortKey> SortKey for KeyPair<A, B> {
@@ -403,6 +413,41 @@ mod tests {
         assert!(k1 < k2);
         assert!(k2 < k3);
         assert_eq!(roundtrip(&k1), k1);
+    }
+
+    /// `Hash` must agree with `Eq` (equal keys hash equally); for the
+    /// distinct pairs below the default hasher also tells them apart.
+    #[test]
+    fn hash_agrees_with_eq() {
+        fn hash_of<K: SortKey>(k: &K) -> u64 {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            k.hash(&mut h);
+            h.finish()
+        }
+        fn check<K: SortKey>(keys: &[K]) {
+            for a in keys {
+                for b in keys {
+                    assert_eq!(a == b, hash_of(a) == hash_of(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+        // `total_cmp` tells the zeros apart, and NaNs by sign and payload.
+        let quiet_nan = f64::NAN;
+        let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+        assert!(other_nan.is_nan() && other_nan.to_bits() != quiet_nan.to_bits());
+        check(&[0.0, -0.0, quiet_nan, -quiet_nan, other_nan, 0.5, 0.0, quiet_nan].map(F64Key));
+        check(&[
+            KeyPair(1u64, F64Key(0.0)),
+            KeyPair(1u64, F64Key(-0.0)),
+            KeyPair(2u64, F64Key(0.0)),
+            KeyPair(1u64, F64Key(0.0)),
+        ]);
+        // ("a", "bc") and ("ab", "c") concatenate alike and are not equal.
+        check(&[
+            KeyPair(BytesKey::from("a"), BytesKey::from("bc")),
+            KeyPair(BytesKey::from("ab"), BytesKey::from("c")),
+            KeyPair(BytesKey::from("a"), BytesKey::from("bc")),
+        ]);
     }
 
     #[test]
