@@ -2,7 +2,7 @@
 //!
 //! Sweeps the planned cascade over fan_in ∈ {4, 16, 64, 256} × workers
 //! ∈ {1, 4} on a 512-run catalog with a *sleeping* throttled backend
-//! and fully synchronous merge I/O (no read-ahead, no pool): every
+//! and inline merge I/O (the catalog has no I/O pool): every
 //! storage sleep lands on the pass worker that issued it, so the
 //! 4-worker column shows pure latency overlap across the independent
 //! merges of a pass, and the fan-in sweep shows how pass count (9
@@ -35,8 +35,7 @@ fn build_catalog() -> RunCatalog<u64> {
         SortOrder::Ascending,
         IoStats::new(),
     )
-    .with_block_bytes(BLOCK_BYTES)
-    .with_spill_pipeline(false);
+    .with_block_bytes(BLOCK_BYTES);
     for r in 0..RUNS {
         let mut w = cat.start_run().unwrap();
         for j in 0..ROWS_PER_RUN {
@@ -48,7 +47,7 @@ fn build_catalog() -> RunCatalog<u64> {
 }
 
 fn bench_cascade_sweep(c: &mut Criterion) {
-    let tuning = MergeTuning { readahead_blocks: 0, io_scheduler: None, ..MergeTuning::default() };
+    let tuning = MergeTuning::default();
     let mut g = c.benchmark_group("cascade/plan_throttled");
     g.throughput(Throughput::Elements(RUNS * ROWS_PER_RUN));
     g.sample_size(10);

@@ -4,7 +4,8 @@
 //!  * a partition-count sweep (P ∈ {1, 2, 4, 8}) over few wide runs on a
 //!    *sleeping* throttled backend — the case the layer exists for: each
 //!    partition's range-scoped readers sleep concurrently, so the
-//!    per-request latency divides by the partition count;
+//!    per-request latency divides by the partition count (the catalog's
+//!    I/O pool has one worker per reader, `RUNS × P`);
 //!  * a skew-adversarial workload where one key accounts for half of
 //!    every run — the planner cannot split inside a duplicate cluster
 //!    (half-open ranges assign all duplicates to one partition), so the
@@ -19,7 +20,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use histok_sort::{
     merge_runs_partitioned, merge_sources_tuned, open_source, MergeTuning, PartitionAttempt,
 };
-use histok_storage::{IoStats, MemoryBackend, RunCatalog, ThrottleModel, ThrottledBackend};
+use histok_storage::{
+    IoScheduler, IoStats, MemoryBackend, RunCatalog, ThrottleModel, ThrottledBackend,
+};
 use histok_types::{Result, Row, SortOrder};
 
 const RUNS: u64 = 4;
@@ -38,8 +41,7 @@ fn throttled_catalog(prefix: &str) -> Arc<RunCatalog<u64>> {
             SortOrder::Ascending,
             IoStats::new(),
         )
-        .with_block_bytes(BLOCK_BYTES)
-        .with_spill_pipeline(false),
+        .with_block_bytes(BLOCK_BYTES),
     )
 }
 
@@ -57,7 +59,7 @@ fn write_runs(cat: &RunCatalog<u64>, key: impl Fn(u64, u64) -> u64) {
 
 fn drain_partitioned(cat: &RunCatalog<u64>, threads: usize) -> u64 {
     let runs = cat.runs();
-    let tuning = MergeTuning { ovc: true, readahead_blocks: 2, ..MergeTuning::default() };
+    let tuning = MergeTuning::default();
     let mut n = 0u64;
     if threads >= 2 {
         match merge_runs_partitioned(cat, &runs, vec![], threads, None, &tuning).unwrap() {
@@ -71,7 +73,7 @@ fn drain_partitioned(cat: &RunCatalog<u64>, threads: usize) -> u64 {
             PartitionAttempt::Serial(_) => {}
         }
     }
-    let sources: Result<Vec<_>> = runs.iter().map(|m| open_source(cat, m, &tuning)).collect();
+    let sources: Result<Vec<_>> = runs.iter().map(|m| open_source(cat, m)).collect();
     let tree = merge_sources_tuned(sources.unwrap(), SortOrder::Ascending, &tuning).unwrap();
     for row in tree {
         black_box(row.unwrap());
@@ -90,6 +92,7 @@ fn bench_partition_sweep(c: &mut Criterion) {
     g.throughput(Throughput::Elements(total));
     g.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
+        cat.set_io_scheduler(Some(IoScheduler::new(RUNS as usize * threads)));
         g.bench_function(format!("p{threads}"), |b| {
             b.iter(|| assert_eq!(drain_partitioned(&cat, threads), total))
         });
@@ -116,6 +119,7 @@ fn bench_partition_skewed(c: &mut Criterion) {
     g.throughput(Throughput::Elements(total));
     g.sample_size(10);
     for threads in [1usize, 4] {
+        cat.set_io_scheduler(Some(IoScheduler::new(RUNS as usize * threads)));
         g.bench_function(format!("p{threads}"), |b| {
             b.iter(|| assert_eq!(drain_partitioned(&cat, threads), total))
         });

@@ -14,12 +14,15 @@
 //! OVC-on fails to match or beat OVC-off *wall-clock* on any merge case
 //! (including plain u64 keys: comparison savings must not be bought with
 //! slower duels), if the overlapped-I/O layer (spill pipeline + merge
-//! read-ahead) changes the output of a spill-heavy top-k over a sleeping
-//! throttled backend (its walls and wait/overlap split are reported, not
-//! gated: with four blocks per request the synchronous side loses three
-//! of four round trips too, and the ratio on a 2-core runner is noise —
-//! `bench_e2e`'s `lineitem_k_large_remote` gates overlap end to end), or
-//! if the range-partitioned parallel merge fails to beat the serial merge
+//! read-ahead on the I/O pool) changes the output of a spill-heavy top-k
+//! over a sleeping throttled backend against inline I/O (its walls and
+//! wait/overlap split are reported, not gated: with four blocks per
+//! request the inline side loses three of four round trips too, and the
+//! ratio on a 2-core runner is noise — `bench_e2e`'s
+//! `lineitem_k_large_remote` gates overlap end to end), if a 512-run spill
+//! storm on a 4-worker pool loses or reorders a row or holds more than
+//! four background I/O threads, or if the range-partitioned parallel
+//! merge fails to beat the serial merge
 //! by at least 1.5× wall-clock on a latency-dominated backend, or if the
 //! 64-query `TopKServer`
 //! fleet fails to beat serial one-at-a-time execution by at least 1.5×
@@ -69,7 +72,6 @@ const STORM_ROWS_PER_RUN: u64 = 400;
 const STORM_FAN_IN: usize = 64;
 const STORM_THREADS: usize = 4;
 const STORM_IO_THREADS: usize = 4;
-const STORM_PARITY: f64 = 1.10;
 const CONC_QUERIES: u64 = 64;
 const CONC_ROWS_PER_QUERY: u64 = 3_000;
 const CONC_SMALL_K: u64 = 10;
@@ -170,10 +172,10 @@ impl OverlapRun {
 /// Spill-heavy top-k over a *sleeping* throttled backend modelling
 /// disaggregated-storage latency (a fixed per-request cost, no bandwidth
 /// term). `k = rows` so the merge reads every spilled block back. With the
-/// overlap layer on, spill writes land on the pipeline thread and the final
-/// merge prefetches all ~10 runs concurrently, so the per-request sleeps
-/// parallelize across sources; synchronously they serialize on the compute
-/// thread.
+/// overlap layer on (`io_threads = 4`), spill writes run as pool jobs and
+/// the final merge prefetches all ~10 runs concurrently, so the
+/// per-request sleeps parallelize across sources; inline
+/// (`io_threads = 0`) they serialize on the compute thread.
 fn overlap_case(overlap: bool) -> OverlapRun {
     let model =
         ThrottleModel { per_op: Duration::from_micros(150), per_byte: Duration::ZERO, sleep: true };
@@ -182,8 +184,7 @@ fn overlap_case(overlap: bool) -> OverlapRun {
     let config = TopKConfig::builder()
         .memory_budget(240 * 1024) // ~10 runs of 30k rows
         .block_bytes(1024)
-        .spill_pipeline(overlap)
-        .readahead_blocks(if overlap { 2 } else { 0 })
+        .io_threads(if overlap { 4 } else { 0 })
         .build()
         .expect("overlap config");
     let mut op: TraditionalExternalTopK<u64> =
@@ -239,7 +240,9 @@ impl PartitionRun {
 /// in flight (one prefetch stream per run), while the partitioned merge
 /// keeps `threads ×` that many — range-scoped readers skip straight to
 /// their partition — so the per-request sleeps divide by the partition
-/// count even on a single core. A request carries four blocks, so
+/// count even on a single core. The catalog's pool has one worker per
+/// prefetch stream, `PARTITION_RUNS × threads`, so every stream can have
+/// a request in flight. A request carries four blocks, so
 /// 256-byte blocks keep it the 1 KiB / 150 µs request the case was sized
 /// around: with 1 KiB blocks the merge is CPU-bound on two cores and the
 /// ratio reads 1.0–1.4×.
@@ -264,15 +267,10 @@ fn partition_case(threads: usize) -> PartitionRun {
         }
         catalog.register(w.finish().expect("finish run")).expect("register");
     }
+    // Written inline; only the timed merge reads through the pool.
+    catalog.set_io_scheduler(Some(IoScheduler::new(PARTITION_RUNS as usize * threads)));
     let runs = catalog.runs();
-    let tuning = MergeTuning {
-        ovc: true,
-        stats: None,
-        readahead_blocks: 2,
-        io_scheduler: None,
-        batch_rows: DEFAULT_BATCH_ROWS,
-        fold: None,
-    };
+    let tuning = MergeTuning::default();
     let skipped_before = stats.snapshot().blocks_skipped;
     let started = Instant::now();
     let mut rows = 0u64;
@@ -294,7 +292,7 @@ fn partition_case(threads: usize) -> PartitionRun {
         partitions
     } else {
         let sources: Vec<_> =
-            runs.iter().map(|m| open_source(&catalog, m, &tuning).expect("open source")).collect();
+            runs.iter().map(|m| open_source(&catalog, m).expect("open source")).collect();
         let tree = merge_sources_tuned(sources, SortOrder::Ascending, &tuning).expect("merge");
         drain(&mut { tree });
         1
@@ -316,27 +314,25 @@ fn partition_case(threads: usize) -> PartitionRun {
 struct StormRun {
     rows: u64,
     wall_ns: u64,
-    /// Peak background-I/O threads alive during the merges (pool workers
-    /// in scheduled mode; pipeline + prefetch threads in legacy mode).
+    /// Peak background-I/O threads alive during the merges.
     peak_io_threads: usize,
     io_wait_ns: u64,
     overlapped_io_ns: u64,
-    sched: Option<IoSchedulerMetrics>,
+    sched: IoSchedulerMetrics,
     checksum: u64,
 }
 
 impl StormRun {
     fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
+        let m = &self.sched;
+        JsonValue::Obj(vec![
             ("rows".to_owned(), JsonValue::from(self.rows)),
             ("wall_ns".to_owned(), JsonValue::from(self.wall_ns)),
             ("rows_per_sec".to_owned(), JsonValue::from(rate(self.rows, self.wall_ns))),
             ("peak_io_threads".to_owned(), JsonValue::from(self.peak_io_threads as u64)),
             ("io_wait_ns".to_owned(), JsonValue::from(self.io_wait_ns)),
             ("overlapped_io_ns".to_owned(), JsonValue::from(self.overlapped_io_ns)),
-        ];
-        if let Some(m) = &self.sched {
-            fields.push((
+            (
                 "scheduler".to_owned(),
                 JsonValue::Obj(vec![
                     ("jobs_merge_readahead".to_owned(), JsonValue::from(m.completed[0])),
@@ -344,22 +340,19 @@ impl StormRun {
                     ("jobs_spill_write".to_owned(), JsonValue::from(m.completed[2])),
                     ("queue_depth_peak".to_owned(), JsonValue::from(m.queue_depth_peak as u64)),
                 ]),
-            ));
-        }
-        JsonValue::Obj(fields)
+            ),
+        ])
     }
 }
 
-/// The tentpole's gate workload: without a shared pool, the intermediate
-/// merges hold ~65 background threads alive at once (64 prefetch sources
-/// plus the output spill pipeline); with `io_threads = 4` the same merges
-/// must run on 4 pool workers at wall-clock parity, byte-identical.
-/// `io_threads = 0` is the legacy thread-per-source baseline.
-fn spill_storm_case(io_threads: usize) -> StormRun {
+/// The intermediate merges hold 64 prefetch sources and the output spill
+/// pipeline open at once; on a 4-worker pool they must run on 4
+/// background threads and yield every key exactly once, in order.
+fn spill_storm_case() -> StormRun {
     let model =
         ThrottleModel { per_op: Duration::from_micros(2), per_byte: Duration::ZERO, sleep: true };
     let stats = IoStats::new();
-    let scheduler = (io_threads > 0).then(|| IoScheduler::new(io_threads));
+    let scheduler = IoScheduler::new(STORM_IO_THREADS);
     let catalog: Arc<RunCatalog<BytesKey>> = Arc::new(
         RunCatalog::new(
             Arc::new(ThrottledBackend::new(MemoryBackend::new(), model)),
@@ -368,7 +361,7 @@ fn spill_storm_case(io_threads: usize) -> StormRun {
             stats.clone(),
         )
         .with_block_bytes(8192)
-        .with_io_scheduler(scheduler.clone()),
+        .with_io_scheduler(Some(scheduler.clone())),
     );
     // 512 sorted strided runs, written untimed: run r holds keys
     // r, r+512, r+1024, … so every run overlaps every key range and the
@@ -381,14 +374,7 @@ fn spill_storm_case(io_threads: usize) -> StormRun {
         }
         catalog.register(w.finish().expect("finish storm run")).expect("register");
     }
-    let tuning = MergeTuning {
-        ovc: true,
-        stats: None,
-        readahead_blocks: 2,
-        io_scheduler: scheduler.clone(),
-        batch_rows: DEFAULT_BATCH_ROWS,
-        fold: None,
-    };
+    let tuning = MergeTuning::default();
     let merge = MergeConfig { fan_in: STORM_FAN_IN, policy: MergePolicy::SmallestFirst };
     let io_before = stats.snapshot();
     ThreadCensus::reset_peak();
@@ -421,7 +407,7 @@ fn spill_storm_case(io_threads: usize) -> StormRun {
         peak_io_threads,
         io_wait_ns: io.io_wait_ns,
         overlapped_io_ns: io.overlapped_io_ns,
-        sched: scheduler.as_ref().map(IoScheduler::metrics),
+        sched: scheduler.metrics(),
         checksum,
     }
 }
@@ -472,8 +458,7 @@ fn cascade_case(parallel: bool) -> CascadeRun {
         SortOrder::Ascending,
         stats.clone(),
     )
-    .with_block_bytes(4096)
-    .with_spill_pipeline(false);
+    .with_block_bytes(4096);
     // 512 sorted strided runs, written untimed: run r holds keys
     // r, r+512, r+1024, … so every run overlaps every key range and no
     // merge can shortcut.
@@ -484,17 +469,10 @@ fn cascade_case(parallel: bool) -> CascadeRun {
         }
         catalog.register(w.finish().expect("finish cascade run")).expect("register");
     }
-    // Fully synchronous I/O: no read-ahead, no pipeline, no pool — every
-    // storage sleep lands on the merge thread that issued it, so worker
-    // overlap is the only latency hiding available.
-    let tuning = MergeTuning {
-        ovc: true,
-        stats: None,
-        readahead_blocks: 0,
-        io_scheduler: None,
-        batch_rows: DEFAULT_BATCH_ROWS,
-        fold: None,
-    };
+    // Inline I/O (the catalog has no pool): every storage sleep lands on
+    // the merge thread that issued it, so worker overlap is the only
+    // latency hiding available.
+    let tuning = MergeTuning::default();
     let merge = MergeConfig { fan_in: CASCADE_FAN_IN, policy: MergePolicy::LowestKeyFirst };
     ThreadCensus::reset_peak();
     let started = Instant::now();
@@ -508,8 +486,7 @@ fn cascade_case(parallel: bool) -> CascadeRun {
     let peak_io_threads = ThreadCensus::peak();
     // Untimed correctness drain: content preservation is the invariant
     // (limit is None), so both planners must yield the same key stream.
-    let sources =
-        final_runs.iter().map(|m| open_source(&catalog, m, &tuning).expect("open")).collect();
+    let sources = final_runs.iter().map(|m| open_source(&catalog, m).expect("open")).collect();
     let tree = merge_sources_tuned(sources, SortOrder::Ascending, &tuning).expect("drain tree");
     let mut rows = 0u64;
     let mut checksum = 0u64;
@@ -531,18 +508,16 @@ fn cascade_case(parallel: bool) -> CascadeRun {
 type VecSource<K> = IterSource<std::vec::IntoIter<Result<Row<K>>>>;
 
 /// One query of the mixed fleet: odd indices spill (k = 400 under a
-/// 16 KiB workspace), even indices stay in memory (k = 10). Merge reads
-/// stay synchronous on the query thread (`readahead_blocks = 0`): the
-/// serial baseline pays every storage sleep in sequence, while the fleet
-/// overlaps them across query threads — the latency-bound regime the
-/// shared server targets on any core count.
+/// 16 KiB workspace), even indices stay in memory (k = 10). Serially each
+/// query overlaps storage sleeps only within itself, on its private pool;
+/// the fleet overlaps them across query threads on the server's shared
+/// pool — the latency-bound regime the shared server targets on any core
+/// count.
 fn fleet_query(i: u64) -> Query<F64Key> {
     let k = if i.is_multiple_of(2) { CONC_SMALL_K } else { CONC_SPILL_K };
     let config = TopKConfig::builder()
         .memory_budget(CONC_QUERY_BUDGET)
         .block_bytes(4096)
-        .spill_pipeline(true)
-        .readahead_blocks(0)
         .io_threads(CONC_IO_THREADS)
         .build()
         .expect("fleet config");
@@ -1174,39 +1149,28 @@ fn main() {
         ),
     ]));
 
-    // Spill storm: 512 runs merged at fan-in 64, legacy thread-per-source
-    // vs. the shared 4-worker I/O pool. The pool must hold the thread
-    // count at `io_threads` while staying at wall-clock parity with
-    // byte-identical output.
-    let storm_legacy = spill_storm_case(0);
-    let storm_pooled = spill_storm_case(STORM_IO_THREADS);
-    assert_eq!(storm_pooled.rows, storm_legacy.rows, "spill storm changed the row count");
-    assert_eq!(
-        storm_pooled.checksum, storm_legacy.checksum,
-        "spill storm changed the output order"
-    );
-    let storm_ratio = if storm_legacy.wall_ns == 0 {
-        f64::INFINITY
-    } else {
-        storm_pooled.wall_ns as f64 / storm_legacy.wall_ns as f64
-    };
+    // Spill storm: 512 runs merged at fan-in 64 on the shared 4-worker
+    // I/O pool. The pool must hold the thread count at `io_threads`, and
+    // the output must be every key once, in order.
+    let storm_pooled = spill_storm_case();
+    let storm_keys = STORM_RUNS * STORM_ROWS_PER_RUN;
+    let storm_oracle = (0..storm_keys).fold(0u64, |sum, k| {
+        format!("storm-key-{k:012}")
+            .bytes()
+            .fold(sum, |sum, b| sum.wrapping_mul(31).wrapping_add(u64::from(b)))
+    });
+    assert_eq!(storm_pooled.rows, storm_keys, "spill storm changed the row count");
+    assert_eq!(storm_pooled.checksum, storm_oracle, "spill storm changed the output order");
     println!(
-        "{:<24} {:>10.0}ms {:>10.0}ms {:>12} {:>12} {:>9.2}x",
+        "{:<24} {:>10.0}ms {:>12} {:>12}",
         "spill_storm",
         storm_pooled.wall_ns as f64 / 1e6,
-        storm_legacy.wall_ns as f64 / 1e6,
         format!("({}thr)", storm_pooled.peak_io_threads),
-        format!("({}thr)", storm_legacy.peak_io_threads),
-        storm_ratio
+        format!("({}rows)", storm_pooled.rows),
     );
     rows.push(JsonValue::Obj(vec![
         ("name".to_owned(), JsonValue::from("spill_storm")),
         ("pooled".to_owned(), storm_pooled.to_json()),
-        ("legacy".to_owned(), storm_legacy.to_json()),
-        (
-            "wall_ratio".to_owned(),
-            JsonValue::from(if storm_ratio.is_finite() { storm_ratio } else { f64::MAX }),
-        ),
     ]));
 
     // Cascade gate: 512 runs reduced to fan-in 64 on synchronous
@@ -1335,7 +1299,6 @@ fn main() {
                 ("storm_rows_per_run".to_owned(), JsonValue::from(STORM_ROWS_PER_RUN)),
                 ("storm_fan_in".to_owned(), JsonValue::from(STORM_FAN_IN as u64)),
                 ("storm_io_threads".to_owned(), JsonValue::from(STORM_IO_THREADS as u64)),
-                ("storm_parity".to_owned(), JsonValue::from(STORM_PARITY)),
                 ("cascade_runs".to_owned(), JsonValue::from(CASCADE_RUNS)),
                 ("cascade_rows_per_run".to_owned(), JsonValue::from(CASCADE_ROWS_PER_RUN)),
                 ("cascade_fan_in".to_owned(), JsonValue::from(CASCADE_FAN_IN as u64)),
@@ -1413,20 +1376,8 @@ fn main() {
         failed = true;
     } else {
         println!(
-            "OK: spill storm held {} background I/O threads (pool of {}; legacy peaked at {})",
-            storm_pooled.peak_io_threads, STORM_IO_THREADS, storm_legacy.peak_io_threads
-        );
-    }
-    if storm_ratio > STORM_PARITY {
-        eprintln!(
-            "FAIL: spill storm on the shared pool ran {storm_ratio:.2}x the legacy wall \
-             (parity bound {STORM_PARITY}x)"
-        );
-        failed = true;
-    } else {
-        println!(
-            "OK: spill storm on the shared pool ran {storm_ratio:.2}x the legacy wall \
-             (parity bound {STORM_PARITY}x)"
+            "OK: spill storm held {} background I/O threads (pool of {})",
+            storm_pooled.peak_io_threads, STORM_IO_THREADS
         );
     }
     if cascade_speedup < REQUIRED_CASCADE_SPEEDUP {

@@ -84,14 +84,6 @@ pub struct TopKConfig {
     /// selection-tree matches, cutoff prefix checks). On by default; off
     /// forces full key comparisons everywhere (differential baseline).
     pub ovc_enabled: bool,
-    /// Spill runs through a background writer thread that overlaps block
-    /// encoding/writing with row production (on by default; off spills
-    /// synchronously on the operator thread).
-    pub spill_pipeline: bool,
-    /// Blocks of background read-ahead per merge input; the effective
-    /// prefetch window is `readahead_blocks × block_bytes`. `0` reads
-    /// synchronously on the merge thread. Default 2.
-    pub readahead_blocks: usize,
     /// Worker threads for the final merge. With 2 or more, the final
     /// merge is range-partitioned across histogram-guided splitter keys
     /// when the estimated row count clears
@@ -115,8 +107,11 @@ pub struct TopKConfig {
     /// Background-I/O worker threads. Spill writes and merge read-ahead
     /// submit block-sized jobs to one shared pool of this size, bounding
     /// the operator's background thread count no matter how many runs and
-    /// merge sources are open. `0` = legacy mode: one dedicated thread per
-    /// open run / merge source (for differential testing). Default 4.
+    /// merge sources are open. `0` builds no pool: every run's bytes move
+    /// inline on the operator's own thread (the differential suites'
+    /// reference). An injected
+    /// [`io_scheduler_handle`](TopKConfig::io_scheduler_handle) takes
+    /// precedence either way. Default 4.
     pub io_threads: usize,
     /// Rows per batch on the batched merge path (loser-tree drain loops,
     /// partition-worker channel hops). Must be at least 1. Default 1024.
@@ -182,8 +177,6 @@ impl Default for TopKConfig {
             block_bytes: histok_storage::DEFAULT_BLOCK_BYTES,
             approx_slack: 0.0,
             ovc_enabled: true,
-            spill_pipeline: true,
-            readahead_blocks: 2,
             merge_threads: default_merge_threads(),
             partition_min_rows: 8192,
             cascade_threads: 1,
@@ -207,23 +200,19 @@ impl TopKConfig {
     /// injected shared pool when
     /// [`io_scheduler_handle`](TopKConfig::io_scheduler_handle) is set,
     /// otherwise a fresh pool of [`io_threads`](TopKConfig::io_threads)
-    /// workers, or `None` in legacy thread-per-source mode
-    /// (`io_threads == 0`). Operators call this once and thread the pool
-    /// through their run catalog and merge tuning.
+    /// workers, or `None` (inline I/O) when `io_threads == 0`. Operators
+    /// call this once and hand the pool to their run catalogs.
     pub fn io_scheduler(&self) -> Option<histok_storage::IoScheduler> {
-        if self.io_threads == 0 {
-            return None;
-        }
-        self.io_scheduler_handle
-            .clone()
-            .or_else(|| Some(histok_storage::IoScheduler::new(self.io_threads)))
+        self.io_scheduler_handle.clone().or_else(|| {
+            (self.io_threads > 0).then(|| histok_storage::IoScheduler::new(self.io_threads))
+        })
     }
 
     /// Returns a clone of this config with one materialized shared I/O
     /// pool injected, so composite operators (grouped, segmented,
     /// exchange) hand every sub-operator the *same* `io_threads` workers
-    /// instead of letting each construct a private pool. A no-op in
-    /// legacy mode or when a shared pool was already injected.
+    /// instead of letting each construct a private pool. A no-op for
+    /// inline I/O or when a shared pool was already injected.
     pub fn with_shared_io_scheduler(&self) -> TopKConfig {
         let mut config = self.clone();
         if config.io_scheduler_handle.is_none() {
@@ -410,18 +399,6 @@ impl TopKConfigBuilder {
         self
     }
 
-    /// Background spill pipeline switch; see [`TopKConfig::spill_pipeline`].
-    pub fn spill_pipeline(mut self, on: bool) -> Self {
-        self.config.spill_pipeline = on;
-        self
-    }
-
-    /// Merge read-ahead depth; see [`TopKConfig::readahead_blocks`].
-    pub fn readahead_blocks(mut self, blocks: usize) -> Self {
-        self.config.readahead_blocks = blocks;
-        self
-    }
-
     /// Final-merge worker threads; see [`TopKConfig::merge_threads`].
     pub fn merge_threads(mut self, threads: usize) -> Self {
         self.config.merge_threads = threads;
@@ -498,8 +475,6 @@ mod tests {
         assert_eq!(c.run_generation, RunGenKind::ReplacementSelection);
         assert!(c.limit_run_size);
         assert!(c.filter_enabled && c.input_filter && c.spill_filter);
-        assert!(c.spill_pipeline);
-        assert_eq!(c.readahead_blocks, 2);
         assert!((1..=4).contains(&c.merge_threads));
         assert_eq!(c.partition_min_rows, 8192);
         assert_eq!(c.cascade_threads, 1);
@@ -527,8 +502,6 @@ mod tests {
             .input_filter(false)
             .spill_filter(true)
             .block_bytes(1024)
-            .spill_pipeline(false)
-            .readahead_blocks(4)
             .merge_threads(2)
             .partition_min_rows(100)
             .cascade_threads(3)
@@ -545,8 +518,6 @@ mod tests {
         assert_eq!(c.merge.fan_in, 8);
         assert!(!c.input_filter);
         assert_eq!(c.block_bytes, 1024);
-        assert!(!c.spill_pipeline);
-        assert_eq!(c.readahead_blocks, 4);
         assert_eq!(c.merge_threads, 2);
         assert_eq!(c.partition_min_rows, 100);
         assert_eq!(c.cascade_threads, 3);
@@ -563,10 +534,14 @@ mod tests {
         assert!(got.same_pool(&shared), "injected pool must be returned, not a fresh one");
         let again = c.io_scheduler().unwrap();
         assert!(again.same_pool(&shared), "every call must return the same shared pool");
-        // Legacy mode wins: io_threads == 0 means no background pool at all.
-        let legacy =
-            TopKConfig::builder().io_threads(0).io_scheduler_handle(shared).build().unwrap();
-        assert!(legacy.io_scheduler().is_none());
+        // The injected pool wins over io_threads == 0 too: a server's
+        // fleet pool reaches a query configured for inline I/O.
+        let inline = TopKConfig::builder()
+            .io_threads(0)
+            .io_scheduler_handle(shared.clone())
+            .build()
+            .unwrap();
+        assert!(inline.io_scheduler().expect("injected pool").same_pool(&shared));
     }
 
     #[test]
@@ -604,9 +579,11 @@ mod tests {
     }
 
     #[test]
-    fn io_threads_zero_is_the_legacy_mode_and_valid() {
+    fn io_threads_zero_is_inline_io_and_valid() {
         let c = TopKConfig::builder().io_threads(0).build().unwrap();
         assert_eq!(c.io_threads, 0);
+        assert!(c.io_scheduler().is_none(), "no pool: every run's bytes move inline");
+        assert!(c.with_shared_io_scheduler().io_scheduler_handle.is_none());
     }
 
     #[test]

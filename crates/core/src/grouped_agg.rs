@@ -117,7 +117,7 @@ impl<K: SortKey> GroupedAggTopK<K> {
             stats.clone(),
         )
         .with_block_bytes(config.block_bytes)
-        .with_spill_pipeline(config.spill_pipeline)
+        .with_io_scheduler(config.io_scheduler())
         .with_fan_in(config.merge.fan_in)
         .with_merge_threads(config.merge_threads)
         .with_partition_min_rows(config.partition_min_rows)
@@ -125,12 +125,9 @@ impl<K: SortKey> GroupedAggTopK<K> {
         .with_tuning(MergeTuning {
             ovc: config.ovc_enabled,
             stats: Some(cmp_stats.clone()),
-            readahead_blocks: config.readahead_blocks,
-            io_scheduler: None,
             batch_rows: config.batch_rows,
             fold: None, // re-applied from with_fold at finish time
-        })
-        .with_io_scheduler(config.io_scheduler());
+        });
         if matches!(config.run_gen_mode, RunGenMode::Batch) {
             sorter = sorter.with_batch_run_gen(true);
         }

@@ -115,28 +115,21 @@ fn choose_threshold<K: SortKey>(
 
 /// Builds merge sources over `runs` and the in-memory `residues`,
 /// skipping as much of the first `offset` rows as the block indexes allow.
-/// `readahead_blocks` wraps each positioned reader in background prefetch
-/// (0 = synchronous reads).
+/// Each positioned reader is prefetched on the catalog's I/O pool when it
+/// has one, and read inline otherwise.
 pub fn fast_skip_sources<K: SortKey>(
     catalog: &RunCatalog<K>,
     runs: &[RunMeta<K>],
     residues: Vec<Vec<Row<K>>>,
     offset: u64,
-    readahead_blocks: usize,
 ) -> Result<SkippedSources<K>> {
     let order = catalog.order();
-    // Read-ahead goes through the catalog's shared I/O pool when one is
-    // configured; otherwise each prefetching source gets its own thread.
     let scheduler = catalog.io_scheduler();
     let Some(threshold) = choose_threshold(runs, &residues, offset, order) else {
         // Nothing skippable: open everything plainly.
         let mut sources = Vec::with_capacity(runs.len() + residues.len());
         for meta in runs {
-            sources.push(MergeSource::from_reader_scheduled(
-                catalog.open(meta)?,
-                readahead_blocks,
-                scheduler.clone(),
-            ));
+            sources.push(MergeSource::from_reader(catalog.open(meta)?, scheduler.clone()));
         }
         for seq in residues {
             sources.push(MergeSource::Memory(seq.into_iter()));
@@ -172,11 +165,7 @@ pub fn fast_skip_sources<K: SortKey>(
         }
         // Prefetch starts here, after positioning — the skipped prefix is
         // never read ahead.
-        let tail = Box::new(MergeSource::from_reader_scheduled(
-            reader,
-            readahead_blocks,
-            scheduler.clone(),
-        ));
+        let tail = Box::new(MergeSource::from_reader(reader, scheduler.clone()));
         sources.push(MergeSource::Chained { head: head.into_iter(), tail });
     }
     for mut seq in residues {
@@ -220,7 +209,7 @@ mod tests {
 
     fn merged_after_skip(cat: &RunCatalog<u64>, offset: u64) -> Vec<u64> {
         let runs = cat.runs();
-        let skipped = fast_skip_sources(cat, &runs, Vec::new(), offset, 2).unwrap();
+        let skipped = fast_skip_sources(cat, &runs, Vec::new(), offset).unwrap();
         let tree = merge_sources(skipped.sources, SortOrder::Ascending).unwrap();
         let mut remaining = offset - skipped.skipped;
         let mut out = Vec::new();
@@ -250,7 +239,7 @@ mod tests {
         let cat = build_runs(4, 2_000);
         let runs = cat.runs();
         let before = cat.stats().snapshot();
-        let skipped = fast_skip_sources(&cat, &runs, Vec::new(), 4_000, 0).unwrap();
+        let skipped = fast_skip_sources(&cat, &runs, Vec::new(), 4_000).unwrap();
         assert!(skipped.skipped > 3_000, "only skipped {}", skipped.skipped);
         let read = cat.stats().snapshot().since(&before);
         // Reading all 4,000 skipped rows would cost ≥ 4,000 row-reads; the
@@ -267,7 +256,7 @@ mod tests {
     fn zero_offset_is_a_plain_open() {
         let cat = build_runs(2, 50);
         let runs = cat.runs();
-        let s = fast_skip_sources(&cat, &runs, Vec::new(), 0, 2).unwrap();
+        let s = fast_skip_sources(&cat, &runs, Vec::new(), 0).unwrap();
         assert_eq!(s.skipped, 0);
         let keys: Vec<u64> = merge_sources(s.sources, SortOrder::Ascending)
             .unwrap()
@@ -280,7 +269,7 @@ mod tests {
     fn offset_beyond_all_rows() {
         let cat = build_runs(2, 50);
         let runs = cat.runs();
-        let s = fast_skip_sources(&cat, &runs, Vec::new(), 1_000_000, 2).unwrap();
+        let s = fast_skip_sources(&cat, &runs, Vec::new(), 1_000_000).unwrap();
         assert!(s.skipped <= 100);
         let rest = merge_sources(s.sources, SortOrder::Ascending).unwrap().count() as u64;
         assert_eq!(s.skipped + rest, 100);
@@ -308,7 +297,7 @@ mod tests {
 
         let offset = 50u64;
         let runs = cat.runs();
-        let s = fast_skip_sources(&cat, &runs, vec![residue], offset, 2).unwrap();
+        let s = fast_skip_sources(&cat, &runs, vec![residue], offset).unwrap();
         let tree = merge_sources(s.sources, SortOrder::Ascending).unwrap();
         let mut remaining = offset - s.skipped;
         let mut out = Vec::new();
@@ -342,7 +331,7 @@ mod tests {
             cat.register(w.finish().unwrap()).unwrap();
         }
         let runs = cat.runs();
-        let s = fast_skip_sources(&cat, &runs, Vec::new(), 123, 2).unwrap();
+        let s = fast_skip_sources(&cat, &runs, Vec::new(), 123).unwrap();
         let tree = merge_sources(s.sources, SortOrder::Descending).unwrap();
         let mut remaining = 123 - s.skipped;
         let mut out = Vec::new();

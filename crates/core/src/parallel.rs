@@ -21,7 +21,7 @@ use histok_sort::{
     run_overlaps, split_sorted_rows, CascadeStats, CmpStats, MergeSource, MergeTuning,
     PartitionCounters, SpillObserver,
 };
-use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
+use histok_storage::{IoStats, RunCatalog, StorageBackend};
 use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
 
 use crate::config::TopKConfig;
@@ -160,9 +160,6 @@ pub struct ParallelTopK<K: SortKey> {
     merge_partitions: u64,
     partition_counters: Option<PartitionCounters>,
     cascade: CascadeStats,
-    /// One background-I/O pool shared by every worker's spills and the
-    /// final merge (`None` = legacy thread-per-source).
-    io_scheduler: Option<IoScheduler>,
 }
 
 impl<K: SortKey> ParallelTopK<K> {
@@ -212,8 +209,9 @@ impl<K: SortKey> ParallelTopK<K> {
         let effective_sizing =
             if config.filter_enabled { config.sizing } else { SizingPolicy::Disabled };
 
-        // One pool for the whole operator: worker spills contend for the
-        // same `io_threads` workers instead of spawning a thread per run.
+        // One pool for the whole operator, held by every worker's catalog:
+        // spills and final-merge read-ahead contend for the same
+        // `io_threads` workers.
         let io_scheduler = config.io_scheduler();
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
@@ -227,7 +225,6 @@ impl<K: SortKey> ParallelTopK<K> {
                     stats.clone(),
                 )
                 .with_block_bytes(config.block_bytes)
-                .with_spill_pipeline(config.spill_pipeline)
                 .with_io_scheduler(io_scheduler.clone()),
             );
             let worker_catalog = catalog.clone();
@@ -297,7 +294,6 @@ impl<K: SortKey> ParallelTopK<K> {
             merge_partitions: 1,
             partition_counters: None,
             cascade: CascadeStats::default(),
-            io_scheduler,
         })
     }
 
@@ -305,8 +301,6 @@ impl<K: SortKey> ParallelTopK<K> {
         MergeTuning {
             ovc: self.config.ovc_enabled,
             stats: Some(self.cmp_stats.clone()),
-            readahead_blocks: self.config.readahead_blocks,
-            io_scheduler: self.io_scheduler.clone(),
             batch_rows: self.config.batch_rows,
             fold: None,
         }
@@ -382,7 +376,6 @@ impl<K: SortKey> ParallelTopK<K> {
             let ranges =
                 plan_partitions(&all_runs, self.spec.order, self.config.merge_threads, clip);
             if ranges.len() >= 2 {
-                let scheduler = tuning.io_scheduler.as_ref().map(|s| s.for_backend(&self.backend));
                 let mut partitions: Vec<Vec<MergeSource<K>>> =
                     (0..ranges.len()).map(|_| Vec::new()).collect();
                 let mut catalogs = Vec::with_capacity(outputs.len());
@@ -390,15 +383,13 @@ impl<K: SortKey> ParallelTopK<K> {
                 // assembly (worker 0's runs, worker 0's residue, worker
                 // 1's runs, ...) so loser-tree tie-breaks agree.
                 for (out, final_runs) in outputs.into_iter().zip(plans.iter()) {
+                    let scheduler = out.catalog.io_scheduler();
                     for meta in final_runs {
                         for (i, range) in ranges.iter().enumerate() {
                             if run_overlaps(meta, range, self.spec.order) {
                                 let reader = out.catalog.open_range(meta, range.clone())?;
-                                partitions[i].push(MergeSource::from_reader_scheduled(
-                                    reader,
-                                    tuning.readahead_blocks,
-                                    scheduler.clone(),
-                                ));
+                                partitions[i]
+                                    .push(MergeSource::from_reader(reader, scheduler.clone()));
                             }
                         }
                     }
@@ -427,7 +418,7 @@ impl<K: SortKey> ParallelTopK<K> {
         let mut catalogs = Vec::with_capacity(outputs.len());
         for (out, final_runs) in outputs.into_iter().zip(plans.iter()) {
             for meta in final_runs {
-                sources.push(histok_sort::open_source(&out.catalog, meta, &tuning)?);
+                sources.push(histok_sort::open_source(&out.catalog, meta)?);
             }
             for seq in out.residue {
                 sources.push(MergeSource::Memory(seq.into_iter()));

@@ -82,9 +82,9 @@ pub struct HistogramTopK<K: SortKey> {
     partition_counters: Option<PartitionCounters>,
     /// Intermediate cascade-merge pass counters.
     cascade: CascadeStats,
-    /// Shared background-I/O pool (`None` = legacy thread-per-source),
-    /// built once from `config.io_threads` and reused by every spill and
-    /// merge this operator performs.
+    /// Shared background-I/O pool (`None` = inline I/O), built once from
+    /// `config.io_threads` and handed to the run catalog, which moves every
+    /// spill and merge input of this operator through it.
     io_scheduler: Option<IoScheduler>,
     /// Fold counters every pipeline component flushes into; zero unless
     /// the query runs in dedup/aggregate mode.
@@ -248,8 +248,6 @@ impl<K: SortKey> HistogramTopK<K> {
         MergeTuning {
             ovc: self.config.ovc_enabled,
             stats: Some(self.cmp_stats.clone()),
-            readahead_blocks: self.config.readahead_blocks,
-            io_scheduler: self.io_scheduler.clone(),
             batch_rows: self.config.batch_rows,
             fold: self.fold_spec(),
         }
@@ -305,7 +303,6 @@ impl<K: SortKey> HistogramTopK<K> {
                 self.stats.clone(),
             )
             .with_block_bytes(self.config.block_bytes)
-            .with_spill_pipeline(self.config.spill_pipeline)
             .with_io_scheduler(self.io_scheduler.clone()),
         );
         let gen = self.build_generator(catalog.clone());
@@ -553,7 +550,6 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                     &final_runs,
                     residue,
                     skip_offset,
-                    self.config.readahead_blocks,
                 )?;
                 let mut spec = self.spec;
                 spec.offset -= skipped.skipped;

@@ -140,9 +140,9 @@ pub struct OptimizedExternalTopK<K: SortKey> {
     partition_counters: Option<PartitionCounters>,
     /// Intermediate cascade-merge pass counters.
     cascade: CascadeStats,
-    /// Shared background-I/O pool (`None` = legacy thread-per-source),
-    /// built once from `config.io_threads` and reused by every spill and
-    /// merge this operator performs.
+    /// Shared background-I/O pool (`None` = inline I/O), built once from
+    /// `config.io_threads` and handed to the run catalog, which moves every
+    /// spill and merge input of this operator through it.
     io_scheduler: Option<IoScheduler>,
 }
 
@@ -198,8 +198,6 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
         MergeTuning {
             ovc: self.config.ovc_enabled,
             stats: Some(self.cmp_stats.clone()),
-            readahead_blocks: self.config.readahead_blocks,
-            io_scheduler: self.io_scheduler.clone(),
             batch_rows: self.config.batch_rows,
             fold: None,
         }
@@ -232,7 +230,6 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
                 self.stats.clone(),
             )
             .with_block_bytes(self.config.block_bytes)
-            .with_spill_pipeline(self.config.spill_pipeline)
             .with_io_scheduler(self.io_scheduler.clone()),
         );
         // Replacement selection *defines* this baseline ([Graefe'08]), so
@@ -395,7 +392,7 @@ impl<K: SortKey> TopKOperator<K> for OptimizedExternalTopK<K> {
                 let mut sources: Vec<MergeSource<K>> =
                     Vec::with_capacity(final_runs.len() + residue.len());
                 for meta in &final_runs {
-                    sources.push(histok_sort::open_source(&catalog, meta, &self.merge_tuning())?);
+                    sources.push(histok_sort::open_source(&catalog, meta)?);
                 }
                 for seq in residue {
                     sources.push(MergeSource::Memory(seq.into_iter()));

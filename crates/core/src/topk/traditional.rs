@@ -51,8 +51,8 @@ impl<K: SortKey> TraditionalExternalTopK<K> {
     }
 
     /// As [`TraditionalExternalTopK::new`] with a shared backend and the
-    /// I/O knobs from `config` (block size, spill pipeline, read-ahead,
-    /// offset-value coding); the sort workspace is `config.memory_budget`.
+    /// I/O knobs from `config` (block size, I/O pool, offset-value coding);
+    /// the sort workspace is `config.memory_budget`.
     pub fn with_config(
         spec: SortSpec,
         config: &TopKConfig,
@@ -69,21 +69,16 @@ impl<K: SortKey> TraditionalExternalTopK<K> {
         op.sorter = Some(
             sorter
                 .with_block_bytes(config.block_bytes)
-                .with_spill_pipeline(config.spill_pipeline)
+                .with_io_scheduler(config.io_scheduler())
                 .with_merge_threads(config.merge_threads)
                 .with_partition_min_rows(config.partition_min_rows)
                 .with_cascade_threads(config.cascade_workers())
                 .with_tuning(MergeTuning {
                     ovc: config.ovc_enabled,
                     stats: Some(op.cmp_stats.clone()),
-                    readahead_blocks: config.readahead_blocks,
-                    io_scheduler: None,
                     batch_rows: config.batch_rows,
                     fold: None,
-                })
-                // After with_tuning: sets both the catalog's spill pool and
-                // the tuning's read-ahead pool.
-                .with_io_scheduler(config.io_scheduler()),
+                }),
         );
         Ok(op)
     }

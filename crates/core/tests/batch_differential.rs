@@ -219,7 +219,7 @@ fn a_failed_dedup_batch_keeps_its_fold_counts() {
         TopKConfig::builder()
             .memory_budget(60 * row_bytes)
             .block_bytes(1024)
-            .spill_pipeline(false)
+            .io_threads(0)
             .dedup(true)
             .build()
             .expect("valid config")

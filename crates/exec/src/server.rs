@@ -32,9 +32,10 @@ pub struct ServerConfig {
     /// The global memory pool all queries lease from (the fleet-wide
     /// analogue of the paper's per-operator 1 GB allocation, §5.1.2).
     pub total_memory: usize,
-    /// Background-I/O worker threads for the whole fleet. `0` disables the
-    /// shared pool (every query falls back to its own config's behaviour —
-    /// only for differential testing).
+    /// Background-I/O worker threads for the whole fleet: every admitted
+    /// query's spills and read-ahead run on this one pool. `0` builds no
+    /// shared pool, so each query runs as its own config says (a private
+    /// pool of its `io_threads`, or inline I/O at 0).
     pub io_threads: usize,
     /// The smallest workspace a spilling query is admitted with; also the
     /// merge-phase reserve a lease shrinks to after run generation.
@@ -180,11 +181,6 @@ impl TopKServer {
             let config = query.config_mut();
             if let Some(scheduler) = &self.scheduler {
                 config.io_scheduler_handle = Some(scheduler.clone());
-                // The shared pool only bounds fleet threads if no query
-                // falls back to legacy thread-per-source mode.
-                if config.io_threads == 0 {
-                    config.io_threads = self.config.io_threads;
-                }
             }
             config.budget_lease = Some(lease.handle().clone());
         }

@@ -1,9 +1,10 @@
 //! Regression tests for background-I/O thread fan-out: a grouped query
 //! over G groups and a many-query `TopKServer` fleet must both peak at
-//! ≤ `io_threads` background threads, not `4 × G` / `4 × N`.
+//! ≤ `io_threads` background threads, not `4 × G` / `4 × N`, and a query
+//! with `io_threads = 0` at none.
 //!
-//! `ThreadCensus` is process-global, so the two tests serialize through
-//! one mutex and reset the peak while holding it. This file must not
+//! `ThreadCensus` is process-global, so the tests serialize through one
+//! mutex and reset the peak while holding it. This file must not
 //! gain tests that spawn I/O pools without taking the same lock.
 
 use std::sync::{Arc, Mutex, OnceLock};
@@ -29,12 +30,11 @@ fn grouped_query_shares_one_pool_across_groups() {
     const IO_THREADS: usize = 2;
     let row_bytes = histok_sort::row_footprint(&Row::key_only(0u64));
     // ~40 rows of budget per group with k = 100: every group spills, so
-    // every group wants the background pipeline + readahead pool.
+    // every group's spills and read-ahead want the pool.
     let config = TopKConfig::builder()
         .memory_budget(40 * row_bytes)
         .block_bytes(1024)
         .io_threads(IO_THREADS)
-        .spill_pipeline(true)
         .build()
         .unwrap();
     let mut op: GroupedTopK<u32, u64> =
@@ -85,7 +85,6 @@ fn server_fleet_shares_one_pool_across_queries() {
                 let config = TopKConfig::builder()
                     .memory_budget(16 * 1024)
                     .block_bytes(1024)
-                    .spill_pipeline(true)
                     .build()
                     .unwrap();
                 let query: Query<histok_types::F64Key> =
@@ -112,4 +111,25 @@ fn server_fleet_shares_one_pool_across_queries() {
     assert!(peak > 0, "spilling queries must actually use the pool");
     drop(server);
     assert_eq!(ThreadCensus::current(), 0, "pool threads exit with the server");
+}
+
+#[test]
+fn inline_query_spills_without_a_background_thread() {
+    let _serial = census_lock().lock().unwrap();
+    assert_eq!(ThreadCensus::current(), 0, "no stray pools before the test");
+    ThreadCensus::reset_peak();
+
+    let config = TopKConfig::builder()
+        .memory_budget(16 * 1024)
+        .block_bytes(1024)
+        .io_threads(0)
+        .build()
+        .unwrap();
+    let query: Query<histok_types::F64Key> =
+        Query::scan(Workload::uniform(20_000, 7).rows(), SortSpec::ascending(2_000)).config(config);
+    let result = query.execute(MemoryBackend::new()).unwrap();
+    assert_eq!(result.rows.len(), 2_000);
+    assert!(result.metrics.io.bytes_written > 0, "the query must spill");
+    assert!(result.metrics.io.bytes_read > 0, "and read its runs back");
+    assert_eq!(ThreadCensus::peak(), 0, "inline I/O must not start a background thread");
 }

@@ -139,7 +139,8 @@ impl<K: SortKey> ExternalSorter<K> {
     }
 
     /// Overrides the merge tuning (offset-value coding switch, comparison
-    /// counters, read-ahead depth).
+    /// counters, batch size). The I/O pool is the catalog's, set by
+    /// [`ExternalSorter::with_io_scheduler`] in either order.
     pub fn with_tuning(mut self, tuning: MergeTuning) -> Self {
         self.tuning = tuning;
         self
@@ -151,18 +152,11 @@ impl<K: SortKey> ExternalSorter<K> {
         self
     }
 
-    /// Enables or disables the background spill pipeline (on by default).
-    pub fn with_spill_pipeline(self, enabled: bool) -> Self {
-        self.catalog.set_spill_pipeline(enabled);
-        self
-    }
-
     /// Routes spill writes and merge read-ahead through `scheduler`'s
-    /// shared worker pool instead of one thread per open run / merge
-    /// source (`None`, the default, keeps the legacy dedicated threads).
-    pub fn with_io_scheduler(mut self, scheduler: Option<IoScheduler>) -> Self {
-        self.catalog.set_io_scheduler(scheduler.clone());
-        self.tuning.io_scheduler = scheduler;
+    /// shared worker pool; `None`, the default, moves every run's bytes
+    /// inline on the calling thread.
+    pub fn with_io_scheduler(self, scheduler: Option<IoScheduler>) -> Self {
+        self.catalog.set_io_scheduler(scheduler);
         self
     }
 
@@ -244,7 +238,7 @@ impl<K: SortKey> ExternalSorter<K> {
         }
         let mut sources = Vec::with_capacity(final_runs.len());
         for meta in &final_runs {
-            sources.push(open_source(&self.catalog, meta, &self.tuning)?);
+            sources.push(open_source(&self.catalog, meta)?);
         }
         let tree = merge_sources_tuned(sources, self.order, &self.tuning)?;
         let merge = BatchedMerge::new(tree, self.tuning.batch_rows);

@@ -11,9 +11,7 @@
 //!   lowest keys (the most recently produced), not the traditional smallest
 //!   runs.
 
-use histok_storage::{
-    IoScheduler, IoSchedulerHandle, PrefetchingRunReader, RunCatalog, RunMeta, RunReader,
-};
+use histok_storage::{IoSchedulerHandle, PrefetchingRunReader, RunCatalog, RunMeta, RunReader};
 use histok_types::{Error, Result, Row, RowBatch, SortKey, SortOrder};
 
 use crate::cascade::SharedCutoff;
@@ -24,21 +22,15 @@ use crate::source::{RowSource, DEFAULT_BATCH_ROWS};
 
 /// Knobs an operator threads into every merge step it triggers: whether
 /// the loser tree uses offset-value coding, an optional shared
-/// comparison-counter sink the trees flush into, how many blocks each run
-/// input prefetches in the background, which I/O pool (if any) that
-/// prefetching runs on, and how many rows each merge drain batches.
+/// comparison-counter sink the trees flush into, how many rows each merge
+/// drain batches, and whether equal keys fold. How run inputs are read
+/// (inline or prefetched on a pool) is the run catalog's to decide.
 #[derive(Debug, Clone)]
 pub struct MergeTuning {
     /// Resolve tournament duels on offset-value codes (default on).
     pub ovc: bool,
     /// Shared comparison counters; `None` skips the accounting.
     pub stats: Option<CmpStats>,
-    /// Blocks of background read-ahead per run input (default 2); `0`
-    /// reads synchronously on the merge thread.
-    pub readahead_blocks: usize,
-    /// Shared worker pool the read-ahead jobs run on; `None` spawns the
-    /// legacy dedicated thread per merge source.
-    pub io_scheduler: Option<IoScheduler>,
     /// Rows per merge output batch (and the refill hint passed to batched
     /// sources). `1` degenerates to row-at-a-time — the differential
     /// baseline.
@@ -50,14 +42,7 @@ pub struct MergeTuning {
 
 impl Default for MergeTuning {
     fn default() -> Self {
-        MergeTuning {
-            ovc: true,
-            stats: None,
-            readahead_blocks: 2,
-            io_scheduler: None,
-            batch_rows: DEFAULT_BATCH_ROWS,
-            fold: None,
-        }
+        MergeTuning { ovc: true, stats: None, batch_rows: DEFAULT_BATCH_ROWS, fold: None }
     }
 }
 
@@ -66,18 +51,6 @@ impl MergeTuning {
     /// everywhere) — the differential-testing baseline.
     pub fn without_ovc() -> Self {
         MergeTuning { ovc: false, ..MergeTuning::default() }
-    }
-
-    /// Overrides the per-input read-ahead depth.
-    pub fn with_readahead(mut self, blocks: usize) -> Self {
-        self.readahead_blocks = blocks;
-        self
-    }
-
-    /// Routes read-ahead through `scheduler`'s shared worker pool.
-    pub fn with_io_scheduler(mut self, scheduler: Option<IoScheduler>) -> Self {
-        self.io_scheduler = scheduler;
-        self
     }
 
     /// Overrides the merge batch size (clamped to at least 1).
@@ -99,10 +72,10 @@ impl MergeTuning {
 /// (produced by offset fast-skipping, which may over-read a block
 /// boundary and must put the extra rows back in front).
 pub enum MergeSource<K: SortKey> {
-    /// Rows streamed from a spilled run, read synchronously.
+    /// Rows streamed from a spilled run, read inline on the merge thread.
     Run(RunReader<K>),
-    /// Rows streamed from a spilled run through a background read-ahead
-    /// thread (see [`PrefetchingRunReader`]).
+    /// Rows streamed from a spilled run through read-ahead jobs on a
+    /// shared I/O pool (see [`PrefetchingRunReader`]).
     Prefetched(PrefetchingRunReader<K>),
     /// Rows already in memory, sorted in output order.
     Memory(std::vec::IntoIter<Row<K>>),
@@ -116,31 +89,14 @@ pub enum MergeSource<K: SortKey> {
 }
 
 impl<K: SortKey> MergeSource<K> {
-    /// Wraps an (optionally mid-run) reader, prefetching `readahead_blocks`
-    /// blocks on a dedicated background thread when non-zero.
-    pub fn from_reader(reader: RunReader<K>, readahead_blocks: usize) -> Self {
-        MergeSource::from_reader_scheduled(reader, readahead_blocks, None)
-    }
-
-    /// As [`MergeSource::from_reader`], but when `scheduler` is set the
-    /// read-ahead runs as jobs on its shared pool (starting at prefetch
-    /// priority, escalated once the merge actually drains this source)
-    /// instead of a dedicated thread.
-    pub fn from_reader_scheduled(
-        reader: RunReader<K>,
-        readahead_blocks: usize,
-        scheduler: Option<IoSchedulerHandle>,
-    ) -> Self {
-        if readahead_blocks == 0 {
-            return MergeSource::Run(reader);
-        }
+    /// Wraps an (optionally mid-run) reader: prefetched by jobs on
+    /// `scheduler`'s pool when given (starting at prefetch priority,
+    /// escalated once the merge actually drains this source), read inline
+    /// otherwise. Callers pass the pool of the catalog the run came from.
+    pub fn from_reader(reader: RunReader<K>, scheduler: Option<IoSchedulerHandle>) -> Self {
         match scheduler {
-            Some(handle) => MergeSource::Prefetched(PrefetchingRunReader::spawn_scheduled(
-                reader,
-                readahead_blocks,
-                handle,
-            )),
-            None => MergeSource::Prefetched(PrefetchingRunReader::spawn(reader, readahead_blocks)),
+            Some(handle) => MergeSource::Prefetched(PrefetchingRunReader::new(reader, handle)),
+            None => MergeSource::Run(reader),
         }
     }
 }
@@ -255,16 +211,13 @@ impl<K: SortKey, S: RowSource<K>> Iterator for BatchedMerge<K, S> {
     }
 }
 
-/// Opens a registered run as a merge source, honoring the tuning's
-/// read-ahead depth and I/O scheduler (jobs gated on the catalog's
-/// backend).
+/// Opens a registered run as a merge source, prefetched on the catalog's
+/// I/O pool when it has one (jobs gated on its backend), inline otherwise.
 pub fn open_source<K: SortKey>(
     catalog: &RunCatalog<K>,
     meta: &RunMeta<K>,
-    tuning: &MergeTuning,
 ) -> Result<MergeSource<K>> {
-    let scheduler = tuning.io_scheduler.as_ref().map(|s| s.for_backend(catalog.backend()));
-    Ok(MergeSource::from_reader_scheduled(catalog.open(meta)?, tuning.readahead_blocks, scheduler))
+    Ok(MergeSource::from_reader(catalog.open(meta)?, catalog.io_scheduler()))
 }
 
 /// Builds a merging iterator over heterogeneous sources with default
@@ -373,7 +326,7 @@ pub fn merge_runs_to_new_shared<K: SortKey>(
     let order = catalog.order();
     let mut sources = Vec::with_capacity(runs.len());
     for meta in runs {
-        sources.push(open_source(catalog, meta, tuning)?);
+        sources.push(open_source(catalog, meta)?);
     }
     let mut tree = merge_sources_tuned(sources, order, tuning)?;
     let mut writer = catalog.start_run()?;

@@ -215,10 +215,11 @@ impl<K: SortKey> PartitionAttempt<K> {
     }
 }
 
-/// Plans partitions over `runs`, opens range-scoped (prefetched) readers
-/// per partition, folds the sorted in-memory `residue` sequences into
-/// their ranges, and launches the parallel merge. See
-/// [`PartitionAttempt`] for the serial fallback contract.
+/// Plans partitions over `runs`, opens range-scoped readers per partition
+/// (prefetched on the catalog's I/O pool, if it has one), folds the sorted
+/// in-memory `residue` sequences into their ranges, and launches the
+/// parallel merge. See [`PartitionAttempt`] for the serial fallback
+/// contract.
 pub fn merge_runs_partitioned<K: SortKey>(
     catalog: &RunCatalog<K>,
     runs: &[RunMeta<K>],
@@ -245,7 +246,7 @@ pub fn merge_runs_partitioned<K: SortKey>(
             }
         }
     }
-    let scheduler = tuning.io_scheduler.as_ref().map(|s| s.for_backend(catalog.backend()));
+    let scheduler = catalog.io_scheduler();
     let mut partitions = Vec::with_capacity(ranges.len());
     for (range, seqs) in ranges.iter().zip(residue_parts) {
         let mut sources = Vec::new();
@@ -254,11 +255,7 @@ pub fn merge_runs_partitioned<K: SortKey>(
                 continue;
             }
             let reader = catalog.open_range(meta, range.clone())?;
-            sources.push(MergeSource::from_reader_scheduled(
-                reader,
-                tuning.readahead_blocks,
-                scheduler.clone(),
-            ));
+            sources.push(MergeSource::from_reader(reader, scheduler.clone()));
         }
         for seq in seqs {
             sources.push(MergeSource::Memory(seq.into_iter()));

@@ -75,7 +75,7 @@ fn open_tree<K: SortKey>(
     cat: &RunCatalog<K>,
     tuning: &MergeTuning,
 ) -> LoserTree<K, histok_sort::MergeSource<K>> {
-    let sources: Vec<_> = cat.runs().iter().map(|m| open_source(cat, m, tuning).unwrap()).collect();
+    let sources: Vec<_> = cat.runs().iter().map(|m| open_source(cat, m).unwrap()).collect();
     merge_sources_tuned(sources, cat.order(), tuning).unwrap()
 }
 

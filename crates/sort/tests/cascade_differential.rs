@@ -62,8 +62,7 @@ fn payload(seed: u64) -> Vec<u8> {
 
 fn fresh_catalog<K: GridKey>(order: SortOrder) -> RunCatalog<K> {
     let cat = RunCatalog::new(Arc::new(MemoryBackend::new()), "cd", order, IoStats::new())
-        .with_block_bytes(256)
-        .with_spill_pipeline(false);
+        .with_block_bytes(256);
     let mut rng = StdRng::seed_from_u64(0xCA5CADE);
     for _ in 0..RUNS {
         let mut seeds: Vec<u64> = (0..ROWS_PER_RUN).map(|_| rng.gen_range(0..DISTINCT)).collect();
@@ -80,7 +79,7 @@ fn fresh_catalog<K: GridKey>(order: SortOrder) -> RunCatalog<K> {
 /// Drains `runs` through one loser-tree merge, in the given order.
 fn drain<K: SortKey>(cat: &RunCatalog<K>, runs: &[RunMeta<K>]) -> Vec<Row<K>> {
     let tuning = MergeTuning::default();
-    let sources = runs.iter().map(|m| open_source(cat, m, &tuning).unwrap()).collect();
+    let sources = runs.iter().map(|m| open_source(cat, m).unwrap()).collect();
     let tree = merge_sources_tuned(sources, cat.order(), &tuning).unwrap();
     tree.collect::<Result<Vec<Row<K>>>>().unwrap()
 }

@@ -85,8 +85,7 @@ fn corrupt_input_latches_the_pass_and_resurfaces() {
         );
         let cat: RunCatalog<u64> =
             RunCatalog::new(Arc::new(be), "cf", SortOrder::Ascending, IoStats::new())
-                .with_block_bytes(128)
-                .with_spill_pipeline(false);
+                .with_block_bytes(128);
         for r in 0..8u64 {
             write_run(&cat, (0..600).map(|j| j * 8 + r));
         }
@@ -111,8 +110,7 @@ fn write_failure_mid_pass_deletes_the_partial_output() {
         let mem = MemoryBackend::shared();
         let plain: RunCatalog<u64> =
             RunCatalog::new(Arc::new(mem.clone()), "cw", SortOrder::Ascending, IoStats::new())
-                .with_block_bytes(128)
-                .with_spill_pipeline(false);
+                .with_block_bytes(128);
         for r in 0..8u64 {
             write_run(&plain, (0..400).map(|j| j * 8 + r));
         }
@@ -125,8 +123,7 @@ fn write_failure_mid_pass_deletes_the_partial_output() {
         // with the adopted initial runs.
         let cat: RunCatalog<u64> =
             RunCatalog::new(Arc::new(be), "cwo", SortOrder::Ascending, IoStats::new())
-                .with_block_bytes(128)
-                .with_spill_pipeline(false);
+                .with_block_bytes(128);
         for meta in plain.runs() {
             cat.register(meta).unwrap();
         }
@@ -156,8 +153,7 @@ fn error_under_throttle_joins_every_worker() {
         );
         let cat: RunCatalog<u64> =
             RunCatalog::new(Arc::new(be), "ct", SortOrder::Ascending, IoStats::new())
-                .with_block_bytes(128)
-                .with_spill_pipeline(false);
+                .with_block_bytes(128);
         for r in 0..8u64 {
             write_run(&cat, (0..600).map(|j| j * 8 + r));
         }

@@ -29,7 +29,6 @@ fn write_run(cat: &RunCatalog<u64>, keys: impl Iterator<Item = u64>) -> RunMeta<
 fn catalog(mem: &MemoryBackend, prefix: &str) -> RunCatalog<u64> {
     RunCatalog::new(Arc::new(mem.clone()), prefix, SortOrder::Ascending, IoStats::new())
         .with_block_bytes(128)
-        .with_spill_pipeline(false)
 }
 
 /// 1024 runs at fan-in 32 need exactly one pass of 32 near-equal merges
@@ -92,9 +91,10 @@ fn initial_cutoff_prunes_dead_runs_without_reading() {
 fn limit_refined_cutoff_prunes_sibling_groups_unread() {
     let run = |cat: &RunCatalog<u64>, base: u64| write_run(cat, (0..200).map(|j| base + j * 2));
     let config = MergeConfig { fan_in: 2, ..MergeConfig::default() };
-    // Synchronous I/O only: with `limit = 10` the merge stops early, and
-    // background read-ahead would make `bytes_read` timing-dependent.
-    let tuning = MergeTuning { readahead_blocks: 0, io_scheduler: None, ..MergeTuning::default() };
+    // Inline I/O only (the catalog has no pool): with `limit = 10` the
+    // merge stops early, and background read-ahead would make
+    // `bytes_read` timing-dependent.
+    let tuning = MergeTuning::default();
 
     // Reference: the two live runs merged directly — exactly the one
     // merge the cascade's group 0 performs.

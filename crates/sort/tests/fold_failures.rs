@@ -103,7 +103,7 @@ fn failed_folded_merge_keeps_inputs_and_leaks_no_partial_aggregates() {
         let tuning = count_fold();
         let mut sources = Vec::new();
         for meta in &cat.runs() {
-            sources.push(open_source(&cat, meta, &tuning).unwrap());
+            sources.push(open_source(&cat, meta).unwrap());
         }
         let merged: Vec<Row<u64>> = merge_sources_tuned(sources, SortOrder::Ascending, &tuning)
             .unwrap()

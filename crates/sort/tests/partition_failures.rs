@@ -10,7 +10,8 @@ use std::time::Duration;
 
 use histok_sort::{merge_runs_partitioned, ExternalSorter, MergeTuning};
 use histok_storage::{
-    FaultBackend, FaultPlan, IoStats, MemoryBackend, RunCatalog, ThrottleModel, ThrottledBackend,
+    FaultBackend, FaultPlan, IoScheduler, IoStats, MemoryBackend, RunCatalog, ThrottleModel,
+    ThrottledBackend,
 };
 use histok_types::{Error, Result, Row, SortOrder};
 
@@ -48,7 +49,7 @@ fn worker_error_mid_partition_resurfaces_to_the_consumer() {
         let cat: Arc<RunCatalog<u64>> = Arc::new(
             RunCatalog::new(Arc::new(be), "pf", SortOrder::Ascending, IoStats::new())
                 .with_block_bytes(128)
-                .with_spill_pipeline(false),
+                .with_io_scheduler(Some(IoScheduler::new(2))),
         );
         for r in 0..3u64 {
             write_run(&cat, (0..800).map(|j| j * 3 + r));
@@ -73,7 +74,7 @@ fn consumer_is_fused_after_a_worker_error() {
         let cat: Arc<RunCatalog<u64>> = Arc::new(
             RunCatalog::new(Arc::new(be), "pf", SortOrder::Ascending, IoStats::new())
                 .with_block_bytes(128)
-                .with_spill_pipeline(false),
+                .with_io_scheduler(Some(IoScheduler::new(2))),
         );
         write_run(&cat, 0..2_000);
         write_run(&cat, 2_000..4_000);
@@ -108,7 +109,8 @@ fn dropping_the_stream_mid_merge_joins_all_workers() {
         let be = ThrottledBackend::new(MemoryBackend::new(), model);
         let cat: Arc<RunCatalog<u64>> = Arc::new(
             RunCatalog::new(Arc::new(be), "pd", SortOrder::Ascending, IoStats::new())
-                .with_block_bytes(64),
+                .with_block_bytes(64)
+                .with_io_scheduler(Some(IoScheduler::new(2))),
         );
         for r in 0..4u64 {
             write_run(&cat, (0..2_000).map(|j| j * 4 + r));
@@ -122,8 +124,8 @@ fn dropping_the_stream_mid_merge_joins_all_workers() {
         let first = merge.next().unwrap().unwrap();
         assert_eq!(first.key, 0);
         // Dropping the stream closes every partition channel; each worker
-        // (and each of its prefetch readers) must unblock and join. A
-        // leaked or deadlocked thread hangs the watchdog.
+        // must unblock and join, and each of its prefetch readers stop its
+        // job. A leaked or deadlocked thread hangs the watchdog.
         drop(merge);
     });
 }
@@ -138,7 +140,8 @@ fn dropping_before_the_first_row_joins_all_workers() {
                 SortOrder::Ascending,
                 IoStats::new(),
             )
-            .with_block_bytes(64),
+            .with_block_bytes(64)
+            .with_io_scheduler(Some(IoScheduler::new(2))),
         );
         for r in 0..2u64 {
             write_run(&cat, (0..3_000).map(|j| j * 2 + r));
@@ -168,6 +171,7 @@ fn partitioned_external_sort_matches_serial_under_throttle() {
                 ExternalSorter::new(Arc::new(be), SortOrder::Ascending, 100 * 64, IoStats::new())
                     .with_fan_in(8)
                     .with_block_bytes(256)
+                    .with_io_scheduler(Some(IoScheduler::new(2)))
                     .with_merge_threads(threads)
                     .with_partition_min_rows(1);
             for &k in &keys {

@@ -3,9 +3,10 @@
 //! A [`RunCatalog`] owns the set of live runs an operator has spilled:
 //! it hands out unique object names, records finished [`RunMeta`]s, and
 //! deletes every object when dropped — the cleanup a query engine performs
-//! when an operator closes.
+//! when an operator closes. It is also the one place that decides how a
+//! run's bytes move: on its I/O pool when it has one, inline otherwise.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -26,9 +27,9 @@ pub struct RunCatalog<K: SortKey> {
     stats: IoStats,
     order: SortOrder,
     block_bytes: AtomicUsize,
-    spill_pipeline: AtomicBool,
-    /// When set, pipelined spill writes run on this shared pool (gated on
-    /// this catalog's backend) instead of one thread per open run.
+    /// When set, spill writes and merge read-ahead of this catalog's runs
+    /// run on this shared pool (gated on this catalog's backend); when
+    /// not, both move inline on the calling thread.
     io_scheduler: Mutex<Option<IoSchedulerHandle>>,
 }
 
@@ -43,7 +44,8 @@ impl<K: SortKey> RunCatalog<K> {
         format!("{base}-{}", PREFIX_COUNTER.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Creates a catalog writing runs named `{prefix}-{n}` on `backend`.
+    /// Creates a catalog writing runs named `{prefix}-{n}` on `backend`,
+    /// inline until [`RunCatalog::set_io_scheduler`] gives it a pool.
     pub fn new(
         backend: Arc<dyn StorageBackend>,
         prefix: impl Into<String>,
@@ -58,7 +60,6 @@ impl<K: SortKey> RunCatalog<K> {
             stats,
             order,
             block_bytes: AtomicUsize::new(crate::run::DEFAULT_BLOCK_BYTES),
-            spill_pipeline: AtomicBool::new(true),
             io_scheduler: Mutex::new(None),
         }
     }
@@ -66,13 +67,6 @@ impl<K: SortKey> RunCatalog<K> {
     /// Overrides the block payload target for new runs.
     pub fn with_block_bytes(self, bytes: usize) -> Self {
         self.set_block_bytes(bytes);
-        self
-    }
-
-    /// Enables or disables the background spill pipeline (see
-    /// [`crate::pipeline`]) for new runs (on by default).
-    pub fn with_spill_pipeline(self, enabled: bool) -> Self {
-        self.set_spill_pipeline(enabled);
         self
     }
 
@@ -88,19 +82,9 @@ impl<K: SortKey> RunCatalog<K> {
         self.block_bytes.load(Ordering::Relaxed)
     }
 
-    /// Sets whether runs started after this call spill through the
-    /// background pipeline.
-    pub fn set_spill_pipeline(&self, enabled: bool) {
-        self.spill_pipeline.store(enabled, Ordering::Relaxed);
-    }
-
-    /// True if new runs spill through the background pipeline.
-    pub fn spill_pipeline(&self) -> bool {
-        self.spill_pipeline.load(Ordering::Relaxed)
-    }
-
-    /// Routes pipelined spill writes of new runs through `scheduler`'s
-    /// shared worker pool (`None` restores one thread per open run).
+    /// Moves the bytes of runs started or opened after this call through
+    /// `scheduler`'s shared worker pool (see [`crate::pipeline`]); `None`
+    /// moves them inline on the calling thread.
     pub fn with_io_scheduler(self, scheduler: Option<IoScheduler>) -> Self {
         self.set_io_scheduler(scheduler);
         self
@@ -112,7 +96,9 @@ impl<K: SortKey> RunCatalog<K> {
         *self.io_scheduler.lock() = scheduler.map(|s| s.for_backend(&self.backend));
     }
 
-    /// The scheduler handle new runs will submit spill writes to, if any.
+    /// The pool handle this catalog's runs move their bytes on, if any:
+    /// spill writes of new runs, and read-ahead of the merge sources
+    /// opened over them.
     pub fn io_scheduler(&self) -> Option<IoSchedulerHandle> {
         self.io_scheduler.lock().clone()
     }
@@ -128,7 +114,6 @@ impl<K: SortKey> RunCatalog<K> {
             self.order,
             self.stats.clone(),
             self.block_bytes(),
-            self.spill_pipeline(),
             self.io_scheduler(),
         )
     }

@@ -19,8 +19,8 @@
 //!   them on drop.
 //! * [`IoScheduler`] — a fixed-size background worker pool with priority
 //!   classes and per-backend in-flight limits; the spill pipeline and
-//!   prefetching reader submit block-sized jobs to it instead of each
-//!   spawning a dedicated thread.
+//!   prefetching reader submit block-sized jobs to it. A [`RunCatalog`]
+//!   given a pool moves its runs' bytes there; without one, inline.
 
 #![deny(missing_docs)]
 
@@ -41,7 +41,7 @@ pub use catalog::RunCatalog;
 pub use fault::{FaultBackend, FaultPlan};
 pub use file::FileBackend;
 pub use memory::MemoryBackend;
-pub use pipeline::{PrefetchingRunReader, SPILL_PIPELINE_DEPTH};
+pub use pipeline::{PrefetchingRunReader, READAHEAD_BLOCKS, SPILL_PIPELINE_DEPTH};
 pub use run::{BlockMeta, KeyRange, RunMeta, RunReader, RunWriter, DEFAULT_BLOCK_BYTES};
 pub use scheduler::{
     CensusGuard, IoClass, IoPriority, IoScheduler, IoSchedulerHandle, IoSchedulerMetrics,

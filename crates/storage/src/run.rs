@@ -25,7 +25,7 @@
 //!
 //! | path | requests |
 //! |---|---|
-//! | write one run (sync, thread and scheduled sinks alike) | ⌈B / G⌉ + 1 (`finish`); one more when the run ends exactly on a request boundary; 1 + 1 for an empty run |
+//! | write one run (inline and pooled sinks alike) | ⌈B / G⌉ + 1 (`finish`); one more when the run ends exactly on a request boundary; 1 + 1 for an empty run |
 //! | full scan of one run (plain or prefetching) | ⌈B / G⌉ |
 //! | range open reading R of B blocks | ⌈R / G⌉, + 1 `skip` if the first in-range block is not block 0; 0 when R = 0; never a byte past the last in-range block |
 //! | `skip_rows` across S whole blocks | ≤ 1 `skip` (none when all S are already fetched) + ≤ 1 read for a straddling block |
@@ -103,8 +103,8 @@ fn frame_bytes(index: usize, payload_bytes: u32) -> usize {
 /// `[file header] (block_header payload)+ [end marker]`.
 ///
 /// [`RunWriter`] encodes rows straight behind the reserved header bytes;
-/// whichever sink ends up with the frame — the calling thread, a pipeline
-/// thread or a scheduler job — completes it with [`Frame::write`].
+/// whichever sink ends up with the frame — the calling thread or a pool
+/// job — completes it with [`Frame::write`].
 pub(crate) struct Frame {
     /// The whole request. The headers of `blocks` are still placeholders;
     /// anything before the first (file header) and behind the last payload
@@ -281,27 +281,27 @@ pub struct RunWriter<K: SortKey> {
     stats: IoStats,
 }
 
-/// Where sealed frames go: either the calling thread CRCs and writes them
-/// synchronously, or they are handed to a [`SpillPipeline`] writer thread
+/// Where sealed frames go: the calling thread CRCs and writes them inline,
+/// or they are handed to a [`SpillPipeline`] on a shared I/O pool
 /// (double-buffered, bounded backpressure — see `pipeline.rs`).
 enum BlockSink {
-    Sync(Box<dyn SpillWriter>),
-    Pipelined(SpillPipeline),
+    Inline(Box<dyn SpillWriter>),
+    Pooled(SpillPipeline),
 }
 
 impl<K: SortKey> RunWriter<K> {
-    /// Starts a new run named `name` on `backend`.
+    /// Starts a new run named `name` on `backend`, written inline.
     pub fn create(
         backend: &dyn StorageBackend,
         name: impl Into<String>,
         order: SortOrder,
         stats: IoStats,
     ) -> Result<Self> {
-        Self::with_options(backend, name, order, stats, DEFAULT_BLOCK_BYTES, false)
+        Self::with_io(backend, name, order, stats, DEFAULT_BLOCK_BYTES, None)
     }
 
-    /// Starts a run with a custom block payload target (tests use small
-    /// blocks to exercise the block machinery).
+    /// Starts an inline run with a custom block payload target (tests use
+    /// small blocks to exercise the block machinery).
     pub fn with_block_bytes(
         backend: &dyn StorageBackend,
         name: impl Into<String>,
@@ -309,33 +309,19 @@ impl<K: SortKey> RunWriter<K> {
         stats: IoStats,
         block_target: usize,
     ) -> Result<Self> {
-        Self::with_options(backend, name, order, stats, block_target, false)
+        Self::with_io(backend, name, order, stats, block_target, None)
     }
 
-    /// Starts a run with a custom block target and, when `pipelined`, a
-    /// background writer thread that CRCs and writes sealed blocks while
-    /// the caller keeps appending into the next one.
-    pub fn with_options(
-        backend: &dyn StorageBackend,
-        name: impl Into<String>,
-        order: SortOrder,
-        stats: IoStats,
-        block_target: usize,
-        pipelined: bool,
-    ) -> Result<Self> {
-        Self::with_io(backend, name, order, stats, block_target, pipelined, None)
-    }
-
-    /// As [`RunWriter::with_options`], but a pipelined writer submits its
-    /// block writes to `scheduler`'s shared worker pool (when given)
-    /// instead of spawning a dedicated thread.
+    /// Starts a run with a custom block target. Given a `scheduler`, sealed
+    /// frames are CRC'd and written by jobs on its shared pool while the
+    /// caller keeps appending into the next one; without one, the calling
+    /// thread writes them inline.
     pub fn with_io(
         backend: &dyn StorageBackend,
         name: impl Into<String>,
         order: SortOrder,
         stats: IoStats,
         block_target: usize,
-        pipelined: bool,
         scheduler: Option<IoSchedulerHandle>,
     ) -> Result<Self> {
         if block_target == 0 {
@@ -343,14 +329,11 @@ impl<K: SortKey> RunWriter<K> {
         }
         let name = name.into();
         let writer = backend.create(&name)?;
-        // Nothing is sent yet in any mode: the file header travels in the
+        // Nothing is sent yet either way: the file header travels in the
         // first frame.
-        let sink = match (pipelined, scheduler) {
-            (false, _) => BlockSink::Sync(writer),
-            (true, None) => BlockSink::Pipelined(SpillPipeline::spawn(writer, stats.clone())),
-            (true, Some(handle)) => {
-                BlockSink::Pipelined(SpillPipeline::spawn_scheduled(writer, stats.clone(), handle))
-            }
+        let sink = match scheduler {
+            Some(handle) => BlockSink::Pooled(SpillPipeline::new(writer, stats.clone(), handle)),
+            None => BlockSink::Inline(writer),
         };
         let mut block_buf = Vec::with_capacity(FILE_HEADER_BYTES + frame_capacity(block_target));
         block_buf.extend_from_slice(&FILE_MAGIC.to_le_bytes());
@@ -509,7 +492,7 @@ impl<K: SortKey> RunWriter<K> {
             last,
         };
         let sent = match &mut self.sink {
-            BlockSink::Sync(writer) => {
+            BlockSink::Inline(writer) => {
                 let written = frame.write(writer.as_mut(), &self.stats);
                 self.block_buf = frame.buf;
                 self.block_buf.clear();
@@ -521,8 +504,8 @@ impl<K: SortKey> RunWriter<K> {
             // headers, writes, and books the stats) and start filling a
             // fresh buffer. Blocks only when ≥2 frames are in flight — or,
             // behind the last frame, until the object is finished.
-            BlockSink::Pipelined(pipeline) if last => pipeline.finish(frame),
-            BlockSink::Pipelined(pipeline) => pipeline.write_block(frame),
+            BlockSink::Pooled(pipeline) if last => pipeline.finish(frame),
+            BlockSink::Pooled(pipeline) => pipeline.write_block(frame),
         };
         // Open the next frame even after a failed send, so a caller that
         // keeps appending meets the sink's error again, not a torn buffer.
@@ -874,7 +857,7 @@ impl<K: SortKey> RunReader<K> {
     /// Drains the buffered rows, or reads and decodes the next block and
     /// returns it as one batch (rows plus prefix column); `Ok(None)` at end
     /// of run. This is both the merge loop's batched pull and the unit of
-    /// work a prefetch thread ships per channel message.
+    /// work one prefetch job step decodes.
     pub fn next_batch(&mut self) -> Result<Option<RowBatch<K>>> {
         if !self.current.is_empty() {
             return Ok(Some(self.take_batch()));

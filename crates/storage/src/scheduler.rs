@@ -1,12 +1,11 @@
 //! A bounded worker pool for background I/O.
 //!
-//! PR 3/4 hid disaggregated-storage latency (DESIGN.md §7) by spawning one
-//! OS thread per spill pipeline and per prefetching merge source. That is
-//! fine for one query, but a 512-run cascade at fan-in 64 with a
-//! partitioned final merge multiplies to hundreds of threads — the
-//! "ruinous" explosion ROADMAP open item 4 calls out. [`IoScheduler`] is
-//! the fix: a fixed-size pool of `io_threads` workers fed by a single
-//! submission queue of boxed, block-sized I/O jobs.
+//! Hiding disaggregated-storage latency (DESIGN.md §7) with one OS thread
+//! per spill pipeline and per prefetching merge source is fine for one
+//! query, but a 512-run cascade at fan-in 64 with a partitioned final merge
+//! multiplies to hundreds of threads. [`IoScheduler`] is the one background
+//! I/O mechanism instead: a fixed-size pool of `io_threads` workers fed by
+//! a single submission queue of boxed, block-sized I/O jobs.
 //!
 //! **Priority classes.** Every job carries an [`IoClass`] — a shared,
 //! mutable [`IoPriority`] tag. Workers always dispatch the eligible job
@@ -391,10 +390,10 @@ impl IoSchedulerHandle {
 static CENSUS_CURRENT: AtomicUsize = AtomicUsize::new(0);
 static CENSUS_PEAK: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-wide census of live background-I/O threads (pool workers plus
-/// any legacy thread-per-source threads). The spill-storm bench asserts
-/// its peak stays ≤ `io_threads`; it is global state, so tests that run
-/// in parallel must not assert on it.
+/// Process-wide census of live background-I/O threads: the workers of
+/// every [`IoScheduler`] pool. The spill-storm bench asserts its peak
+/// stays ≤ `io_threads`; it is global state, so tests that run in
+/// parallel must not assert on it.
 pub struct ThreadCensus;
 
 impl ThreadCensus {

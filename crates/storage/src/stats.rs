@@ -202,8 +202,8 @@ impl IoStats {
 /// One ledger belongs to one overlap component (a spill pipeline or a
 /// prefetching reader). Background work books its storage busy time with
 /// [`OverlapLedger::record_busy`]; the compute thread books every blocked
-/// interval with [`OverlapLedger::record_wait`] *in addition to* the live
-/// `record_io_wait` it already does. When the component shuts down,
+/// interval with [`OverlapLedger::record_wait`], which also records it as
+/// live `io_wait`. When the component shuts down,
 /// [`OverlapLedger::settle`] credits `busy − wait` (saturating) as
 /// overlapped I/O: the storage time that was genuinely hidden from the
 /// compute thread. Per component, `io_wait + overlapped = max(wait, busy)`
@@ -236,8 +236,9 @@ impl OverlapLedger {
     }
 
     /// Books an interval the compute thread spent blocked on this
-    /// component (the caller also books it as live `io_wait`).
+    /// component, both as live `io_wait` and against the busy time.
     pub(crate) fn record_wait(&self, waited: Duration) {
+        self.stats.record_io_wait(waited);
         let ns = waited.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.wait_ns.fetch_add(ns, Ordering::Relaxed);
     }

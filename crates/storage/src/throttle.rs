@@ -11,7 +11,7 @@
 //! * **real** — the calling thread sleeps, so wall-clock measurements show
 //!   the I/O-bound behaviour of the paper's testbed. With the overlapped-I/O
 //!   layer the "calling thread" is whichever thread issues the storage
-//!   request — a spill-pipeline or prefetch thread when those are enabled —
+//!   request — an I/O pool worker running a spill or prefetch job —
 //!   so real-sleep latency lands on the I/O side and can be hidden by
 //!   compute, exactly like a slow remote service;
 //! * **virtual** — the cost is accumulated in a shared counter without
@@ -127,7 +127,7 @@ fn charge(clock: &AtomicU64, model: &ThrottleModel, bytes: usize) {
     let cost = model.cost(bytes);
     let cost_ns = cost.as_nanos().min(u128::from(u64::MAX)) as u64;
     // Saturating CAS loop: `fetch_add` would wrap on overflow, and with
-    // pipeline/prefetch threads many handles charge this clock concurrently.
+    // I/O pool workers many handles charge this clock concurrently.
     let mut current = clock.load(Ordering::Relaxed);
     loop {
         let next = current.saturating_add(cost_ns);

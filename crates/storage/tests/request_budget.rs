@@ -1,6 +1,6 @@
 //! Request-budget conformance: up to four contiguous blocks travel in one
 //! backend request in each direction (see the `run.rs` module docs for the
-//! table these tests pin), for every sink × reader mode, without the
+//! table these tests pin), inline and on an I/O pool alike, without the
 //! on-storage format moving a byte.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,11 +90,10 @@ impl StorageBackend for Counting {
 
 #[derive(Clone, Copy, Debug)]
 enum Mode {
-    Sync,
-    Thread,
+    Inline,
     Scheduled,
 }
-const MODES: [Mode; 3] = [Mode::Sync, Mode::Thread, Mode::Scheduled];
+const MODES: [Mode; 2] = [Mode::Inline, Mode::Scheduled];
 
 /// Encoded bytes of one `row(_)`: an 8-byte key, then 16 payload bytes
 /// behind their length prefix. `BLOCK` holds exactly four of them.
@@ -117,13 +116,11 @@ fn start_run(
     block_bytes: usize,
     stats: IoStats,
 ) -> RunWriter<u64> {
-    let (pipelined, handle) = match mode {
-        Mode::Sync => (false, None),
-        Mode::Thread => (true, None),
-        Mode::Scheduled => (true, Some(sched.handle())),
+    let handle = match mode {
+        Mode::Inline => None,
+        Mode::Scheduled => Some(sched.handle()),
     };
-    RunWriter::with_io(be, name, SortOrder::Ascending, stats, block_bytes, pipelined, handle)
-        .unwrap()
+    RunWriter::with_io(be, name, SortOrder::Ascending, stats, block_bytes, handle).unwrap()
 }
 
 fn write_run(
@@ -189,7 +186,7 @@ fn writing_a_run_costs_one_request_per_four_blocks_plus_finish() {
 }
 
 #[test]
-fn the_three_sinks_write_identical_objects() {
+fn inline_and_pooled_sinks_write_identical_objects() {
     let sched = IoScheduler::new(2);
     let be = MemoryBackend::new();
     for rows in [0, 3, 12, 13, 16, 17, 500] {
@@ -197,13 +194,11 @@ fn the_three_sinks_write_identical_objects() {
             .iter()
             .map(|&mode| write_run(&be, &sched, mode, &format!("{mode:?}"), rows, IoStats::new()))
             .collect();
-        let sync = object_bytes(&be, "Sync");
-        assert_eq!(sync.len() as u64, metas[0].bytes);
-        for (mode, meta) in MODES.iter().zip(&metas).skip(1) {
-            assert_eq!(meta.bytes, metas[0].bytes);
-            assert_eq!(meta.blocks, metas[0].blocks);
-            assert_eq!(object_bytes(&be, &format!("{mode:?}")), sync, "{mode:?}, {rows} rows");
-        }
+        let inline = object_bytes(&be, "Inline");
+        assert_eq!(inline.len() as u64, metas[0].bytes);
+        assert_eq!(metas[1].bytes, metas[0].bytes);
+        assert_eq!(metas[1].blocks, metas[0].blocks);
+        assert_eq!(object_bytes(&be, "Scheduled"), inline, "{rows} rows");
     }
 }
 
@@ -236,7 +231,7 @@ fn a_full_scan_costs_one_request_per_four_blocks() {
     // B = 4, 3, 4, 5, 11, 0: B mod G of 0, 1 and 3, on and off a block
     // boundary.
     for rows in [13, 12, 16, 17, 44, 0] {
-        let meta = write_run(&be, &sched, Mode::Sync, "scan", rows, IoStats::new());
+        let meta = write_run(&be, &sched, Mode::Inline, "scan", rows, IoStats::new());
         let requests = (meta.blocks.len() as u64).div_ceil(G);
         be.seen.take();
         be.seen.take_bytes_read();
@@ -249,11 +244,9 @@ fn a_full_scan_costs_one_request_per_four_blocks() {
         assert_eq!(be.seen.take(), (0, 0, requests, 0), "plain, {rows} rows");
         // Everything but the end marker, which is never read.
         assert_eq!(be.seen.take_bytes_read(), if rows == 0 { 0 } else { meta.bytes - 16 });
-        assert_eq!(keys(&mut PrefetchingRunReader::spawn(open(), 2)), expected);
-        assert_eq!(be.seen.take(), (0, 0, requests, 0), "thread prefetch, {rows} rows");
-        let mut pooled = PrefetchingRunReader::spawn_scheduled(open(), 2, sched.handle());
+        let mut pooled = PrefetchingRunReader::new(open(), sched.handle());
         assert_eq!(keys(&mut pooled), expected);
-        assert_eq!(be.seen.take(), (0, 0, requests, 0), "scheduled prefetch, {rows} rows");
+        assert_eq!(be.seen.take(), (0, 0, requests, 0), "prefetch, {rows} rows");
     }
 }
 
@@ -262,7 +255,7 @@ fn a_range_open_costs_its_blocks_and_at_most_one_skip() {
     let sched = IoScheduler::new(1);
     let be = Counting::default();
     // Ten blocks of four rows: block b holds keys 4b .. 4b+3.
-    let meta = write_run(&be, &sched, Mode::Sync, "range", 40, IoStats::new());
+    let meta = write_run(&be, &sched, Mode::Inline, "range", 40, IoStats::new());
     assert_eq!(meta.blocks.len(), 10);
     be.seen.take();
     be.seen.take_bytes_read();
@@ -282,14 +275,10 @@ fn a_range_open_costs_its_blocks_and_at_most_one_skip() {
     assert_eq!(read(Some(13), Some(34)), (13..34).collect::<Vec<_>>());
     assert_eq!(be.seen.take(), (0, 0, 2, 1), "range across two requests");
     assert_eq!(be.seen.take_bytes_read(), 6 * FRAME);
-    // The same through both prefetchers: read-ahead stops at the range end.
-    let open = || {
-        let range = KeyRange::half_open(Some(13), Some(34));
-        RunReader::open_range(&be, &meta, IoStats::new(), range).unwrap()
-    };
-    assert_eq!(PrefetchingRunReader::spawn(open(), 3).count(), 21);
-    assert_eq!((be.seen.take(), be.seen.take_bytes_read()), ((0, 0, 2, 1), 6 * FRAME));
-    assert_eq!(PrefetchingRunReader::spawn_scheduled(open(), 3, sched.handle()).count(), 21);
+    // The same through the prefetcher: read-ahead stops at the range end.
+    let range = KeyRange::half_open(Some(13), Some(34));
+    let reader = RunReader::open_range(&be, &meta, IoStats::new(), range).unwrap();
+    assert_eq!(PrefetchingRunReader::new(reader, sched.handle()).count(), 21);
     assert_eq!((be.seen.take(), be.seen.take_bytes_read()), ((0, 0, 2, 1), 6 * FRAME));
     // From block 0: no positioning at all.
     assert_eq!(read(None, Some(6)), (0..6).collect::<Vec<_>>());
@@ -313,7 +302,7 @@ fn a_range_open_costs_its_blocks_and_at_most_one_skip() {
 fn skip_rows_passes_whole_blocks_in_one_request() {
     let sched = IoScheduler::new(1);
     let be = Counting::default();
-    let meta = write_run(&be, &sched, Mode::Sync, "skip", 40, IoStats::new());
+    let meta = write_run(&be, &sched, Mode::Inline, "skip", 40, IoStats::new());
     be.seen.take();
     let stats = IoStats::new();
     let mut reader = RunReader::open(&be, &meta, stats.clone()).unwrap();

@@ -41,14 +41,13 @@ const FRAME: u64 = BLOCK_HEADER + BLOCK as u64;
 /// Blocks per request (`REQUEST_BLOCKS` in `run.rs`).
 const REQUEST_BLOCKS: u64 = 4;
 
-/// Writes keys `0..rows` in blocks of four. `scheduler` picks the sink:
-/// `None` = synchronous, `Some(None)` = dedicated thread, `Some(Some(_))` =
-/// shared pool.
+/// Writes keys `0..rows` in blocks of four, on `pool` when given and
+/// inline otherwise.
 fn write_run(
     be: &dyn StorageBackend,
     name: &str,
     rows: u64,
-    sink: Option<Option<&IoScheduler>>,
+    pool: Option<&IoScheduler>,
 ) -> Result<RunMeta<u64>> {
     let mut w: RunWriter<u64> = RunWriter::with_io(
         be,
@@ -56,8 +55,7 @@ fn write_run(
         SortOrder::Ascending,
         IoStats::new(),
         BLOCK,
-        sink.is_some(),
-        sink.flatten().map(IoScheduler::handle),
+        pool.map(IoScheduler::handle),
     )?;
     for k in 0..rows {
         w.append(&Row::new(k, vec![k as u8; 16]))?;
@@ -175,32 +173,33 @@ fn a_read_budget_tripping_mid_block_is_injected_through_both_prefetchers() {
         let inner = MemoryBackend::new();
         let meta = write_run(&inner, "r", 40, None).unwrap();
         // The budget runs out 20 bytes into the second request: blocks 0..=3
-        // arrive whole, the request for blocks 4..=7 fails as a unit.
+        // arrive whole, the request for blocks 4..=7 fails as a unit —
+        // read inline, and through the prefetcher on a pool.
         let limit = FILE_HEADER + REQUEST_BLOCKS * FRAME + 20;
-        for scheduled in [false, true] {
+        for pooled in [false, true] {
             let sched = IoScheduler::new(2);
             let be = FaultBackend::new(
                 inner.clone(),
                 FaultPlan { fail_read_after_bytes: Some(limit), ..FaultPlan::none() },
             );
             let reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
-            let mut pf = if scheduled {
-                PrefetchingRunReader::spawn_scheduled(reader, 3, sched.handle())
+            let mut rows: Box<dyn Iterator<Item = Result<Row<u64>>>> = if pooled {
+                Box::new(PrefetchingRunReader::new(reader, sched.handle()))
             } else {
-                PrefetchingRunReader::spawn(reader, 3)
+                Box::new(reader)
             };
-            let results: Vec<Result<Row<u64>>> = pf.by_ref().collect();
+            let results: Vec<Result<Row<u64>>> = rows.by_ref().collect();
             let keys: Vec<u64> = results.iter().flatten().map(|r| r.key).collect();
-            assert_eq!(keys, (0..16).collect::<Vec<_>>(), "scheduled={scheduled}");
+            assert_eq!(keys, (0..16).collect::<Vec<_>>(), "pooled={pooled}");
             assert!(
                 matches!(results.last(), Some(Err(Error::Injected(_)))),
-                "scheduled={scheduled}: got {:?}",
+                "pooled={pooled}: got {:?}",
                 results.last()
             );
-            assert!(pf.next().is_none(), "fused after the error");
-            drop(pf);
+            assert!(rows.next().is_none(), "fused after the error");
+            drop(rows);
             drop(sched);
-            assert_eq!(ThreadCensus::current(), 0, "scheduled={scheduled}: thread left behind");
+            assert_eq!(ThreadCensus::current(), 0, "pooled={pooled}: thread left behind");
         }
     });
 }
@@ -208,30 +207,23 @@ fn a_read_budget_tripping_mid_block_is_injected_through_both_prefetchers() {
 #[test]
 fn a_write_budget_tripping_mid_block_is_injected_through_both_pipelines() {
     serial_with_watchdog(|| {
-        // The budget runs out 20 bytes into the second request.
+        // The budget runs out 20 bytes into the second request. The inline
+        // sink meets the fault on the spot; on a pool the job trips on the
+        // second request and the error reaches the caller on a later append
+        // or, at the latest, on finish.
         let limit = FILE_HEADER + REQUEST_BLOCKS * FRAME + 20;
-        for scheduled in [false, true] {
+        for pooled in [false, true] {
             let sched = IoScheduler::new(2);
             let be = FaultBackend::new(
                 MemoryBackend::new(),
                 FaultPlan { fail_write_after_bytes: Some(limit), ..FaultPlan::none() },
             );
-            // The background side trips on the second request; the error
-            // reaches the caller on a later append or, at the latest, on
-            // finish.
-            let err = write_run(&be, "w", 400, Some(scheduled.then_some(&sched))).unwrap_err();
-            assert!(matches!(err, Error::Injected(_)), "scheduled={scheduled}: got {err:?}");
+            let err = write_run(&be, "w", 400, pooled.then_some(&sched)).unwrap_err();
+            assert!(matches!(err, Error::Injected(_)), "pooled={pooled}: got {err:?}");
             assert!(be.fault_fired());
             assert_eq!(be.inner().object_count(), 0, "half-written object left behind");
             drop(sched);
-            assert_eq!(ThreadCensus::current(), 0, "scheduled={scheduled}: thread left behind");
+            assert_eq!(ThreadCensus::current(), 0, "pooled={pooled}: thread left behind");
         }
-        // The synchronous sink meets the same fault on the spot.
-        let be = FaultBackend::new(
-            MemoryBackend::new(),
-            FaultPlan { fail_write_after_bytes: Some(limit), ..FaultPlan::none() },
-        );
-        assert!(matches!(write_run(&be, "w", 400, None), Err(Error::Injected(_))));
-        assert_eq!(be.inner().object_count(), 0);
     });
 }

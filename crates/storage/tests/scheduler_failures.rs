@@ -1,12 +1,12 @@
 //! Failure and cancellation paths through the shared I/O worker pool.
 //!
-//! The scheduled counterpart of `overlap_failures.rs`: every spill and
-//! prefetch here runs its background work as jobs on an [`IoScheduler`]
-//! instead of a dedicated thread, and every test body runs under a
-//! watchdog with a hard timeout — the failure mode these paths guard
-//! against is a *hang* (a job that never completes, a consumer blocked on
-//! a cancelled source, a worker pool wedged by a gate), which a plain
-//! assert cannot catch.
+//! Every spill and prefetch here runs its background work as jobs on an
+//! [`IoScheduler`] handed to the primitives directly (`overlap_failures.rs`
+//! drives the same paths through a run catalog), and every test body runs
+//! under a watchdog with a hard timeout — the failure mode these paths
+//! guard against is a *hang* (a job that never completes, a consumer
+//! blocked on a cancelled source, a worker pool wedged by a gate), which a
+//! plain assert cannot catch.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -67,7 +67,6 @@ fn write_run_scheduled(
         SortOrder::Ascending,
         IoStats::new(),
         block_bytes,
-        true,
         Some(sched.handle()),
     )
     .unwrap();
@@ -91,7 +90,6 @@ fn scheduled_write_error_fails_finish_and_leaks_no_jobs() {
             SortOrder::Ascending,
             IoStats::new(),
             64,
-            true,
             Some(sched.handle()),
         )
         .unwrap();
@@ -129,7 +127,6 @@ fn scheduled_create_error_fails_construction() {
             SortOrder::Ascending,
             IoStats::new(),
             64,
-            true,
             Some(sched.handle()),
         );
         assert!(r.is_err());
@@ -150,7 +147,7 @@ fn crc_corruption_surfaces_through_scheduled_prefetch_and_fuses() {
         let meta = write_run_scheduled(&be, &sched, "corrupt", 500, 64);
         assert!(be.fault_fired());
         let reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
-        let mut pf = PrefetchingRunReader::spawn_scheduled(reader, 2, sched.handle());
+        let mut pf = PrefetchingRunReader::new(reader, sched.handle());
         let mut good = 0u64;
         let mut err: Option<Error> = None;
         for item in pf.by_ref() {
@@ -187,7 +184,7 @@ fn read_error_mid_run_surfaces_through_scheduled_prefetch() {
         );
         let reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
         let results: Vec<Result<Row<u64>>> =
-            PrefetchingRunReader::spawn_scheduled(reader, 3, sched.handle()).collect();
+            PrefetchingRunReader::new(reader, sched.handle()).collect();
         assert!(results.last().unwrap().is_err());
         assert!(results.iter().take(results.len() - 1).all(Result::is_ok));
         assert_no_leaked_jobs(&sched);
@@ -209,9 +206,8 @@ fn dropping_scheduled_prefetchers_mid_stream_cancels_their_jobs() {
         let mut readers = Vec::new();
         for i in 0..4 {
             let meta = write_run_scheduled(&be, &sched, &format!("r{i}"), 2_000, 32);
-            readers.push(PrefetchingRunReader::spawn_scheduled(
+            readers.push(PrefetchingRunReader::new(
                 RunReader::open(&be, &meta, IoStats::new()).unwrap(),
-                1,
                 sched.handle(),
             ));
         }
@@ -241,15 +237,9 @@ fn scheduled_spill_under_sleeping_throttle_matches_sync_bytes() {
         };
         let be = ThrottledBackend::new(MemoryBackend::new(), model);
         let piped = write_run_scheduled(&be, &sched, "bp-piped", 1_500, 64);
-        let mut sync: RunWriter<u64> = RunWriter::with_options(
-            &be,
-            "bp-sync",
-            SortOrder::Ascending,
-            IoStats::new(),
-            64,
-            false,
-        )
-        .unwrap();
+        let mut sync: RunWriter<u64> =
+            RunWriter::with_block_bytes(&be, "bp-sync", SortOrder::Ascending, IoStats::new(), 64)
+                .unwrap();
         for k in 0..1_500u64 {
             sync.append(&Row::new(k, vec![k as u8; 16])).unwrap();
         }
@@ -275,9 +265,8 @@ fn more_sources_than_workers_never_deadlocks() {
         let mut readers = Vec::new();
         for i in 0..8 {
             let meta = write_run_scheduled(&be, &sched, &format!("s{i}"), 600, 64);
-            readers.push(PrefetchingRunReader::spawn_scheduled(
+            readers.push(PrefetchingRunReader::new(
                 RunReader::open(&be, &meta, IoStats::new()).unwrap(),
-                2,
                 sched.handle(),
             ));
         }
@@ -325,7 +314,6 @@ fn backend_gate_limits_in_flight_jobs_without_wedging_the_pool() {
             SortOrder::Ascending,
             IoStats::new(),
             64,
-            true,
             Some(handle.clone()),
         )
         .unwrap();
@@ -333,9 +321,8 @@ fn backend_gate_limits_in_flight_jobs_without_wedging_the_pool() {
             w.append(&Row::new(k, vec![k as u8; 16])).unwrap();
         }
         let meta = w.finish().unwrap();
-        let keys: Vec<u64> = PrefetchingRunReader::spawn_scheduled(
+        let keys: Vec<u64> = PrefetchingRunReader::new(
             RunReader::open(be.as_ref(), &meta, IoStats::new()).unwrap(),
-            2,
             handle,
         )
         .map(|r| r.unwrap().key)
@@ -361,9 +348,8 @@ fn pool_outlives_the_dropped_scheduler_while_sources_hold_handles() {
         let mut readers = Vec::new();
         for i in 0..4 {
             let meta = write_run_scheduled(&be, &sched, &format!("q{i}"), 1_000, 32);
-            readers.push(PrefetchingRunReader::spawn_scheduled(
+            readers.push(PrefetchingRunReader::new(
                 RunReader::open(&be, &meta, IoStats::new()).unwrap(),
-                1,
                 sched.handle(),
             ));
         }
