@@ -14,6 +14,7 @@
 //! `histok-bench` binaries print them in the paper's format.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod model;
 pub mod tables;

@@ -23,6 +23,7 @@
 //!   disaggregated-storage cost model), `memory`, or `file`.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod report;
 

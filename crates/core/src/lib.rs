@@ -22,6 +22,7 @@
 //!   [`GroupedAggTopK`].
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod approximate;
 pub mod config;

@@ -18,6 +18,7 @@
 //! together and reports rows, metrics, and wall time.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod operator;

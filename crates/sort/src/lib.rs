@@ -17,6 +17,7 @@
 //!   parts (the traditional baseline's engine).
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod budget;
 pub mod cascade;

@@ -38,6 +38,11 @@
 //! against ~225 (DESIGN.md §7). [`climb`] is a free, never-inlined function
 //! so that this loop is compiled once, whatever it would be inlined into.
 //!
+//! Rows leave in key order, not in the order they arrived, so the payload
+//! of a row about to be encoded is usually a cold line. Every replay that
+//! changes the winner therefore ends with a [`prefetch`] of the new
+//! winner's payload, one `push` before it is written (DESIGN.md §7).
+//!
 //! The order is `(run, key in output order, seq)`, unchanged, so every run
 //! is byte-identical to the binary heap's (kept under `cfg(test)` as the
 //! reference). Memory per buffered row: two 32-byte nodes, one
@@ -108,6 +113,31 @@ fn climb<const KEY_TIES: bool>(nodes: &mut [Node], mut i: usize) -> usize {
         nodes[i] = Node { run, prefix, seq, leaf };
     }
     i
+}
+
+/// Cache lines of a payload [`prefetch`] hints: two cover `lineitem`'s 82
+/// bytes.
+const PREFETCH_LINES: usize = 2;
+
+/// Asks the CPU to start loading the first [`PREFETCH_LINES`] cache lines
+/// of `bytes`, one hint per 64 bytes from its start, so that the load
+/// overlaps the work before they are read instead of stalling the read. A
+/// hint changes when a line arrives, never what the program reads. A no-op
+/// off x86-64.
+#[inline]
+#[allow(unsafe_code)]
+fn prefetch(bytes: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in bytes.chunks(64).take(PREFETCH_LINES) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `_mm_prefetch` needs SSE, which is part of the x86-64
+        // baseline, so every x86-64 target has it. A prefetch is a hint:
+        // it never faults, whatever the address, and reads nothing into
+        // the program; the address is the start of a live slice anyway.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = bytes;
 }
 
 /// A buffered row and the bytes it is charged.
@@ -246,6 +276,16 @@ impl<K: SortKey> SelectionHeap<K> {
         self.replay(leaf, node);
     }
 
+    /// Prefetches the winner's payload: it is the next row to leave, so
+    /// its bytes are next to be encoded. Nothing once the last row has
+    /// left: the root is then [`VACANT`], and its leaf holds no row.
+    #[inline]
+    fn prefetch_winner(&self) {
+        if let Some(slot) = &self.slots[self.nodes[1].leaf] {
+            prefetch(&slot.row.payload);
+        }
+    }
+
     fn pop(&mut self) -> Option<(u64, Slot<K>)> {
         if self.is_empty() {
             return None;
@@ -254,6 +294,7 @@ impl<K: SortKey> SelectionHeap<K> {
         let slot = self.slots[top.leaf].take().expect("the winner's leaf holds its row");
         self.free.push(top.leaf);
         self.replay(top.leaf, VACANT);
+        self.prefetch_winner();
         Some((top.run, slot))
     }
 
@@ -275,6 +316,7 @@ impl<K: SortKey> SelectionHeap<K> {
         }
         let out = self.slots[top.leaf].replace(slot).expect("the winner's leaf holds its row");
         self.replay(top.leaf, node);
+        self.prefetch_winner();
         (top.run, out)
     }
 }
@@ -642,6 +684,26 @@ mod tests {
         fn over_budget(&self) -> bool {
             self.budget.used() > self.budget.limit()
         }
+
+        /// One row into both, tagged for the run it can extend; with
+        /// `spill` the tree takes it by `push_pop` and the pop is checked.
+        fn enter(&mut self, row: Row<K>, spill: bool) {
+            let footprint = row_footprint(&row);
+            let run = match &self.last {
+                Some(last) if self.heap.order.precedes(&row.key, last) => self.tag + 1,
+                _ => self.tag,
+            };
+            let node = self.tree.node_for(run, &row.key);
+            self.budget.charge(footprint);
+            self.heap.push(run, row.clone(), footprint);
+            let slot = Slot { row, footprint };
+            if spill {
+                let out = self.tree.push_pop(node, slot);
+                self.pop(Some(out));
+            } else {
+                self.tree.push(node, slot);
+            }
+        }
     }
 
     /// Drives both with one seeded stream of the steps run generation makes
@@ -747,6 +809,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The trees the winner's payload prefetch meets: empty payloads, a
+    /// root left vacant by popping the last row (and a pop past it), and a
+    /// tree grown past its first leaves, with payload lengths either side
+    /// of every line the hint steps over. Each pop must be the reference's.
+    #[test]
+    fn prefetch_edges_pop_what_the_binary_heap_popped() {
+        use histok_types::Bytes;
+        let order = SortOrder::Ascending;
+        let mut p = Pair {
+            tree: SelectionHeap::<u64>::new(order),
+            heap: BinaryHeapRef { items: Vec::new(), order, ovc_enabled: true, seq: 0 },
+            budget: MemoryBudget::new(1 << 30),
+            tag: 0,
+            last: None,
+            what: "prefetch edges".into(),
+        };
+        // A one-row tree popped to empty: its root is vacant.
+        p.enter(Row::new(5, Bytes::new()), false);
+        assert!(p.pop(None));
+        assert!(!p.pop(None));
+        // Empty payloads: 20 takes 10's leaf, 15 precedes the winner 20 and
+        // never enters, 30 takes 20's leaf; then empty again.
+        p.enter(Row::new(10, Bytes::new()), false);
+        p.enter(Row::new(20, Bytes::new()), true);
+        p.enter(Row::new(15, Bytes::new()), true);
+        p.enter(Row::new(30, Bytes::new()), true);
+        assert!(p.pop(None));
+        assert!(p.tree.is_empty());
+        let lens = [0, 1, 63, 64, 65, 82, 127, 128, 129, 300];
+        let row =
+            |i: u64| Row::new(i * 7_919 % 1_009, vec![i as u8; lens[i as usize % lens.len()]]);
+        for i in 0..300 {
+            p.enter(row(i), false);
+        }
+        assert!(p.tree.slots.len() > INITIAL_LEAVES, "the tree must have doubled");
+        for i in 300..600 {
+            p.enter(row(i), true);
+        }
+        while p.pop(None) {}
+        assert_eq!(p.budget.used(), 0);
     }
 
     fn catalog(order: SortOrder) -> (MemoryBackend, Arc<RunCatalog<u64>>) {

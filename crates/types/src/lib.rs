@@ -26,6 +26,7 @@
 //!   duplicate removal and grouped aggregation.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod agg;
 pub mod batch;

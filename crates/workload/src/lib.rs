@@ -20,6 +20,7 @@
 //! (`SELECT * FROM lineitem ORDER BY l_orderkey LIMIT k`).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod distribution;
 pub mod lineitem;

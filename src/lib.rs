@@ -40,6 +40,8 @@
 //! | [`workload`] | `histok-workload` | uniform / fal / lognormal generators |
 //! | [`exec`] | `histok-exec` | mini query-operator framework |
 
+#![forbid(unsafe_code)]
+
 pub use histok_analysis as analysis;
 pub use histok_core as core;
 pub use histok_exec as exec;
