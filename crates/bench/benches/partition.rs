@@ -17,16 +17,15 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use histok_sort::{
-    merge_runs_partitioned, merge_sources_tuned, open_source, MergeTuning, PartitionAttempt,
-};
+use histok_sort::FinalMerge;
 use histok_storage::{
     IoScheduler, IoStats, MemoryBackend, RunCatalog, ThrottleModel, ThrottledBackend,
 };
-use histok_types::{Result, Row, SortOrder};
+use histok_types::{Row, SortOrder};
 
 const RUNS: u64 = 4;
-const ROWS_PER_RUN: u64 = 2_000;
+/// Enough rows in total to clear `PARTITION_MIN_ROWS`.
+const ROWS_PER_RUN: u64 = 2_500;
 const BLOCK_BYTES: usize = 512;
 
 /// A fixed 20µs per storage request, slept for real: small enough to keep
@@ -57,25 +56,12 @@ fn write_runs(cat: &RunCatalog<u64>, key: impl Fn(u64, u64) -> u64) {
     }
 }
 
-fn drain_partitioned(cat: &RunCatalog<u64>, threads: usize) -> u64 {
-    let runs = cat.runs();
-    let tuning = MergeTuning::default();
+fn drain_partitioned(cat: &Arc<RunCatalog<u64>>, threads: usize) -> u64 {
+    let merge = FinalMerge { threads, ..FinalMerge::default() }
+        .run(vec![(cat.clone(), Vec::new())])
+        .unwrap();
     let mut n = 0u64;
-    if threads >= 2 {
-        match merge_runs_partitioned(cat, &runs, vec![], threads, None, &tuning).unwrap() {
-            PartitionAttempt::Partitioned(merge) => {
-                for row in merge {
-                    black_box(row.unwrap());
-                    n += 1;
-                }
-                return n;
-            }
-            PartitionAttempt::Serial(_) => {}
-        }
-    }
-    let sources: Result<Vec<_>> = runs.iter().map(|m| open_source(cat, m)).collect();
-    let tree = merge_sources_tuned(sources.unwrap(), SortOrder::Ascending, &tuning).unwrap();
-    for row in tree {
+    for row in merge {
         black_box(row.unwrap());
         n += 1;
     }

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use histok_sort::{merge_sources_tuned, MergeTuning};
+use histok_sort::{merge_sources, MergeTuning};
 use histok_storage::{
     IoScheduler, IoStats, MemoryBackend, PrefetchingRunReader, RunCatalog, RunMeta, RunReader,
     RunWriter, StorageBackend, ThrottleModel, ThrottledBackend,
@@ -133,7 +133,7 @@ fn bench_merge_throttled(c: &mut Criterion) {
                     .iter()
                     .map(|meta| histok_sort::open_source(&cat, meta).unwrap())
                     .collect::<Vec<_>>();
-                let tree = merge_sources_tuned(sources, SortOrder::Ascending, &tuning).unwrap();
+                let tree = merge_sources(sources, SortOrder::Ascending, &tuning).unwrap();
                 let mut n = 0u64;
                 for row in tree {
                     black_box(row.unwrap());

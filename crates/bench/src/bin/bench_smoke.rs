@@ -44,9 +44,8 @@ use histok_core::{
 use histok_exec::{Query, ServerConfig, TopKServer};
 use histok_sort::run_gen::{ReplacementSelection, ResiduePolicy, RunGenerator};
 use histok_sort::{
-    merge_runs_partitioned, merge_sources_tuned, open_source, plan_merges_cascade,
-    plan_merges_legacy, plan_merges_tuned, CascadeStats, CmpStats, IterSource, LoserTree,
-    MergeConfig, MergePolicy, MergeTuning, NoopObserver, DEFAULT_BATCH_ROWS,
+    CmpStats, FinalMerge, IterSource, LoserTree, MergeConfig, MergePolicy, NoopObserver,
+    DEFAULT_BATCH_ROWS,
 };
 use histok_storage::{
     IoScheduler, IoSchedulerMetrics, IoStats, MemoryBackend, RunCatalog, StorageBackend,
@@ -84,11 +83,6 @@ const REQUIRED_CONC_SPEEDUP: f64 = 1.5;
 /// fleet must stay under this fraction of the serial wall — concurrency
 /// must not be bought by starving individual queries.
 const CONC_P95_FRACTION: f64 = 0.75;
-const CASCADE_RUNS: u64 = 512;
-const CASCADE_ROWS_PER_RUN: u64 = 500;
-const CASCADE_FAN_IN: usize = 64;
-const CASCADE_WORKERS: usize = 4;
-const REQUIRED_CASCADE_SPEEDUP: f64 = 1.4;
 /// Zipf dedup workload (DESIGN.md §14): i.i.d. Zipf(s) ranks over a key
 /// space much smaller than the row count, so duplicates dominate.
 const ZIPF_ROWS: u64 = 60_000;
@@ -269,34 +263,22 @@ fn partition_case(threads: usize) -> PartitionRun {
     }
     // Written inline; only the timed merge reads through the pool.
     catalog.set_io_scheduler(Some(IoScheduler::new(PARTITION_RUNS as usize * threads)));
-    let runs = catalog.runs();
-    let tuning = MergeTuning::default();
     let skipped_before = stats.snapshot().blocks_skipped;
     let started = Instant::now();
     let mut rows = 0u64;
     let mut checksum = 0u64;
-    let mut drain = |iter: &mut dyn Iterator<Item = Result<Row<u64>>>| {
-        for row in iter {
-            let row = row.expect("row");
-            checksum = checksum.wrapping_mul(31).wrapping_add(row.key);
-            rows += 1;
-        }
-    };
-    let partitions = if threads >= 2 {
-        let merge = merge_runs_partitioned(&catalog, &runs, vec![], threads, None, &tuning)
-            .expect("plan")
-            .partitioned()
-            .expect("partitionable");
-        let partitions = merge.partitions() as u64;
-        drain(&mut { merge });
-        partitions
-    } else {
-        let sources: Vec<_> =
-            runs.iter().map(|m| open_source(&catalog, m).expect("open source")).collect();
-        let tree = merge_sources_tuned(sources, SortOrder::Ascending, &tuning).expect("merge");
-        drain(&mut { tree });
-        1
-    };
+    // The stream holds a catalog handle; this one keeps the run deletes
+    // out of the timed region.
+    let merge = FinalMerge { threads, ..FinalMerge::default() }
+        .run(vec![(catalog.clone(), Vec::new())])
+        .expect("merge");
+    let partitions = merge.merge_partitions() as u64;
+    assert!(threads < 2 || partitions >= 2, "final merge did not partition");
+    for row in merge {
+        let row = row.expect("row");
+        checksum = checksum.wrapping_mul(31).wrapping_add(row.key);
+        rows += 1;
+    }
     let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     PartitionRun {
         rows,
@@ -374,29 +356,24 @@ fn spill_storm_case() -> StormRun {
         }
         catalog.register(w.finish().expect("finish storm run")).expect("register");
     }
-    let tuning = MergeTuning::default();
-    let merge = MergeConfig { fan_in: STORM_FAN_IN, policy: MergePolicy::SmallestFirst };
+    let config = MergeConfig { fan_in: STORM_FAN_IN, policy: MergePolicy::SmallestFirst };
     let io_before = stats.snapshot();
     ThreadCensus::reset_peak();
     let started = Instant::now();
-    // Intermediate passes: 512 runs → 8 at fan-in 64.
-    let final_runs = plan_merges_tuned(&catalog, &merge, None, None, &tuning).expect("plan");
+    // Intermediate passes (512 runs → 8 at fan-in 64), then the final
+    // merge on `STORM_THREADS` partitions.
+    let merge = FinalMerge { config, threads: STORM_THREADS, ..FinalMerge::default() }
+        .run(vec![(catalog.clone(), Vec::new())])
+        .expect("merge");
+    assert!(merge.merge_partitions() >= 2, "storm final merge did not partition");
     let mut rows = 0u64;
     let mut checksum = 0u64;
-    let attempt =
-        merge_runs_partitioned(&catalog, &final_runs, vec![], STORM_THREADS, None, &tuning)
-            .expect("partition plan");
-    match attempt.partitioned() {
-        Some(merge) => {
-            for row in merge {
-                let row = row.expect("row");
-                for b in row.key.as_slice() {
-                    checksum = checksum.wrapping_mul(31).wrapping_add(u64::from(*b));
-                }
-                rows += 1;
-            }
+    for row in merge {
+        let row = row.expect("row");
+        for b in row.key.as_slice() {
+            checksum = checksum.wrapping_mul(31).wrapping_add(u64::from(*b));
         }
-        None => panic!("storm final merge did not partition"),
+        rows += 1;
     }
     let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     let peak_io_threads = ThreadCensus::peak();
@@ -408,99 +385,6 @@ fn spill_storm_case() -> StormRun {
         io_wait_ns: io.io_wait_ns,
         overlapped_io_ns: io.overlapped_io_ns,
         sched: scheduler.metrics(),
-        checksum,
-    }
-}
-
-/// One wall-clock measurement of the cascade gate: 512 strided runs
-/// reduced to the fan-in over a sleeping throttled backend with fully
-/// synchronous I/O, so the planned-parallel cascade's speedup comes
-/// from overlapping storage sleeps across pass workers — exactly the
-/// latency-bound regime DESIGN.md §11 targets.
-struct CascadeRun {
-    rows: u64,
-    wall_ns: u64,
-    final_runs: u64,
-    peak_io_threads: usize,
-    stats: CascadeStats,
-    /// Order-sensitive digest of the fully drained output: both
-    /// planners must agree byte for byte.
-    checksum: u64,
-}
-
-impl CascadeRun {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("rows".to_owned(), JsonValue::from(self.rows)),
-            ("wall_ns".to_owned(), JsonValue::from(self.wall_ns)),
-            ("final_runs".to_owned(), JsonValue::from(self.final_runs)),
-            ("peak_io_threads".to_owned(), JsonValue::from(self.peak_io_threads as u64)),
-            ("merge_passes".to_owned(), JsonValue::from(self.stats.merge_passes)),
-            ("intermediate_merges".to_owned(), JsonValue::from(self.stats.intermediate_merges)),
-            ("runs_pruned".to_owned(), JsonValue::from(self.stats.runs_pruned)),
-            ("cascade_wait_ns".to_owned(), JsonValue::from(self.stats.cascade_wait_ns)),
-            ("checksum".to_owned(), JsonValue::from(self.checksum)),
-        ])
-    }
-}
-
-/// Runs the cascade workload once: `parallel = false` is the greedy
-/// serial baseline ([`plan_merges_legacy`]); `parallel = true` the
-/// planned cascade on [`CASCADE_WORKERS`] pass workers. Run drain for
-/// the checksum happens untimed after the wall measurement.
-fn cascade_case(parallel: bool) -> CascadeRun {
-    let model =
-        ThrottleModel { per_op: Duration::from_micros(100), per_byte: Duration::ZERO, sleep: true };
-    let stats = IoStats::new();
-    let catalog: RunCatalog<u64> = RunCatalog::new(
-        Arc::new(ThrottledBackend::new(MemoryBackend::new(), model)),
-        RunCatalog::<u64>::unique_prefix("cascade"),
-        SortOrder::Ascending,
-        stats.clone(),
-    )
-    .with_block_bytes(4096);
-    // 512 sorted strided runs, written untimed: run r holds keys
-    // r, r+512, r+1024, … so every run overlaps every key range and no
-    // merge can shortcut.
-    for r in 0..CASCADE_RUNS {
-        let mut w = catalog.start_run().expect("start cascade run");
-        for j in 0..CASCADE_ROWS_PER_RUN {
-            w.append(&Row::key_only(j * CASCADE_RUNS + r)).expect("append");
-        }
-        catalog.register(w.finish().expect("finish cascade run")).expect("register");
-    }
-    // Inline I/O (the catalog has no pool): every storage sleep lands on
-    // the merge thread that issued it, so worker overlap is the only
-    // latency hiding available.
-    let tuning = MergeTuning::default();
-    let merge = MergeConfig { fan_in: CASCADE_FAN_IN, policy: MergePolicy::LowestKeyFirst };
-    ThreadCensus::reset_peak();
-    let started = Instant::now();
-    let (final_runs, cascade_stats) = if parallel {
-        plan_merges_cascade(&catalog, &merge, None, None, &tuning, CASCADE_WORKERS).expect("plan")
-    } else {
-        let runs = plan_merges_legacy(&catalog, &merge, None, None, &tuning).expect("legacy plan");
-        (runs, CascadeStats::default())
-    };
-    let wall_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    let peak_io_threads = ThreadCensus::peak();
-    // Untimed correctness drain: content preservation is the invariant
-    // (limit is None), so both planners must yield the same key stream.
-    let sources = final_runs.iter().map(|m| open_source(&catalog, m).expect("open")).collect();
-    let tree = merge_sources_tuned(sources, SortOrder::Ascending, &tuning).expect("drain tree");
-    let mut rows = 0u64;
-    let mut checksum = 0u64;
-    for row in tree {
-        let row = row.expect("row");
-        checksum = checksum.wrapping_mul(31).wrapping_add(row.key);
-        rows += 1;
-    }
-    CascadeRun {
-        rows,
-        wall_ns,
-        final_runs: final_runs.len() as u64,
-        peak_io_threads,
-        stats: cascade_stats,
         checksum,
     }
 }
@@ -1173,40 +1057,6 @@ fn main() {
         ("pooled".to_owned(), storm_pooled.to_json()),
     ]));
 
-    // Cascade gate: 512 runs reduced to fan-in 64 on synchronous
-    // throttled I/O — the planned cascade on 4 pass workers vs. the
-    // greedy serial baseline, byte-identical with ≥1.4× speedup.
-    let cascade_serial = cascade_case(false);
-    let cascade_parallel = cascade_case(true);
-    assert_eq!(cascade_parallel.rows, cascade_serial.rows, "cascade planner changed the row count");
-    assert_eq!(
-        cascade_parallel.checksum, cascade_serial.checksum,
-        "cascade planner changed the output"
-    );
-    let cascade_speedup = if cascade_parallel.wall_ns == 0 {
-        f64::INFINITY
-    } else {
-        cascade_serial.wall_ns as f64 / cascade_parallel.wall_ns as f64
-    };
-    println!(
-        "{:<24} {:>10.0}ms {:>10.0}ms {:>12} {:>12} {:>9.2}x",
-        "cascade",
-        cascade_parallel.wall_ns as f64 / 1e6,
-        cascade_serial.wall_ns as f64 / 1e6,
-        format!("({}pass)", cascade_parallel.stats.merge_passes),
-        format!("({}mrg)", cascade_parallel.stats.intermediate_merges),
-        cascade_speedup
-    );
-    rows.push(JsonValue::Obj(vec![
-        ("name".to_owned(), JsonValue::from("cascade")),
-        ("planned".to_owned(), cascade_parallel.to_json()),
-        ("legacy_serial".to_owned(), cascade_serial.to_json()),
-        (
-            "speedup".to_owned(),
-            JsonValue::from(if cascade_speedup.is_finite() { cascade_speedup } else { f64::MAX }),
-        ),
-    ]));
-
     // Concurrent-query fleet: 64 mixed queries through one `TopKServer`
     // (one lease pool, one I/O pool) vs. the same queries serially,
     // standalone. Byte-identical per-query output is a hard assert.
@@ -1299,11 +1149,6 @@ fn main() {
                 ("storm_rows_per_run".to_owned(), JsonValue::from(STORM_ROWS_PER_RUN)),
                 ("storm_fan_in".to_owned(), JsonValue::from(STORM_FAN_IN as u64)),
                 ("storm_io_threads".to_owned(), JsonValue::from(STORM_IO_THREADS as u64)),
-                ("cascade_runs".to_owned(), JsonValue::from(CASCADE_RUNS)),
-                ("cascade_rows_per_run".to_owned(), JsonValue::from(CASCADE_ROWS_PER_RUN)),
-                ("cascade_fan_in".to_owned(), JsonValue::from(CASCADE_FAN_IN as u64)),
-                ("cascade_workers".to_owned(), JsonValue::from(CASCADE_WORKERS as u64)),
-                ("required_cascade_speedup".to_owned(), JsonValue::from(REQUIRED_CASCADE_SPEEDUP)),
                 ("conc_queries".to_owned(), JsonValue::from(CONC_QUERIES)),
                 ("conc_rows_per_query".to_owned(), JsonValue::from(CONC_ROWS_PER_QUERY)),
                 ("conc_pool_bytes".to_owned(), JsonValue::from(CONC_POOL_BYTES as u64)),
@@ -1378,31 +1223,6 @@ fn main() {
         println!(
             "OK: spill storm held {} background I/O threads (pool of {})",
             storm_pooled.peak_io_threads, STORM_IO_THREADS
-        );
-    }
-    if cascade_speedup < REQUIRED_CASCADE_SPEEDUP {
-        eprintln!(
-            "FAIL: planned-parallel cascade sped the serial cascade up only \
-             {cascade_speedup:.2}x (required {REQUIRED_CASCADE_SPEEDUP}x)"
-        );
-        failed = true;
-    } else {
-        println!(
-            "OK: planned-parallel cascade sped the serial cascade up {cascade_speedup:.2}x \
-             (required {REQUIRED_CASCADE_SPEEDUP}x)"
-        );
-    }
-    if cascade_parallel.peak_io_threads > STORM_IO_THREADS {
-        eprintln!(
-            "FAIL: cascade peaked at {} background I/O threads on synchronous tuning \
-             (bound {STORM_IO_THREADS})",
-            cascade_parallel.peak_io_threads
-        );
-        failed = true;
-    } else {
-        println!(
-            "OK: cascade held {} background I/O threads (bound {STORM_IO_THREADS})",
-            cascade_parallel.peak_io_threads
         );
     }
     if conc_speedup < REQUIRED_CONC_SPEEDUP {

@@ -147,7 +147,6 @@ pub fn metrics_to_json(m: &OperatorMetrics) -> JsonValue {
                 ("merge_passes".to_owned(), JsonValue::from(m.cascade.merge_passes)),
                 ("intermediate_merges".to_owned(), JsonValue::from(m.cascade.intermediate_merges)),
                 ("runs_pruned".to_owned(), JsonValue::from(m.cascade.runs_pruned)),
-                ("cascade_wait_ns".to_owned(), JsonValue::from(m.cascade.cascade_wait_ns)),
             ]),
         ),
         (

@@ -86,24 +86,11 @@ pub struct TopKConfig {
     pub ovc_enabled: bool,
     /// Worker threads for the final merge. With 2 or more, the final
     /// merge is range-partitioned across histogram-guided splitter keys
-    /// when the estimated row count clears
-    /// [`partition_min_rows`](TopKConfig::partition_min_rows). Default:
-    /// `available_parallelism` capped at 4; 1 = always serial.
+    /// once it holds at least
+    /// [`PARTITION_MIN_ROWS`](histok_sort::PARTITION_MIN_ROWS) rows. The
+    /// cascade's intermediate merges always run on the operator's thread.
+    /// Default: `available_parallelism` capped at 4; 1 = always serial.
     pub merge_threads: usize,
-    /// Minimum estimated rows in the final merge before it goes parallel;
-    /// below this, partitioning overhead (thread spawn, channel hops)
-    /// outweighs the win. Default 8192.
-    pub partition_min_rows: u64,
-    /// Worker threads for the intermediate cascade merge passes (the
-    /// independent merges of one pass run concurrently, sharing the I/O
-    /// pool and one cutoff cell — DESIGN.md §11). `1` (the default)
-    /// keeps the cascade serial: concurrent merges publish cutoff
-    /// refinements in completion order, so intermediate run shapes — and
-    /// with them tie-break order among duplicate keys — become
-    /// timing-dependent, which the differential suites (and any caller
-    /// needing run-to-run byte stability) must not see. `0` reuses
-    /// [`merge_threads`](TopKConfig::merge_threads).
-    pub cascade_threads: usize,
     /// Background-I/O worker threads. Spill writes and merge read-ahead
     /// submit block-sized jobs to one shared pool of this size, bounding
     /// the operator's background thread count no matter how many runs and
@@ -178,8 +165,6 @@ impl Default for TopKConfig {
             approx_slack: 0.0,
             ovc_enabled: true,
             merge_threads: default_merge_threads(),
-            partition_min_rows: 8192,
-            cascade_threads: 1,
             io_threads: 4,
             batch_rows: histok_sort::DEFAULT_BATCH_ROWS,
             io_scheduler_handle: None,
@@ -242,17 +227,6 @@ impl TopKConfig {
         match &self.budget_lease {
             Some(handle) => handle.limit(),
             None => self.memory_budget,
-        }
-    }
-
-    /// Worker threads the intermediate cascade merges actually run on:
-    /// [`cascade_threads`](TopKConfig::cascade_threads), falling back to
-    /// [`merge_threads`](TopKConfig::merge_threads) when 0.
-    pub fn cascade_workers(&self) -> usize {
-        if self.cascade_threads == 0 {
-            self.merge_threads
-        } else {
-            self.cascade_threads
         }
     }
 
@@ -405,19 +379,6 @@ impl TopKConfigBuilder {
         self
     }
 
-    /// Parallel-merge row threshold; see
-    /// [`TopKConfig::partition_min_rows`].
-    pub fn partition_min_rows(mut self, rows: u64) -> Self {
-        self.config.partition_min_rows = rows;
-        self
-    }
-
-    /// Cascade-pass worker threads; see [`TopKConfig::cascade_threads`].
-    pub fn cascade_threads(mut self, threads: usize) -> Self {
-        self.config.cascade_threads = threads;
-        self
-    }
-
     /// Background-I/O pool size; see [`TopKConfig::io_threads`].
     pub fn io_threads(mut self, threads: usize) -> Self {
         self.config.io_threads = threads;
@@ -476,9 +437,6 @@ mod tests {
         assert!(c.limit_run_size);
         assert!(c.filter_enabled && c.input_filter && c.spill_filter);
         assert!((1..=4).contains(&c.merge_threads));
-        assert_eq!(c.partition_min_rows, 8192);
-        assert_eq!(c.cascade_threads, 1);
-        assert_eq!(c.cascade_workers(), 1);
         assert_eq!(c.io_threads, 4);
         assert_eq!(c.run_gen_mode, RunGenMode::Adaptive);
         assert_eq!(c.batch_rows, 1024);
@@ -503,8 +461,6 @@ mod tests {
             .spill_filter(true)
             .block_bytes(1024)
             .merge_threads(2)
-            .partition_min_rows(100)
-            .cascade_threads(3)
             .io_threads(2)
             .batch_rows(64)
             .build()
@@ -519,9 +475,6 @@ mod tests {
         assert!(!c.input_filter);
         assert_eq!(c.block_bytes, 1024);
         assert_eq!(c.merge_threads, 2);
-        assert_eq!(c.partition_min_rows, 100);
-        assert_eq!(c.cascade_threads, 3);
-        assert_eq!(c.cascade_workers(), 3);
         assert_eq!(c.io_threads, 2);
         assert_eq!(c.batch_rows, 64);
     }
@@ -570,12 +523,6 @@ mod tests {
         lease.set_limit(8192);
         assert_eq!(leased.effective_memory_budget(), 8192);
         assert_eq!(budget.limit(), 8192, "a resize reaches budgets already handed out");
-    }
-
-    #[test]
-    fn cascade_threads_zero_reuses_merge_threads() {
-        let c = TopKConfig::builder().merge_threads(3).cascade_threads(0).build().unwrap();
-        assert_eq!(c.cascade_workers(), 3);
     }
 
     #[test]

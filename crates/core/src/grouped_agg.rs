@@ -120,8 +120,6 @@ impl<K: SortKey> GroupedAggTopK<K> {
         .with_io_scheduler(config.io_scheduler())
         .with_fan_in(config.merge.fan_in)
         .with_merge_threads(config.merge_threads)
-        .with_partition_min_rows(config.partition_min_rows)
-        .with_cascade_threads(config.cascade_workers())
         .with_tuning(MergeTuning {
             ovc: config.ovc_enabled,
             stats: Some(cmp_stats.clone()),

@@ -9,8 +9,8 @@
 //!   beyond (§3.1).
 //! * Baselines: [`InMemoryTopK`] (§2.3), [`TraditionalExternalTopK`]
 //!   (§2.4), [`OptimizedExternalTopK`] (§2.5 / [Graefe'08]).
-//! * Extensions from §4: merge-time offset fast-skipping ([`offset`],
-//!   §4.1), segmented execution over prefix-sorted inputs
+//! * Extensions from §4: merge-time offset fast-skipping
+//!   ([`histok_sort::FinalMerge`], §4.1), segmented execution over prefix-sorted inputs
 //!   ([`SegmentedTopK`], §4.2), grouped top-k ([`GroupedTopK`], §4.3),
 //!   parallel top-k with a shared filter ([`ParallelTopK`], §4.4) and
 //!   approximate top-k ([`ApproximateTopK`], §4.5). `OFFSET` clauses
@@ -32,7 +32,6 @@ pub mod grouped;
 pub mod grouped_agg;
 pub mod histogram;
 pub mod metrics;
-pub mod offset;
 pub mod parallel;
 pub mod segmented;
 pub mod sizing;
@@ -46,7 +45,6 @@ pub use grouped::GroupedTopK;
 pub use grouped_agg::{AggGroup, GroupedAggTopK};
 pub use histogram::{Bucket, HistogramBuilder};
 pub use metrics::OperatorMetrics;
-pub use offset::fast_skip_sources;
 pub use parallel::ParallelTopK;
 pub use segmented::SegmentedTopK;
 pub use sizing::SizingPolicy;

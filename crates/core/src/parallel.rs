@@ -16,11 +16,7 @@ use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use histok_sort::run_gen::{ReplacementSelection, RunGenerator};
-use histok_sort::{
-    merge_sources_partitioned, merge_sources_tuned, plan_merges_cascade, plan_partitions,
-    run_overlaps, split_sorted_rows, CascadeStats, CmpStats, MergeSource, MergeTuning,
-    PartitionCounters, SpillObserver,
-};
+use histok_sort::{CmpStats, FinalMerge, MergeTuning, SpillObserver};
 use histok_storage::{IoStats, RunCatalog, StorageBackend};
 use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
 
@@ -29,7 +25,7 @@ use crate::cutoff::{filter_from_config, CutoffFilter};
 use crate::histogram::HistogramBuilder;
 use crate::metrics::{io_snapshot, OperatorMetrics};
 use crate::sizing::SizingPolicy;
-use crate::topk::{RowStream, SpecStream, TimedStream, TopKOperator};
+use crate::topk::{MergeRecord, RowStream, SpecStream, TimedStream, TopKOperator};
 
 /// The shared filter: the real [`CutoffFilter`] behind a mutex plus a
 /// published copy of the cutoff key for cheap reads. Only the *priority
@@ -120,19 +116,6 @@ struct WorkerOutput<K: SortKey> {
     peak_bytes: usize,
 }
 
-/// Keeps every worker's run catalog alive while the final stream drains.
-struct HoldAll<K: SortKey, I> {
-    _catalogs: Vec<Arc<RunCatalog<K>>>,
-    inner: I,
-}
-
-impl<K: SortKey, I: Iterator<Item = Result<Row<K>>>> Iterator for HoldAll<K, I> {
-    type Item = Result<Row<K>>;
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
-
 /// Multi-threaded top-k sharing one histogram filter across workers.
 pub struct ParallelTopK<K: SortKey> {
     spec: SortSpec,
@@ -157,9 +140,8 @@ pub struct ParallelTopK<K: SortKey> {
     /// Shared comparison counters: every worker's selection heap and the
     /// final merge flush into the same handle.
     cmp_stats: CmpStats,
-    merge_partitions: u64,
-    partition_counters: Option<PartitionCounters>,
-    cascade: CascadeStats,
+    /// How the final merge ran.
+    merged: MergeRecord,
 }
 
 impl<K: SortKey> ParallelTopK<K> {
@@ -291,9 +273,7 @@ impl<K: SortKey> ParallelTopK<K> {
             timer: PhaseTimer::started(Phase::RunGeneration),
             final_merge_ns: Arc::new(AtomicU64::new(0)),
             cmp_stats,
-            merge_partitions: 1,
-            partition_counters: None,
-            cascade: CascadeStats::default(),
+            merged: MergeRecord::default(),
         })
     }
 
@@ -346,89 +326,25 @@ impl<K: SortKey> ParallelTopK<K> {
             outputs.push(out);
         }
         let cutoff = self.shared.filter.lock().cutoff().cloned();
-        let retained = self.spec.retained();
-        let tuning = self.merge_tuning();
-        // Plan each worker's final merge once up front; the plans drive
-        // either the partitioned or the serial assembly below.
-        let mut plans = Vec::with_capacity(outputs.len());
-        let mut est_rows = 0u64;
-        for out in &outputs {
-            let (final_runs, cascade) = plan_merges_cascade(
-                &out.catalog,
-                &self.config.merge,
-                Some(retained),
-                cutoff.as_ref(),
-                &tuning,
-                self.config.cascade_workers(),
-            )?;
-            self.cascade = self.cascade.merged(&cascade);
-            est_rows += final_runs.iter().map(|m| m.rows).sum::<u64>();
-            est_rows += out.residue.iter().map(|s| s.len() as u64).sum::<u64>();
-            plans.push(final_runs);
+        let inputs = outputs.into_iter().map(|out| (out.catalog, out.residue)).collect();
+        // Each worker's catalog goes through its own cascade; the final
+        // merge reads worker 0's runs and residue, then worker 1's, ...
+        let stream = FinalMerge {
+            config: self.config.merge,
+            tuning: self.merge_tuning(),
+            limit: Some(self.spec.retained()),
+            cutoff,
+            // With approximation slack the filter proves fewer than
+            // `retained` rows at or below its cutoff.
+            clip_partitions: self.config.approx_slack == 0.0,
+            threads: self.config.merge_threads,
+            skip: 0,
         }
-        // Range-partition the final merge across every worker's runs when
-        // configured and the input is large enough. The cutoff clips the
-        // plan only in exact mode: with approximation slack the filter
-        // proves fewer than `retained` rows at or below it.
-        if self.config.merge_threads >= 2 && est_rows >= self.config.partition_min_rows.max(1) {
-            let clip = if self.config.approx_slack == 0.0 { cutoff.as_ref() } else { None };
-            let all_runs: Vec<_> = plans.iter().flatten().cloned().collect();
-            let ranges =
-                plan_partitions(&all_runs, self.spec.order, self.config.merge_threads, clip);
-            if ranges.len() >= 2 {
-                let mut partitions: Vec<Vec<MergeSource<K>>> =
-                    (0..ranges.len()).map(|_| Vec::new()).collect();
-                let mut catalogs = Vec::with_capacity(outputs.len());
-                // Source order within each partition mirrors the serial
-                // assembly (worker 0's runs, worker 0's residue, worker
-                // 1's runs, ...) so loser-tree tie-breaks agree.
-                for (out, final_runs) in outputs.into_iter().zip(plans.iter()) {
-                    let scheduler = out.catalog.io_scheduler();
-                    for meta in final_runs {
-                        for (i, range) in ranges.iter().enumerate() {
-                            if run_overlaps(meta, range, self.spec.order) {
-                                let reader = out.catalog.open_range(meta, range.clone())?;
-                                partitions[i]
-                                    .push(MergeSource::from_reader(reader, scheduler.clone()));
-                            }
-                        }
-                    }
-                    for seq in out.residue {
-                        for (i, part) in
-                            split_sorted_rows(seq, &ranges, self.spec.order).into_iter().enumerate()
-                        {
-                            if !part.is_empty() {
-                                partitions[i].push(MergeSource::Memory(part.into_iter()));
-                            }
-                        }
-                    }
-                    catalogs.push(out.catalog);
-                }
-                let merge = merge_sources_partitioned(partitions, self.spec.order, &tuning)?;
-                self.merge_partitions = merge.partitions() as u64;
-                self.partition_counters = Some(merge.counters());
-                self.timer.stop();
-                return Ok(Box::new(TimedStream::new(
-                    HoldAll { _catalogs: catalogs, inner: SpecStream::new(merge, &self.spec) },
-                    self.final_merge_ns.clone(),
-                )));
-            }
-        }
-        let mut sources: Vec<MergeSource<K>> = Vec::new();
-        let mut catalogs = Vec::with_capacity(outputs.len());
-        for (out, final_runs) in outputs.into_iter().zip(plans.iter()) {
-            for meta in final_runs {
-                sources.push(histok_sort::open_source(&out.catalog, meta)?);
-            }
-            for seq in out.residue {
-                sources.push(MergeSource::Memory(seq.into_iter()));
-            }
-            catalogs.push(out.catalog);
-        }
-        let tree = merge_sources_tuned(sources, self.spec.order, &tuning)?;
+        .run(inputs)?;
+        self.merged = MergeRecord::of(&stream);
         self.timer.stop();
         Ok(Box::new(TimedStream::new(
-            HoldAll { _catalogs: catalogs, inner: SpecStream::new(tree, &self.spec) },
+            SpecStream::new(stream, &self.spec),
             self.final_merge_ns.clone(),
         )))
     }
@@ -457,13 +373,9 @@ impl<K: SortKey> ParallelTopK<K> {
             early_merges: 0,
             cmp: self.cmp_stats.snapshot(),
             phases,
-            merge_partitions: self.merge_partitions,
-            partition_rows: self
-                .partition_counters
-                .as_ref()
-                .map(|c| c.snapshot())
-                .unwrap_or_default(),
-            cascade: self.cascade,
+            merge_partitions: self.merged.partitions,
+            partition_rows: self.merged.partition_rows(),
+            cascade: self.merged.cascade,
             ..Default::default()
         }
     }
@@ -689,7 +601,6 @@ mod tests {
                 .memory_budget(150 * row_bytes)
                 .block_bytes(512)
                 .merge_threads(merge_threads)
-                .partition_min_rows(1)
                 .build()
                 .unwrap();
             let mut op: ParallelTopK<u64> =

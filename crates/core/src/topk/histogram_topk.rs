@@ -15,11 +15,7 @@ use std::sync::Arc;
 #[cfg(test)]
 use histok_sort::run_gen::ResiduePolicy;
 use histok_sort::run_gen::{BatchSort, LoadSortStore, ReplacementSelection, RunGenerator};
-use histok_sort::{
-    merge_runs_partitioned, merge_sources_tuned, plan_merges_cascade, BatchedMerge, CascadeStats,
-    CmpStats, FoldSpec, FoldStats, LoserTree, MergeSource, MergeTuning, PartitionAttempt,
-    PartitionCounters,
-};
+use histok_sort::{CmpStats, FinalMerge, FoldSpec, FoldStats, MergeTuning};
 use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Aggregator, Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
 
@@ -27,8 +23,8 @@ use crate::config::{RunGenKind, RunGenMode, TopKConfig};
 use crate::cutoff::{CutoffFilter, DistinctVerdict, FilterMetrics};
 use crate::metrics::{io_snapshot, OperatorMetrics};
 use crate::topk::{
-    already_finished, FoldedStore, Offer, RetainedHeap, RowStream, SpecStream, TimedStream,
-    TopKOperator,
+    already_finished, FoldedStore, MergeRecord, Offer, RetainedHeap, RowStream, SpecStream,
+    TimedStream, TopKOperator,
 };
 
 /// The histogram-guided adaptive top-k operator (the paper's contribution).
@@ -76,12 +72,8 @@ pub struct HistogramTopK<K: SortKey> {
     final_merge_ns: Arc<AtomicU64>,
     /// Shared comparison counters the sort structures flush into.
     cmp_stats: CmpStats,
-    /// Key ranges the final merge ran across (1 = serial).
-    merge_partitions: u64,
-    /// Per-partition row counters when the final merge went parallel.
-    partition_counters: Option<PartitionCounters>,
-    /// Intermediate cascade-merge pass counters.
-    cascade: CascadeStats,
+    /// How the final merge ran.
+    merged: MergeRecord,
     /// Shared background-I/O pool (`None` = inline I/O), built once from
     /// `config.io_threads` and handed to the run catalog, which moves every
     /// spill and merge input of this operator through it.
@@ -208,9 +200,7 @@ impl<K: SortKey> HistogramTopK<K> {
             timer: PhaseTimer::started(Phase::InMemory),
             final_merge_ns: Arc::new(AtomicU64::new(0)),
             cmp_stats: CmpStats::new(),
-            merge_partitions: 1,
-            partition_counters: None,
-            cascade: CascadeStats::default(),
+            merged: MergeRecord::default(),
         })
     }
 
@@ -383,8 +373,6 @@ impl<K: SortKey> HistogramTopK<K> {
     }
 }
 
-use crate::topk::HoldCatalog;
-
 /// Operator boundary: in fold mode the raw payload becomes an accumulator
 /// exactly once per input row that is kept. Rows re-entering run generation
 /// at the external switch are already accumulators and bypass this.
@@ -490,78 +478,32 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
             }
             State::External(mut ext) => {
                 let residue = ext.gen.finish(&mut ext.filter, self.config.residue)?;
-                let cutoff = ext.filter.cutoff().cloned();
                 self.final_filter = Some(ext.filter.metrics());
-                let (final_runs, cascade) = plan_merges_cascade(
-                    &ext.catalog,
-                    &self.config.merge,
-                    Some(self.spec.retained()),
-                    cutoff.as_ref(),
-                    &self.merge_tuning(),
-                    self.config.cascade_workers(),
-                )?;
-                self.cascade = cascade;
-                // Range-partitioned parallel final merge (offset queries
-                // stay serial: the fast-skip path positions readers
-                // mid-run, which is incompatible with a range open). The
-                // cutoff clip is only sound when exact — with slack the
-                // serial merge may emit rows past the cutoff, and the
-                // partitioned path must match it byte for byte.
-                let mut residue = residue;
-                let est_rows = final_runs.iter().map(|m| m.rows).sum::<u64>()
-                    + residue.iter().map(|s| s.len() as u64).sum::<u64>();
-                if self.spec.offset == 0
-                    && self.config.merge_threads >= 2
-                    && est_rows >= self.config.partition_min_rows.max(1)
-                {
-                    let clip = if self.config.approx_slack == 0.0 { cutoff.as_ref() } else { None };
-                    match merge_runs_partitioned(
-                        &ext.catalog,
-                        &final_runs,
-                        residue,
-                        self.config.merge_threads,
-                        clip,
-                        &self.merge_tuning(),
-                    )? {
-                        PartitionAttempt::Partitioned(merge) => {
-                            self.merge_partitions = merge.partitions() as u64;
-                            self.partition_counters = Some(merge.counters());
-                            self.timer.stop();
-                            return Ok(Box::new(TimedStream::new(
-                                HoldCatalog {
-                                    _catalog: ext.catalog,
-                                    inner: SpecStream::new(merge, &self.spec),
-                                },
-                                self.final_merge_ns.clone(),
-                            )));
-                        }
-                        PartitionAttempt::Serial(rows) => residue = rows,
-                    }
+                let stream = FinalMerge {
+                    config: self.config.merge,
+                    tuning: self.merge_tuning(),
+                    limit: Some(self.spec.retained()),
+                    cutoff: ext.filter.cutoff().cloned(),
+                    // With slack the serial merge may emit rows past the
+                    // cutoff, and the partitioned one must match it.
+                    clip_partitions: self.config.approx_slack == 0.0,
+                    threads: self.config.merge_threads,
+                    // §4.1: an OFFSET clause lets the merge start partway
+                    // in. In fold mode the offset counts output *groups*
+                    // while block row counts predate folding, so nothing
+                    // is skipped (SpecStream skips folded rows instead).
+                    skip: if self.agg.is_some() { 0 } else { self.spec.offset },
                 }
-                // §4.1: an OFFSET clause lets the merge start partway in —
-                // the block indexes prove whole blocks irrelevant and skip
-                // them without reading. In fold mode the offset counts
-                // output *groups* while block row counts predate folding,
-                // so the fast skip is unsound and the merge starts from
-                // row zero (SpecStream skips folded rows instead).
-                let skip_offset = if self.agg.is_some() { 0 } else { self.spec.offset };
-                let skipped = crate::offset::fast_skip_sources(
-                    &ext.catalog,
-                    &final_runs,
-                    residue,
-                    skip_offset,
-                )?;
+                .run(vec![(ext.catalog, residue)])?;
+                self.merged = MergeRecord::of(&stream);
                 let mut spec = self.spec;
-                spec.offset -= skipped.skipped;
-                let tree: LoserTree<K, MergeSource<K>> =
-                    merge_sources_tuned(skipped.sources, self.spec.order, &self.merge_tuning())?;
-                let merge = BatchedMerge::new(tree, self.config.batch_rows);
+                spec.offset -= stream.skipped();
                 // Residue spilling in `gen.finish` above still counted as
                 // run generation; everything from here until the stream is
                 // dropped is the final merge.
                 self.timer.stop();
                 Ok(Box::new(TimedStream::new(
-                    HoldCatalog { _catalog: ext.catalog, inner: SpecStream::new(merge, &spec) },
+                    SpecStream::new(stream, &spec),
                     self.final_merge_ns.clone(),
                 )))
             }
@@ -591,13 +533,9 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
             early_merges: 0,
             cmp: self.cmp_stats.snapshot(),
             phases,
-            merge_partitions: self.merge_partitions,
-            partition_rows: self
-                .partition_counters
-                .as_ref()
-                .map(|c| c.snapshot())
-                .unwrap_or_default(),
-            cascade: self.cascade,
+            merge_partitions: self.merged.partitions,
+            partition_rows: self.merged.partition_rows(),
+            cascade: self.merged.cascade,
             queued_ns: 0,
             rows_folded: fold.rows_folded + self.folded_at_input,
             bytes_folded_pre_spill: fold.bytes_folded_pre_spill + self.bytes_folded_at_input,

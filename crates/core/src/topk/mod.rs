@@ -21,7 +21,7 @@ pub use in_memory::InMemoryTopK;
 pub use optimized::OptimizedExternalTopK;
 pub use traditional::TraditionalExternalTopK;
 
-use histok_sort::{row_footprint, BinaryHeapBy};
+use histok_sort::{row_footprint, BinaryHeapBy, CascadeStats, PartitionCounters, SortedStream};
 use histok_types::{Error, Result, Row, SortKey, SortOrder, SortSpec};
 
 use crate::metrics::OperatorMetrics;
@@ -298,6 +298,39 @@ impl<K, I: Iterator<Item = Result<Row<K>>>> Iterator for SpecStream<K, I> {
     }
 }
 
+/// How an operator's final merge ran, read off its [`SortedStream`] when
+/// `finish` builds it; the partition counters keep counting while the
+/// stream drains and stay readable after it is gone.
+pub(crate) struct MergeRecord {
+    /// Key ranges the final merge ran across (1 = serial).
+    pub(crate) partitions: u64,
+    counters: Option<PartitionCounters>,
+    /// Intermediate cascade-merge pass counters.
+    pub(crate) cascade: CascadeStats,
+}
+
+impl Default for MergeRecord {
+    fn default() -> Self {
+        MergeRecord { partitions: 1, counters: None, cascade: CascadeStats::default() }
+    }
+}
+
+impl MergeRecord {
+    pub(crate) fn of<K: SortKey>(stream: &SortedStream<K>) -> Self {
+        MergeRecord {
+            partitions: stream.merge_partitions() as u64,
+            counters: stream.partition_counters(),
+            cascade: stream.cascade_stats(),
+        }
+    }
+
+    /// Rows each partition emitted so far, in key-range order; empty when
+    /// the merge ran serially.
+    pub(crate) fn partition_rows(&self) -> Vec<u64> {
+        self.counters.as_ref().map(|c| c.snapshot()).unwrap_or_default()
+    }
+}
+
 /// Guards against a second `finish` call.
 pub(crate) fn already_finished<T>(what: &str) -> Result<T> {
     Err(Error::InvalidConfig(format!("{what}: finish() called twice")))
@@ -330,20 +363,6 @@ impl<I> Drop for TimedStream<I> {
     fn drop(&mut self) {
         let ns = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         self.sink_ns.fetch_add(ns, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-/// Keeps a run catalog (and therefore its spilled objects) alive while the
-/// output stream that reads them is consumed.
-pub(crate) struct HoldCatalog<K: SortKey, I> {
-    pub(crate) _catalog: std::sync::Arc<histok_storage::RunCatalog<K>>,
-    pub(crate) inner: I,
-}
-
-impl<K: SortKey, I: Iterator<Item = Result<Row<K>>>> Iterator for HoldCatalog<K, I> {
-    type Item = Result<Row<K>>;
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
     }
 }
 

@@ -20,18 +20,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use histok_sort::run_gen::{BatchSort, ReplacementSelection, ResiduePolicy, RunGenerator};
-use histok_sort::{
-    merge_runs_partitioned, merge_runs_to_new_tuned, merge_sources_tuned, plan_merges_cascade,
-    BatchedMerge, CascadeStats, CmpStats, MergeSource, MergeTuning, PartitionAttempt,
-    PartitionCounters, SpillObserver,
-};
+use histok_sort::{merge_runs_to_new, CmpStats, FinalMerge, MergeTuning, SpillObserver};
 use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortOrder, SortSpec};
 
 use crate::config::{RunGenMode, TopKConfig};
 use crate::metrics::{io_snapshot, OperatorMetrics};
 use crate::topk::{
-    already_finished, HoldCatalog, Offer, RetainedHeap, RowStream, SpecStream, TimedStream,
+    already_finished, MergeRecord, Offer, RetainedHeap, RowStream, SpecStream, TimedStream,
     TopKOperator,
 };
 
@@ -136,10 +132,8 @@ pub struct OptimizedExternalTopK<K: SortKey> {
     final_merge_ns: Arc<AtomicU64>,
     /// Shared comparison counters the sort structures flush into.
     cmp_stats: CmpStats,
-    merge_partitions: u64,
-    partition_counters: Option<PartitionCounters>,
-    /// Intermediate cascade-merge pass counters.
-    cascade: CascadeStats,
+    /// How the final merge ran.
+    merged: MergeRecord,
     /// Shared background-I/O pool (`None` = inline I/O), built once from
     /// `config.io_threads` and handed to the run catalog, which moves every
     /// spill and merge input of this operator through it.
@@ -188,9 +182,7 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
             timer: PhaseTimer::started(Phase::InMemory),
             final_merge_ns: Arc::new(AtomicU64::new(0)),
             cmp_stats: CmpStats::new(),
-            merge_partitions: 1,
-            partition_counters: None,
-            cascade: CascadeStats::default(),
+            merged: MergeRecord::default(),
         })
     }
 
@@ -287,8 +279,7 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
             return Ok(());
         }
         let runs = catalog.runs();
-        let merged =
-            merge_runs_to_new_tuned(catalog, &runs, Some(k), obs.cutoff.as_ref(), &tuning)?;
+        let merged = merge_runs_to_new(catalog, &runs, Some(k), obs.cutoff.as_ref(), &tuning)?;
         if merged.rows >= k {
             if let Some(last) = &merged.last_key {
                 obs.tighten(last);
@@ -347,61 +338,23 @@ impl<K: SortKey> TopKOperator<K> for OptimizedExternalTopK<K> {
                 let External { catalog, mut gen, mut obs } = *ext;
                 let residue = gen.finish(&mut obs, ResiduePolicy::KeepInMemory)?;
                 self.eliminated_at_spill_final = obs.eliminated_at_spill;
-                let (final_runs, cascade) = plan_merges_cascade(
-                    &catalog,
-                    &self.config.merge,
-                    Some(self.spec.retained()),
-                    obs.cutoff.as_ref(),
-                    &self.merge_tuning(),
-                    self.config.cascade_workers(),
-                )?;
-                self.cascade = cascade;
-                // Range-partition the final merge when configured. The
-                // kth-key cutoff (when set) proves at least `retained`
-                // rows at or below it, so clipping the partition plan at
-                // the cutoff never loses an output row.
-                let mut residue = residue;
-                let est_rows = final_runs.iter().map(|m| m.rows).sum::<u64>()
-                    + residue.iter().map(|s| s.len() as u64).sum::<u64>();
-                if self.config.merge_threads >= 2
-                    && est_rows >= self.config.partition_min_rows.max(1)
-                {
-                    match merge_runs_partitioned(
-                        &catalog,
-                        &final_runs,
-                        residue,
-                        self.config.merge_threads,
-                        obs.cutoff.as_ref(),
-                        &self.merge_tuning(),
-                    )? {
-                        PartitionAttempt::Partitioned(merge) => {
-                            self.merge_partitions = merge.partitions() as u64;
-                            self.partition_counters = Some(merge.counters());
-                            self.timer.stop();
-                            return Ok(Box::new(TimedStream::new(
-                                HoldCatalog {
-                                    _catalog: catalog,
-                                    inner: SpecStream::new(merge, &self.spec),
-                                },
-                                self.final_merge_ns.clone(),
-                            )));
-                        }
-                        PartitionAttempt::Serial(rows) => residue = rows,
-                    }
+                let stream = FinalMerge {
+                    config: self.config.merge,
+                    tuning: self.merge_tuning(),
+                    limit: Some(self.spec.retained()),
+                    cutoff: obs.cutoff,
+                    // The kth-key cutoff proves at least `retained` rows at
+                    // or below it, so clipping the partition plan at it
+                    // never loses an output row.
+                    clip_partitions: true,
+                    threads: self.config.merge_threads,
+                    skip: 0,
                 }
-                let mut sources: Vec<MergeSource<K>> =
-                    Vec::with_capacity(final_runs.len() + residue.len());
-                for meta in &final_runs {
-                    sources.push(histok_sort::open_source(&catalog, meta)?);
-                }
-                for seq in residue {
-                    sources.push(MergeSource::Memory(seq.into_iter()));
-                }
-                let tree = merge_sources_tuned(sources, self.spec.order, &self.merge_tuning())?;
-                let merge = BatchedMerge::new(tree, self.config.batch_rows);
+                .run(vec![(catalog, residue)])?;
+                self.merged = MergeRecord::of(&stream);
                 self.timer.stop();
                 Ok(Box::new(TimedStream::new(
-                    HoldCatalog { _catalog: catalog, inner: SpecStream::new(merge, &self.spec) },
+                    SpecStream::new(stream, &self.spec),
                     self.final_merge_ns.clone(),
                 )))
             }
@@ -429,13 +382,9 @@ impl<K: SortKey> TopKOperator<K> for OptimizedExternalTopK<K> {
             early_merges: self.early_merges,
             cmp: self.cmp_stats.snapshot(),
             phases,
-            merge_partitions: self.merge_partitions,
-            partition_rows: self
-                .partition_counters
-                .as_ref()
-                .map(|c| c.snapshot())
-                .unwrap_or_default(),
-            cascade: self.cascade,
+            merge_partitions: self.merged.partitions,
+            partition_rows: self.merged.partition_rows(),
+            cascade: self.merged.cascade,
             ..Default::default()
         }
     }

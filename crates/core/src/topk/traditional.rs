@@ -9,13 +9,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use histok_sort::{CascadeStats, CmpStats, ExternalSorter, MemoryBudget, MergeTuning};
+use histok_sort::{CmpStats, ExternalSorter, MemoryBudget, MergeTuning};
 use histok_storage::{IoStats, StorageBackend};
 use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
 
 use crate::config::TopKConfig;
 use crate::metrics::{io_snapshot, OperatorMetrics};
-use crate::topk::{already_finished, RowStream, SpecStream, TimedStream, TopKOperator};
+use crate::topk::{
+    already_finished, MergeRecord, RowStream, SpecStream, TimedStream, TopKOperator,
+};
 
 /// Top-k by fully sorting the input externally, then taking `k` rows.
 pub struct TraditionalExternalTopK<K: SortKey> {
@@ -35,9 +37,8 @@ pub struct TraditionalExternalTopK<K: SortKey> {
     final_merge_ns: Arc<AtomicU64>,
     /// Shared comparison counters the final merge flushes into.
     cmp_stats: CmpStats,
-    merge_partitions: u64,
-    partition_counters: Option<histok_sort::PartitionCounters>,
-    cascade: CascadeStats,
+    /// How the final merge ran.
+    merged: MergeRecord,
 }
 
 impl<K: SortKey> TraditionalExternalTopK<K> {
@@ -71,8 +72,6 @@ impl<K: SortKey> TraditionalExternalTopK<K> {
                 .with_block_bytes(config.block_bytes)
                 .with_io_scheduler(config.io_scheduler())
                 .with_merge_threads(config.merge_threads)
-                .with_partition_min_rows(config.partition_min_rows)
-                .with_cascade_threads(config.cascade_workers())
                 .with_tuning(MergeTuning {
                     ovc: config.ovc_enabled,
                     stats: Some(op.cmp_stats.clone()),
@@ -125,9 +124,7 @@ impl<K: SortKey> TraditionalExternalTopK<K> {
             timer: PhaseTimer::started(Phase::RunGeneration),
             final_merge_ns: Arc::new(AtomicU64::new(0)),
             cmp_stats,
-            merge_partitions: 1,
-            partition_counters: None,
-            cascade: CascadeStats::default(),
+            merged: MergeRecord::default(),
         })
     }
 
@@ -151,9 +148,7 @@ impl<K: SortKey> TopKOperator<K> for TraditionalExternalTopK<K> {
         };
         self.peak_bytes = self.budget; // uses its whole workspace
         let stream = sorter.finish()?;
-        self.merge_partitions = stream.merge_partitions() as u64;
-        self.partition_counters = stream.partition_counters();
-        self.cascade = stream.cascade_stats();
+        self.merged = MergeRecord::of(&stream);
         self.timer.stop();
         Ok(Box::new(TimedStream::new(
             SpecStream::new(stream, &self.spec),
@@ -173,13 +168,9 @@ impl<K: SortKey> TopKOperator<K> for TraditionalExternalTopK<K> {
             peak_memory_bytes: self.peak_bytes,
             cmp: self.cmp_stats.snapshot(),
             phases,
-            merge_partitions: self.merge_partitions,
-            partition_rows: self
-                .partition_counters
-                .as_ref()
-                .map(|c| c.snapshot())
-                .unwrap_or_default(),
-            cascade: self.cascade,
+            merge_partitions: self.merged.partitions,
+            partition_rows: self.merged.partition_rows(),
+            cascade: self.merged.cascade,
             ..Default::default()
         }
     }

@@ -3,7 +3,7 @@
 //! Every {key type} × {sort order} × duplicate-heavy-workload cell runs the
 //! same input twice — OVC on and OVC off — at two levels:
 //!
-//! 1. the bare multi-source merge ([`merge_sources_tuned`]), and
+//! 1. the bare multi-source merge ([`merge_sources`]), and
 //! 2. the full [`HistogramTopK`] operator (run generation through the
 //!    selection heap, cutoff prefix filtering, intermediate + final merges),
 //!
@@ -13,7 +13,7 @@
 //! `Ovc::EQUAL`) shows up as a payload mismatch, not just a key mismatch.
 
 use histok_core::{HistogramTopK, TopKConfig, TopKOperator};
-use histok_sort::{merge_sources_tuned, MergeSource, MergeTuning};
+use histok_sort::{merge_sources, MergeSource, MergeTuning};
 use histok_storage::MemoryBackend;
 use histok_types::{BytesKey, F64Key, KeyPair, Row, SortKey, SortOrder, SortSpec};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -90,15 +90,14 @@ fn merge_differential<K: KeyGen>(label: &str, order: SortOrder) {
             .collect()
     };
     for n in [2usize, 5, 16] {
-        let with_ovc: Vec<Row<K>> = merge_sources_tuned(sources(n), order, &MergeTuning::default())
+        let with_ovc: Vec<Row<K>> = merge_sources(sources(n), order, &MergeTuning::default())
             .expect("ovc merge")
             .map(|r| r.expect("row"))
             .collect();
-        let without: Vec<Row<K>> =
-            merge_sources_tuned(sources(n), order, &MergeTuning::without_ovc())
-                .expect("plain merge")
-                .map(|r| r.expect("row"))
-                .collect();
+        let without: Vec<Row<K>> = merge_sources(sources(n), order, &MergeTuning::without_ovc())
+            .expect("plain merge")
+            .map(|r| r.expect("row"))
+            .collect();
         assert_eq!(with_ovc.len(), without.len(), "{label} n={n}: row counts diverged");
         for (i, (a, b)) in with_ovc.iter().zip(&without).enumerate() {
             assert_eq!(a.key, b.key, "{label} n={n}: key diverged at row {i}");

@@ -12,14 +12,9 @@ use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Result, Row, SortKey, SortOrder};
 
 use crate::budget::MemoryBudget;
-use crate::cascade::{plan_merges_cascade, CascadeStats};
 use crate::fold::FoldSpec;
-use crate::merge::{
-    merge_sources_tuned, open_source, BatchedMerge, MergeConfig, MergePolicy, MergeSource,
-    MergeTuning,
-};
+use crate::merge::{FinalMerge, MergeConfig, MergePolicy, MergeTuning, SortedStream};
 use crate::observer::NoopObserver;
-use crate::partition::{merge_runs_partitioned, PartitionCounters, PartitionedMerge};
 use crate::run_gen::{BatchSort, LoadSortStore, ResiduePolicy, RunGenerator};
 
 /// A full external merge sort: push rows, then stream them back sorted.
@@ -50,11 +45,8 @@ pub struct ExternalSorter<K: SortKey> {
     budget: MemoryBudget,
     merge: MergeConfig,
     tuning: MergeTuning,
-    order: SortOrder,
     rows_in: u64,
     merge_threads: usize,
-    partition_min_rows: u64,
-    cascade_threads: usize,
     fold: Option<FoldSpec>,
 }
 
@@ -99,11 +91,8 @@ impl<K: SortKey> ExternalSorter<K> {
             budget,
             merge: MergeConfig { fan_in: 512, policy: MergePolicy::SmallestFirst },
             tuning: MergeTuning::default(),
-            order,
             rows_in: 0,
             merge_threads: 1,
-            partition_min_rows: 0,
-            cascade_threads: 1,
             fold: None,
         }
     }
@@ -161,29 +150,11 @@ impl<K: SortKey> ExternalSorter<K> {
     }
 
     /// Worker threads for the final merge (default 1 = serial). With two
-    /// or more, the final merge is range-partitioned across them when the
-    /// input is large enough (see [`with_partition_min_rows`]).
-    ///
-    /// [`with_partition_min_rows`]: ExternalSorter::with_partition_min_rows
+    /// or more, the final merge is range-partitioned across them once it
+    /// holds at least [`PARTITION_MIN_ROWS`](crate::PARTITION_MIN_ROWS)
+    /// rows.
     pub fn with_merge_threads(mut self, threads: usize) -> Self {
         self.merge_threads = threads.max(1);
-        self
-    }
-
-    /// Minimum spilled rows before the final merge goes parallel; smaller
-    /// inputs merge serially regardless of [`with_merge_threads`].
-    ///
-    /// [`with_merge_threads`]: ExternalSorter::with_merge_threads
-    pub fn with_partition_min_rows(mut self, rows: u64) -> Self {
-        self.partition_min_rows = rows;
-        self
-    }
-
-    /// Worker threads for the intermediate cascade merge passes (default
-    /// 1 = serial): the independent merges of each pass run concurrently,
-    /// sharing the sorter's I/O scheduler.
-    pub fn with_cascade_threads(mut self, threads: usize) -> Self {
-        self.cascade_threads = threads.max(1);
         self
     }
 
@@ -209,89 +180,13 @@ impl<K: SortKey> ExternalSorter<K> {
             self.tuning.fold = self.fold.clone();
         }
         self.generator.finish(&mut NoopObserver, ResiduePolicy::SpillToRuns)?;
-        let (final_runs, cascade) = plan_merges_cascade(
-            &self.catalog,
-            &self.merge,
-            None,
-            None,
-            &self.tuning,
-            self.cascade_threads,
-        )?;
-        let spilled: u64 = final_runs.iter().map(|m| m.rows).sum();
-        if self.merge_threads >= 2 && spilled >= self.partition_min_rows.max(1) {
-            if let Some(merge) = merge_runs_partitioned(
-                &self.catalog,
-                &final_runs,
-                vec![],
-                self.merge_threads,
-                None,
-                &self.tuning,
-            )?
-            .partitioned()
-            {
-                return Ok(SortedStream {
-                    _catalog: self.catalog,
-                    inner: SortedInner::Partitioned(merge),
-                    cascade,
-                });
-            }
+        FinalMerge {
+            config: self.merge,
+            tuning: self.tuning,
+            threads: self.merge_threads,
+            ..FinalMerge::default()
         }
-        let mut sources = Vec::with_capacity(final_runs.len());
-        for meta in &final_runs {
-            sources.push(open_source(&self.catalog, meta)?);
-        }
-        let tree = merge_sources_tuned(sources, self.order, &self.tuning)?;
-        let merge = BatchedMerge::new(tree, self.tuning.batch_rows);
-        Ok(SortedStream { _catalog: self.catalog, inner: SortedInner::Serial(merge), cascade })
-    }
-}
-
-/// The sorted output stream; holds the run catalog alive until dropped.
-pub struct SortedStream<K: SortKey> {
-    _catalog: Arc<RunCatalog<K>>,
-    inner: SortedInner<K>,
-    cascade: CascadeStats,
-}
-
-// One stream per sort: the variant size gap is irrelevant at this
-// allocation rate, and boxing would cost an indirection per batch.
-#[allow(clippy::large_enum_variant)]
-enum SortedInner<K: SortKey> {
-    Serial(BatchedMerge<K, MergeSource<K>>),
-    Partitioned(PartitionedMerge<K>),
-}
-
-impl<K: SortKey> SortedStream<K> {
-    /// Partitions the final merge runs across (1 when serial).
-    pub fn merge_partitions(&self) -> usize {
-        match &self.inner {
-            SortedInner::Serial(_) => 1,
-            SortedInner::Partitioned(m) => m.partitions(),
-        }
-    }
-
-    /// Per-partition row counters when the merge went parallel.
-    pub fn partition_counters(&self) -> Option<PartitionCounters> {
-        match &self.inner {
-            SortedInner::Serial(_) => None,
-            SortedInner::Partitioned(m) => Some(m.counters()),
-        }
-    }
-
-    /// Pass counters of the intermediate cascade merges that reduced the
-    /// run count to the fan-in (all zero when no reduction was needed).
-    pub fn cascade_stats(&self) -> CascadeStats {
-        self.cascade
-    }
-}
-
-impl<K: SortKey> Iterator for SortedStream<K> {
-    type Item = Result<Row<K>>;
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            SortedInner::Serial(tree) => tree.next(),
-            SortedInner::Partitioned(merge) => merge.next(),
-        }
+        .run(vec![(self.catalog, Vec::new())])
     }
 }
 

@@ -13,6 +13,8 @@
 //!   sources, plus multi-level merge planning with the paper's §4.1 top-k
 //!   merge policies (lowest-key runs first, early stop at `k` rows or at
 //!   the cutoff key).
+//! * [`FinalMerge`] — how every spilled sort finishes: the cascade, then
+//!   an offset fast-skip, a range-partitioned or a serial final merge.
 //! * [`ExternalSorter`] — a complete external merge sort built from those
 //!   parts (the traditional baseline's engine).
 
@@ -28,26 +30,23 @@ pub mod heap;
 pub mod loser_tree;
 pub mod merge;
 pub mod observer;
+mod offset;
 pub mod partition;
 pub mod run_gen;
 pub mod source;
 
 pub use budget::{row_footprint, BudgetHandle, MemoryBudget};
-pub use cascade::{plan_merges_cascade, plan_pass_groups, CascadeStats, SharedCutoff};
+pub use cascade::{plan_merges, CascadeStats};
 pub use cmp_stats::{CmpSnapshot, CmpStats};
 pub use external::ExternalSorter;
 pub use fold::{FoldSnapshot, FoldSpec, FoldStats};
 pub use heap::BinaryHeapBy;
 pub use loser_tree::LoserTree;
 pub use merge::{
-    merge_runs_to_new, merge_runs_to_new_shared, merge_runs_to_new_tuned, merge_sources,
-    merge_sources_tuned, open_source, plan_merges, plan_merges_legacy, plan_merges_tuned,
-    BatchedMerge, MergeConfig, MergePolicy, MergeSource, MergeTuning,
+    merge_runs_to_new, merge_sources, open_source, BatchedMerge, FinalMerge, MergeConfig,
+    MergeInput, MergePolicy, MergeSource, MergeTuning, SortedStream, PARTITION_MIN_ROWS,
 };
 pub use observer::{NoopObserver, SpillObserver};
-pub use partition::{
-    merge_runs_partitioned, merge_sources_partitioned, plan_partitions, run_overlaps,
-    split_sorted_rows, PartitionAttempt, PartitionCounters, PartitionedMerge,
-};
+pub use partition::PartitionCounters;
 pub use run_gen::{BatchSort, LoadSortStore, ReplacementSelection, ResiduePolicy, RunGenerator};
 pub use source::{IterSource, RowSource, DEFAULT_BATCH_ROWS};

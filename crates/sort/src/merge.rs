@@ -11,13 +11,18 @@
 //!   lowest keys (the most recently produced), not the traditional smallest
 //!   runs.
 
-use histok_storage::{IoSchedulerHandle, PrefetchingRunReader, RunCatalog, RunMeta, RunReader};
+use std::sync::Arc;
+
+use histok_storage::{
+    IoSchedulerHandle, KeyRange, PrefetchingRunReader, RunCatalog, RunMeta, RunReader,
+};
 use histok_types::{Error, Result, Row, RowBatch, SortKey, SortOrder};
 
-use crate::cascade::SharedCutoff;
+use crate::cascade::{plan_merges, CascadeStats};
 use crate::cmp_stats::CmpStats;
 use crate::fold::FoldSpec;
 use crate::loser_tree::LoserTree;
+use crate::partition::{merge_partitioned, plan_partitions, PartitionCounters, PartitionedMerge};
 use crate::source::{RowSource, DEFAULT_BATCH_ROWS};
 
 /// Knobs an operator threads into every merge step it triggers: whether
@@ -220,18 +225,9 @@ pub fn open_source<K: SortKey>(
     Ok(MergeSource::from_reader(catalog.open(meta)?, catalog.io_scheduler()))
 }
 
-/// Builds a merging iterator over heterogeneous sources with default
-/// tuning (offset-value coding on, no counter sink).
+/// Builds a merging iterator over heterogeneous sources, tuned by
+/// `tuning` (offset-value coding, counter sink, batch size, folding).
 pub fn merge_sources<K: SortKey>(
-    sources: Vec<MergeSource<K>>,
-    order: SortOrder,
-) -> Result<LoserTree<K, MergeSource<K>>> {
-    merge_sources_tuned(sources, order, &MergeTuning::default())
-}
-
-/// Builds a merging iterator over heterogeneous sources with explicit
-/// [`MergeTuning`].
-pub fn merge_sources_tuned<K: SortKey>(
     sources: Vec<MergeSource<K>>,
     order: SortOrder,
     tuning: &MergeTuning,
@@ -281,46 +277,18 @@ impl MergeConfig {
 
 /// Merges the given runs into one new run, truncating at `limit` rows
 /// and/or at the first key that sorts after `cutoff`. The source runs are
-/// deleted; the new run is registered and returned. Default tuning.
+/// deleted; the new run is registered and returned.
 ///
-/// A refined cutoff can truncate the whole step to zero rows: the empty
-/// output is deleted instead of registered (the returned meta has
-/// `rows == 0` and refers to no object). On a mid-merge error the
-/// half-written output object is removed from the backend and the input
-/// runs stay registered untouched.
+/// A cutoff can truncate the whole step to zero rows: the empty output is
+/// deleted instead of registered (the returned meta has `rows == 0` and
+/// refers to no object). On a mid-merge error the half-written output
+/// object is removed from the backend and the input runs stay registered
+/// untouched.
 pub fn merge_runs_to_new<K: SortKey>(
     catalog: &RunCatalog<K>,
     runs: &[RunMeta<K>],
     limit: Option<u64>,
     cutoff: Option<&K>,
-) -> Result<RunMeta<K>> {
-    merge_runs_to_new_tuned(catalog, runs, limit, cutoff, &MergeTuning::default())
-}
-
-/// As [`merge_runs_to_new`], with explicit [`MergeTuning`]. The cutoff
-/// is fixed for the whole merge.
-pub fn merge_runs_to_new_tuned<K: SortKey>(
-    catalog: &RunCatalog<K>,
-    runs: &[RunMeta<K>],
-    limit: Option<u64>,
-    cutoff: Option<&K>,
-    tuning: &MergeTuning,
-) -> Result<RunMeta<K>> {
-    let fixed = SharedCutoff::new(catalog.order(), cutoff.cloned());
-    merge_runs_to_new_shared(catalog, runs, limit, &fixed, tuning)
-}
-
-/// As [`merge_runs_to_new_tuned`], but the cutoff lives in a
-/// [`SharedCutoff`] cell that concurrent merges of the same cascade may
-/// tighten while this one is in flight: the drain polls the cell's
-/// generation between output batches (one relaxed load) and re-reads
-/// the key only when it moved, truncating the rest of the merge at the
-/// tighter key.
-pub fn merge_runs_to_new_shared<K: SortKey>(
-    catalog: &RunCatalog<K>,
-    runs: &[RunMeta<K>],
-    limit: Option<u64>,
-    shared: &SharedCutoff<K>,
     tuning: &MergeTuning,
 ) -> Result<RunMeta<K>> {
     let order = catalog.order();
@@ -328,7 +296,7 @@ pub fn merge_runs_to_new_shared<K: SortKey>(
     for meta in runs {
         sources.push(open_source(catalog, meta)?);
     }
-    let mut tree = merge_sources_tuned(sources, order, tuning)?;
+    let mut tree = merge_sources(sources, order, tuning)?;
     let mut writer = catalog.start_run()?;
     let out_name = writer.name().to_string();
     let merged: Result<RunMeta<K>> = (|| {
@@ -340,19 +308,10 @@ pub fn merge_runs_to_new_shared<K: SortKey>(
             SortOrder::Ascending => 0,
             SortOrder::Descending => !0u64,
         };
-        let mut seen_gen = shared.generation();
-        let mut cutoff = shared.get();
-        let mut cut_prefix = cutoff.as_ref().map(|c| c.norm_prefix() ^ out_mask);
+        let cut_prefix = cutoff.map(|c| c.norm_prefix() ^ out_mask);
         let mut produced = 0u64;
         let mut out = RowBatch::with_capacity(tuning.batch_rows);
         loop {
-            let gen = shared.generation();
-            if gen != seen_gen {
-                // Another merge of the cascade tightened the cutoff.
-                seen_gen = gen;
-                cutoff = shared.get();
-                cut_prefix = cutoff.as_ref().map(|c| c.norm_prefix() ^ out_mask);
-            }
             let want = match limit {
                 Some(l) => {
                     let remaining = l.saturating_sub(produced);
@@ -368,7 +327,7 @@ pub fn merge_runs_to_new_shared<K: SortKey>(
                 break;
             }
             let mut clipped = false;
-            if let (Some(cut), Some(cp)) = (cutoff.as_ref(), cut_prefix) {
+            if let (Some(cut), Some(cp)) = (cutoff, cut_prefix) {
                 let first_past = if K::norm_prefix_is_exact() {
                     // Exact prefixes: prefix order IS key order.
                     out.prefixes.iter().position(|&p| (p ^ out_mask) > cp)
@@ -435,72 +394,210 @@ pub(crate) fn rank_candidates<K: SortKey>(
     }
 }
 
-/// Runs intermediate merge steps until at most `config.fan_in` runs remain;
-/// returns the final run set (in no particular order).
+/// Rows the final merge must hold before it is range-partitioned: below
+/// this, spawning partition workers and hopping batches through their
+/// channels costs more than the parallel drain saves.
+pub const PARTITION_MIN_ROWS: u64 = 8192;
+
+/// One input of a final merge: a run catalog whose runs still go through
+/// the cascade, and the sorted in-memory sequences (run generation's
+/// residue) that join the final merge beside them.
+pub type MergeInput<K> = (Arc<RunCatalog<K>>, Vec<Vec<Row<K>>>);
+
+/// How every spilled sort finishes (paper §4.1): cascade each input's
+/// runs down to the fan-in ([`plan_merges`]), then merge what is left in
+/// exactly one of three ways:
 ///
-/// `limit`/`cutoff` truncate intermediate outputs — always safe for a top-k
-/// (see module docs), never used for a full sort. Per §4.1, "each merge
-/// step can also reduce the cutoff key": whenever an intermediate merge
-/// produces a full `limit`-row run, its last key proves `limit` rows at or
-/// before it, so later merge steps truncate at that (tighter) key.
-pub fn plan_merges<K: SortKey>(
-    catalog: &RunCatalog<K>,
-    config: &MergeConfig,
-    limit: Option<u64>,
-    cutoff: Option<&K>,
-) -> Result<Vec<RunMeta<K>>> {
-    plan_merges_tuned(catalog, config, limit, cutoff, &MergeTuning::default())
+/// 1. `skip > 0`: skip whole blocks of the offset prefix through the runs'
+///    block indexes without reading them, then merge serially;
+/// 2. `threads ≥ 2` and at least [`PARTITION_MIN_ROWS`] rows left: the
+///    range-partitioned parallel merge, unless the block indexes offer
+///    no splitter;
+/// 3. otherwise the serial [`BatchedMerge`].
+///
+/// The partitioned merge emits the serial merge's rows in the serial
+/// merge's order; a clipped partition plan only stops earlier.
+#[derive(Debug, Clone)]
+pub struct FinalMerge<K: SortKey> {
+    /// Fan-in and run-selection policy of the cascade.
+    pub config: MergeConfig,
+    /// Tuning of every merge step, intermediate and final.
+    pub tuning: MergeTuning,
+    /// Rows the output needs (a top-k's `offset + limit`): intermediate
+    /// merges stop there. `None` for a full sort.
+    pub limit: Option<u64>,
+    /// The operator's cutoff key: intermediate merges truncate at it and
+    /// the cascade prunes runs wholly past it.
+    pub cutoff: Option<K>,
+    /// Whether the cutoff may also clip the partition plan. Only a cutoff
+    /// proving `limit` rows at or before it may: with approximation slack
+    /// the serial merge emits rows past it, and the partitioned merge must
+    /// emit them too.
+    pub clip_partitions: bool,
+    /// Worker threads for the final merge (1 = serial).
+    pub threads: usize,
+    /// Leading output rows the caller discards (an `OFFSET`) that the
+    /// merge may skip unread; see [`SortedStream::skipped`].
+    pub skip: u64,
 }
 
-/// As [`plan_merges`], with explicit [`MergeTuning`] applied to every
-/// intermediate merge step. Delegates to the cascade planner
-/// ([`plan_merges_cascade`](crate::cascade::plan_merges_cascade)) running
-/// inline on the calling thread, discarding the pass counters.
-pub fn plan_merges_tuned<K: SortKey>(
-    catalog: &RunCatalog<K>,
-    config: &MergeConfig,
-    limit: Option<u64>,
-    cutoff: Option<&K>,
-    tuning: &MergeTuning,
-) -> Result<Vec<RunMeta<K>>> {
-    crate::cascade::plan_merges_cascade(catalog, config, limit, cutoff, tuning, 1)
-        .map(|(runs, _)| runs)
-}
-
-/// The pre-cascade greedy planner: one (F − 1)-sized step at a time on
-/// the calling thread, re-ranking the whole run list every iteration and
-/// tightening the cutoff only between steps. Kept as the serial baseline
-/// the `bench_smoke` cascade gate compares against; new code should call
-/// [`plan_merges_tuned`] or the cascade planner directly.
-pub fn plan_merges_legacy<K: SortKey>(
-    catalog: &RunCatalog<K>,
-    config: &MergeConfig,
-    limit: Option<u64>,
-    cutoff: Option<&K>,
-    tuning: &MergeTuning,
-) -> Result<Vec<RunMeta<K>>> {
-    config.validate()?;
-    let order = catalog.order();
-    let mut cutoff: Option<K> = cutoff.cloned();
-    loop {
-        let mut runs = catalog.runs();
-        if runs.len() <= config.fan_in {
-            return Ok(runs);
+impl<K: SortKey> Default for FinalMerge<K> {
+    fn default() -> Self {
+        FinalMerge {
+            config: MergeConfig::default(),
+            tuning: MergeTuning::default(),
+            limit: None,
+            cutoff: None,
+            clip_partitions: false,
+            threads: 1,
+            skip: 0,
         }
-        rank_candidates(&mut runs, config.policy, order);
-        // Merge just enough runs that the final step can take everything:
-        // classic (F - 1)-sized steps, but never fewer than 2 inputs.
-        let excess = runs.len() - config.fan_in;
-        let step = (excess + 1).clamp(2, config.fan_in).min(runs.len());
-        let merged =
-            merge_runs_to_new_tuned(catalog, &runs[..step], limit, cutoff.as_ref(), tuning)?;
-        if let (Some(lim), Some(last)) = (limit, &merged.last_key) {
-            if merged.rows >= lim {
-                let tighter = cutoff.as_ref().is_none_or(|c| order.precedes(last, c));
-                if tighter {
-                    cutoff = Some(last.clone());
-                }
+    }
+}
+
+/// One input after its cascade: the catalog, the runs left in it and the
+/// in-memory residue.
+pub(crate) struct Planned<K: SortKey> {
+    pub(crate) catalog: Arc<RunCatalog<K>>,
+    pub(crate) runs: Vec<RunMeta<K>>,
+    pub(crate) residue: Vec<Vec<Row<K>>>,
+}
+
+impl<K: SortKey> Planned<K> {
+    /// Opens every run (prefetched on its catalog's pool, if any) and
+    /// appends the residue: the source order every final merge uses.
+    pub(crate) fn open_into(self, sources: &mut Vec<MergeSource<K>>) -> Result<()> {
+        for meta in &self.runs {
+            sources.push(open_source(&self.catalog, meta)?);
+        }
+        sources.extend(self.residue.into_iter().map(|seq| MergeSource::Memory(seq.into_iter())));
+        Ok(())
+    }
+}
+
+impl<K: SortKey> FinalMerge<K> {
+    /// The key ranges of a partitioned final merge; fewer than two means
+    /// the merge stays serial (one thread, too few rows, or no splitter in
+    /// the block indexes).
+    fn partition_plan(&self, planned: &[Planned<K>], order: SortOrder) -> Vec<KeyRange<K>> {
+        if self.threads < 2 {
+            return Vec::new();
+        }
+        let rows: u64 = planned
+            .iter()
+            .map(|p| {
+                p.runs.iter().map(|m| m.rows).sum::<u64>()
+                    + p.residue.iter().map(|s| s.len() as u64).sum::<u64>()
+            })
+            .sum();
+        if rows < PARTITION_MIN_ROWS {
+            return Vec::new();
+        }
+        let clip = self.cutoff.as_ref().filter(|_| self.clip_partitions);
+        plan_partitions(planned.iter().flat_map(|p| &p.runs), order, self.threads, clip)
+    }
+
+    /// Runs the cascade over every input, then the final merge over
+    /// all of them, inputs in the given order (all share one sort order).
+    pub fn run(self, inputs: Vec<MergeInput<K>>) -> Result<SortedStream<K>> {
+        let order = inputs.first().map_or(SortOrder::Ascending, |(catalog, _)| catalog.order());
+        let mut cascade = CascadeStats::default();
+        let mut planned = Vec::with_capacity(inputs.len());
+        for (catalog, residue) in inputs {
+            let (runs, stats) = plan_merges(
+                &catalog,
+                &self.config,
+                self.limit,
+                self.cutoff.as_ref(),
+                &self.tuning,
+            )?;
+            cascade = cascade.merged(&stats);
+            planned.push(Planned { catalog, runs, residue });
+        }
+        let catalogs = planned.iter().map(|p| p.catalog.clone()).collect();
+        let (sources, skipped) = if self.skip > 0 {
+            let positioned = crate::offset::fast_skip_sources(planned, order, self.skip)?;
+            (positioned.sources, positioned.skipped)
+        } else {
+            let ranges = self.partition_plan(&planned, order);
+            if ranges.len() >= 2 {
+                let merge = merge_partitioned(planned, &ranges, order, &self.tuning)?;
+                return Ok(SortedStream {
+                    drain: Drain::Partitioned(merge),
+                    _catalogs: catalogs,
+                    cascade,
+                    skipped: 0,
+                });
             }
+            let mut sources = Vec::new();
+            for p in planned {
+                p.open_into(&mut sources)?;
+            }
+            (sources, 0)
+        };
+        let tree = merge_sources(sources, order, &self.tuning)?;
+        let merge = BatchedMerge::new(tree, self.tuning.batch_rows);
+        Ok(SortedStream { drain: Drain::Serial(merge), _catalogs: catalogs, cascade, skipped })
+    }
+}
+
+/// The output of a [`FinalMerge`]: the merged rows, plus the counters of
+/// how they were produced. Owns the run catalogs it reads, so the spilled
+/// runs live exactly as long as the stream.
+pub struct SortedStream<K: SortKey> {
+    drain: Drain<K>,
+    /// Dropped after `drain`: readers and partition workers are gone
+    /// before the last catalog handle deletes the runs.
+    _catalogs: Vec<Arc<RunCatalog<K>>>,
+    cascade: CascadeStats,
+    skipped: u64,
+}
+
+// One stream per sort: the variant size gap is irrelevant at this
+// allocation rate, and boxing would cost an indirection per batch.
+#[allow(clippy::large_enum_variant)]
+enum Drain<K: SortKey> {
+    Serial(BatchedMerge<K, MergeSource<K>>),
+    Partitioned(PartitionedMerge<K>),
+}
+
+impl<K: SortKey> SortedStream<K> {
+    /// Key ranges the final merge runs across (1 when serial).
+    pub fn merge_partitions(&self) -> usize {
+        match &self.drain {
+            Drain::Serial(_) => 1,
+            Drain::Partitioned(m) => m.partitions(),
+        }
+    }
+
+    /// Per-partition row counters when the merge went parallel.
+    pub fn partition_counters(&self) -> Option<PartitionCounters> {
+        match &self.drain {
+            Drain::Serial(_) => None,
+            Drain::Partitioned(m) => Some(m.counters()),
+        }
+    }
+
+    /// Pass counters of the intermediate cascade merges, summed over every
+    /// input (all zero when no reduction was needed).
+    pub fn cascade_stats(&self) -> CascadeStats {
+        self.cascade
+    }
+
+    /// Leading rows of the merged order skipped before the stream's first
+    /// row (at most [`FinalMerge::skip`]); the caller discards that many
+    /// fewer.
+    pub fn skipped(&self) -> u64 {
+        self.skipped
+    }
+}
+
+impl<K: SortKey> Iterator for SortedStream<K> {
+    type Item = Result<Row<K>>;
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.drain {
+            Drain::Serial(merge) => merge.next(),
+            Drain::Partitioned(merge) => merge.next(),
         }
     }
 }
@@ -541,8 +638,10 @@ mod tests {
         let mem: Vec<Row<u64>> = vec![Row::key_only(1), Row::key_only(5)];
         let sources =
             vec![MergeSource::Run(cat.open(&run).unwrap()), MergeSource::Memory(mem.into_iter())];
-        let keys: Vec<u64> =
-            merge_sources(sources, SortOrder::Ascending).unwrap().map(|r| r.unwrap().key).collect();
+        let keys: Vec<u64> = merge_sources(sources, SortOrder::Ascending, &MergeTuning::default())
+            .unwrap()
+            .map(|r| r.unwrap().key)
+            .collect();
         assert_eq!(keys, vec![1, 2, 4, 5, 6]);
     }
 
@@ -553,7 +652,8 @@ mod tests {
         write_run(&cat, &[2, 5, 8]);
         write_run(&cat, &[3, 6, 9]);
         let runs = cat.runs();
-        let merged = merge_runs_to_new(&cat, &runs[..2], None, None).unwrap();
+        let merged =
+            merge_runs_to_new(&cat, &runs[..2], None, None, &MergeTuning::default()).unwrap();
         assert_eq!(read_run(&cat, &merged), vec![1, 2, 4, 5, 7, 8]);
         assert_eq!(cat.len(), 2); // merged + untouched third run
     }
@@ -564,7 +664,8 @@ mod tests {
         write_run(&cat, &[1, 3, 5, 7, 9]);
         write_run(&cat, &[2, 4, 6, 8, 10]);
         let runs = cat.runs();
-        let merged = merge_runs_to_new(&cat, &runs, Some(4), None).unwrap();
+        let merged =
+            merge_runs_to_new(&cat, &runs, Some(4), None, &MergeTuning::default()).unwrap();
         assert_eq!(read_run(&cat, &merged), vec![1, 2, 3, 4]);
         assert_eq!(cat.len(), 1);
     }
@@ -576,7 +677,8 @@ mod tests {
         write_run(&cat, &[2, 4, 6, 8, 10]);
         let runs = cat.runs();
         // Keys strictly above 6 must not be written (ties survive).
-        let merged = merge_runs_to_new(&cat, &runs, None, Some(&6)).unwrap();
+        let merged =
+            merge_runs_to_new(&cat, &runs, None, Some(&6), &MergeTuning::default()).unwrap();
         assert_eq!(read_run(&cat, &merged), vec![1, 2, 3, 4, 5, 6]);
     }
 
@@ -587,7 +689,7 @@ mod tests {
             write_run(&cat, &[i, i + 10, i + 20]);
         }
         let cfg = MergeConfig { fan_in: 4, policy: MergePolicy::SmallestFirst };
-        let final_runs = plan_merges(&cat, &cfg, None, None).unwrap();
+        let final_runs = plan_merges(&cat, &cfg, None, None, &MergeTuning::default()).unwrap().0;
         assert!(final_runs.len() <= 4);
         // Contents preserved exactly.
         let mut all: Vec<u64> = final_runs.iter().flat_map(|m| read_run(&cat, m)).collect();
@@ -601,7 +703,7 @@ mod tests {
         write_run(&cat, &[1]);
         write_run(&cat, &[2]);
         let cfg = MergeConfig::default();
-        let runs = plan_merges(&cat, &cfg, None, None).unwrap();
+        let runs = plan_merges(&cat, &cfg, None, None, &MergeTuning::default()).unwrap().0;
         assert_eq!(runs.len(), 2);
     }
 
@@ -642,14 +744,14 @@ mod tests {
         let before = cat.stats().snapshot();
         let cfg = MergeConfig { fan_in: 2, policy: MergePolicy::SmallestFirst };
         let k = 60;
-        let final_runs = plan_merges(&cat, &cfg, Some(k), None).unwrap();
+        let final_runs = plan_merges(&cat, &cfg, Some(k), None, &MergeTuning::default()).unwrap().0;
         assert!(final_runs.len() <= 2);
         // Correctness: the global top 60 is exactly 0..59.
         let mut sources = Vec::new();
         for m in &final_runs {
             sources.push(MergeSource::Run(cat.open(m).unwrap()));
         }
-        let top: Vec<u64> = merge_sources(sources, SortOrder::Ascending)
+        let top: Vec<u64> = merge_sources(sources, SortOrder::Ascending, &MergeTuning::default())
             .unwrap()
             .take(k as usize)
             .map(|r| r.unwrap().key)
@@ -685,7 +787,8 @@ mod tests {
             write_run(&cat, &keys);
         }
         let cfg = MergeConfig { fan_in: 2, policy: MergePolicy::SmallestFirst };
-        let final_runs = plan_merges(&cat, &cfg, Some(60), None).unwrap();
+        let final_runs =
+            plan_merges(&cat, &cfg, Some(60), None, &MergeTuning::default()).unwrap().0;
         assert!(final_runs.len() <= 2);
         assert!(
             final_runs.iter().all(|m| m.rows > 0),
@@ -698,7 +801,7 @@ mod tests {
         for m in &final_runs {
             sources.push(MergeSource::Run(cat.open(m).unwrap()));
         }
-        let top: Vec<u64> = merge_sources(sources, SortOrder::Ascending)
+        let top: Vec<u64> = merge_sources(sources, SortOrder::Ascending, &MergeTuning::default())
             .unwrap()
             .take(60)
             .map(|r| r.unwrap().key)
@@ -742,7 +845,7 @@ mod tests {
         write_run(&cat, &keys_a);
         write_run(&cat, &keys_b);
         let runs = cat.runs();
-        let err = merge_runs_to_new(&cat, &runs, None, None);
+        let err = merge_runs_to_new(&cat, &runs, None, None, &MergeTuning::default());
         assert!(err.is_err(), "the fault budget must fail the merge");
         assert!(be.fault_fired());
         // Inputs stay registered and readable; the half-written output is
@@ -766,17 +869,88 @@ mod tests {
         }
         let k = 25;
         let cfg = MergeConfig { fan_in: 3, policy: MergePolicy::LowestKeyFirst };
-        let final_runs = plan_merges(&cat, &cfg, Some(k), None).unwrap();
+        let final_runs = plan_merges(&cat, &cfg, Some(k), None, &MergeTuning::default()).unwrap().0;
         assert!(final_runs.len() <= 3);
         let mut sources = Vec::new();
         for m in &final_runs {
             sources.push(MergeSource::Run(cat.open(m).unwrap()));
         }
-        let top: Vec<u64> = merge_sources(sources, SortOrder::Ascending)
+        let top: Vec<u64> = merge_sources(sources, SortOrder::Ascending, &MergeTuning::default())
             .unwrap()
             .take(k as usize)
             .map(|r| r.unwrap().key)
             .collect();
         assert_eq!(top, (0..k).collect::<Vec<_>>());
+    }
+
+    /// Four interleaved runs over keys `0..10_000` in 64-byte blocks:
+    /// past [`PARTITION_MIN_ROWS`], with block boundaries to split on.
+    fn final_merge_catalog() -> Arc<RunCatalog<u64>> {
+        let cat = Arc::new(
+            RunCatalog::new(
+                Arc::new(MemoryBackend::new()),
+                "fm",
+                SortOrder::Ascending,
+                IoStats::new(),
+            )
+            .with_block_bytes(64),
+        );
+        for r in 0..4u64 {
+            write_run(&cat, &(0..2_500).map(|j| j * 4 + r).collect::<Vec<_>>());
+        }
+        cat
+    }
+
+    fn keys(stream: SortedStream<u64>) -> Vec<u64> {
+        stream.map(|r| r.unwrap().key).collect()
+    }
+
+    #[test]
+    fn final_merge_with_an_offset_fast_skips_serially() {
+        let cat = final_merge_catalog();
+        let stream = FinalMerge { threads: 4, skip: 3_000, ..FinalMerge::default() }
+            .run(vec![(cat.clone(), Vec::new())])
+            .unwrap();
+        assert_eq!(stream.merge_partitions(), 1, "an offset merge must stay serial");
+        let skipped = stream.skipped();
+        assert!(skipped > 0 && skipped <= 3_000, "skipped {skipped}");
+        assert!(cat.stats().snapshot().blocks_skipped > 0, "no block was skipped unread");
+        let rest: Vec<u64> = keys(stream).into_iter().skip((3_000 - skipped) as usize).collect();
+        assert_eq!(rest, (3_000..10_000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn final_merge_on_one_thread_is_serial() {
+        let serial = FinalMerge { threads: 1, ..FinalMerge::default() }
+            .run(vec![(final_merge_catalog(), Vec::new())])
+            .unwrap();
+        assert_eq!(serial.merge_partitions(), 1);
+        assert!(serial.partition_counters().is_none());
+        assert_eq!(serial.skipped(), 0);
+        let parallel = FinalMerge { threads: 4, ..FinalMerge::default() }
+            .run(vec![(final_merge_catalog(), Vec::new())])
+            .unwrap();
+        assert!(parallel.merge_partitions() >= 2, "enough rows and blocks to partition");
+        assert_eq!(keys(serial), keys(parallel));
+    }
+
+    #[test]
+    fn inexact_cutoff_never_clips_the_partition_plan() {
+        let run = |clip_partitions: bool| {
+            let stream = FinalMerge {
+                threads: 4,
+                cutoff: Some(999),
+                clip_partitions,
+                ..FinalMerge::default()
+            }
+            .run(vec![(final_merge_catalog(), Vec::new())])
+            .unwrap();
+            assert!(stream.merge_partitions() >= 2);
+            keys(stream)
+        };
+        // Exact: the plan ends at the cutoff, ties included.
+        assert_eq!(run(true), (0..=999).collect::<Vec<_>>());
+        // Inexact: every row the serial merge would emit is still there.
+        assert_eq!(run(false), (0..10_000).collect::<Vec<_>>());
     }
 }

@@ -21,17 +21,19 @@
 //! Error and cancellation discipline mirrors `SpillPipeline`: workers send
 //! errors in-band and exit; dropping the consumer closes the channels,
 //! which unblocks the workers, and `Drop` joins them all.
+//!
+//! [`RunCatalog::open_range`]: histok_storage::RunCatalog::open_range
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use histok_storage::{KeyRange, RunCatalog, RunMeta};
+use histok_storage::{KeyRange, RunMeta};
 use histok_types::{Result, Row, RowBatch, SortKey, SortOrder};
 
 use crate::loser_tree::LoserTree;
-use crate::merge::{MergeSource, MergeTuning};
+use crate::merge::{MergeSource, MergeTuning, Planned};
 
 /// Batches a worker may run ahead of the consumer (per partition). The
 /// consumer drains partitions strictly in range order, so this bound is
@@ -52,8 +54,8 @@ const CHANNEL_DEPTH: usize = 32;
 /// created. Callers should fall back to a serial merge when fewer than
 /// two ranges come back (tiny inputs, single-block runs, or an extreme
 /// key skew that leaves no distinct boundary to split on).
-pub fn plan_partitions<K: SortKey>(
-    runs: &[RunMeta<K>],
+pub(crate) fn plan_partitions<'a, K: SortKey>(
+    runs: impl IntoIterator<Item = &'a RunMeta<K>>,
     order: SortOrder,
     threads: usize,
     cutoff: Option<&K>,
@@ -122,7 +124,7 @@ pub fn plan_partitions<K: SortKey>(
 /// Splits rows already sorted in output order into per-range vectors
 /// (the run generator's in-memory residue joins its partition's merge).
 /// Rows past a final inclusive bound (the cutoff clip) are dropped.
-pub fn split_sorted_rows<K: SortKey>(
+fn split_sorted_rows<K: SortKey>(
     rows: Vec<Row<K>>,
     ranges: &[KeyRange<K>],
     order: SortOrder,
@@ -178,7 +180,7 @@ impl PartitionCounters {
 
 /// True if `meta`'s key span intersects `range` — non-overlapping runs
 /// are never opened for that partition.
-pub fn run_overlaps<K: SortKey>(meta: &RunMeta<K>, range: &KeyRange<K>, order: SortOrder) -> bool {
+fn run_overlaps<K: SortKey>(meta: &RunMeta<K>, range: &KeyRange<K>, order: SortOrder) -> bool {
     let (Some(first), Some(last)) = (&meta.first_key, &meta.last_key) else {
         return false;
     };
@@ -194,75 +196,48 @@ pub fn run_overlaps<K: SortKey>(meta: &RunMeta<K>, range: &KeyRange<K>, order: S
     }
 }
 
-/// What [`merge_runs_partitioned`] decided: a running parallel merge, or
-/// the untouched residue handed back because partitioning cannot help
-/// (fewer than two usable ranges, or `threads < 2`) — the caller then
-/// merges serially, guaranteeing identical output either way.
-pub enum PartitionAttempt<K: SortKey> {
-    /// Workers are running; drain the stream.
-    Partitioned(PartitionedMerge<K>),
-    /// Fall back to the serial merge; the residue comes back untouched.
-    Serial(Vec<Vec<Row<K>>>),
-}
-
-impl<K: SortKey> PartitionAttempt<K> {
-    /// The running merge, if the attempt partitioned.
-    pub fn partitioned(self) -> Option<PartitionedMerge<K>> {
-        match self {
-            PartitionAttempt::Partitioned(m) => Some(m),
-            PartitionAttempt::Serial(_) => None,
-        }
-    }
-}
-
-/// Plans partitions over `runs`, opens range-scoped readers per partition
-/// (prefetched on the catalog's I/O pool, if it has one), folds the sorted
-/// in-memory `residue` sequences into their ranges, and launches the
-/// parallel merge. See [`PartitionAttempt`] for the serial fallback
-/// contract.
-pub fn merge_runs_partitioned<K: SortKey>(
-    catalog: &RunCatalog<K>,
-    runs: &[RunMeta<K>],
-    residue: Vec<Vec<Row<K>>>,
-    threads: usize,
-    cutoff: Option<&K>,
+/// Opens the partitioned merge of every planned input over `ranges` (at
+/// least two, from [`plan_partitions`]). Each partition reads, per input
+/// in order, the range-scoped readers of the runs overlapping it
+/// (prefetched on the input catalog's I/O pool, if it has one), then the
+/// input's residue rows inside it: the serial merge's source order, so
+/// tie-breaks agree.
+pub(crate) fn merge_partitioned<K: SortKey>(
+    mut planned: Vec<Planned<K>>,
+    ranges: &[KeyRange<K>],
+    order: SortOrder,
     tuning: &MergeTuning,
-) -> Result<PartitionAttempt<K>> {
-    if threads < 2 {
-        return Ok(PartitionAttempt::Serial(residue));
-    }
-    let order = catalog.order();
-    let ranges = plan_partitions(runs, order, threads, cutoff);
-    if ranges.len() < 2 {
-        return Ok(PartitionAttempt::Serial(residue));
-    }
-    // Each residue sequence is sorted on its own; split each across the
-    // ranges and give every non-empty slice its own in-memory source.
-    let mut residue_parts: Vec<Vec<Vec<Row<K>>>> = (0..ranges.len()).map(|_| Vec::new()).collect();
-    for seq in residue {
-        for (i, part) in split_sorted_rows(seq, &ranges, order).into_iter().enumerate() {
-            if !part.is_empty() {
-                residue_parts[i].push(part);
+) -> Result<PartitionedMerge<K>> {
+    // Each residue sequence is sorted on its own: split each across the
+    // ranges, keeping only the non-empty slices.
+    let mut residue: Vec<Vec<Vec<Vec<Row<K>>>>> = Vec::with_capacity(planned.len());
+    for p in &mut planned {
+        let mut per_range: Vec<Vec<Vec<Row<K>>>> = ranges.iter().map(|_| Vec::new()).collect();
+        for seq in std::mem::take(&mut p.residue) {
+            let parts = split_sorted_rows(seq, ranges, order);
+            for (slot, part) in per_range.iter_mut().zip(parts) {
+                if !part.is_empty() {
+                    slot.push(part);
+                }
             }
         }
+        residue.push(per_range);
     }
-    let scheduler = catalog.io_scheduler();
     let mut partitions = Vec::with_capacity(ranges.len());
-    for (range, seqs) in ranges.iter().zip(residue_parts) {
+    for (i, range) in ranges.iter().enumerate() {
         let mut sources = Vec::new();
-        for meta in runs {
-            if !run_overlaps(meta, range, order) {
-                continue;
+        for (p, parts) in planned.iter().zip(&mut residue) {
+            let scheduler = p.catalog.io_scheduler();
+            for meta in p.runs.iter().filter(|meta| run_overlaps(meta, range, order)) {
+                let reader = p.catalog.open_range(meta, range.clone())?;
+                sources.push(MergeSource::from_reader(reader, scheduler.clone()));
             }
-            let reader = catalog.open_range(meta, range.clone())?;
-            sources.push(MergeSource::from_reader(reader, scheduler.clone()));
-        }
-        for seq in seqs {
-            sources.push(MergeSource::Memory(seq.into_iter()));
+            let seqs = std::mem::take(&mut parts[i]);
+            sources.extend(seqs.into_iter().map(|seq| MergeSource::Memory(seq.into_iter())));
         }
         partitions.push(sources);
     }
-    merge_sources_partitioned(partitions, order, tuning).map(PartitionAttempt::Partitioned)
+    merge_sources_partitioned(partitions, order, tuning)
 }
 
 /// Spawns one merge worker per source list (one per key range, in output
@@ -270,7 +245,7 @@ pub fn merge_runs_partitioned<K: SortKey>(
 /// loser tree — comparison counters flush into the shared `tuning.stats`
 /// handle when the tree drops, and the range-scoped readers book their
 /// I/O into the catalog's shared [`IoStats`](histok_storage::IoStats).
-pub fn merge_sources_partitioned<K: SortKey>(
+fn merge_sources_partitioned<K: SortKey>(
     partitions: Vec<Vec<MergeSource<K>>>,
     order: SortOrder,
     tuning: &MergeTuning,
@@ -370,7 +345,7 @@ type BatchReceiver<K> = Receiver<Result<RowBatch<K>>>;
 /// key-range order, so the stream is globally sorted. After an error the
 /// iterator is fused. Dropping it mid-stream closes every channel and
 /// joins every worker.
-pub struct PartitionedMerge<K: SortKey> {
+pub(crate) struct PartitionedMerge<K: SortKey> {
     receivers: Vec<Option<BatchReceiver<K>>>,
     workers: Vec<Option<JoinHandle<()>>>,
     current: usize,
@@ -445,7 +420,7 @@ impl<K: SortKey> Drop for PartitionedMerge<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use histok_storage::{IoStats, MemoryBackend};
+    use histok_storage::{IoStats, MemoryBackend, RunCatalog};
     use std::sync::Arc;
 
     fn catalog(order: SortOrder) -> Arc<RunCatalog<u64>> {
@@ -469,17 +444,28 @@ mod tests {
         m.map(|r| r.unwrap().key).collect()
     }
 
+    /// The partitioned merge of every run in `cat` plus `residue` on four
+    /// threads, or `None` when the plan finds fewer than two ranges.
+    fn partitioned(
+        cat: &Arc<RunCatalog<u64>>,
+        residue: Vec<Vec<Row<u64>>>,
+        cutoff: Option<&u64>,
+    ) -> Option<PartitionedMerge<u64>> {
+        let runs = cat.runs();
+        let ranges = plan_partitions(&runs, cat.order(), 4, cutoff);
+        let planned = vec![Planned { catalog: cat.clone(), runs, residue }];
+        (ranges.len() >= 2).then(|| {
+            merge_partitioned(planned, &ranges, cat.order(), &MergeTuning::default()).unwrap()
+        })
+    }
+
     #[test]
     fn partitioned_equals_serial_over_interleaved_runs() {
         let cat = catalog(SortOrder::Ascending);
         for i in 0..4u64 {
             write_run(&cat, (0..400).map(|j| j * 4 + i));
         }
-        let runs = cat.runs();
-        let m = merge_runs_partitioned(&cat, &runs, vec![], 4, None, &MergeTuning::default())
-            .unwrap()
-            .partitioned()
-            .expect("enough blocks to partition");
+        let m = partitioned(&cat, vec![], None).expect("enough blocks to partition");
         assert!(m.partitions() >= 2);
         let counters = m.counters();
         let keys = drain(m);
@@ -495,11 +481,7 @@ mod tests {
         write_run(&cat, (0..300).map(|_| 500u64));
         write_run(&cat, 0..300);
         write_run(&cat, 400..700);
-        let runs = cat.runs();
-        let m = merge_runs_partitioned(&cat, &runs, vec![], 4, None, &MergeTuning::default())
-            .unwrap()
-            .partitioned()
-            .expect("partitionable");
+        let m = partitioned(&cat, vec![], None).expect("partitionable");
         let keys = drain(m);
         let mut expected: Vec<u64> =
             (0..300).chain(400..700).chain((0..300).map(|_| 500)).collect();
@@ -512,13 +494,8 @@ mod tests {
         let cat = catalog(SortOrder::Ascending);
         write_run(&cat, 0..1000);
         write_run(&cat, 0..1000);
-        let runs = cat.runs();
         let cutoff = 99u64;
-        let m =
-            merge_runs_partitioned(&cat, &runs, vec![], 4, Some(&cutoff), &MergeTuning::default())
-                .unwrap()
-                .partitioned()
-                .expect("partitionable");
+        let m = partitioned(&cat, vec![], Some(&cutoff)).expect("partitionable");
         let keys = drain(m);
         // Nothing past the cutoff; ties at the cutoff survive.
         let expected: Vec<u64> = (0..=99).flat_map(|k| [k, k]).collect();
@@ -529,13 +506,8 @@ mod tests {
     fn residue_rows_join_their_partitions() {
         let cat = catalog(SortOrder::Ascending);
         write_run(&cat, (0..500).map(|j| j * 2));
-        let runs = cat.runs();
         let residue: Vec<Row<u64>> = (0..500).map(|j| Row::key_only(j * 2 + 1)).collect();
-        let m =
-            merge_runs_partitioned(&cat, &runs, vec![residue], 4, None, &MergeTuning::default())
-                .unwrap()
-                .partitioned()
-                .expect("partitionable");
+        let m = partitioned(&cat, vec![residue], None).expect("partitionable");
         assert_eq!(drain(m), (0..1000).collect::<Vec<_>>());
     }
 
@@ -545,11 +517,7 @@ mod tests {
         for i in 0..2u64 {
             write_run(&cat, (0..600).rev().map(|j| j * 2 + i));
         }
-        let runs = cat.runs();
-        let m = merge_runs_partitioned(&cat, &runs, vec![], 4, None, &MergeTuning::default())
-            .unwrap()
-            .partitioned()
-            .expect("partitionable");
+        let m = partitioned(&cat, vec![], None).expect("partitionable");
         assert_eq!(drain(m), (0..1200).rev().collect::<Vec<_>>());
     }
 
@@ -562,10 +530,10 @@ mod tests {
             IoStats::new(),
         ));
         write_run(&cat, 0..10);
-        let runs = cat.runs();
-        let m =
-            merge_runs_partitioned(&cat, &runs, vec![], 4, None, &MergeTuning::default()).unwrap();
-        assert!(m.partitioned().is_none(), "one boundary key cannot split into two ranges");
+        assert!(
+            partitioned(&cat, vec![], None).is_none(),
+            "one boundary key cannot split into two ranges"
+        );
     }
 
     #[test]
@@ -577,10 +545,7 @@ mod tests {
         let runs = cat.runs();
         let ranges = plan_partitions(&runs, SortOrder::Ascending, 4, None);
         assert_eq!(ranges.len(), 4);
-        let m = merge_runs_partitioned(&cat, &runs, vec![], 4, None, &MergeTuning::default())
-            .unwrap()
-            .partitioned()
-            .expect("partitionable");
+        let m = partitioned(&cat, vec![], None).expect("partitionable");
         let counters = m.counters();
         let keys = drain(m);
         assert_eq!(keys.len(), 3000);

@@ -15,9 +15,7 @@
 use std::sync::Arc;
 
 use histok_sort::run_gen::{BatchSort, LoadSortStore, ResiduePolicy, RunGenerator};
-use histok_sort::{
-    merge_sources_tuned, open_source, IterSource, LoserTree, MergeTuning, SpillObserver,
-};
+use histok_sort::{merge_sources, open_source, IterSource, LoserTree, MergeTuning, SpillObserver};
 use histok_storage::{IoStats, MemoryBackend, RunCatalog};
 use histok_types::{BytesKey, Error, F64Key, KeyPair, Result, Row, RowBatch, SortKey, SortOrder};
 
@@ -76,7 +74,7 @@ fn open_tree<K: SortKey>(
     tuning: &MergeTuning,
 ) -> LoserTree<K, histok_sort::MergeSource<K>> {
     let sources: Vec<_> = cat.runs().iter().map(|m| open_source(cat, m).unwrap()).collect();
-    merge_sources_tuned(sources, cat.order(), tuning).unwrap()
+    merge_sources(sources, cat.order(), tuning).unwrap()
 }
 
 /// Row-at-a-time baseline: the plain `Iterator` drain, optionally stopping

@@ -1,17 +1,14 @@
-//! Failure and cancellation discipline of the parallel cascade: the
-//! first error a pass worker hits must latch (stopping the other
-//! workers from claiming more groups), resurface from
-//! [`plan_merges_cascade`], and leave no orphaned intermediate run
-//! behind — every registered run has a backing object and every backing
-//! object a registration. All bodies run under a watchdog so a leaked
-//! or deadlocked pass worker fails the test instead of hanging the
-//! suite.
+//! Failure discipline of the cascade: the first error a merge group hits
+//! must end the pass, resurface from [`plan_merges`], and leave no
+//! orphaned intermediate run behind — every registered run has a backing
+//! object and every backing object a registration. All bodies run under a
+//! watchdog so a hang fails the test instead of the suite.
 
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use histok_sort::{plan_merges_cascade, MergeConfig, MergeTuning};
+use histok_sort::{plan_merges, MergeConfig, MergeTuning};
 use histok_storage::{
     FaultBackend, FaultPlan, IoStats, MemoryBackend, RunCatalog, ThrottleModel, ThrottledBackend,
 };
@@ -79,8 +76,8 @@ fn corrupt_input_latches_the_pass_and_resurfaces() {
         let be = FaultBackend::new(
             mem.clone(),
             // Corrupts a byte inside one of the initial runs, so the
-            // merge group reading it hits Error::Corrupt mid-drain
-            // while other groups are in flight.
+            // merge group reading it hits Error::Corrupt mid-drain after
+            // earlier groups of the pass have merged.
             FaultPlan { corrupt_write_byte_at: Some(3_000), ..FaultPlan::none() },
         );
         let cat: RunCatalog<u64> =
@@ -90,7 +87,7 @@ fn corrupt_input_latches_the_pass_and_resurfaces() {
             write_run(&cat, (0..600).map(|j| j * 8 + r));
         }
         let config = MergeConfig { fan_in: 2, ..MergeConfig::default() };
-        let result = plan_merges_cascade(&cat, &config, None, None, &MergeTuning::default(), 4);
+        let result = plan_merges(&cat, &config, None, None, &MergeTuning::default());
         assert!(
             matches!(result, Err(Error::Corrupt(_))),
             "corruption must resurface, got {result:?}"
@@ -104,9 +101,8 @@ fn write_failure_mid_pass_deletes_the_partial_output() {
     with_watchdog(|| {
         // The initial runs are written through a plain backend; the
         // fault backend (whose write budget starts at zero) only sees
-        // the intermediate merge outputs, so a pass worker fails
-        // mid-run-write — exercising the half-written-output cleanup
-        // while other workers' merges are in flight.
+        // the intermediate merge outputs, so a merge fails mid-run-write
+        // — exercising the half-written-output cleanup.
         let mem = MemoryBackend::shared();
         let plain: RunCatalog<u64> =
             RunCatalog::new(Arc::new(mem.clone()), "cw", SortOrder::Ascending, IoStats::new())
@@ -128,7 +124,7 @@ fn write_failure_mid_pass_deletes_the_partial_output() {
             cat.register(meta).unwrap();
         }
         let config = MergeConfig { fan_in: 2, ..MergeConfig::default() };
-        let result = plan_merges_cascade(&cat, &config, None, None, &MergeTuning::default(), 4);
+        let result = plan_merges(&cat, &config, None, None, &MergeTuning::default());
         assert!(result.is_err(), "write fault must resurface, got {result:?}");
         assert!(fault_probe.fault_fired(), "plan never tripped");
         assert_no_orphans(&cat, &mem);
@@ -136,11 +132,10 @@ fn write_failure_mid_pass_deletes_the_partial_output() {
 }
 
 #[test]
-fn error_under_throttle_joins_every_worker() {
+fn error_under_throttle_leaves_no_orphans() {
     with_watchdog(|| {
-        // Sleeping throttle keeps the other pass workers mid-I/O when
-        // one group hits the corrupt block: the scope must still join
-        // them all before the error returns.
+        // Sleeping storage: the corrupt block surfaces while the merge's
+        // reads and writes really wait on the backend.
         let mem = MemoryBackend::shared();
         let model = ThrottleModel {
             per_op: Duration::from_micros(100),
@@ -158,7 +153,7 @@ fn error_under_throttle_joins_every_worker() {
             write_run(&cat, (0..600).map(|j| j * 8 + r));
         }
         let config = MergeConfig { fan_in: 2, ..MergeConfig::default() };
-        let result = plan_merges_cascade(&cat, &config, None, None, &MergeTuning::default(), 4);
+        let result = plan_merges(&cat, &config, None, None, &MergeTuning::default());
         assert!(matches!(result, Err(Error::Corrupt(_))), "got {result:?}");
         assert_no_orphans(&cat, &mem);
     });

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use histok_sort::{merge_runs_to_new_tuned, plan_merges_cascade, MergeConfig, MergeTuning};
+use histok_sort::{merge_runs_to_new, plan_merges, MergeConfig, MergeTuning};
 use histok_storage::{IoStats, MemoryBackend, RunCatalog, RunMeta};
 use histok_types::{Row, SortOrder};
 
@@ -46,7 +46,7 @@ fn thousand_run_catalog_is_one_planned_pass() {
     }
     let config = MergeConfig { fan_in: 32, ..MergeConfig::default() };
     let (final_runs, stats) =
-        plan_merges_cascade(&cat, &config, None, None, &MergeTuning::default(), 1).unwrap();
+        plan_merges(&cat, &config, None, None, &MergeTuning::default()).unwrap();
     assert_eq!(stats.merge_passes, 1, "1024 runs at fan-in 32 must plan a single pass");
     assert_eq!(stats.intermediate_merges, 32, "single pass must hold exactly 32 merges");
     assert_eq!(final_runs.len(), 32, "pass must land exactly on the fan-in");
@@ -71,7 +71,7 @@ fn initial_cutoff_prunes_dead_runs_without_reading() {
         dead.iter().flat_map(|m| &m.blocks).map(|b| u64::from(b.payload_bytes)).sum();
     let config = MergeConfig { fan_in: 4, ..MergeConfig::default() };
     let (final_runs, stats) =
-        plan_merges_cascade(&cat, &config, None, Some(&500), &MergeTuning::default(), 1).unwrap();
+        plan_merges(&cat, &config, None, Some(&500), &MergeTuning::default()).unwrap();
     assert_eq!(stats.runs_pruned, 3);
     assert_eq!(final_runs.len(), 3, "live runs fit the fan-in untouched");
     assert_eq!(stats.merge_passes, 0);
@@ -102,7 +102,7 @@ fn limit_refined_cutoff_prunes_sibling_groups_unread() {
     let ref_cat = catalog(&ref_mem, "xp");
     run(&ref_cat, 0);
     run(&ref_cat, 1);
-    merge_runs_to_new_tuned(&ref_cat, &ref_cat.runs(), Some(10), None, &tuning).unwrap();
+    merge_runs_to_new(&ref_cat, &ref_cat.runs(), Some(10), None, &tuning).unwrap();
     let ref_io = ref_cat.stats().snapshot();
     assert!(ref_io.bytes_read > 0);
 
@@ -117,8 +117,7 @@ fn limit_refined_cutoff_prunes_sibling_groups_unread() {
     let dead_blocks: u64 = dead.iter().map(|m| m.blocks.len() as u64).sum();
     let dead_bytes: u64 =
         dead.iter().flat_map(|m| &m.blocks).map(|b| u64::from(b.payload_bytes)).sum();
-    let (final_runs, stats) =
-        plan_merges_cascade(&cat, &config, Some(10), None, &tuning, 1).unwrap();
+    let (final_runs, stats) = plan_merges(&cat, &config, Some(10), None, &tuning).unwrap();
     assert_eq!(stats.merge_passes, 1);
     assert_eq!(stats.intermediate_merges, 1, "the dead group must never merge");
     assert_eq!(stats.runs_pruned, 2);

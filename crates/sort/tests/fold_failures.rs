@@ -9,7 +9,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use histok_sort::{
-    merge_runs_to_new_tuned, merge_sources_tuned, open_source, FoldSpec, FoldStats, MergeTuning,
+    merge_runs_to_new, merge_sources, open_source, FoldSpec, FoldStats, MergeTuning,
 };
 use histok_storage::{FaultBackend, FaultPlan, FileBackend, IoStats, MemoryBackend, RunCatalog};
 use histok_types::{decode_count, AggregateOp, Row, SortOrder};
@@ -78,7 +78,7 @@ fn failed_folded_merge_keeps_inputs_and_leaks_no_partial_aggregates() {
         write_count_run(&cat, 0..200);
         write_count_run(&cat, 0..200);
         let runs = cat.runs();
-        let err = merge_runs_to_new_tuned(&cat, &runs, None, None, &count_fold());
+        let err = merge_runs_to_new(&cat, &runs, None, None, &count_fold());
         assert!(err.is_err(), "the fault budget must fail the folded merge");
         assert!(be.fault_fired());
 
@@ -105,7 +105,7 @@ fn failed_folded_merge_keeps_inputs_and_leaks_no_partial_aggregates() {
         for meta in &cat.runs() {
             sources.push(open_source(&cat, meta).unwrap());
         }
-        let merged: Vec<Row<u64>> = merge_sources_tuned(sources, SortOrder::Ascending, &tuning)
+        let merged: Vec<Row<u64>> = merge_sources(sources, SortOrder::Ascending, &tuning)
             .unwrap()
             .map(|r| r.unwrap())
             .collect();

@@ -8,7 +8,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use histok_sort::{merge_sources_tuned, ExternalSorter, MergeSource, MergeTuning};
+use histok_sort::{merge_sources, ExternalSorter, MergeSource, MergeTuning};
 use histok_storage::{
     FaultBackend, FaultPlan, IoPriority, IoScheduler, IoStats, MemoryBackend, RunCatalog,
     ThrottleModel, ThrottledBackend,
@@ -60,7 +60,7 @@ fn corrupt_run_fails_a_full_prefetched_merge_with_err() {
             assert!(matches!(source, MergeSource::Prefetched(_)));
             sources.push(source);
         }
-        let tree = merge_sources_tuned(sources, SortOrder::Ascending, &tuning).unwrap();
+        let tree = merge_sources(sources, SortOrder::Ascending, &tuning).unwrap();
         let collected: Result<Vec<Row<u64>>> = tree.collect();
         assert!(matches!(collected, Err(Error::Corrupt(_))), "got {collected:?}");
     });
@@ -89,7 +89,7 @@ fn dropping_a_merge_stream_after_one_row_joins_all_prefetch_threads() {
         for meta in cat.runs() {
             sources.push(histok_sort::open_source(&cat, &meta).unwrap());
         }
-        let mut tree = merge_sources_tuned(sources, SortOrder::Ascending, &tuning).unwrap();
+        let mut tree = merge_sources(sources, SortOrder::Ascending, &tuning).unwrap();
         let first = tree.next().unwrap().unwrap();
         assert_eq!(first.key, 0);
         // Dropping the tree drops all six prefetch readers; each must stop
@@ -116,7 +116,7 @@ fn a_catalog_without_a_pool_opens_inline_sources() {
         let tuning = MergeTuning::default();
         let source = histok_sort::open_source(&cat, &cat.runs()[0]).unwrap();
         assert!(matches!(source, MergeSource::Run(_)));
-        let keys: Vec<u64> = merge_sources_tuned(vec![source], SortOrder::Ascending, &tuning)
+        let keys: Vec<u64> = merge_sources(vec![source], SortOrder::Ascending, &tuning)
             .unwrap()
             .map(|r| r.unwrap().key)
             .collect();

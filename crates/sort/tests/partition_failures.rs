@@ -8,7 +8,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use histok_sort::{merge_runs_partitioned, ExternalSorter, MergeTuning};
+use histok_sort::{ExternalSorter, FinalMerge, SortedStream};
 use histok_storage::{
     FaultBackend, FaultPlan, IoScheduler, IoStats, MemoryBackend, RunCatalog, ThrottleModel,
     ThrottledBackend,
@@ -37,6 +37,15 @@ fn write_run(cat: &RunCatalog<u64>, keys: impl Iterator<Item = u64>) {
     cat.register(w.finish().unwrap()).unwrap();
 }
 
+/// The final merge of every run in `cat` on four threads; the runs hold
+/// enough rows (`PARTITION_MIN_ROWS`) and blocks to be partitioned.
+fn partitioned(cat: Arc<RunCatalog<u64>>) -> SortedStream<u64> {
+    let merge =
+        FinalMerge { threads: 4, ..FinalMerge::default() }.run(vec![(cat, Vec::new())]).unwrap();
+    assert!(merge.merge_partitions() >= 2, "merge did not go parallel");
+    merge
+}
+
 #[test]
 fn worker_error_mid_partition_resurfaces_to_the_consumer() {
     with_watchdog(|| {
@@ -52,13 +61,9 @@ fn worker_error_mid_partition_resurfaces_to_the_consumer() {
                 .with_io_scheduler(Some(IoScheduler::new(2))),
         );
         for r in 0..3u64 {
-            write_run(&cat, (0..800).map(|j| j * 3 + r));
+            write_run(&cat, (0..3_000).map(|j| j * 3 + r));
         }
-        let runs = cat.runs();
-        let merge = merge_runs_partitioned(&cat, &runs, vec![], 4, None, &MergeTuning::default())
-            .unwrap()
-            .partitioned()
-            .expect("partitionable");
+        let merge = partitioned(cat);
         let collected: Result<Vec<Row<u64>>> = merge.collect();
         assert!(matches!(collected, Err(Error::Corrupt(_))), "got {collected:?}");
     });
@@ -76,14 +81,9 @@ fn consumer_is_fused_after_a_worker_error() {
                 .with_block_bytes(128)
                 .with_io_scheduler(Some(IoScheduler::new(2))),
         );
-        write_run(&cat, 0..2_000);
-        write_run(&cat, 2_000..4_000);
-        let runs = cat.runs();
-        let mut merge =
-            merge_runs_partitioned(&cat, &runs, vec![], 4, None, &MergeTuning::default())
-                .unwrap()
-                .partitioned()
-                .expect("partitionable");
+        write_run(&cat, 0..5_000);
+        write_run(&cat, 5_000..10_000);
+        let mut merge = partitioned(cat);
         let mut saw_error = false;
         for row in &mut merge {
             if row.is_err() {
@@ -113,14 +113,9 @@ fn dropping_the_stream_mid_merge_joins_all_workers() {
                 .with_io_scheduler(Some(IoScheduler::new(2))),
         );
         for r in 0..4u64 {
-            write_run(&cat, (0..2_000).map(|j| j * 4 + r));
+            write_run(&cat, (0..2_100).map(|j| j * 4 + r));
         }
-        let runs = cat.runs();
-        let mut merge =
-            merge_runs_partitioned(&cat, &runs, vec![], 4, None, &MergeTuning::default())
-                .unwrap()
-                .partitioned()
-                .expect("partitionable");
+        let mut merge = partitioned(cat);
         let first = merge.next().unwrap().unwrap();
         assert_eq!(first.key, 0);
         // Dropping the stream closes every partition channel; each worker
@@ -144,13 +139,9 @@ fn dropping_before_the_first_row_joins_all_workers() {
             .with_io_scheduler(Some(IoScheduler::new(2))),
         );
         for r in 0..2u64 {
-            write_run(&cat, (0..3_000).map(|j| j * 2 + r));
+            write_run(&cat, (0..4_200).map(|j| j * 2 + r));
         }
-        let runs = cat.runs();
-        let merge = merge_runs_partitioned(&cat, &runs, vec![], 4, None, &MergeTuning::default())
-            .unwrap()
-            .partitioned()
-            .expect("partitionable");
+        let merge = partitioned(cat);
         drop(merge);
     });
 }
@@ -158,7 +149,7 @@ fn dropping_before_the_first_row_joins_all_workers() {
 #[test]
 fn partitioned_external_sort_matches_serial_under_throttle() {
     with_watchdog(|| {
-        let keys: Vec<u64> = (0..6_000u64).map(|i| (i * 2_654_435_761) % 5_000).collect();
+        let keys: Vec<u64> = (0..9_000u64).map(|i| (i * 2_654_435_761) % 5_000).collect();
         let mut outputs = Vec::new();
         for threads in [1usize, 4] {
             let model = ThrottleModel {
@@ -172,8 +163,7 @@ fn partitioned_external_sort_matches_serial_under_throttle() {
                     .with_fan_in(8)
                     .with_block_bytes(256)
                     .with_io_scheduler(Some(IoScheduler::new(2)))
-                    .with_merge_threads(threads)
-                    .with_partition_min_rows(1);
+                    .with_merge_threads(threads);
             for &k in &keys {
                 sorter.push(Row::new(k, k.to_le_bytes().to_vec())).unwrap();
             }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use histok_sort::run_gen::{LoadSortStore, ReplacementSelection, ResiduePolicy, RunGenerator};
 use histok_sort::{
     merge_sources, plan_merges, IterSource, LoserTree, MergeConfig, MergePolicy, MergeSource,
-    NoopObserver,
+    MergeTuning, NoopObserver,
 };
 use histok_storage::{IoStats, MemoryBackend, RunCatalog};
 use histok_types::{Result, Row, SortOrder};
@@ -149,13 +149,13 @@ proptest! {
                 MergePolicy::LowestKeyFirst
             },
         };
-        let final_runs = plan_merges(&cat, &cfg, None, None).unwrap();
+        let final_runs = plan_merges(&cat, &cfg, None, None, &MergeTuning::default()).unwrap().0;
         prop_assert!(final_runs.len() <= fan_in);
         let mut sources = Vec::new();
         for meta in &final_runs {
             sources.push(MergeSource::Run(cat.open(meta).unwrap()));
         }
-        let got: Vec<u64> = merge_sources(sources, SortOrder::Ascending)
+        let got: Vec<u64> = merge_sources(sources, SortOrder::Ascending, &MergeTuning::default())
             .unwrap()
             .map(|r| r.unwrap().key)
             .collect();
@@ -185,7 +185,7 @@ proptest! {
             cat.register(w.finish().unwrap()).unwrap();
         }
         let all = cat.runs();
-        let merged = histok_sort::merge_runs_to_new(&cat, &all, Some(limit), None).unwrap();
+        let merged = histok_sort::merge_runs_to_new(&cat, &all, Some(limit), None, &MergeTuning::default()).unwrap();
         let got: Vec<u64> = cat.open(&merged).unwrap().map(|r| r.unwrap().key).collect();
         let mut expected: Vec<u64> = runs.iter().flatten().copied().collect();
         expected.sort_unstable();
