@@ -508,10 +508,7 @@ fn concurrent_queries_fleet() -> FleetRun {
         io_threads: CONC_IO_THREADS,
         min_lease: 4 * 1024,
         small_query_bytes: 2 * 1024,
-        // Estimates must cover the payload-carrying rows, or the small
-        // queries' leases run below their k-row heap and force spills.
-        row_bytes_hint: 128,
-        folded_row_bytes_hint: 32,
+        ..ServerConfig::default()
     }));
     let started = Instant::now();
     let handles: Vec<_> = (0..CONC_QUERIES)

@@ -20,6 +20,8 @@
 //!   more rows before its next spill, no restart.
 //! * **Fairness when oversubscribed**: a queued query at the head of the
 //!   line may revoke the *surplus* (granted − minimum) of running leases.
+//!   A small query's minimum is its whole grant, so its lease is never
+//!   revoked.
 //!   The revoked lease observes the smaller limit at its next budget check
 //!   and drains at its next natural spill; the accounting credits the
 //!   bytes immediately, accepting a bounded transient overcommit (the
@@ -135,11 +137,14 @@ impl ServerBudget {
         state.next_ticket += 1;
         // `granted` records what was actually taken from the pool — the
         // drop path must return exactly that, not the overcommitted grant.
+        // The whole grant is the floor, even where a dry pool only
+        // overcommitted it: revoking an in-memory query's workspace would
+        // only make it spill.
         state.leases.push(LeaseState {
             ticket,
             granted: taken,
             desired: bytes,
-            min: 0,
+            min: bytes,
             handle: handle.clone(),
         });
         state.metrics.grants += 1;
@@ -444,6 +449,46 @@ mod tests {
         // lease back toward its desired size.
         assert_eq!(hog.granted(), 100, "revoked lease regrows once the waiter finishes");
         drop(hog);
+        assert_eq!(pool.available(), 100);
+    }
+
+    #[test]
+    fn head_of_queue_never_revokes_a_small_lease() {
+        let pool = Arc::new(ServerBudget::new(100));
+        let small = pool.admit_small(60);
+        let waiter = {
+            let pool = pool.clone();
+            std::thread::spawn(move || pool.admit(80, 80).granted())
+        };
+        // Enqueueing and the revocation attempt happen under one lock; a
+        // waiter that revoked its way in is granted without queueing.
+        while pool.queue_len() < 1 && pool.metrics().grants < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(small.granted(), 60, "an in-memory query keeps its workspace");
+        assert_eq!(pool.metrics().revoked_bytes, 0);
+        drop(small);
+        assert_eq!(waiter.join().unwrap(), 80, "admitted once the small lease drops");
+        assert_eq!(pool.available(), 100);
+    }
+
+    #[test]
+    fn small_lease_repaid_after_a_dry_admission_is_not_revoked() {
+        let pool = Arc::new(ServerBudget::new(100));
+        let big = pool.admit(100, 100);
+        let small = pool.admit_small(30); // pool dry: overcommitted
+        drop(big); // empty queue: the small lease is paid back in full
+        assert_eq!(small.granted(), 30);
+        let waiter = {
+            let pool = pool.clone();
+            std::thread::spawn(move || pool.admit(100, 100).granted())
+        };
+        while pool.queue_len() < 1 && pool.metrics().grants < 3 {
+            std::thread::yield_now();
+        }
+        assert_eq!(small.granted(), 30);
+        drop(small);
+        assert_eq!(waiter.join().unwrap(), 100);
         assert_eq!(pool.available(), 100);
     }
 

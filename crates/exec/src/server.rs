@@ -23,7 +23,7 @@ use std::sync::Arc;
 use histok_storage::{IoScheduler, StorageBackend};
 use histok_types::{Result, SortKey};
 
-use crate::admission::{AdmissionMetrics, ServerBudget};
+use crate::admission::{AdmissionMetrics, BudgetLease, ServerBudget};
 use crate::query::{Algorithm, Query, QueryResult};
 
 /// Tunables for [`TopKServer`].
@@ -41,10 +41,15 @@ pub struct ServerConfig {
     /// merge-phase reserve a lease shrinks to after run generation.
     pub min_lease: usize,
     /// Estimated in-memory footprint at or below which a query skips the
-    /// admission queue entirely.
+    /// admission queue entirely. It is also the least such a small query
+    /// is granted: its lease is `max(estimate, small_query_bytes)`, capped
+    /// at its own `memory_budget`, because the estimate cannot see the
+    /// rows the operator will actually charge.
     pub small_query_bytes: usize,
     /// Assumed bytes per retained row when estimating whether a query fits
-    /// in memory (row struct + payload + bookkeeping).
+    /// in memory. It only classifies a query as small or spilling; it is
+    /// not a small query's workspace (the operator charges each row its
+    /// full `row_footprint`, 138 B for a lineitem row).
     pub row_bytes_hint: usize,
     /// Assumed bytes per retained *group* for dedup/aggregate queries:
     /// in-sort folding keeps one fixed-width accumulator per distinct key
@@ -152,29 +157,37 @@ impl TopKServer {
         (retained as usize).saturating_mul(hint.max(1))
     }
 
+    /// Grants `query` its lease (the policy is on [`TopKServer::execute`]).
+    fn admit<K: SortKey>(&self, query: &Query<K>) -> BudgetLease<'_> {
+        let est = self.estimated_footprint(query);
+        let desired = query.config_ref().memory_budget.max(1);
+        let in_memory_only = matches!(query.algorithm_kind(), Algorithm::InMemory);
+        if in_memory_only || est <= self.config.small_query_bytes {
+            self.budget.admit_small(est.max(self.config.small_query_bytes).min(desired))
+        } else {
+            self.budget.admit(desired, self.config.min_lease)
+        }
+    }
+
     /// Admits and executes one query, blocking until its lease is granted
     /// and the result is materialized.
     ///
     /// Admission policy: a query whose estimated retained footprint fits
     /// [`ServerConfig::small_query_bytes`] — or that cannot spill at all —
-    /// is granted immediately; anything larger queues FIFO for a lease
-    /// between [`ServerConfig::min_lease`] and its configured
-    /// `memory_budget`. After run generation completes (the `open` phase
-    /// boundary), the lease shrinks back to the merge reserve so queued
-    /// siblings start sooner.
+    /// is granted `max(estimate, small_query_bytes)` at once, capped at its
+    /// configured `memory_budget`; anything larger queues FIFO for a lease
+    /// between [`ServerConfig::min_lease`] and its `memory_budget`. The
+    /// estimate only decides which path a query takes: a small query
+    /// granted no more than its estimate would spill (DESIGN.md §13).
+    /// After run generation completes (the `open` phase boundary), the
+    /// lease shrinks back to the merge reserve so queued siblings start
+    /// sooner.
     pub fn execute<K: SortKey>(
         &self,
         mut query: Query<K>,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<QueryResult<K>> {
-        let est = self.estimated_footprint(&query);
-        let desired = query.config_ref().memory_budget;
-        let in_memory_only = matches!(query.algorithm_kind(), Algorithm::InMemory);
-        let lease = if in_memory_only || est <= self.config.small_query_bytes {
-            self.budget.admit_small(est.min(desired.max(1)))
-        } else {
-            self.budget.admit(desired, self.config.min_lease)
-        };
+        let lease = self.admit(&query);
         let queued = lease.queued();
 
         {
@@ -244,7 +257,7 @@ mod tests {
     use histok_core::TopKConfig;
     use histok_storage::MemoryBackend;
     use histok_types::SortSpec;
-    use histok_workload::Workload;
+    use histok_workload::{Workload, LINEITEM_PAYLOAD_BYTES};
 
     fn small_server() -> TopKServer {
         TopKServer::new(ServerConfig {
@@ -278,6 +291,49 @@ mod tests {
         assert_eq!(fleet.admission.grants, 2);
         assert!(fleet.admission.admitted_immediately >= 1, "small k=10 query takes the fast path");
         assert!(fleet.spilled_bytes > 0, "the k=800 query under a 16 KiB lease must spill");
+    }
+
+    #[test]
+    fn fast_path_lease_is_the_larger_of_estimate_and_small_query_bytes() {
+        // small_server: small_query_bytes 2 KiB, row_bytes_hint 64 B.
+        let server = small_server();
+        for (k, budget, algorithm) in [
+            (10u64, 16 * 1024, Algorithm::Histogram), // estimate 640 B
+            (32, 16 * 1024, Algorithm::Histogram),    // estimate = small_query_bytes
+            (10, 1024, Algorithm::Histogram),         // capped at memory_budget
+            (100, 16 * 1024, Algorithm::InMemory),    // estimate 6,400 B, cannot spill
+        ] {
+            let q = query(1_000, k, 1, budget).algorithm(algorithm);
+            let lease = server.admit(&q);
+            let estimate = k as usize * 64;
+            assert_eq!(lease.granted(), budget.min(estimate.max(2 * 1024)), "k={k}");
+            assert!(lease.queued().is_zero(), "k={k} takes the fast path");
+        }
+        assert_eq!(server.fleet_metrics().admission.admitted_immediately, 4);
+        assert_eq!(server.budget().available(), server.budget().total());
+    }
+
+    #[test]
+    fn served_dashboard_stays_in_memory_like_a_standalone_query() {
+        // The benchmark fleet's server: 1.5 MiB pool, 256 KiB minimum lease.
+        let server = TopKServer::new(ServerConfig {
+            total_memory: 3 * 512 * 1024,
+            io_threads: 2,
+            min_lease: 256 * 1024,
+            ..ServerConfig::default()
+        });
+        let workload = Workload::uniform(50_000, 42).with_payload_bytes(LINEITEM_PAYLOAD_BYTES);
+        let dashboard = || {
+            Query::scan(workload.rows(), SortSpec::ascending(100))
+                .config(TopKConfig::builder().memory_budget(1024 * 1024).build().unwrap())
+        };
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
+        let served = server.execute(dashboard(), backend.clone()).unwrap();
+        assert!(!served.metrics.spilled, "a 100-row dashboard must not spill");
+        assert_eq!(served.metrics.io.write_ops, 0);
+        assert_eq!(served.metrics.io.runs_created, 0);
+        let alone = dashboard().execute_shared(backend).unwrap();
+        assert_eq!(served.rows, alone.rows);
     }
 
     #[test]
