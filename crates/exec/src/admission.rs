@@ -11,7 +11,10 @@
 //!   `LIMIT 10` wait behind a bulk export would be absurd.
 //! * **Spilling queries** wait FIFO until the pool can cover at least their
 //!   minimum lease, then get the pool's best clamp of their desired
-//!   workspace.
+//!   workspace. While one waits, small queries take nothing from the pool.
+//! * **Final merges** start through [`ServerBudget::begin_merge`]: FIFO,
+//!   as many at once as their estimated results fit the pool, and always
+//!   at least one.
 //! * **Rebalancing**: when a lease is returned (query finished) or shrunk
 //!   (run-generation → merge phase boundary), the freed bytes first admit
 //!   queued queries in arrival order, then grow running leases toward
@@ -28,7 +31,7 @@
 //!   `MemoryBudget` tolerated-overage contract — see `sort/src/budget.rs`).
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use histok_sort::BudgetHandle;
@@ -62,6 +65,15 @@ struct LeaseState {
     handle: BudgetHandle,
 }
 
+/// Final merges in progress, counted by their estimated result bytes, and
+/// the merges waiting to start, in arrival order (tickets).
+#[derive(Default)]
+struct Merges {
+    bytes: usize,
+    queue: VecDeque<u64>,
+    next_ticket: u64,
+}
+
 struct PoolState {
     /// Unleased bytes. Can transiently run "hot" after a revocation: the
     /// revoked query's usage drains to its new limit at its next spill.
@@ -79,6 +91,8 @@ pub struct ServerBudget {
     total: usize,
     state: Mutex<PoolState>,
     granted_cond: Condvar,
+    merges: Mutex<Merges>,
+    merge_done: Condvar,
 }
 
 impl std::fmt::Debug for ServerBudget {
@@ -100,6 +114,8 @@ impl ServerBudget {
                 metrics: AdmissionMetrics::default(),
             }),
             granted_cond: Condvar::new(),
+            merges: Mutex::new(Merges::default()),
+            merge_done: Condvar::new(),
         }
     }
 
@@ -126,11 +142,14 @@ impl ServerBudget {
     /// Immediate admission for a query whose working set is known small:
     /// takes up to `bytes` from the pool without queueing (granting the
     /// shortfall anyway — a bounded overcommit — if the pool is dry, so
-    /// in-memory queries never wait behind spilling ones).
+    /// in-memory queries never wait behind spilling ones). While a
+    /// spilling query is queued it takes nothing from the pool and is
+    /// granted `bytes` wholly as overcommit, so the bytes other leases
+    /// free reach the head of the queue.
     pub fn admit_small(&self, bytes: usize) -> BudgetLease<'_> {
         let bytes = bytes.max(1);
         let mut state = lock_state(&self.state);
-        let taken = bytes.min(state.available);
+        let taken = if state.queue.is_empty() { bytes.min(state.available) } else { 0 };
         state.available -= taken;
         let handle = BudgetHandle::new(bytes);
         let ticket = state.next_ticket;
@@ -178,8 +197,7 @@ impl ServerBudget {
                     break;
                 }
             }
-            state =
-                self.granted_cond.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
+            state = self.granted_cond.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
         let granted = state.available.clamp(min, desired);
         state.available -= granted;
@@ -193,6 +211,33 @@ impl ServerBudget {
         // The head may have changed; let the next waiter re-check.
         self.granted_cond.notify_all();
         BudgetLease { pool: self, ticket, handle, queued }
+    }
+
+    /// Blocks until a final merge whose result is estimated at `bytes` may
+    /// start, and holds its place until the returned permit drops.
+    ///
+    /// A merge starts at once when none is in progress. Otherwise it queues
+    /// FIFO and starts at the head of the queue once the results of the
+    /// merges in progress plus its own fit the pool (or none is left in
+    /// progress), so a result larger than the pool merges alone and a
+    /// stream of small merges cannot starve it.
+    pub fn begin_merge(&self, bytes: usize) -> MergePermit<'_> {
+        let bytes = bytes.max(1);
+        let mut merges = lock_merges(&self.merges);
+        let fits = |m: &Merges| m.bytes == 0 || m.bytes + bytes <= self.total;
+        if !(merges.queue.is_empty() && fits(&merges)) {
+            let ticket = merges.next_ticket;
+            merges.next_ticket += 1;
+            merges.queue.push_back(ticket);
+            while merges.queue.front() != Some(&ticket) || !fits(&merges) {
+                merges = self.merge_done.wait(merges).unwrap_or_else(PoisonError::into_inner);
+            }
+            merges.queue.pop_front();
+            // The next in line may fit beside this one.
+            self.merge_done.notify_all();
+        }
+        merges.bytes += bytes;
+        MergePermit { pool: self, bytes }
     }
 
     /// Shrinks running leases toward their minimum, oldest first, until
@@ -273,7 +318,25 @@ impl ServerBudget {
 }
 
 fn lock_state<'a>(m: &'a Mutex<PoolState>) -> std::sync::MutexGuard<'a, PoolState> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lock_merges<'a>(m: &'a Mutex<Merges>) -> std::sync::MutexGuard<'a, Merges> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A final merge's place in the [`ServerBudget`], given up on drop.
+#[derive(Debug)]
+pub struct MergePermit<'a> {
+    pool: &'a ServerBudget,
+    bytes: usize,
+}
+
+impl Drop for MergePermit<'_> {
+    fn drop(&mut self) {
+        lock_merges(&self.pool.merges).bytes -= self.bytes;
+        self.pool.merge_done.notify_all();
+    }
 }
 
 /// One query's slice of the [`ServerBudget`], returned to the pool on
@@ -473,6 +536,41 @@ mod tests {
     }
 
     #[test]
+    fn small_queries_leave_freed_bytes_to_the_head_of_the_queue() {
+        let pool = Arc::new(ServerBudget::new(100));
+        let first = pool.admit_small(60);
+        let waiter = {
+            let pool = pool.clone();
+            std::thread::spawn(move || pool.admit(80, 80).granted())
+        };
+        // 40 bytes free and no revocable surplus: the waiter must queue.
+        while pool.queue_len() < 1 {
+            std::thread::yield_now();
+        }
+        let small = pool.admit_small(30);
+        assert_eq!(small.granted(), 30, "a small query is still admitted at once");
+        assert_eq!(pool.available(), 40, "but takes nothing while a spilling query waits");
+        drop(small);
+        assert_eq!(pool.available(), 40);
+        // A stream of small queries races the waiter for the bytes `first`
+        // frees; the waiter must get them.
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stream = {
+            let (pool, done) = (pool.clone(), done.clone());
+            std::thread::spawn(move || {
+                while !done.load(Ordering::SeqCst) {
+                    drop(pool.admit_small(60));
+                }
+            })
+        };
+        drop(first);
+        assert_eq!(waiter.join().unwrap(), 80);
+        done.store(true, Ordering::SeqCst);
+        stream.join().unwrap();
+        assert_eq!(pool.available(), 100);
+    }
+
+    #[test]
     fn small_lease_repaid_after_a_dry_admission_is_not_revoked() {
         let pool = Arc::new(ServerBudget::new(100));
         let big = pool.admit(100, 100);
@@ -490,6 +588,55 @@ mod tests {
         drop(small);
         assert_eq!(waiter.join().unwrap(), 100);
         assert_eq!(pool.available(), 100);
+    }
+
+    #[test]
+    fn merges_whose_results_exceed_the_pool_run_one_at_a_time() {
+        let pool = Arc::new(ServerBudget::new(100));
+        let first = pool.begin_merge(60);
+        let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let second = {
+            let (pool, started) = (pool.clone(), started.clone());
+            std::thread::spawn(move || {
+                let permit = pool.begin_merge(60);
+                started.store(true, Ordering::SeqCst);
+                drop(permit);
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!started.load(Ordering::SeqCst), "60 + 60 bytes of results exceed the pool");
+        drop(first);
+        second.join().unwrap();
+        assert!(started.load(Ordering::SeqCst));
+        assert_eq!(lock_merges(&pool.merges).bytes, 0);
+    }
+
+    #[test]
+    fn a_waiting_merge_is_not_starved_by_smaller_ones() {
+        let pool = Arc::new(ServerBudget::new(100));
+        let small = pool.begin_merge(30);
+        drop(pool.begin_merge(30)); // 30 + 30 fit: starts at once
+        let order = Arc::new(AtomicUsize::new(0));
+        let spawn_merge = |bytes: usize| {
+            let (pool, order) = (pool.clone(), order.clone());
+            std::thread::spawn(move || {
+                let _permit = pool.begin_merge(bytes);
+                order.fetch_add(1, Ordering::SeqCst)
+            })
+        };
+        let big = spawn_merge(100); // larger than what is left: waits
+        while lock_merges(&pool.merges).queue.is_empty() {
+            std::thread::yield_now();
+        }
+        // Would fit beside `small`, but the big merge is waiting first.
+        let later = spawn_merge(30);
+        while lock_merges(&pool.merges).queue.len() < 2 {
+            std::thread::yield_now();
+        }
+        drop(small);
+        assert_eq!(big.join().unwrap(), 0, "the waiting merge goes first");
+        assert_eq!(later.join().unwrap(), 1);
+        assert_eq!(lock_merges(&pool.merges).bytes, 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod query;
 pub mod schema;
 pub mod server;
 
-pub use admission::{AdmissionMetrics, BudgetLease, ServerBudget};
+pub use admission::{AdmissionMetrics, BudgetLease, MergePermit, ServerBudget};
 pub use operator::{FilterOp, LimitOp, Operator, ScanOp, TopKExec};
 pub use query::{Algorithm, Query, QueryResult};
 pub use schema::{DataType, Field, Record, Schema, Value};

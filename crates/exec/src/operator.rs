@@ -253,16 +253,29 @@ impl<K: SortKey> TopKExec<K> {
             }
         }
     }
+
+    /// The first half of `open`: feeds the whole child stream to the
+    /// algorithm (run generation) and closes the child.
+    pub(crate) fn consume(&mut self) -> Result<()> {
+        // The child is closed on every exit path; the first error wins.
+        let drained = self.child.open().and_then(|()| self.drain_child());
+        let closed = self.child.close();
+        drained.and(closed)
+    }
+
+    /// The second half of `open`: ends the input and opens the output
+    /// stream (the algorithm's last spill, intermediate merges and the
+    /// start of its final merge).
+    pub(crate) fn finish(&mut self) -> Result<()> {
+        self.output = Some(self.topk.finish()?);
+        Ok(())
+    }
 }
 
 impl<K: SortKey> Operator<K> for TopKExec<K> {
     fn open(&mut self) -> Result<()> {
-        // The child is closed on every exit path; the first error wins.
-        let drained = self.child.open().and_then(|()| self.drain_child());
-        let closed = self.child.close();
-        drained.and(closed)?;
-        self.output = Some(self.topk.finish()?);
-        Ok(())
+        self.consume()?;
+        self.finish()
     }
 
     fn next(&mut self) -> Result<Option<Row<K>>> {

@@ -143,18 +143,24 @@ impl<K: SortKey> Query<K> {
     /// As [`Query::execute`] on a backend shared with other queries (the
     /// server path: N queries, one storage fleet).
     pub fn execute_shared(self, backend: Arc<dyn StorageBackend>) -> Result<QueryResult<K>> {
-        self.execute_with_phase_hook(backend, |_| {})
+        self.execute_with_phase_hooks(backend, || (), |_| {})
     }
 
-    /// Executes with a callback at the run-generation → output-merge phase
-    /// boundary (after `open` returns, run generation and intermediate
-    /// merges are complete and the sort workspace is flushed; only the
-    /// streaming final merge remains). The server uses this to shrink the
-    /// query's memory lease to a merge reserve while siblings are queued.
-    pub(crate) fn execute_with_phase_hook(
+    /// Executes with two callbacks at the phase boundaries.
+    ///
+    /// `before_merge` runs once the input is consumed and before the
+    /// operator finishes (its last spill, intermediate merges and the start
+    /// of its final merge); what it returns is held until the result is
+    /// materialized. `after_open` runs once the final-merge stream is open:
+    /// run generation and intermediate merges are complete and the sort
+    /// workspace is flushed. The server uses the first to admit the final
+    /// merge by the size of its result and the second to shrink the
+    /// query's lease to a merge reserve.
+    pub(crate) fn execute_with_phase_hooks<G>(
         self,
         backend: Arc<dyn StorageBackend>,
-        mut after_open: impl FnMut(&OperatorMetrics),
+        before_merge: impl FnOnce() -> G,
+        after_open: impl FnOnce(&OperatorMetrics),
     ) -> Result<QueryResult<K>> {
         let topk: Box<dyn TopKOperator<K>> = match self.algorithm {
             Algorithm::Histogram => {
@@ -173,12 +179,15 @@ impl<K: SortKey> Query<K> {
         };
         let mut root = TopKExec::new(self.source, topk);
         let start = Instant::now();
-        root.open()?;
+        root.consume()?;
+        let merging = before_merge();
+        root.finish()?;
         after_open(&root.metrics());
         let mut rows = Vec::new();
         while let Some(row) = root.next()? {
             rows.push(row);
         }
+        drop(merging);
         let elapsed = start.elapsed();
         let algorithm = root.algorithm();
         // Close before snapshotting: the final-merge stream's reads and

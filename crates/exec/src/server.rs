@@ -157,12 +157,19 @@ impl TopKServer {
         (retained as usize).saturating_mul(hint.max(1))
     }
 
+    /// Whether `query` takes the small-query fast path: its estimated
+    /// footprint fits [`ServerConfig::small_query_bytes`], or it cannot
+    /// spill at all.
+    fn is_small<K: SortKey>(&self, query: &Query<K>) -> bool {
+        matches!(query.algorithm_kind(), Algorithm::InMemory)
+            || self.estimated_footprint(query) <= self.config.small_query_bytes
+    }
+
     /// Grants `query` its lease (the policy is on [`TopKServer::execute`]).
     fn admit<K: SortKey>(&self, query: &Query<K>) -> BudgetLease<'_> {
-        let est = self.estimated_footprint(query);
         let desired = query.config_ref().memory_budget.max(1);
-        let in_memory_only = matches!(query.algorithm_kind(), Algorithm::InMemory);
-        if in_memory_only || est <= self.config.small_query_bytes {
+        if self.is_small(query) {
+            let est = self.estimated_footprint(query);
             self.budget.admit_small(est.max(self.config.small_query_bytes).min(desired))
         } else {
             self.budget.admit(desired, self.config.min_lease)
@@ -182,11 +189,20 @@ impl TopKServer {
     /// After run generation completes (the `open` phase boundary), the
     /// lease shrinks back to the merge reserve so queued siblings start
     /// sooner.
+    ///
+    /// A spilling query that has consumed its input starts its final merge
+    /// through [`ServerBudget::begin_merge`], with its estimate as the
+    /// result's size: merges whose results together exceed the pool run
+    /// one after another. A final merge's read buffers and the result it
+    /// materializes are the most memory a spilling query holds, and no
+    /// lease accounts for them yet (DESIGN.md §13). Small queries never
+    /// wait here.
     pub fn execute<K: SortKey>(
         &self,
         mut query: Query<K>,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<QueryResult<K>> {
+        let merge_bytes = (!self.is_small(&query)).then(|| self.estimated_footprint(&query));
         let lease = self.admit(&query);
         let queued = lease.queued();
 
@@ -201,11 +217,13 @@ impl TopKServer {
         let running = self.running.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak_running.fetch_max(running, Ordering::SeqCst);
         let merge_reserve = self.config.min_lease.min(lease.granted());
-        let result = query.execute_with_phase_hook(backend, |_metrics| {
+        let result = query.execute_with_phase_hooks(
+            backend,
+            || merge_bytes.map(|bytes| self.budget.begin_merge(bytes)),
             // Run generation is done and the workspace flushed; keep only
             // a merge reserve and hand the rest back to the pool.
-            lease.downsize(merge_reserve);
-        });
+            |_metrics| lease.downsize(merge_reserve),
+        );
         self.running.fetch_sub(1, Ordering::SeqCst);
         drop(lease);
 
@@ -334,6 +352,43 @@ mod tests {
         assert_eq!(served.metrics.io.runs_created, 0);
         let alone = dashboard().execute_shared(backend).unwrap();
         assert_eq!(served.rows, alone.rows);
+    }
+
+    #[test]
+    fn a_spilling_query_waits_for_the_final_merge_in_progress() {
+        let server = Arc::new(small_server());
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
+        // Stands in for another spilling query's final merge, one whose
+        // result fills the pool.
+        let merge_in_progress = server.budget().begin_merge(server.budget().total());
+        let consumed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let spilling = {
+            let (server, backend, consumed) = (server.clone(), backend.clone(), consumed.clone());
+            std::thread::spawn(move || {
+                let mut rows = Workload::uniform(20_000, 3).rows();
+                let source = std::iter::from_fn(move || {
+                    let row = rows.next();
+                    consumed.store(row.is_none(), Ordering::SeqCst);
+                    row
+                });
+                let config =
+                    TopKConfig::builder().memory_budget(16 * 1024).block_bytes(1024).build();
+                let q = Query::scan(source, SortSpec::ascending(800)).config(config.unwrap());
+                server.execute(q, backend).unwrap()
+            })
+        };
+        // A small query is not held up by it.
+        assert_eq!(server.execute(query(3_000, 10, 4, 16 * 1024), backend).unwrap().rows.len(), 10);
+        while !consumed.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!spilling.is_finished(), "the spilling query must wait to start its merge");
+        drop(merge_in_progress);
+        let result = spilling.join().unwrap();
+        assert!(result.metrics.spilled);
+        let expected = Workload::uniform(20_000, 3).expected_top_k(800, true);
+        assert_eq!(result.rows.iter().map(|r| r.key.get()).collect::<Vec<_>>(), expected);
     }
 
     #[test]
