@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use histok_bench::{run_topk, BackendKind};
-use histok_core::{RunGenKind, SizingPolicy, TopKConfig, TopKConfigBuilder};
+use histok_core::{FilterSites, RunGenKind, SizingPolicy, TopKConfig, TopKConfigBuilder};
 use histok_exec::Algorithm;
 use histok_types::SortSpec;
 use histok_workload::Workload;
@@ -37,15 +37,15 @@ fn bench_ablations(c: &mut Criterion) {
     let variants: Vec<(&str, TopKConfig)> = vec![
         ("full_default", base_config().build().unwrap()),
         ("no_tail_buckets", base_config().tail_buckets(false).build().unwrap()),
-        ("no_spill_recheck", base_config().spill_filter(false).build().unwrap()),
-        ("no_input_filter", base_config().input_filter(false).build().unwrap()),
+        ("no_spill_recheck", base_config().filter(FilterSites::InputOnly).build().unwrap()),
+        ("no_input_filter", base_config().filter(FilterSites::SpillOnly).build().unwrap()),
         (
             "load_sort_store",
             base_config().run_generation(RunGenKind::LoadSortStore).build().unwrap(),
         ),
         ("no_run_limit", base_config().limit_run_size(false).build().unwrap()),
         ("tiny_queue_1KiB", base_config().histogram_memory(1024).build().unwrap()),
-        ("filter_off", base_config().filter_enabled(false).build().unwrap()),
+        ("filter_off", base_config().filter(FilterSites::Off).build().unwrap()),
     ];
 
     for (name, config) in variants {
@@ -64,8 +64,8 @@ fn bench_spill_volume_report(c: &mut Criterion) {
     g.bench_function("report_once", |b| {
         b.iter(|| {
             let full = run_with(base_config().build().unwrap());
-            let no_input = run_with(base_config().input_filter(false).build().unwrap());
-            let off = run_with(base_config().filter_enabled(false).build().unwrap());
+            let no_input = run_with(base_config().filter(FilterSites::SpillOnly).build().unwrap());
+            let off = run_with(base_config().filter(FilterSites::Off).build().unwrap());
             // Filtering layers reduce spill volume in aggregate. The
             // input-filter ablation can shift run boundaries a little
             // (doomed rows occupy workspace before dying at spill time),

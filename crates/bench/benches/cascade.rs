@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use histok_sort::{plan_merges, MergeConfig, MergeTuning};
+use histok_sort::{plan_merges, MergeTuning};
 use histok_storage::{IoStats, MemoryBackend, RunCatalog, ThrottleModel, ThrottledBackend};
 use histok_types::{Row, SortOrder};
 
@@ -54,9 +54,8 @@ fn bench_cascade_sweep(c: &mut Criterion) {
             b.iter_batched(
                 build_catalog,
                 |cat| {
-                    let config = MergeConfig { fan_in, ..MergeConfig::default() };
                     let (final_runs, stats) =
-                        plan_merges(&cat, &config, None, None, &tuning).unwrap();
+                        plan_merges(&cat, fan_in, None, None, &tuning).unwrap();
                     assert!(final_runs.len() <= fan_in);
                     black_box(stats)
                 },

@@ -43,10 +43,7 @@ use histok_core::{
 };
 use histok_exec::{Query, ServerConfig, TopKServer};
 use histok_sort::run_gen::{ReplacementSelection, ResiduePolicy, RunGenerator};
-use histok_sort::{
-    CmpStats, FinalMerge, IterSource, LoserTree, MergeConfig, MergePolicy, NoopObserver,
-    DEFAULT_BATCH_ROWS,
-};
+use histok_sort::{CmpStats, FinalMerge, IterSource, LoserTree, NoopObserver, DEFAULT_BATCH_ROWS};
 use histok_storage::{
     IoScheduler, IoSchedulerMetrics, IoStats, MemoryBackend, RunCatalog, StorageBackend,
     ThreadCensus, ThrottleModel, ThrottledBackend,
@@ -356,15 +353,16 @@ fn spill_storm_case() -> StormRun {
         }
         catalog.register(w.finish().expect("finish storm run")).expect("register");
     }
-    let config = MergeConfig { fan_in: STORM_FAN_IN, policy: MergePolicy::SmallestFirst };
     let io_before = stats.snapshot();
     ThreadCensus::reset_peak();
     let started = Instant::now();
     // Intermediate passes (512 runs → 8 at fan-in 64), then the final
-    // merge on `STORM_THREADS` partitions.
-    let merge = FinalMerge { config, threads: STORM_THREADS, ..FinalMerge::default() }
-        .run(vec![(catalog.clone(), Vec::new())])
-        .expect("merge");
+    // merge on `STORM_THREADS` partitions. A full sort (no limit) merges
+    // the smallest runs first.
+    let merge =
+        FinalMerge { fan_in: STORM_FAN_IN, threads: STORM_THREADS, ..FinalMerge::default() }
+            .run(vec![(catalog.clone(), Vec::new())])
+            .expect("merge");
     assert!(merge.merge_partitions() >= 2, "storm final merge did not partition");
     let mut rows = 0u64;
     let mut checksum = 0u64;

@@ -5,7 +5,7 @@
 //! the paper measured a 3 % overhead.
 
 use histok_bench::{banner, env_u64, env_usize, fmt_count, run_topk, BackendKind, MetricsReport};
-use histok_core::TopKConfig;
+use histok_core::{FilterSites, TopKConfig};
 use histok_exec::Algorithm;
 use histok_types::{JsonValue, SortSpec};
 use histok_workload::{Distribution, Workload};
@@ -36,7 +36,7 @@ fn main() {
         let row_bytes = 56 + payload;
         TopKConfig::builder()
             .memory_budget(mem_rows as usize * row_bytes)
-            .filter_enabled(filter)
+            .filter(if filter { FilterSites::InputAndSpill } else { FilterSites::Off })
             .build()
             .expect("valid config")
     };

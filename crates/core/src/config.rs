@@ -1,7 +1,7 @@
 //! Configuration of the top-k operators.
 
 use histok_sort::run_gen::ResiduePolicy;
-use histok_sort::{BudgetHandle, MemoryBudget, MergeConfig, MergePolicy};
+use histok_sort::{BudgetHandle, MemoryBudget};
 use histok_types::{AggregateOp, Error, Result};
 
 use crate::sizing::SizingPolicy;
@@ -17,25 +17,31 @@ pub enum RunGenKind {
     LoadSortStore,
 }
 
-/// How run generation executes: row-at-a-time comparison sorting, or the
-/// batched radix sort over normalized key prefixes
-/// ([`histok_sort::BatchSort`]).
+/// Where the histogram cutoff filter acts (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunGenMode {
-    /// Decide by key width: when the configured strategy is
-    /// [`RunGenKind::LoadSortStore`] and the key's 8-byte normalized
-    /// prefix is exact (integers, `F64Key`), use the radix batch sort —
-    /// same flush points, same run contents, no comparator on the hot
-    /// path. Replacement selection keeps its pipelined heap (its run
-    /// shape — ~2× memory, run-size caps — is the strategy).
+pub enum FilterSites {
+    /// No filter: no histogram is built and no row is eliminated, as in a
+    /// plain external sort (the bare operator of §5.5).
+    Off,
+    /// Eliminate at operator input only (Algorithm 1 line 4); ablation.
+    InputOnly,
+    /// Eliminate at spill time only (Algorithm 1 line 11); ablation.
+    SpillOnly,
+    /// Eliminate at input and again at spill time (the paper's algorithm).
     #[default]
-    Adaptive,
-    /// Always the comparison-based strategy named by
-    /// [`TopKConfig::run_generation`].
-    Comparison,
-    /// Always the radix batch sort, regardless of strategy or key width.
-    /// Overrides [`RunGenKind`]; run-size caps do not apply.
-    Batch,
+    InputAndSpill,
+}
+
+impl FilterSites {
+    /// Whether the filter eliminates at operator input.
+    pub fn input(self) -> bool {
+        matches!(self, FilterSites::InputOnly | FilterSites::InputAndSpill)
+    }
+
+    /// Whether the filter eliminates at spill time.
+    pub fn spill(self) -> bool {
+        matches!(self, FilterSites::SpillOnly | FilterSites::InputAndSpill)
+    }
 }
 
 /// Tunables for [`crate::HistogramTopK`] (and, where applicable, the
@@ -53,25 +59,21 @@ pub struct TopKConfig {
     /// Emit tail buckets at run end (strictly more information than the
     /// paper's idealized model; ablation switch).
     pub tail_buckets: bool,
-    /// Run-generation strategy.
+    /// Run-generation strategy. Load-sort-store over keys whose 8-byte
+    /// normalized prefix is exact (integers, `F64Key`) runs as the radix
+    /// [`BatchSort`](histok_sort::BatchSort): same flush points, same run
+    /// contents, no comparator on the hot path.
     pub run_generation: RunGenKind,
-    /// Run-generation execution mode (comparison vs. batched radix); see
-    /// [`RunGenMode`].
-    pub run_gen_mode: RunGenMode,
     /// Cap runs at `offset + limit` rows (the [Graefe'08] optimization).
     pub limit_run_size: bool,
-    /// Merge fan-in and intermediate-run selection policy.
-    pub merge: MergeConfig,
+    /// Merge fan-in: the most runs one merge step reads (at least 2).
+    /// Intermediate merges pick the runs whose first keys sort best
+    /// (§4.1).
+    pub fan_in: usize,
     /// What to do with rows still in memory when input ends.
     pub residue: ResiduePolicy,
-    /// Master switch for the cutoff filter (off = measure the bare
-    /// operator, §5.5).
-    pub filter_enabled: bool,
-    /// Apply the filter at operator input (Algorithm 1 line 4); ablation.
-    pub input_filter: bool,
-    /// Apply the filter again at spill time (Algorithm 1 line 11);
-    /// ablation.
-    pub spill_filter: bool,
+    /// Where the cutoff filter eliminates rows; see [`FilterSites`].
+    pub filter: FilterSites,
     /// Run-file block payload bytes.
     pub block_bytes: usize,
     /// Approximation slack ε ∈ [0, 1) (§4.5): the cutoff filter targets
@@ -100,9 +102,6 @@ pub struct TopKConfig {
     /// [`io_scheduler_handle`](TopKConfig::io_scheduler_handle) takes
     /// precedence either way. Default 4.
     pub io_threads: usize,
-    /// Rows per batch on the batched merge path (loser-tree drain loops,
-    /// partition-worker channel hops). Must be at least 1. Default 1024.
-    pub batch_rows: usize,
     /// An injected, shared background-I/O pool. When set,
     /// [`io_scheduler`](TopKConfig::io_scheduler) returns a clone of this
     /// pool instead of constructing a fresh one, so every operator built
@@ -119,19 +118,18 @@ pub struct TopKConfig {
     /// workspace at phase boundaries without restarting it. `None` (the
     /// default) keeps the fixed budget.
     pub budget_lease: Option<BudgetHandle>,
-    /// Remove duplicate keys in-sort (`SELECT DISTINCT ... ORDER BY ...
-    /// LIMIT k`): equal keys fold to one deterministic representative row
-    /// at every pipeline stage — run generation, each merge duel, and the
-    /// in-memory store — so `limit` counts *distinct* keys. Mutually
-    /// exclusive with [`aggregate`](TopKConfig::aggregate).
-    pub dedup: bool,
-    /// Grouped aggregation in-sort (`GROUP BY key` with the top `limit`
-    /// groups in key order): equal keys fold by combining payloads with
-    /// this aggregate at every pipeline stage. The histogram cutoff can
-    /// only prune on the *group key* order — never on unmerged partial
-    /// aggregates — so pre-aggregation input/spill filtering is disabled
-    /// in this mode; cutoffs still tighten post-merge (DESIGN.md §14).
-    /// Mutually exclusive with [`dedup`](TopKConfig::dedup).
+    /// In-sort folding of equal keys: they combine their payloads with
+    /// this aggregate at every pipeline stage — run generation, each merge
+    /// duel, and the in-memory store — so `limit` counts *groups*.
+    ///
+    /// * [`AggregateOp::First`] is duplicate removal (`SELECT DISTINCT ...
+    ///   ORDER BY ... LIMIT k`): one deterministic representative row per
+    ///   key. The filter keeps eliminating, with an exact distinct-key
+    ///   tracker in place of the histogram.
+    /// * The value aggregates (`GROUP BY key` with the top `limit` groups
+    ///   in key order) disable pre-aggregation filtering: the cutoff can
+    ///   only prune on the group key order, never on unmerged partial
+    ///   aggregates; cutoffs still tighten post-merge (DESIGN.md §14).
     pub aggregate: Option<AggregateOp>,
 }
 
@@ -150,26 +148,21 @@ impl Default for TopKConfig {
             histogram_memory: crate::cutoff::DEFAULT_FILTER_MEMORY,
             tail_buckets: true,
             run_generation: RunGenKind::default(),
-            run_gen_mode: RunGenMode::default(),
             limit_run_size: true,
             // The paper's algorithm performs "one pass over the input to
             // generate sorted runs and then merges the runs until the top k
             // rows are produced" (§1) — intermediate merge steps only happen
             // when the run count exceeds this generous fan-in.
-            merge: MergeConfig { fan_in: 512, policy: MergePolicy::LowestKeyFirst },
+            fan_in: 512,
             residue: ResiduePolicy::KeepInMemory,
-            filter_enabled: true,
-            input_filter: true,
-            spill_filter: true,
+            filter: FilterSites::default(),
             block_bytes: histok_storage::DEFAULT_BLOCK_BYTES,
             approx_slack: 0.0,
             ovc_enabled: true,
             merge_threads: default_merge_threads(),
             io_threads: 4,
-            batch_rows: histok_sort::DEFAULT_BATCH_ROWS,
             io_scheduler_handle: None,
             budget_lease: None,
-            dedup: false,
             aggregate: None,
         }
     }
@@ -230,16 +223,10 @@ impl TopKConfig {
         }
     }
 
-    /// The payload-folding operation this configuration asks for: the
-    /// configured [`aggregate`](TopKConfig::aggregate), or
-    /// [`AggregateOp::First`] (pure duplicate removal) when
-    /// [`dedup`](TopKConfig::dedup) is set, else `None`.
+    /// The payload-folding operation this configuration asks for; see
+    /// [`aggregate`](TopKConfig::aggregate).
     pub fn fold_op(&self) -> Option<AggregateOp> {
-        if self.dedup {
-            Some(AggregateOp::First)
-        } else {
-            self.aggregate
-        }
+        self.aggregate
     }
 
     /// Checks the configuration for consistency.
@@ -256,16 +243,10 @@ impl TopKConfig {
         if self.merge_threads == 0 {
             return Err(Error::InvalidConfig("merge_threads must be at least 1".into()));
         }
-        if self.batch_rows == 0 {
-            return Err(Error::InvalidConfig("batch_rows must be at least 1".into()));
-        }
-        if self.dedup && self.aggregate.is_some() {
-            return Err(Error::InvalidConfig(
-                "dedup and aggregate are mutually exclusive (dedup IS aggregate FIRST)".into(),
-            ));
+        if self.fan_in < 2 {
+            return Err(Error::InvalidConfig("merge fan-in must be at least 2".into()));
         }
         self.sizing.validate()?;
-        self.merge.validate()?;
         Ok(())
     }
 }
@@ -307,12 +288,6 @@ impl TopKConfigBuilder {
         self
     }
 
-    /// Chooses the run-generation execution mode; see [`RunGenMode`].
-    pub fn run_gen_mode(mut self, mode: RunGenMode) -> Self {
-        self.config.run_gen_mode = mode;
-        self
-    }
-
     /// Enables or disables the run-size cap at `k`.
     pub fn limit_run_size(mut self, on: bool) -> Self {
         self.config.limit_run_size = on;
@@ -321,13 +296,7 @@ impl TopKConfigBuilder {
 
     /// Sets merge fan-in.
     pub fn fan_in(mut self, fan_in: usize) -> Self {
-        self.config.merge.fan_in = fan_in;
-        self
-    }
-
-    /// Sets the intermediate-merge run-selection policy.
-    pub fn merge_policy(mut self, policy: MergePolicy) -> Self {
-        self.config.merge.policy = policy;
+        self.config.fan_in = fan_in;
         self
     }
 
@@ -337,21 +306,9 @@ impl TopKConfigBuilder {
         self
     }
 
-    /// Master filter switch (§5.5 overhead experiments).
-    pub fn filter_enabled(mut self, on: bool) -> Self {
-        self.config.filter_enabled = on;
-        self
-    }
-
-    /// Input-side filtering switch (ablation).
-    pub fn input_filter(mut self, on: bool) -> Self {
-        self.config.input_filter = on;
-        self
-    }
-
-    /// Spill-time filtering switch (ablation).
-    pub fn spill_filter(mut self, on: bool) -> Self {
-        self.config.spill_filter = on;
+    /// Where the cutoff filter acts; see [`TopKConfig::filter`].
+    pub fn filter(mut self, sites: FilterSites) -> Self {
+        self.config.filter = sites;
         self
     }
 
@@ -385,12 +342,6 @@ impl TopKConfigBuilder {
         self
     }
 
-    /// Batched-merge batch size; see [`TopKConfig::batch_rows`].
-    pub fn batch_rows(mut self, rows: usize) -> Self {
-        self.config.batch_rows = rows;
-        self
-    }
-
     /// Injects a shared background-I/O pool; see
     /// [`TopKConfig::io_scheduler_handle`].
     pub fn io_scheduler_handle(mut self, scheduler: histok_storage::IoScheduler) -> Self {
@@ -405,9 +356,15 @@ impl TopKConfigBuilder {
         self
     }
 
-    /// In-sort duplicate removal; see [`TopKConfig::dedup`].
+    /// In-sort duplicate removal: `true` folds with
+    /// [`AggregateOp::First`]; `false` clears `First` and leaves any other
+    /// aggregate in place. See [`TopKConfig::aggregate`].
     pub fn dedup(mut self, on: bool) -> Self {
-        self.config.dedup = on;
+        if on {
+            self.config.aggregate = Some(AggregateOp::First);
+        } else if self.config.aggregate == Some(AggregateOp::First) {
+            self.config.aggregate = None;
+        }
         self
     }
 
@@ -435,11 +392,9 @@ mod tests {
         assert_eq!(c.histogram_memory, 1024 * 1024); // §5.1.2: 1 MB
         assert_eq!(c.run_generation, RunGenKind::ReplacementSelection);
         assert!(c.limit_run_size);
-        assert!(c.filter_enabled && c.input_filter && c.spill_filter);
+        assert_eq!(c.filter, FilterSites::InputAndSpill);
         assert!((1..=4).contains(&c.merge_threads));
         assert_eq!(c.io_threads, 4);
-        assert_eq!(c.run_gen_mode, RunGenMode::Adaptive);
-        assert_eq!(c.batch_rows, 1024);
         assert!(c.validate().is_ok());
     }
 
@@ -451,32 +406,25 @@ mod tests {
             .histogram_memory(4096)
             .tail_buckets(false)
             .run_generation(RunGenKind::LoadSortStore)
-            .run_gen_mode(RunGenMode::Batch)
             .limit_run_size(false)
             .fan_in(8)
-            .merge_policy(MergePolicy::SmallestFirst)
             .residue(ResiduePolicy::SpillToRuns)
-            .filter_enabled(true)
-            .input_filter(false)
-            .spill_filter(true)
+            .filter(FilterSites::SpillOnly)
             .block_bytes(1024)
             .merge_threads(2)
             .io_threads(2)
-            .batch_rows(64)
             .build()
             .unwrap();
         assert_eq!(c.memory_budget, 1 << 20);
         assert_eq!(c.sizing, SizingPolicy::TargetBuckets(9));
         assert!(!c.tail_buckets);
         assert_eq!(c.run_generation, RunGenKind::LoadSortStore);
-        assert_eq!(c.run_gen_mode, RunGenMode::Batch);
         assert!(!c.limit_run_size);
-        assert_eq!(c.merge.fan_in, 8);
-        assert!(!c.input_filter);
+        assert_eq!(c.fan_in, 8);
+        assert_eq!(c.filter, FilterSites::SpillOnly);
         assert_eq!(c.block_bytes, 1024);
         assert_eq!(c.merge_threads, 2);
         assert_eq!(c.io_threads, 2);
-        assert_eq!(c.batch_rows, 64);
     }
 
     #[test]
@@ -540,13 +488,12 @@ mod tests {
         assert!(TopKConfig::builder().fan_in(1).build().is_err());
         assert!(TopKConfig::builder().sizing(SizingPolicy::FixedWidth(0)).build().is_err());
         assert!(TopKConfig::builder().approx_slack(1.0).build().is_err());
+        assert!(TopKConfig::builder().approx_slack(1.5).build().is_err());
         assert!(TopKConfig::builder().approx_slack(-0.1).build().is_err());
         assert!(TopKConfig::builder().approx_slack(0.25).build().is_ok());
         assert!(TopKConfig::builder().merge_threads(0).build().is_err());
         assert!(TopKConfig::builder().merge_threads(1).build().is_ok());
-        assert!(TopKConfig::builder().batch_rows(0).build().is_err());
-        assert!(TopKConfig::builder().batch_rows(1).build().is_ok());
-        assert!(TopKConfig::builder().dedup(true).aggregate(AggregateOp::Sum).build().is_err());
+        assert!(TopKConfig::builder().fan_in(2).build().is_ok());
         assert!(TopKConfig::builder().dedup(true).build().is_ok());
         assert!(TopKConfig::builder().aggregate(AggregateOp::Count).build().is_ok());
     }
@@ -562,5 +509,19 @@ mod tests {
             TopKConfig::builder().aggregate(AggregateOp::Sum).build().unwrap().fold_op(),
             Some(AggregateOp::Sum)
         );
+        // The later call wins: dedup replaces an aggregate, an aggregate
+        // replaces dedup.
+        let first = TopKConfig::builder().aggregate(AggregateOp::Sum).dedup(true).build().unwrap();
+        assert_eq!(first.fold_op(), Some(AggregateOp::First));
+        let sum = TopKConfig::builder().dedup(true).aggregate(AggregateOp::Sum).build().unwrap();
+        assert_eq!(sum.fold_op(), Some(AggregateOp::Sum));
+        assert_eq!(TopKConfig::builder().dedup(true).dedup(false).build().unwrap().fold_op(), None);
+    }
+
+    #[test]
+    fn dedup_false_leaves_a_value_aggregate_in_place() {
+        let c = TopKConfig::builder().aggregate(AggregateOp::Sum).dedup(false).build().unwrap();
+        assert_eq!(c.aggregate, Some(AggregateOp::Sum));
+        assert_eq!(c.fold_op(), Some(AggregateOp::Sum));
     }
 }

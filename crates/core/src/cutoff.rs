@@ -19,6 +19,7 @@ use std::hash::{BuildHasher, Hasher};
 use histok_sort::{BinaryHeapBy, SpillObserver};
 use histok_types::{AggregateOp, Result, SortKey, SortOrder};
 
+use crate::config::{FilterSites, TopKConfig};
 use crate::histogram::{Bucket, HistogramBuilder};
 use crate::sizing::SizingPolicy;
 
@@ -55,18 +56,27 @@ impl FilterMetrics {
 }
 
 /// Builds a [`CutoffFilter`] honoring every relevant config knob. Shared by
-/// [`crate::HistogramTopK`] and [`crate::ParallelTopK`] so the serial and
-/// parallel operators cannot drift apart:
+/// [`crate::HistogramTopK`] and [`crate::ParallelTopK`], which read the
+/// filter's sizing, tail buckets and spill-time elimination from its
+/// result, so the serial and parallel operators cannot drift apart:
 ///
-/// * `filter_enabled: false` disables histogram sizing entirely (no buckets
+/// * [`FilterSites::Off`] disables histogram sizing entirely (no buckets
 ///   are ever built, matching a plain external sort);
 /// * approximation slack ε targets ⌈k(1−ε)⌉ rows (§4.5), so the filter
 ///   establishes and sharpens its cutoff earlier, trading the tail of the
-///   result for less I/O;
-/// * `spill_filter` gates spill-time elimination (Algorithm 1 line 11).
+///   result for less I/O: the first ⌈k(1−ε)⌉ output rows are still the
+///   exact best, the rest are best-effort and the output may fall short
+///   of `k` rows;
+/// * [`FilterSites::spill`] gates spill-time elimination (Algorithm 1
+///   line 11). Input elimination (line 4) is the operator's, gated by
+///   [`FilterSites::input`].
+///
+/// [`FilterSites::Off`]: crate::config::FilterSites::Off
+/// [`FilterSites::spill`]: crate::config::FilterSites::spill
+/// [`FilterSites::input`]: crate::config::FilterSites::input
 pub(crate) fn filter_from_config<K: SortKey>(
     spec: &histok_types::SortSpec,
-    config: &crate::config::TopKConfig,
+    config: &TopKConfig,
 ) -> CutoffFilter<K> {
     let fold = config.fold_op();
     // Row-count histograms are unsound over a folding sort: a bucket's
@@ -76,11 +86,8 @@ pub(crate) fn filter_from_config<K: SortKey>(
     // aggregates get no input model at all and rely on post-merge
     // refinement only.
     let histogram_sound = fold.is_none();
-    let sizing = if config.filter_enabled && histogram_sound {
-        config.sizing
-    } else {
-        SizingPolicy::Disabled
-    };
+    let enabled = config.filter != FilterSites::Off;
+    let sizing = if enabled && histogram_sound { config.sizing } else { SizingPolicy::Disabled };
     // Pre-aggregation elimination is sound only when each group needs a
     // single surviving representative (plain top-k, dedup/FIRST). For
     // SUM/COUNT/MIN/MAX every dropped duplicate would corrupt its group's
@@ -90,9 +97,9 @@ pub(crate) fn filter_from_config<K: SortKey>(
     let mut filter = CutoffFilter::with_policy(filter_k.max(1), spec.order, sizing)
         .with_memory_budget(config.histogram_memory)
         .with_tail_buckets(config.tail_buckets)
-        .with_spill_elimination(config.filter_enabled && config.spill_filter && pre_agg_filtering)
+        .with_spill_elimination(config.filter.spill() && pre_agg_filtering)
         .with_norm_prefix(config.ovc_enabled);
-    if config.filter_enabled && fold == Some(AggregateOp::First) {
+    if enabled && fold == Some(AggregateOp::First) {
         filter = filter.with_distinct_tracking();
     }
     filter
@@ -312,6 +319,21 @@ impl<K: SortKey> CutoffFilter<K> {
     pub fn with_spill_elimination(mut self, on: bool) -> Self {
         self.spill_elimination = on;
         self
+    }
+
+    /// The histogram sizing policy (`Disabled` when the filter is off).
+    pub(crate) fn sizing(&self) -> SizingPolicy {
+        self.policy
+    }
+
+    /// Whether a run's tail rows form a final bucket.
+    pub(crate) fn emits_tail(&self) -> bool {
+        self.emit_tail
+    }
+
+    /// Whether rows are eliminated at spill time.
+    pub(crate) fn eliminates_at_spill(&self) -> bool {
+        self.spill_elimination
     }
 
     /// Validates configuration invariants.

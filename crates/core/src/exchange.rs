@@ -17,11 +17,9 @@
 //! shipped/spilled than [`crate::ParallelTopK`]'s shared-queue design,
 //! because producers always filter with a slightly stale cutoff.
 
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::RwLock;
 
 use histok_storage::StorageBackend;
 use histok_types::{Error, Result, Row, SortKey, SortSpec};
@@ -47,7 +45,7 @@ struct FlowControl<K> {
 pub struct Producer<K: SortKey> {
     spec: SortSpec,
     flow: Arc<FlowControl<K>>,
-    tx: Sender<Vec<Row<K>>>,
+    tx: SyncSender<Vec<Row<K>>>,
     packet: Vec<Row<K>>,
 }
 
@@ -55,7 +53,7 @@ impl<K: SortKey> Producer<K> {
     /// Offers one row from this producer's partition.
     pub fn push(&mut self, row: Row<K>) -> Result<()> {
         // Producer-side filtering with the (possibly stale) cutoff.
-        if let Some(cut) = &*self.flow.cutoff.read() {
+        if let Some(cut) = &*self.flow.cutoff.read().unwrap_or_else(PoisonError::into_inner) {
             if self.spec.order.follows(&row.key, cut) {
                 self.flow.filtered_at_producer.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 return Ok(());
@@ -92,7 +90,7 @@ type ConsumerResult<K> = Result<(RowStream<K>, HistogramTopK<K>)>;
 /// pre-filtering driven by flow-control cutoff packets.
 pub struct ExchangeTopK<K: SortKey> {
     flow: Arc<FlowControl<K>>,
-    tx: Option<Sender<Vec<Row<K>>>>,
+    tx: Option<SyncSender<Vec<Row<K>>>>,
     consumer: Option<JoinHandle<ConsumerResult<K>>>,
     spec: SortSpec,
 }
@@ -115,7 +113,7 @@ impl<K: SortKey> ExchangeTopK<K> {
             shipped: std::sync::atomic::AtomicU64::new(0),
             filtered_at_producer: std::sync::atomic::AtomicU64::new(0),
         });
-        let (tx, rx) = bounded::<Vec<Row<K>>>(64);
+        let (tx, rx) = sync_channel::<Vec<Row<K>>>(64);
         let consumer_flow = flow.clone();
         let consumer = std::thread::spawn(move || -> ConsumerResult<K> {
             let mut op = HistogramTopK::new(spec, config, backend)?;
@@ -126,7 +124,7 @@ impl<K: SortKey> ExchangeTopK<K> {
                 // Flow-control packet back to the producers: the current
                 // cutoff key (one publish per data packet, as in §4.4).
                 let cutoff = op.cutoff();
-                *consumer_flow.cutoff.write() = cutoff;
+                *consumer_flow.cutoff.write().unwrap_or_else(PoisonError::into_inner) = cutoff;
             }
             let stream = op.finish()?;
             Ok((stream, op))

@@ -19,7 +19,7 @@ use histok_types::{
     AggregateOp, Aggregator, Bytes, Error, F64Key, KeyPair, Result, Row, SortKey, SortOrder,
 };
 
-use crate::config::{RunGenMode, TopKConfig};
+use crate::config::TopKConfig;
 use crate::metrics::OperatorMetrics;
 use crate::topk::RetainedHeap;
 
@@ -110,7 +110,7 @@ impl<K: SortKey> GroupedAggTopK<K> {
         let agg = op.aggregator();
         // Group keys are sorted ascending — any total order works, the
         // value ranking happens after the fold completes.
-        let mut sorter = ExternalSorter::with_memory_budget(
+        let sorter = ExternalSorter::with_memory_budget(
             backend,
             SortOrder::Ascending,
             config.make_budget(),
@@ -118,18 +118,15 @@ impl<K: SortKey> GroupedAggTopK<K> {
         )
         .with_block_bytes(config.block_bytes)
         .with_io_scheduler(config.io_scheduler())
-        .with_fan_in(config.merge.fan_in)
+        .with_fan_in(config.fan_in)
         .with_merge_threads(config.merge_threads)
         .with_tuning(MergeTuning {
             ovc: config.ovc_enabled,
             stats: Some(cmp_stats.clone()),
-            batch_rows: config.batch_rows,
-            fold: None, // re-applied from with_fold at finish time
-        });
-        if matches!(config.run_gen_mode, RunGenMode::Batch) {
-            sorter = sorter.with_batch_run_gen(true);
-        }
-        sorter = sorter.with_fold(FoldSpec::new(agg.clone()).with_stats(fold_stats.clone()));
+            // The fold is re-applied from `with_fold` at finish time.
+            ..MergeTuning::default()
+        })
+        .with_fold(FoldSpec::new(agg.clone()).with_stats(fold_stats.clone()));
         Ok(GroupedAggTopK {
             sorter: Some(sorter),
             agg,
@@ -216,7 +213,7 @@ mod tests {
     fn top_groups_by_count_spilling() {
         // Key k appears (k+1)*40 times, 0..10 — shuffled, with memory for
         // a fraction of the input so the sort spills. Batch run generation
-        // collapses every in-batch duplicate post-sort, so each spilled
+        // (the sorter's choice for exact-prefix keys such as u64) collapses every in-batch duplicate post-sort, so each spilled
         // batch shrinks to at most the distinct-key count.
         let mut keys = Vec::new();
         for k in 0..10u64 {
@@ -227,7 +224,6 @@ mod tests {
         let cfg = TopKConfig::builder()
             .memory_budget(80 * row_bytes)
             .block_bytes(1024)
-            .run_gen_mode(RunGenMode::Batch)
             .aggregate(AggregateOp::Count)
             .build()
             .unwrap();

@@ -13,18 +13,17 @@
 //!   ([`histok_sort::FinalMerge`], §4.1), segmented execution over prefix-sorted inputs
 //!   ([`SegmentedTopK`], §4.2), grouped top-k ([`GroupedTopK`], §4.3),
 //!   parallel top-k with a shared filter ([`ParallelTopK`], §4.4) and
-//!   approximate top-k ([`ApproximateTopK`], §4.5). `OFFSET` clauses
-//!   (§2.7) are supported by every operator through
-//!   [`histok_types::SortSpec`]'s `offset`.
+//!   approximate top-k ([`HistogramTopK`] with [`TopKConfig`]'s
+//!   `approx_slack`, §4.5). `OFFSET` clauses (§2.7) are supported by
+//!   every operator through [`histok_types::SortSpec`]'s `offset`.
 //! * In-sort aggregation (DESIGN.md §14): `DISTINCT` / `GROUP BY`
-//!   duplicate folding inside the sort via [`TopKConfig`]'s `dedup` /
-//!   `aggregate`, and "top-k groups by aggregate value" through
-//!   [`GroupedAggTopK`].
+//!   duplicate folding inside the sort via [`TopKConfig`]'s `aggregate`
+//!   (`AggregateOp::First` is `DISTINCT`), and "top-k groups by aggregate
+//!   value" through [`GroupedAggTopK`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod approximate;
 pub mod config;
 pub mod cutoff;
 pub mod exchange;
@@ -37,8 +36,11 @@ pub mod segmented;
 pub mod sizing;
 pub mod topk;
 
-pub use approximate::ApproximateTopK;
-pub use config::{RunGenKind, RunGenMode, TopKConfig, TopKConfigBuilder};
+// §4.5's approximate top-k is `HistogramTopK` with `approx_slack`; its tests.
+#[cfg(test)]
+mod approximate;
+
+pub use config::{FilterSites, RunGenKind, TopKConfig, TopKConfigBuilder};
 pub use cutoff::{CutoffFilter, DistinctVerdict, FilterMetrics, DEFAULT_FILTER_MEMORY};
 pub use exchange::{ExchangeMetrics, ExchangeTopK, Producer};
 pub use grouped::GroupedTopK;

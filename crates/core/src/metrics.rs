@@ -66,8 +66,7 @@ pub struct OperatorMetrics {
     pub queued_ns: u64,
     /// Duplicate rows folded into their group's surviving row, anywhere in
     /// the pipeline: run generation, merge duels, the in-memory store.
-    /// Zero unless [`dedup`](crate::TopKConfig::dedup) or
-    /// [`aggregate`](crate::TopKConfig::aggregate) is on.
+    /// Zero unless [`aggregate`](crate::TopKConfig::aggregate) is set.
     pub rows_folded: u64,
     /// Encoded bytes of duplicates absorbed *before* reaching storage
     /// (fold-at-insert in run generation, in-memory folding) — spill

@@ -9,11 +9,9 @@
 //! full filter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::{Mutex, RwLock};
 
 use histok_sort::run_gen::{ReplacementSelection, RunGenerator};
 use histok_sort::{CmpStats, FinalMerge, MergeTuning, SpillObserver};
@@ -41,9 +39,22 @@ struct Shared<K: SortKey> {
 }
 
 impl<K: SortKey> Shared<K> {
+    /// Locks the filter, ignoring poisoning: a worker that panicked
+    /// holding the lock fails its join, so `finish` returns an error and
+    /// no output is built from the filter it may have left half-updated.
+    fn lock_filter(&self) -> MutexGuard<'_, CutoffFilter<K>> {
+        self.filter.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Reads the published cutoff, ignoring poisoning as
+    /// [`Shared::lock_filter`] does.
+    fn read_published(&self) -> RwLockReadGuard<'_, Option<K>> {
+        self.published.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The elimination test against the published cutoff (lock-light).
     fn eliminate(&self, key: &K, spec: &SortSpec) -> bool {
-        match &*self.published.read() {
+        match &*self.read_published() {
             Some(cut) => spec.order.follows(key, cut),
             None => false,
         }
@@ -54,13 +65,13 @@ impl<K: SortKey> Shared<K> {
     /// established cutoff and leave it unchanged; taking the write lock
     /// for those would stall every concurrent elimination test.
     fn insert_bucket(&self, bucket: crate::histogram::Bucket<K>) {
-        let mut f = self.filter.lock();
+        let mut f = self.lock_filter();
         let before = f.cutoff().cloned();
         f.insert_bucket(bucket);
         let after = f.cutoff().cloned();
         drop(f);
         if before != after {
-            *self.published.write() = after;
+            *self.published.write().unwrap_or_else(PoisonError::into_inner) = after;
             self.republishes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
     }
@@ -75,8 +86,8 @@ struct SharedObserver<K: SortKey> {
     policy: SizingPolicy,
     emit_tail: bool,
     spec: SortSpec,
-    /// Gates spill-time elimination (Algorithm 1 line 11); mirrors
-    /// `filter_enabled && spill_filter` of the serial operator.
+    /// Gates spill-time elimination (Algorithm 1 line 11), as the shared
+    /// filter's own setting does for the serial operator.
     spill_filter: bool,
 }
 
@@ -126,12 +137,12 @@ pub struct ParallelTopK<K: SortKey> {
     modelled_at_build_ns: u64,
     stats: IoStats,
     shared: Arc<Shared<K>>,
-    senders: Vec<Sender<Row<K>>>,
+    senders: Vec<SyncSender<Row<K>>>,
     handles: Vec<JoinHandle<Result<WorkerOutput<K>>>>,
     next_worker: usize,
     rows_in: u64,
     finished: bool,
-    /// `filter_enabled && input_filter`: gates Algorithm 1 line 4.
+    /// Gates Algorithm 1 line 4 ([`crate::FilterSites::input`]).
     input_filter: bool,
     /// Summed per-worker workspace high-water marks, known after `finish`.
     peak_bytes: usize,
@@ -174,9 +185,14 @@ impl<K: SortKey> ParallelTopK<K> {
             ));
         }
         let stats = IoStats::new();
-        // The same construction as the serial operator: honors
-        // filter_enabled, approx_slack, spill_filter, sizing, tail buckets.
+        // The same construction as the serial operator: honors the filter
+        // sites, approx_slack, sizing and tail buckets. The workers'
+        // observers take their settings from it.
         let filter: CutoffFilter<K> = filter_from_config(&spec, &config);
+        let policy = filter.sizing();
+        let emit_tail = filter.emits_tail();
+        let spill_filter = filter.eliminates_at_spill();
+        let input_filter = config.filter.input();
         let shared = Arc::new(Shared {
             filter: Mutex::new(filter),
             published: RwLock::new(None),
@@ -186,10 +202,6 @@ impl<K: SortKey> ParallelTopK<K> {
         });
 
         let cmp_stats = CmpStats::new();
-        let input_filter = config.filter_enabled && config.input_filter;
-        let spill_filter = config.filter_enabled && config.spill_filter;
-        let effective_sizing =
-            if config.filter_enabled { config.sizing } else { SizingPolicy::Disabled };
 
         // One pool for the whole operator, held by every worker's catalog:
         // spills and final-merge read-ahead contend for the same
@@ -198,7 +210,7 @@ impl<K: SortKey> ParallelTopK<K> {
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let (tx, rx) = bounded::<Row<K>>(4096);
+            let (tx, rx) = sync_channel::<Row<K>>(4096);
             let catalog = Arc::new(
                 RunCatalog::new(
                     backend.clone(),
@@ -217,8 +229,6 @@ impl<K: SortKey> ParallelTopK<K> {
             let run_limit = if config.limit_run_size { Some(spec.retained()) } else { None };
             let residue_policy = config.residue;
             let worker_spec = spec;
-            let policy = effective_sizing;
-            let emit_tail = config.tail_buckets;
             let worker_ovc = config.ovc_enabled;
             let worker_cmp_stats = cmp_stats.clone();
             let handle = std::thread::spawn(move || -> Result<WorkerOutput<K>> {
@@ -281,8 +291,7 @@ impl<K: SortKey> ParallelTopK<K> {
         MergeTuning {
             ovc: self.config.ovc_enabled,
             stats: Some(self.cmp_stats.clone()),
-            batch_rows: self.config.batch_rows,
-            fold: None,
+            ..MergeTuning::default()
         }
     }
 
@@ -306,7 +315,7 @@ impl<K: SortKey> ParallelTopK<K> {
 
     /// The current shared cutoff key, if established.
     pub fn cutoff(&self) -> Option<K> {
-        self.shared.published.read().clone()
+        self.shared.read_published().clone()
     }
 
     /// Ends the input, joins the workers and merges all their runs and
@@ -325,12 +334,12 @@ impl<K: SortKey> ParallelTopK<K> {
             self.peak_bytes += out.peak_bytes;
             outputs.push(out);
         }
-        let cutoff = self.shared.filter.lock().cutoff().cloned();
+        let cutoff = self.shared.lock_filter().cutoff().cloned();
         let inputs = outputs.into_iter().map(|out| (out.catalog, out.residue)).collect();
         // Each worker's catalog goes through its own cascade; the final
         // merge reads worker 0's runs and residue, then worker 1's, ...
         let stream = FinalMerge {
-            config: self.config.merge,
+            fan_in: self.config.fan_in,
             tuning: self.merge_tuning(),
             limit: Some(self.spec.retained()),
             cutoff,
@@ -351,7 +360,7 @@ impl<K: SortKey> ParallelTopK<K> {
 
     /// Aggregated metrics.
     pub fn metrics(&self) -> OperatorMetrics {
-        let filter = self.shared.filter.lock().metrics();
+        let filter = self.shared.lock_filter().metrics();
         let io = io_snapshot(&self.stats, self.backend.as_ref(), self.modelled_at_build_ns);
         let mut phases = self.timer.snapshot();
         phases.spill_write_ns = io.write_latency.total_ns;
@@ -411,6 +420,7 @@ impl<K: SortKey> Drop for ParallelTopK<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FilterSites;
     use histok_storage::MemoryBackend;
     use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
@@ -509,7 +519,7 @@ mod tests {
         let row_bytes = histok_sort::row_footprint(&Row::key_only(0u64));
         let cfg = TopKConfig::builder()
             .memory_budget(100 * row_bytes)
-            .filter_enabled(false)
+            .filter(FilterSites::Off)
             .block_bytes(1024)
             .build()
             .unwrap();
@@ -525,7 +535,7 @@ mod tests {
         // before this was honored, the shared cutoff eliminated rows anyway.
         assert!(
             m.rows_spilled() > 18_000,
-            "filter_enabled(false) must spill like a plain sort, spilled {}",
+            "FilterSites::Off must spill like a plain sort, spilled {}",
             m.rows_spilled()
         );
         assert_eq!(m.eliminated_at_input, 0);
@@ -636,7 +646,7 @@ mod tests {
         // First bucket proving k rows establishes (and publishes) the cutoff.
         shared.insert_bucket(Bucket::new(100u64, 10));
         assert_eq!(shared.republishes.load(AtomicOrdering::Relaxed), 1);
-        assert_eq!(*shared.published.read(), Some(100));
+        assert_eq!(*shared.read_published(), Some(100));
         // Buckets entirely past the cutoff leave it unchanged; before the
         // republish-on-move fix every one of these took the write lock and
         // stalled concurrent elimination tests.
@@ -648,11 +658,11 @@ mod tests {
             1,
             "inserts that do not move the cutoff must not republish"
         );
-        assert_eq!(*shared.published.read(), Some(100));
+        assert_eq!(*shared.read_published(), Some(100));
         // A tighter bucket moves the cutoff and republishes exactly once.
         shared.insert_bucket(Bucket::new(5u64, 10));
         assert_eq!(shared.republishes.load(AtomicOrdering::Relaxed), 2);
-        assert_eq!(*shared.published.read(), Some(5));
+        assert_eq!(*shared.read_published(), Some(5));
     }
 
     #[test]

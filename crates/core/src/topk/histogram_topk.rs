@@ -19,7 +19,7 @@ use histok_sort::{CmpStats, FinalMerge, FoldSpec, FoldStats, MergeTuning};
 use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Aggregator, Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
 
-use crate::config::{RunGenKind, RunGenMode, TopKConfig};
+use crate::config::{RunGenKind, TopKConfig};
 use crate::cutoff::{CutoffFilter, DistinctVerdict, FilterMetrics};
 use crate::metrics::{io_snapshot, OperatorMetrics};
 use crate::topk::{
@@ -238,42 +238,33 @@ impl<K: SortKey> HistogramTopK<K> {
         MergeTuning {
             ovc: self.config.ovc_enabled,
             stats: Some(self.cmp_stats.clone()),
-            batch_rows: self.config.batch_rows,
             fold: self.fold_spec(),
+            ..MergeTuning::default()
         }
     }
 
     fn build_generator(&self, catalog: Arc<RunCatalog<K>>) -> Box<dyn RunGenerator<K>> {
-        let batched = match self.config.run_gen_mode {
-            RunGenMode::Batch => true,
-            RunGenMode::Comparison => false,
-            // Radix batching is a faster load-sort-store with identical
-            // run shapes; replacement selection's run shape *is* its
-            // strategy, so Adaptive leaves it alone.
-            RunGenMode::Adaptive => {
-                K::norm_prefix_is_exact() && self.config.run_generation == RunGenKind::LoadSortStore
-            }
-        };
         // Lease-aware budgets: when the config carries a `budget_lease`,
         // every generator reads its limit through the shared handle, so an
         // admission controller can resize a running query's workspace.
-        let mut gen: Box<dyn RunGenerator<K>> = if batched {
-            Box::new(BatchSort::with_budget(catalog, self.config.make_budget()))
-        } else {
-            match self.config.run_generation {
-                RunGenKind::ReplacementSelection => {
-                    let mut gen =
-                        ReplacementSelection::with_budget(catalog, self.config.make_budget())
-                            .with_ovc(self.config.ovc_enabled, Some(self.cmp_stats.clone()));
-                    if self.config.limit_run_size {
-                        gen = gen.with_run_limit(self.spec.retained());
-                    }
-                    Box::new(gen)
+        let budget = self.config.make_budget();
+        let mut gen: Box<dyn RunGenerator<K>> = match self.config.run_generation {
+            // Replacement selection's run shape *is* its strategy: it
+            // keeps its pipelined heap whatever the key.
+            RunGenKind::ReplacementSelection => {
+                let mut gen = ReplacementSelection::with_budget(catalog, budget)
+                    .with_ovc(self.config.ovc_enabled, Some(self.cmp_stats.clone()));
+                if self.config.limit_run_size {
+                    gen = gen.with_run_limit(self.spec.retained());
                 }
-                RunGenKind::LoadSortStore => {
-                    Box::new(LoadSortStore::with_budget(catalog, self.config.make_budget()))
-                }
+                Box::new(gen)
             }
+            // Radix batching is a faster load-sort-store with identical
+            // run shapes, where the key's prefix is exact.
+            RunGenKind::LoadSortStore if K::norm_prefix_is_exact() => {
+                Box::new(BatchSort::with_budget(catalog, budget))
+            }
+            RunGenKind::LoadSortStore => Box::new(LoadSortStore::with_budget(catalog, budget)),
         };
         // Fold mode: duplicates collapse inside run generation where the
         // generator supports it; generators that ignore the hint still
@@ -302,7 +293,7 @@ impl<K: SortKey> HistogramTopK<K> {
         // seed the distinct tracker, so the cutoff is established before
         // the first external-phase row arrives. `observe_input` is a no-op
         // outside distinct mode.
-        let seed_distinct = self.config.filter_enabled && self.config.input_filter;
+        let seed_distinct = self.config.filter.input();
         for row in heap_rows {
             if seed_distinct && ext.filter.observe_input(&row.key) == DistinctVerdict::Worse {
                 // The store retained more groups than the (slack-reduced)
@@ -335,7 +326,7 @@ impl<K: SortKey> HistogramTopK<K> {
     /// row's size) and nothing else, so it runs ahead of `agg.init`.
     fn survives_input(&mut self, row: &Row<K>) -> bool {
         let State::External(ext) = &mut self.state else { unreachable!() };
-        if !(self.config.filter_enabled && self.config.input_filter) {
+        if !self.config.filter.input() {
             return true;
         }
         if ext.filter.distinct_mode() {
@@ -428,7 +419,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
     /// operator to external mode at the end of the batch, not on the next
     /// row.
     fn push_batch(&mut self, rows: &mut Vec<Row<K>>) -> Result<()> {
-        let filtering = self.config.filter_enabled && self.config.input_filter;
+        let filtering = self.config.filter.input();
         // Phase-2 dedup: `push`'s external arm per row, in arrival order,
         // minus the call and state matches (−6.5 % `zipf_dedup` `query_s`,
         // DESIGN.md §10). Decided once: phase 2 lasts until `finish`.
@@ -480,7 +471,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                 let residue = ext.gen.finish(&mut ext.filter, self.config.residue)?;
                 self.final_filter = Some(ext.filter.metrics());
                 let stream = FinalMerge {
-                    config: self.config.merge,
+                    fan_in: self.config.fan_in,
                     tuning: self.merge_tuning(),
                     limit: Some(self.spec.retained()),
                     cutoff: ext.filter.cutoff().cloned(),
@@ -550,6 +541,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FilterSites;
     use histok_storage::MemoryBackend;
     use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
 
@@ -665,7 +657,7 @@ mod tests {
         let row_bytes = histok_sort::row_footprint(&Row::key_only(0u64));
         let cfg = TopKConfig::builder()
             .memory_budget(100 * row_bytes)
-            .filter_enabled(false)
+            .filter(FilterSites::Off)
             .block_bytes(1024)
             .build()
             .unwrap();
@@ -675,6 +667,55 @@ mod tests {
         assert!(m.rows_spilled() > 18_000);
         assert_eq!(m.eliminated_at_input, 0);
         assert_eq!(m.filter.buckets_inserted, 0);
+    }
+
+    /// One spilling query (top 600 of 20,000 shuffled keys, memory for
+    /// 100 rows) with the filter acting at `sites`.
+    fn run_with_sites(sites: FilterSites) -> OperatorMetrics {
+        let keys = shuffled(20_000, 9);
+        let row_bytes = histok_sort::row_footprint(&Row::key_only(0u64));
+        let cfg = TopKConfig::builder()
+            .memory_budget(100 * row_bytes)
+            .filter(sites)
+            .block_bytes(1024)
+            .build()
+            .unwrap();
+        let (out, m) = run_op(SortSpec::ascending(600), cfg, &keys);
+        assert_eq!(out, (0..600).collect::<Vec<_>>(), "{sites:?}");
+        assert!(m.spilled, "{sites:?}");
+        m
+    }
+
+    #[test]
+    fn each_filter_site_eliminates_only_where_it_acts() {
+        // k exceeds memory, so phase 1 never fills its heap and every
+        // input elimination is the phase-2 filter's (Algorithm 1 line 4).
+        let input_only = run_with_sites(FilterSites::InputOnly);
+        assert!(input_only.eliminated_at_input > 0);
+        assert_eq!(input_only.eliminated_at_spill, 0, "InputOnly eliminated at spill");
+        assert!(input_only.filter.buckets_inserted > 0);
+
+        let spill_only = run_with_sites(FilterSites::SpillOnly);
+        assert_eq!(spill_only.eliminated_at_input, 0, "SpillOnly eliminated at input");
+        assert!(spill_only.eliminated_at_spill > 0);
+        assert!(spill_only.filter.buckets_inserted > 0);
+
+        let off = run_with_sites(FilterSites::Off);
+        assert_eq!(off.filter.buckets_inserted, 0, "Off built a histogram");
+        assert_eq!((off.eliminated_at_input, off.eliminated_at_spill), (0, 0));
+
+        let both = run_with_sites(FilterSites::InputAndSpill);
+        assert!(both.eliminated_at_input > 0 && both.eliminated_at_spill > 0);
+        assert!(both.rows_spilled() < input_only.rows_spilled().min(spill_only.rows_spilled()));
+        // The default is the paper's algorithm: both sites.
+        let keys = shuffled(20_000, 9);
+        let row_bytes = histok_sort::row_footprint(&Row::key_only(0u64));
+        let (_, default) = run_op(SortSpec::ascending(600), config(100 * row_bytes), &keys);
+        let counts = |m: &OperatorMetrics| {
+            (m.eliminated_at_input, m.eliminated_at_spill, m.rows_spilled(), m.io.bytes_written)
+        };
+        assert_eq!(counts(&default), counts(&both));
+        assert_eq!(default.filter, both.filter);
     }
 
     #[test]

@@ -19,12 +19,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use histok_sort::run_gen::{BatchSort, ReplacementSelection, ResiduePolicy, RunGenerator};
+use histok_sort::run_gen::{ReplacementSelection, ResiduePolicy, RunGenerator};
 use histok_sort::{merge_runs_to_new, CmpStats, FinalMerge, MergeTuning, SpillObserver};
 use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortOrder, SortSpec};
 
-use crate::config::{RunGenMode, TopKConfig};
+use crate::config::TopKConfig;
 use crate::metrics::{io_snapshot, OperatorMetrics};
 use crate::topk::{
     already_finished, MergeRecord, Offer, RetainedHeap, RowStream, SpecStream, TimedStream,
@@ -190,8 +190,7 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
         MergeTuning {
             ovc: self.config.ovc_enabled,
             stats: Some(self.cmp_stats.clone()),
-            batch_rows: self.config.batch_rows,
-            fold: None,
+            ..MergeTuning::default()
         }
     }
 
@@ -224,20 +223,13 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
             .with_block_bytes(self.config.block_bytes)
             .with_io_scheduler(self.io_scheduler.clone()),
         );
-        // Replacement selection *defines* this baseline ([Graefe'08]), so
-        // only the explicit Batch override swaps in the radix sorter
-        // (losing the run-size cap, which batch mode does not support).
-        let mut gen: Box<dyn RunGenerator<K>> = if self.config.run_gen_mode == RunGenMode::Batch {
-            Box::new(BatchSort::with_budget(catalog.clone(), self.config.make_budget()))
-        } else {
-            let mut gen =
-                ReplacementSelection::with_budget(catalog.clone(), self.config.make_budget())
-                    .with_ovc(self.config.ovc_enabled, Some(self.cmp_stats.clone()));
-            if self.config.limit_run_size {
-                gen = gen.with_run_limit(self.spec.retained());
-            }
-            Box::new(gen)
-        };
+        // Replacement selection *defines* this baseline ([Graefe'08]).
+        let mut gen = ReplacementSelection::with_budget(catalog.clone(), self.config.make_budget())
+            .with_ovc(self.config.ovc_enabled, Some(self.cmp_stats.clone()));
+        if self.config.limit_run_size {
+            gen = gen.with_run_limit(self.spec.retained());
+        }
+        let mut gen: Box<dyn RunGenerator<K>> = Box::new(gen);
         let mut obs = KthKeyObserver {
             order: self.spec.order,
             k: self.spec.retained(),
@@ -339,7 +331,7 @@ impl<K: SortKey> TopKOperator<K> for OptimizedExternalTopK<K> {
                 let residue = gen.finish(&mut obs, ResiduePolicy::KeepInMemory)?;
                 self.eliminated_at_spill_final = obs.eliminated_at_spill;
                 let stream = FinalMerge {
-                    config: self.config.merge,
+                    fan_in: self.config.fan_in,
                     tuning: self.merge_tuning(),
                     limit: Some(self.spec.retained()),
                     cutoff: obs.cutoff,

@@ -75,8 +75,7 @@ impl<K: SortKey> TraditionalExternalTopK<K> {
                 .with_tuning(MergeTuning {
                     ovc: config.ovc_enabled,
                     stats: Some(op.cmp_stats.clone()),
-                    batch_rows: config.batch_rows,
-                    fold: None,
+                    ..MergeTuning::default()
                 }),
         );
         Ok(op)

@@ -1,13 +1,14 @@
 //! Differential testing of batched input (DESIGN.md §10, "Batched input"):
 //! `push_batch` must be observably identical to `push` row by row. One
-//! seeded input drives all six `TopKOperator` implementations through both
+//! seeded input drives the five `TopKOperator` implementations, and the
+//! histogram operator with approximation slack (§4.5), through both
 //! entry points across {batch 1, 3, 256, > input} × {asc, desc} × {plain,
 //! dedup, COUNT} × {offset 0, > 0} × {fits, spills}; output rows (key and
 //! payload bytes) and the operator's counters must agree exactly.
 
 use histok_core::{
-    ApproximateTopK, HistogramTopK, InMemoryTopK, OperatorMetrics, OptimizedExternalTopK,
-    ParallelTopK, TopKConfig, TopKOperator, TraditionalExternalTopK,
+    HistogramTopK, InMemoryTopK, OperatorMetrics, OptimizedExternalTopK, ParallelTopK, TopKConfig,
+    TopKOperator, TraditionalExternalTopK,
 };
 use histok_storage::{FaultBackend, FaultPlan, MemoryBackend};
 use histok_types::{AggregateOp, Result, Row, SortSpec};
@@ -65,7 +66,7 @@ fn config(mode: Mode, fits: bool) -> TopKConfig {
 }
 
 /// `None` where the operator refuses the configuration (only the histogram
-/// operator and its approximate variant fold) or, as `InMemoryTopK`, takes
+/// operator folds, with or without slack) or, as `InMemoryTopK`, takes
 /// none and would repeat its plain cell.
 fn operator(kind: Kind, spec: SortSpec, config: TopKConfig) -> Option<Box<dyn TopKOperator<u64>>> {
     if kind == Kind::InMemory && config.fold_op().is_some() {
@@ -82,7 +83,8 @@ fn operator(kind: Kind, spec: SortSpec, config: TopKConfig) -> Option<Box<dyn To
         }
         Kind::Parallel => ParallelTopK::new(spec, config, backend, 2).map(|op| Box::new(op) as _),
         Kind::Approximate => {
-            ApproximateTopK::new(spec, config, backend, 0.1).map(|op| Box::new(op) as _)
+            let config = TopKConfig { approx_slack: 0.1, ..config };
+            HistogramTopK::new(spec, config, backend).map(|op| Box::new(op) as _)
         }
     };
     match op {

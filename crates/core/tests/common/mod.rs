@@ -11,7 +11,7 @@
 //! sizes force spilling, multi-block runs and real merge fan-in, so the
 //! pool genuinely carries spill and read-ahead jobs in every pooled cell.
 
-use histok_core::{HistogramTopK, TopKConfig, TopKOperator};
+use histok_core::{FilterSites, HistogramTopK, TopKConfig, TopKOperator};
 use histok_storage::MemoryBackend;
 use histok_types::{BytesKey, Row, SortKey, SortOrder, SortSpec};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -60,7 +60,7 @@ pub fn io_grid<K: KeyGen>(
             .memory_budget(16 * 1024)
             .block_bytes(512)
             .fan_in(4)
-            .filter_enabled(filter)
+            .filter(if filter { FilterSites::InputAndSpill } else { FilterSites::Off })
             .io_threads(io_threads)
             .build()
             .expect("grid config");

@@ -8,7 +8,7 @@
 //! configurations (ε > 0) must still produce the exact best ⌈k·(1−ε)⌉
 //! rows as a prefix (§4.5), in order, with at most `k` rows total.
 
-use histok_core::{HistogramTopK, ParallelTopK, TopKConfig, TopKOperator};
+use histok_core::{FilterSites, HistogramTopK, ParallelTopK, TopKConfig, TopKOperator};
 use histok_sort::run_gen::ResiduePolicy;
 use histok_storage::MemoryBackend;
 use histok_types::{Row, SortOrder, SortSpec};
@@ -42,7 +42,7 @@ fn config(filter: bool, slack: f64, residue: ResiduePolicy) -> TopKConfig {
     TopKConfig::builder()
         .memory_budget(MEM_ROWS * 60)
         .block_bytes(1024)
-        .filter_enabled(filter)
+        .filter(if filter { FilterSites::InputAndSpill } else { FilterSites::Off })
         .approx_slack(slack)
         .residue(residue)
         .build()

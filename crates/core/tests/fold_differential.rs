@@ -1,12 +1,16 @@
 //! Differential testing of in-sort duplicate folding (DESIGN.md §14):
 //! dedup and SUM-aggregate queries across the full configuration grid
 //! {u64, F64Key, BytesKey, KeyPair} × {asc, desc} × {filter on/off} ×
-//! {batch_rows 1, 1024} × {cascade fan-in 2, 64}, against a post-hoc
-//! oracle (plain full sort through the same machinery, folded
-//! afterwards in test code). Outputs must be byte-identical — keys AND
-//! accumulator payloads.
+//! {cascade fan-in 2, 64}, against a post-hoc oracle (plain full sort
+//! through the same machinery, folded afterwards in test code). Outputs
+//! must be byte-identical — keys AND accumulator payloads. Dedup is asked
+//! for both ways, `dedup(true)` and `aggregate(First)`: the two must agree
+//! row for row and count for count. (Merge batch sizes are varied one
+//! layer down, in `histok-sort`'s `batched_differential`.)
 
-use histok_core::{HistogramTopK, TopKConfig, TopKOperator};
+use histok_core::{
+    FilterSites, HistogramTopK, OperatorMetrics, TopKConfig, TopKConfigBuilder, TopKOperator,
+};
 use histok_storage::MemoryBackend;
 use histok_types::{encode_f64, AggregateOp, BytesKey, F64Key, KeyPair, Row, SortKey, SortSpec};
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
@@ -51,22 +55,39 @@ fn expected_groups(ascending: bool) -> Vec<u64> {
     vs
 }
 
-fn config(filter: bool, batch_rows: usize, fan_in: usize) -> TopKConfig {
+fn config(filter: bool, fan_in: usize) -> TopKConfigBuilder {
     TopKConfig::builder()
         .memory_budget(BUDGET)
         .block_bytes(1024)
-        .filter_enabled(filter)
-        .batch_rows(batch_rows)
+        .filter(if filter { FilterSites::InputAndSpill } else { FilterSites::Off })
         .fan_in(fan_in)
-        .build()
-        .expect("valid grid config")
+}
+
+/// Every counter of one execution (no timings).
+fn counts(m: &OperatorMetrics) -> Vec<u64> {
+    vec![
+        m.rows_in,
+        m.eliminated_at_input,
+        m.eliminated_at_spill,
+        m.io.rows_written,
+        m.io.bytes_written,
+        m.io.runs_created,
+        m.io.rows_read,
+        m.filter.buckets_inserted,
+        m.filter.eliminated_at_spill,
+        m.cascade.merge_passes,
+        m.cascade.intermediate_merges,
+        m.cascade.runs_pruned,
+        m.rows_folded,
+        m.bytes_folded_pre_spill,
+    ]
 }
 
 fn run<K2: SortKey + std::fmt::Debug>(
     spec: SortSpec,
     cfg: TopKConfig,
     rows: Vec<Row<K2>>,
-) -> (Vec<(K2, Vec<u8>)>, bool) {
+) -> (Vec<(K2, Vec<u8>)>, OperatorMetrics) {
     let mut op = HistogramTopK::new(spec, cfg, MemoryBackend::new()).expect("operator");
     for r in rows {
         op.push(r).expect("push");
@@ -80,7 +101,7 @@ fn run<K2: SortKey + std::fmt::Debug>(
             (r.key, payload)
         })
         .collect();
-    (out, op.metrics().spilled)
+    (out, op.metrics())
 }
 
 fn grid_for_key<K2, F>(type_label: &str, make_key: F)
@@ -102,7 +123,7 @@ where
         // operator, deduped/summed afterwards in test code.
         let (plain, _) = run(
             full,
-            config(true, 1024, 64),
+            config(true, 64).build().expect("valid oracle config"),
             pairs.iter().map(|&(v, _)| Row::new(make_key(v), dedup_payload(v))).collect(),
         );
         assert_eq!(plain.len(), (DISTINCT * REPS) as usize, "{type_label}: oracle lost rows");
@@ -120,39 +141,37 @@ where
         let want_sum: Vec<(K2, Vec<u8>)> =
             groups.iter().map(|&v| (make_key(v), encode_f64(group_sum(v)).to_vec())).collect();
 
+        let dedup_rows = || -> Vec<Row<K2>> {
+            pairs.iter().map(|&(v, _)| Row::new(make_key(v), dedup_payload(v))).collect()
+        };
         for filter in [true, false] {
-            for batch_rows in [1usize, 1024] {
-                for fan_in in [2usize, 64] {
-                    let label = format!(
-                        "{type_label} asc={ascending} filter={filter} \
-                         batch={batch_rows} fan_in={fan_in}"
-                    );
-                    let mut cfg = config(filter, batch_rows, fan_in);
-                    cfg.dedup = true;
-                    let (got, spilled) = run(
-                        spec,
-                        cfg,
-                        pairs
-                            .iter()
-                            .map(|&(v, _)| Row::new(make_key(v), dedup_payload(v)))
-                            .collect(),
-                    );
-                    assert_eq!(got, want_dedup, "{label}: dedup diverged from post-hoc oracle");
-                    assert!(spilled, "{label}: dedup run must exercise the external path");
+            for fan_in in [2usize, 64] {
+                let label = format!("{type_label} asc={ascending} filter={filter} fan_in={fan_in}");
+                let first = config(filter, fan_in).aggregate(AggregateOp::First).build();
+                let (got, metrics) = run(spec, first.expect("valid grid config"), dedup_rows());
+                assert_eq!(got, want_dedup, "{label}: dedup diverged from post-hoc oracle");
+                assert!(metrics.spilled, "{label}: dedup run must exercise the external path");
 
-                    let mut cfg = config(filter, batch_rows, fan_in);
-                    cfg.aggregate = Some(AggregateOp::Sum);
-                    let (got, spilled) = run(
-                        spec,
-                        cfg,
-                        pairs
-                            .iter()
-                            .map(|&(v, j)| Row::new(make_key(v), encode_f64(sum_term(v, j))))
-                            .collect(),
-                    );
-                    assert_eq!(got, want_sum, "{label}: SUM diverged from post-hoc oracle");
-                    assert!(spilled, "{label}: SUM run must exercise the external path");
-                }
+                let dedup = config(filter, fan_in).dedup(true).build();
+                let (again, again_metrics) =
+                    run(spec, dedup.expect("valid grid config"), dedup_rows());
+                assert_eq!(again, got, "{label}: dedup(true) and aggregate(First) rows differ");
+                assert_eq!(
+                    counts(&again_metrics),
+                    counts(&metrics),
+                    "{label}: dedup(true) and aggregate(First) counts differ"
+                );
+
+                let (got, metrics) = run(
+                    spec,
+                    config(filter, fan_in).aggregate(AggregateOp::Sum).build().expect("valid"),
+                    pairs
+                        .iter()
+                        .map(|&(v, j)| Row::new(make_key(v), encode_f64(sum_term(v, j))))
+                        .collect(),
+                );
+                assert_eq!(got, want_sum, "{label}: SUM diverged from post-hoc oracle");
+                assert!(metrics.spilled, "{label}: SUM run must exercise the external path");
             }
         }
     }

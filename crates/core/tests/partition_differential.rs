@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use histok_core::{
-    HistogramTopK, OptimizedExternalTopK, ParallelTopK, TopKConfig, TopKOperator,
+    FilterSites, HistogramTopK, OptimizedExternalTopK, ParallelTopK, TopKConfig, TopKOperator,
     TraditionalExternalTopK,
 };
 use histok_storage::MemoryBackend;
@@ -93,7 +93,7 @@ fn run_cell<K: KeyGen>(
         .memory_budget(16 * 1024)
         .block_bytes(512)
         .fan_in(4)
-        .filter_enabled(filter)
+        .filter(if filter { FilterSites::InputAndSpill } else { FilterSites::Off })
         .merge_threads(threads)
         .build()
         .expect("grid config");

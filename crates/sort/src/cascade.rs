@@ -8,8 +8,8 @@
 //!    more reduction pass suffices, the pass merges only the
 //!    `excess + merges` best-ranked runs (classic minimal-rewrite
 //!    cascade); otherwise it is a full pass of maximal groups. Group 0
-//!    always holds the best-ranked runs — under
-//!    [`MergePolicy::LowestKeyFirst`] the cutoff-relevant ones — so the
+//!    always holds the best-ranked runs — for a merge with a `limit`, the
+//!    runs with the best first keys, the cutoff-relevant ones — so the
 //!    merge most likely to refine the top-k cutoff executes first.
 //! 2. **Execute.** The groups of a pass merge one after another. A merge
 //!    that completes `limit` rows tightens the cutoff to its last key,
@@ -26,15 +26,14 @@
 //! would have dropped (ties survive, [`SortOrder::follows`] is strict), so
 //! it is cutoff truncation minus the reads.
 //!
-//! [`MergePolicy::LowestKeyFirst`]: crate::MergePolicy::LowestKeyFirst
 //! [`SortOrder::follows`]: histok_types::SortOrder::follows
 
 use std::ops::Range;
 
 use histok_storage::{RunCatalog, RunMeta};
-use histok_types::{Result, SortKey};
+use histok_types::{Error, Result, SortKey};
 
-use crate::merge::{merge_runs_to_new, rank_candidates, MergeConfig, MergeTuning};
+use crate::merge::{merge_runs_to_new, rank_candidates, MergeTuning};
 
 /// Counters a cascade accumulates across its passes; surfaced through
 /// `OperatorMetrics` (see docs/METRICS.md).
@@ -103,8 +102,11 @@ fn plan_pass_groups(n: usize, fan_in: usize) -> Vec<Range<usize>> {
     groups
 }
 
-/// Runs the cascade until at most `config.fan_in` runs remain; returns
-/// the final run set and the pass counters.
+/// Runs the cascade until at most `fan_in` runs remain (`fan_in` must be
+/// at least 2); returns the final run set and the pass counters.
+///
+/// Each pass ranks the runs by the merge's kind: with a `limit` the runs
+/// with the best first keys merge first (§4.1), without one the smallest.
 ///
 /// `limit`/`cutoff` truncate intermediate outputs — always safe for a
 /// top-k (module docs), never used for a full sort. Per §4.1, "each merge
@@ -116,12 +118,14 @@ fn plan_pass_groups(n: usize, fan_in: usize) -> Vec<Range<usize>> {
 /// order, so every downstream tie-break is a function of the input alone.
 pub fn plan_merges<K: SortKey>(
     catalog: &RunCatalog<K>,
-    config: &MergeConfig,
+    fan_in: usize,
     limit: Option<u64>,
     cutoff: Option<&K>,
     tuning: &MergeTuning,
 ) -> Result<(Vec<RunMeta<K>>, CascadeStats)> {
-    config.validate()?;
+    if fan_in < 2 {
+        return Err(Error::InvalidConfig("merge fan-in must be at least 2".into()));
+    }
     let order = catalog.order();
     let mut cutoff: Option<K> = cutoff.cloned();
     let mut stats = CascadeStats::default();
@@ -130,11 +134,11 @@ pub fn plan_merges<K: SortKey>(
         // Prune cutoff-dead runs before planning, so they neither join
         // a merge group nor occupy a final fan-in slot.
         runs = prune_dead(catalog, runs, cutoff.as_ref(), &mut stats)?;
-        if runs.len() <= config.fan_in {
+        if runs.len() <= fan_in {
             return Ok((runs, stats));
         }
-        rank_candidates(&mut runs, config.policy, order);
-        let groups = plan_pass_groups(runs.len(), config.fan_in);
+        rank_candidates(&mut runs, limit, order);
+        let groups = plan_pass_groups(runs.len(), fan_in);
         stats.merge_passes += 1;
         let covered = groups.last().map_or(0, |g| g.end);
         let mut next = runs[covered..].to_vec();

@@ -13,7 +13,7 @@ use histok_types::{Result, Row, SortKey, SortOrder};
 
 use crate::budget::MemoryBudget;
 use crate::fold::FoldSpec;
-use crate::merge::{FinalMerge, MergeConfig, MergePolicy, MergeTuning, SortedStream};
+use crate::merge::{FinalMerge, MergeTuning, SortedStream};
 use crate::observer::NoopObserver;
 use crate::run_gen::{BatchSort, LoadSortStore, ResiduePolicy, RunGenerator};
 
@@ -42,8 +42,7 @@ use crate::run_gen::{BatchSort, LoadSortStore, ResiduePolicy, RunGenerator};
 pub struct ExternalSorter<K: SortKey> {
     catalog: Arc<RunCatalog<K>>,
     generator: Box<dyn RunGenerator<K>>,
-    budget: MemoryBudget,
-    merge: MergeConfig,
+    fan_in: usize,
     tuning: MergeTuning,
     rows_in: u64,
     merge_threads: usize,
@@ -81,15 +80,14 @@ impl<K: SortKey> ExternalSorter<K> {
         // prefix is exact take the radix batch sort (same flush points and
         // run contents, no comparator on the hot path).
         let generator: Box<dyn RunGenerator<K>> = if K::norm_prefix_is_exact() {
-            Box::new(BatchSort::with_budget(catalog.clone(), budget.fork()))
+            Box::new(BatchSort::with_budget(catalog.clone(), budget))
         } else {
-            Box::new(LoadSortStore::with_budget(catalog.clone(), budget.fork()))
+            Box::new(LoadSortStore::with_budget(catalog.clone(), budget))
         };
         ExternalSorter {
             catalog,
             generator,
-            budget,
-            merge: MergeConfig { fan_in: 512, policy: MergePolicy::SmallestFirst },
+            fan_in: 512,
             tuning: MergeTuning::default(),
             rows_in: 0,
             merge_threads: 1,
@@ -107,23 +105,9 @@ impl<K: SortKey> ExternalSorter<K> {
         self
     }
 
-    /// Overrides the merge fan-in.
+    /// Overrides the merge fan-in (at least 2; `finish` rejects less).
     pub fn with_fan_in(mut self, fan_in: usize) -> Self {
-        self.merge.fan_in = fan_in;
-        self
-    }
-
-    /// Forces batched (radix) or comparison (quicksort) run generation,
-    /// overriding the by-key-width default. Call before the first `push`;
-    /// rows already buffered would be dropped.
-    pub fn with_batch_run_gen(mut self, batched: bool) -> Self {
-        debug_assert_eq!(self.generator.buffered_rows(), 0, "switch run generation before pushing");
-        self.generator = if batched {
-            Box::new(BatchSort::with_budget(self.catalog.clone(), self.budget.fork()))
-        } else {
-            Box::new(LoadSortStore::with_budget(self.catalog.clone(), self.budget.fork()))
-        };
-        self.generator.set_fold(self.fold.clone());
+        self.fan_in = fan_in;
         self
     }
 
@@ -181,7 +165,7 @@ impl<K: SortKey> ExternalSorter<K> {
         }
         self.generator.finish(&mut NoopObserver, ResiduePolicy::SpillToRuns)?;
         FinalMerge {
-            config: self.merge,
+            fan_in: self.fan_in,
             tuning: self.tuning,
             threads: self.merge_threads,
             ..FinalMerge::default()

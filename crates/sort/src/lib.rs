@@ -43,8 +43,8 @@ pub use fold::{FoldSnapshot, FoldSpec, FoldStats};
 pub use heap::BinaryHeapBy;
 pub use loser_tree::LoserTree;
 pub use merge::{
-    merge_runs_to_new, merge_sources, open_source, BatchedMerge, FinalMerge, MergeConfig,
-    MergeInput, MergePolicy, MergeSource, MergeTuning, SortedStream, PARTITION_MIN_ROWS,
+    merge_runs_to_new, merge_sources, open_source, BatchedMerge, FinalMerge, MergeInput,
+    MergeSource, MergeTuning, SortedStream, PARTITION_MIN_ROWS,
 };
 pub use observer::{NoopObserver, SpillObserver};
 pub use partition::PartitionCounters;

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use histok_storage::{
     IoSchedulerHandle, KeyRange, PrefetchingRunReader, RunCatalog, RunMeta, RunReader,
 };
-use histok_types::{Error, Result, Row, RowBatch, SortKey, SortOrder};
+use histok_types::{Result, Row, RowBatch, SortKey, SortOrder};
 
 use crate::cascade::{plan_merges, CascadeStats};
 use crate::cmp_stats::CmpStats;
@@ -238,43 +238,6 @@ pub fn merge_sources<K: SortKey>(
     Ok(tree)
 }
 
-/// Which runs an intermediate merge step should pick first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergePolicy {
-    /// Traditional policy: the smallest runs (fewest rows) — minimizes
-    /// re-read volume for full sorts.
-    SmallestFirst,
-    /// Top-k policy (§4.1): the runs whose first keys sort best — usually
-    /// the most recently generated ones.
-    #[default]
-    LowestKeyFirst,
-}
-
-/// Fan-in and policy for multi-level merging.
-#[derive(Debug, Clone, Copy)]
-pub struct MergeConfig {
-    /// Maximum simultaneous merge inputs.
-    pub fan_in: usize,
-    /// Run-selection policy for intermediate steps.
-    pub policy: MergePolicy,
-}
-
-impl Default for MergeConfig {
-    fn default() -> Self {
-        MergeConfig { fan_in: 16, policy: MergePolicy::default() }
-    }
-}
-
-impl MergeConfig {
-    /// Validates the fan-in.
-    pub fn validate(&self) -> Result<()> {
-        if self.fan_in < 2 {
-            return Err(Error::InvalidConfig("merge fan-in must be at least 2".into()));
-        }
-        Ok(())
-    }
-}
-
 /// Merges the given runs into one new run, truncating at `limit` rows
 /// and/or at the first key that sorts after `cutoff`. The source runs are
 /// deleted; the new run is registered and returned.
@@ -377,21 +340,26 @@ pub fn merge_runs_to_new<K: SortKey>(
     Ok(meta)
 }
 
-/// Sorts run metas so the best merge candidates (per `policy`) come first.
+/// Sorts run metas so the best merge candidates come first. A merge with
+/// a `limit` is a top-k merge (§4.1): the runs whose first keys sort best
+/// come first, usually the most recently generated ones. A full sort (no
+/// limit) takes the traditional smallest runs first, which minimizes
+/// re-read volume.
 pub(crate) fn rank_candidates<K: SortKey>(
     runs: &mut [RunMeta<K>],
-    policy: MergePolicy,
+    limit: Option<u64>,
     order: SortOrder,
 ) {
-    match policy {
-        MergePolicy::SmallestFirst => runs.sort_by_key(|m| m.rows),
-        MergePolicy::LowestKeyFirst => runs.sort_by(|a, b| match (&a.first_key, &b.first_key) {
-            (Some(ka), Some(kb)) => order.cmp_keys(ka, kb).then(a.rows.cmp(&b.rows)),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => std::cmp::Ordering::Equal,
-        }),
+    if limit.is_none() {
+        runs.sort_by_key(|m| m.rows);
+        return;
     }
+    runs.sort_by(|a, b| match (&a.first_key, &b.first_key) {
+        (Some(ka), Some(kb)) => order.cmp_keys(ka, kb).then(a.rows.cmp(&b.rows)),
+        (Some(_), None) => std::cmp::Ordering::Less,
+        (None, Some(_)) => std::cmp::Ordering::Greater,
+        (None, None) => std::cmp::Ordering::Equal,
+    });
 }
 
 /// Rows the final merge must hold before it is range-partitioned: below
@@ -419,8 +387,8 @@ pub type MergeInput<K> = (Arc<RunCatalog<K>>, Vec<Vec<Row<K>>>);
 /// merge's order; a clipped partition plan only stops earlier.
 #[derive(Debug, Clone)]
 pub struct FinalMerge<K: SortKey> {
-    /// Fan-in and run-selection policy of the cascade.
-    pub config: MergeConfig,
+    /// Maximum simultaneous merge inputs of the cascade (at least 2).
+    pub fan_in: usize,
     /// Tuning of every merge step, intermediate and final.
     pub tuning: MergeTuning,
     /// Rows the output needs (a top-k's `offset + limit`): intermediate
@@ -444,7 +412,7 @@ pub struct FinalMerge<K: SortKey> {
 impl<K: SortKey> Default for FinalMerge<K> {
     fn default() -> Self {
         FinalMerge {
-            config: MergeConfig::default(),
+            fan_in: 16,
             tuning: MergeTuning::default(),
             limit: None,
             cutoff: None,
@@ -504,13 +472,8 @@ impl<K: SortKey> FinalMerge<K> {
         let mut cascade = CascadeStats::default();
         let mut planned = Vec::with_capacity(inputs.len());
         for (catalog, residue) in inputs {
-            let (runs, stats) = plan_merges(
-                &catalog,
-                &self.config,
-                self.limit,
-                self.cutoff.as_ref(),
-                &self.tuning,
-            )?;
+            let (runs, stats) =
+                plan_merges(&catalog, self.fan_in, self.limit, self.cutoff.as_ref(), &self.tuning)?;
             cascade = cascade.merged(&stats);
             planned.push(Planned { catalog, runs, residue });
         }
@@ -688,8 +651,7 @@ mod tests {
         for i in 0..10u64 {
             write_run(&cat, &[i, i + 10, i + 20]);
         }
-        let cfg = MergeConfig { fan_in: 4, policy: MergePolicy::SmallestFirst };
-        let final_runs = plan_merges(&cat, &cfg, None, None, &MergeTuning::default()).unwrap().0;
+        let final_runs = plan_merges(&cat, 4, None, None, &MergeTuning::default()).unwrap().0;
         assert!(final_runs.len() <= 4);
         // Contents preserved exactly.
         let mut all: Vec<u64> = final_runs.iter().flat_map(|m| read_run(&cat, m)).collect();
@@ -702,8 +664,7 @@ mod tests {
         let cat = catalog();
         write_run(&cat, &[1]);
         write_run(&cat, &[2]);
-        let cfg = MergeConfig::default();
-        let runs = plan_merges(&cat, &cfg, None, None, &MergeTuning::default()).unwrap().0;
+        let runs = plan_merges(&cat, 16, None, None, &MergeTuning::default()).unwrap().0;
         assert_eq!(runs.len(), 2);
     }
 
@@ -715,24 +676,50 @@ mod tests {
         write_run(&cat, &[1, 2, 3]); // recent, low keys
         write_run(&cat, &[60, 61, 62]);
         let mut runs = cat.runs();
-        rank_candidates(&mut runs, MergePolicy::LowestKeyFirst, SortOrder::Ascending);
+        rank_candidates(&mut runs, Some(3), SortOrder::Ascending);
         assert_eq!(runs[0].first_key, Some(1));
         assert_eq!(runs[1].first_key, Some(50));
         assert_eq!(runs[3].first_key, Some(100));
     }
 
+    /// Row counts of the runs left after one cascade at fan-in 3 over two
+    /// large runs with the best first keys and two small runs with the
+    /// worst: one merge of the two best-ranked runs brings four to three.
+    fn cascade_survivors(limit: Option<u64>) -> Vec<u64> {
+        let cat = catalog();
+        write_run(&cat, &(0..20).step_by(2).collect::<Vec<_>>());
+        write_run(&cat, &(1..21).step_by(2).collect::<Vec<_>>());
+        write_run(&cat, &[100]);
+        write_run(&cat, &[101, 102]);
+        let (runs, stats) = plan_merges(&cat, 3, limit, None, &MergeTuning::default()).unwrap();
+        assert_eq!(stats.intermediate_merges, 1);
+        let mut rows: Vec<u64> = runs.iter().map(|m| m.rows).collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    #[test]
+    fn the_merge_limit_decides_which_runs_the_cascade_merges() {
+        // A top-k cascade merges the runs with the best first keys (§4.1);
+        // the limit is far above the input, so nothing is truncated.
+        assert_eq!(cascade_survivors(Some(1_000)), vec![1, 2, 20]);
+        // A full sort merges the runs with the fewest rows.
+        assert_eq!(cascade_survivors(None), vec![3, 10, 10]);
+    }
+
     #[test]
     fn invalid_fan_in_rejected() {
-        let cfg = MergeConfig { fan_in: 1, policy: MergePolicy::SmallestFirst };
-        assert!(cfg.validate().is_err());
+        let cat = catalog();
+        write_run(&cat, &[1]);
+        write_run(&cat, &[2]);
+        assert!(plan_merges(&cat, 1, None, None, &MergeTuning::default()).is_err());
     }
 
     #[test]
     fn plan_merges_refines_the_cutoff_between_steps() {
         // §4.1: once an intermediate merge produces `limit` rows, its last
-        // key truncates every later merge. Under SmallestFirst, the two
-        // low-key runs merge first (they are smallest) and establish a
-        // cutoff ≈ key 59; the high-key merges that follow contain no row
+        // key truncates every later merge. The two low-key runs rank
+        // first and merge first, establishing a cutoff ≈ key 59; the high-key merges that follow contain no row
         // at or before it and must write NOTHING.
         let cat = catalog();
         write_run(&cat, &(0..100).step_by(2).collect::<Vec<_>>()); // 50 even low keys
@@ -742,9 +729,8 @@ mod tests {
             write_run(&cat, &keys);
         }
         let before = cat.stats().snapshot();
-        let cfg = MergeConfig { fan_in: 2, policy: MergePolicy::SmallestFirst };
         let k = 60;
-        let final_runs = plan_merges(&cat, &cfg, Some(k), None, &MergeTuning::default()).unwrap().0;
+        let final_runs = plan_merges(&cat, 2, Some(k), None, &MergeTuning::default()).unwrap().0;
         assert!(final_runs.len() <= 2);
         // Correctness: the global top 60 is exactly 0..59.
         let mut sources = Vec::new();
@@ -786,9 +772,7 @@ mod tests {
             let keys: Vec<u64> = (0..60).map(|j| 10_000 + j * 6 + base).collect();
             write_run(&cat, &keys);
         }
-        let cfg = MergeConfig { fan_in: 2, policy: MergePolicy::SmallestFirst };
-        let final_runs =
-            plan_merges(&cat, &cfg, Some(60), None, &MergeTuning::default()).unwrap().0;
+        let final_runs = plan_merges(&cat, 2, Some(60), None, &MergeTuning::default()).unwrap().0;
         assert!(final_runs.len() <= 2);
         assert!(
             final_runs.iter().all(|m| m.rows > 0),
@@ -868,8 +852,7 @@ mod tests {
             write_run(&cat, &keys);
         }
         let k = 25;
-        let cfg = MergeConfig { fan_in: 3, policy: MergePolicy::LowestKeyFirst };
-        let final_runs = plan_merges(&cat, &cfg, Some(k), None, &MergeTuning::default()).unwrap().0;
+        let final_runs = plan_merges(&cat, 3, Some(k), None, &MergeTuning::default()).unwrap().0;
         assert!(final_runs.len() <= 3);
         let mut sources = Vec::new();
         for m in &final_runs {

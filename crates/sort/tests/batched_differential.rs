@@ -6,7 +6,9 @@
 //! [`LoadSortStore`] on every cell of the grid
 //! {u64, F64Key, BytesKey, KeyPair} × {asc, desc} × {filter on/off} ×
 //! batch_rows ∈ {1, 7, 1024}, plus duplicate-heavy inputs and the
-//! mid-batch error-latch protocol.
+//! mid-batch error-latch protocol. Merge cells run once plain and once
+//! folding equal keys (`AggregateOp::First`, duplicate removal), so the
+//! batched drain's in-merge folding is held to the iterator's too.
 //!
 //! Payloads are derived from the key seed alone, so rows with equal keys
 //! are byte-identical and stable-vs-unstable sort differences between the
@@ -15,9 +17,13 @@
 use std::sync::Arc;
 
 use histok_sort::run_gen::{BatchSort, LoadSortStore, ResiduePolicy, RunGenerator};
-use histok_sort::{merge_sources, open_source, IterSource, LoserTree, MergeTuning, SpillObserver};
+use histok_sort::{
+    merge_sources, open_source, FoldSpec, IterSource, LoserTree, MergeTuning, SpillObserver,
+};
 use histok_storage::{IoStats, MemoryBackend, RunCatalog};
-use histok_types::{BytesKey, Error, F64Key, KeyPair, Result, Row, RowBatch, SortKey, SortOrder};
+use histok_types::{
+    AggregateOp, BytesKey, Error, F64Key, KeyPair, Result, Row, RowBatch, SortKey, SortOrder,
+};
 
 const BATCH_SIZES: [usize; 3] = [1, 7, 1024];
 const N_RUNS: usize = 5;
@@ -77,11 +83,16 @@ fn open_tree<K: SortKey>(
     merge_sources(sources, cat.order(), tuning).unwrap()
 }
 
+/// Merge tuning that folds equal keys to their first row when `fold`.
+fn tuning(fold: bool) -> MergeTuning {
+    let fold = fold.then(|| FoldSpec::new(AggregateOp::First.aggregator()));
+    MergeTuning { fold, ..MergeTuning::default() }
+}
+
 /// Row-at-a-time baseline: the plain `Iterator` drain, optionally stopping
 /// after `limit` rows (a top-k merge's early stop).
-fn drain_rows<K: SortKey>(cat: &RunCatalog<K>, limit: Option<usize>) -> Vec<Row<K>> {
-    let tuning = MergeTuning::default();
-    let tree = open_tree(cat, &tuning);
+fn drain_rows<K: SortKey>(cat: &RunCatalog<K>, limit: Option<usize>, fold: bool) -> Vec<Row<K>> {
+    let tree = open_tree(cat, &tuning(fold));
     let it = tree.map(|r| r.unwrap());
     match limit {
         Some(n) => it.take(n).collect(),
@@ -95,9 +106,9 @@ fn drain_batched<K: SortKey>(
     cat: &RunCatalog<K>,
     batch_rows: usize,
     limit: Option<usize>,
+    fold: bool,
 ) -> Vec<Row<K>> {
-    let tuning = MergeTuning::default().with_batch_rows(batch_rows);
-    let mut tree = open_tree(cat, &tuning);
+    let mut tree = open_tree(cat, &tuning(fold).with_batch_rows(batch_rows));
     let mut batch = RowBatch::new();
     let mut out: Vec<Row<K>> = Vec::new();
     loop {
@@ -121,19 +132,28 @@ fn drain_batched<K: SortKey>(
 }
 
 /// One merge cell: all batch sizes against the row baseline, with and
-/// without the early-stop "filter".
+/// without the early-stop "filter", plain and folding.
 fn merge_grid<K: SortKey>(key_fn: impl Fn(u64) -> K + Copy, order: SortOrder, tag: &str) {
     let cat = catalog::<K>(order, tag);
     write_runs(&cat, &seeds(N_KEYS, 0xD1FF), key_fn);
-    for filter in [false, true] {
-        let limit = filter.then_some(37);
-        let expected = drain_rows(&cat, limit);
-        for batch_rows in BATCH_SIZES {
-            let got = drain_batched(&cat, batch_rows, limit);
-            assert_eq!(
-                got, expected,
-                "{tag}: batched (batch_rows={batch_rows}, limit={limit:?}) diverged from row-at-a-time"
-            );
+    for fold in [false, true] {
+        for filter in [false, true] {
+            let limit = filter.then_some(37);
+            let expected = drain_rows(&cat, limit, fold);
+            if fold {
+                assert!(
+                    expected.windows(2).all(|w| w[0].key != w[1].key),
+                    "{tag}: the folding baseline emitted a duplicate key"
+                );
+            }
+            for batch_rows in BATCH_SIZES {
+                let got = drain_batched(&cat, batch_rows, limit, fold);
+                assert_eq!(
+                    got, expected,
+                    "{tag}: batched (batch_rows={batch_rows}, limit={limit:?}, fold={fold}) \
+                     diverged from row-at-a-time"
+                );
+            }
         }
     }
 }

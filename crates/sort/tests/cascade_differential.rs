@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use histok_sort::{merge_sources, open_source, plan_merges, MergeConfig, MergeTuning};
+use histok_sort::{merge_sources, open_source, plan_merges, MergeTuning};
 use histok_storage::{IoStats, MemoryBackend, RunCatalog, RunMeta};
 use histok_types::{BytesKey, F64Key, Result, Row, SortKey, SortOrder};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -97,9 +97,8 @@ fn cascade<K: GridKey>(
     take: usize,
 ) -> Vec<Row<K>> {
     let cat = fresh_catalog::<K>(order);
-    let config = MergeConfig { fan_in, ..MergeConfig::default() };
     let (final_runs, stats) =
-        plan_merges(&cat, &config, limit, None, &MergeTuning::default()).unwrap();
+        plan_merges(&cat, fan_in, limit, None, &MergeTuning::default()).unwrap();
     assert!(final_runs.len() <= fan_in, "{label}: F={fan_in} left {} runs", final_runs.len());
     if fan_in < RUNS {
         assert!(

@@ -8,7 +8,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use histok_sort::{plan_merges, MergeConfig, MergeTuning};
+use histok_sort::{plan_merges, MergeTuning};
 use histok_storage::{
     FaultBackend, FaultPlan, IoStats, MemoryBackend, RunCatalog, ThrottleModel, ThrottledBackend,
 };
@@ -86,8 +86,7 @@ fn corrupt_input_latches_the_pass_and_resurfaces() {
         for r in 0..8u64 {
             write_run(&cat, (0..600).map(|j| j * 8 + r));
         }
-        let config = MergeConfig { fan_in: 2, ..MergeConfig::default() };
-        let result = plan_merges(&cat, &config, None, None, &MergeTuning::default());
+        let result = plan_merges(&cat, 2, None, None, &MergeTuning::default());
         assert!(
             matches!(result, Err(Error::Corrupt(_))),
             "corruption must resurface, got {result:?}"
@@ -123,8 +122,7 @@ fn write_failure_mid_pass_deletes_the_partial_output() {
         for meta in plain.runs() {
             cat.register(meta).unwrap();
         }
-        let config = MergeConfig { fan_in: 2, ..MergeConfig::default() };
-        let result = plan_merges(&cat, &config, None, None, &MergeTuning::default());
+        let result = plan_merges(&cat, 2, None, None, &MergeTuning::default());
         assert!(result.is_err(), "write fault must resurface, got {result:?}");
         assert!(fault_probe.fault_fired(), "plan never tripped");
         assert_no_orphans(&cat, &mem);
@@ -152,8 +150,7 @@ fn error_under_throttle_leaves_no_orphans() {
         for r in 0..8u64 {
             write_run(&cat, (0..600).map(|j| j * 8 + r));
         }
-        let config = MergeConfig { fan_in: 2, ..MergeConfig::default() };
-        let result = plan_merges(&cat, &config, None, None, &MergeTuning::default());
+        let result = plan_merges(&cat, 2, None, None, &MergeTuning::default());
         assert!(matches!(result, Err(Error::Corrupt(_))), "got {result:?}");
         assert_no_orphans(&cat, &mem);
     });

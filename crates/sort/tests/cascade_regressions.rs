@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use histok_sort::{merge_runs_to_new, plan_merges, MergeConfig, MergeTuning};
+use histok_sort::{merge_runs_to_new, plan_merges, MergeTuning};
 use histok_storage::{IoStats, MemoryBackend, RunCatalog, RunMeta};
 use histok_types::{Row, SortOrder};
 
@@ -44,9 +44,9 @@ fn thousand_run_catalog_is_one_planned_pass() {
     for r in 0..1024u64 {
         write_run(&cat, (0..2).map(|j| r * 2 + j));
     }
-    let config = MergeConfig { fan_in: 32, ..MergeConfig::default() };
+    let fan_in = 32;
     let (final_runs, stats) =
-        plan_merges(&cat, &config, None, None, &MergeTuning::default()).unwrap();
+        plan_merges(&cat, fan_in, None, None, &MergeTuning::default()).unwrap();
     assert_eq!(stats.merge_passes, 1, "1024 runs at fan-in 32 must plan a single pass");
     assert_eq!(stats.intermediate_merges, 32, "single pass must hold exactly 32 merges");
     assert_eq!(final_runs.len(), 32, "pass must land exactly on the fan-in");
@@ -69,9 +69,9 @@ fn initial_cutoff_prunes_dead_runs_without_reading() {
     let dead_blocks: u64 = dead.iter().map(|m| m.blocks.len() as u64).sum();
     let dead_bytes: u64 =
         dead.iter().flat_map(|m| &m.blocks).map(|b| u64::from(b.payload_bytes)).sum();
-    let config = MergeConfig { fan_in: 4, ..MergeConfig::default() };
+    let fan_in = 4;
     let (final_runs, stats) =
-        plan_merges(&cat, &config, None, Some(&500), &MergeTuning::default()).unwrap();
+        plan_merges(&cat, fan_in, None, Some(&500), &MergeTuning::default()).unwrap();
     assert_eq!(stats.runs_pruned, 3);
     assert_eq!(final_runs.len(), 3, "live runs fit the fan-in untouched");
     assert_eq!(stats.merge_passes, 0);
@@ -90,7 +90,7 @@ fn initial_cutoff_prunes_dead_runs_without_reading() {
 #[test]
 fn limit_refined_cutoff_prunes_sibling_groups_unread() {
     let run = |cat: &RunCatalog<u64>, base: u64| write_run(cat, (0..200).map(|j| base + j * 2));
-    let config = MergeConfig { fan_in: 2, ..MergeConfig::default() };
+    let fan_in = 2;
     // Inline I/O only (the catalog has no pool): with `limit = 10` the
     // merge stops early, and background read-ahead would make
     // `bytes_read` timing-dependent.
@@ -117,7 +117,7 @@ fn limit_refined_cutoff_prunes_sibling_groups_unread() {
     let dead_blocks: u64 = dead.iter().map(|m| m.blocks.len() as u64).sum();
     let dead_bytes: u64 =
         dead.iter().flat_map(|m| &m.blocks).map(|b| u64::from(b.payload_bytes)).sum();
-    let (final_runs, stats) = plan_merges(&cat, &config, Some(10), None, &tuning).unwrap();
+    let (final_runs, stats) = plan_merges(&cat, fan_in, Some(10), None, &tuning).unwrap();
     assert_eq!(stats.merge_passes, 1);
     assert_eq!(stats.intermediate_merges, 1, "the dead group must never merge");
     assert_eq!(stats.runs_pruned, 2);

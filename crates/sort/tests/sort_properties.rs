@@ -7,8 +7,7 @@ use proptest::prelude::*;
 
 use histok_sort::run_gen::{LoadSortStore, ReplacementSelection, ResiduePolicy, RunGenerator};
 use histok_sort::{
-    merge_sources, plan_merges, IterSource, LoserTree, MergeConfig, MergePolicy, MergeSource,
-    MergeTuning, NoopObserver,
+    merge_sources, plan_merges, IterSource, LoserTree, MergeSource, MergeTuning, NoopObserver,
 };
 use histok_storage::{IoStats, MemoryBackend, RunCatalog};
 use histok_types::{Result, Row, SortOrder};
@@ -129,7 +128,6 @@ proptest! {
             1..24,
         ),
         fan_in in 2usize..6,
-        smallest_first in any::<bool>(),
     ) {
         let cat = catalog(SortOrder::Ascending);
         for keys in &runs {
@@ -141,15 +139,8 @@ proptest! {
             }
             cat.register(w.finish().unwrap()).unwrap();
         }
-        let cfg = MergeConfig {
-            fan_in,
-            policy: if smallest_first {
-                MergePolicy::SmallestFirst
-            } else {
-                MergePolicy::LowestKeyFirst
-            },
-        };
-        let final_runs = plan_merges(&cat, &cfg, None, None, &MergeTuning::default()).unwrap().0;
+        let final_runs =
+            plan_merges(&cat, fan_in, None, None, &MergeTuning::default()).unwrap().0;
         prop_assert!(final_runs.len() <= fan_in);
         let mut sources = Vec::new();
         for meta in &final_runs {

@@ -7,15 +7,13 @@
 //! run's bytes move: on its I/O pool when it has one, inline otherwise.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use histok_types::{Result, SortKey, SortOrder};
 
 use crate::backend::StorageBackend;
 use crate::run::{KeyRange, RunMeta, RunReader, RunWriter};
-use crate::scheduler::{IoScheduler, IoSchedulerHandle};
+use crate::scheduler::{lock, IoScheduler, IoSchedulerHandle};
 use crate::stats::IoStats;
 
 /// Tracks the sorted runs one operator has written.
@@ -93,14 +91,14 @@ impl<K: SortKey> RunCatalog<K> {
     /// Interior-mutable setter for the spill I/O scheduler; see
     /// [`RunCatalog::with_io_scheduler`].
     pub fn set_io_scheduler(&self, scheduler: Option<IoScheduler>) {
-        *self.io_scheduler.lock() = scheduler.map(|s| s.for_backend(&self.backend));
+        *lock(&self.io_scheduler) = scheduler.map(|s| s.for_backend(&self.backend));
     }
 
     /// The pool handle this catalog's runs move their bytes on, if any:
     /// spill writes of new runs, and read-ahead of the merge sources
     /// opened over them.
     pub fn io_scheduler(&self) -> Option<IoSchedulerHandle> {
-        self.io_scheduler.lock().clone()
+        lock(&self.io_scheduler).clone()
     }
 
     /// Starts a new run; call [`RunCatalog::register`] with the meta
@@ -124,7 +122,7 @@ impl<K: SortKey> RunCatalog<K> {
             self.backend.delete(&meta.name)?;
             return Ok(());
         }
-        self.runs.lock().push(meta);
+        lock(&self.runs).push(meta);
         Ok(())
     }
 
@@ -142,30 +140,30 @@ impl<K: SortKey> RunCatalog<K> {
 
     /// Snapshot of all registered runs, in creation order.
     pub fn runs(&self) -> Vec<RunMeta<K>> {
-        self.runs.lock().clone()
+        lock(&self.runs).clone()
     }
 
     /// Number of registered runs.
     pub fn len(&self) -> usize {
-        self.runs.lock().len()
+        lock(&self.runs).len()
     }
 
     /// True if no runs are registered.
     pub fn is_empty(&self) -> bool {
-        self.runs.lock().is_empty()
+        lock(&self.runs).is_empty()
     }
 
     /// Removes a run from the catalog and deletes its object (after a merge
     /// has consumed it).
     pub fn remove(&self, name: &str) -> Result<()> {
-        self.runs.lock().retain(|m| m.name != name);
+        lock(&self.runs).retain(|m| m.name != name);
         self.backend.delete(name)
     }
 
     /// Replaces the whole run set (after a merge rewrote the runs).
     pub fn replace_all(&self, new_runs: Vec<RunMeta<K>>) -> Result<()> {
-        let old = std::mem::replace(&mut *self.runs.lock(), new_runs);
-        let kept: Vec<String> = self.runs.lock().iter().map(|m| m.name.clone()).collect();
+        let old = std::mem::replace(&mut *lock(&self.runs), new_runs);
+        let kept: Vec<String> = lock(&self.runs).iter().map(|m| m.name.clone()).collect();
         for meta in old {
             if !kept.contains(&meta.name) {
                 self.backend.delete(&meta.name)?;
@@ -192,7 +190,7 @@ impl<K: SortKey> RunCatalog<K> {
 
 impl<K: SortKey> Drop for RunCatalog<K> {
     fn drop(&mut self) {
-        for meta in self.runs.lock().drain(..) {
+        for meta in lock(&self.runs).drain(..) {
             let _ = self.backend.delete(&meta.name);
         }
     }

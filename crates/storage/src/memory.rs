@@ -5,13 +5,12 @@
 //! spilled are identical to a file-backed execution.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use histok_types::{Error, Result};
 
 use crate::backend::{SpillReader, SpillWriter, StorageBackend};
+use crate::scheduler::lock;
 
 type Objects = Arc<Mutex<HashMap<String, Arc<Vec<u8>>>>>;
 
@@ -38,12 +37,12 @@ impl MemoryBackend {
 
     /// Number of finished objects currently stored.
     pub fn object_count(&self) -> usize {
-        self.objects.lock().len()
+        lock(&self.objects).len()
     }
 
     /// Total bytes across all finished objects.
     pub fn total_bytes(&self) -> u64 {
-        self.objects.lock().values().map(|v| v.len() as u64).sum()
+        lock(&self.objects).values().map(|v| v.len() as u64).sum()
     }
 }
 
@@ -63,7 +62,7 @@ impl SpillWriter for MemWriter {
     fn finish(&mut self) -> Result<u64> {
         let bytes = self.buf.len() as u64;
         let data = Arc::new(std::mem::take(&mut self.buf));
-        self.objects.lock().insert(self.name.clone(), data);
+        lock(&self.objects).insert(self.name.clone(), data);
         self.finished = true;
         Ok(bytes)
     }
@@ -111,9 +110,7 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn open(&self, name: &str) -> Result<Box<dyn SpillReader>> {
-        let data = self
-            .objects
-            .lock()
+        let data = lock(&self.objects)
             .get(name)
             .cloned()
             .ok_or_else(|| Error::Corrupt(format!("no such spill object: {name}")))?;
@@ -121,13 +118,12 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn delete(&self, name: &str) -> Result<()> {
-        self.objects.lock().remove(name);
+        lock(&self.objects).remove(name);
         Ok(())
     }
 
     fn size_of(&self, name: &str) -> Result<u64> {
-        self.objects
-            .lock()
+        lock(&self.objects)
             .get(name)
             .map(|v| v.len() as u64)
             .ok_or_else(|| Error::Corrupt(format!("no such spill object: {name}")))

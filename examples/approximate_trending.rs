@@ -1,7 +1,8 @@
 //! Approximate top-k (§4.5): a trending dashboard does not care whether it
 //! shows the 1,000th or the 1,050th "most important" item — it cares about
-//! latency and cost. With 5% slack the operator filters earlier and
-//! spills less, while the head of the list stays exact.
+//! latency and cost. With 5% slack (`approx_slack`) the operator filters
+//! earlier and spills less, while the head of the list — the first
+//! ⌈k(1−ε)⌉ rows — stays exact.
 //!
 //! ```sh
 //! cargo run --release --example approximate_trending
@@ -16,8 +17,9 @@ const MEM_ROWS: usize = 6_000;
 
 fn run(epsilon: f64) -> Result<(usize, u64, Vec<f64>)> {
     let spec = SortSpec::descending(K); // most-engaged first
-    let config = TopKConfig::builder().memory_budget(MEM_ROWS * 64).build()?;
-    let mut op = ApproximateTopK::new(spec, config, MemoryBackend::new(), epsilon)?;
+    let config =
+        TopKConfig::builder().memory_budget(MEM_ROWS * 64).approx_slack(epsilon).build()?;
+    let mut op = HistogramTopK::new(spec, config, MemoryBackend::new())?;
     for row in
         Workload::uniform(EVENTS, 8).with_distribution(Distribution::lognormal_default()).rows()
     {

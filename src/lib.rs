@@ -53,7 +53,7 @@ pub use histok_workload as workload;
 /// The most common imports, bundled.
 pub mod prelude {
     pub use histok_core::{
-        ApproximateTopK, CutoffFilter, ExchangeTopK, GroupedTopK, HistogramTopK, InMemoryTopK,
+        CutoffFilter, ExchangeTopK, GroupedTopK, HistogramTopK, InMemoryTopK,
         OptimizedExternalTopK, ParallelTopK, SegmentedTopK, SizingPolicy, TopKConfig, TopKOperator,
         TraditionalExternalTopK,
     };

@@ -2,8 +2,9 @@
 //! test run and compared with `results/surface.json`.
 //!
 //! Only counts that record a decision are compared: public config fields,
-//! `ExternalSorter::with_*` builders, and per crate the `unwrap`/`expect`/
-//! `panic!` sites and `unsafe` blocks. A change that adds or removes one
+//! `TopKConfigBuilder` setters, `ExternalSorter::with_*` builders, the
+//! std-only shim crates under `shims/`, and per crate the `unwrap`/
+//! `expect`/`panic!` sites and `unsafe` blocks. A change that adds or removes one
 //! fails this test until it updates the ledger, so the ledger's diff shows
 //! the reviewer what the change cost or saved. The test prints the
 //! recomputed JSON on failure; copy it over `results/surface.json` and say
@@ -97,6 +98,27 @@ fn pub_fields(file: &Path, name: &str) -> usize {
         .count()
 }
 
+/// Setters of `impl <name> { … }` in `file`: every `pub fn` but `build`.
+fn builder_setters(file: &Path, name: &str) -> usize {
+    let text = read(file);
+    let header = format!("impl {name} {{");
+    let start = text.find(&header).unwrap_or_else(|| panic!("{header} in {}", file.display()));
+    text[start + header.len()..]
+        .lines()
+        .take_while(|l| *l != "}")
+        .map(str::trim_start)
+        .filter(|l| l.starts_with("pub fn ") && !l.starts_with("pub fn build("))
+        .count()
+}
+
+/// Crate directories under `shims/`.
+fn shim_crates(root: &Path) -> usize {
+    fs::read_dir(root.join("shims"))
+        .expect("shims/ directory")
+        .filter(|e| e.as_ref().expect("readable directory entry").path().is_dir())
+        .count()
+}
+
 /// `pub fn with_*` in the non-test part of `file`.
 fn with_builders(file: &Path) -> usize {
     let text = read(file);
@@ -146,10 +168,15 @@ fn ledger(root: &Path) -> (String, String) {
             pub_fields(&root.join("crates/core/src/config.rs"), "TopKConfig"),
         ),
         (
+            "topk_config_builder_methods",
+            builder_setters(&root.join("crates/core/src/config.rs"), "TopKConfigBuilder"),
+        ),
+        (
             "server_config_pub_fields",
             pub_fields(&root.join("crates/exec/src/server.rs"), "ServerConfig"),
         ),
         ("external_sorter_with_builders", with_builders(&root.join("crates/sort/src/external.rs"))),
+        ("shim_crates", shim_crates(root)),
     ];
     for (i, (name, value)) in workspace.iter().enumerate() {
         let comma = if i + 1 < workspace.len() { "," } else { "" };
