@@ -267,6 +267,46 @@ pub struct CutoffFilter<K: SortKey> {
     metrics: FilterMetrics,
     /// Distinct-key input model (dedup mode); replaces the histogram.
     distinct: Option<DistinctTracker<K>>,
+    /// Debug builds: the spilled keys the cutoff covers, counted.
+    #[cfg(debug_assertions)]
+    shadow: Option<Shadow<K>>,
+}
+
+/// An exact count of the spilled keys at or before the cutoff, against
+/// which debug builds check the paper's invariant: a published cutoff
+/// covers at least `k` rows. It starts with the first spilled row reported
+/// (a filter fed buckets by hand has none), keeps a key only while the
+/// cutoff covers it, and drops the keys a tighter cutoff passes over: the
+/// cutoff never loosens, so no dropped key counts again.
+#[cfg(debug_assertions)]
+struct Shadow<K> {
+    keys: std::collections::BTreeMap<K, u64>,
+    count: u64,
+}
+
+#[cfg(debug_assertions)]
+impl<K: SortKey> Shadow<K> {
+    /// Counts a spilled key if `cutoff` covers it.
+    fn spilled(&mut self, key: &K, cutoff: Option<&K>, order: SortOrder) {
+        if cutoff.is_none_or(|cut| !order.follows(key, cut)) {
+            *self.keys.entry(key.clone()).or_default() += 1;
+            self.count += 1;
+        }
+    }
+
+    /// Drops the keys that sort after a new cutoff.
+    fn tightened(&mut self, cutoff: &K, order: SortOrder) {
+        let mut passed = self.keys.split_off(cutoff);
+        match order {
+            SortOrder::Ascending => {
+                if let Some(n) = passed.remove(cutoff) {
+                    self.keys.insert(cutoff.clone(), n);
+                }
+            }
+            SortOrder::Descending => std::mem::swap(&mut passed, &mut self.keys),
+        }
+        self.count -= passed.values().sum::<u64>();
+    }
 }
 
 impl<K: SortKey> CutoffFilter<K> {
@@ -295,6 +335,8 @@ impl<K: SortKey> CutoffFilter<K> {
             used_bytes: 0,
             metrics: FilterMetrics::default(),
             distinct: None,
+            #[cfg(debug_assertions)]
+            shadow: None,
         }
     }
 
@@ -397,6 +439,10 @@ impl<K: SortKey> CutoffFilter<K> {
     /// Installs a new cutoff key and refreshes its cached normalized
     /// prefix. All cutoff updates funnel through here.
     fn set_cutoff(&mut self, key: K) {
+        #[cfg(debug_assertions)]
+        if let Some(shadow) = &mut self.shadow {
+            shadow.tightened(&key, self.order);
+        }
         if self.norm_prefix_enabled {
             self.cutoff_prefix = key.norm_prefix();
         }
@@ -471,6 +517,7 @@ impl<K: SortKey> CutoffFilter<K> {
                 // boundary sorts after the current cutoff.
                 let boundary = top.boundary.clone();
                 self.set_cutoff(boundary);
+                self.assert_covers_k();
             }
         }
     }
@@ -486,6 +533,31 @@ impl<K: SortKey> CutoffFilter<K> {
         self.heap.push(merged);
         self.used_bytes = fp;
         self.metrics.consolidations += 1;
+        self.assert_covers_k();
+    }
+
+    /// Debug builds: reports a spilled row to the shadow count, starting
+    /// it. Filters that see rows through [`SpillObserver::row_spilled`] do
+    /// this themselves; a shared filter fed by workers is told here.
+    #[cfg(debug_assertions)]
+    pub(crate) fn shadow_spilled(&mut self, key: &K) {
+        let shadow =
+            self.shadow.get_or_insert_with(|| Shadow { keys: Default::default(), count: 0 });
+        shadow.spilled(key, self.cutoff.as_ref(), self.order);
+    }
+
+    /// Debug builds: the paper's invariant, that a published cutoff covers
+    /// at least `k` spilled rows, checked against the shadow count.
+    fn assert_covers_k(&self) {
+        #[cfg(debug_assertions)]
+        if let (Some(shadow), Some(cut)) = (&self.shadow, &self.cutoff) {
+            debug_assert!(
+                shadow.count >= self.k,
+                "cutoff {cut:?} covers {} spilled rows, fewer than k = {}",
+                shadow.count,
+                self.k
+            );
+        }
     }
 
     /// Externally tightens the cutoff (merge refinement, §4.1). The caller
@@ -548,6 +620,8 @@ impl<K: SortKey> SpillObserver<K> for CutoffFilter<K> {
         if self.distinct.is_some() {
             return;
         }
+        #[cfg(debug_assertions)]
+        self.shadow_spilled(key);
         if let Some(bucket) = self.builder.offer(key) {
             self.insert_bucket(bucket);
         }
@@ -648,6 +722,19 @@ mod tests {
         // §3.2.1: "After run 8, the new cutoff key is 0.6".
         assert_eq!(f.cutoff().unwrap().get(), 0.6);
         assert!((last.unwrap() - 0.576).abs() < 1e-12);
+    }
+
+    /// A bucket claiming more rows than were spilled publishes a cutoff
+    /// that covers fewer than `k`: debug builds stop there.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "fewer than k = 5")]
+    fn a_cutoff_covering_fewer_than_k_spilled_rows_panics_in_debug() {
+        let mut f: CutoffFilter<u64> = CutoffFilter::new(5, SortOrder::Ascending);
+        for key in [1, 2, 3, 4] {
+            f.row_spilled(&key);
+        }
+        f.insert_bucket(Bucket::new(4, 5));
     }
 
     #[test]

@@ -109,6 +109,8 @@ impl<K: SortKey> SpillObserver<K> for SharedObserver<K> {
         kill
     }
     fn row_spilled(&mut self, key: &K) {
+        #[cfg(debug_assertions)]
+        self.shared.lock_filter().shadow_spilled(key);
         if let Some(bucket) = self.builder.offer(key) {
             self.shared.insert_bucket(bucket);
         }

@@ -37,11 +37,11 @@ pub trait SpillObserver<K>: Send {
     /// The observer's elimination rule as a plain cutoff key, if it has
     /// one. Returning `Some(cut)` promises that, right now,
     /// `should_eliminate(k)` is side-effect-free and equivalent to
-    /// `order.follows(k, cut)` — which lets batched run generation clip a
-    /// whole sorted buffer with one scan over its prefix column instead of
-    /// a per-row callback. Observers whose `should_eliminate` has side
-    /// effects or richer logic keep the `None` default and stay on the
-    /// per-row path.
+    /// `order.follows(k, cut)`, and that the cutoff only tightens — which
+    /// lets batched run generation drop a sorted buffer's tail past it with
+    /// one scan over its prefix column before checking the rest row by row.
+    /// Observers whose `should_eliminate` has side effects or richer logic
+    /// keep the `None` default.
     fn cutoff_key(&mut self) -> Option<K> {
         None
     }

@@ -1,27 +1,28 @@
 //! Batched (radix) run generation.
 //!
 //! The bandwidth-oriented alternative to comparison-based load-sort-store:
-//! fill the workspace, sort it by an LSB radix pass over the 8-byte
-//! normalized key prefixes (one `(prefix, index)` pair per row; digit
-//! passes that carry no information are skipped), fall back to comparison
-//! sort only inside groups of rows whose prefixes tie, clip the sorted
-//! buffer at the observer's cutoff with one scan over the prefix column
-//! (per-row `should_eliminate` callbacks only when the observer exposes no
-//! plain cutoff), and spill the survivors through batch appends. For keys
-//! whose whole normalized form fits the prefix — the integers, `F64Key` —
-//! the sort never touches a key byte and never calls a comparator.
+//! fill the workspace, sort an index of `(prefix, row)` pairs by an LSB
+//! radix pass over the 8-byte normalized key prefixes (digit passes that
+//! carry no information are skipped), fall back to a stable comparison sort
+//! only inside groups of rows whose prefixes tie, and write the rows in
+//! index order; they never move. For keys whose whole normalized form fits
+//! the prefix — the integers, `F64Key` — the sort never touches a key byte
+//! and never calls a comparator.
 //!
 //! Same run shape and observer protocol as [`LoadSortStore`]: memory-sized
-//! runs, `run_started`/`row_spilled`/`run_finished` per run, every spilled
-//! row re-checked against the cutoff at spill time (Algorithm 1 lines
-//! 10–13). Like `LoadSortStore`, the sort is unstable across equal keys.
+//! runs, `run_started`/`row_spilled`/`run_finished` per run, and Algorithm 1
+//! per row as it is written (`should_eliminate`, append, `row_spilled`,
+//! lines 10–13), so a cutoff that tightens inside a run eliminates the
+//! run's later rows. An observer that exposes a plain cutoff lets the flush
+//! drop the sorted tail past it with one scan first. Unlike
+//! `LoadSortStore`, the sort is stable.
 //!
 //! [`LoadSortStore`]: crate::run_gen::LoadSortStore
 
 use std::sync::Arc;
 
 use histok_storage::RunCatalog;
-use histok_types::{Result, Row, RowBatch, SortKey, SortOrder};
+use histok_types::{Result, Row, SortKey, SortOrder};
 
 use crate::budget::{row_footprint, MemoryBudget};
 use crate::fold::FoldSpec;
@@ -31,13 +32,13 @@ use crate::run_gen::{ResiduePolicy, RunGenerator};
 /// Sorts `pairs` by their `u64` ascending with a stable LSB radix (8-bit
 /// digits, low to high). Digits on which all values agree are skipped, so
 /// narrow key domains pay for the passes they need, not all eight.
-fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>, scratch: &mut Vec<(u64, u32)>) {
+pub(super) fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>, scratch: &mut Vec<(u64, u32)>) {
     let n = pairs.len();
     if n < 2 {
         return;
     }
     // One read pass builds every digit's histogram.
-    let mut hist = vec![[0u32; 256]; 8];
+    let mut hist = [[0u32; 256]; 8];
     for &(p, _) in pairs.iter() {
         for (d, h) in hist.iter_mut().enumerate() {
             h[((p >> (8 * d)) & 0xFF) as usize] += 1;
@@ -67,16 +68,17 @@ fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>, scratch: &mut Vec<(u64, u32)>) 
 /// Radix-based run generation over the normalized-prefix column.
 pub struct BatchSort<K: SortKey> {
     catalog: Arc<RunCatalog<K>>,
+    /// Buffered rows, in arrival order; they never move.
     rows: Vec<Row<K>>,
-    /// Output-order prefix per buffered row (`norm_prefix() ^ out_mask`),
-    /// aligned with `rows`; ascending in this column is output order.
-    prefixes: Vec<u64>,
-    /// 0 for ascending output, `!0` for descending (see [`RowBatch`]).
+    /// `(output-order prefix, index into rows)` per buffered row, where the
+    /// prefix is `norm_prefix() ^ out_mask`: ascending in it is output
+    /// order. Sorted at a flush, and what the flush writes in order.
+    pairs: Vec<(u64, u32)>,
+    /// 0 for ascending output, `!0` for descending.
     out_mask: u64,
     budget: MemoryBudget,
     order: SortOrder,
-    /// Reused radix workspaces, kept across flushes.
-    pairs: Vec<(u64, u32)>,
+    /// Reused radix workspace, kept across flushes.
     scratch: Vec<(u64, u32)>,
     fold: Option<FoldSpec>,
     rows_folded: u64,
@@ -102,11 +104,10 @@ impl<K: SortKey> BatchSort<K> {
         BatchSort {
             catalog,
             rows: Vec::new(),
-            prefixes: Vec::new(),
+            pairs: Vec::new(),
             out_mask,
             budget,
             order,
-            pairs: Vec::new(),
             scratch: Vec::new(),
             fold: None,
             rows_folded: 0,
@@ -124,136 +125,83 @@ impl<K: SortKey> BatchSort<K> {
         self
     }
 
-    /// Sorts the buffer into output order: radix over the prefix column,
+    fn key(&self, pair: (u64, u32)) -> &K {
+        &self.rows[pair.1 as usize].key
+    }
+
+    /// Sorts the index into output order: radix over the prefix column,
     /// then a comparison pass inside each prefix-tie group (skipped
     /// entirely for prefix-exact key types, where equal prefixes are
     /// equal keys).
     fn sort_buffer(&mut self) {
-        let n = self.rows.len();
-        if n < 2 {
-            return;
-        }
-        self.pairs.clear();
-        self.pairs.extend(self.prefixes.iter().enumerate().map(|(i, &p)| (p, i as u32)));
         radix_sort_pairs(&mut self.pairs, &mut self.scratch);
-        // Apply the permutation to the row column.
-        let mut slots: Vec<Option<Row<K>>> = self.rows.drain(..).map(Some).collect();
-        self.rows.extend(
-            self.pairs.iter().map(|&(_, i)| slots[i as usize].take().expect("radix permutation")),
-        );
-        for (dst, &(p, _)) in self.prefixes.iter_mut().zip(self.pairs.iter()) {
-            *dst = p;
-        }
         if K::norm_prefix_is_exact() {
             return;
         }
-        // Wide keys: order rows within each group of tied prefixes.
-        let order = self.order;
-        let mut start = 0;
-        while start < n {
-            let p = self.prefixes[start];
-            let mut end = start + 1;
-            while end < n && self.prefixes[end] == p {
-                end += 1;
-            }
-            if end - start > 1 {
-                self.rows[start..end].sort_unstable_by(|a, b| order.cmp_keys(&a.key, &b.key));
-            }
-            start = end;
+        let (order, rows) = (self.order, &self.rows);
+        for ties in self.pairs.chunk_by_mut(|a, b| a.0 == b.0).filter(|t| t.len() > 1) {
+            ties.sort_by(|a, b| order.cmp_keys(&rows[a.1 as usize].key, &rows[b.1 as usize].key));
         }
     }
 
-    /// Collapses adjacent equal keys in the sorted buffer, folding each
+    /// Collapses adjacent equal keys of the sorted index, folding each
     /// duplicate's payload into the group's surviving row and releasing the
-    /// duplicate's budget. Runs in place with one swap-compaction pass.
+    /// duplicate's budget; the duplicate leaves the index (its row is
+    /// dropped with the buffer).
     fn fold_adjacent(&mut self) {
         let Some(spec) = self.fold.clone() else { return };
-        let n = self.rows.len();
-        if n < 2 {
-            return;
-        }
-        let agg = spec.agg;
         let mut w = 0;
-        for r in 1..n {
-            let equal = self.prefixes[r] == self.prefixes[w]
-                && (K::norm_prefix_is_exact() || self.rows[r].key == self.rows[w].key);
-            if equal {
-                self.rows_folded += 1;
-                self.bytes_folded += self.rows[r].encoded_len() as u64;
-                let dup_footprint = row_footprint(&self.rows[r]);
-                let dup_payload = self.rows[r].payload.clone();
-                let acc = &mut self.rows[w];
-                if let Some(folded) = agg.fold(&acc.payload, &dup_payload) {
-                    let old_fp = row_footprint(acc);
-                    acc.payload = folded;
-                    let new_fp = row_footprint(acc);
-                    self.budget.resize_row(old_fp, new_fp);
-                }
-                self.budget.release(dup_footprint);
-            } else {
+        for r in 1..self.pairs.len() {
+            let (acc, dup) = (self.pairs[w], self.pairs[r]);
+            if acc.0 != dup.0 || (!K::norm_prefix_is_exact() && self.key(acc) != self.key(dup)) {
                 w += 1;
-                self.rows.swap(w, r);
-                self.prefixes[w] = self.prefixes[r];
+                self.pairs[w] = dup;
+                continue;
             }
+            let dup = &self.rows[dup.1 as usize];
+            self.rows_folded += 1;
+            self.bytes_folded += dup.encoded_len() as u64;
+            let (dup_footprint, dup_payload) = (row_footprint(dup), dup.payload.clone());
+            let acc = &mut self.rows[acc.1 as usize];
+            if let Some(folded) = spec.agg.fold(&acc.payload, &dup_payload) {
+                let old_fp = row_footprint(acc);
+                acc.payload = folded;
+                self.budget.resize_row(old_fp, row_footprint(acc));
+            }
+            self.budget.release(dup_footprint);
         }
-        self.rows.truncate(w + 1);
-        self.prefixes.truncate(w + 1);
+        self.pairs.truncate(w + 1);
     }
 
-    /// Index of the first buffered (sorted) row that sorts after `cut`,
-    /// found on the prefix column; key bytes are consulted only for wide
-    /// keys whose prefix ties the cutoff's.
-    fn clip_point(&self, cut: &K) -> usize {
+    /// The sorted index's rows that survive the observer: all of them, or
+    /// up to the first that sorts after its plain cutoff, if it exposes one
+    /// (found on the prefix column; key bytes are consulted only for wide
+    /// keys whose prefix ties the cutoff's). The clipped tail's budget is
+    /// released. A cutoff only tightens, so the clip is a head start: every
+    /// survivor is still checked as it is written.
+    fn clip(&mut self, obs: &mut dyn SpillObserver<K>) -> usize {
+        let Some(cut) = obs.cutoff_key() else { return self.pairs.len() };
         let cut_out = cut.norm_prefix() ^ self.out_mask;
-        if K::norm_prefix_is_exact() {
-            self.prefixes.partition_point(|&p| p <= cut_out)
+        let keep = if K::norm_prefix_is_exact() {
+            self.pairs.partition_point(|&(p, _)| p <= cut_out)
         } else {
-            let candidate = self.prefixes.partition_point(|&p| p < cut_out);
-            (candidate..self.rows.len())
-                .find(|&i| self.order.follows(&self.rows[i].key, cut))
-                .unwrap_or(self.rows.len())
+            let candidate = self.pairs.partition_point(|&(p, _)| p < cut_out);
+            (candidate..self.pairs.len())
+                .find(|&i| self.order.follows(self.key(self.pairs[i]), &cut))
+                .unwrap_or(self.pairs.len())
+        };
+        for &(_, i) in &self.pairs[keep..] {
+            self.budget.release(row_footprint(&self.rows[i as usize]));
         }
+        if keep < self.pairs.len() {
+            obs.rows_clipped((self.pairs.len() - keep) as u64);
+        }
+        keep
     }
 
-    /// Drops the sorted tail that the observer's rule eliminates,
-    /// releasing its budget; returns the surviving row count. Uses the
-    /// vectorized prefix clip when the observer exposes a plain cutoff,
-    /// the per-row callback otherwise.
-    fn retain_survivors(&mut self, obs: &mut dyn SpillObserver<K>) -> usize {
-        match obs.cutoff_key() {
-            Some(cut) => {
-                let keep = self.clip_point(&cut);
-                let dropped = self.rows.len() - keep;
-                for row in self.rows.drain(keep..) {
-                    self.budget.release(row_footprint(&row));
-                }
-                self.prefixes.truncate(keep);
-                if dropped > 0 {
-                    obs.rows_clipped(dropped as u64);
-                }
-                keep
-            }
-            None => {
-                // The eliminated set need not be a suffix for arbitrary
-                // observers; check every row, keeping order.
-                let mut keep = 0;
-                for i in 0..self.rows.len() {
-                    if obs.should_eliminate(&self.rows[i].key) {
-                        self.budget.release(row_footprint(&self.rows[i]));
-                        continue;
-                    }
-                    self.rows.swap(i, keep);
-                    self.prefixes.swap(i, keep);
-                    keep += 1;
-                }
-                self.rows.truncate(keep);
-                self.prefixes.truncate(keep);
-                keep
-            }
-        }
-    }
-
-    /// Sorts and writes the whole buffer as one run.
+    /// Sorts and writes the whole buffer as one run, in index order, with
+    /// Algorithm 1 per row: `should_eliminate`, append, `row_spilled`, so a
+    /// cutoff that tightens inside the run eliminates its later rows.
     fn flush(&mut self, obs: &mut dyn SpillObserver<K>) -> Result<()> {
         if self.rows.is_empty() {
             return Ok(());
@@ -262,34 +210,32 @@ impl<K: SortKey> BatchSort<K> {
         self.fold_adjacent();
         // As in load-sort-store, the run estimate is the buffer being
         // flushed — known exactly, before spill-time elimination.
-        let estimated_rows = self.rows.len() as u64;
-        if self.retain_survivors(obs) == 0 {
-            return Ok(());
-        }
-        let mut writer = self.catalog.start_run()?;
-        obs.run_started(estimated_rows.max(1));
-        // Hand the writer rows plus their raw prefixes in one call; no
-        // key is re-encoded on the way out.
-        let rows = std::mem::take(&mut self.rows);
-        let mut prefixes = std::mem::take(&mut self.prefixes);
-        for p in prefixes.iter_mut() {
-            *p ^= self.out_mask;
-        }
-        let batch = RowBatch { rows, prefixes };
-        writer.append_batch(&batch)?;
-        for row in &batch.rows {
+        let estimated_rows = self.pairs.len() as u64;
+        let mut writer = None;
+        for i in 0..self.clip(obs) {
+            let (prefix, r) = self.pairs[i];
+            let row = &self.rows[r as usize];
             self.budget.release(row_footprint(row));
+            if obs.should_eliminate(&row.key) {
+                continue;
+            }
+            if writer.is_none() {
+                writer = Some(self.catalog.start_run()?);
+                obs.run_started(estimated_rows.max(1));
+            }
+            if let Some(w) = writer.as_mut() {
+                // The raw prefix is at hand: no key is re-encoded.
+                w.append_with_prefix(row, prefix ^ self.out_mask)?;
+            }
             obs.row_spilled(&row.key);
         }
-        let meta = writer.finish()?;
-        self.catalog.register(meta)?;
-        obs.run_finished();
-        // Reclaim the allocations for the next fill.
-        let RowBatch { mut rows, mut prefixes } = batch;
-        rows.clear();
-        prefixes.clear();
-        self.rows = rows;
-        self.prefixes = prefixes;
+        if let Some(w) = writer {
+            let meta = w.finish()?;
+            self.catalog.register(meta)?;
+            obs.run_finished();
+        }
+        self.rows.clear();
+        self.pairs.clear();
         Ok(())
     }
 }
@@ -301,7 +247,7 @@ impl<K: SortKey> RunGenerator<K> for BatchSort<K> {
             self.flush(obs)?;
         }
         self.budget.charge(fp);
-        self.prefixes.push(row.key.norm_prefix() ^ self.out_mask);
+        self.pairs.push((row.key.norm_prefix() ^ self.out_mask, self.rows.len() as u32));
         self.rows.push(row);
         Ok(())
     }
@@ -311,27 +257,28 @@ impl<K: SortKey> RunGenerator<K> for BatchSort<K> {
         obs: &mut dyn SpillObserver<K>,
         residue: ResiduePolicy,
     ) -> Result<Vec<Vec<Row<K>>>> {
-        match residue {
-            ResiduePolicy::SpillToRuns => {
-                self.flush(obs)?;
-                Ok(Vec::new())
-            }
-            ResiduePolicy::KeepInMemory => {
-                self.sort_buffer();
-                self.fold_adjacent();
-                let kept = self.retain_survivors(obs);
-                for row in &self.rows {
-                    self.budget.release(row_footprint(row));
-                }
-                self.prefixes.clear();
-                let out = std::mem::take(&mut self.rows);
-                Ok(if kept == 0 { Vec::new() } else { vec![out] })
+        if residue == ResiduePolicy::SpillToRuns {
+            self.flush(obs)?;
+            return Ok(Vec::new());
+        }
+        self.sort_buffer();
+        self.fold_adjacent();
+        let keep = self.clip(obs);
+        let mut rows: Vec<Option<Row<K>>> = self.rows.drain(..).map(Some).collect();
+        let mut out = Vec::with_capacity(keep);
+        for &(_, i) in &self.pairs[..keep] {
+            let Some(row) = rows[i as usize].take() else { continue };
+            self.budget.release(row_footprint(&row));
+            if !obs.should_eliminate(&row.key) {
+                out.push(row);
             }
         }
+        self.pairs.clear();
+        Ok(if out.is_empty() { Vec::new() } else { vec![out] })
     }
 
     fn buffered_rows(&self) -> usize {
-        self.rows.len()
+        self.pairs.len()
     }
 
     fn buffered_bytes(&self) -> usize {

@@ -3,17 +3,18 @@
 //! Three strategies are provided, matching the paper's discussion:
 //!
 //! * [`ReplacementSelection`] — the production choice (§5.1.2). A selection
-//!   tree keeps consuming input while it writes: rows that can still extend
-//!   the current run go out immediately; rows that sort before the last
-//!   written key are deferred to the next run. Runs average twice the
-//!   memory size on random input and can be capped at `k` rows (one of the
-//!   optimizations of [Graefe'08] the paper builds on).
+//!   tree over radix-sorted mini-runs keeps consuming input while it
+//!   writes: rows that can still extend the current run go out in key
+//!   order; rows that sort before the last written key are deferred to the
+//!   next run. Runs average about twice the memory size on random input and
+//!   can be capped at `k` rows (one of the optimizations of [Graefe'08] the
+//!   paper builds on).
 //! * [`LoadSortStore`] — fill memory, quicksort, write, repeat. This is what
 //!   "vanilla" engines such as PostgreSQL do (§5.2) and what the paper's
 //!   §3.2 analysis assumes "for simplicity".
-//! * [`BatchSort`] — load-sort-store with a radix sort over the 8-byte
-//!   normalized key prefixes and a vectorized cutoff clip; the
-//!   bandwidth-oriented choice for narrow keys.
+//! * [`BatchSort`] — load-sort-store with a radix sort of an index over
+//!   the 8-byte normalized key prefixes; the bandwidth-oriented choice for
+//!   narrow keys.
 //!
 //! All re-check every row against the [`SpillObserver`] at spill time
 //! (Algorithm 1 line 11) and report every surviving spilled row to it

@@ -1,81 +1,80 @@
-//! Replacement selection — pipelined run generation.
+//! Replacement selection — pipelined run generation, batched.
 //!
-//! The classic tournament method (Knuth TAOCP vol. 3, §5.4.1): a selection
-//! tree holds the memory workspace. The smallest buffered row (in output
-//! order) that can still extend the current run is written next; incoming
-//! rows smaller than the last written key are tagged for the *next* run.
-//! Consumption of input never pauses for a sort — the property the paper
-//! calls out as the reason F1 uses it ("does not require stopping the
-//! consumption of the input", §3.1.3).
+//! The classic tournament method (Knuth TAOCP vol. 3, §5.4.1): the smallest
+//! buffered row that can still extend the current run is written next, and
+//! rows that sort before the last key out wait for the *next* run, so runs
+//! average twice the memory on random input and input never waits for a sort
+//! of the whole workspace (the paper's reason F1 uses it, §3.1.3).
 //!
-//! # The tree
+//! This is Larson's *batched* variant ("External Sorting: Run Formation
+//! Revisited", IEEE TKDE 2003): the tree's leaves are sorted *mini-runs*.
+//! Rows park in one slab and never move; an arriving row is listed as
+//! `(prefix, slot)` in a fill buffer. When the budget runs over, the buffer
+//! is sorted — [`BatchSort`]'s stable radix sort over output-order prefixes,
+//! then full keys inside prefix ties for wide keys, or the comparator alone
+//! with the prefix path off — and split at the last key out: the rows after
+//! it become a leaf of the current run, the rows before it join the pending
+//! rows of the next run, which enter the tree as one leaf when the current
+//! run ends. Then rows leave in `(run, key, seq)` order until room for `B`
+//! more rows is free (`B` is the budget's capacity in rows over
+//! [`BATCHES_PER_LOAD`], derived again at every formation), and that chunk is
+//! written in one loop running Algorithm 1 per row (`should_eliminate`,
+//! append, `row_spilled`), closing runs at tag changes and at the run limit.
+//! `seq` numbers mini-runs as they form, so equal keys leave in arrival
+//! order. ~2M/B leaves are a few KB of nodes that stay in L1: a replay plays
+//! ~5 matches, where a tree of single rows played ~14 over a megabyte.
 //!
-//! [`SelectionHeap`] is a *winner* tree over a power-of-two number of
-//! leaves. `nodes[leaves + l]` is leaf `l`, `nodes[i]` the winner of
-//! `nodes[2i]` and `nodes[2i + 1]`, `nodes[1]` the next row to spill. A node
-//! is 32 bytes, `(run, prefix in output order, seq, leaf)`; the row itself
-//! parks in `slots[leaf]` and never moves. Free leaves sit on a stack, a
-//! vacant leaf holds [`VACANT`] (loses to every row), and when the stack is
-//! empty the tree doubles: the old tree becomes the new root's left subtree
-//! by one slice copy per level, no comparison.
+//! [`SelectionTree`] is a *winner* tree over a power-of-two number of
+//! leaves: `nodes[leaves + l]` is leaf `l`'s head, `nodes[i]` the winner of
+//! `nodes[2i]` and `nodes[2i + 1]`, `nodes[1]` the next row out. A 32-byte
+//! node is `(run, prefix in output order, seq, leaf)`; a vacant leaf holds
+//! [`VACANT`], and when no leaf is free the tree doubles, the old one
+//! becoming the new root's left subtree by one slice copy per level. A
+//! replay walks a fixed path from the leaf to the root and keeps each
+//! match's winner by conditional moves, not branches (DESIGN.md §7 has
+//! the compiled loop of [`climb`]).
 //!
-//! Every change is one *replay*: write the leaf, walk to the root, at each
-//! level keep the earlier of the running winner and the sibling. The path
-//! is fixed by the leaf, so no address depends on the data, and the choice
-//! is a conditional move, not a branch: a binary heap's two sifts per
-//! spilled row are ~26 comparisons whose outcome is a coin flip, and it was
-//! those mispredictions, not the bytes moved, that made `pop` half the cost
-//! of a spilled row. The steady-state step *push one row, spill one row* is
-//! a single replay ([`SelectionHeap::push_pop`]). Verified with `cargo rustc
-//! --release --manifest-path bench_e2e/Cargo.toml -- --emit asm` (listing in
-//! `results/e2e/pr23_climb_loop.s`): the loop of [`climb`] holds one
-//! `cmp`/`sbb` chain, `setb`/`cmovne` per field and no jump on their
-//! result (the jumps left are the loop, the bounds checks and, for wide
-//! keys only, the tie test). Two ways of writing the match that do *not*
-//! get there with rustc 1.95: a plain `if` compiles to `jb`/`je`, and
-//! `select_unpredictable` over the whole node to a `cmov` on a pointer with
-//! the node copied through the stack; both cost ~350 cycles per spilled row
-//! against ~225 (DESIGN.md §7). [`climb`] is a free, never-inlined function
-//! so that this loop is compiled once, whatever it would be inlined into.
+//! Rows leave in key order, so the slot and payload of a row about to be
+//! written are cold: the write loop prefetches them a few rows ahead. Fold
+//! mode folds equal keys when a mini-run forms, on arrival into an equal
+//! winner, and on the way out into the row before, so no run holds a key
+//! twice. A buffered row costs its slab slot, a 16-byte pair and a free-list
+//! word, against the 16 bytes [`row_footprint`] charges (ROADMAP item 1).
 //!
-//! Rows leave in key order, not in the order they arrived, so the payload
-//! of a row about to be encoded is usually a cold line. Every replay that
-//! changes the winner therefore ends with a [`prefetch`] of the new
-//! winner's payload, one `push` before it is written (DESIGN.md §7).
-//!
-//! The order is `(run, key in output order, seq)`, unchanged, so every run
-//! is byte-identical to the binary heap's (kept under `cfg(test)` as the
-//! reference). Memory per buffered row: two 32-byte nodes, one
-//! `Option<Slot>` (row + footprint) and a free-list word, against the
-//! `PER_ROW_OVERHEAD = 16` that [`row_footprint`] charges; the difference
-//! is part of what ROADMAP item 1 has to account for.
+//! [`BatchSort`]: crate::run_gen::BatchSort
 
 use std::collections::BTreeMap;
 use std::hint::select_unpredictable;
 use std::sync::Arc;
 
 use histok_storage::{RunCatalog, RunWriter};
-use histok_types::{Result, Row, SortKey, SortOrder};
+use histok_types::{Aggregator, Result, Row, SortKey, SortOrder};
 
 use crate::budget::{row_footprint, MemoryBudget};
 use crate::cmp_stats::CmpStats;
 use crate::fold::FoldSpec;
 use crate::observer::SpillObserver;
+use crate::run_gen::batch_sort::radix_sort_pairs;
 use crate::run_gen::{ResiduePolicy, RunGenerator};
 
 /// Fallback bytes-per-row estimate before any row has been observed.
 const FALLBACK_ROW_BYTES: usize = 64;
 
 /// Leaves of the first allocation; the tree doubles from here.
-const INITIAL_LEAVES: usize = 64;
+const INITIAL_LEAVES: usize = 16;
 
-/// One tree node: a buffered row's place in the order and where it parks.
+/// Fill buffers per memory load: `B` is the budget's capacity in rows over
+/// this.
+const BATCHES_PER_LOAD: u64 = 16;
+
+/// One tree node: a mini-run's head row's place in the order, and the leaf.
 #[derive(Clone, Copy)]
 struct Node {
     run: u64,
     /// First 8 normalized key bytes, complemented for descending sorts so
     /// that a smaller value always pops first (0 with the fast path off).
     prefix: u64,
+    /// The mini-run's formation number: arrival order across mini-runs.
     seq: u64,
     leaf: usize,
 }
@@ -92,9 +91,9 @@ impl Node {
 
 /// Replays `nodes[i]` towards the root, storing the winner of every match
 /// on the way, and returns where it stopped: at the root, or earlier only
-/// when `KEY_TIES` and two buffered rows tie on `(run, prefix)`; the caller
-/// settles that match on full keys and calls again. The winner stays in
-/// four scalars and is selected field by field: see the module doc.
+/// when `KEY_TIES` and two heads tie on `(run, prefix)`; the caller settles
+/// that match on full keys and calls again. The winner stays in four
+/// scalars and is selected field by field: see the module doc.
 #[inline(never)]
 fn climb<const KEY_TIES: bool>(nodes: &mut [Node], mut i: usize) -> usize {
     let Node { mut run, mut prefix, mut seq, mut leaf } = nodes[i];
@@ -119,25 +118,32 @@ fn climb<const KEY_TIES: bool>(nodes: &mut [Node], mut i: usize) -> usize {
 /// bytes.
 const PREFETCH_LINES: usize = 2;
 
-/// Asks the CPU to start loading the first [`PREFETCH_LINES`] cache lines
-/// of `bytes`, one hint per 64 bytes from its start, so that the load
-/// overlaps the work before they are read instead of stalling the read. A
-/// hint changes when a line arrives, never what the program reads. A no-op
-/// off x86-64.
+/// How far ahead of the row being written the write loop hints: a row's
+/// payload this many rows ahead, its slab slot twice as far.
+const PREFETCH_AHEAD: usize = 8;
+
+/// Asks the CPU to start loading the cache lines of `data`'s first
+/// [`PREFETCH_LINES`] × 64 bytes, so that the load overlaps the work before
+/// they are read instead of stalling the read. A hint changes when a line
+/// arrives, never what the program reads. A no-op off x86-64.
 #[inline]
 #[allow(unsafe_code)]
-fn prefetch(bytes: &[u8]) {
+fn prefetch<T: ?Sized>(data: &T) {
     #[cfg(target_arch = "x86_64")]
-    for line in bytes.chunks(64).take(PREFETCH_LINES) {
+    {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: `_mm_prefetch` needs SSE, which is part of the x86-64
-        // baseline, so every x86-64 target has it. A prefetch is a hint:
-        // it never faults, whatever the address, and reads nothing into
-        // the program; the address is the start of a live slice anyway.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast()) }
+        let start = std::ptr::from_ref(data).cast::<u8>();
+        let len = std::mem::size_of_val(data).min(PREFETCH_LINES * 64);
+        for offset in (0..len).step_by(64).chain(len.checked_sub(1)) {
+            // SAFETY: `_mm_prefetch` needs SSE, which is part of the x86-64
+            // baseline, so every x86-64 target has it. A prefetch is a
+            // hint: it never faults, whatever the address, and reads
+            // nothing into the program; the address is inside `data`.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.wrapping_add(offset).cast()) }
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = bytes;
+    let _ = data;
 }
 
 /// A buffered row and the bytes it is charged.
@@ -146,35 +152,93 @@ struct Slot<K> {
     footprint: usize,
 }
 
-/// The selection tree, ordered by `(run, key in output order, seq)`; layout
-/// and replay are described in the module doc.
-///
-/// It compares normalized key *prefixes*, not offset-value codes: differing
-/// prefixes decide a match outright, and for fixed-width keys of at most 8
-/// bytes ([`SortKey::norm_prefix_is_exact`]) equal prefixes are decisive
-/// too (the keys are equal, arrival order wins). Only wider keys with equal
-/// prefixes, and every same-run match with the fast path off, compare full
-/// keys.
-struct SelectionHeap<K: SortKey> {
-    nodes: Vec<Node>,
+/// Where buffered rows park: a slot keeps its row until the row leaves.
+struct Slab<K> {
     slots: Vec<Option<Slot<K>>>,
-    free: Vec<usize>,
+    free: Vec<u32>,
+}
+
+impl<K> Slab<K> {
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn insert(&mut self, slot: Slot<K>) -> u32 {
+        let Some(i) = self.free.pop() else {
+            self.slots.push(Some(slot));
+            return (self.slots.len() - 1) as u32;
+        };
+        self.slots[i as usize] = Some(slot);
+        i
+    }
+
+    fn get(&self, i: u32) -> &Slot<K> {
+        self.slots[i as usize].as_ref().expect("a listed slot holds its row")
+    }
+
+    fn take(&mut self, i: u32) -> Slot<K> {
+        self.free.push(i);
+        self.slots[i as usize].take().expect("a listed slot holds its row")
+    }
+}
+
+/// A row that left the tree and waits in its slot to be written: run tag,
+/// output-order prefix, slot.
+type Leaving = (u64, u64, u32);
+
+/// A leaf: one sorted mini-run of `(prefix, slot)` pairs, and the next one
+/// to leave.
+#[derive(Default)]
+struct MiniRun {
+    pairs: Box<[(u64, u32)]>,
+    next: usize,
+}
+
+/// The slab, the fill buffer and the tree over mini-runs, ordered by `(run,
+/// key in output order, seq)`; layout and replay are described in the
+/// module doc.
+///
+/// Matches compare normalized key *prefixes*, not offset-value codes:
+/// differing prefixes decide a match outright, and for fixed-width keys of
+/// at most 8 bytes ([`SortKey::norm_prefix_is_exact`]) equal prefixes are
+/// decisive too (the keys are equal, formation order wins). Only wider keys
+/// with equal prefixes, and every same-run match with the fast path off,
+/// compare full keys.
+struct SelectionTree<K: SortKey> {
+    nodes: Vec<Node>,
+    leaves: Vec<MiniRun>,
+    free_leaves: Vec<usize>,
+    slab: Slab<K>,
+    /// Arrived rows not yet in a mini-run, in arrival order until sorted.
+    fill: Vec<(u64, u32)>,
+    /// Rows of the next run, the sorted pieces formations split off, in
+    /// formation order. None can leave before the current run ends, so
+    /// they wait outside the tree and enter it as one mini-run then.
+    pending: Vec<(u64, u32)>,
+    /// The run tag of `pending`.
+    pending_run: u64,
+    scratch: Vec<(u64, u32)>,
     seq: u64,
     order: SortOrder,
     ovc_enabled: bool,
-    /// Matches played: one per tree level per replay, plus the incoming
-    /// row against the winner in [`SelectionHeap::push_pop`].
+    /// Matches played: one per tree level per replay, plus the full-key
+    /// comparisons that sort wide keys' prefix ties.
     cmps: u64,
     /// Of those, the ones that needed the full keys.
     full_cmps: u64,
 }
 
-impl<K: SortKey> SelectionHeap<K> {
+impl<K: SortKey> SelectionTree<K> {
     fn new(order: SortOrder) -> Self {
-        SelectionHeap {
+        SelectionTree {
             nodes: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
+            leaves: Vec::new(),
+            free_leaves: Vec::new(),
+            slab: Slab { slots: Vec::new(), free: Vec::new() },
+            fill: Vec::new(),
+            pending: Vec::new(),
+            pending_run: 0,
+            scratch: Vec::new(),
             seq: 0,
             order,
             ovc_enabled: true,
@@ -183,32 +247,9 @@ impl<K: SortKey> SelectionHeap<K> {
         }
     }
 
-    fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// `(prefix-decided, full-key)` match counts.
     fn cmp_counts(&self) -> (u64, u64) {
         (self.cmps - self.full_cmps, self.full_cmps)
-    }
-
-    /// The node a row entering now gets (its leaf is filled in later).
-    fn node_for(&mut self, run: u64, key: &K) -> Node {
-        let prefix = match (self.ovc_enabled, self.order) {
-            (false, _) => 0,
-            (true, SortOrder::Ascending) => key.norm_prefix(),
-            (true, SortOrder::Descending) => !key.norm_prefix(),
-        };
-        self.seq += 1;
-        Node { run, prefix, seq: self.seq, leaf: 0 }
-    }
-
-    fn key_of(&self, node: &Node) -> &K {
-        &self.slots[node.leaf].as_ref().expect("a buffered node's leaf holds its row").row.key
     }
 
     /// True if full keys are what separates rows with equal `(run, prefix)`.
@@ -216,20 +257,113 @@ impl<K: SortKey> SelectionHeap<K> {
         !(self.ovc_enabled && K::norm_prefix_is_exact())
     }
 
-    /// The winner's row if it has exactly this `(run, key)`.
-    fn top_if(&mut self, node: &Node, key: &K) -> Option<&mut Slot<K>> {
-        let top = *self.nodes.get(1)?;
-        if top.code() != node.code() || self.key_of(&top) != key {
-            return None;
+    /// The prefix a key is ordered by: in output order, 0 with the fast
+    /// path off.
+    fn prefix(&self, key: &K) -> u64 {
+        match (self.ovc_enabled, self.order) {
+            (false, _) => 0,
+            (true, SortOrder::Ascending) => key.norm_prefix(),
+            (true, SortOrder::Descending) => !key.norm_prefix(),
         }
-        self.slots[top.leaf].as_mut()
+    }
+
+    /// The slot of the row at the head of `node`'s mini-run.
+    fn head(&self, node: &Node) -> u32 {
+        let leaf = &self.leaves[node.leaf];
+        leaf.pairs[leaf.next].1
+    }
+
+    fn head_key(&self, node: &Node) -> &K {
+        &self.slab.get(self.head(node)).row.key
+    }
+
+    /// Parks an arriving row and lists it in the fill buffer.
+    fn admit(&mut self, row: Row<K>, footprint: usize) {
+        let prefix = self.prefix(&row.key);
+        let slot = self.slab.insert(Slot { row, footprint });
+        self.fill.push((prefix, slot));
+    }
+
+    /// True when no row of the current run is in the tree.
+    fn dry(&self) -> bool {
+        self.nodes.get(1).is_none_or(|top| top.run == VACANT.run)
+    }
+
+    /// Sorts `pairs` (the fill buffer or the pending rows) into output
+    /// order, keeping their order among equal keys.
+    fn sort(&mut self, mut pairs: Vec<(u64, u32)>) -> Vec<(u64, u32)> {
+        radix_sort_pairs(&mut pairs, &mut self.scratch);
+        if self.key_ties() {
+            let (order, slab, mut cmps) = (self.order, &self.slab, 0);
+            for ties in pairs.chunk_by_mut(|a, b| a.0 == b.0).filter(|t| t.len() > 1) {
+                ties.sort_by(|a, b| {
+                    cmps += 1;
+                    order.cmp_keys(&slab.get(a.1).row.key, &slab.get(b.1).row.key)
+                });
+            }
+            self.cmps += cmps;
+            self.full_cmps += cmps;
+        }
+        pairs
+    }
+
+    fn sort_fill(&mut self) {
+        let fill = std::mem::take(&mut self.fill);
+        self.fill = self.sort(fill);
+    }
+
+    /// Folds every row of the sorted fill buffer into the first row of its
+    /// key, releasing the duplicate; returns the rows and encoded bytes
+    /// absorbed.
+    fn fold_fill(&mut self, agg: &dyn Aggregator, budget: &mut MemoryBudget) -> (u64, u64) {
+        let (mut rows, mut bytes, mut w) = (0, 0, 0);
+        for r in 1..self.fill.len() {
+            let ((pw, sw), (pr, sr)) = (self.fill[w], self.fill[r]);
+            if pw != pr || self.slab.get(sw).row.key != self.slab.get(sr).row.key {
+                w += 1;
+                self.fill[w] = self.fill[r];
+                continue;
+            }
+            (rows, bytes) = (rows + 1, bytes + self.fold_slot(sw, sr, agg, budget));
+        }
+        self.fill.truncate(w + 1);
+        (rows, bytes)
+    }
+
+    /// Plants the sorted fill buffer: the rows that precede `bound` join
+    /// the pending rows of run `tag + 1`, the others form a mini-run of run
+    /// `tag`.
+    fn plant_fill(&mut self, bound: Option<&K>, tag: u64) {
+        let split = bound.map_or(0, |b| {
+            let (bp, ties, order, slab) = (self.prefix(b), self.key_ties(), self.order, &self.slab);
+            self.fill.partition_point(|&(p, s)| {
+                p < bp || (ties && p == bp && order.precedes(&slab.get(s).row.key, b))
+            })
+        });
+        if split > 0 {
+            debug_assert!(self.pending.is_empty() || self.pending_run == tag + 1);
+            self.pending_run = tag + 1;
+            self.pending.extend_from_slice(&self.fill[..split]);
+        }
+        let now = self.fill[split..].into();
+        self.fill.clear();
+        self.plant(tag, now);
+    }
+
+    /// Makes `pairs`, sorted, a leaf of run `run`.
+    fn plant(&mut self, run: u64, pairs: Box<[(u64, u32)]>) {
+        let Some(&(prefix, _)) = pairs.first() else { return };
+        let leaf = self.free_leaves.pop().unwrap_or_else(|| self.grow());
+        self.leaves[leaf] = MiniRun { pairs, next: 0 };
+        self.seq += 1;
+        self.replay(leaf, Node { run, prefix, seq: self.seq, leaf });
     }
 
     fn replay(&mut self, leaf: usize, mut w: Node) {
         w.leaf = leaf;
-        let mut i = self.slots.len() + leaf;
+        let mut i = self.leaves.len() + leaf;
         self.nodes[i] = w;
-        self.cmps += u64::from(self.slots.len().trailing_zeros());
+        self.cmps += u64::from(self.leaves.len().trailing_zeros());
         if !self.key_ties() {
             climb::<false>(&mut self.nodes, i);
             return;
@@ -241,17 +375,18 @@ impl<K: SortKey> SelectionHeap<K> {
             }
             let (w, sib) = (self.nodes[i], self.nodes[i ^ 1]);
             self.full_cmps += 1;
-            let keys = self.order.cmp_keys(self.key_of(&sib), self.key_of(&w));
+            let keys = self.order.cmp_keys(self.head_key(&sib), self.head_key(&w));
             i >>= 1;
             self.nodes[i] = if keys.then(sib.seq.cmp(&w.seq)).is_lt() { sib } else { w };
         }
     }
 
-    /// Doubles the leaves. The old tree becomes the left subtree of the new
-    /// root (node `2^d + o` moves to `2^(d+1) + o`), the right one is vacant,
-    /// so the root keeps its winner and no match is played.
-    fn grow(&mut self) {
-        let old = self.slots.len();
+    /// Doubles the leaves and returns the first new one; the rest go on the
+    /// free stack. The old tree becomes the left subtree of the new root
+    /// (node `2^d + o` moves to `2^(d+1) + o`), the right one is vacant, so
+    /// the root keeps its winner and no match is played.
+    fn grow(&mut self) -> usize {
+        let old = self.leaves.len();
         let new = (2 * old).max(INITIAL_LEAVES);
         let mut nodes = vec![VACANT; 2 * new];
         let mut width = 1;
@@ -263,70 +398,102 @@ impl<K: SortKey> SelectionHeap<K> {
             nodes[1] = self.nodes[1];
         }
         self.nodes = nodes;
-        self.slots.resize_with(new, || None);
-        self.free.extend((old..new).rev());
+        self.leaves.resize_with(new, MiniRun::default);
+        self.free_leaves.extend((old + 1..new).rev());
+        old
     }
 
-    fn push(&mut self, node: Node, slot: Slot<K>) {
-        if self.free.is_empty() {
-            self.grow();
+    /// The winner's slot if its row is of run `run` and has exactly this key.
+    fn top_if(&self, run: u64, key: &K) -> Option<u32> {
+        let top = *self.nodes.get(1)?;
+        let hit = top.run == run && top.prefix == self.prefix(key) && self.head_key(&top) == key;
+        hit.then(|| self.head(&top))
+    }
+
+    /// Takes the winner out of the tree: its run, output-order prefix and
+    /// slot. The row stays in its slot until it is written.
+    fn pop(&mut self) -> Option<Leaving> {
+        if self.dry() && !self.pending.is_empty() {
+            // The current run is out: the next one enters as one mini-run.
+            let pending = std::mem::take(&mut self.pending);
+            let mut pending = self.sort(pending);
+            self.plant(self.pending_run, pending.as_slice().into());
+            pending.clear();
+            self.pending = pending;
         }
-        let leaf = self.free.pop().expect("grow leaves a free leaf");
-        self.slots[leaf] = Some(slot);
-        self.replay(leaf, node);
-    }
-
-    /// Prefetches the winner's payload: it is the next row to leave, so
-    /// its bytes are next to be encoded. Nothing once the last row has
-    /// left: the root is then [`VACANT`], and its leaf holds no row.
-    #[inline]
-    fn prefetch_winner(&self) {
-        if let Some(slot) = &self.slots[self.nodes[1].leaf] {
-            prefetch(&slot.row.payload);
-        }
-    }
-
-    fn pop(&mut self) -> Option<(u64, Slot<K>)> {
-        if self.is_empty() {
-            return None;
-        }
-        let top = self.nodes[1];
-        let slot = self.slots[top.leaf].take().expect("the winner's leaf holds its row");
-        self.free.push(top.leaf);
-        self.replay(top.leaf, VACANT);
-        self.prefetch_winner();
-        Some((top.run, slot))
-    }
-
-    /// `push` then `pop` in one replay, on a non-empty tree: a row that
-    /// precedes the winner goes straight back out and never enters the
-    /// tree; any other row takes the winner's leaf.
-    fn push_pop(&mut self, node: Node, slot: Slot<K>) -> (u64, Slot<K>) {
-        let top = self.nodes[1];
-        self.cmps += 1;
-        let first = if node.code() != top.code() || !self.key_ties() {
-            // On a tie of exact prefixes the keys are equal: arrival order.
-            node.code() < top.code()
-        } else {
-            self.full_cmps += 1;
-            self.order.precedes(&slot.row.key, self.key_of(&top))
+        let top = *self.nodes.get(1).filter(|top| top.run != VACANT.run)?;
+        let leaf = &mut self.leaves[top.leaf];
+        let (prefix, slot) = leaf.pairs[leaf.next];
+        leaf.next += 1;
+        let head = match leaf.pairs.get(leaf.next) {
+            Some(&(prefix, _)) => Node { prefix, ..top },
+            None => {
+                *leaf = MiniRun::default();
+                self.free_leaves.push(top.leaf);
+                VACANT
+            }
         };
-        if first {
-            return (node.run, slot);
+        self.replay(top.leaf, head);
+        Some((top.run, prefix, slot))
+    }
+
+    /// Folds the row in slot `dup` into the one in slot `acc` and frees
+    /// `dup`; returns the encoded bytes absorbed.
+    fn fold_slot(&mut self, acc: u32, dup: u32, agg: &dyn Aggregator, b: &mut MemoryBudget) -> u64 {
+        let dup = self.slab.take(dup);
+        b.release(dup.footprint);
+        self.fold_into(acc, &dup.row, agg, b)
+    }
+
+    /// Folds `dup`'s payload into the row in slot `acc`, re-charging its
+    /// bytes; returns the encoded bytes absorbed.
+    fn fold_into(
+        &mut self,
+        acc: u32,
+        dup: &Row<K>,
+        agg: &dyn Aggregator,
+        b: &mut MemoryBudget,
+    ) -> u64 {
+        if let Some(acc) = self.slab.slots[acc as usize].as_mut() {
+            if let Some(folded) = agg.fold(&acc.row.payload, &dup.payload) {
+                acc.row.payload = folded;
+                let footprint = row_footprint(&acc.row);
+                b.resize_row(acc.footprint, footprint);
+                acc.footprint = footprint;
+            }
         }
-        let out = self.slots[top.leaf].replace(slot).expect("the winner's leaf holds its row");
-        self.replay(top.leaf, node);
-        self.prefetch_winner();
-        (top.run, out)
+        dup.encoded_len() as u64
+    }
+
+    /// Rows leave in key order, not in the order they arrived, so the slot
+    /// and payload of a row about to be written are usually cold lines: hint
+    /// the payload of the row [`PREFETCH_AHEAD`] places after `chunk[i]`,
+    /// and the slot of the one twice as far (DESIGN.md §7).
+    #[inline]
+    fn prefetch_ahead(&self, chunk: &[Leaving], i: usize) {
+        if let Some(&(_, _, slot)) = chunk.get(i + 2 * PREFETCH_AHEAD) {
+            prefetch(&self.slab.slots[slot as usize]);
+        }
+        if let Some(Some(ahead)) =
+            chunk.get(i + PREFETCH_AHEAD).map(|&(_, _, slot)| &self.slab.slots[slot as usize])
+        {
+            prefetch(&ahead.row.payload[..]);
+        }
     }
 }
 
-/// Pipelined run generation by replacement selection.
+/// Pipelined run generation by batched replacement selection.
 pub struct ReplacementSelection<K: SortKey> {
     catalog: Arc<RunCatalog<K>>,
-    heap: SelectionHeap<K>,
+    tree: SelectionTree<K>,
     budget: MemoryBudget,
-    order: SortOrder,
+    /// `B`: the most rows a drain frees room for, and so about the rows of
+    /// a mini-run; derived at every formation.
+    batch: usize,
+    /// Rows that left the tree and are not written yet, in output order.
+    chunk: Vec<Leaving>,
+    /// Fold mode: the last row to leave, written once another key leaves.
+    held: Option<Leaving>,
     /// Run tag currently being written.
     current_tag: u64,
     /// Last key written to the open physical run (run-extension test).
@@ -337,8 +504,6 @@ pub struct ReplacementSelection<K: SortKey> {
     run_limit: Option<u64>,
     /// Shared sink the tree's comparison counters flush into on drop.
     cmp_stats: Option<CmpStats>,
-    /// Fold mode: an incoming row equal to the tree's winner (same run) is
-    /// absorbed into the winner instead of entering the tree.
     fold: Option<FoldSpec>,
     /// Rows absorbed by folding; flushed to the spec's stats on drop.
     rows_folded: u64,
@@ -358,11 +523,14 @@ impl<K: SortKey> ReplacementSelection<K> {
     /// lease governs the limit.
     pub fn with_budget(catalog: Arc<RunCatalog<K>>, budget: MemoryBudget) -> Self {
         let order = catalog.order();
+        let batch = batch_rows(&budget);
         ReplacementSelection {
             catalog,
-            heap: SelectionHeap::new(order),
+            tree: SelectionTree::new(order),
             budget,
-            order,
+            batch,
+            chunk: Vec::new(),
+            held: None,
             current_tag: 0,
             last_written: None,
             writer: None,
@@ -385,16 +553,15 @@ impl<K: SortKey> ReplacementSelection<K> {
     /// Controls the normalized-prefix comparison fast path (on by default)
     /// and optionally attaches a shared counter sink (flushed on drop).
     pub fn with_ovc(mut self, enabled: bool, stats: Option<CmpStats>) -> Self {
-        self.heap.ovc_enabled = enabled;
+        self.tree.ovc_enabled = enabled;
         self.cmp_stats = stats;
         self
     }
 
-    /// Enables equal-key folding on insert: a row whose key equals the
-    /// current winner's (and that belongs to the same selection run) is
-    /// folded into the winner's payload instead of buffering and later
-    /// spilling as a duplicate. Opportunistic — duplicates that never
-    /// meet the winner still spill and are folded at merge time.
+    /// Enables equal-key folding: duplicates that meet in a mini-run, at
+    /// the winner on arrival or on their way out are folded into one row
+    /// instead of spilling twice. Duplicates split across runs still spill
+    /// and are folded at merge time.
     pub fn with_fold(mut self, fold: FoldSpec) -> Self {
         self.fold = Some(fold);
         self
@@ -408,6 +575,109 @@ impl<K: SortKey> ReplacementSelection<K> {
         self.run_limit.map_or(cap, |l| l.min(cap)).max(1)
     }
 
+    /// The run tag of the last row to leave the tree and, unless a seal
+    /// started a fresh file after it, its key: what a new mini-run splits at.
+    fn bound(&self) -> (u64, Option<&K>) {
+        match self.held.as_ref().or(self.chunk.last()) {
+            Some(&(run, _, slot)) => (run, Some(&self.tree.slab.get(slot).row.key)),
+            None => (self.current_tag, self.last_written.as_ref()),
+        }
+    }
+
+    /// Sorts, folds and plants the fill buffer, then derives `B` again.
+    fn form(&mut self) {
+        self.tree.sort_fill();
+        if let Some(fold) = &self.fold {
+            let (rows, bytes) = self.tree.fold_fill(fold.agg.as_ref(), &mut self.budget);
+            self.rows_folded += rows;
+            self.bytes_folded += bytes;
+        }
+        let (tag, bound) = self.bound();
+        let bound = bound.cloned();
+        self.tree.plant_fill(bound.as_ref(), tag);
+        self.batch = batch_rows(&self.budget);
+    }
+
+    /// Moves the next row in output order to the chunk, or folds it into
+    /// the held row; forms the fill buffer first when the tree is dry.
+    /// False once nothing is buffered.
+    fn pop_next(&mut self) -> bool {
+        if self.tree.dry() && !self.tree.fill.is_empty() {
+            self.form();
+        }
+        let Some(leaving) = self.tree.pop() else { return false };
+        let Some(fold) = &self.fold else {
+            self.chunk.push(leaving);
+            return true;
+        };
+        let slab = &self.tree.slab;
+        match self.held {
+            Some((run, _, held))
+                if run == leaving.0 && slab.get(held).row.key == slab.get(leaving.2).row.key =>
+            {
+                self.rows_folded += 1;
+                self.bytes_folded +=
+                    self.tree.fold_slot(held, leaving.2, fold.agg.as_ref(), &mut self.budget);
+            }
+            _ => self.chunk.extend(self.held.replace(leaving)),
+        }
+        true
+    }
+
+    /// Lets rows leave until at most `keep` bytes stay charged (all of
+    /// them for 0), at most `B` a chunk. The rows to pop are estimated at
+    /// the average footprint; writing releases the exact bytes, and the
+    /// loop goes round again if they were larger.
+    fn drain(&mut self, keep: usize, obs: &mut dyn SpillObserver<K>) -> Result<()> {
+        loop {
+            let over = if keep == 0 { usize::MAX } else { self.budget.used().saturating_sub(keep) };
+            let rows = over.div_ceil(self.budget.avg_row_bytes(FALLBACK_ROW_BYTES)).min(self.batch);
+            let mut popped = 0;
+            while popped < rows && self.pop_next() {
+                popped += 1;
+            }
+            self.write_chunk(obs)?;
+            if popped < rows || rows == 0 {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Moves the chunk's rows to the residue, by run tag.
+    fn keep_chunk(
+        &mut self,
+        by_tag: &mut BTreeMap<u64, Vec<Row<K>>>,
+        obs: &mut dyn SpillObserver<K>,
+    ) {
+        for i in 0..self.chunk.len() {
+            let (run, _, slot) = self.chunk[i];
+            let row = self.release(slot);
+            if !obs.should_eliminate(&row.key) {
+                by_tag.entry(run).or_default().push(row);
+            }
+        }
+        self.chunk.clear();
+    }
+
+    /// Takes a row that left the tree out of its slot, releasing its bytes.
+    fn release(&mut self, slot: u32) -> Row<K> {
+        let Slot { row, footprint } = self.tree.slab.take(slot);
+        self.budget.release(footprint);
+        row
+    }
+
+    /// Over budget, frees room for a full fill buffer.
+    fn spill_if_over(&mut self, obs: &mut dyn SpillObserver<K>) -> Result<()> {
+        if self.budget.used() <= self.budget.limit() {
+            return Ok(());
+        }
+        if !self.tree.fill.is_empty() {
+            self.form();
+        }
+        let room = self.batch * self.budget.avg_row_bytes(FALLBACK_ROW_BYTES);
+        self.drain(self.budget.limit().saturating_sub(room), obs)
+    }
+
     fn close_run(&mut self, obs: &mut dyn SpillObserver<K>) -> Result<()> {
         if let Some(writer) = self.writer.take() {
             let meta = writer.finish()?;
@@ -419,81 +689,80 @@ impl<K: SortKey> ReplacementSelection<K> {
         Ok(())
     }
 
-    /// Pops and disposes of exactly one buffered row.
-    fn spill_one(&mut self, obs: &mut dyn SpillObserver<K>) -> Result<()> {
-        let (run, slot) = self.heap.pop().expect("spill_one on an empty tree");
-        self.dispose(run, slot, obs)
-    }
-
-    /// Writes or eliminates one row that left the tree.
-    fn dispose(&mut self, run: u64, slot: Slot<K>, obs: &mut dyn SpillObserver<K>) -> Result<()> {
-        let Slot { row, footprint } = slot;
-        self.budget.release(footprint);
-        if run != self.current_tag {
-            debug_assert!(run > self.current_tag);
-            self.close_run(obs)?;
-            self.current_tag = run;
+    /// Writes the chunk: Algorithm 1 per row, run-tag changes and seals.
+    fn write_chunk(&mut self, obs: &mut dyn SpillObserver<K>) -> Result<()> {
+        let mut chunk = std::mem::take(&mut self.chunk);
+        let mask = match self.tree.order {
+            SortOrder::Ascending => 0,
+            SortOrder::Descending => !0,
+        };
+        for i in 0..chunk.len() {
+            self.tree.prefetch_ahead(&chunk, i);
+            let (run, prefix, slot) = chunk[i];
+            let row = self.release(slot);
+            if run != self.current_tag {
+                debug_assert!(run > self.current_tag);
+                self.close_run(obs)?;
+                self.current_tag = run;
+            }
+            // Algorithm 1 line 11: the cutoff may have sharpened since this
+            // row was admitted — check again before paying for the write.
+            if obs.should_eliminate(&row.key) {
+                continue;
+            }
+            if self.writer.is_none() {
+                self.writer = Some(self.catalog.start_run()?);
+                obs.run_started(self.estimated_run_rows());
+            }
+            let writer = self.writer.as_mut().expect("writer just ensured");
+            if self.tree.ovc_enabled {
+                writer.append_with_prefix(&row, prefix ^ mask)?;
+            } else {
+                writer.append(&row)?;
+            }
+            obs.row_spilled(&row.key);
+            self.last_written = Some(row.key);
+            self.rows_in_run += 1;
+            if self.run_limit.is_some_and(|l| self.rows_in_run >= l) {
+                // Physical cap reached: seal this run; the same selection
+                // run continues into a fresh file.
+                self.close_run(obs)?;
+            }
         }
-        // Algorithm 1 line 11: the cutoff may have sharpened since this row
-        // was admitted — check again before paying for the write.
-        if obs.should_eliminate(&row.key) {
-            return Ok(());
-        }
-        if self.writer.is_none() {
-            self.writer = Some(self.catalog.start_run()?);
-            obs.run_started(self.estimated_run_rows());
-        }
-        let writer = self.writer.as_mut().expect("writer just ensured");
-        writer.append(&row)?;
-        obs.row_spilled(&row.key);
-        self.last_written = Some(row.key);
-        self.rows_in_run += 1;
-        if self.run_limit.is_some_and(|l| self.rows_in_run >= l) {
-            // Physical cap reached: seal this run; the same selection run
-            // continues into a fresh file.
-            self.close_run(obs)?;
-        }
+        chunk.clear();
+        self.chunk = chunk;
         Ok(())
     }
 }
 
+/// `B` for `budget`: its capacity in rows over [`BATCHES_PER_LOAD`], at least one.
+fn batch_rows(budget: &MemoryBudget) -> usize {
+    (budget.capacity_rows(FALLBACK_ROW_BYTES) / BATCHES_PER_LOAD).max(1) as usize
+}
+
 impl<K: SortKey> RunGenerator<K> for ReplacementSelection<K> {
     fn push(&mut self, row: Row<K>, obs: &mut dyn SpillObserver<K>) -> Result<()> {
+        if let Some(fold) = &self.fold {
+            // Fold on arrival: a row equal to the winner, and of its run,
+            // never enters the slab, so no budget is charged for it.
+            let (tag, bound) = self.bound();
+            let tag = tag + u64::from(bound.is_some_and(|b| self.tree.order.precedes(&row.key, b)));
+            if let Some(top) = self.tree.top_if(tag, &row.key) {
+                self.rows_folded += 1;
+                self.bytes_folded +=
+                    self.tree.fold_into(top, &row, fold.agg.as_ref(), &mut self.budget);
+                return self.spill_if_over(obs);
+            }
+        }
         let footprint = row_footprint(&row);
-        // Deferment: a row that cannot extend the current run goes to the
-        // next one.
-        let tag = match &self.last_written {
-            Some(last) if self.order.precedes(&row.key, last) => self.current_tag + 1,
-            _ => self.current_tag,
-        };
-        let node = self.heap.node_for(tag, &row.key);
-        let top = if self.fold.is_some() { self.heap.top_if(&node, &row.key) } else { None };
-        if let (Some(fold), Some(top)) = (&self.fold, top) {
-            // Fold on insert: the duplicate never enters the tree (and
-            // never spills), so no budget is charged for it.
-            self.bytes_folded += row.encoded_len() as u64;
-            self.rows_folded += 1;
-            if let Some(folded) = fold.agg.fold(&top.row.payload, &row.payload) {
-                top.row.payload = folded;
-                let new_footprint = row_footprint(&top.row);
-                self.budget.resize_row(top.footprint, new_footprint);
-                top.footprint = new_footprint;
-            }
-        } else {
-            self.budget.charge(footprint);
-            let slot = Slot { row, footprint };
-            if self.budget.used() > self.budget.limit() && !self.heap.is_empty() {
-                // Steady state, push one row and spill one: a single replay.
-                let (run, out) = self.heap.push_pop(node, slot);
-                self.dispose(run, out, obs)?;
-            } else {
-                self.heap.push(node, slot);
-            }
+        self.budget.charge(footprint);
+        self.tree.admit(row, footprint);
+        // Mini-runs form when the budget runs over; this bounds the fill
+        // buffer while nothing has to leave yet.
+        if self.tree.fill.len() >= 2 * self.batch {
+            self.form();
         }
-        while self.budget.used() > self.budget.limit() && self.heap.len() > 1 {
-            self.spill_one(obs)?;
-        }
-        Ok(())
+        self.spill_if_over(obs)
     }
 
     fn finish(
@@ -501,32 +770,31 @@ impl<K: SortKey> RunGenerator<K> for ReplacementSelection<K> {
         obs: &mut dyn SpillObserver<K>,
         residue: ResiduePolicy,
     ) -> Result<Vec<Vec<Row<K>>>> {
+        let mut by_tag = BTreeMap::new();
         match residue {
-            ResiduePolicy::SpillToRuns => {
-                while !self.heap.is_empty() {
-                    self.spill_one(obs)?;
-                }
-                self.close_run(obs)?;
-                Ok(Vec::new())
-            }
+            ResiduePolicy::SpillToRuns => self.drain(0, obs)?,
+            // Each tag's rows leave in output order: the fill buffer forms
+            // first, as its split must see the last row already out.
             ResiduePolicy::KeepInMemory => {
-                // Drain by tag: each tag's pops come out in output order.
-                let mut by_tag: BTreeMap<u64, Vec<Row<K>>> = BTreeMap::new();
-                while let Some((run, slot)) = self.heap.pop() {
-                    self.budget.release(slot.footprint);
-                    if obs.should_eliminate(&slot.row.key) {
-                        continue;
-                    }
-                    by_tag.entry(run).or_default().push(slot.row);
+                if !self.tree.fill.is_empty() {
+                    self.form();
                 }
-                self.close_run(obs)?;
-                Ok(by_tag.into_values().filter(|v| !v.is_empty()).collect())
+                while self.pop_next() {
+                    self.keep_chunk(&mut by_tag, obs);
+                }
             }
         }
+        self.chunk.extend(self.held.take());
+        match residue {
+            ResiduePolicy::SpillToRuns => self.write_chunk(obs)?,
+            ResiduePolicy::KeepInMemory => self.keep_chunk(&mut by_tag, obs),
+        }
+        self.close_run(obs)?;
+        Ok(by_tag.into_values().filter(|v| !v.is_empty()).collect())
     }
 
     fn buffered_rows(&self) -> usize {
-        self.heap.len()
+        self.tree.slab.len()
     }
 
     fn buffered_bytes(&self) -> usize {
@@ -534,7 +802,7 @@ impl<K: SortKey> RunGenerator<K> for ReplacementSelection<K> {
     }
 
     fn cmp_counts(&self) -> (u64, u64) {
-        self.heap.cmp_counts()
+        self.tree.cmp_counts()
     }
 
     fn set_fold(&mut self, fold: Option<FoldSpec>) {
@@ -545,7 +813,7 @@ impl<K: SortKey> RunGenerator<K> for ReplacementSelection<K> {
 impl<K: SortKey> Drop for ReplacementSelection<K> {
     fn drop(&mut self) {
         if let Some(stats) = &self.cmp_stats {
-            let (ovc_cmps, full_cmps) = self.heap.cmp_counts();
+            let (ovc_cmps, full_cmps) = self.tree.cmp_counts();
             stats.record(ovc_cmps, full_cmps);
         }
         if let Some(spec) = &self.fold {
@@ -559,9 +827,10 @@ mod tests {
     use super::*;
     use crate::observer::NoopObserver;
     use histok_storage::{IoStats, MemoryBackend};
+    use histok_types::Bytes;
 
-    /// The sift-based binary heap the tree replaced, kept as the reference
-    /// the differential test below compares pop sequences against.
+    /// A sift-based binary heap over single rows, ordered by `(run, key,
+    /// arrival)`: the reference the tree's pop sequences are compared with.
     struct Entry<K> {
         run: u64,
         prefix: u64,
@@ -648,143 +917,186 @@ mod tests {
         }
     }
 
-    /// The tree and the reference heap side by side, plus the state run
-    /// generation keeps around them.
+    /// Appends the duplicate to the accumulator: a fold whose result shows
+    /// which rows were folded, and in which order.
+    #[derive(Debug)]
+    struct Concat;
+
+    impl Aggregator for Concat {
+        fn fold(&self, acc: &Bytes, dup: &Bytes) -> Option<Bytes> {
+            Some([&acc[..], &dup[..]].concat().into())
+        }
+    }
+
+    /// The tree and the reference heap driven by one schedule, plus the
+    /// state run generation keeps around them: the run tag and key a new
+    /// mini-run splits at, and the rows of the physical run (a seal at the
+    /// run limit clears the key).
     struct Pair<K: SortKey> {
-        tree: SelectionHeap<K>,
+        tree: SelectionTree<K>,
         heap: BinaryHeapRef<K>,
+        /// The reference's fill buffer, in arrival order.
+        fill: Vec<(Row<K>, usize)>,
         budget: MemoryBudget,
+        fold: bool,
+        run_limit: Option<u64>,
         tag: u64,
         last: Option<K>,
+        in_run: u64,
         what: String,
     }
 
     impl<K: SortKey> Pair<K> {
-        /// One pop from each (the tree's may have come out of `push_pop`
-        /// already); they must agree. False once both are empty.
-        fn pop(&mut self, popped: Option<(u64, Slot<K>)>) -> bool {
+        fn new(order: SortOrder, ovc: bool, budget: usize, what: String) -> Self {
+            let mut tree = SelectionTree::new(order);
+            tree.ovc_enabled = ovc;
+            Pair {
+                tree,
+                heap: BinaryHeapRef { items: Vec::new(), order, ovc_enabled: ovc, seq: 0 },
+                fill: Vec::new(),
+                budget: MemoryBudget::new(budget),
+                fold: false,
+                run_limit: None,
+                tag: 0,
+                last: None,
+                in_run: 0,
+                what,
+            }
+        }
+
+        fn admit(&mut self, row: Row<K>) {
+            let footprint = row_footprint(&row);
+            self.budget.charge(footprint);
+            self.fill.push((row.clone(), footprint));
+            self.tree.admit(row, footprint);
+        }
+
+        /// One mini-run on both sides: the tree sorts, folds and splits its
+        /// fill buffer; the reference folds the same rows with a stable sort
+        /// and pushes each with the run the split gives it.
+        fn form(&mut self) {
+            let order = self.heap.order;
+            let mut fill = std::mem::take(&mut self.fill);
+            fill.sort_by(|a, b| order.cmp_keys(&a.0.key, &b.0.key));
+            self.tree.sort_fill();
+            if self.fold {
+                self.tree.fold_fill(&Concat, &mut self.budget);
+                fill.dedup_by(|dup, acc| {
+                    let equal = dup.0.key == acc.0.key;
+                    if equal {
+                        // A clone's key may own fewer spare bytes than the
+                        // tree's: charge the change, as the tree does.
+                        let before = row_footprint(&acc.0);
+                        acc.0.payload = [&acc.0.payload[..], &dup.0.payload[..]].concat().into();
+                        acc.1 = acc.1 + row_footprint(&acc.0) - before;
+                    }
+                    equal
+                });
+            }
+            self.tree.plant_fill(self.last.as_ref(), self.tag);
+            for (row, footprint) in fill {
+                let next = self.last.as_ref().is_some_and(|l| order.precedes(&row.key, l));
+                self.heap.push(self.tag + u64::from(next), row, footprint);
+            }
+        }
+
+        /// One pop from each; they must agree. False once both are empty.
+        fn pop(&mut self) -> bool {
             let what = &self.what;
-            let got = popped.or_else(|| self.tree.pop());
-            let want = self.heap.pop();
+            let (got, want) = (self.tree.pop(), self.heap.pop());
             assert_eq!(got.is_some(), want.is_some(), "{what}: one side ran dry");
-            let (Some((run, slot)), Some(want)) = (got, want) else { return false };
+            let (Some((run, prefix, slot)), Some(want)) = (got, want) else { return false };
+            let slot = self.tree.slab.take(slot);
             assert_eq!(
                 (run, &slot.row, slot.footprint),
                 (want.run, &want.row, want.footprint),
                 "{what}: pop differs"
             );
-            assert_eq!(self.tree.len(), self.heap.items.len(), "{what}");
+            assert_eq!(prefix, self.tree.prefix(&slot.row.key), "{what}");
+            assert_eq!(self.tree.slab.len(), self.heap.items.len() + self.fill.len(), "{what}");
             self.budget.release(slot.footprint);
             assert!(run >= self.tag, "{what}: run tags went backwards");
-            self.tag = run;
+            if run != self.tag {
+                (self.tag, self.in_run) = (run, 0);
+            }
+            self.in_run += 1;
             self.last = Some(slot.row.key);
+            if self.run_limit.is_some_and(|l| self.in_run >= l) {
+                (self.last, self.in_run) = (None, 0);
+            }
             true
         }
 
-        fn over_budget(&self) -> bool {
-            self.budget.used() > self.budget.limit()
-        }
-
-        /// One row into both, tagged for the run it can extend; with
-        /// `spill` the tree takes it by `push_pop` and the pop is checked.
-        fn enter(&mut self, row: Row<K>, spill: bool) {
-            let footprint = row_footprint(&row);
-            let run = match &self.last {
-                Some(last) if self.heap.order.precedes(&row.key, last) => self.tag + 1,
-                _ => self.tag,
-            };
-            let node = self.tree.node_for(run, &row.key);
-            self.budget.charge(footprint);
-            self.heap.push(run, row.clone(), footprint);
-            let slot = Slot { row, footprint };
-            if spill {
-                let out = self.tree.push_pop(node, slot);
-                self.pop(Some(out));
-            } else {
-                self.tree.push(node, slot);
+        /// Run generation's schedule: pops until a fill buffer of `batch`
+        /// rows fits again, forming the fill buffer when the tree is dry.
+        fn spill_if_over(&mut self, batch: usize) {
+            if self.budget.used() <= self.budget.limit() {
+                return;
+            }
+            let room = batch * self.budget.avg_row_bytes(FALLBACK_ROW_BYTES);
+            let keep = self.budget.limit().saturating_sub(room);
+            while keep == 0 || self.budget.used() > keep {
+                if self.tree.dry() && !self.fill.is_empty() {
+                    self.form();
+                }
+                if !self.pop() {
+                    break;
+                }
             }
         }
     }
 
-    /// Drives both with one seeded stream of the steps run generation makes
-    /// (push into a free leaf, push-then-spill in one replay, vacate without
-    /// replace, fold at the winner) under a budget that is shrunk and grown
-    /// mid-stream, and requires the same `(run, row, footprint)` at every
-    /// pop; a row's payload starts with its arrival number, so equal keys
-    /// must also leave in arrival order. Returns the leaves the tree ended
-    /// with.
+    /// Drives both with one seeded stream under run generation's schedule:
+    /// a fill buffer of `B` rows forms a mini-run split at the last key to
+    /// leave, and over budget rows leave until a buffer fits. The budget is
+    /// shrunk to three rows (`B` = 1) and grown mid-stream, and for a while
+    /// every row forms its own mini-run, so the tree doubles. Requires the
+    /// same `(run, row, footprint)` at every pop; a row's payload starts with
+    /// its arrival number, so equal keys must also leave in arrival order,
+    /// and a fold shows which rows it joined. Returns the leaves the tree
+    /// ended with.
     fn pops_match_reference<K: SortKey>(
         order: SortOrder,
-        ovc: bool,
-        fold: bool,
+        (ovc, fold, run_limit): (bool, bool, Option<u64>),
         seed: u64,
         key: impl Fn(u64) -> K,
     ) -> usize {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let row_bytes = row_footprint(&Row::new(key(0), vec![0u8; 28]));
-        let mut p = Pair {
-            tree: SelectionHeap::<K>::new(order),
-            heap: BinaryHeapRef { items: Vec::new(), order, ovc_enabled: ovc, seq: 0 },
-            budget: MemoryBudget::new(40 * row_bytes),
-            tag: 0,
-            last: None,
-            what: format!("{order:?} ovc={ovc} fold={fold} seed={seed}"),
-        };
-        p.tree.ovc_enabled = ovc;
+        let what = format!("{order:?} ovc={ovc} fold={fold} limit={run_limit:?} seed={seed}");
+        let mut p = Pair::new(order, ovc, 40 * row_bytes, what);
+        (p.fold, p.run_limit) = (fold, run_limit);
+        let mut batch = batch_rows(&p.budget);
         for arrival in 0..4_000u64 {
             match arrival % 1_000 {
-                // Shrink: several vacates in a row, nothing takes the leaves.
-                300 => p.budget.handle().set_limit(12 * row_bytes),
-                // Grow: pushes past the initial leaf count, the tree doubles.
-                600 => p.budget.handle().set_limit(200 * row_bytes),
+                300 => p.budget.handle().set_limit(3 * row_bytes),
+                500 => p.budget.handle().set_limit(200 * row_bytes),
                 900 => p.budget.handle().set_limit(40 * row_bytes),
                 _ => {}
             }
             let mut payload = arrival.to_le_bytes().to_vec();
             payload.resize(8 + rng.gen_range(0..40usize), 0);
-            let row = Row::new(key(rng.gen_range(0..u64::MAX)), payload);
-            let footprint = row_footprint(&row);
-            let run = match &p.last {
-                Some(last) if order.precedes(&row.key, last) => p.tag + 1,
-                _ => p.tag,
-            };
-            let node = p.tree.node_for(run, &row.key);
-            let want = p.heap.items.first_mut().filter(|t| t.run == run && t.row.key == row.key);
-            let got = p.tree.top_if(&node, &row.key);
-            assert_eq!(got.is_some(), want.is_some(), "{}: who is the winner", p.what);
-            if let (true, Some(got), Some(want)) = (fold, got, want) {
-                // Fold at the winner: its row grows in place, in both.
-                let mut grown = got.row.payload.to_vec();
-                grown.push(0xF0);
-                got.row.payload = grown.into();
-                let grown_footprint = row_footprint(&got.row);
-                p.budget.resize_row(got.footprint, grown_footprint);
-                got.footprint = grown_footprint;
-                (want.row, want.footprint) = (got.row.clone(), grown_footprint);
-                continue;
+            p.admit(Row::new(key(rng.gen_range(0..u64::MAX)), payload));
+            if p.fill.len() >= batch {
+                p.form();
+                // One row per mini-run for a while: the tree must double.
+                let single = (600..800).contains(&(arrival % 1_000));
+                batch = if single { 1 } else { batch_rows(&p.budget) };
             }
-            p.budget.charge(footprint);
-            p.heap.push(run, row.clone(), footprint);
-            let slot = Slot { row, footprint };
-            if p.over_budget() && !p.tree.is_empty() {
-                let out = p.tree.push_pop(node, slot);
-                p.pop(Some(out));
-            } else {
-                p.tree.push(node, slot);
-            }
-            while p.over_budget() && p.tree.len() > 1 {
-                p.pop(None);
-            }
+            p.spill_if_over(batch);
         }
-        while p.pop(None) {}
+        if !p.fill.is_empty() {
+            p.form();
+        }
+        while p.pop() {}
         assert_eq!(p.budget.used(), 0, "{}: footprints leaked", p.what);
         let (ovc_cmps, full_cmps) = p.tree.cmp_counts();
         assert!(ovc_cmps > 0, "{}", p.what);
         if ovc && K::norm_prefix_is_exact() {
             assert_eq!(full_cmps, 0, "{}: exact prefixes never need the key", p.what);
         }
-        p.tree.slots.len()
+        p.tree.leaves.len()
     }
 
     #[test]
@@ -794,18 +1106,21 @@ mod tests {
         for order in [SortOrder::Ascending, SortOrder::Descending] {
             for ovc in [true, false] {
                 for fold in [true, false] {
-                    seed += 1;
-                    // Duplicate-heavy: 37 values, stability is by arrival.
-                    let leaves = pops_match_reference(order, ovc, fold, seed, |r| r % 37);
-                    assert!(leaves > INITIAL_LEAVES, "the stream must make the tree double");
-                    pops_match_reference(order, ovc, fold, seed, |r| {
-                        F64Key((r % 2_000) as f64 - 1_000.0)
-                    });
-                    // Prefixes shared past byte 8: the full key decides.
-                    pops_match_reference(order, ovc, fold, seed, |r| {
-                        BytesKey::new(format!("lineitem-{:05}", r % 500))
-                    });
-                    pops_match_reference(order, ovc, fold, seed, |r| KeyPair(r % 5, (r >> 8) % 50));
+                    for limit in [None, Some(7)] {
+                        seed += 1;
+                        let mode = (ovc, fold, limit);
+                        // Duplicate-heavy: 37 values, stability is by arrival.
+                        let leaves = pops_match_reference(order, mode, seed, |r| r % 37);
+                        assert!(leaves > INITIAL_LEAVES, "the stream must make the tree double");
+                        pops_match_reference(order, mode, seed, |r| {
+                            F64Key((r % 2_000) as f64 - 1_000.0)
+                        });
+                        // Prefixes shared past byte 8: the full key decides.
+                        pops_match_reference(order, mode, seed, |r| {
+                            BytesKey::new(format!("lineitem-{:05}", r % 500))
+                        });
+                        pops_match_reference(order, mode, seed, |r| KeyPair(r % 5, (r >> 8) % 50));
+                    }
                 }
             }
         }
@@ -817,40 +1132,73 @@ mod tests {
     /// of every line the hint steps over. Each pop must be the reference's.
     #[test]
     fn prefetch_edges_pop_what_the_binary_heap_popped() {
-        use histok_types::Bytes;
-        let order = SortOrder::Ascending;
-        let mut p = Pair {
-            tree: SelectionHeap::<u64>::new(order),
-            heap: BinaryHeapRef { items: Vec::new(), order, ovc_enabled: true, seq: 0 },
-            budget: MemoryBudget::new(1 << 30),
-            tag: 0,
-            last: None,
-            what: "prefetch edges".into(),
-        };
+        let mut p = Pair::<u64>::new(SortOrder::Ascending, true, 1 << 30, "prefetch".into());
         // A one-row tree popped to empty: its root is vacant.
-        p.enter(Row::new(5, Bytes::new()), false);
-        assert!(p.pop(None));
-        assert!(!p.pop(None));
-        // Empty payloads: 20 takes 10's leaf, 15 precedes the winner 20 and
-        // never enters, 30 takes 20's leaf; then empty again.
-        p.enter(Row::new(10, Bytes::new()), false);
-        p.enter(Row::new(20, Bytes::new()), true);
-        p.enter(Row::new(15, Bytes::new()), true);
-        p.enter(Row::new(30, Bytes::new()), true);
-        assert!(p.pop(None));
-        assert!(p.tree.is_empty());
+        p.admit(Row::new(5, Bytes::new()));
+        p.form();
+        assert!(p.pop());
+        assert!(!p.pop());
+        // Empty payloads, one mini-run of three and one of one.
+        for k in [20, 10, 30] {
+            p.admit(Row::new(k, Bytes::new()));
+        }
+        p.form();
+        p.admit(Row::new(15, Bytes::new()));
+        p.form();
+        while p.pop() {}
         let lens = [0, 1, 63, 64, 65, 82, 127, 128, 129, 300];
         let row =
             |i: u64| Row::new(i * 7_919 % 1_009, vec![i as u8; lens[i as usize % lens.len()]]);
         for i in 0..300 {
-            p.enter(row(i), false);
+            p.admit(row(i));
+            if i % 3 == 0 {
+                p.form();
+            }
         }
-        assert!(p.tree.slots.len() > INITIAL_LEAVES, "the tree must have doubled");
+        p.form();
+        assert!(p.tree.leaves.len() > INITIAL_LEAVES, "the tree must have doubled");
         for i in 300..600 {
-            p.enter(row(i), true);
+            p.admit(row(i));
+            p.form();
+            assert!(p.pop());
         }
-        while p.pop(None) {}
+        while p.pop() {}
         assert_eq!(p.budget.used(), 0);
+    }
+
+    /// Fold mode leaves every run duplicate-free, the counts adding up to
+    /// the input, under budgets from three rows up and with a run limit.
+    #[test]
+    fn fold_leaves_no_key_twice_in_a_run() {
+        use crate::fold::FoldSpec;
+        use histok_types::{decode_count, AggregateOp};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let agg = AggregateOp::Count.aggregator();
+        let row_bytes = row_footprint(&Row::new(0u64, agg.init(Bytes::new())));
+        for (rows, limit) in [(3, None), (40, None), (40, Some(25)), (300, None)] {
+            let (_be, cat) = catalog(SortOrder::Ascending);
+            let mut gen = ReplacementSelection::new(cat.clone(), rows * row_bytes)
+                .with_fold(FoldSpec::new(agg.clone()));
+            if let Some(limit) = limit {
+                gen = gen.with_run_limit(limit);
+            }
+            let mut rng = StdRng::seed_from_u64(rows as u64);
+            for _ in 0..5_000 {
+                gen.push(
+                    Row::new(rng.gen_range(0..200u64), agg.init(Bytes::new())),
+                    &mut NoopObserver,
+                )
+                .unwrap();
+            }
+            gen.finish(&mut NoopObserver, ResiduePolicy::SpillToRuns).unwrap();
+            let mut total = 0;
+            for meta in cat.runs().iter() {
+                let run: Vec<Row<u64>> = cat.open(meta).unwrap().map(|r| r.unwrap()).collect();
+                assert!(run.windows(2).all(|w| w[0].key < w[1].key), "budget of {rows} rows");
+                total += run.iter().map(|r| decode_count(&r.payload)).sum::<u64>();
+            }
+            assert_eq!(total, 5_000, "budget of {rows} rows, limit {limit:?}");
+        }
     }
 
     fn catalog(order: SortOrder) -> (MemoryBackend, Arc<RunCatalog<u64>>) {

@@ -5,7 +5,8 @@
 //! output must be byte-identical to the iterator drain and to
 //! [`LoadSortStore`] on every cell of the grid
 //! {u64, F64Key, BytesKey, KeyPair} × {asc, desc} × {filter on/off} ×
-//! batch_rows ∈ {1, 7, 1024}, plus duplicate-heavy inputs and the
+//! batch_rows ∈ {1, 7, 1024}, plus duplicate-heavy inputs, a cutoff that
+//! tightens as rows spill (run generation only), and the
 //! mid-batch error-latch protocol. Merge cells run once plain and once
 //! folding equal keys (`AggregateOp::First`, duplicate removal), so the
 //! batched drain's in-merge folding is held to the iterator's too.
@@ -199,14 +200,18 @@ fn merge_grid_duplicate_heavy() {
 
 /// A counting cutoff observer shared by both run-generation paths. The
 /// baseline ([`LoadSortStore`]) filters row by row through
-/// `should_eliminate`; [`BatchSort`] reads `cutoff_key` once per flush and
-/// reports the whole clip through `rows_clipped`. Both feed the same
-/// elimination counter, so the accounting must agree too.
+/// `should_eliminate`; [`BatchSort`] reads `cutoff_key` once per flush,
+/// reports that clip through `rows_clipped` and checks the rest row by row.
+/// Both feed the same elimination counter, so the accounting must agree
+/// too. With `tighten_every`, every that-many spilled rows the cutoff
+/// moves to the key just spilled, as a histogram's does inside a run: a
+/// generator that checks its rows before writing any of them misses it.
 struct CutoffObs<K> {
     cut: K,
     order: SortOrder,
     eliminated: u64,
     spilled: u64,
+    tighten_every: Option<u64>,
 }
 
 impl<K: SortKey> SpillObserver<K> for CutoffObs<K> {
@@ -217,8 +222,12 @@ impl<K: SortKey> SpillObserver<K> for CutoffObs<K> {
         }
         e
     }
-    fn row_spilled(&mut self, _key: &K) {
+    fn row_spilled(&mut self, key: &K) {
         self.spilled += 1;
+        let due = self.tighten_every.is_some_and(|n| self.spilled.is_multiple_of(n));
+        if due && self.order.precedes(key, &self.cut) {
+            self.cut = key.clone();
+        }
     }
     fn cutoff_key(&mut self) -> Option<K> {
         Some(self.cut.clone())
@@ -260,7 +269,7 @@ fn generate<K: SortKey>(
 fn rungen_grid<K: SortKey>(
     key_fn: impl Fn(u64) -> K + Copy,
     order: SortOrder,
-    filter: bool,
+    (filter, tighten): (bool, bool),
     residue: ResiduePolicy,
     tag: &str,
 ) {
@@ -279,7 +288,9 @@ fn rungen_grid<K: SortKey>(
         } else {
             Box::new(LoadSortStore::new(cat.clone(), budget))
         };
-        let mut obs = CutoffObs { cut: cut.clone(), order, eliminated: 0, spilled: 0 };
+        let tighten_every = tighten.then_some(16);
+        let mut obs =
+            CutoffObs { cut: cut.clone(), order, eliminated: 0, spilled: 0, tighten_every };
         // Without the filter dimension, neutralize the cutoff by making it
         // the worst admitted key: `follows` never fires.
         if !filter {
@@ -300,28 +311,28 @@ fn rungen_grid<K: SortKey>(
 #[test]
 fn rungen_grid_all_key_types() {
     for order in [SortOrder::Ascending, SortOrder::Descending] {
-        for filter in [false, true] {
+        for cutoff in [(false, false), (true, false), (false, true), (true, true)] {
             for residue in [ResiduePolicy::SpillToRuns, ResiduePolicy::KeepInMemory] {
-                let tag = format!("rg-{order:?}-f{filter}-{residue:?}");
-                rungen_grid(|s| s, order, filter, residue, &format!("{tag}-u64"));
+                let tag = format!("rg-{order:?}-{cutoff:?}-{residue:?}");
+                rungen_grid(|s| s, order, cutoff, residue, &format!("{tag}-u64"));
                 rungen_grid(
                     |s| F64Key(s as f64 / 7.0 - 5e5),
                     order,
-                    filter,
+                    cutoff,
                     residue,
                     &format!("{tag}-f64"),
                 );
                 rungen_grid(
                     |s| BytesKey::new(format!("commonprefix-{s:016}")),
                     order,
-                    filter,
+                    cutoff,
                     residue,
                     &format!("{tag}-bytes"),
                 );
                 rungen_grid(
                     |s| KeyPair((s >> 8) as u32, (s & 0xFF) as u32),
                     order,
-                    filter,
+                    cutoff,
                     residue,
                     &format!("{tag}-pair"),
                 );
@@ -333,8 +344,9 @@ fn rungen_grid_all_key_types() {
 #[test]
 fn rungen_duplicate_heavy() {
     for order in [SortOrder::Ascending, SortOrder::Descending] {
-        rungen_grid(|s| s % 13, order, true, ResiduePolicy::SpillToRuns, "rg-dup");
-        rungen_grid(|s| s % 13, order, false, ResiduePolicy::KeepInMemory, "rg-dup-keep");
+        rungen_grid(|s| s % 13, order, (true, false), ResiduePolicy::SpillToRuns, "rg-dup");
+        rungen_grid(|s| s % 13, order, (false, false), ResiduePolicy::KeepInMemory, "rg-dup-keep");
+        rungen_grid(|s| s % 13, order, (true, true), ResiduePolicy::SpillToRuns, "rg-dup-tight");
     }
 }
 

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use histok_storage::{
     FaultBackend, FaultPlan, IoScheduler, IoStats, MemoryBackend, PrefetchingRunReader, RunCatalog,
-    RunMeta, StorageBackend, ThrottleModel, ThrottledBackend,
+    RunMeta, SpillReader, SpillWriter, StorageBackend, ThrottleModel, ThrottledBackend,
 };
 use histok_types::{Error, Result, Row, SortOrder};
 
@@ -210,49 +210,217 @@ fn pipelined_spill_under_sleeping_throttle_does_not_deadlock() {
     });
 }
 
-#[test]
-fn io_wait_and_overlap_are_both_recorded_under_throttle() {
-    with_watchdog(|| {
-        let model = ThrottleModel {
-            per_op: Duration::from_micros(100),
-            per_byte: Duration::ZERO,
-            sleep: true,
-        };
-        for catalog in catalogs(|| ThrottledBackend::new(MemoryBackend::new(), model)) {
-            let stats = catalog.stats().clone();
-            let mut w = catalog.start_run().unwrap();
-            for k in 0..400u64 {
-                w.append(&Row::new(k, vec![0u8; 16])).unwrap();
-                // Compute work between appends: the pool drains the queue
-                // while this thread is busy, so the throttle sleeps are
-                // genuinely hidden and settle as overlapped time.
-                std::thread::sleep(Duration::from_micros(60));
-            }
-            let meta = w.finish().unwrap();
-            let written = stats.snapshot();
+/// The counters of a [`Gate`]: requests that arrived, and how many of
+/// them may proceed.
+struct GateState {
+    arrived: u64,
+    allowed: u64,
+}
 
-            // Reads book the same way: with read-ahead, storage latency
-            // lands on the pool (overlapped) while the consumer does
-            // per-row compute and records only its blocked waits.
-            let mut read_rows = 0u64;
-            for row in read_run(&catalog, &meta) {
-                row.unwrap();
-                read_rows += 1;
-                std::thread::sleep(Duration::from_micros(30));
-            }
-            assert_eq!(read_rows, 400);
-            let read = stats.snapshot().since(&written);
+/// Where every request of a [`GatedBackend`] waits its turn: the `n`-th
+/// request (from 0) proceeds once `allowed > n`. The test decides which
+/// requests run when, so what overlaps what is fixed by the order of the
+/// test's steps, not by how long anything takes.
+struct Gate {
+    state: std::sync::Mutex<GateState>,
+    cond: std::sync::Condvar,
+    /// Set by the test, polled by the thread of [`Gate::release_when_asked`].
+    asked: std::sync::atomic::AtomicBool,
+}
 
-            // The compute thread waited somewhere either way (inline: on
-            // every request; pooled: at least the finish drain), and the
-            // two counters never book the same nanoseconds twice.
-            assert!(written.io_wait_ns > 0 && read.io_wait_ns > 0);
-            if catalog.io_scheduler().is_some() {
-                assert!(written.overlapped_io_ns > 0 && read.overlapped_io_ns > 0);
-            } else {
-                // Nothing runs behind an inline catalog's back.
-                assert_eq!((written.overlapped_io_ns, read.overlapped_io_ns), (0, 0));
-            }
+impl Gate {
+    fn open() -> Arc<Gate> {
+        let state = GateState { arrived: 0, allowed: u64::MAX };
+        Arc::new(Gate {
+            state: std::sync::Mutex::new(state),
+            cond: std::sync::Condvar::new(),
+            asked: Default::default(),
+        })
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
+        self.state.lock().unwrap()
+    }
+
+    /// Waits for this request's turn, then runs it.
+    fn pass<T>(&self, request: impl FnOnce() -> T) -> T {
+        let mut st = self.lock();
+        let ticket = st.arrived;
+        st.arrived += 1;
+        self.cond.notify_all();
+        while st.allowed <= ticket {
+            st = self.cond.wait(st).unwrap();
         }
+        drop(st);
+        request()
+    }
+
+    /// Holds every request that arrives from now on.
+    fn hold(&self) {
+        let mut st = self.lock();
+        st.allowed = st.arrived;
+    }
+
+    fn release_all(&self) {
+        self.lock().allowed = u64::MAX;
+        self.cond.notify_all();
+    }
+
+    /// Blocks until `until` holds. Not a storage wait: nothing books it.
+    fn wait_until(&self, until: impl Fn(&GateState) -> bool) {
+        let mut st = self.lock();
+        while !until(&st) {
+            st = self.cond.wait(st).unwrap();
+        }
+    }
+
+    fn arrived(&self) -> u64 {
+        self.lock().arrived
+    }
+
+    /// Asks the helper to release: a plain store, so the asking thread
+    /// wakes no one and goes straight on to block on the held request.
+    fn ask(&self) {
+        self.asked.store(true, std::sync::atomic::Ordering::Release);
+    }
+
+    /// For a helper thread: releases every request once the test asks.
+    fn release_when_asked(&self) {
+        while !self.asked.load(std::sync::atomic::Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        self.release_all();
+    }
+}
+
+/// A memory backend whose writes and reads pass a [`Gate`].
+struct GatedBackend {
+    inner: MemoryBackend,
+    gate: Arc<Gate>,
+}
+
+struct GatedWriter(Box<dyn SpillWriter>, Arc<Gate>);
+
+impl SpillWriter for GatedWriter {
+    fn write_all(&mut self, data: &[u8]) -> Result<()> {
+        self.1.pass(|| self.0.write_all(data))
+    }
+
+    fn finish(&mut self) -> Result<u64> {
+        self.0.finish()
+    }
+}
+
+struct GatedReader(Box<dyn SpillReader>, Arc<Gate>);
+
+impl SpillReader for GatedReader {
+    fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
+        self.1.pass(|| self.0.read_exact(buf))
+    }
+
+    fn skip(&mut self, n: u64) -> Result<()> {
+        self.0.skip(n)
+    }
+}
+
+impl StorageBackend for GatedBackend {
+    fn create(&self, name: &str) -> Result<Box<dyn SpillWriter>> {
+        Ok(Box::new(GatedWriter(self.inner.create(name)?, self.gate.clone())))
+    }
+
+    fn open(&self, name: &str) -> Result<Box<dyn SpillReader>> {
+        Ok(Box::new(GatedReader(self.inner.open(name)?, self.gate.clone())))
+    }
+
+    fn delete(&self, name: &str) -> Result<()> {
+        self.inner.delete(name)
+    }
+
+    fn size_of(&self, name: &str) -> Result<u64> {
+        self.inner.size_of(name)
+    }
+}
+
+/// Both catalogs book what they should, in the order the test imposes
+/// through a [`Gate`]: the pooled catalog's first write request and first
+/// read request are held while the compute thread does other work (the
+/// whole inline write and read), so storage time passes with no one
+/// waiting for it; and the compute thread then waits on a request that
+/// cannot finish before the test releases it. Inline, every request is
+/// compute-side wait and nothing overlaps. Per component, wait plus
+/// overlap never exceeds the phase's wall time: no nanosecond is booked
+/// twice.
+#[test]
+fn io_wait_and_overlap_are_both_recorded_through_a_gate() {
+    with_watchdog(|| {
+        let row = |k: u64| Row::new(k, vec![0u8; 16]);
+        let gated = |gate: &Arc<Gate>| {
+            let backend = GatedBackend { inner: MemoryBackend::new(), gate: gate.clone() };
+            RunCatalog::new(Arc::new(backend), "ovf", SortOrder::Ascending, IoStats::new())
+                .with_block_bytes(64)
+        };
+        let (inline_gate, pooled_gate) = (Gate::open(), Gate::open());
+        let inline = gated(&inline_gate);
+        let pooled = gated(&pooled_gate).with_io_scheduler(Some(IoScheduler::new(2)));
+
+        // Rows per write request: an inline writer makes its first request
+        // inside the append that fills it.
+        let mut w = inline.start_run().unwrap();
+        let mut per_request = 0;
+        while inline_gate.arrived() == 0 {
+            w.append(&row(per_request)).unwrap();
+            per_request += 1;
+        }
+        drop(w);
+
+        // Writes. The pooled writer's first request is held while the
+        // compute thread writes and reads the whole inline run.
+        let started = std::time::Instant::now();
+        pooled_gate.hold();
+        let mut w = pooled.start_run().unwrap();
+        for k in 0..per_request {
+            w.append(&row(k)).unwrap();
+        }
+        pooled_gate.wait_until(|st| st.arrived >= 1);
+        let inline_meta = write_run(&inline, 2_000).unwrap();
+        let inline_written = inline.stats().snapshot();
+        assert_eq!(read_run(&inline, &inline_meta).count(), 2_000);
+        let inline_read = inline.stats().snapshot().since(&inline_written);
+        pooled_gate.release_all();
+        for k in per_request..4 * per_request {
+            w.append(&row(k)).unwrap();
+        }
+        let meta = w.finish().unwrap();
+        let write_wall = started.elapsed().as_nanos() as u64;
+        let written = pooled.stats().snapshot();
+
+        // Reads. The prefetcher's first request is held while the compute
+        // thread reads the inline run again; then the compute thread asks
+        // for a row, and a helper releases the request only once asked.
+        let started = std::time::Instant::now();
+        pooled_gate.hold();
+        let held = pooled_gate.arrived();
+        let mut rows = read_run(&pooled, &meta);
+        pooled_gate.wait_until(|st| st.arrived > held);
+        assert_eq!(read_run(&inline, &inline_meta).count(), 2_000);
+        let read_rows = std::thread::scope(|scope| {
+            scope.spawn(|| pooled_gate.release_when_asked());
+            pooled_gate.ask();
+            rows.by_ref().inspect(|row| assert!(row.is_ok())).count()
+        });
+        drop(rows);
+        let read_wall = started.elapsed().as_nanos() as u64;
+        assert_eq!(read_rows as u64, 4 * per_request);
+        let read = pooled.stats().snapshot().since(&written);
+
+        assert!(written.io_wait_ns > 0, "written {written:?}");
+        assert!(read.io_wait_ns > 0, "read {read:?}");
+        assert!(written.overlapped_io_ns > 0, "written {written:?}");
+        assert!(read.overlapped_io_ns > 0, "read {read:?}");
+        assert!(written.io_wait_ns + written.overlapped_io_ns <= write_wall);
+        assert!(read.io_wait_ns + read.overlapped_io_ns <= read_wall);
+        // Nothing runs behind an inline catalog's back.
+        assert!(inline_written.io_wait_ns > 0 && inline_read.io_wait_ns > 0);
+        assert_eq!((inline_written.overlapped_io_ns, inline_read.overlapped_io_ns), (0, 0));
     });
 }

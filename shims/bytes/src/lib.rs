@@ -10,10 +10,11 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// A cheaply clonable, immutable byte buffer (an `Arc<[u8]>` plus a range).
+/// A cheaply clonable, immutable byte buffer (an `Arc<[u8]>` plus a range;
+/// no `Arc` at all when empty from the start).
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Option<Arc<[u8]>>,
     start: usize,
     end: usize,
 }
@@ -21,7 +22,7 @@ pub struct Bytes {
 impl Bytes {
     /// An empty buffer (no allocation).
     pub fn new() -> Self {
-        Bytes { data: Arc::from(&[][..]), start: 0, end: 0 }
+        Bytes { data: None, start: 0, end: 0 }
     }
 
     /// Length of the view in bytes.
@@ -36,7 +37,7 @@ impl Bytes {
 
     /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        self.data.as_deref().map_or(&[], |data| &data[self.start..self.end])
     }
 
     /// Copies the view into an owned `Vec`.
@@ -57,7 +58,7 @@ impl Bytes {
 
     /// Copies `data` into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { data: Arc::from(data), start: 0, end: data.len() }
+        Bytes { data: Some(Arc::from(data)), start: 0, end: data.len() }
     }
 }
 
@@ -137,13 +138,13 @@ impl std::hash::Hash for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
-        Bytes { data: Arc::from(v.into_boxed_slice()), start: 0, end: len }
+        Bytes { data: Some(Arc::from(v.into_boxed_slice())), start: 0, end: len }
     }
 }
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Self {
         let len = v.len();
-        Bytes { data: Arc::from(v), start: 0, end: len }
+        Bytes { data: Some(Arc::from(v)), start: 0, end: len }
     }
 }
 impl From<&[u8]> for Bytes {

@@ -2,10 +2,12 @@
 //! a tenth of its scale: how many runs, how long each one is (as the bytes of
 //! its object: rows are a fixed 94 bytes here, and block boundaries are
 //! pinned with them), how many rows and bytes reach storage and where the
-//! cutoff ends up. The expected values are what the sift-based binary heap
-//! produced (commit 52e5cab, before run generation moved to the tournament
-//! tree); a change to the selection structure, the run format or the filter
-//! that alters any spilled byte fails here, in `cargo test`, and not in a
+//! cutoff ends up. The expected values are what batched replacement
+//! selection produces (mini-runs of `M/16` rows under the tree; until then
+//! the sift-based binary heap of commit 52e5cab and the tournament tree of
+//! single rows, which wrote 42 runs, 13,658,888 and 13,604,008 bytes); a
+//! change to the selection structure, the run format or the filter that
+//! alters any spilled byte fails here, in `cargo test`, and not in a
 //! benchmark diff.
 
 use std::sync::{Arc, Mutex};
@@ -98,32 +100,32 @@ fn every_spill_decision_matches_the_binary_heap() {
         (
             42,
             Spill {
-                runs_created: 42,
-                rows_written: 145_268,
-                bytes_written: 13_658_888,
-                cutoff: 47_684.0,
+                runs_created: 43,
+                rows_written: 144_889,
+                bytes_written: 13_623_166,
+                cutoff: 47_559.0,
                 run_bytes: vec![
-                    240164, 272422, 274678, 281634, 282386, 277404, 280694, 278438, 284924, 284266,
-                    280976, 279660, 281164, 276182, 279378, 267252, 257836, 262348, 258024, 259340,
-                    263774, 255580, 261502, 264338, 264150, 261502, 263680, 262536, 261126, 264244,
-                    264620, 267910, 261784, 264150, 264056, 256332, 262348, 266406, 259152, 64712,
-                    1825012, 1321812,
+                    230106, 260092, 266124, 269696, 266970, 269790, 270260, 269696, 265372, 269790,
+                    271200, 267910, 264620, 269884, 272140, 268568, 258212, 255956, 254734, 255298,
+                    251726, 254264, 253512, 257084, 256332, 251632, 249094, 256332, 255862, 253042,
+                    254828, 254640, 255110, 245428, 256332, 255110, 251726, 254922, 261502, 254170,
+                    162034, 1765682, 1337416,
                 ],
             },
         ),
         (
             7,
             Spill {
-                runs_created: 42,
-                rows_written: 144_684,
-                bytes_written: 13_604_008,
-                cutoff: 47_718.0,
+                runs_created: 43,
+                rows_written: 143_587,
+                bytes_written: 13_500_746,
+                cutoff: 47_404.0,
                 run_bytes: vec![
-                    236122, 270166, 279096, 278720, 273080, 275242, 282856, 284548, 277310, 272986,
-                    285394, 274960, 276934, 278344, 278720, 273738, 264056, 263868, 266594, 259810,
-                    263304, 262834, 267252, 261032, 270636, 259810, 257460, 264432, 254922, 261596,
-                    265090, 258024, 259434, 263962, 261220, 257366, 261784, 265936, 267252, 58790,
-                    1863850, 1246486,
+                    230858, 262254, 268098, 272798, 268568, 266312, 273926, 265654, 263304, 274866,
+                    274490, 263398, 268474, 276182, 269602, 265184, 256144, 248248, 252384, 254076,
+                    255580, 253606, 244206, 254828, 255486, 258400, 253136, 249188, 256332, 250692,
+                    258964, 246086, 252384, 253888, 253982, 255580, 255674, 258400, 254922, 248248,
+                    174724, 1834976, 1147676,
                 ],
             },
         ),
