@@ -12,148 +12,22 @@
 //! `CARGO_TARGET_DIR`, so neither build touches the working tree (nor its
 //! `bench_e2e/Cargo.lock`). Pair `i` runs every workload on both sides,
 //! parent first when `i` is even, change first when odd. Before every run a
-//! fixed spin loop is timed; a pair in which one drifts more than 5 % from
-//! their median is *contended*, listed, and left out of the statistics
-//! (unless every pair is). With
-//! `--trace`, each named workload then runs `--trace 1` three times a side,
+//! fixed spin loop is timed and its seconds are reported per pair
+//! (`spin_s`), a record of the machine's speed beside each pair; no pair is
+//! left out on it. With `--trace`, each named workload then runs
+//! `--trace 1` three times a side,
 //! alternating, and every per-layer value is kept. The report has the shape
 //! of the reports under `results/e2e/`, plus a verdict per end-to-end metric
 //! against its `BENCHMARK.json` bound.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
+use histok_types::JsonValue;
+
 type Res<T> = Result<T, String>;
-
-/// A JSON value, as far as `bench_e2e` reports and `BENCHMARK.json` need:
-/// `true`, `false` and `null` read as numbers.
-enum Json {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        let Json::Obj(fields) = self else { return None };
-        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn items(&self) -> &[Json] {
-        if let Json::Arr(items) = self {
-            return items;
-        }
-        &[]
-    }
-
-    fn str(&self) -> Option<&str> {
-        if let Json::Str(s) = self {
-            return Some(s);
-        }
-        None
-    }
-
-    fn num(&self) -> Option<f64> {
-        if let Json::Num(n) = self {
-            return Some(*n);
-        }
-        None
-    }
-}
-
-/// A recursive-descent reader over `(bytes, position)`.
-struct Parser<'a>(&'a [u8], usize);
-
-impl Parser<'_> {
-    fn peek(&mut self) -> Option<u8> {
-        while self.0.get(self.1).is_some_and(u8::is_ascii_whitespace) {
-            self.1 += 1;
-        }
-        self.0.get(self.1).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Res<()> {
-        if self.peek() != Some(c) {
-            return Err(format!("JSON: expected {:?} at byte {}", c as char, self.1));
-        }
-        self.1 += 1;
-        Ok(())
-    }
-
-    /// The items of an object or array up to `close`, each read by `item`.
-    fn list<T>(&mut self, close: u8, mut item: impl FnMut(&mut Self) -> Res<T>) -> Res<Vec<T>> {
-        self.1 += 1;
-        let mut items = Vec::new();
-        while self.peek() != Some(close) {
-            items.push(item(self)?);
-            if self.peek() == Some(b',') {
-                self.1 += 1;
-            }
-        }
-        self.eat(close)?;
-        Ok(items)
-    }
-
-    fn value(&mut self) -> Res<Json> {
-        match self.peek().ok_or("JSON: unexpected end")? {
-            b'{' => Ok(Json::Obj(self.list(b'}', |p| {
-                let key = p.string()?;
-                p.eat(b':')?;
-                Ok((key, p.value()?))
-            })?)),
-            b'[' => Ok(Json::Arr(self.list(b']', Self::value)?)),
-            b'"' => self.string().map(Json::Str),
-            _ => {
-                let start = self.1;
-                while self.0.get(self.1).is_some_and(|c| !b",}] \n\r\t".contains(c)) {
-                    self.1 += 1;
-                }
-                match &self.0[start..self.1] {
-                    b"true" => Ok(Json::Num(1.0)),
-                    b"false" | b"null" => Ok(Json::Num(0.0)),
-                    word => {
-                        let word = String::from_utf8_lossy(word);
-                        word.parse().map(Json::Num).map_err(|e| format!("JSON {word:?}: {e}"))
-                    }
-                }
-            }
-        }
-    }
-
-    /// A string; an escape keeps the escaped byte (no report needs more).
-    fn string(&mut self) -> Res<String> {
-        self.eat(b'"')?;
-        let mut out = Vec::new();
-        loop {
-            match *self.0.get(self.1).ok_or("JSON: unterminated string")? {
-                b'"' => break,
-                b'\\' => self.1 += 1,
-                _ => {}
-            }
-            out.extend(self.0.get(self.1));
-            self.1 += 1;
-        }
-        self.1 += 1;
-        String::from_utf8(out).map_err(|e| e.to_string())
-    }
-}
-
-fn parse(text: &str) -> Res<Json> {
-    Parser(text.as_bytes(), 0).value()
-}
-
-fn quote(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
-fn nums(values: &[f64]) -> String {
-    let items: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
-    format!("[{}]", items.join(", "))
-}
 
 /// Runs `cmd`, failing with its stderr unless it exits 0.
 fn run(cmd: &mut Command) -> Res<String> {
@@ -218,21 +92,33 @@ fn bench(dir: &Path, bin: &Path, run: [&str; 4]) -> Res<Vec<(String, f64)>> {
         format!("{workload}: no report ({})", String::from_utf8_lossy(&out.stderr))
     })?;
     let report = parse(line)?;
-    let Some(Json::Obj(metrics)) = report.get("metrics") else {
+    let Some(JsonValue::Obj(metrics)) = report.get("metrics") else {
         return Err(format!("{workload}: report without metrics"));
     };
-    Ok(metrics.iter().filter_map(|(k, v)| Some((k.clone(), v.get("value")?.num()?))).collect())
+    Ok(metrics.iter().filter_map(|(k, v)| Some((k.clone(), v.get("value")?.as_f64()?))).collect())
+}
+
+fn parse(text: &str) -> Res<JsonValue> {
+    JsonValue::parse(text).map_err(|e| e.to_string())
+}
+
+/// The items of `value`'s array `key`, none if it has none.
+fn items<'a>(value: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+    match value.get(key) {
+        Some(JsonValue::Arr(items)) => items,
+        _ => &[],
+    }
 }
 
 /// The median of `values` and its inclusive quartiles as a JSON object.
-fn summary(values: &[f64]) -> (f64, String) {
+fn summary(values: &[f64]) -> (f64, JsonValue) {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
     let q = |p: f64| {
         let h = (v.len() - 1) as f64 * p;
         v[h.floor() as usize] + (h - h.floor()) * (v[h.ceil() as usize] - v[h.floor() as usize])
     };
-    (q(0.5), format!("{{\"median\": {}, \"q1\": {}, \"q3\": {}}}", q(0.5), q(0.25), q(0.75)))
+    (q(0.5), JsonValue::obj([("median", q(0.5)), ("q1", q(0.25)), ("q3", q(0.75))]))
 }
 
 const USAGE: &str = "usage: pairs --parent <rev> --change <rev> --pairs N --seed S \
@@ -256,28 +142,17 @@ fn flags() -> Res<BTreeMap<String, String>> {
 /// order.
 type Table = BTreeMap<String, BTreeMap<String, [Vec<f64>; 2]>>;
 
-/// Appends `"workload": {"seed_S": {"metric": entry, …}}` per workload of
-/// `table`, for the metrics `entry` renders.
+/// `{"workload": {"seed_S": {"metric": entry, …}}, …}` over `table`, for
+/// the metrics `entry` renders.
 fn section(
-    out: &mut String,
     table: &Table,
     seed: &str,
-    entry: impl Fn(&str, &[Vec<f64>; 2]) -> Option<String>,
-) {
-    for (i, (workload, metrics)) in table.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}\n    {}: {{{}: {{",
-            [",", ""][usize::from(i == 0)],
-            quote(workload),
-            quote(seed)
-        );
-        let entries = metrics
-            .iter()
-            .filter_map(|(m, v)| Some(format!("\n      {}: {}", quote(m), entry(m, v)?)));
-        out.push_str(&entries.collect::<Vec<_>>().join(","));
-        out.push_str("\n    }}");
-    }
+    entry: impl Fn(&str, &[Vec<f64>; 2]) -> Option<JsonValue>,
+) -> JsonValue {
+    JsonValue::obj(table.iter().map(|(workload, metrics)| {
+        let entries = metrics.iter().filter_map(|(m, v)| Some((m.clone(), entry(m, v)?)));
+        (workload.clone(), JsonValue::obj([(seed, JsonValue::obj(entries))]))
+    }))
 }
 
 fn main() -> Res<()> {
@@ -292,28 +167,29 @@ fn main() -> Res<()> {
     let spec =
         parse(&std::fs::read_to_string(root.join("BENCHMARK.json")).map_err(|e| e.to_string())?)?;
     let workloads: Vec<String> = list("workloads").unwrap_or_else(|| {
-        let names = spec.get("workloads").map_or(&[][..], Json::items).iter();
-        names.filter_map(|w| Some(w.get("name")?.str()?.to_owned())).collect()
+        let names = items(&spec, "workloads").iter();
+        names.filter_map(|w| Some(w.get("name")?.as_str()?.to_owned())).collect()
     });
     // Per metric: lower is better, and the end-to-end bound if any.
     let mut rule: BTreeMap<String, (bool, Option<f64>)> = BTreeMap::new();
     for (section, bounded) in [("end_to_end", true), ("per_layer", false)] {
-        for m in spec.get(section).map_or(&[][..], Json::items) {
-            let (Some(name), Some(better)) = (m.get("name").and_then(Json::str), m.get("better"))
+        for m in items(&spec, section) {
+            let (Some(name), Some(better)) =
+                (m.get("name").and_then(JsonValue::as_str), m.get("better"))
             else {
                 continue;
             };
-            let bound = if bounded { m.get("bound").and_then(Json::num) } else { None };
-            rule.insert(name.to_owned(), (better.str() == Some("lower"), bound));
+            let bound = if bounded { m.get("bound").and_then(JsonValue::as_f64) } else { None };
+            rule.insert(name.to_owned(), (better.as_str() == Some("lower"), bound));
         }
     }
     let rev = |name: &str| flags.get(name).ok_or(USAGE).map_err(str::to_owned);
     let sides = [checkout(&root, rev("parent")?)?, checkout(&root, rev("change")?)?];
-    let (mut table, mut spins) = (Table::new(), Vec::new());
-    for pair in 0..n_pairs {
+    let (mut table, mut spins) = (Table::new(), vec![Vec::new(); n_pairs]);
+    for (pair, spins) in spins.iter_mut().enumerate() {
         for w in &workloads {
             for side in if pair % 2 == 0 { [0, 1] } else { [1, 0] } {
-                spins.push((pair, spin()));
+                spins.push(spin());
                 let (_, dir, bin) = &sides[side];
                 for (metric, value) in bench(dir, bin, [w, seed, seconds, "0"])? {
                     table.entry(w.to_string()).or_default().entry(metric).or_default()[side]
@@ -323,10 +199,6 @@ fn main() -> Res<()> {
         }
         eprintln!("pairs: pair {pair} done");
     }
-    let (median, _) = summary(&spins.iter().map(|&(_, s)| s).collect::<Vec<_>>());
-    let drifted = spins.iter().filter(|&&(_, s)| (s / median - 1.0).abs() > 0.05);
-    let mut contended: Vec<usize> = drifted.map(|&(pair, _)| pair).collect();
-    contended.dedup();
     let mut traced = Table::new();
     for w in &trace {
         for i in 0..6 {
@@ -340,61 +212,63 @@ fn main() -> Res<()> {
     }
     let seed_key = format!("seed_{seed}");
     let method = format!(
-        "pairs --pairs {} --seed {} --seconds {}: parent first in even pairs; quartiles \
-         inclusive; a win is change strictly better than parent in its pair; contended pairs \
-         are left out of medians, quartiles and wins (unless all are) but kept in values; \
-         verdict: the change's median against BENCHMARK.json's bound",
-        n_pairs, seed, seconds
+        "pairs --pairs {n_pairs} --seed {seed} --seconds {seconds}: parent first in even pairs; \
+         quartiles inclusive; a win is change strictly better than parent in its pair; \
+         verdict: the change's median against BENCHMARK.json's bound; spin_s: seconds of a \
+         fixed spin loop timed before every run, per pair"
     );
-    let mut out = format!(
-        "{{\n  \"parent_commit\": {},\n  \"change_commit\": {},\n  \"method\": {},\n  \
-         \"claim\": null,\n  \"contended_pairs\": {contended:?},\n  \"workloads\": {{",
-        quote(&sides[0].0),
-        quote(&sides[1].0),
-        quote(&method),
-    );
-    section(&mut out, &table, &seed_key, |metric, [parent, change]| {
+    let workloads = section(&table, &seed_key, |metric, [parent, change]| {
         let (lower, bound) = rule.get(metric).copied().unwrap_or((true, None));
-        let kept = |v: &[f64]| -> Vec<f64> {
-            let uncontended = v.iter().enumerate().filter(|(i, _)| !contended.contains(i));
-            uncontended.map(|(_, x)| *x).collect()
-        };
-        let (mut p, mut c) = (kept(parent), kept(change));
-        if p.is_empty() {
-            (p, c) = (parent.clone(), change.clone());
-        }
-        if p.is_empty() || p.len() != c.len() {
+        if parent.is_empty() || parent.len() != change.len() {
             return None;
         }
-        let wins = c.iter().zip(&p).filter(|(c, p)| if lower { c < p } else { c > p }).count();
-        let ties = c.iter().zip(&p).filter(|(c, p)| c == p).count();
-        let ((pm, ps), (cm, cs)) = (summary(&p), summary(&c));
+        let wins = change.iter().zip(parent).filter(|(c, p)| if lower { c < p } else { c > p });
+        let ties = change.iter().zip(parent).filter(|(c, p)| c == p).count();
+        let ((pm, ps), (cm, cs)) = (summary(parent), summary(change));
         let delta = if pm == 0.0 { 0.0 } else { (cm - pm) / pm };
-        let verdict = bound.map_or(String::new(), |b| {
+        let mut fields = vec![
+            ("parent", ps),
+            ("change", cs),
+            ("change_wins", wins.count().into()),
+            ("ties", ties.into()),
+            ("pairs", parent.len().into()),
+        ];
+        if let Some(b) = bound {
             let worse = if lower { delta } else { -delta };
             let (side, word) = (["higher", "lower"][usize::from(lower)], ["within", "beyond"]);
-            format!(
-                ", \"verdict\": \"median {:+.1} % ({side} is better), {} the {:.0} % bound\"",
+            let verdict = format!(
+                "median {:+.1} % ({side} is better), {} the {:.0} % bound",
                 delta * 100.0,
                 word[usize::from(worse > b)],
                 b * 100.0
-            )
-        });
-        Some(format!(
-            "{{\"parent\": {ps}, \"change\": {cs}, \"change_wins\": {wins}, \"ties\": {ties}, \
-             \"pairs\": {}{verdict}, \"values\": {{\"parent\": {}, \"change\": {}}}}}",
-            p.len(),
-            nums(parent),
-            nums(change),
+            );
+            fields.push(("verdict", verdict.into()));
+        }
+        let values = [
+            ("parent", JsonValue::arr(parent.clone())),
+            ("change", JsonValue::arr(change.clone())),
+        ];
+        fields.push(("values", JsonValue::obj(values)));
+        Some(JsonValue::obj(fields))
+    });
+    let traced = section(&traced, &seed_key, |_, [parent, change]| {
+        Some(JsonValue::obj(
+            [("parent", parent.clone()), ("change", change.clone())]
+                .map(|(k, v)| (k, JsonValue::arr(v))),
         ))
     });
-    out.push_str("\n  },\n  \"traced\": {");
-    section(&mut out, &traced, &seed_key, |_, [parent, change]| {
-        Some(format!("{{\"parent\": {}, \"change\": {}}}", nums(parent), nums(change)))
-    });
-    out.push_str("\n  }\n}\n");
+    let report = JsonValue::obj([
+        ("parent_commit", JsonValue::from(sides[0].0.as_str())),
+        ("change_commit", sides[1].0.as_str().into()),
+        ("method", method.into()),
+        ("claim", JsonValue::Null),
+        ("spin_s", JsonValue::arr(spins.into_iter().map(JsonValue::arr))),
+        ("workloads", workloads),
+        ("traced", traced),
+    ]);
     let path = flags.get("out").map_or(root.join("target/pairs/pairs.json"), PathBuf::from);
-    std::fs::write(&path, &out).map_err(|e| format!("{}: {e}", path.display()))?;
+    std::fs::write(&path, report.to_json_pretty(1))
+        .map_err(|e| format!("{}: {e}", path.display()))?;
     eprintln!("pairs: wrote {}", path.display());
     Ok(())
 }

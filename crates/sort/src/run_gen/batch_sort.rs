@@ -32,7 +32,7 @@ use crate::run_gen::{ResiduePolicy, RunGenerator};
 /// Sorts `pairs` by their `u64` ascending with a stable LSB radix (8-bit
 /// digits, low to high). Digits on which all values agree are skipped, so
 /// narrow key domains pay for the passes they need, not all eight.
-pub(super) fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>, scratch: &mut Vec<(u64, u32)>) {
+fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>, scratch: &mut Vec<(u64, u32)>) {
     let n = pairs.len();
     if n < 2 {
         return;
@@ -63,6 +63,46 @@ pub(super) fn radix_sort_pairs(pairs: &mut Vec<(u64, u32)>, scratch: &mut Vec<(u
         }
         std::mem::swap(pairs, scratch);
     }
+}
+
+/// Sorts `(prefix, row)` pairs into output order, keeping arrival order
+/// among equal keys: the radix pass, then `cmp` over rows inside each group
+/// of equal prefixes unless `exact` (equal prefixes are equal keys). Returns
+/// the comparisons made.
+pub(super) fn sort_pairs(
+    pairs: &mut Vec<(u64, u32)>,
+    scratch: &mut Vec<(u64, u32)>,
+    exact: bool,
+    mut cmp: impl FnMut(u32, u32) -> std::cmp::Ordering,
+) -> u64 {
+    radix_sort_pairs(pairs, scratch);
+    let mut cmps = 0;
+    for ties in pairs.chunk_by_mut(|a, b| a.0 == b.0).filter(|t| !exact && t.len() > 1) {
+        ties.sort_by(|a, b| {
+            cmps += 1;
+            cmp(a.1, b.1)
+        });
+    }
+    cmps
+}
+
+/// Folds adjacent equal keys of sorted pairs: for each pair whose prefix
+/// equals the last survivor's, `fold(survivor, row)` folds the row into the
+/// survivor if their keys are equal (releasing the row) and says whether it
+/// did; folded rows leave `pairs`.
+pub(super) fn fold_sorted_pairs(
+    pairs: &mut Vec<(u64, u32)>,
+    mut fold: impl FnMut(u32, u32) -> bool,
+) {
+    let mut w = 0;
+    for r in 1..pairs.len() {
+        let (acc, dup) = (pairs[w], pairs[r]);
+        if acc.0 != dup.0 || !fold(acc.1, dup.1) {
+            w += 1;
+            pairs[w] = dup;
+        }
+    }
+    pairs.truncate(w + 1);
 }
 
 /// Radix-based run generation over the normalized-prefix column.
@@ -129,48 +169,36 @@ impl<K: SortKey> BatchSort<K> {
         &self.rows[pair.1 as usize].key
     }
 
-    /// Sorts the index into output order: radix over the prefix column,
-    /// then a comparison pass inside each prefix-tie group (skipped
-    /// entirely for prefix-exact key types, where equal prefixes are
-    /// equal keys).
+    /// Sorts the index into output order, then, folding, collapses
+    /// adjacent equal keys: each duplicate's payload folds into the group's
+    /// surviving row and its budget is released; the duplicate leaves the
+    /// index (its row is dropped with the buffer).
     fn sort_buffer(&mut self) {
-        radix_sort_pairs(&mut self.pairs, &mut self.scratch);
-        if K::norm_prefix_is_exact() {
-            return;
-        }
-        let (order, rows) = (self.order, &self.rows);
-        for ties in self.pairs.chunk_by_mut(|a, b| a.0 == b.0).filter(|t| t.len() > 1) {
-            ties.sort_by(|a, b| order.cmp_keys(&rows[a.1 as usize].key, &rows[b.1 as usize].key));
-        }
-    }
-
-    /// Collapses adjacent equal keys of the sorted index, folding each
-    /// duplicate's payload into the group's surviving row and releasing the
-    /// duplicate's budget; the duplicate leaves the index (its row is
-    /// dropped with the buffer).
-    fn fold_adjacent(&mut self) {
+        let (order, rows, exact) = (self.order, &self.rows, K::norm_prefix_is_exact());
+        sort_pairs(&mut self.pairs, &mut self.scratch, exact, |a, b| {
+            order.cmp_keys(&rows[a as usize].key, &rows[b as usize].key)
+        });
         let Some(spec) = self.fold.clone() else { return };
-        let mut w = 0;
-        for r in 1..self.pairs.len() {
-            let (acc, dup) = (self.pairs[w], self.pairs[r]);
-            if acc.0 != dup.0 || (!K::norm_prefix_is_exact() && self.key(acc) != self.key(dup)) {
-                w += 1;
-                self.pairs[w] = dup;
-                continue;
+        let mut pairs = std::mem::take(&mut self.pairs);
+        fold_sorted_pairs(&mut pairs, |acc, dup| {
+            let (acc, dup) = (acc as usize, dup as usize);
+            if !exact && self.rows[acc].key != self.rows[dup].key {
+                return false;
             }
-            let dup = &self.rows[dup.1 as usize];
+            let dup = &self.rows[dup];
             self.rows_folded += 1;
             self.bytes_folded += dup.encoded_len() as u64;
             let (dup_footprint, dup_payload) = (row_footprint(dup), dup.payload.clone());
-            let acc = &mut self.rows[acc.1 as usize];
+            let acc = &mut self.rows[acc];
             if let Some(folded) = spec.agg.fold(&acc.payload, &dup_payload) {
                 let old_fp = row_footprint(acc);
                 acc.payload = folded;
                 self.budget.resize_row(old_fp, row_footprint(acc));
             }
             self.budget.release(dup_footprint);
-        }
-        self.pairs.truncate(w + 1);
+            true
+        });
+        self.pairs = pairs;
     }
 
     /// The sorted index's rows that survive the observer: all of them, or
@@ -207,7 +235,6 @@ impl<K: SortKey> BatchSort<K> {
             return Ok(());
         }
         self.sort_buffer();
-        self.fold_adjacent();
         // As in load-sort-store, the run estimate is the buffer being
         // flushed — known exactly, before spill-time elimination.
         let estimated_rows = self.pairs.len() as u64;
@@ -262,7 +289,6 @@ impl<K: SortKey> RunGenerator<K> for BatchSort<K> {
             return Ok(Vec::new());
         }
         self.sort_buffer();
-        self.fold_adjacent();
         let keep = self.clip(obs);
         let mut rows: Vec<Option<Row<K>>> = self.rows.drain(..).map(Some).collect();
         let mut out = Vec::with_capacity(keep);

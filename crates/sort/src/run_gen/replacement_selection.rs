@@ -7,39 +7,19 @@
 //! of the whole workspace (the paper's reason F1 uses it, §3.1.3).
 //!
 //! This is Larson's *batched* variant ("External Sorting: Run Formation
-//! Revisited", IEEE TKDE 2003): the tree's leaves are sorted *mini-runs*.
-//! Rows park in one slab and never move; an arriving row is listed as
-//! `(prefix, slot)` in a fill buffer. When the budget runs over, the buffer
-//! is sorted — [`BatchSort`]'s stable radix sort over output-order prefixes,
-//! then full keys inside prefix ties for wide keys, or the comparator alone
-//! with the prefix path off — and split at the last key out: the rows after
-//! it become a leaf of the current run, the rows before it join the pending
-//! rows of the next run, which enter the tree as one leaf when the current
-//! run ends. Then rows leave in `(run, key, seq)` order until room for `B`
-//! more rows is free (`B` is the budget's capacity in rows over
-//! [`BATCHES_PER_LOAD`], derived again at every formation), and that chunk is
-//! written in one loop running Algorithm 1 per row (`should_eliminate`,
-//! append, `row_spilled`), closing runs at tag changes and at the run limit.
-//! `seq` numbers mini-runs as they form, so equal keys leave in arrival
-//! order. ~2M/B leaves are a few KB of nodes that stay in L1: a replay plays
-//! ~5 matches, where a tree of single rows played ~14 over a megabyte.
-//!
-//! [`SelectionTree`] is a *winner* tree over a power-of-two number of
-//! leaves: `nodes[leaves + l]` is leaf `l`'s head, `nodes[i]` the winner of
-//! `nodes[2i]` and `nodes[2i + 1]`, `nodes[1]` the next row out. A 32-byte
-//! node is `(run, prefix in output order, seq, leaf)`; a vacant leaf holds
-//! [`VACANT`], and when no leaf is free the tree doubles, the old one
-//! becoming the new root's left subtree by one slice copy per level. A
-//! replay walks a fixed path from the leaf to the root and keeps each
-//! match's winner by conditional moves, not branches (DESIGN.md §7 has
-//! the compiled loop of [`climb`]).
-//!
-//! Rows leave in key order, so the slot and payload of a row about to be
-//! written are cold: the write loop prefetches them a few rows ahead. Fold
-//! mode folds equal keys when a mini-run forms, on arrival into an equal
-//! winner, and on the way out into the row before, so no run holds a key
-//! twice. A buffered row costs its slab slot, a 16-byte pair and a free-list
-//! word, against the 16 bytes [`row_footprint`] charges (ROADMAP item 1).
+//! Revisited", IEEE TKDE 2003), whose leaves are sorted *mini-runs*. Rows
+//! park in a slab; an arriving row is listed as `(prefix, slot)` in a fill
+//! buffer. Over budget, the buffer is sorted ([`BatchSort`]'s stable radix
+//! sort, then full keys inside prefix ties for wide keys) and split at the
+//! last key out: the rows after it become a leaf of the current run, the
+//! rows before it wait for the next run, which enters as one leaf of a tree
+//! sized afresh. Then rows leave in `(run, key, seq)` order until room for
+//! `B` rows is free, and one loop writes them, Algorithm 1 per row. `seq`
+//! numbers mini-runs, so equal keys leave in arrival order; fold mode folds
+//! equal keys as a mini-run forms, into an equal winner on arrival, and into
+//! the row that left before. The tree is a *winner* tree whose replays keep
+//! each match's winner by conditional moves (DESIGN.md §7 has the compiled
+//! loop of [`climb`]); its ~2M/B leaves stay in L1.
 //!
 //! [`BatchSort`]: crate::run_gen::BatchSort
 
@@ -54,7 +34,7 @@ use crate::budget::{row_footprint, MemoryBudget};
 use crate::cmp_stats::CmpStats;
 use crate::fold::FoldSpec;
 use crate::observer::SpillObserver;
-use crate::run_gen::batch_sort::radix_sort_pairs;
+use crate::run_gen::batch_sort::{fold_sorted_pairs, sort_pairs};
 use crate::run_gen::{ResiduePolicy, RunGenerator};
 
 /// Fallback bytes-per-row estimate before any row has been observed.
@@ -64,10 +44,12 @@ const FALLBACK_ROW_BYTES: usize = 64;
 const INITIAL_LEAVES: usize = 16;
 
 /// Fill buffers per memory load: `B` is the budget's capacity in rows over
-/// this.
-const BATCHES_PER_LOAD: u64 = 16;
+/// this. A larger `B` plays fewer matches per row, but the tree then holds
+/// up to `B` rows fewer than the budget, and runs are shorter.
+const BATCHES_PER_LOAD: u64 = 24;
 
-/// One tree node: a mini-run's head row's place in the order, and the leaf.
+/// One tree node: where a mini-run's head row stands in the order, and the
+/// leaf.
 #[derive(Clone, Copy)]
 struct Node {
     run: u64,
@@ -146,15 +128,11 @@ fn prefetch<T: ?Sized>(data: &T) {
     let _ = data;
 }
 
-/// A buffered row and the bytes it is charged.
-struct Slot<K> {
-    row: Row<K>,
-    footprint: usize,
-}
-
 /// Where buffered rows park: a slot keeps its row until the row leaves.
+/// A row costs its slot, a 16-byte pair and a free-list word, against the
+/// 16 bytes [`row_footprint`] charges (ROADMAP item 1).
 struct Slab<K> {
-    slots: Vec<Option<Slot<K>>>,
+    slots: Vec<Option<Row<K>>>,
     free: Vec<u32>,
 }
 
@@ -163,20 +141,20 @@ impl<K> Slab<K> {
         self.slots.len() - self.free.len()
     }
 
-    fn insert(&mut self, slot: Slot<K>) -> u32 {
+    fn insert(&mut self, row: Row<K>) -> u32 {
         let Some(i) = self.free.pop() else {
-            self.slots.push(Some(slot));
+            self.slots.push(Some(row));
             return (self.slots.len() - 1) as u32;
         };
-        self.slots[i as usize] = Some(slot);
+        self.slots[i as usize] = Some(row);
         i
     }
 
-    fn get(&self, i: u32) -> &Slot<K> {
+    fn get(&self, i: u32) -> &Row<K> {
         self.slots[i as usize].as_ref().expect("a listed slot holds its row")
     }
 
-    fn take(&mut self, i: u32) -> Slot<K> {
+    fn take(&mut self, i: u32) -> Row<K> {
         self.free.push(i);
         self.slots[i as usize].take().expect("a listed slot holds its row")
     }
@@ -185,6 +163,9 @@ impl<K> Slab<K> {
 /// A row that left the tree and waits in its slot to be written: run tag,
 /// output-order prefix, slot.
 type Leaving = (u64, u64, u32);
+
+/// Rows kept in memory at the end of input, by run tag.
+type Residue<K> = BTreeMap<u64, Vec<Row<K>>>;
 
 /// A leaf: one sorted mini-run of `(prefix, slot)` pairs, and the next one
 /// to leave.
@@ -195,15 +176,13 @@ struct MiniRun {
 }
 
 /// The slab, the fill buffer and the tree over mini-runs, ordered by `(run,
-/// key in output order, seq)`; layout and replay are described in the
-/// module doc.
+/// key in output order, seq)`.
 ///
-/// Matches compare normalized key *prefixes*, not offset-value codes:
-/// differing prefixes decide a match outright, and for fixed-width keys of
-/// at most 8 bytes ([`SortKey::norm_prefix_is_exact`]) equal prefixes are
-/// decisive too (the keys are equal, formation order wins). Only wider keys
-/// with equal prefixes, and every same-run match with the fast path off,
-/// compare full keys.
+/// Matches compare normalized key prefixes: differing prefixes decide a
+/// match outright, and for fixed-width keys of at most 8 bytes
+/// ([`SortKey::norm_prefix_is_exact`]) equal prefixes are equal keys, so
+/// formation order decides. Only wider keys with equal prefixes, and every
+/// same-run match with the fast path off, compare full keys.
 struct SelectionTree<K: SortKey> {
     nodes: Vec<Node>,
     leaves: Vec<MiniRun>,
@@ -211,20 +190,17 @@ struct SelectionTree<K: SortKey> {
     slab: Slab<K>,
     /// Arrived rows not yet in a mini-run, in arrival order until sorted.
     fill: Vec<(u64, u32)>,
-    /// Rows of the next run, the sorted pieces formations split off, in
-    /// formation order. None can leave before the current run ends, so
-    /// they wait outside the tree and enter it as one mini-run then.
+    /// Sorted pieces of the next run (of tag `pending_run`), in formation
+    /// order: none can leave before the current run ends.
     pending: Vec<(u64, u32)>,
-    /// The run tag of `pending`.
     pending_run: u64,
     scratch: Vec<(u64, u32)>,
     seq: u64,
     order: SortOrder,
     ovc_enabled: bool,
-    /// Matches played: one per tree level per replay, plus the full-key
-    /// comparisons that sort wide keys' prefix ties.
+    /// Matches played (one per level per replay) and key comparisons made
+    /// by sorts; `full_cmps` of them needed the full keys.
     cmps: u64,
-    /// Of those, the ones that needed the full keys.
     full_cmps: u64,
 }
 
@@ -274,59 +250,50 @@ impl<K: SortKey> SelectionTree<K> {
     }
 
     fn head_key(&self, node: &Node) -> &K {
-        &self.slab.get(self.head(node)).row.key
+        &self.slab.get(self.head(node)).key
     }
 
     /// Parks an arriving row and lists it in the fill buffer.
-    fn admit(&mut self, row: Row<K>, footprint: usize) {
+    fn admit(&mut self, row: Row<K>) {
         let prefix = self.prefix(&row.key);
-        let slot = self.slab.insert(Slot { row, footprint });
+        let slot = self.slab.insert(row);
         self.fill.push((prefix, slot));
     }
 
-    /// True when no row of the current run is in the tree.
+    /// True when the tree holds no row.
     fn dry(&self) -> bool {
         self.nodes.get(1).is_none_or(|top| top.run == VACANT.run)
     }
 
     /// Sorts `pairs` (the fill buffer or the pending rows) into output
     /// order, keeping their order among equal keys.
-    fn sort(&mut self, mut pairs: Vec<(u64, u32)>) -> Vec<(u64, u32)> {
-        radix_sort_pairs(&mut pairs, &mut self.scratch);
-        if self.key_ties() {
-            let (order, slab, mut cmps) = (self.order, &self.slab, 0);
-            for ties in pairs.chunk_by_mut(|a, b| a.0 == b.0).filter(|t| t.len() > 1) {
-                ties.sort_by(|a, b| {
-                    cmps += 1;
-                    order.cmp_keys(&slab.get(a.1).row.key, &slab.get(b.1).row.key)
-                });
-            }
-            self.cmps += cmps;
-            self.full_cmps += cmps;
-        }
-        pairs
+    fn sort(&mut self, pairs: &mut Vec<(u64, u32)>) {
+        let (order, slab, exact) = (self.order, &self.slab, !self.key_ties());
+        let cmps = sort_pairs(pairs, &mut self.scratch, exact, |a, b| {
+            order.cmp_keys(&slab.get(a).key, &slab.get(b).key)
+        });
+        self.cmps += cmps;
+        self.full_cmps += cmps;
     }
 
     fn sort_fill(&mut self) {
-        let fill = std::mem::take(&mut self.fill);
-        self.fill = self.sort(fill);
+        let mut fill = std::mem::take(&mut self.fill);
+        self.sort(&mut fill);
+        self.fill = fill;
     }
 
     /// Folds every row of the sorted fill buffer into the first row of its
-    /// key, releasing the duplicate; returns the rows and encoded bytes
-    /// absorbed.
+    /// key; returns the rows and encoded bytes absorbed.
     fn fold_fill(&mut self, agg: &dyn Aggregator, budget: &mut MemoryBudget) -> (u64, u64) {
-        let (mut rows, mut bytes, mut w) = (0, 0, 0);
-        for r in 1..self.fill.len() {
-            let ((pw, sw), (pr, sr)) = (self.fill[w], self.fill[r]);
-            if pw != pr || self.slab.get(sw).row.key != self.slab.get(sr).row.key {
-                w += 1;
-                self.fill[w] = self.fill[r];
-                continue;
+        let (mut fill, mut rows, mut bytes) = (std::mem::take(&mut self.fill), 0, 0);
+        fold_sorted_pairs(&mut fill, |acc, dup| {
+            let fold = self.slab.get(acc).key == self.slab.get(dup).key;
+            if fold {
+                (rows, bytes) = (rows + 1, bytes + self.fold_slot(acc, dup, agg, budget));
             }
-            (rows, bytes) = (rows + 1, bytes + self.fold_slot(sw, sr, agg, budget));
-        }
-        self.fill.truncate(w + 1);
+            fold
+        });
+        self.fill = fill;
         (rows, bytes)
     }
 
@@ -337,7 +304,7 @@ impl<K: SortKey> SelectionTree<K> {
         let split = bound.map_or(0, |b| {
             let (bp, ties, order, slab) = (self.prefix(b), self.key_ties(), self.order, &self.slab);
             self.fill.partition_point(|&(p, s)| {
-                p < bp || (ties && p == bp && order.precedes(&slab.get(s).row.key, b))
+                p < bp || (ties && p == bp && order.precedes(&slab.get(s).key, b))
             })
         });
         if split > 0 {
@@ -410,13 +377,15 @@ impl<K: SortKey> SelectionTree<K> {
         hit.then(|| self.head(&top))
     }
 
-    /// Takes the winner out of the tree: its run, output-order prefix and
-    /// slot. The row stays in its slot until it is written.
+    /// Takes the winner out of the tree; its row stays in its slot until it
+    /// is written.
     fn pop(&mut self) -> Option<Leaving> {
         if self.dry() && !self.pending.is_empty() {
-            // The current run is out: the next one enters as one mini-run.
-            let pending = std::mem::take(&mut self.pending);
-            let mut pending = self.sort(pending);
+            // The current run is out, and with it every leaf: the next run
+            // enters as one mini-run into a tree sized afresh.
+            (self.nodes, self.leaves, self.free_leaves) = Default::default();
+            let mut pending = std::mem::take(&mut self.pending);
+            self.sort(&mut pending);
             self.plant(self.pending_run, pending.as_slice().into());
             pending.clear();
             self.pending = pending;
@@ -441,8 +410,8 @@ impl<K: SortKey> SelectionTree<K> {
     /// `dup`; returns the encoded bytes absorbed.
     fn fold_slot(&mut self, acc: u32, dup: u32, agg: &dyn Aggregator, b: &mut MemoryBudget) -> u64 {
         let dup = self.slab.take(dup);
-        b.release(dup.footprint);
-        self.fold_into(acc, &dup.row, agg, b)
+        b.release(row_footprint(&dup));
+        self.fold_into(acc, &dup, agg, b)
     }
 
     /// Folds `dup`'s payload into the row in slot `acc`, re-charging its
@@ -454,15 +423,14 @@ impl<K: SortKey> SelectionTree<K> {
         agg: &dyn Aggregator,
         b: &mut MemoryBudget,
     ) -> u64 {
-        if let Some(acc) = self.slab.slots[acc as usize].as_mut() {
-            if let Some(folded) = agg.fold(&acc.row.payload, &dup.payload) {
-                acc.row.payload = folded;
-                let footprint = row_footprint(&acc.row);
-                b.resize_row(acc.footprint, footprint);
-                acc.footprint = footprint;
-            }
+        let bytes = dup.encoded_len() as u64;
+        let Some(acc) = self.slab.slots[acc as usize].as_mut() else { return bytes };
+        if let Some(folded) = agg.fold(&acc.payload, &dup.payload) {
+            let before = row_footprint(acc);
+            acc.payload = folded;
+            b.resize_row(before, row_footprint(acc));
         }
-        dup.encoded_len() as u64
+        bytes
     }
 
     /// Rows leave in key order, not in the order they arrived, so the slot
@@ -477,7 +445,7 @@ impl<K: SortKey> SelectionTree<K> {
         if let Some(Some(ahead)) =
             chunk.get(i + PREFETCH_AHEAD).map(|&(_, _, slot)| &self.slab.slots[slot as usize])
         {
-            prefetch(&ahead.row.payload[..]);
+            prefetch(&ahead.payload[..]);
         }
     }
 }
@@ -487,16 +455,14 @@ pub struct ReplacementSelection<K: SortKey> {
     catalog: Arc<RunCatalog<K>>,
     tree: SelectionTree<K>,
     budget: MemoryBudget,
-    /// `B`: the most rows a drain frees room for, and so about the rows of
-    /// a mini-run; derived at every formation.
+    /// `B`, derived at every formation.
     batch: usize,
     /// Rows that left the tree and are not written yet, in output order.
     chunk: Vec<Leaving>,
     /// Fold mode: the last row to leave, written once another key leaves.
     held: Option<Leaving>,
-    /// Run tag currently being written.
     current_tag: u64,
-    /// Last key written to the open physical run (run-extension test).
+    /// Last key written to the open physical run.
     last_written: Option<K>,
     writer: Option<RunWriter<K>>,
     rows_in_run: u64,
@@ -505,9 +471,9 @@ pub struct ReplacementSelection<K: SortKey> {
     /// Shared sink the tree's comparison counters flush into on drop.
     cmp_stats: Option<CmpStats>,
     fold: Option<FoldSpec>,
-    /// Rows absorbed by folding; flushed to the spec's stats on drop.
+    /// Rows and encoded bytes absorbed by folding; flushed to the spec's
+    /// stats on drop.
     rows_folded: u64,
-    /// Encoded bytes of absorbed rows (write traffic saved before spill).
     bytes_folded: u64,
 }
 
@@ -579,7 +545,7 @@ impl<K: SortKey> ReplacementSelection<K> {
     /// started a fresh file after it, its key: what a new mini-run splits at.
     fn bound(&self) -> (u64, Option<&K>) {
         match self.held.as_ref().or(self.chunk.last()) {
-            Some(&(run, _, slot)) => (run, Some(&self.tree.slab.get(slot).row.key)),
+            Some(&(run, _, slot)) => (run, Some(&self.tree.slab.get(slot).key)),
             None => (self.current_tag, self.last_written.as_ref()),
         }
     }
@@ -613,7 +579,7 @@ impl<K: SortKey> ReplacementSelection<K> {
         let slab = &self.tree.slab;
         match self.held {
             Some((run, _, held))
-                if run == leaving.0 && slab.get(held).row.key == slab.get(leaving.2).row.key =>
+                if run == leaving.0 && slab.get(held).key == slab.get(leaving.2).key =>
             {
                 self.rows_folded += 1;
                 self.bytes_folded +=
@@ -625,10 +591,16 @@ impl<K: SortKey> ReplacementSelection<K> {
     }
 
     /// Lets rows leave until at most `keep` bytes stay charged (all of
-    /// them for 0), at most `B` a chunk. The rows to pop are estimated at
-    /// the average footprint; writing releases the exact bytes, and the
-    /// loop goes round again if they were larger.
-    fn drain(&mut self, keep: usize, obs: &mut dyn SpillObserver<K>) -> Result<()> {
+    /// them for 0), at most `B` a chunk, written or moved to `residue` as
+    /// [`write_chunk`](Self::write_chunk) says. The rows to pop are
+    /// estimated at the average footprint; writing releases the exact
+    /// bytes, and the loop goes round again if they were larger.
+    fn drain(
+        &mut self,
+        keep: usize,
+        obs: &mut dyn SpillObserver<K>,
+        mut residue: Option<&mut Residue<K>>,
+    ) -> Result<()> {
         loop {
             let over = if keep == 0 { usize::MAX } else { self.budget.used().saturating_sub(keep) };
             let rows = over.div_ceil(self.budget.avg_row_bytes(FALLBACK_ROW_BYTES)).min(self.batch);
@@ -636,33 +608,17 @@ impl<K: SortKey> ReplacementSelection<K> {
             while popped < rows && self.pop_next() {
                 popped += 1;
             }
-            self.write_chunk(obs)?;
+            self.write_chunk(obs, residue.as_deref_mut())?;
             if popped < rows || rows == 0 {
                 return Ok(());
             }
         }
     }
 
-    /// Moves the chunk's rows to the residue, by run tag.
-    fn keep_chunk(
-        &mut self,
-        by_tag: &mut BTreeMap<u64, Vec<Row<K>>>,
-        obs: &mut dyn SpillObserver<K>,
-    ) {
-        for i in 0..self.chunk.len() {
-            let (run, _, slot) = self.chunk[i];
-            let row = self.release(slot);
-            if !obs.should_eliminate(&row.key) {
-                by_tag.entry(run).or_default().push(row);
-            }
-        }
-        self.chunk.clear();
-    }
-
     /// Takes a row that left the tree out of its slot, releasing its bytes.
     fn release(&mut self, slot: u32) -> Row<K> {
-        let Slot { row, footprint } = self.tree.slab.take(slot);
-        self.budget.release(footprint);
+        let row = self.tree.slab.take(slot);
+        self.budget.release(row_footprint(&row));
         row
     }
 
@@ -675,7 +631,7 @@ impl<K: SortKey> ReplacementSelection<K> {
             self.form();
         }
         let room = self.batch * self.budget.avg_row_bytes(FALLBACK_ROW_BYTES);
-        self.drain(self.budget.limit().saturating_sub(room), obs)
+        self.drain(self.budget.limit().saturating_sub(room), obs, None)
     }
 
     fn close_run(&mut self, obs: &mut dyn SpillObserver<K>) -> Result<()> {
@@ -689,8 +645,14 @@ impl<K: SortKey> ReplacementSelection<K> {
         Ok(())
     }
 
-    /// Writes the chunk: Algorithm 1 per row, run-tag changes and seals.
-    fn write_chunk(&mut self, obs: &mut dyn SpillObserver<K>) -> Result<()> {
+    /// Writes the chunk, Algorithm 1 per row, closing runs at run-tag
+    /// changes and seals; or, given `residue`, moves the rows that survive
+    /// the cutoff there.
+    fn write_chunk(
+        &mut self,
+        obs: &mut dyn SpillObserver<K>,
+        mut residue: Option<&mut Residue<K>>,
+    ) -> Result<()> {
         let mut chunk = std::mem::take(&mut self.chunk);
         let mask = match self.tree.order {
             SortOrder::Ascending => 0,
@@ -700,15 +662,19 @@ impl<K: SortKey> ReplacementSelection<K> {
             self.tree.prefetch_ahead(&chunk, i);
             let (run, prefix, slot) = chunk[i];
             let row = self.release(slot);
-            if run != self.current_tag {
-                debug_assert!(run > self.current_tag);
-                self.close_run(obs)?;
-                self.current_tag = run;
-            }
             // Algorithm 1 line 11: the cutoff may have sharpened since this
             // row was admitted — check again before paying for the write.
             if obs.should_eliminate(&row.key) {
                 continue;
+            }
+            if let Some(by_tag) = residue.as_deref_mut() {
+                by_tag.entry(run).or_default().push(row);
+                continue;
+            }
+            if run != self.current_tag {
+                debug_assert!(run > self.current_tag);
+                self.close_run(obs)?;
+                self.current_tag = run;
             }
             if self.writer.is_none() {
                 self.writer = Some(self.catalog.start_run()?);
@@ -756,7 +722,7 @@ impl<K: SortKey> RunGenerator<K> for ReplacementSelection<K> {
         }
         let footprint = row_footprint(&row);
         self.budget.charge(footprint);
-        self.tree.admit(row, footprint);
+        self.tree.admit(row);
         // Mini-runs form when the budget runs over; this bounds the fill
         // buffer while nothing has to leave yet.
         if self.tree.fill.len() >= 2 * self.batch {
@@ -771,24 +737,13 @@ impl<K: SortKey> RunGenerator<K> for ReplacementSelection<K> {
         residue: ResiduePolicy,
     ) -> Result<Vec<Vec<Row<K>>>> {
         let mut by_tag = BTreeMap::new();
-        match residue {
-            ResiduePolicy::SpillToRuns => self.drain(0, obs)?,
-            // Each tag's rows leave in output order: the fill buffer forms
-            // first, as its split must see the last row already out.
-            ResiduePolicy::KeepInMemory => {
-                if !self.tree.fill.is_empty() {
-                    self.form();
-                }
-                while self.pop_next() {
-                    self.keep_chunk(&mut by_tag, obs);
-                }
-            }
+        let mut kept = (residue == ResiduePolicy::KeepInMemory).then_some(&mut by_tag);
+        if !self.tree.fill.is_empty() {
+            self.form();
         }
+        self.drain(0, obs, kept.as_deref_mut())?;
         self.chunk.extend(self.held.take());
-        match residue {
-            ResiduePolicy::SpillToRuns => self.write_chunk(obs)?,
-            ResiduePolicy::KeepInMemory => self.keep_chunk(&mut by_tag, obs),
-        }
+        self.write_chunk(obs, kept)?;
         self.close_run(obs)?;
         Ok(by_tag.into_values().filter(|v| !v.is_empty()).collect())
     }
@@ -968,7 +923,7 @@ mod tests {
             let footprint = row_footprint(&row);
             self.budget.charge(footprint);
             self.fill.push((row.clone(), footprint));
-            self.tree.admit(row, footprint);
+            self.tree.admit(row);
         }
 
         /// One mini-run on both sides: the tree sorts, folds and splits its
@@ -1006,21 +961,21 @@ mod tests {
             let (got, want) = (self.tree.pop(), self.heap.pop());
             assert_eq!(got.is_some(), want.is_some(), "{what}: one side ran dry");
             let (Some((run, prefix, slot)), Some(want)) = (got, want) else { return false };
-            let slot = self.tree.slab.take(slot);
+            let row = self.tree.slab.take(slot);
             assert_eq!(
-                (run, &slot.row, slot.footprint),
+                (run, &row, row_footprint(&row)),
                 (want.run, &want.row, want.footprint),
                 "{what}: pop differs"
             );
-            assert_eq!(prefix, self.tree.prefix(&slot.row.key), "{what}");
+            assert_eq!(prefix, self.tree.prefix(&row.key), "{what}");
             assert_eq!(self.tree.slab.len(), self.heap.items.len() + self.fill.len(), "{what}");
-            self.budget.release(slot.footprint);
+            self.budget.release(want.footprint);
             assert!(run >= self.tag, "{what}: run tags went backwards");
             if run != self.tag {
                 (self.tag, self.in_run) = (run, 0);
             }
             self.in_run += 1;
-            self.last = Some(slot.row.key);
+            self.last = Some(row.key);
             if self.run_limit.is_some_and(|l| self.in_run >= l) {
                 (self.last, self.in_run) = (None, 0);
             }
@@ -1053,8 +1008,8 @@ mod tests {
     /// every row forms its own mini-run, so the tree doubles. Requires the
     /// same `(run, row, footprint)` at every pop; a row's payload starts with
     /// its arrival number, so equal keys must also leave in arrival order,
-    /// and a fold shows which rows it joined. Returns the leaves the tree
-    /// ended with.
+    /// and a fold shows which rows it joined. Returns the most leaves the
+    /// tree had.
     fn pops_match_reference<K: SortKey>(
         order: SortOrder,
         (ovc, fold, run_limit): (bool, bool, Option<u64>),
@@ -1067,7 +1022,7 @@ mod tests {
         let what = format!("{order:?} ovc={ovc} fold={fold} limit={run_limit:?} seed={seed}");
         let mut p = Pair::new(order, ovc, 40 * row_bytes, what);
         (p.fold, p.run_limit) = (fold, run_limit);
-        let mut batch = batch_rows(&p.budget);
+        let (mut batch, mut leaves) = (batch_rows(&p.budget), 0);
         for arrival in 0..4_000u64 {
             match arrival % 1_000 {
                 300 => p.budget.handle().set_limit(3 * row_bytes),
@@ -1080,6 +1035,7 @@ mod tests {
             p.admit(Row::new(key(rng.gen_range(0..u64::MAX)), payload));
             if p.fill.len() >= batch {
                 p.form();
+                leaves = leaves.max(p.tree.leaves.len());
                 // One row per mini-run for a while: the tree must double.
                 let single = (600..800).contains(&(arrival % 1_000));
                 batch = if single { 1 } else { batch_rows(&p.budget) };
@@ -1096,7 +1052,7 @@ mod tests {
         if ovc && K::norm_prefix_is_exact() {
             assert_eq!(full_cmps, 0, "{}: exact prefixes never need the key", p.what);
         }
-        p.tree.leaves.len()
+        leaves
     }
 
     #[test]

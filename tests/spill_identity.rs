@@ -3,7 +3,7 @@
 //! its object: rows are a fixed 94 bytes here, and block boundaries are
 //! pinned with them), how many rows and bytes reach storage and where the
 //! cutoff ends up. The expected values are what batched replacement
-//! selection produces (mini-runs of `M/16` rows under the tree; until then
+//! selection produces (mini-runs of `M/24` rows under the tree; until then
 //! the sift-based binary heap of commit 52e5cab and the tournament tree of
 //! single rows, which wrote 42 runs, 13,658,888 and 13,604,008 bytes); a
 //! change to the selection structure, the run format or the filter that
@@ -101,15 +101,15 @@ fn every_spill_decision_matches_the_binary_heap() {
             42,
             Spill {
                 runs_created: 43,
-                rows_written: 144_889,
-                bytes_written: 13_623_166,
-                cutoff: 47_559.0,
+                rows_written: 145_317,
+                bytes_written: 13_663_414,
+                cutoff: 47_587.0,
                 run_bytes: vec![
-                    230106, 260092, 266124, 269696, 266970, 269790, 270260, 269696, 265372, 269790,
-                    271200, 267910, 264620, 269884, 272140, 268568, 258212, 255956, 254734, 255298,
-                    251726, 254264, 253512, 257084, 256332, 251632, 249094, 256332, 255862, 253042,
-                    254828, 254640, 255110, 245428, 256332, 255110, 251726, 254922, 261502, 254170,
-                    162034, 1765682, 1337416,
+                    232926, 264902, 269508, 272986, 270730, 275900, 269978, 272516, 271670, 268850,
+                    272610, 271388, 269790, 270542, 277310, 273550, 258024, 251350, 254076, 255016,
+                    254640, 258024, 254264, 259904, 256144, 256332, 249376, 259528, 253324, 249188,
+                    257366, 257554, 261690, 259716, 262740, 260938, 250222, 255298, 262160, 252572,
+                    59542, 1852476, 1297826,
                 ],
             },
         ),
@@ -117,15 +117,15 @@ fn every_spill_decision_matches_the_binary_heap() {
             7,
             Spill {
                 runs_created: 43,
-                rows_written: 143_587,
-                bytes_written: 13_500_746,
-                cutoff: 47_404.0,
+                rows_written: 145_148,
+                bytes_written: 13_647_544,
+                cutoff: 47_689.0,
                 run_bytes: vec![
-                    230858, 262254, 268098, 272798, 268568, 266312, 273926, 265654, 263304, 274866,
-                    274490, 263398, 268474, 276182, 269602, 265184, 256144, 248248, 252384, 254076,
-                    255580, 253606, 244206, 254828, 255486, 258400, 253136, 249188, 256332, 250692,
-                    258964, 246086, 252384, 253888, 253982, 255580, 255674, 258400, 254922, 248248,
-                    174724, 1834976, 1147676,
+                    232362, 266124, 272892, 274960, 268286, 269602, 274678, 272140, 264338, 274960,
+                    279660, 268568, 272892, 279472, 269226, 269226, 261126, 254264, 256332, 256332,
+                    262740, 257460, 255016, 252854, 256238, 259058, 254452, 259434, 257648, 253418,
+                    254922, 255392, 263116, 256332, 259716, 255486, 256144, 255580, 255862, 257648,
+                    36700, 1789386, 1346534,
                 ],
             },
         ),
