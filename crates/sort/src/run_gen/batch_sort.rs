@@ -76,8 +76,8 @@ pub(super) fn sort_pairs(
     mut cmp: impl FnMut(u32, u32) -> std::cmp::Ordering,
 ) -> u64 {
     radix_sort_pairs(pairs, scratch);
-    let mut cmps = 0;
-    for ties in pairs.chunk_by_mut(|a, b| a.0 == b.0).filter(|t| !exact && t.len() > 1) {
+    let (mut cmps, inexact) = (0, if exact { &mut pairs[..0] } else { &mut pairs[..] });
+    for ties in inexact.chunk_by_mut(|a, b| a.0 == b.0).filter(|t| t.len() > 1) {
         ties.sort_by(|a, b| {
             cmps += 1;
             cmp(a.1, b.1)

@@ -384,11 +384,12 @@ impl<K: SortKey> SelectionTree<K> {
             // The current run is out, and with it every leaf: the next run
             // enters as one mini-run into a tree sized afresh.
             (self.nodes, self.leaves, self.free_leaves) = Default::default();
+            // The pending rows become the leaf, and the radix scratch that
+            // sorted them, as large as a memory load, is let go.
             let mut pending = std::mem::take(&mut self.pending);
             self.sort(&mut pending);
-            self.plant(self.pending_run, pending.as_slice().into());
-            pending.clear();
-            self.pending = pending;
+            self.scratch = Vec::new();
+            self.plant(self.pending_run, pending.into_boxed_slice());
         }
         let top = *self.nodes.get(1).filter(|top| top.run != VACANT.run)?;
         let leaf = &mut self.leaves[top.leaf];
@@ -745,6 +746,8 @@ impl<K: SortKey> RunGenerator<K> for ReplacementSelection<K> {
         self.chunk.extend(self.held.take());
         self.write_chunk(obs, kept)?;
         self.close_run(obs)?;
+        // The residue lives through the whole final merge: no spare room.
+        by_tag.values_mut().for_each(Vec::shrink_to_fit);
         Ok(by_tag.into_values().filter(|v| !v.is_empty()).collect())
     }
 
