@@ -211,6 +211,7 @@ pub fn phases_to_json(p: &PhaseTotals) -> JsonValue {
         ("in_memory_ns".to_owned(), JsonValue::from(p.in_memory_ns)),
         ("run_generation_ns".to_owned(), JsonValue::from(p.run_generation_ns)),
         ("spill_write_ns".to_owned(), JsonValue::from(p.spill_write_ns)),
+        ("rungen_wait_ns".to_owned(), JsonValue::from(p.rungen_wait_ns)),
         ("final_merge_ns".to_owned(), JsonValue::from(p.final_merge_ns)),
         ("total_ns".to_owned(), JsonValue::from(p.total_ns())),
     ])

@@ -96,9 +96,9 @@ pub struct TopKConfig {
     /// Background-I/O worker threads. Spill writes and merge read-ahead
     /// submit block-sized jobs to one shared pool of this size, bounding
     /// the operator's background thread count no matter how many runs and
-    /// merge sources are open. `0` builds no pool: every run's bytes move
-    /// inline on the operator's own thread (the differential suites'
-    /// reference). An injected
+    /// merge sources are open. `0` builds no pool: every run's bytes, and
+    /// `HistogramTopK`'s run generation, stay on the operator's own thread
+    /// (the differential suites' reference). An injected
     /// [`io_scheduler_handle`](TopKConfig::io_scheduler_handle) takes
     /// precedence either way. Default 4.
     pub io_threads: usize,

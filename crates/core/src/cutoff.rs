@@ -219,6 +219,46 @@ impl<K: SortKey> DistinctTracker<K> {
     }
 }
 
+/// A cutoff key and its cached normalized prefix. [`CutoffFilter`] holds
+/// the live one; a clone stays valid, only less sharp: a cutoff never loosens.
+#[derive(Clone)]
+pub(crate) struct Cutoff<K> {
+    key: Option<K>,
+    /// `key`'s normalized 8-byte prefix: the common-case check is one compare.
+    prefix: u64,
+    /// Gates the prefix fast path (off = always full comparisons).
+    norm_prefix: bool,
+    order: SortOrder,
+}
+
+impl<K: SortKey> Cutoff<K> {
+    /// True iff a cutoff exists and `key` sorts strictly after it. With the
+    /// prefix fast path on, a differing normalized 8-byte prefix decides
+    /// with one integer compare; only keys matching the cutoff's prefix
+    /// (and wider than 8 normalized bytes) pay a full comparison.
+    #[inline]
+    pub(crate) fn eliminate(&self, key: &K) -> bool {
+        match &self.key {
+            Some(cut) => {
+                if self.norm_prefix {
+                    let p = key.norm_prefix();
+                    if p != self.prefix {
+                        return match self.order {
+                            SortOrder::Ascending => p > self.prefix,
+                            SortOrder::Descending => p < self.prefix,
+                        };
+                    }
+                    if K::norm_prefix_is_exact() {
+                        return false; // equal keys: ties survive
+                    }
+                }
+                self.order.follows(key, cut)
+            }
+            None => false,
+        }
+    }
+}
+
 /// Boxed runtime comparator for buckets.
 type BucketCmp<K> = Box<dyn FnMut(&Bucket<K>, &Bucket<K>) -> bool + Send>;
 type BucketHeap<K> = BinaryHeapBy<Bucket<K>, BucketCmp<K>>;
@@ -250,12 +290,7 @@ pub struct CutoffFilter<K: SortKey> {
     heap: BucketHeap<K>,
     /// Total rows represented by the queued buckets.
     sum: u64,
-    cutoff: Option<K>,
-    /// Normalized 8-byte prefix of the cutoff key, cached so the per-row
-    /// elimination check is one integer compare in the common case.
-    cutoff_prefix: u64,
-    /// Gates the prefix fast path (off = always full comparisons).
-    norm_prefix_enabled: bool,
+    cut: Cutoff<K>,
     builder: HistogramBuilder<K>,
     policy: SizingPolicy,
     emit_tail: bool,
@@ -324,9 +359,7 @@ impl<K: SortKey> CutoffFilter<K> {
             k: k.max(1),
             heap: BinaryHeapBy::new(cmp),
             sum: 0,
-            cutoff: None,
-            cutoff_prefix: 0,
-            norm_prefix_enabled: true,
+            cut: Cutoff { key: None, prefix: 0, norm_prefix: true, order },
             builder: HistogramBuilder::new(),
             policy,
             emit_tail: true,
@@ -385,18 +418,18 @@ impl<K: SortKey> CutoffFilter<K> {
 
     /// The current cutoff key, if established.
     pub fn cutoff(&self) -> Option<&K> {
-        self.cutoff.as_ref()
+        self.cut.key.as_ref()
     }
 
     /// True once a cutoff key has been established (`Σcount ≥ k`).
     pub fn established(&self) -> bool {
-        self.cutoff.is_some()
+        self.cut.key.is_some()
     }
 
     /// Controls the cached normalized-prefix fast path in
     /// [`CutoffFilter::eliminate`] (on by default).
     pub fn with_norm_prefix(mut self, enabled: bool) -> Self {
-        self.norm_prefix_enabled = enabled;
+        self.cut.norm_prefix = enabled;
         self
     }
 
@@ -424,7 +457,7 @@ impl<K: SortKey> CutoffFilter<K> {
         // Only an `Admit` changes the tracker, and with it the cutoff it proves.
         let proved = tracker.cutoff().filter(|_| verdict == DistinctVerdict::Admit);
         if let Some(cut) = proved {
-            let tighter = match &self.cutoff {
+            let tighter = match &self.cut.key {
                 Some(cur) => self.order.precedes(cut, cur),
                 None => true,
             };
@@ -437,47 +470,34 @@ impl<K: SortKey> CutoffFilter<K> {
     }
 
     /// Installs a new cutoff key and refreshes its cached normalized
-    /// prefix. All cutoff updates funnel through here.
+    /// prefix. All cutoff updates funnel through here. A cutoff never
+    /// loosens: filtering on a stale cutoff (`HistogramTopK`'s query thread
+    /// does) is sound only because of that, so debug builds check it.
     fn set_cutoff(&mut self, key: K) {
+        let looser = self.cutoff().is_some_and(|cur| self.order.follows(&key, cur));
+        debug_assert!(!looser, "cutoff loosened: {:?} -> {key:?}", self.cutoff());
         #[cfg(debug_assertions)]
         if let Some(shadow) = &mut self.shadow {
             shadow.tightened(&key, self.order);
         }
-        if self.norm_prefix_enabled {
-            self.cutoff_prefix = key.norm_prefix();
+        if self.cut.norm_prefix {
+            self.cut.prefix = key.norm_prefix();
         }
-        self.cutoff = Some(key);
+        self.cut.key = Some(key);
         self.metrics.refinements += 1;
+    }
+
+    /// The cutoff with its cached prefix, for a copy on another thread.
+    pub(crate) fn cut(&self) -> &Cutoff<K> {
+        &self.cut
     }
 
     /// The paper's `eliminate(row)`: true iff a cutoff exists and `key`
     /// sorts strictly after it. Rows equal to the cutoff are kept so that
     /// duplicate keys around the kth position are never lost.
-    ///
-    /// With the prefix fast path on, a differing normalized 8-byte prefix
-    /// decides the check with one integer compare; only keys matching the
-    /// cutoff's prefix (and wider than 8 normalized bytes) pay a full
-    /// comparison.
     #[inline]
     pub fn eliminate(&self, key: &K) -> bool {
-        match &self.cutoff {
-            Some(cut) => {
-                if self.norm_prefix_enabled {
-                    let p = key.norm_prefix();
-                    if p != self.cutoff_prefix {
-                        return match self.order {
-                            SortOrder::Ascending => p > self.cutoff_prefix,
-                            SortOrder::Descending => p < self.cutoff_prefix,
-                        };
-                    }
-                    if K::norm_prefix_is_exact() {
-                        return false; // equal keys: ties survive
-                    }
-                }
-                self.order.follows(key, cut)
-            }
-            None => false,
-        }
+        self.cut.eliminate(key)
     }
 
     /// Inserts one bucket into the input model and sharpens the cutoff.
@@ -508,7 +528,7 @@ impl<K: SortKey> CutoffFilter<K> {
         }
         if self.sum >= self.k {
             let top = self.heap.peek().expect("sum ≥ k implies a bucket");
-            let tightened = match &self.cutoff {
+            let tightened = match self.cutoff() {
                 Some(cur) => self.order.precedes(&top.boundary, cur),
                 None => true,
             };
@@ -543,14 +563,14 @@ impl<K: SortKey> CutoffFilter<K> {
     pub(crate) fn shadow_spilled(&mut self, key: &K) {
         let shadow =
             self.shadow.get_or_insert_with(|| Shadow { keys: Default::default(), count: 0 });
-        shadow.spilled(key, self.cutoff.as_ref(), self.order);
+        shadow.spilled(key, self.cut.key.as_ref(), self.order);
     }
 
     /// Debug builds: the paper's invariant, that a published cutoff covers
     /// at least `k` spilled rows, checked against the shadow count.
     fn assert_covers_k(&self) {
         #[cfg(debug_assertions)]
-        if let (Some(shadow), Some(cut)) = (&self.shadow, &self.cutoff) {
+        if let (Some(shadow), Some(cut)) = (&self.shadow, self.cutoff()) {
             debug_assert!(
                 shadow.count >= self.k,
                 "cutoff {cut:?} covers {} spilled rows, fewer than k = {}",
@@ -564,7 +584,7 @@ impl<K: SortKey> CutoffFilter<K> {
     /// must guarantee at least `k` rows sort at or before `key` — true for
     /// the last key of any `k`-row merge output. Ignored if not tighter.
     pub fn tighten(&mut self, key: &K) {
-        let tighter = match &self.cutoff {
+        let tighter = match self.cutoff() {
             Some(cur) => self.order.precedes(key, cur),
             None => true,
         };

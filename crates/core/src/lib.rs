@@ -51,6 +51,6 @@ pub use parallel::ParallelTopK;
 pub use segmented::SegmentedTopK;
 pub use sizing::SizingPolicy;
 pub use topk::{
-    HistogramTopK, InMemoryTopK, OptimizedExternalTopK, RowStream, TopKOperator,
-    TraditionalExternalTopK,
+    live_rungen_workers, HistogramTopK, InMemoryTopK, OptimizedExternalTopK, RowStream,
+    TopKOperator, TraditionalExternalTopK,
 };

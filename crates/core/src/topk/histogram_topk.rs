@@ -8,9 +8,18 @@
 //! eliminated twice — at operator input (Algorithm 1 line 4) and again at
 //! spill time (line 11) — so most of the input never reaches secondary
 //! storage even though `k` exceeds memory.
+//!
+//! Externally, run generation and its filter move to a worker thread if one
+//! of the process's slots is free ([`live_rungen_workers`]). The query
+//! thread tests input on the last cutoff the worker published, the worker
+//! tests every row again on the exact one: a cutoff never loosens, so runs,
+//! cutoffs and counters stay the single thread's (DESIGN.md §10).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 #[cfg(test)]
 use histok_sort::run_gen::ResiduePolicy;
@@ -20,7 +29,7 @@ use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Aggregator, Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
 
 use crate::config::{RunGenKind, TopKConfig};
-use crate::cutoff::{CutoffFilter, DistinctVerdict, FilterMetrics};
+use crate::cutoff::{Cutoff, CutoffFilter, DistinctVerdict, FilterMetrics};
 use crate::metrics::{io_snapshot, OperatorMetrics};
 use crate::topk::{
     already_finished, FoldedStore, MergeRecord, Offer, RetainedHeap, RowStream, SpecStream,
@@ -62,6 +71,8 @@ pub struct HistogramTopK<K: SortKey> {
     folded_at_input: u64,
     bytes_folded_at_input: u64,
     peak_bytes: usize,
+    /// The query thread's waits on a run-generation worker, banked at finish.
+    rungen_wait_ns: u64,
     /// Filter metrics frozen at finish time.
     final_filter: Option<FilterMetrics>,
     spilled: bool,
@@ -145,10 +156,221 @@ impl<K: SortKey> MemStore<K> {
     }
 }
 
+/// Survivors per hand-off, and hand-offs the worker may have outstanding:
+/// the rows in flight stay a few tens of KB.
+const BATCH_ROWS: usize = 1024;
+const BATCHES_IN_FLIGHT: usize = 2;
+
+/// Rows on their way to run generation, in input order.
+struct Batch<K: SortKey> {
+    rows: Vec<Row<K>>,
+    /// `(i, key)`: install cutoff `key`, which the tracker proved, at `rows[i]`.
+    cutoffs: Vec<(usize, K)>,
+}
+
+/// Phase 2: input test and hand-off here, run generation on a worker or
+/// inline (a row at a time).
 struct External<K: SortKey> {
+    /// Dropped first: closes the hand-off and joins the thread.
+    worker: Option<Worker<K>>,
+    input: Input<K>,
+    handoff: Mutex<Handoff<K>>,
+    rungen: Arc<Mutex<RunGen<K>>>,
+}
+
+impl<K: SortKey> External<K> {
+    /// The barrier: run generation has every row pushed; false if it stopped.
+    fn sync(&self) -> (MutexGuard<'_, RunGen<K>>, bool) {
+        let mut ok = true;
+        if let Some(worker) = &self.worker {
+            let h = &mut lock(&self.handoff);
+            ok = h.pending.rows.is_empty() || worker.hand_off(h);
+            while ok && h.in_flight > 0 {
+                ok = worker.receive(h);
+            }
+        }
+        (lock(&self.rungen), ok)
+    }
+}
+
+/// The query thread's half of Algorithm 1 line 4.
+enum Input<K: SortKey> {
+    /// The last published cutoff (none without the input site or for value
+    /// aggregates), and its version.
+    Stale { cut: Cutoff<K>, seen: u64, published: Arc<Published<K>> },
+    /// Dedup: the distinct tracker, and its refinements when last asked.
+    Distinct { tracker: Box<CutoffFilter<K>>, refinements: u64 },
+}
+
+impl<K: SortKey> Input<K> {
+    /// Takes up the last published cutoff.
+    fn refresh(&mut self) {
+        let Input::Stale { cut, seen, published } = self else { return };
+        let version = published.version.load(Ordering::Acquire);
+        if version != *seen {
+            *seen = version;
+            *cut = lock(&published.cut).clone();
+        }
+    }
+
+    /// The cutoff the distinct tracker proved since the last call, if any.
+    fn proved(&mut self) -> Option<K> {
+        let Input::Distinct { tracker, refinements } = self else { return None };
+        let now = tracker.metrics().refinements;
+        (now != std::mem::replace(refinements, now)).then(|| tracker.cutoff().cloned())?
+    }
+}
+
+/// Run generation's cutoff, as the query thread's input test reads it.
+struct Published<K> {
+    version: AtomicU64,
+    cut: Mutex<Cutoff<K>>,
+}
+
+/// The query thread's side of the hand-off.
+struct Handoff<K: SortKey> {
+    pending: Batch<K>,
+    /// Emptied batches, for reuse.
+    spare: Vec<Batch<K>>,
+    in_flight: usize,
+    wait_ns: u64,
+}
+
+/// Run generation and its cutoff filter: what the worker owns.
+struct RunGen<K: SortKey> {
     catalog: Arc<RunCatalog<K>>,
     gen: Box<dyn RunGenerator<K>>,
     filter: CutoffFilter<K>,
+    /// Plain top-k: where the cutoff goes, its refinements when last sent;
+    /// rows then meet the input test again, `eliminated` counts the drops.
+    publish: Option<(Arc<Published<K>>, u64)>,
+    eliminated: u64,
+    peak_bytes: usize,
+    /// The first error, taken out of the inner option when reported.
+    failed: Option<Option<Error>>,
+}
+
+impl<K: SortKey> RunGen<K> {
+    /// The step, on the worker or inline: each row, in input order, meets the
+    /// exact cutoff, then run generation. False once it has failed.
+    fn run(&mut self, batch: &mut Batch<K>) -> bool {
+        if self.failed.is_none() {
+            match self.step(batch) {
+                Ok(()) => self.publish(),
+                Err(e) => self.failed = Some(Some(e)),
+            }
+        }
+        batch.rows.clear();
+        batch.cutoffs.clear();
+        self.failed.is_none()
+    }
+
+    fn step(&mut self, batch: &mut Batch<K>) -> Result<()> {
+        let mut cutoffs = batch.cutoffs.drain(..).peekable();
+        for (i, row) in batch.rows.drain(..).enumerate() {
+            while let Some((_, key)) = cutoffs.next_if(|(at, _)| *at == i) {
+                self.filter.tighten(&key);
+            }
+            if self.publish.is_some() && self.filter.eliminate(&row.key) {
+                self.eliminated += 1;
+                continue;
+            }
+            self.gen.push(row, &mut self.filter)?;
+            self.peak_bytes = self.peak_bytes.max(self.gen.buffered_bytes());
+        }
+        Ok(())
+    }
+
+    fn publish(&mut self) {
+        let Some((published, at)) = &mut self.publish else { return };
+        let refinements = self.filter.metrics().refinements;
+        if refinements != *at {
+            *at = refinements;
+            *lock(&published.cut) = self.filter.cut().clone();
+            published.version.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// The error run generation stopped on; a stand-in once it was reported.
+    fn take_error(&mut self) -> Error {
+        let error = self.failed.as_mut().and_then(Option::take);
+        error.unwrap_or_else(|| Error::InvalidConfig("run generation stopped".into()))
+    }
+}
+
+static WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Run-generation workers alive in this process: at most
+/// `available_parallelism() − 1`, none of an operator that is done or gone.
+pub fn live_rungen_workers() -> usize {
+    WORKERS.load(Ordering::Acquire)
+}
+
+/// The thread that runs [`RunGen::run`] on each batch handed to it and hands
+/// it back emptied, holding a worker slot until it is joined.
+struct Worker<K: SortKey> {
+    tx: Option<Sender<Batch<K>>>,
+    back: Receiver<Batch<K>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl<K: SortKey> Worker<K> {
+    /// `None` when every slot is taken or the thread cannot start.
+    fn spawn(rungen: &Arc<Mutex<RunGen<K>>>) -> Option<Self> {
+        let cap = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
+        let free = |n: usize| (n < cap).then_some(n + 1);
+        WORKERS.fetch_update(Ordering::AcqRel, Ordering::Acquire, free).ok()?;
+        let (tx, rx) = channel::<Batch<K>>();
+        let (back_tx, back) = channel();
+        let rungen = rungen.clone();
+        let thread = std::thread::Builder::new().name("histok-rungen".into()).spawn(move || {
+            for mut batch in rx {
+                if !lock(&rungen).run(&mut batch) || back_tx.send(batch).is_err() {
+                    return;
+                }
+            }
+        });
+        let Ok(thread) = thread else {
+            WORKERS.fetch_sub(1, Ordering::AcqRel);
+            return None;
+        };
+        Some(Worker { tx: Some(tx), back, thread: Some(thread) })
+    }
+
+    /// Hands the pending batch over, after waiting for one back if
+    /// [`BATCHES_IN_FLIGHT`] are out. False once the worker has stopped.
+    fn hand_off(&self, h: &mut Handoff<K>) -> bool {
+        if h.in_flight == BATCHES_IN_FLIGHT && !self.receive(h) {
+            return false;
+        }
+        let next = h.spare.pop().unwrap_or_else(|| Batch { rows: Vec::new(), cutoffs: Vec::new() });
+        let batch = std::mem::replace(&mut h.pending, next);
+        let sent = self.tx.as_ref().is_some_and(|tx| tx.send(batch).is_ok());
+        h.in_flight += usize::from(sent);
+        sent
+    }
+
+    /// Waits for one batch back. False if the worker has stopped.
+    fn receive(&self, h: &mut Handoff<K>) -> bool {
+        let start = Instant::now();
+        let back = self.back.recv();
+        h.wait_ns += start.elapsed().as_nanos() as u64;
+        // A worker that stopped hands nothing more back.
+        h.in_flight = if back.is_ok() { h.in_flight - 1 } else { 0 };
+        back.map(|batch| h.spare.push(batch)).is_ok()
+    }
+}
+
+impl<K: SortKey> Drop for Worker<K> {
+    fn drop(&mut self) {
+        self.tx = None;
+        let _ = self.thread.take().map(JoinHandle::join);
+        WORKERS.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<K: SortKey> HistogramTopK<K> {
@@ -195,6 +417,7 @@ impl<K: SortKey> HistogramTopK<K> {
             folded_at_input: 0,
             bytes_folded_at_input: 0,
             peak_bytes: 0,
+            rungen_wait_ns: 0,
             final_filter: None,
             spilled: false,
             timer: PhaseTimer::started(Phase::InMemory),
@@ -205,11 +428,12 @@ impl<K: SortKey> HistogramTopK<K> {
     }
 
     /// The current cutoff key: the in-memory queue's worst retained key, or
-    /// the histogram-derived cutoff once external.
+    /// the histogram-derived cutoff once external (after run generation has
+    /// taken every row pushed so far).
     pub fn cutoff(&self) -> Option<K> {
         match &self.state {
             State::InMemory(store) => store.cutoff().cloned(),
-            State::External(ext) => ext.filter.cutoff().cloned(),
+            State::External(ext) => ext.sync().0.filter.cutoff().cloned(),
             State::Finished => None,
         }
     }
@@ -273,7 +497,8 @@ impl<K: SortKey> HistogramTopK<K> {
         gen
     }
 
-    /// Leaves phase 1: every retained row re-enters through run generation.
+    /// Leaves phase 1: every retained row re-enters through run generation
+    /// on this thread, then a worker takes over if a slot is free.
     fn switch_to_external(&mut self, heap_rows: Vec<Row<K>>) -> Result<()> {
         self.timer.enter(Phase::RunGeneration);
         let catalog = Arc::new(
@@ -288,22 +513,46 @@ impl<K: SortKey> HistogramTopK<K> {
         );
         let gen = self.build_generator(catalog.clone());
         let filter = self.build_filter();
-        let mut ext = Box::new(External { catalog, gen, filter });
+        let input_site = self.config.filter.input();
+        let cut = filter.cut().clone();
+        let published =
+            Arc::new(Published { version: AtomicU64::new(0), cut: Mutex::new(cut.clone()) });
+        let mut input = if input_site && filter.distinct_mode() {
+            Input::Distinct { tracker: Box::new(self.build_filter()), refinements: 0 }
+        } else {
+            Input::Stale { cut, seen: 0, published: published.clone() }
+        };
+        // Value aggregates eliminate nothing at input: every duplicate must
+        // reach its group's accumulator (DESIGN.md §14).
+        let publish = (input_site && self.agg.is_none()).then_some((published, 0));
+        let mut rungen =
+            RunGen { catalog, gen, filter, publish, eliminated: 0, peak_bytes: 0, failed: None };
         // In dedup mode the re-entering rows (distinct by construction)
         // seed the distinct tracker, so the cutoff is established before
-        // the first external-phase row arrives. `observe_input` is a no-op
-        // outside distinct mode.
-        let seed_distinct = self.config.filter.input();
+        // the first external-phase row arrives.
         for row in heap_rows {
-            if seed_distinct && ext.filter.observe_input(&row.key) == DistinctVerdict::Worse {
-                // The store retained more groups than the (slack-reduced)
-                // filter target; groups past the target are already out.
-                self.eliminated_at_input += 1;
-                continue;
+            if let Input::Distinct { tracker, .. } = &mut input {
+                if tracker.observe_input(&row.key) == DistinctVerdict::Worse {
+                    // The store retained more groups than the (slack-reduced)
+                    // filter target; groups past the target are already out.
+                    self.eliminated_at_input += 1;
+                    continue;
+                }
+                if let Some(cut) = input.proved() {
+                    rungen.filter.tighten(&cut);
+                }
             }
-            ext.gen.push(row, &mut ext.filter)?;
+            rungen.gen.push(row, &mut rungen.filter)?;
         }
-        self.state = State::External(ext);
+        rungen.publish();
+        input.refresh();
+        let rungen = Arc::new(Mutex::new(rungen));
+        // A query without background I/O (`io_threads = 0`) keeps run
+        // generation on this thread too.
+        let worker = self.io_scheduler.as_ref().and_then(|_| Worker::spawn(&rungen));
+        let pending = Batch { rows: Vec::with_capacity(BATCH_ROWS), cutoffs: Vec::new() };
+        let handoff = Mutex::new(Handoff { pending, spare: Vec::new(), in_flight: 0, wait_ns: 0 });
+        self.state = State::External(Box::new(External { worker, input, handoff, rungen }));
         self.spilled = true;
         Ok(())
     }
@@ -326,40 +575,52 @@ impl<K: SortKey> HistogramTopK<K> {
     /// row's size) and nothing else, so it runs ahead of `agg.init`.
     fn survives_input(&mut self, row: &Row<K>) -> bool {
         let State::External(ext) = &mut self.state else { unreachable!() };
-        if !self.config.filter.input() {
-            return true;
-        }
-        if ext.filter.distinct_mode() {
+        let verdict = match &mut ext.input {
+            Input::Stale { cut, .. } => {
+                let eliminated = cut.eliminate(&row.key);
+                self.eliminated_at_input += u64::from(eliminated);
+                return !eliminated;
+            }
             // Dedup mode (line 4 adapted to DISTINCT): a duplicate of a
             // tracked key folds into nothing — its representative is in the
             // pipeline; its bytes are the raw row's, which FIRST's identity
             // `init` makes the accumulator's — and a key strictly worse than
             // `retained` known distinct keys dies.
-            debug_assert_eq!(self.config.fold_op(), Some(histok_types::AggregateOp::First));
-            match ext.filter.observe_input(&row.key) {
-                DistinctVerdict::Admit => return true,
-                DistinctVerdict::Duplicate => {
-                    self.folded_at_input += 1;
-                    self.bytes_folded_at_input += row.encoded_len() as u64;
+            Input::Distinct { tracker, .. } => tracker.observe_input(&row.key),
+        };
+        debug_assert_eq!(self.config.fold_op(), Some(histok_types::AggregateOp::First));
+        match verdict {
+            DistinctVerdict::Admit => {
+                if let Some(cut) = ext.input.proved() {
+                    let h = ext.handoff.get_mut().unwrap_or_else(PoisonError::into_inner);
+                    h.pending.cutoffs.push((h.pending.rows.len(), cut));
                 }
-                DistinctVerdict::Worse => self.eliminated_at_input += 1,
+                return true;
             }
-            return false;
+            DistinctVerdict::Duplicate => {
+                self.folded_at_input += 1;
+                self.bytes_folded_at_input += row.encoded_len() as u64;
+            }
+            DistinctVerdict::Worse => self.eliminated_at_input += 1,
         }
-        // Value aggregates (`agg` set, not distinct mode): no input
-        // elimination — every duplicate must reach its group's accumulator
-        // (DESIGN.md §14).
-        let eliminated = self.agg.is_none() && ext.filter.eliminate(&row.key);
-        self.eliminated_at_input += u64::from(eliminated);
-        !eliminated
+        false
     }
 
-    /// A row that passed the input filter enters run generation, as an
-    /// accumulator.
+    /// A row that passed the input filter, as an accumulator, joins the batch
+    /// for the worker, or goes through the step at once inline.
     fn admit_external(&mut self, row: Row<K>) -> Result<()> {
         let State::External(ext) = &mut self.state else { unreachable!() };
-        ext.gen.push(row, &mut ext.filter)?;
-        self.peak_bytes = self.peak_bytes.max(ext.gen.buffered_bytes());
+        let h = ext.handoff.get_mut().unwrap_or_else(PoisonError::into_inner);
+        h.pending.rows.push(row);
+        let ran = match &ext.worker {
+            Some(_) if h.pending.rows.len() < BATCH_ROWS => return Ok(()),
+            Some(worker) => worker.hand_off(h),
+            None => lock(&ext.rungen).run(&mut h.pending),
+        };
+        if !ran {
+            return Err(lock(&ext.rungen).take_error());
+        }
+        ext.input.refresh();
         Ok(())
     }
 }
@@ -419,11 +680,15 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
     /// operator to external mode at the end of the batch, not on the next
     /// row.
     fn push_batch(&mut self, rows: &mut Vec<Row<K>>) -> Result<()> {
-        let filtering = self.config.filter.input();
+        let mut dedup = false;
+        if let State::External(ext) = &mut self.state {
+            ext.input.refresh();
+            dedup = matches!(ext.input, Input::Distinct { .. });
+        }
         // Phase-2 dedup: `push`'s external arm per row, in arrival order,
         // minus the call and state matches (−6.5 % `zipf_dedup` `query_s`,
         // DESIGN.md §10). Decided once: phase 2 lasts until `finish`.
-        if filtering && matches!(&self.state, State::External(ext) if ext.filter.distinct_mode()) {
+        if dedup {
             for row in rows.drain(..) {
                 self.rows_in += 1;
                 if self.survives_input(&row) {
@@ -432,14 +697,15 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
             }
             return Ok(());
         }
-        // Value aggregates eliminate nothing at input (see `survives_input`)
-        // and go through `push`, as does dedup while it is in phase 1.
-        let filter_input = filtering && self.agg.is_none();
+        // Dedup and value aggregates in phase 1 go through `push`.
         for row in rows.drain(..) {
             // The cutoff test alone, where the key decides the row's fate.
             let verdict = match &self.state {
                 State::InMemory(MemStore::Heap(heap)) if heap.rejects(&row.key) => Some(true),
-                State::External(ext) if filter_input => Some(ext.filter.eliminate(&row.key)),
+                State::External(ext) => match &ext.input {
+                    Input::Stale { cut, .. } => Some(cut.eliminate(&row.key)),
+                    _ => None,
+                },
                 _ => None,
             };
             let Some(eliminated) = verdict else {
@@ -451,7 +717,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                 self.eliminated_at_input += 1;
             } else {
                 // A phase-2 survivor is not tested a second time.
-                self.admit_external(row)?;
+                self.admit_external(accumulator(&self.agg, row))?;
             }
         }
         self.spill_if_over_budget()
@@ -467,7 +733,16 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                     self.final_merge_ns.clone(),
                 )))
             }
-            State::External(mut ext) => {
+            State::External(ext) => {
+                // The last spill runs here; the worker is joined as `ext` drops.
+                let (mut rungen, synced) = ext.sync();
+                self.rungen_wait_ns += lock(&ext.handoff).wait_ns;
+                if !synced || rungen.failed.is_some() {
+                    return Err(rungen.take_error());
+                }
+                let ext = &mut *rungen;
+                self.eliminated_at_input += ext.eliminated;
+                self.peak_bytes = self.peak_bytes.max(ext.peak_bytes);
                 let residue = ext.gen.finish(&mut ext.filter, self.config.residue)?;
                 self.final_filter = Some(ext.filter.metrics());
                 let stream = FinalMerge {
@@ -485,7 +760,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                     // is skipped (SpecStream skips folded rows instead).
                     skip: if self.agg.is_some() { 0 } else { self.spec.offset },
                 }
-                .run(vec![(ext.catalog, residue)])?;
+                .run(vec![(ext.catalog.clone(), residue)])?;
                 self.merged = MergeRecord::of(&stream);
                 let mut spec = self.spec;
                 spec.offset -= stream.skipped();
@@ -503,24 +778,29 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
     }
 
     fn metrics(&self) -> OperatorMetrics {
-        let filter = match (&self.state, self.final_filter) {
-            (State::External(ext), _) => ext.filter.metrics(),
-            (_, Some(m)) => m,
-            _ => FilterMetrics::default(),
+        let (filter, eliminated, peak_bytes, wait_ns) = match (&self.state, self.final_filter) {
+            (State::External(ext), _) => {
+                let rungen = ext.sync().0;
+                let wait_ns = lock(&ext.handoff).wait_ns;
+                (rungen.filter.metrics(), rungen.eliminated, rungen.peak_bytes, wait_ns)
+            }
+            (_, Some(m)) => (m, 0, 0, 0),
+            _ => (FilterMetrics::default(), 0, 0, 0),
         };
         let io = io_snapshot(&self.stats, self.backend.as_ref(), self.modelled_at_build_ns);
         let mut phases = self.timer.snapshot();
         phases.spill_write_ns = io.write_latency.total_ns;
+        phases.rungen_wait_ns = self.rungen_wait_ns + wait_ns;
         phases.final_merge_ns += self.final_merge_ns.load(Ordering::Relaxed);
         let fold = self.fold_stats.snapshot();
         OperatorMetrics {
             rows_in: self.rows_in,
-            eliminated_at_input: self.eliminated_at_input,
+            eliminated_at_input: self.eliminated_at_input + eliminated,
             eliminated_at_spill: filter.eliminated_at_spill,
             io,
             filter,
             spilled: self.spilled,
-            peak_memory_bytes: self.peak_bytes,
+            peak_memory_bytes: self.peak_bytes.max(peak_bytes),
             early_merges: 0,
             cmp: self.cmp_stats.snapshot(),
             phases,

@@ -16,7 +16,7 @@ mod in_memory;
 mod optimized;
 mod traditional;
 
-pub use histogram_topk::HistogramTopK;
+pub use histogram_topk::{live_rungen_workers, HistogramTopK};
 pub use in_memory::InMemoryTopK;
 pub use optimized::OptimizedExternalTopK;
 pub use traditional::TraditionalExternalTopK;

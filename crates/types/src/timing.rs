@@ -44,6 +44,10 @@ pub struct PhaseTotals {
     /// Time spent issuing spill-write requests (subset of run generation,
     /// measured by the storage layer).
     pub spill_write_ns: u64,
+    /// Time the query thread was blocked on run generation's worker:
+    /// handing it a batch while two were outstanding, or waiting for it at a
+    /// barrier (`metrics`, `cutoff`, `finish`). A subset of run generation.
+    pub rungen_wait_ns: u64,
     /// Time spent producing the final merged output stream.
     pub final_merge_ns: u64,
 }
@@ -61,6 +65,7 @@ impl PhaseTotals {
             in_memory_ns: self.in_memory_ns.saturating_add(other.in_memory_ns),
             run_generation_ns: self.run_generation_ns.saturating_add(other.run_generation_ns),
             spill_write_ns: self.spill_write_ns.saturating_add(other.spill_write_ns),
+            rungen_wait_ns: self.rungen_wait_ns.saturating_add(other.rungen_wait_ns),
             final_merge_ns: self.final_merge_ns.saturating_add(other.final_merge_ns),
         }
     }
@@ -345,12 +350,14 @@ mod tests {
             in_memory_ns: 1,
             run_generation_ns: 2,
             spill_write_ns: 3,
+            rungen_wait_ns: 5,
             final_merge_ns: 4,
         };
         let b = PhaseTotals {
             in_memory_ns: 10,
             run_generation_ns: 20,
             spill_write_ns: 30,
+            rungen_wait_ns: 50,
             final_merge_ns: 40,
         };
         let m = a.merged(&b);
@@ -360,6 +367,7 @@ mod tests {
                 in_memory_ns: 11,
                 run_generation_ns: 22,
                 spill_write_ns: 33,
+                rungen_wait_ns: 55,
                 final_merge_ns: 44
             }
         );
