@@ -232,6 +232,10 @@ pub(crate) struct Cutoff<K> {
 }
 
 impl<K: SortKey> Cutoff<K> {
+    pub(crate) fn key(&self) -> Option<&K> {
+        self.key.as_ref()
+    }
+
     /// True iff a cutoff exists and `key` sorts strictly after it. With the
     /// prefix fast path on, a differing normalized 8-byte prefix decides
     /// with one integer compare; only keys matching the cutoff's prefix
@@ -470,9 +474,8 @@ impl<K: SortKey> CutoffFilter<K> {
     }
 
     /// Installs a new cutoff key and refreshes its cached normalized
-    /// prefix. All cutoff updates funnel through here. A cutoff never
-    /// loosens: filtering on a stale cutoff (`HistogramTopK`'s query thread
-    /// does) is sound only because of that, so debug builds check it.
+    /// prefix. All cutoff updates funnel through here, and none loosens the
+    /// cutoff: `HistogramTopK` filters on stale copies because of that.
     fn set_cutoff(&mut self, key: K) {
         let looser = self.cutoff().is_some_and(|cur| self.order.follows(&key, cur));
         debug_assert!(!looser, "cutoff loosened: {:?} -> {key:?}", self.cutoff());

@@ -9,10 +9,9 @@
 //! spill time (line 11) — so most of the input never reaches secondary
 //! storage even though `k` exceeds memory.
 //!
-//! Externally, run generation and its filter move to a worker thread if one
-//! of the process's slots is free ([`live_rungen_workers`]). The query
-//! thread tests input on the last cutoff the worker published, the worker
-//! tests every row again on the exact one: a cutoff never loosens, so runs,
+//! Externally, run generation moves to a worker thread if a slot is free
+//! ([`live_rungen_workers`]). The query thread tests input on the worker's
+//! last cutoff, the worker every row again on the exact one, so runs,
 //! cutoffs and counters stay the single thread's (DESIGN.md §10).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -156,8 +155,7 @@ impl<K: SortKey> MemStore<K> {
     }
 }
 
-/// Survivors per hand-off, and hand-offs the worker may have outstanding:
-/// the rows in flight stay a few tens of KB.
+/// Survivors per hand-off, and hand-offs outstanding: tens of KB in flight.
 const BATCH_ROWS: usize = 1024;
 const BATCHES_IN_FLIGHT: usize = 2;
 
@@ -168,51 +166,48 @@ struct Batch<K: SortKey> {
     cutoffs: Vec<(usize, K)>,
 }
 
-/// Phase 2: input test and hand-off here, run generation on a worker or
-/// inline (a row at a time).
-struct External<K: SortKey> {
-    /// Dropped first: closes the hand-off and joins the thread.
-    worker: Option<Worker<K>>,
-    input: Input<K>,
-    handoff: Mutex<Handoff<K>>,
-    rungen: Arc<Mutex<RunGen<K>>>,
+/// Run generation after a batch, for `metrics`, `cutoff` and the input test.
+struct Seen<K> {
+    filter: FilterMetrics,
+    cut: Cutoff<K>,
+    eliminated: u64,
+    peak_bytes: usize,
 }
 
-impl<K: SortKey> External<K> {
-    /// The barrier: run generation has every row pushed; false if it stopped.
-    fn sync(&self) -> (MutexGuard<'_, RunGen<K>>, bool) {
-        let mut ok = true;
-        if let Some(worker) = &self.worker {
-            let h = &mut lock(&self.handoff);
-            ok = h.pending.rows.is_empty() || worker.hand_off(h);
-            while ok && h.in_flight > 0 {
-                ok = worker.receive(h);
-            }
-        }
-        (lock(&self.rungen), ok)
-    }
+/// Phase 2: the input test on the query thread, and run generation.
+struct External<K: SortKey> {
+    input: Input<K>,
+    at: Place<K>,
+}
+
+/// Where run generation runs: inline, a row at a time, or on a worker.
+enum Place<K: SortKey> {
+    Inline(Box<RunGen<K>>),
+    Worker(Box<Mutex<Worker<K>>>),
 }
 
 /// The query thread's half of Algorithm 1 line 4.
 enum Input<K: SortKey> {
-    /// The last published cutoff (none without the input site or for value
-    /// aggregates), and its version.
-    Stale { cut: Cutoff<K>, seen: u64, published: Arc<Published<K>> },
+    /// Plain top-k: rows past run generation's cutoff end here.
+    Cutoff,
     /// Dedup: the distinct tracker, and its refinements when last asked.
     Distinct { tracker: Box<CutoffFilter<K>>, refinements: u64 },
+    /// No input site, or a value aggregate: every row goes on.
+    Forward,
+}
+
+impl<K: SortKey> External<K> {
+    /// The input test's cutoff: the exact one inline, else the worker's last.
+    /// A cutoff never loosens, so the older one drops a subset of the rows.
+    fn cut(&mut self) -> &Cutoff<K> {
+        match &mut self.at {
+            Place::Inline(rungen) => rungen.filter.cut(),
+            Place::Worker(worker) => &lock_mut(worker).seen.cut,
+        }
+    }
 }
 
 impl<K: SortKey> Input<K> {
-    /// Takes up the last published cutoff.
-    fn refresh(&mut self) {
-        let Input::Stale { cut, seen, published } = self else { return };
-        let version = published.version.load(Ordering::Acquire);
-        if version != *seen {
-            *seen = version;
-            *cut = lock(&published.cut).clone();
-        }
-    }
-
     /// The cutoff the distinct tracker proved since the last call, if any.
     fn proved(&mut self) -> Option<K> {
         let Input::Distinct { tracker, refinements } = self else { return None };
@@ -221,80 +216,49 @@ impl<K: SortKey> Input<K> {
     }
 }
 
-/// Run generation's cutoff, as the query thread's input test reads it.
-struct Published<K> {
-    version: AtomicU64,
-    cut: Mutex<Cutoff<K>>,
-}
-
-/// The query thread's side of the hand-off.
-struct Handoff<K: SortKey> {
-    pending: Batch<K>,
-    /// Emptied batches, for reuse.
-    spare: Vec<Batch<K>>,
-    in_flight: usize,
-    wait_ns: u64,
-}
-
 /// Run generation and its cutoff filter: what the worker owns.
 struct RunGen<K: SortKey> {
     catalog: Arc<RunCatalog<K>>,
     gen: Box<dyn RunGenerator<K>>,
     filter: CutoffFilter<K>,
-    /// Plain top-k: where the cutoff goes, its refinements when last sent;
-    /// rows then meet the input test again, `eliminated` counts the drops.
-    publish: Option<(Arc<Published<K>>, u64)>,
+    /// Plain top-k: test input again on the exact cutoff; count the drops.
+    recheck: bool,
     eliminated: u64,
     peak_bytes: usize,
-    /// The first error, taken out of the inner option when reported.
-    failed: Option<Option<Error>>,
+    /// The error a worker stopped on.
+    failed: Option<Error>,
 }
 
 impl<K: SortKey> RunGen<K> {
-    /// The step, on the worker or inline: each row, in input order, meets the
-    /// exact cutoff, then run generation. False once it has failed.
-    fn run(&mut self, batch: &mut Batch<K>) -> bool {
-        if self.failed.is_none() {
-            match self.step(batch) {
-                Ok(()) => self.publish(),
-                Err(e) => self.failed = Some(Some(e)),
-            }
+    /// One row: the input test again, then run generation.
+    fn admit(&mut self, row: Row<K>) -> Result<()> {
+        if self.recheck && self.filter.eliminate(&row.key) {
+            self.eliminated += 1;
+            return Ok(());
         }
-        batch.rows.clear();
-        batch.cutoffs.clear();
-        self.failed.is_none()
+        self.gen.push(row, &mut self.filter)?;
+        self.peak_bytes = self.peak_bytes.max(self.gen.buffered_bytes());
+        Ok(())
     }
 
-    fn step(&mut self, batch: &mut Batch<K>) -> Result<()> {
+    /// The worker's step: each row in order, after the cutoffs it carries.
+    fn run(&mut self, batch: &mut Batch<K>) -> bool {
         let mut cutoffs = batch.cutoffs.drain(..).peekable();
         for (i, row) in batch.rows.drain(..).enumerate() {
             while let Some((_, key)) = cutoffs.next_if(|(at, _)| *at == i) {
                 self.filter.tighten(&key);
             }
-            if self.publish.is_some() && self.filter.eliminate(&row.key) {
-                self.eliminated += 1;
-                continue;
+            if let Err(e) = self.admit(row) {
+                self.failed = Some(e);
+                return false;
             }
-            self.gen.push(row, &mut self.filter)?;
-            self.peak_bytes = self.peak_bytes.max(self.gen.buffered_bytes());
         }
-        Ok(())
+        true
     }
 
-    fn publish(&mut self) {
-        let Some((published, at)) = &mut self.publish else { return };
-        let refinements = self.filter.metrics().refinements;
-        if refinements != *at {
-            *at = refinements;
-            *lock(&published.cut) = self.filter.cut().clone();
-            published.version.fetch_add(1, Ordering::Release);
-        }
-    }
-
-    /// The error run generation stopped on; a stand-in once it was reported.
-    fn take_error(&mut self) -> Error {
-        let error = self.failed.as_mut().and_then(Option::take);
-        error.unwrap_or_else(|| Error::InvalidConfig("run generation stopped".into()))
+    fn seen(&self) -> Seen<K> {
+        let (filter, cut) = (self.filter.metrics(), self.filter.cut().clone());
+        Seen { filter, cut, eliminated: self.eliminated, peak_bytes: self.peak_bytes }
     }
 }
 
@@ -306,58 +270,88 @@ pub fn live_rungen_workers() -> usize {
     WORKERS.load(Ordering::Acquire)
 }
 
-/// The thread that runs [`RunGen::run`] on each batch handed to it and hands
-/// it back emptied, holding a worker slot until it is joined.
+/// The hand-off to a thread that runs [`RunGen::run`] on each batch, hands
+/// it back emptied, and returns run generation at the end. It holds a slot.
 struct Worker<K: SortKey> {
     tx: Option<Sender<Batch<K>>>,
-    back: Receiver<Batch<K>>,
-    thread: Option<JoinHandle<()>>,
+    /// Emptied batches, and run generation as each left it.
+    back: Receiver<(Batch<K>, Seen<K>)>,
+    thread: Option<JoinHandle<Box<RunGen<K>>>>,
+    pending: Batch<K>,
+    spare: Vec<Batch<K>>,
+    in_flight: usize,
+    seen: Seen<K>,
+    wait_ns: u64,
 }
 
 impl<K: SortKey> Worker<K> {
-    /// `None` when every slot is taken or the thread cannot start.
-    fn spawn(rungen: &Arc<Mutex<RunGen<K>>>) -> Option<Self> {
+    /// Moves run generation to a worker if the query has background I/O
+    /// (`io_threads = 0` asks for none) and a slot is free.
+    fn place(rungen: Box<RunGen<K>>, background: bool) -> Result<Place<K>> {
         let cap = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
         let free = |n: usize| (n < cap).then_some(n + 1);
-        WORKERS.fetch_update(Ordering::AcqRel, Ordering::Acquire, free).ok()?;
+        if !background || WORKERS.fetch_update(Ordering::AcqRel, Ordering::Acquire, free).is_err() {
+            return Ok(Place::Inline(rungen));
+        }
+        let seen = rungen.seen();
         let (tx, rx) = channel::<Batch<K>>();
         let (back_tx, back) = channel();
-        let rungen = rungen.clone();
         let thread = std::thread::Builder::new().name("histok-rungen".into()).spawn(move || {
+            let mut rungen = rungen;
             for mut batch in rx {
-                if !lock(&rungen).run(&mut batch) || back_tx.send(batch).is_err() {
-                    return;
+                if !rungen.run(&mut batch) || back_tx.send((batch, rungen.seen())).is_err() {
+                    break;
                 }
             }
+            rungen
         });
-        let Ok(thread) = thread else {
-            WORKERS.fetch_sub(1, Ordering::AcqRel);
-            return None;
-        };
-        Some(Worker { tx: Some(tx), back, thread: Some(thread) })
+        let thread = Some(thread.inspect_err(|_| _ = WORKERS.fetch_sub(1, Ordering::AcqRel))?);
+        let pending = Batch { rows: Vec::with_capacity(BATCH_ROWS), cutoffs: Vec::new() };
+        let (tx, spare) = (Some(tx), Vec::new());
+        let worker = Worker { tx, back, thread, pending, spare, in_flight: 0, seen, wait_ns: 0 };
+        Ok(Place::Worker(Box::new(Mutex::new(worker))))
     }
 
-    /// Hands the pending batch over, after waiting for one back if
+    /// Hands the pending batch over, first waiting for one back if
     /// [`BATCHES_IN_FLIGHT`] are out. False once the worker has stopped.
-    fn hand_off(&self, h: &mut Handoff<K>) -> bool {
-        if h.in_flight == BATCHES_IN_FLIGHT && !self.receive(h) {
+    fn hand_off(&mut self) -> bool {
+        if self.in_flight == BATCHES_IN_FLIGHT && !self.receive() {
             return false;
         }
-        let next = h.spare.pop().unwrap_or_else(|| Batch { rows: Vec::new(), cutoffs: Vec::new() });
-        let batch = std::mem::replace(&mut h.pending, next);
+        let next = self.spare.pop().unwrap_or_else(|| Batch { rows: Vec::new(), cutoffs: vec![] });
+        let batch = std::mem::replace(&mut self.pending, next);
         let sent = self.tx.as_ref().is_some_and(|tx| tx.send(batch).is_ok());
-        h.in_flight += usize::from(sent);
+        self.in_flight += usize::from(sent);
         sent
     }
 
     /// Waits for one batch back. False if the worker has stopped.
-    fn receive(&self, h: &mut Handoff<K>) -> bool {
+    fn receive(&mut self) -> bool {
         let start = Instant::now();
         let back = self.back.recv();
-        h.wait_ns += start.elapsed().as_nanos() as u64;
-        // A worker that stopped hands nothing more back.
-        h.in_flight = if back.is_ok() { h.in_flight - 1 } else { 0 };
-        back.map(|batch| h.spare.push(batch)).is_ok()
+        self.wait_ns += start.elapsed().as_nanos() as u64;
+        let Ok((batch, seen)) = back else { return false };
+        (self.in_flight, self.seen) = (self.in_flight - 1, seen);
+        self.spare.push(batch);
+        true
+    }
+
+    /// The barrier: every row handed over and every batch back.
+    fn sync(worker: &Mutex<Self>) -> MutexGuard<'_, Self> {
+        let mut w = worker.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ok = w.pending.rows.is_empty() || w.hand_off();
+        while ok && w.in_flight > 0 {
+            ok = w.receive();
+        }
+        w
+    }
+
+    /// Closes the hand-off: run generation comes back, or its error.
+    fn join(&mut self) -> Result<Box<RunGen<K>>> {
+        self.tx = None;
+        let rungen = self.thread.take().and_then(|thread| thread.join().ok());
+        let mut rungen = rungen.ok_or_else(|| Error::InvalidConfig("worker stopped".into()))?;
+        rungen.failed.take().map_or(Ok(rungen), Err)
     }
 }
 
@@ -369,8 +363,8 @@ impl<K: SortKey> Drop for Worker<K> {
     }
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock_mut<T>(mutex: &mut Mutex<T>) -> &mut T {
+    mutex.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<K: SortKey> HistogramTopK<K> {
@@ -433,7 +427,10 @@ impl<K: SortKey> HistogramTopK<K> {
     pub fn cutoff(&self) -> Option<K> {
         match &self.state {
             State::InMemory(store) => store.cutoff().cloned(),
-            State::External(ext) => ext.sync().0.filter.cutoff().cloned(),
+            State::External(ext) => match &ext.at {
+                Place::Inline(rungen) => rungen.filter.cutoff().cloned(),
+                Place::Worker(worker) => Worker::sync(worker).seen.cut.key().cloned(),
+            },
             State::Finished => None,
         }
     }
@@ -514,19 +511,16 @@ impl<K: SortKey> HistogramTopK<K> {
         let gen = self.build_generator(catalog.clone());
         let filter = self.build_filter();
         let input_site = self.config.filter.input();
-        let cut = filter.cut().clone();
-        let published =
-            Arc::new(Published { version: AtomicU64::new(0), cut: Mutex::new(cut.clone()) });
-        let mut input = if input_site && filter.distinct_mode() {
-            Input::Distinct { tracker: Box::new(self.build_filter()), refinements: 0 }
-        } else {
-            Input::Stale { cut, seen: 0, published: published.clone() }
-        };
         // Value aggregates eliminate nothing at input: every duplicate must
         // reach its group's accumulator (DESIGN.md §14).
-        let publish = (input_site && self.agg.is_none()).then_some((published, 0));
+        let recheck = input_site && self.agg.is_none();
+        let mut input = match (input_site && filter.distinct_mode(), recheck) {
+            (true, _) => Input::Distinct { tracker: Box::new(self.build_filter()), refinements: 0 },
+            (false, true) => Input::Cutoff,
+            (false, false) => Input::Forward,
+        };
         let mut rungen =
-            RunGen { catalog, gen, filter, publish, eliminated: 0, peak_bytes: 0, failed: None };
+            RunGen { catalog, gen, filter, recheck, eliminated: 0, peak_bytes: 0, failed: None };
         // In dedup mode the re-entering rows (distinct by construction)
         // seed the distinct tracker, so the cutoff is established before
         // the first external-phase row arrives.
@@ -544,15 +538,8 @@ impl<K: SortKey> HistogramTopK<K> {
             }
             rungen.gen.push(row, &mut rungen.filter)?;
         }
-        rungen.publish();
-        input.refresh();
-        let rungen = Arc::new(Mutex::new(rungen));
-        // A query without background I/O (`io_threads = 0`) keeps run
-        // generation on this thread too.
-        let worker = self.io_scheduler.as_ref().and_then(|_| Worker::spawn(&rungen));
-        let pending = Batch { rows: Vec::with_capacity(BATCH_ROWS), cutoffs: Vec::new() };
-        let handoff = Mutex::new(Handoff { pending, spare: Vec::new(), in_flight: 0, wait_ns: 0 });
-        self.state = State::External(Box::new(External { worker, input, handoff, rungen }));
+        let at = Worker::place(Box::new(rungen), self.io_scheduler.is_some())?;
+        self.state = State::External(Box::new(External { input, at }));
         self.spilled = true;
         Ok(())
     }
@@ -576,8 +563,9 @@ impl<K: SortKey> HistogramTopK<K> {
     fn survives_input(&mut self, row: &Row<K>) -> bool {
         let State::External(ext) = &mut self.state else { unreachable!() };
         let verdict = match &mut ext.input {
-            Input::Stale { cut, .. } => {
-                let eliminated = cut.eliminate(&row.key);
+            Input::Forward => return true,
+            Input::Cutoff => {
+                let eliminated = ext.cut().eliminate(&row.key);
                 self.eliminated_at_input += u64::from(eliminated);
                 return !eliminated;
             }
@@ -591,9 +579,14 @@ impl<K: SortKey> HistogramTopK<K> {
         debug_assert_eq!(self.config.fold_op(), Some(histok_types::AggregateOp::First));
         match verdict {
             DistinctVerdict::Admit => {
-                if let Some(cut) = ext.input.proved() {
-                    let h = ext.handoff.get_mut().unwrap_or_else(PoisonError::into_inner);
-                    h.pending.cutoffs.push((h.pending.rows.len(), cut));
+                // Installed ahead of the row that proved it.
+                match (&mut ext.at, ext.input.proved()) {
+                    (Place::Inline(rungen), Some(cut)) => rungen.filter.tighten(&cut),
+                    (Place::Worker(worker), Some(cut)) => {
+                        let pending = &mut lock_mut(worker).pending;
+                        pending.cutoffs.push((pending.rows.len(), cut));
+                    }
+                    (_, None) => {}
                 }
                 return true;
             }
@@ -606,22 +599,20 @@ impl<K: SortKey> HistogramTopK<K> {
         false
     }
 
-    /// A row that passed the input filter, as an accumulator, joins the batch
-    /// for the worker, or goes through the step at once inline.
+    /// A row that passed the input filter enters run generation, as an
+    /// accumulator: at once inline, in the next batch on a worker.
     fn admit_external(&mut self, row: Row<K>) -> Result<()> {
         let State::External(ext) = &mut self.state else { unreachable!() };
-        let h = ext.handoff.get_mut().unwrap_or_else(PoisonError::into_inner);
-        h.pending.rows.push(row);
-        let ran = match &ext.worker {
-            Some(_) if h.pending.rows.len() < BATCH_ROWS => return Ok(()),
-            Some(worker) => worker.hand_off(h),
-            None => lock(&ext.rungen).run(&mut h.pending),
+        let worker = match &mut ext.at {
+            Place::Inline(rungen) => return rungen.admit(row),
+            Place::Worker(worker) => worker,
         };
-        if !ran {
-            return Err(lock(&ext.rungen).take_error());
+        let worker = lock_mut(worker);
+        worker.pending.rows.push(row);
+        if worker.pending.rows.len() < BATCH_ROWS || worker.hand_off() {
+            return Ok(());
         }
-        ext.input.refresh();
-        Ok(())
+        Err(worker.join().err().unwrap_or_else(|| Error::InvalidConfig("worker stopped".into())))
     }
 }
 
@@ -680,11 +671,10 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
     /// operator to external mode at the end of the batch, not on the next
     /// row.
     fn push_batch(&mut self, rows: &mut Vec<Row<K>>) -> Result<()> {
-        let mut dedup = false;
-        if let State::External(ext) = &mut self.state {
-            ext.input.refresh();
-            dedup = matches!(ext.input, Input::Distinct { .. });
-        }
+        let dedup = match &self.state {
+            State::External(ext) => matches!(ext.input, Input::Distinct { .. }),
+            _ => false,
+        };
         // Phase-2 dedup: `push`'s external arm per row, in arrival order,
         // minus the call and state matches (−6.5 % `zipf_dedup` `query_s`,
         // DESIGN.md §10). Decided once: phase 2 lasts until `finish`.
@@ -697,15 +687,15 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
             }
             return Ok(());
         }
-        // Dedup and value aggregates in phase 1 go through `push`.
+        // Value aggregates eliminate nothing at input (see `survives_input`)
+        // and go through `push`, as does dedup while it is in phase 1.
         for row in rows.drain(..) {
             // The cutoff test alone, where the key decides the row's fate.
-            let verdict = match &self.state {
+            let verdict = match &mut self.state {
                 State::InMemory(MemStore::Heap(heap)) if heap.rejects(&row.key) => Some(true),
-                State::External(ext) => match &ext.input {
-                    Input::Stale { cut, .. } => Some(cut.eliminate(&row.key)),
-                    _ => None,
-                },
+                State::External(ext) if matches!(ext.input, Input::Cutoff) => {
+                    Some(ext.cut().eliminate(&row.key))
+                }
                 _ => None,
             };
             let Some(eliminated) = verdict else {
@@ -717,7 +707,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                 self.eliminated_at_input += 1;
             } else {
                 // A phase-2 survivor is not tested a second time.
-                self.admit_external(accumulator(&self.agg, row))?;
+                self.admit_external(row)?;
             }
         }
         self.spill_if_over_budget()
@@ -734,13 +724,15 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                 )))
             }
             State::External(ext) => {
-                // The last spill runs here; the worker is joined as `ext` drops.
-                let (mut rungen, synced) = ext.sync();
-                self.rungen_wait_ns += lock(&ext.handoff).wait_ns;
-                if !synced || rungen.failed.is_some() {
-                    return Err(rungen.take_error());
-                }
-                let ext = &mut *rungen;
+                // Run generation comes back to this thread for the last spill.
+                let mut ext = match ext.at {
+                    Place::Inline(rungen) => rungen,
+                    Place::Worker(worker) => {
+                        let mut worker = Worker::sync(&worker);
+                        self.rungen_wait_ns += worker.wait_ns;
+                        worker.join()?
+                    }
+                };
                 self.eliminated_at_input += ext.eliminated;
                 self.peak_bytes = self.peak_bytes.max(ext.peak_bytes);
                 let residue = ext.gen.finish(&mut ext.filter, self.config.residue)?;
@@ -760,7 +752,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                     // is skipped (SpecStream skips folded rows instead).
                     skip: if self.agg.is_some() { 0 } else { self.spec.offset },
                 }
-                .run(vec![(ext.catalog.clone(), residue)])?;
+                .run(vec![(ext.catalog, residue)])?;
                 self.merged = MergeRecord::of(&stream);
                 let mut spec = self.spec;
                 spec.offset -= stream.skipped();
@@ -779,11 +771,13 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
 
     fn metrics(&self) -> OperatorMetrics {
         let (filter, eliminated, peak_bytes, wait_ns) = match (&self.state, self.final_filter) {
-            (State::External(ext), _) => {
-                let rungen = ext.sync().0;
-                let wait_ns = lock(&ext.handoff).wait_ns;
-                (rungen.filter.metrics(), rungen.eliminated, rungen.peak_bytes, wait_ns)
-            }
+            (State::External(ext), _) => match &ext.at {
+                Place::Inline(g) => (g.filter.metrics(), g.eliminated, g.peak_bytes, 0),
+                Place::Worker(worker) => {
+                    let w = Worker::sync(worker);
+                    (w.seen.filter, w.seen.eliminated, w.seen.peak_bytes, w.wait_ns)
+                }
+            },
             (_, Some(m)) => (m, 0, 0, 0),
             _ => (FilterMetrics::default(), 0, 0, 0),
         };
