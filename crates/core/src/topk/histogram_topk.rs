@@ -285,8 +285,7 @@ struct Worker<K: SortKey> {
 }
 
 impl<K: SortKey> Worker<K> {
-    /// Moves run generation to a worker if the query has background I/O
-    /// (`io_threads = 0` asks for none) and a slot is free.
+    /// Moves run generation to a worker if `background` and a slot is free.
     fn place(rungen: Box<RunGen<K>>, background: bool) -> Result<Place<K>> {
         let cap = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
         let free = |n: usize| (n < cap).then_some(n + 1);
@@ -538,7 +537,11 @@ impl<K: SortKey> HistogramTopK<K> {
             }
             rungen.gen.push(row, &mut rungen.filter)?;
         }
-        let at = Worker::place(Box::new(rungen), self.io_scheduler.is_some())?;
+        // Not without background I/O (`io_threads = 0` asks for none), nor
+        // under a server's lease: its concurrent queries already share the
+        // cores, and a worker each cost the fleet's tail 4–6 %.
+        let background = self.io_scheduler.is_some() && self.config.budget_lease.is_none();
+        let at = Worker::place(Box::new(rungen), background)?;
         self.state = State::External(Box::new(External { input, at }));
         self.spilled = true;
         Ok(())
