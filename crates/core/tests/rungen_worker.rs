@@ -1,6 +1,6 @@
 //! Run generation on a worker thread (DESIGN.md §10, *Run generation on a
 //! worker*): the query thread filters on the last cutoff the worker
-//! published, the worker tests every row again on the exact cutoff, so
+//! handed back, the worker tests every row again on the exact cutoff, so
 //! which thread runs run generation must not show in any output byte or
 //! counter — and a worker must never outlive its operator.
 //!
