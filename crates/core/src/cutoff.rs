@@ -304,6 +304,8 @@ pub struct CutoffFilter<K: SortKey> {
     memory_budget: usize,
     used_bytes: usize,
     metrics: FilterMetrics,
+    /// Rows reported spilled (the optimized recipe's early-merge trigger).
+    spilled: u64,
     /// Distinct-key input model (dedup mode); replaces the histogram.
     distinct: Option<DistinctTracker<K>>,
     /// Debug builds: the spilled keys the cutoff covers, counted.
@@ -314,7 +316,8 @@ pub struct CutoffFilter<K: SortKey> {
 /// An exact count of the spilled keys at or before the cutoff, against
 /// which debug builds check the paper's invariant: a published cutoff
 /// covers at least `k` rows. It starts with the first spilled row reported
-/// (a filter fed buckets by hand has none), keeps a key only while the
+/// to a filter that builds buckets (one fed buckets by hand, or with no
+/// histogram, has none), keeps a key only while the
 /// cutoff covers it, and drops the keys a tighter cutoff passes over: the
 /// cutoff never loosens, so no dropped key counts again.
 #[cfg(debug_assertions)]
@@ -371,6 +374,7 @@ impl<K: SortKey> CutoffFilter<K> {
             memory_budget: DEFAULT_FILTER_MEMORY,
             used_bytes: 0,
             metrics: FilterMetrics::default(),
+            spilled: 0,
             distinct: None,
             #[cfg(debug_assertions)]
             shadow: None,
@@ -606,11 +610,6 @@ impl<K: SortKey> CutoffFilter<K> {
         self.heap.len()
     }
 
-    /// Approximate bytes used by the queue.
-    pub fn memory_used(&self) -> usize {
-        self.used_bytes
-    }
-
     /// Activity counters.
     pub fn metrics(&self) -> FilterMetrics {
         self.metrics
@@ -619,6 +618,11 @@ impl<K: SortKey> CutoffFilter<K> {
     /// The `k` this filter targets.
     pub fn k(&self) -> u64 {
         self.k
+    }
+
+    /// Rows reported through [`SpillObserver::row_spilled`].
+    pub(crate) fn rows_spilled(&self) -> u64 {
+        self.spilled
     }
 }
 
@@ -640,7 +644,8 @@ impl<K: SortKey> SpillObserver<K> for CutoffFilter<K> {
     }
 
     fn row_spilled(&mut self, key: &K) {
-        if self.distinct.is_some() {
+        self.spilled += 1;
+        if self.distinct.is_some() || self.policy == SizingPolicy::Disabled {
             return;
         }
         #[cfg(debug_assertions)]
@@ -683,6 +688,44 @@ mod tests {
         // 5 runs × 900 rows = 4500 < 5000 → nothing established.
         assert!(!f.established());
         assert!(!f.eliminate(&F64Key(0.99)));
+    }
+
+    #[test]
+    fn width_k_without_tail_is_the_best_kth_key_of_a_run() {
+        // The optimized baseline's cutoff (DESIGN.md §5): a run's k-th
+        // spilled key, the best one so far; shorter runs give none, and the
+        // rest of a longer run falls to the cutoff its k-th key set.
+        let k = 4;
+        let mut f: CutoffFilter<u64> =
+            CutoffFilter::with_policy(k, SortOrder::Ascending, SizingPolicy::FixedWidth(k))
+                .with_tail_buckets(false);
+        let runs: [&[u64]; 5] = [
+            &[10, 20, 30, 90],
+            &[1, 2, 3],
+            &[5, 6, 7, 40],
+            &[8, 9, 50, 60],
+            &[11, 12, 13, 14, 15, 16, 17, 18],
+        ];
+        let mut kth_key: Option<u64> = None;
+        for run in runs {
+            f.run_started(run.len() as u64);
+            let mut spilled = 0;
+            for &key in run {
+                if f.should_eliminate(&key) {
+                    assert!(kth_key.is_some_and(|cut| key > cut));
+                    continue;
+                }
+                f.row_spilled(&key);
+                spilled += 1;
+                if spilled == k {
+                    kth_key = Some(kth_key.map_or(key, |cut| cut.min(key)));
+                }
+                assert_eq!(f.cutoff().copied(), kth_key);
+            }
+            f.run_finished();
+        }
+        assert_eq!(kth_key, Some(14));
+        assert_eq!(f.bucket_count(), 1);
     }
 
     #[test]

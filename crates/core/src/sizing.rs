@@ -14,9 +14,9 @@ use histok_types::{Error, Result};
 /// How many buckets to collect from each run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SizingPolicy {
-    /// No histogram at all: the filter never establishes a cutoff in
-    /// external mode (Table 2's first row — degenerates to the optimized
-    /// baseline's behaviour without early merges).
+    /// No histogram at all: runs never establish a cutoff (Table 2's first
+    /// row). The optimized baseline's k-th-key cutoff is `FixedWidth(k)`
+    /// without tail buckets instead (DESIGN.md §5).
     Disabled,
     /// Target `B` buckets per run: bucket width `max(1, ⌊est/(B+1)⌋)` rows.
     /// The paper's default is 50 (§5.1.2).

@@ -1,4 +1,4 @@
-//! The paper's algorithm: adaptive top-k with histogram-guided filtering.
+//! The top-k operator: the paper's algorithm, and its baselines as recipes.
 //!
 //! While the requested output fits in the memory budget, this operator *is*
 //! the in-memory priority-queue top-k (§2.3). The moment the retained rows
@@ -9,30 +9,35 @@
 //! spill time (line 11) — so most of the input never reaches secondary
 //! storage even though `k` exceeds memory.
 //!
+//! The paper's baselines run on the same phases and differ only in where
+//! the cutoff comes from ([`RecipeKind`], DESIGN.md §5).
+//!
 //! Externally, run generation moves to a worker thread if a slot is free
 //! ([`live_rungen_workers`]). The query thread tests input on the worker's
 //! last cutoff, the worker every row again on the exact one, so runs,
 //! cutoffs and counters stay the single thread's (DESIGN.md §10).
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-#[cfg(test)]
-use histok_sort::run_gen::ResiduePolicy;
-use histok_sort::run_gen::{BatchSort, LoadSortStore, ReplacementSelection, RunGenerator};
+use histok_sort::run_gen::{
+    BatchSort, LoadSortStore, ReplacementSelection, ResiduePolicy, RunGenerator,
+};
 use histok_sort::{CmpStats, FinalMerge, FoldSpec, FoldStats, MergeTuning};
 use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Aggregator, Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
 
-use crate::config::{RunGenKind, TopKConfig};
+use crate::config::{FilterSites, RunGenKind, TopKConfig};
 use crate::cutoff::{Cutoff, CutoffFilter, DistinctVerdict, FilterMetrics};
 use crate::metrics::{io_snapshot, OperatorMetrics};
+use crate::sizing::SizingPolicy;
+use crate::topk::optimized::EarlyMerge;
 use crate::topk::{
-    already_finished, FoldedStore, MergeRecord, Offer, RetainedHeap, RowStream, SpecStream,
-    TimedStream, TopKOperator,
+    FoldedStore, MergeRecord, Offer, RetainedHeap, RowStream, SpecStream, TimedStream, TopKOperator,
 };
 
 /// The histogram-guided adaptive top-k operator (the paper's contribution).
@@ -54,12 +59,21 @@ use crate::topk::{
 /// assert!(op.metrics().rows_spilled() < 10_000); // most rows never hit storage
 /// # Ok::<(), histok_types::Error>(())
 /// ```
-pub struct HistogramTopK<K: SortKey> {
+pub type HistogramTopK<K> = TopK<K, Histogram>;
+
+/// The top-k operator. Its recipe `R` is one of the paper's algorithms —
+/// [`HistogramTopK`], [`OptimizedExternalTopK`], [`TraditionalExternalTopK`]
+/// or [`InMemoryTopK`] — which share every phase and differ in where the
+/// cutoff comes from (DESIGN.md §5).
+///
+/// [`OptimizedExternalTopK`]: crate::OptimizedExternalTopK
+/// [`TraditionalExternalTopK`]: crate::TraditionalExternalTopK
+/// [`InMemoryTopK`]: crate::InMemoryTopK
+pub struct TopK<K: SortKey, R> {
     spec: SortSpec,
     config: TopKConfig,
     backend: Arc<dyn StorageBackend>,
-    /// The backend's modelled-I/O clock when this operator was built (see
-    /// [`io_snapshot`]).
+    /// The backend's modelled-I/O clock at build time ([`io_snapshot`]).
     modelled_at_build_ns: u64,
     stats: IoStats,
     state: State<K>,
@@ -72,27 +86,57 @@ pub struct HistogramTopK<K: SortKey> {
     peak_bytes: usize,
     /// The query thread's waits on a run-generation worker, banked at finish.
     rungen_wait_ns: u64,
-    /// Filter metrics frozen at finish time.
-    final_filter: Option<FilterMetrics>,
+    /// Run generation's counters, frozen at finish time.
+    final_counts: Counts,
     spilled: bool,
     /// Phase clock: one `Instant` pair per phase transition.
     timer: PhaseTimer,
-    /// Final-merge nanoseconds, filled in by the [`TimedStream`] wrapper
-    /// when the output stream is dropped.
+    /// Final-merge nanoseconds, booked when the [`TimedStream`] drops.
     final_merge_ns: Arc<AtomicU64>,
     /// Shared comparison counters the sort structures flush into.
     cmp_stats: CmpStats,
     /// How the final merge ran.
     merged: MergeRecord,
-    /// Shared background-I/O pool (`None` = inline I/O), built once from
-    /// `config.io_threads` and handed to the run catalog, which moves every
-    /// spill and merge input of this operator through it.
+    /// The run catalog's background-I/O pool (`None` = inline I/O).
     io_scheduler: Option<IoScheduler>,
-    /// Fold counters every pipeline component flushes into; zero unless
-    /// the query runs in dedup/aggregate mode.
+    /// Fold counters every pipeline component flushes into.
     fold_stats: FoldStats,
     /// The aggregator for fold mode (`None` = plain top-k).
     agg: Option<Arc<dyn Aggregator>>,
+    /// Optimized recipe: merge early again every this many spilled rows.
+    pub(crate) resharpen_every: Option<u64>,
+    recipe: PhantomData<R>,
+}
+
+/// The algorithm a [`TopK`] runs: a type parameter, so each branch on it
+/// is decided at compile time.
+pub trait Recipe: Send + 'static {
+    /// Which algorithm.
+    const KIND: RecipeKind;
+    /// Its name in reports.
+    const NAME: &'static str;
+}
+
+/// The paper's four top-k algorithms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecipeKind {
+    /// §3: the histogram cutoff filter, as `TopKConfig` sets it up.
+    Histogram,
+    /// §2.5 [Graefe'08]: replacement selection with runs of at most `k`
+    /// rows, the best k-th key of a run as the cutoff, and early merges.
+    Optimized,
+    /// §2.4: external from the first row, no cutoff, an unbounded merge.
+    Traditional,
+    /// §2.3: the in-memory phase, with memory for the whole output.
+    InMemory,
+}
+
+/// The [`HistogramTopK`] recipe.
+pub struct Histogram;
+
+impl Recipe for Histogram {
+    const KIND: RecipeKind = RecipeKind::Histogram;
+    const NAME: &'static str = "histogram-topk";
 }
 
 enum State<K: SortKey> {
@@ -166,12 +210,20 @@ struct Batch<K: SortKey> {
     cutoffs: Vec<(usize, K)>,
 }
 
-/// Run generation after a batch, for `metrics`, `cutoff` and the input test.
-struct Seen<K> {
+/// Run generation's counters, for `metrics`.
+#[derive(Clone, Copy, Default)]
+struct Counts {
     filter: FilterMetrics,
-    cut: Cutoff<K>,
+    /// Rows the re-check on the exact cutoff dropped.
     eliminated: u64,
     peak_bytes: usize,
+    early_merges: u64,
+}
+
+/// Run generation after a batch, for `metrics`, `cutoff` and the input test.
+struct Seen<K> {
+    counts: Counts,
+    cut: Cutoff<K>,
 }
 
 /// Phase 2: the input test on the query thread, and run generation.
@@ -223,6 +275,8 @@ struct RunGen<K: SortKey> {
     filter: CutoffFilter<K>,
     /// Plain top-k: test input again on the exact cutoff; count the drops.
     recheck: bool,
+    /// The optimized recipe's early merge step.
+    early: Option<EarlyMerge>,
     eliminated: u64,
     peak_bytes: usize,
     /// The error a worker stopped on.
@@ -238,7 +292,10 @@ impl<K: SortKey> RunGen<K> {
         }
         self.gen.push(row, &mut self.filter)?;
         self.peak_bytes = self.peak_bytes.max(self.gen.buffered_bytes());
-        Ok(())
+        match &mut self.early {
+            Some(early) => early.maybe_merge(&self.catalog, &mut self.filter),
+            None => Ok(()),
+        }
     }
 
     /// The worker's step: each row in order, after the cutoffs it carries.
@@ -256,12 +313,19 @@ impl<K: SortKey> RunGen<K> {
         true
     }
 
+    fn counts(&self) -> Counts {
+        Counts {
+            filter: self.filter.metrics(),
+            eliminated: self.eliminated,
+            peak_bytes: self.peak_bytes,
+            early_merges: self.early.as_ref().map_or(0, |early| early.merges),
+        }
+    }
+
     fn seen(&self) -> Seen<K> {
-        let (filter, cut) = (self.filter.metrics(), self.filter.cut().clone());
-        Seen { filter, cut, eliminated: self.eliminated, peak_bytes: self.peak_bytes }
+        Seen { counts: self.counts(), cut: self.filter.cut().clone() }
     }
 }
-
 static WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Run-generation workers alive in this process: at most
@@ -382,8 +446,43 @@ impl<K: SortKey> HistogramTopK<K> {
         config: TopKConfig,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<Self> {
+        Self::build(spec, config, backend)
+    }
+}
+
+impl<K: SortKey, R: Recipe> TopK<K, R> {
+    /// Builds `R`'s operator. A baseline overrides the settings that define
+    /// it and keeps the rest of `config` (budget, fan-in, I/O, OVC).
+    pub(crate) fn build(
+        spec: SortSpec,
+        mut config: TopKConfig,
+        backend: Arc<dyn StorageBackend>,
+    ) -> Result<Self> {
         spec.validate()?;
         config.validate()?;
+        match R::KIND {
+            RecipeKind::Optimized | RecipeKind::Traditional if config.fold_op().is_some() => {
+                let name = R::NAME;
+                let e = format!("dedup/aggregate queries are not supported by {name}");
+                return Err(Error::InvalidConfig(e));
+            }
+            // The k-th key of a run of k rows is its one bucket of width k,
+            // with no tail bucket (DESIGN.md §5).
+            RecipeKind::Optimized => {
+                config.run_generation = RunGenKind::ReplacementSelection;
+                config.sizing = SizingPolicy::FixedWidth(spec.retained());
+                config.tail_buckets = false;
+                config.filter = FilterSites::InputAndSpill;
+                config.approx_slack = 0.0;
+                config.residue = ResiduePolicy::KeepInMemory;
+            }
+            RecipeKind::Traditional => {
+                config.run_generation = RunGenKind::LoadSortStore;
+                config.filter = FilterSites::Off;
+                config.residue = ResiduePolicy::SpillToRuns;
+            }
+            RecipeKind::Histogram | RecipeKind::InMemory => {}
+        }
         let fold_stats = FoldStats::new();
         let agg = config.fold_op().map(|op| op.aggregator());
         let store = match &agg {
@@ -395,7 +494,7 @@ impl<K: SortKey> HistogramTopK<K> {
             )),
             None => MemStore::Heap(RetainedHeap::new(spec.retained(), spec.order)),
         };
-        Ok(HistogramTopK {
+        let mut op = TopK {
             state: State::InMemory(store),
             io_scheduler: config.io_scheduler(),
             fold_stats,
@@ -411,18 +510,26 @@ impl<K: SortKey> HistogramTopK<K> {
             bytes_folded_at_input: 0,
             peak_bytes: 0,
             rungen_wait_ns: 0,
-            final_filter: None,
+            final_counts: Counts::default(),
             spilled: false,
-            timer: PhaseTimer::started(Phase::InMemory),
+            timer: PhaseTimer::new(),
             final_merge_ns: Arc::new(AtomicU64::new(0)),
             cmp_stats: CmpStats::new(),
             merged: MergeRecord::default(),
-        })
+            resharpen_every: None,
+            recipe: PhantomData,
+        };
+        // The traditional sort has no in-memory phase.
+        match R::KIND {
+            RecipeKind::Traditional => op.switch_to_external(Vec::new())?,
+            _ => op.timer.enter(Phase::InMemory),
+        }
+        Ok(op)
     }
 
     /// The current cutoff key: the in-memory queue's worst retained key, or
-    /// the histogram-derived cutoff once external (after run generation has
-    /// taken every row pushed so far).
+    /// the external cutoff (after run generation has taken every row pushed
+    /// so far).
     pub fn cutoff(&self) -> Option<K> {
         match &self.state {
             State::InMemory(store) => store.cutoff().cloned(),
@@ -437,15 +544,6 @@ impl<K: SortKey> HistogramTopK<K> {
     /// True once the operator has switched to external mode.
     pub fn is_external(&self) -> bool {
         matches!(self.state, State::External(_))
-    }
-
-    /// The operator's I/O counters.
-    pub fn io_stats(&self) -> &IoStats {
-        &self.stats
-    }
-
-    fn build_filter(&self) -> CutoffFilter<K> {
-        crate::cutoff::filter_from_config(&self.spec, &self.config)
     }
 
     /// The fold instruction every sort component receives in fold mode:
@@ -508,18 +606,32 @@ impl<K: SortKey> HistogramTopK<K> {
             .with_io_scheduler(self.io_scheduler.clone()),
         );
         let gen = self.build_generator(catalog.clone());
-        let filter = self.build_filter();
+        let filter = crate::cutoff::filter_from_config(&self.spec, &self.config);
         let input_site = self.config.filter.input();
         // Value aggregates eliminate nothing at input: every duplicate must
         // reach its group's accumulator (DESIGN.md §14).
         let recheck = input_site && self.agg.is_none();
         let mut input = match (input_site && filter.distinct_mode(), recheck) {
-            (true, _) => Input::Distinct { tracker: Box::new(self.build_filter()), refinements: 0 },
+            (true, _) => {
+                let tracker = crate::cutoff::filter_from_config(&self.spec, &self.config);
+                Input::Distinct { tracker: Box::new(tracker), refinements: 0 }
+            }
             (false, true) => Input::Cutoff,
             (false, false) => Input::Forward,
         };
-        let mut rungen =
-            RunGen { catalog, gen, filter, recheck, eliminated: 0, peak_bytes: 0, failed: None };
+        let early = (R::KIND == RecipeKind::Optimized).then(|| {
+            EarlyMerge::new(self.spec.retained(), self.resharpen_every, self.merge_tuning())
+        });
+        let mut rungen = RunGen {
+            catalog,
+            gen,
+            filter,
+            recheck,
+            early,
+            eliminated: 0,
+            peak_bytes: 0,
+            failed: None,
+        };
         // In dedup mode the re-entering rows (distinct by construction)
         // seed the distinct tracker, so the cutoff is established before
         // the first external-phase row arrives.
@@ -629,7 +741,7 @@ fn accumulator<K: SortKey>(agg: &Option<Arc<dyn Aggregator>>, row: Row<K>) -> Ro
     }
 }
 
-impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
+impl<K: SortKey, R: Recipe> TopKOperator<K> for TopK<K, R> {
     fn push(&mut self, row: Row<K>) -> Result<()> {
         self.rows_in += 1;
         match &mut self.state {
@@ -728,7 +840,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
             }
             State::External(ext) => {
                 // Run generation comes back to this thread for the last spill.
-                let mut ext = match ext.at {
+                let mut rungen = match ext.at {
                     Place::Inline(rungen) => rungen,
                     Place::Worker(worker) => {
                         let mut worker = Worker::sync(&worker);
@@ -736,15 +848,15 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                         worker.join()?
                     }
                 };
-                self.eliminated_at_input += ext.eliminated;
-                self.peak_bytes = self.peak_bytes.max(ext.peak_bytes);
-                let residue = ext.gen.finish(&mut ext.filter, self.config.residue)?;
-                self.final_filter = Some(ext.filter.metrics());
+                let residue = rungen.gen.finish(&mut rungen.filter, self.config.residue)?;
+                self.final_counts = rungen.counts();
+                // The traditional sort merges every row; its reader stops.
+                let bounded = R::KIND != RecipeKind::Traditional;
                 let stream = FinalMerge {
                     fan_in: self.config.fan_in,
                     tuning: self.merge_tuning(),
-                    limit: Some(self.spec.retained()),
-                    cutoff: ext.filter.cutoff().cloned(),
+                    limit: bounded.then_some(self.spec.retained()),
+                    cutoff: rungen.filter.cutoff().cloned(),
                     // With slack the serial merge may emit rows past the
                     // cutoff, and the partitioned one must match it.
                     clip_partitions: self.config.approx_slack == 0.0,
@@ -753,9 +865,9 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                     // in. In fold mode the offset counts output *groups*
                     // while block row counts predate folding, so nothing
                     // is skipped (SpecStream skips folded rows instead).
-                    skip: if self.agg.is_some() { 0 } else { self.spec.offset },
+                    skip: if bounded && self.agg.is_none() { self.spec.offset } else { 0 },
                 }
-                .run(vec![(ext.catalog, residue)])?;
+                .run(vec![(rungen.catalog, residue)])?;
                 self.merged = MergeRecord::of(&stream);
                 let mut spec = self.spec;
                 spec.offset -= stream.skipped();
@@ -768,21 +880,22 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                     self.final_merge_ns.clone(),
                 )))
             }
-            State::Finished => already_finished("HistogramTopK"),
+            State::Finished => {
+                Err(Error::InvalidConfig(format!("{}: finish() called twice", R::NAME)))
+            }
         }
     }
 
     fn metrics(&self) -> OperatorMetrics {
-        let (filter, eliminated, peak_bytes, wait_ns) = match (&self.state, self.final_filter) {
-            (State::External(ext), _) => match &ext.at {
-                Place::Inline(g) => (g.filter.metrics(), g.eliminated, g.peak_bytes, 0),
+        let (counts, wait_ns) = match &self.state {
+            State::External(ext) => match &ext.at {
+                Place::Inline(rungen) => (rungen.counts(), 0),
                 Place::Worker(worker) => {
                     let w = Worker::sync(worker);
-                    (w.seen.filter, w.seen.eliminated, w.seen.peak_bytes, w.wait_ns)
+                    (w.seen.counts, w.wait_ns)
                 }
             },
-            (_, Some(m)) => (m, 0, 0, 0),
-            _ => (FilterMetrics::default(), 0, 0, 0),
+            _ => (self.final_counts, 0),
         };
         let io = io_snapshot(&self.stats, self.backend.as_ref(), self.modelled_at_build_ns);
         let mut phases = self.timer.snapshot();
@@ -792,13 +905,13 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
         let fold = self.fold_stats.snapshot();
         OperatorMetrics {
             rows_in: self.rows_in,
-            eliminated_at_input: self.eliminated_at_input + eliminated,
-            eliminated_at_spill: filter.eliminated_at_spill,
+            eliminated_at_input: self.eliminated_at_input + counts.eliminated,
+            eliminated_at_spill: counts.filter.eliminated_at_spill,
             io,
-            filter,
+            filter: counts.filter,
             spilled: self.spilled,
-            peak_memory_bytes: self.peak_bytes.max(peak_bytes),
-            early_merges: 0,
+            peak_memory_bytes: self.peak_bytes.max(counts.peak_bytes),
+            early_merges: counts.early_merges,
             cmp: self.cmp_stats.snapshot(),
             phases,
             merge_partitions: self.merged.partitions,
@@ -811,7 +924,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
     }
 
     fn algorithm(&self) -> &'static str {
-        "histogram-topk"
+        R::NAME
     }
 }
 
@@ -1125,42 +1238,46 @@ mod tests {
     /// A lease shrunk below the retained bytes while the heap is full and
     /// every arriving row is rejected must still move the operator to
     /// external mode: on the next row through `push`, within the batch
-    /// through `push_batch`.
+    /// through `push_batch`; for the histogram and the optimized recipe.
     #[test]
     fn lease_revoked_while_every_row_is_rejected_still_spills() {
-        for batched in [false, true] {
-            let lease = histok_sort::BudgetHandle::new(1 << 20);
-            let cfg = TopKConfig::builder()
-                .memory_budget(1 << 20)
-                .budget_lease(lease.clone())
-                .block_bytes(1024)
-                .build()
-                .unwrap();
-            let mut op: HistogramTopK<u64> =
-                HistogramTopK::new(SortSpec::ascending(100), cfg, MemoryBackend::new()).unwrap();
-            let feed = |op: &mut HistogramTopK<u64>, keys: std::ops::Range<u64>| {
-                let mut rows: Vec<Row<u64>> = keys.map(Row::key_only).collect();
-                if batched {
-                    op.push_batch(&mut rows).unwrap();
-                } else {
-                    rows.drain(..).for_each(|row| op.push(row).unwrap());
-                }
-            };
-            feed(&mut op, 0..100);
-            // Full heap, roomy lease: rejected rows change nothing.
-            feed(&mut op, 1_000..1_256);
-            assert!(!op.is_external(), "batched={batched}");
-            // The server takes the lease back; only rejected rows follow.
-            lease.set_limit(64);
-            let next = if batched { 2_000..2_256 } else { 2_000..2_001 };
-            feed(&mut op, next.clone());
-            assert!(op.is_external(), "batched={batched}: revoked lease ignored");
-            let m = op.metrics();
-            assert_eq!(m.rows_in, 356 + (next.end - next.start));
-            assert_eq!(m.eliminated_at_input, m.rows_in - 100);
-            let out: Vec<u64> = op.finish().unwrap().map(|r| r.unwrap().key).collect();
-            assert_eq!(out, (0..100).collect::<Vec<_>>());
+        fn check<R: Recipe>(build: fn(SortSpec, TopKConfig) -> Result<TopK<u64, R>>) {
+            for batched in [false, true] {
+                let lease = histok_sort::BudgetHandle::new(1 << 20);
+                let cfg = TopKConfig::builder()
+                    .memory_budget(1 << 20)
+                    .budget_lease(lease.clone())
+                    .block_bytes(1024)
+                    .build()
+                    .unwrap();
+                let mut op = build(SortSpec::ascending(100), cfg).unwrap();
+                let name = op.algorithm();
+                let feed = |op: &mut TopK<u64, R>, keys: std::ops::Range<u64>| {
+                    let mut rows: Vec<Row<u64>> = keys.map(Row::key_only).collect();
+                    if batched {
+                        op.push_batch(&mut rows).unwrap();
+                    } else {
+                        rows.drain(..).for_each(|row| op.push(row).unwrap());
+                    }
+                };
+                feed(&mut op, 0..100);
+                // Full heap, roomy lease: rejected rows change nothing.
+                feed(&mut op, 1_000..1_256);
+                assert!(!op.is_external(), "{name} batched={batched}");
+                // The server takes the lease back; only rejected rows follow.
+                lease.set_limit(64);
+                let next = if batched { 2_000..2_256 } else { 2_000..2_001 };
+                feed(&mut op, next.clone());
+                assert!(op.is_external(), "{name} batched={batched}: revoked lease ignored");
+                let m = op.metrics();
+                assert_eq!(m.rows_in, 356 + (next.end - next.start));
+                assert_eq!(m.eliminated_at_input, m.rows_in - 100);
+                let out: Vec<u64> = op.finish().unwrap().map(|r| r.unwrap().key).collect();
+                assert_eq!(out, (0..100).collect::<Vec<_>>());
+            }
         }
+        check(|spec, cfg| HistogramTopK::new(spec, cfg, MemoryBackend::new()));
+        check(|spec, cfg| crate::OptimizedExternalTopK::new(spec, cfg, MemoryBackend::new()));
     }
 
     fn dedup_config(budget: usize) -> TopKConfig {

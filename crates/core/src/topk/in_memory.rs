@@ -5,86 +5,44 @@
 //! spills and its peak memory grows with `k`. Efficient when that
 //! assumption holds, impossible to rely on in a shared production system —
 //! which is the paper's motivation.
+//!
+//! It is a recipe of [`TopK`]: the in-memory phase with a budget
+//! no output exceeds, so the external phase never starts.
 
-use histok_types::{Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
+use std::sync::Arc;
 
-use crate::metrics::OperatorMetrics;
-use crate::topk::{already_finished, Offer, RetainedHeap, RowStream, SpecStream, TopKOperator};
+use histok_storage::MemoryBackend;
+use histok_types::{Result, SortKey, SortSpec};
 
-/// Top-k with an in-memory priority queue sized for the full output.
-pub struct InMemoryTopK<K: SortKey> {
-    spec: SortSpec,
-    heap: Option<RetainedHeap<K>>,
-    rows_in: u64,
-    eliminated: u64,
-    peak_bytes: usize,
-    timer: PhaseTimer,
+use crate::config::TopKConfig;
+use crate::topk::histogram_topk::{Recipe, RecipeKind, TopK};
+
+/// Top-k with an in-memory priority queue sized for the full output: the
+/// operator of [`HistogramTopK`](crate::HistogramTopK) with the in-memory recipe.
+pub type InMemoryTopK<K> = TopK<K, InMemory>;
+
+/// The [`InMemoryTopK`] recipe.
+pub struct InMemory;
+
+impl Recipe for InMemory {
+    const KIND: RecipeKind = RecipeKind::InMemory;
+    const NAME: &'static str = "in-memory-pq";
 }
 
 impl<K: SortKey> InMemoryTopK<K> {
     /// Creates the operator for `spec`.
     pub fn new(spec: SortSpec) -> Result<Self> {
-        spec.validate()?;
-        Ok(InMemoryTopK {
-            spec,
-            heap: Some(RetainedHeap::new(spec.retained(), spec.order)),
-            rows_in: 0,
-            eliminated: 0,
-            peak_bytes: 0,
-            timer: PhaseTimer::started(Phase::InMemory),
-        })
-    }
-
-    /// The current in-memory cutoff key (the worst retained row), if the
-    /// queue holds `offset + limit` rows already.
-    pub fn cutoff(&self) -> Option<&K> {
-        self.heap.as_ref().and_then(|h| h.cutoff())
-    }
-}
-
-impl<K: SortKey> TopKOperator<K> for InMemoryTopK<K> {
-    fn push(&mut self, row: Row<K>) -> Result<()> {
-        let heap = self
-            .heap
-            .as_mut()
-            .ok_or_else(|| histok_types::Error::InvalidConfig("push after finish".into()))?;
-        self.rows_in += 1;
-        match heap.offer(row) {
-            Offer::Grew | Offer::Folded => {}
-            Offer::Displaced | Offer::Rejected => self.eliminated += 1,
-        }
-        self.peak_bytes = self.peak_bytes.max(heap.bytes());
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<RowStream<K>> {
-        let Some(heap) = self.heap.take() else {
-            return already_finished("InMemoryTopK");
-        };
-        let rows = heap.into_sorted();
-        self.timer.stop();
-        Ok(Box::new(SpecStream::new(rows.into_iter().map(Ok), &self.spec)))
-    }
-
-    fn metrics(&self) -> OperatorMetrics {
-        OperatorMetrics {
-            rows_in: self.rows_in,
-            eliminated_at_input: self.eliminated,
-            peak_memory_bytes: self.peak_bytes,
-            phases: self.timer.snapshot(),
-            ..Default::default()
-        }
-    }
-
-    fn algorithm(&self) -> &'static str {
-        "in-memory-pq"
+        let config = TopKConfig { memory_budget: usize::MAX, io_threads: 0, ..Default::default() };
+        Self::build(spec, config, Arc::new(MemoryBackend::new()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use histok_types::SortOrder;
+    use crate::metrics::OperatorMetrics;
+    use crate::TopKOperator;
+    use histok_types::{Row, SortOrder};
     use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
     fn run(spec: SortSpec, keys: Vec<u64>) -> (Vec<u64>, OperatorMetrics) {
@@ -136,9 +94,9 @@ mod tests {
         op.push(Row::key_only(10u64)).unwrap();
         assert!(op.cutoff().is_none());
         op.push(Row::key_only(20u64)).unwrap();
-        assert_eq!(op.cutoff(), Some(&20));
+        assert_eq!(op.cutoff(), Some(20));
         op.push(Row::key_only(5u64)).unwrap();
-        assert_eq!(op.cutoff(), Some(&10));
+        assert_eq!(op.cutoff(), Some(10));
     }
 
     #[test]

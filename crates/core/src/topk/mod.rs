@@ -1,15 +1,18 @@
-//! The top-k operators: the paper's algorithm and the baselines it is
-//! evaluated against.
+//! The top-k operator and its shared pieces.
 //!
-//! | Operator | Paper section | Behaviour beyond memory |
-//! |---|---|---|
-//! | [`HistogramTopK`] | §3 (the contribution) | spills, filtering input with a histogram-derived cutoff |
-//! | [`InMemoryTopK`] | §2.3 | assumes provisioned memory; never spills |
-//! | [`TraditionalExternalTopK`] | §2.4 | externally sorts the *entire* input |
-//! | [`OptimizedExternalTopK`] | §2.5 ([Graefe'08]) | run size ≤ k, kth-key filter, early merge steps |
+//! The paper's algorithm and the baselines it is evaluated against are one
+//! operator, [`HistogramTopK`], built by four constructors. The recipes
+//! differ only in where the cutoff comes from (DESIGN.md §5):
 //!
-//! All four implement [`TopKOperator`], so experiments drive them through
-//! one interface.
+//! | Constructor | Paper section | Cutoff | Behaviour beyond memory |
+//! |---|---|---|---|
+//! | [`HistogramTopK`] | §3 (the contribution) | histogram priority queue | spills, filtering input with a histogram-derived cutoff |
+//! | [`InMemoryTopK`] | §2.3 | bounded heap | assumes provisioned memory; never spills |
+//! | [`TraditionalExternalTopK`] | §2.4 | none | externally sorts the *entire* input |
+//! | [`OptimizedExternalTopK`] | §2.5 ([Graefe'08]) | k-th key of a run, early merge | run size ≤ k, kth-key filter, early merge steps |
+//!
+//! Experiments drive them, and the other operators, through
+//! [`TopKOperator`].
 
 mod histogram_topk;
 mod in_memory;
@@ -22,7 +25,7 @@ pub use optimized::OptimizedExternalTopK;
 pub use traditional::TraditionalExternalTopK;
 
 use histok_sort::{row_footprint, BinaryHeapBy, CascadeStats, PartitionCounters, SortedStream};
-use histok_types::{Error, Result, Row, SortKey, SortOrder, SortSpec};
+use histok_types::{Result, Row, SortKey, SortOrder, SortSpec};
 
 use crate::metrics::OperatorMetrics;
 
@@ -331,11 +334,6 @@ impl MergeRecord {
     }
 }
 
-/// Guards against a second `finish` call.
-pub(crate) fn already_finished<T>(what: &str) -> Result<T> {
-    Err(Error::InvalidConfig(format!("{what}: finish() called twice")))
-}
-
 /// Wraps an output stream so the wall-clock time between `finish()` and the
 /// stream being dropped is charged to the final-merge phase: one `Instant`
 /// pair for the whole stream, nothing per row. The total lands in a shared
@@ -369,6 +367,7 @@ impl<I> Drop for TimedStream<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use histok_types::Error;
 
     #[test]
     fn retained_heap_keeps_the_best_k() {

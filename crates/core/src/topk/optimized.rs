@@ -15,129 +15,34 @@
 //! and disrupts pipelined run generation — exactly the costs §3.2.1
 //! quantifies ("our algorithm will write 12× less input rows compared to
 //! the optimized external merge sort").
+//!
+//! It is a recipe of [`TopK`]: the k-th key of a run of `k` rows
+//! is the run's one histogram bucket of width `k` (DESIGN.md §5), so the
+//! cutoff filter with that sizing and no tail buckets is the kth-key
+//! filter, and [`EarlyMerge`] adds step 3.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use histok_sort::run_gen::{ReplacementSelection, ResiduePolicy, RunGenerator};
-use histok_sort::{merge_runs_to_new, CmpStats, FinalMerge, MergeTuning, SpillObserver};
-use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
-use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortOrder, SortSpec};
+use histok_sort::{merge_runs_to_new, MergeTuning};
+use histok_storage::{RunCatalog, StorageBackend};
+use histok_types::{Result, SortKey, SortSpec};
 
 use crate::config::TopKConfig;
-use crate::metrics::{io_snapshot, OperatorMetrics};
-use crate::topk::{
-    already_finished, MergeRecord, Offer, RetainedHeap, RowStream, SpecStream, TimedStream,
-    TopKOperator,
-};
+use crate::cutoff::CutoffFilter;
+use crate::topk::histogram_topk::{Recipe, RecipeKind, TopK};
 
-/// Spill observer for the optimized baseline: kth-key sharpening plus
-/// cutoff-based elimination (no histograms).
-struct KthKeyObserver<K> {
-    order: SortOrder,
-    k: u64,
-    cutoff: Option<K>,
-    rows_in_run: u64,
-    rows_spilled: u64,
-    eliminated_at_spill: u64,
-}
+/// The [Graefe'08] optimized external top-k: the operator of
+/// [`HistogramTopK`](crate::HistogramTopK) with the optimized recipe. It
+/// rejects dedup/aggregate configs and fixes filter, sizing, slack, run
+/// generation and residue.
+pub type OptimizedExternalTopK<K> = TopK<K, Optimized>;
 
-impl<K: SortKey> KthKeyObserver<K> {
-    fn tighten(&mut self, key: &K) {
-        let tighter = match &self.cutoff {
-            Some(cur) => self.order.precedes(key, cur),
-            None => true,
-        };
-        if tighter {
-            self.cutoff = Some(key.clone());
-        }
-    }
+/// The [`OptimizedExternalTopK`] recipe.
+pub struct Optimized;
 
-    fn eliminate(&self, key: &K) -> bool {
-        match &self.cutoff {
-            Some(cut) => self.order.follows(key, cut),
-            None => false,
-        }
-    }
-}
-
-impl<K: SortKey> SpillObserver<K> for KthKeyObserver<K> {
-    fn run_started(&mut self, _estimated_rows: u64) {
-        self.rows_in_run = 0;
-    }
-
-    fn should_eliminate(&mut self, key: &K) -> bool {
-        let kill = self.eliminate(key);
-        if kill {
-            self.eliminated_at_spill += 1;
-        }
-        kill
-    }
-
-    fn row_spilled(&mut self, key: &K) {
-        self.rows_in_run += 1;
-        self.rows_spilled += 1;
-        if self.rows_in_run == self.k {
-            // A single run now proves k rows at or below `key`.
-            self.tighten(key);
-        }
-    }
-
-    fn cutoff_key(&mut self) -> Option<K> {
-        // The kth-key rule is exactly "follows the cutoff"; batched run
-        // generation may clip whole sorted buffers against it.
-        self.cutoff.clone()
-    }
-
-    fn rows_clipped(&mut self, n: u64) {
-        self.eliminated_at_spill += n;
-    }
-}
-
-enum State<K: SortKey> {
-    InMemory(RetainedHeap<K>),
-    External(Box<External<K>>),
-    Finished,
-}
-
-/// External-mode machinery, boxed to keep the `State` variants similar in
-/// size.
-struct External<K: SortKey> {
-    catalog: Arc<RunCatalog<K>>,
-    gen: Box<dyn RunGenerator<K>>,
-    obs: KthKeyObserver<K>,
-}
-
-/// The [Graefe'08] optimized external top-k.
-pub struct OptimizedExternalTopK<K: SortKey> {
-    spec: SortSpec,
-    config: TopKConfig,
-    backend: Arc<dyn StorageBackend>,
-    /// The backend's modelled-I/O clock when this operator was built (see
-    /// [`io_snapshot`]).
-    modelled_at_build_ns: u64,
-    stats: IoStats,
-    state: State<K>,
-    rows_in: u64,
-    eliminated_at_input: u64,
-    eliminated_at_spill_final: u64,
-    peak_bytes: usize,
-    spilled: bool,
-    early_merges: u64,
-    /// Re-derive the cutoff by another merge every time this many more rows
-    /// have spilled; `None` (the default, per [Graefe'08]) merges once.
-    resharpen_every: Option<u64>,
-    spilled_at_last_merge: u64,
-    timer: PhaseTimer,
-    final_merge_ns: Arc<AtomicU64>,
-    /// Shared comparison counters the sort structures flush into.
-    cmp_stats: CmpStats,
-    /// How the final merge ran.
-    merged: MergeRecord,
-    /// Shared background-I/O pool (`None` = inline I/O), built once from
-    /// `config.io_threads` and handed to the run catalog, which moves every
-    /// spill and merge input of this operator through it.
-    io_scheduler: Option<IoScheduler>,
+impl Recipe for Optimized {
+    const KIND: RecipeKind = RecipeKind::Optimized;
+    const NAME: &'static str = "optimized-ems";
 }
 
 impl<K: SortKey> OptimizedExternalTopK<K> {
@@ -156,42 +61,7 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
         config: TopKConfig,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<Self> {
-        spec.validate()?;
-        config.validate()?;
-        if config.fold_op().is_some() {
-            return Err(Error::InvalidConfig(
-                "dedup/aggregate queries are not supported by the optimized baseline".into(),
-            ));
-        }
-        Ok(OptimizedExternalTopK {
-            state: State::InMemory(RetainedHeap::new(spec.retained(), spec.order)),
-            io_scheduler: config.io_scheduler(),
-            spec,
-            config,
-            modelled_at_build_ns: backend.modelled_io_ns(),
-            backend,
-            stats: IoStats::new(),
-            rows_in: 0,
-            eliminated_at_input: 0,
-            eliminated_at_spill_final: 0,
-            peak_bytes: 0,
-            spilled: false,
-            early_merges: 0,
-            resharpen_every: None,
-            spilled_at_last_merge: 0,
-            timer: PhaseTimer::started(Phase::InMemory),
-            final_merge_ns: Arc::new(AtomicU64::new(0)),
-            cmp_stats: CmpStats::new(),
-            merged: MergeRecord::default(),
-        })
-    }
-
-    fn merge_tuning(&self) -> MergeTuning {
-        MergeTuning {
-            ovc: self.config.ovc_enabled,
-            stats: Some(self.cmp_stats.clone()),
-            ..MergeTuning::default()
-        }
+        Self::build(spec, config, backend)
     }
 
     /// Enables periodic re-merging: after the first early merge, merge
@@ -201,195 +71,68 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
         self.resharpen_every = Some(rows.max(1));
         self
     }
+}
 
-    /// The current cutoff key, if any.
-    pub fn cutoff(&self) -> Option<K> {
-        match &self.state {
-            State::InMemory(heap) => heap.cutoff().cloned(),
-            State::External(ext) => ext.obs.cutoff.clone(),
-            State::Finished => None,
-        }
+/// The early merge step: combine all finished runs into one intermediate
+/// run of at most `k` rows; its last key is the cutoff.
+///
+/// Triggered once `2k` rows have spilled: merging at exactly `k` rows
+/// would derive a cutoff near the maximum seen key (useless), whereas at
+/// `2k` the intermediate run's `k`th key sits near the median of the
+/// spilled keys — the paper's §3.2.1 account of this technique ("merging 10
+/// initial runs [10 × 1000 rows, k = 5000] establishes a cutoff key able to
+/// eliminate ½ of the remaining input").
+pub(crate) struct EarlyMerge {
+    k: u64,
+    /// Re-derive the cutoff by another merge every time this many more rows
+    /// have spilled; `None` (the default, per [Graefe'08]) merges once.
+    resharpen_every: Option<u64>,
+    spilled_at_last_merge: u64,
+    pub(crate) merges: u64,
+    tuning: MergeTuning,
+}
+
+impl EarlyMerge {
+    pub(crate) fn new(k: u64, resharpen_every: Option<u64>, tuning: MergeTuning) -> Self {
+        EarlyMerge { k, resharpen_every, spilled_at_last_merge: 0, merges: 0, tuning }
     }
 
-    fn switch_to_external(&mut self, rows: Vec<Row<K>>) -> Result<()> {
-        self.timer.enter(Phase::RunGeneration);
-        let catalog = Arc::new(
-            RunCatalog::new(
-                self.backend.clone(),
-                RunCatalog::<K>::unique_prefix("opttopk"),
-                self.spec.order,
-                self.stats.clone(),
-            )
-            .with_block_bytes(self.config.block_bytes)
-            .with_io_scheduler(self.io_scheduler.clone()),
-        );
-        // Replacement selection *defines* this baseline ([Graefe'08]).
-        let mut gen = ReplacementSelection::with_budget(catalog.clone(), self.config.make_budget())
-            .with_ovc(self.config.ovc_enabled, Some(self.cmp_stats.clone()));
-        if self.config.limit_run_size {
-            gen = gen.with_run_limit(self.spec.retained());
-        }
-        let mut gen: Box<dyn RunGenerator<K>> = Box::new(gen);
-        let mut obs = KthKeyObserver {
-            order: self.spec.order,
-            k: self.spec.retained(),
-            cutoff: None,
-            rows_in_run: 0,
-            rows_spilled: 0,
-            eliminated_at_spill: 0,
-        };
-        for row in rows {
-            gen.push(row, &mut obs)?;
-        }
-        self.state = State::External(Box::new(External { catalog, gen, obs }));
-        self.spilled = true;
-        Ok(())
-    }
-
-    /// The early merge step: combine all finished runs into one
-    /// intermediate run of at most `k` rows; its last key is the cutoff.
-    ///
-    /// Triggered once `2k` rows have spilled: merging at exactly `k` rows
-    /// would derive a cutoff near the maximum seen key (useless), whereas
-    /// at `2k` the intermediate run's `k`th key sits near the median of the
-    /// spilled keys — the paper's §3.2.1 account of this technique
-    /// ("merging 10 initial runs [10 × 1000 rows, k = 5000] establishes a
-    /// cutoff key able to eliminate ½ of the remaining input").
-    fn maybe_early_merge(&mut self) -> Result<()> {
-        let tuning = self.merge_tuning();
-        let State::External(ext) = &mut self.state else { return Ok(()) };
-        let External { catalog, obs, .. } = ext.as_mut();
-        let k = self.spec.retained();
-        let due = if obs.cutoff.is_none() {
-            obs.rows_spilled >= 2 * k
-        } else if let Some(every) = self.resharpen_every {
-            obs.rows_spilled - self.spilled_at_last_merge >= every
-        } else {
-            false
+    /// Merges if one is due, after run generation took a row.
+    pub(crate) fn maybe_merge<K: SortKey>(
+        &mut self,
+        catalog: &RunCatalog<K>,
+        filter: &mut CutoffFilter<K>,
+    ) -> Result<()> {
+        let spilled = filter.rows_spilled();
+        let due = match (filter.cutoff(), self.resharpen_every) {
+            (None, _) => spilled >= 2 * self.k,
+            (Some(_), Some(every)) => spilled - self.spilled_at_last_merge >= every,
+            (Some(_), None) => false,
         };
         if !due || catalog.len() < 2 {
             return Ok(());
         }
         let runs = catalog.runs();
-        let merged = merge_runs_to_new(catalog, &runs, Some(k), obs.cutoff.as_ref(), &tuning)?;
-        if merged.rows >= k {
+        let merged =
+            merge_runs_to_new(catalog, &runs, Some(self.k), filter.cutoff(), &self.tuning)?;
+        if merged.rows >= self.k {
             if let Some(last) = &merged.last_key {
-                obs.tighten(last);
+                filter.tighten(last);
             }
         }
-        self.early_merges += 1;
-        self.spilled_at_last_merge = obs.rows_spilled;
+        self.merges += 1;
+        self.spilled_at_last_merge = spilled;
         Ok(())
-    }
-}
-
-impl<K: SortKey> TopKOperator<K> for OptimizedExternalTopK<K> {
-    fn push(&mut self, row: Row<K>) -> Result<()> {
-        self.rows_in += 1;
-        match &mut self.state {
-            State::InMemory(heap) => {
-                let fp = histok_sort::row_footprint(&row);
-                if !heap.is_full() && heap.bytes() + fp > self.config.effective_memory_budget() {
-                    let rows = heap.drain_unordered();
-                    self.switch_to_external(rows)?;
-                    self.rows_in -= 1; // the recursive push counts it again
-                    return self.push(row);
-                }
-                match heap.offer(row) {
-                    Offer::Grew | Offer::Folded => {}
-                    Offer::Displaced | Offer::Rejected => self.eliminated_at_input += 1,
-                }
-                self.peak_bytes = self.peak_bytes.max(heap.bytes());
-                Ok(())
-            }
-            State::External(ext) => {
-                if ext.obs.eliminate(&row.key) {
-                    self.eliminated_at_input += 1;
-                    return Ok(());
-                }
-                let External { gen, obs, .. } = ext.as_mut();
-                gen.push(row, obs)?;
-                self.peak_bytes = self.peak_bytes.max(ext.gen.buffered_bytes());
-                self.maybe_early_merge()
-            }
-            State::Finished => Err(Error::InvalidConfig("push after finish".into())),
-        }
-    }
-
-    fn finish(&mut self) -> Result<RowStream<K>> {
-        match std::mem::replace(&mut self.state, State::Finished) {
-            State::InMemory(heap) => {
-                let rows = heap.into_sorted();
-                self.timer.stop();
-                Ok(Box::new(TimedStream::new(
-                    SpecStream::new(rows.into_iter().map(Ok), &self.spec),
-                    self.final_merge_ns.clone(),
-                )))
-            }
-            State::External(ext) => {
-                let External { catalog, mut gen, mut obs } = *ext;
-                let residue = gen.finish(&mut obs, ResiduePolicy::KeepInMemory)?;
-                self.eliminated_at_spill_final = obs.eliminated_at_spill;
-                let stream = FinalMerge {
-                    fan_in: self.config.fan_in,
-                    tuning: self.merge_tuning(),
-                    limit: Some(self.spec.retained()),
-                    cutoff: obs.cutoff,
-                    // The kth-key cutoff proves at least `retained` rows at
-                    // or below it, so clipping the partition plan at it
-                    // never loses an output row.
-                    clip_partitions: true,
-                    threads: self.config.merge_threads,
-                    skip: 0,
-                }
-                .run(vec![(catalog, residue)])?;
-                self.merged = MergeRecord::of(&stream);
-                self.timer.stop();
-                Ok(Box::new(TimedStream::new(
-                    SpecStream::new(stream, &self.spec),
-                    self.final_merge_ns.clone(),
-                )))
-            }
-            State::Finished => already_finished("OptimizedExternalTopK"),
-        }
-    }
-
-    fn metrics(&self) -> OperatorMetrics {
-        let eliminated_at_spill = match &self.state {
-            State::External(ext) => ext.obs.eliminated_at_spill,
-            _ => self.eliminated_at_spill_final,
-        };
-        let io = io_snapshot(&self.stats, self.backend.as_ref(), self.modelled_at_build_ns);
-        let mut phases = self.timer.snapshot();
-        phases.spill_write_ns = io.write_latency.total_ns;
-        phases.final_merge_ns += self.final_merge_ns.load(Ordering::Relaxed);
-        OperatorMetrics {
-            rows_in: self.rows_in,
-            eliminated_at_input: self.eliminated_at_input,
-            eliminated_at_spill,
-            io,
-            filter: Default::default(),
-            spilled: self.spilled,
-            peak_memory_bytes: self.peak_bytes,
-            early_merges: self.early_merges,
-            cmp: self.cmp_stats.snapshot(),
-            phases,
-            merge_partitions: self.merged.partitions,
-            partition_rows: self.merged.partition_rows(),
-            cascade: self.merged.cascade,
-            ..Default::default()
-        }
-    }
-
-    fn algorithm(&self) -> &'static str {
-        "optimized-ems"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::OperatorMetrics;
+    use crate::TopKOperator;
     use histok_storage::MemoryBackend;
+    use histok_types::Row;
     use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
     fn config(budget: usize) -> TopKConfig {

@@ -198,3 +198,52 @@ fn more_buckets_spill_less_on_the_real_operator() {
     assert!(s10 < s1, "10 buckets ({s10}) should beat 1 ({s1})");
     assert!(s100 <= s10 + s10 / 10, "100 buckets ({s100}) should not lose to 10 ({s10})");
 }
+
+/// Goldens for the three external algorithms on one uniform input: rows
+/// spilled, runs created, bytes written and early merges at `k` = mem/2,
+/// 2·mem and 8·mem (Figures 2–6 vary exactly these). Each algorithm is a
+/// recipe of one operator, so any change to the shared skeleton that moves
+/// a baseline's I/O shows here, not only in the figures.
+#[test]
+fn spill_counts_of_each_algorithm_are_pinned() {
+    const ROWS: u64 = 40_000;
+    const MEM: u64 = 500;
+    let w = Workload::uniform(ROWS, 42);
+    let config = TopKConfig::builder().memory_budget(MEM as usize * 64).build().unwrap();
+    let counts = |k: u64, mut op: Box<dyn TopKOperator<F64Key>>| {
+        for row in w.rows() {
+            op.push(row).unwrap();
+        }
+        let keys: Vec<F64Key> = op.finish().unwrap().map(|r| r.unwrap().key).collect();
+        let mut oracle: Vec<F64Key> = w.rows().map(|r| r.key).collect();
+        oracle.sort();
+        assert_eq!(keys, oracle[..k as usize], "{}", op.algorithm());
+        let m = op.metrics();
+        [m.rows_spilled(), m.runs(), m.io.bytes_written, m.early_merges]
+    };
+    let mut got = Vec::new();
+    for k in [MEM / 2, 2 * MEM, 8 * MEM] {
+        let spec = SortSpec::ascending(k);
+        let backend = MemoryBackend::new;
+        got.push(counts(k, Box::new(HistogramTopK::new(spec, config.clone(), backend()).unwrap())));
+        let optimized = OptimizedExternalTopK::new(spec, config.clone(), backend()).unwrap();
+        got.push(counts(k, Box::new(optimized)));
+        let traditional =
+            TraditionalExternalTopK::new(spec, config.memory_budget, backend()).unwrap();
+        got.push(counts(k, Box::new(traditional)));
+    }
+    // [rows spilled, runs, bytes written, early merges]; per k: histogram,
+    // optimized, traditional.
+    let want: [[u64; 4]; 9] = [
+        [0, 0, 0, 0],
+        [0, 0, 0, 0],
+        [40_000, 71, 481_136, 0],
+        [3_978, 7, 47_848, 0],
+        [17_536, 34, 210_976, 0],
+        [40_000, 71, 481_136, 0],
+        [12_612, 14, 151_568, 0],
+        [28_735, 24, 345_204, 1],
+        [40_000, 71, 481_136, 0],
+    ];
+    assert_eq!(got, want);
+}
