@@ -326,6 +326,7 @@ impl<K: SortKey> RunGen<K> {
         Seen { counts: self.counts(), cut: self.filter.cut().clone() }
     }
 }
+
 static WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Run-generation workers alive in this process: at most
