@@ -7,8 +7,8 @@
 //! * [`HistogramTopK`] — the adaptive top-k operator: in-memory priority
 //!   queue while the output fits, histogram-filtered external merge sort
 //!   beyond (§3.1).
-//! * Baselines: [`InMemoryTopK`] (§2.3), [`TraditionalExternalTopK`]
-//!   (§2.4), [`OptimizedExternalTopK`] (§2.5 / [Graefe'08]).
+//! * Baselines, as recipes of that operator: [`InMemoryTopK`] (§2.3),
+//!   [`TraditionalExternalTopK`] (§2.4), [`OptimizedExternalTopK`] (§2.5).
 //! * Extensions from §4: merge-time offset fast-skipping
 //!   ([`histok_sort::FinalMerge`], §4.1), segmented execution over prefix-sorted inputs
 //!   ([`SegmentedTopK`], §4.2), grouped top-k ([`GroupedTopK`], §4.3),

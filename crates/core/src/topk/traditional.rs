@@ -49,8 +49,9 @@ impl<K: SortKey> TraditionalExternalTopK<K> {
         budget_bytes: usize,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<Self> {
-        let config = TopKConfig::builder().memory_budget(budget_bytes).merge_threads(1);
-        Self::build(spec, config.io_threads(0).build()?, backend)
+        let config =
+            TopKConfig::builder().memory_budget(budget_bytes).merge_threads(1).io_threads(0);
+        Self::build(spec, config.build()?, backend)
     }
 
     /// As [`TraditionalExternalTopK::with_arc`] with the workspace (or its

@@ -1,8 +1,8 @@
 //! A complete external merge sort assembled from the substrate pieces.
 //!
-//! This is the engine behind the *traditional* top-k baseline (§2.4): every
-//! input row is written to sorted runs, the runs are (multi-level) merged,
-//! and the caller takes however many rows it wants from the final merge.
+//! It does what the *traditional* top-k baseline (§2.4) does: every input
+//! row is written to sorted runs, the runs are (multi-level) merged, and
+//! the caller takes however many rows it wants from the final merge.
 //! No filtering, no run-size limit — exactly the behaviour whose
 //! "performance cliff" the paper sets out to remove.
 
