@@ -8,9 +8,13 @@
 //!    more reduction pass suffices, the pass merges only the
 //!    `excess + merges` best-ranked runs (classic minimal-rewrite
 //!    cascade); otherwise it is a full pass of maximal groups. Group 0
-//!    always holds the best-ranked runs — for a merge with a `limit`, the
-//!    runs with the best first keys, the cutoff-relevant ones — so the
-//!    merge most likely to refine the top-k cutoff executes first.
+//!    always holds the best-ranked runs. With a cutoff those are the runs
+//!    with the fewest *live* rows, the rows at or before the cutoff that a
+//!    clipped merge reads and rewrites: the pass rewrites the cheapest
+//!    runs (Knuth's optimal merge pattern over live rows) and the runs
+//!    with the most live rows go to the final merge untouched. With a
+//!    `limit` and no cutoff yet, they are the runs with the best first
+//!    keys, so the merge most likely to establish a cutoff executes first.
 //! 2. **Execute.** The groups of a pass merge one after another. A merge
 //!    that completes `limit` rows tightens the cutoff to its last key,
 //!    and every later merge truncates at the tighter key (paper §4.1).
@@ -105,8 +109,11 @@ fn plan_pass_groups(n: usize, fan_in: usize) -> Vec<Range<usize>> {
 /// Runs the cascade until at most `fan_in` runs remain (`fan_in` must be
 /// at least 2); returns the final run set and the pass counters.
 ///
-/// Each pass ranks the runs by the merge's kind: with a `limit` the runs
-/// with the best first keys merge first (§4.1), without one the smallest.
+/// Each pass ranks the runs by the merge's kind. With a cutoff, the one
+/// passed in or one a previous pass refined, the runs with the fewest
+/// rows at or before it merge first, read from their block indexes. With
+/// a `limit` and no cutoff, the runs with the best first keys merge first
+/// (§4.1); without either, the smallest.
 ///
 /// `limit`/`cutoff` truncate intermediate outputs — always safe for a
 /// top-k (module docs), never used for a full sort. Per §4.1, "each merge
@@ -137,7 +144,7 @@ pub fn plan_merges<K: SortKey>(
         if runs.len() <= fan_in {
             return Ok((runs, stats));
         }
-        rank_candidates(&mut runs, limit, order);
+        rank_candidates(&mut runs, limit, cutoff.as_ref(), order);
         let groups = plan_pass_groups(runs.len(), fan_in);
         stats.merge_passes += 1;
         let covered = groups.last().map_or(0, |g| g.end);

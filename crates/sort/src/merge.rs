@@ -8,8 +8,9 @@
 //!   within *any* subset of runs is ranked worse than `k` globally;
 //! * a merge step may stop as soon as the merged key passes the cutoff key;
 //! * for a top operation the best runs to merge first are the ones with the
-//!   lowest keys (the most recently produced), not the traditional smallest
-//!   runs.
+//!   fewest rows at or before the cutoff (the cheapest to rewrite) or,
+//!   before a cutoff is known, the ones with the lowest keys (the most
+//!   recently produced), not the traditional smallest runs.
 
 use std::sync::Arc;
 
@@ -340,17 +341,23 @@ pub fn merge_runs_to_new<K: SortKey>(
     Ok(meta)
 }
 
-/// Sorts run metas so the best merge candidates come first. A merge with
-/// a `limit` is a top-k merge (§4.1): the runs whose first keys sort best
-/// come first, usually the most recently generated ones. A full sort (no
-/// limit) takes the traditional smallest runs first, which minimizes
-/// re-read volume.
+/// Sorts run metas so the best merge candidates come first.
+///
+/// With a `cutoff` the cheapest runs to rewrite come first: the fewest
+/// rows at or before the cutoff ([`live_rows`]), ties by first key, then
+/// by rows. That is Knuth's optimal merge pattern (shortest runs first)
+/// over the rows a clipped merge actually moves. Without one, a merge
+/// with a `limit` is a top-k merge (§4.1) and takes the runs whose first
+/// keys sort best, usually the most recently generated ones; a full sort
+/// takes the traditional smallest runs first, which minimizes re-read
+/// volume.
 pub(crate) fn rank_candidates<K: SortKey>(
     runs: &mut [RunMeta<K>],
     limit: Option<u64>,
+    cutoff: Option<&K>,
     order: SortOrder,
 ) {
-    if limit.is_none() {
+    if limit.is_none() && cutoff.is_none() {
         runs.sort_by_key(|m| m.rows);
         return;
     }
@@ -360,6 +367,24 @@ pub(crate) fn rank_candidates<K: SortKey>(
         (None, Some(_)) => std::cmp::Ordering::Greater,
         (None, None) => std::cmp::Ordering::Equal,
     });
+    if let Some(cut) = cutoff {
+        // Stable: equal live rows keep the first-key order above.
+        runs.sort_by_cached_key(|m| live_rows(m, cut, order));
+    }
+}
+
+/// Rows of `meta` a merge clipped at `cutoff` fetches, from the block
+/// index alone: every block up to and including the first whose last key
+/// sorts after the cutoff.
+fn live_rows<K: SortKey>(meta: &RunMeta<K>, cutoff: &K, order: SortOrder) -> u64 {
+    let mut rows = 0;
+    for block in &meta.blocks {
+        rows += u64::from(block.rows);
+        if order.follows(&block.last_key, cutoff) {
+            break;
+        }
+    }
+    rows
 }
 
 /// Rows the final merge must hold before it is range-partitioned: below
@@ -676,7 +701,7 @@ mod tests {
         write_run(&cat, &[1, 2, 3]); // recent, low keys
         write_run(&cat, &[60, 61, 62]);
         let mut runs = cat.runs();
-        rank_candidates(&mut runs, Some(3), SortOrder::Ascending);
+        rank_candidates(&mut runs, Some(3), None, SortOrder::Ascending);
         assert_eq!(runs[0].first_key, Some(1));
         assert_eq!(runs[1].first_key, Some(50));
         assert_eq!(runs[3].first_key, Some(100));

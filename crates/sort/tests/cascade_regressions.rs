@@ -130,3 +130,60 @@ fn limit_refined_cutoff_prunes_sibling_groups_unread() {
         "cascade with dead runs must read exactly what the dead-free cascade reads"
     );
 }
+
+/// With a cutoff, the reduction pass rewrites the runs with the fewest
+/// rows at or before it, not the runs with the best first keys. Three
+/// runs start at keys 0–2 and hold ~170 rows each at or before the cutoff
+/// 500; three start at 300–302, hold more rows in all, but only 20 or 21
+/// each at or before it. Six runs at fan-in 4 take one merge of three: it
+/// must be the late runs, writing exactly their 61 live rows, and the
+/// answer must equal one merge of every run.
+#[test]
+fn cutoff_cascade_rewrites_the_runs_with_the_fewest_live_rows() {
+    let mem = MemoryBackend::new();
+    let cat = catalog(&mem, "lv");
+    let cutoff = 500u64;
+    let limit = 400u64;
+    let early: Vec<RunMeta<u64>> =
+        (0..3u64).map(|r| write_run(&cat, (0..200).map(|j| j * 3 + r))).collect();
+    let late: Vec<RunMeta<u64>> =
+        (0..3u64).map(|r| write_run(&cat, (0..1_000).map(|j| 300 + r + j * 10))).collect();
+    let all_keys: Vec<u64> = early
+        .iter()
+        .chain(&late)
+        .flat_map(|m| cat.open(m).unwrap().map(|r| r.unwrap().key))
+        .collect();
+    let live = |keys: &[u64]| keys.iter().filter(|&&k| k <= cutoff).count() as u64;
+    let late_live: u64 = late
+        .iter()
+        .map(|m| live(&cat.open(m).unwrap().map(|r| r.unwrap().key).collect::<Vec<_>>()))
+        .sum();
+    assert_eq!(late_live, 61);
+
+    let before = cat.stats().snapshot();
+    let (final_runs, stats) =
+        plan_merges(&cat, 4, Some(limit), Some(&cutoff), &MergeTuning::default()).unwrap();
+    assert_eq!((stats.merge_passes, stats.intermediate_merges, stats.runs_pruned), (1, 1, 0));
+    let io = cat.stats().snapshot().since(&before);
+    assert_eq!(io.runs_created, 1);
+    assert_eq!(io.rows_written, late_live, "the merge writes the late runs' live rows");
+
+    // The early runs reach the final merge untouched; the late ones are gone.
+    let mut kept: Vec<&str> = final_runs.iter().map(|m| m.name.as_str()).collect();
+    kept.sort_unstable();
+    let mut want: Vec<&str> = early.iter().map(|m| m.name.as_str()).collect();
+    want.sort_unstable();
+    assert_eq!(&kept[..3], &want[..], "the runs with the best first keys are not rewritten");
+    assert_eq!(final_runs.len(), 4);
+    assert_eq!(mem.object_count(), 4, "the late runs' objects are deleted");
+
+    // Same answer as the single giant merge.
+    let mut top: Vec<u64> =
+        final_runs.iter().flat_map(|m| cat.open(m).unwrap().map(|r| r.unwrap().key)).collect();
+    top.sort_unstable();
+    top.truncate(limit as usize);
+    let mut giant = all_keys;
+    giant.sort_unstable();
+    giant.truncate(limit as usize);
+    assert_eq!(top, giant);
+}

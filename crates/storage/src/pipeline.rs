@@ -53,7 +53,12 @@
 //! waits out at most one in-flight block job, and discards any unfinished
 //! backend object (same contract as dropping an inline `RunWriter`). A
 //! consumer that abandons a merge stream mid-way therefore tears down
-//! every prefetch source deterministically.
+//! every prefetch source deterministically. Before that, a prefetcher
+//! settles the read-ahead its consumer already asked for, so a reader
+//! fetches exactly min(batches taken + [`READAHEAD_BLOCKS`], blocks in its
+//! range): reads are a count of what the merge consumed, not of how far
+//! the pool got. On latency-bound storage the drop may wait out one
+//! request that an earlier drop would have skipped.
 //!
 //! **Accounting.** Background I/O books its storage busy time into a
 //! per-component `OverlapLedger`; the compute thread books its blocked
@@ -64,7 +69,7 @@
 //! their per-component sum never exceeds the component's wall time.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use histok_types::{Error, Result, Row, RowBatch, SortKey};
@@ -434,20 +439,35 @@ impl<K: SortKey> PrefetchingRunReader<K> {
             if st.eof {
                 return None;
             }
-            // The consumer is now blocked on this source: escalate its jobs
-            // — including any already queued — so the pool serves a
-            // draining merge input before speculation.
-            self.class.set(IoPriority::MergeReadAhead);
-            self.start_fill(&mut st);
-            let started = Instant::now();
-            st = wait(&self.shared.cond, st);
-            self.ledger.record_wait(started.elapsed());
+            st = self.await_fill(st);
         }
     }
 
-    /// Tears down the background side and settles the overlap ledger.
+    /// Blocks the consumer until a job reports progress. The consumer now
+    /// waits on this source: escalate its jobs — including any already
+    /// queued — so the pool serves a draining merge input before
+    /// speculation.
+    fn await_fill<'a>(
+        &self,
+        mut st: MutexGuard<'a, PrefetchState<K>>,
+    ) -> MutexGuard<'a, PrefetchState<K>> {
+        self.class.set(IoPriority::MergeReadAhead);
+        self.start_fill(&mut st);
+        let started = Instant::now();
+        st = wait(&self.shared.cond, st);
+        self.ledger.record_wait(started.elapsed());
+        st
+    }
+
+    /// Settles the read-ahead already asked for (module docs), then tears
+    /// down the background side and settles the overlap ledger.
     fn shut_down(&mut self) {
         let mut st = lock(&self.shared.state);
+        // `reader` is gone only after a previous shutdown (no job active).
+        while !st.eof && st.ready.len() < READAHEAD_BLOCKS && (st.job_active || st.reader.is_some())
+        {
+            st = self.await_fill(st);
+        }
         st.dropped = true;
         st.ready.clear();
         st.reader = None;

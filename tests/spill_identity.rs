@@ -2,13 +2,16 @@
 //! a tenth of its scale: how many runs, how long each one is (as the bytes of
 //! its object: rows are a fixed 94 bytes here, and block boundaries are
 //! pinned with them), how many rows and bytes reach storage and where the
-//! cutoff ends up. The expected values are what batched replacement
+//! cutoff ends up. The run-generation values are what batched replacement
 //! selection produces (mini-runs of `M/24` rows under the tree; until then
 //! the sift-based binary heap of commit 52e5cab and the tournament tree of
-//! single rows, which wrote 42 runs, 13,658,888 and 13,604,008 bytes); a
-//! change to the selection structure, the run format or the filter that
-//! alters any spilled byte fails here, in `cargo test`, and not in a
-//! benchmark diff.
+//! single rows, which wrote 42 runs, 13,658,888 and 13,604,008 bytes). The
+//! last two objects are the cascade's, which rewrites the runs with the
+//! fewest rows at or before the cutoff; until it ranked by those live rows
+//! it took the runs with the best first keys and wrote 13,663,414 and
+//! 13,647,544 bytes. A change to the selection structure, the run format,
+//! the filter or the cascade plan that alters any spilled byte fails here,
+//! in `cargo test`, and not in a benchmark diff.
 
 use std::sync::{Arc, Mutex};
 
@@ -101,15 +104,15 @@ fn every_spill_decision_matches_the_binary_heap() {
             42,
             Spill {
                 runs_created: 43,
-                rows_written: 145_317,
-                bytes_written: 13_663_414,
+                rows_written: 133_082,
+                bytes_written: 12_513_036,
                 cutoff: 47_587.0,
                 run_bytes: vec![
                     232926, 264902, 269508, 272986, 270730, 275900, 269978, 272516, 271670, 268850,
                     272610, 271388, 269790, 270542, 277310, 273550, 258024, 251350, 254076, 255016,
                     254640, 258024, 254264, 259904, 256144, 256332, 249376, 259528, 253324, 249188,
                     257366, 257554, 261690, 259716, 262740, 260938, 250222, 255298, 262160, 252572,
-                    59542, 1852476, 1297826,
+                    59542, 968746, 1031178,
                 ],
             },
         ),
@@ -117,15 +120,15 @@ fn every_spill_decision_matches_the_binary_heap() {
             7,
             Spill {
                 runs_created: 43,
-                rows_written: 145_148,
-                bytes_written: 13_647_544,
+                rows_written: 132_815,
+                bytes_written: 12_487_954,
                 cutoff: 47_689.0,
                 run_bytes: vec![
                     232362, 266124, 272892, 274960, 268286, 269602, 274678, 272140, 264338, 274960,
                     279660, 268568, 272892, 279472, 269226, 269226, 261126, 254264, 256332, 256332,
                     262740, 257460, 255016, 252854, 256238, 259058, 254452, 259434, 257648, 253418,
                     254922, 255392, 263116, 256332, 259716, 255486, 256144, 255580, 255862, 257648,
-                    36700, 1789386, 1346534,
+                    36700, 827808, 1148522,
                 ],
             },
         ),
