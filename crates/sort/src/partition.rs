@@ -20,13 +20,16 @@
 //!
 //! Error and cancellation discipline mirrors `SpillPipeline`: workers send
 //! errors in-band and exit; dropping the consumer closes the channels,
-//! which unblocks the workers, and `Drop` joins them all.
+//! which unblocks the workers, and `Drop` joins them all. Before it closes
+//! them, the drop lets every worker run as far ahead as its channel allows
+//! (or to the end of its range), so what each partition merged and read
+//! is a function of the batches the consumer took, not of thread timing.
 //!
 //! [`RunCatalog::open_range`]: histok_storage::RunCatalog::open_range
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use histok_storage::{KeyRange, RunMeta};
@@ -251,6 +254,7 @@ fn merge_sources_partitioned<K: SortKey>(
     tuning: &MergeTuning,
 ) -> Result<PartitionedMerge<K>> {
     let counters = PartitionCounters::new(partitions.len());
+    let progress = Arc::new(Progress::new(partitions.len()));
     let mut receivers = Vec::with_capacity(partitions.len());
     let mut workers: Vec<Option<JoinHandle<()>>> = Vec::with_capacity(partitions.len());
     for (i, sources) in partitions.into_iter().enumerate() {
@@ -263,8 +267,10 @@ fn merge_sources_partitioned<K: SortKey>(
         // byte-identical to a serial folded merge.
         let fold = tuning.fold.clone();
         let counters = counters.clone();
+        let progress = progress.clone();
         let spawned = std::thread::Builder::new().name(format!("pmerge-{i}")).spawn(move || {
-            merge_worker(sources, order, ovc, stats, fold, batch_rows, tx, counters, i)
+            merge_worker(sources, order, ovc, stats, fold, batch_rows, tx, counters, i, &progress);
+            progress.update(i, |p| p.1 = true);
         });
         match spawned {
             Ok(handle) => {
@@ -284,13 +290,48 @@ fn merge_sources_partitioned<K: SortKey>(
         }
     }
     Ok(PartitionedMerge {
+        received: vec![0; receivers.len()],
         receivers,
         workers,
         current: 0,
         buffer: Vec::new().into_iter(),
         counters,
+        progress,
         failed: false,
     })
+}
+
+/// Per partition, the batches its worker has merged and whether it is
+/// done (range ended, error sent or consumer gone).
+struct Progress {
+    state: Mutex<Vec<(u64, bool)>>,
+    cond: Condvar,
+}
+
+impl Progress {
+    fn new(partitions: usize) -> Self {
+        Progress { state: Mutex::new(vec![(0, false); partitions]), cond: Condvar::new() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<(u64, bool)>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn update(&self, partition: usize, f: impl FnOnce(&mut (u64, bool))) {
+        f(&mut self.lock()[partition]);
+        self.cond.notify_all();
+    }
+
+    /// Blocks until every worker is done or as far ahead as its channel
+    /// lets it go: `received[i]` batches taken, a full channel, and one
+    /// more batch in hand.
+    fn wait_settled(&self, received: &[u64]) {
+        let ahead = CHANNEL_DEPTH as u64 + 1;
+        let mut state = self.lock();
+        while state.iter().zip(received).any(|(&(merged, done), &r)| !done && merged < r + ahead) {
+            state = self.cond.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 /// One partition's merge loop: drain the loser tree through its batched
@@ -308,6 +349,7 @@ fn merge_worker<K: SortKey>(
     tx: SyncSender<Result<RowBatch<K>>>,
     counters: PartitionCounters,
     partition: usize,
+    progress: &Progress,
 ) {
     let mut tree = match LoserTree::with_ovc(sources, order, ovc, stats) {
         Ok(t) => t,
@@ -326,6 +368,7 @@ fn merge_worker<K: SortKey>(
                     return;
                 }
                 counters.add(partition, batch.len() as u64);
+                progress.update(partition, |p| p.0 += 1);
                 if tx.send(Ok(batch)).is_err() {
                     return;
                 }
@@ -351,6 +394,9 @@ pub(crate) struct PartitionedMerge<K: SortKey> {
     current: usize,
     buffer: std::vec::IntoIter<Row<K>>,
     counters: PartitionCounters,
+    /// Batches taken from each partition.
+    received: Vec<u64>,
+    progress: Arc<Progress>,
     failed: bool,
 }
 
@@ -366,8 +412,10 @@ impl<K: SortKey> PartitionedMerge<K> {
         self.counters.clone()
     }
 
-    /// Disconnects every worker and joins them (idempotent).
+    /// Lets every worker settle (module docs), then disconnects and joins
+    /// them all (idempotent).
     fn shut_down(&mut self) {
+        self.progress.wait_settled(&self.received);
         self.receivers.clear();
         for h in self.workers.iter_mut().filter_map(Option::take) {
             let _ = h.join();
@@ -392,7 +440,10 @@ impl<K: SortKey> Iterator for PartitionedMerge<K> {
                 continue;
             };
             match rx.recv() {
-                Ok(Ok(batch)) => self.buffer = batch.rows.into_iter(),
+                Ok(Ok(batch)) => {
+                    self.received[self.current] += 1;
+                    self.buffer = batch.rows.into_iter();
+                }
                 Ok(Err(e)) => {
                     self.failed = true;
                     self.shut_down();
@@ -471,6 +522,38 @@ mod tests {
         let keys = drain(m);
         assert_eq!(keys, (0..1600).collect::<Vec<_>>());
         assert_eq!(counters.snapshot().iter().sum::<u64>(), 1600);
+    }
+
+    /// A consumer that stops early leaves every worker as far ahead as its
+    /// channel allows, whatever the threads did meanwhile: rows merged per
+    /// partition and bytes read repeat exactly from one drop to the next.
+    #[test]
+    fn an_early_drop_settles_the_same_work_every_time() {
+        let run_once = || {
+            let cat = catalog(SortOrder::Ascending);
+            for i in 0..4u64 {
+                write_run(&cat, (0..4_000).map(|j| j * 4 + i));
+            }
+            let runs = cat.runs();
+            let ranges = plan_partitions(&runs, cat.order(), 4, None);
+            let planned = vec![Planned { catalog: cat.clone(), runs, residue: vec![] }];
+            let tuning = MergeTuning::default().with_batch_rows(16);
+            let mut m = merge_partitioned(planned, &ranges, cat.order(), &tuning).unwrap();
+            let counters = m.counters();
+            let keys: Vec<u64> = m.by_ref().take(100).map(|r| r.unwrap().key).collect();
+            assert_eq!(keys, (0..100).collect::<Vec<_>>());
+            drop(m);
+            let io = cat.stats().snapshot();
+            (counters.snapshot(), io.read_ops, io.bytes_read)
+        };
+        let first = run_once();
+        // Each worker holds a full channel and one batch more, past the
+        // seven batches the consumer took from the first.
+        let ahead = (CHANNEL_DEPTH as u64 + 1) * 16;
+        assert_eq!(first.0, [7 * 16 + ahead, ahead, ahead, ahead]);
+        for _ in 0..20 {
+            assert_eq!(run_once(), first);
+        }
     }
 
     #[test]
