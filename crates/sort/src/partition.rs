@@ -269,8 +269,8 @@ fn merge_sources_partitioned<K: SortKey>(
         let counters = counters.clone();
         let progress = progress.clone();
         let spawned = std::thread::Builder::new().name(format!("pmerge-{i}")).spawn(move || {
+            let _done = WorkerDone(&progress, i);
             merge_worker(sources, order, ovc, stats, fold, batch_rows, tx, counters, i, &progress);
-            progress.update(i, |p| p.1 = true);
         });
         match spawned {
             Ok(handle) => {
@@ -331,6 +331,16 @@ impl Progress {
         while state.iter().zip(received).any(|(&(merged, done), &r)| !done && merged < r + ahead) {
             state = self.cond.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+/// Marks a worker done when its thread leaves the merge loop, by return
+/// or by panic, so a consumer's drop never waits on a dead worker.
+struct WorkerDone<'a>(&'a Progress, usize);
+
+impl Drop for WorkerDone<'_> {
+    fn drop(&mut self) {
+        self.0.update(self.1, |p| p.1 = true);
     }
 }
 

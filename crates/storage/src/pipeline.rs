@@ -463,7 +463,7 @@ impl<K: SortKey> PrefetchingRunReader<K> {
     /// down the background side and settles the overlap ledger.
     fn shut_down(&mut self) {
         let mut st = lock(&self.shared.state);
-        // `reader` is gone only after a previous shutdown (no job active).
+        // No reader and no job: an earlier shutdown already settled.
         while !st.eof && st.ready.len() < READAHEAD_BLOCKS && (st.job_active || st.reader.is_some())
         {
             st = self.await_fill(st);
