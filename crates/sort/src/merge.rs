@@ -263,7 +263,7 @@ pub fn merge_runs_to_new<K: SortKey>(
     let mut tree = merge_sources(sources, order, tuning)?;
     let mut writer = catalog.start_run()?;
     let out_name = writer.name().to_string();
-    let merged: Result<RunMeta<K>> = (|| {
+    let merged: Result<()> = (|| {
         // Batched drain: pull a batch, clip it at the cutoff by scanning
         // the prefix column (one integer compare per row; key bytes are
         // touched only for wide keys whose prefix ties the cutoff's), and
@@ -313,10 +313,12 @@ pub fn merge_runs_to_new<K: SortKey>(
                 break;
             }
         }
-        writer.finish()
+        Ok(())
     })();
     drop(tree); // release readers before deleting their objects
-    let meta = match merged {
+    // Sealed write-behind: the output is registered (or, empty, deleted)
+    // while its last frame may still be on its way to storage.
+    let meta = match merged.and_then(|()| catalog.finish_run(writer)) {
         Ok(meta) => meta,
         Err(e) => {
             // The output object is half-written (or was abandoned by the
@@ -329,14 +331,6 @@ pub fn merge_runs_to_new<K: SortKey>(
     };
     for old in runs {
         catalog.remove(&old.name)?;
-    }
-    if meta.is_empty() {
-        // The cutoff eliminated every row: registering a zero-row run would
-        // cost a storage open and a prefetch source in every later merge
-        // pass. Delete the empty object and register nothing.
-        catalog.backend().delete(&meta.name)?;
-    } else {
-        catalog.register(meta.clone())?;
     }
     Ok(meta)
 }
@@ -497,6 +491,9 @@ impl<K: SortKey> FinalMerge<K> {
         let mut cascade = CascadeStats::default();
         let mut planned = Vec::with_capacity(inputs.len());
         for (catalog, residue) in inputs {
+            // Every run's last writes land (or fail the query) here, before
+            // the cascade reads the run set.
+            catalog.settle()?;
             let (runs, stats) =
                 plan_merges(&catalog, self.fan_in, self.limit, self.cutoff.as_ref(), &self.tuning)?;
             cascade = cascade.merged(&stats);

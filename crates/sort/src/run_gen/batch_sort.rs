@@ -257,8 +257,7 @@ impl<K: SortKey> BatchSort<K> {
             obs.row_spilled(&row.key);
         }
         if let Some(w) = writer {
-            let meta = w.finish()?;
-            self.catalog.register(meta)?;
+            self.catalog.finish_run(w)?;
             obs.run_finished();
         }
         self.rows.clear();

@@ -76,8 +76,7 @@ impl<K: SortKey> LoadSortStore<K> {
             obs.row_spilled(&row.key);
         }
         if let Some(w) = writer {
-            let meta = w.finish()?;
-            self.catalog.register(meta)?;
+            self.catalog.finish_run(w)?;
             obs.run_finished();
         }
         Ok(())

@@ -637,8 +637,7 @@ impl<K: SortKey> ReplacementSelection<K> {
 
     fn close_run(&mut self, obs: &mut dyn SpillObserver<K>) -> Result<()> {
         if let Some(writer) = self.writer.take() {
-            let meta = writer.finish()?;
-            self.catalog.register(meta)?;
+            self.catalog.finish_run(writer)?;
             obs.run_finished();
         }
         self.last_written = None;

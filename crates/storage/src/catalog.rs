@@ -5,6 +5,20 @@
 //! deletes every object when dropped — the cleanup a query engine performs
 //! when an operator closes. It is also the one place that decides how a
 //! run's bytes move: on its I/O pool when it has one, inline otherwise.
+//!
+//! **Write-behind seals.** [`RunCatalog::finish_run`] registers a pooled
+//! run as soon as its last frame is queued. The run stays *pending* while
+//! the pool writes that frame and finishes the object, so run generation
+//! goes on with the next run instead of waiting out the last round trip of
+//! each. Whatever needs a run's bytes waits for exactly that run and
+//! surfaces its write error: [`RunCatalog::open`], [`RunCatalog::open_range`],
+//! [`RunCatalog::remove`], [`RunCatalog::replace_all`] and
+//! [`RunCatalog::settle`], which the final merge calls before its cascade.
+//! At most one run is pending: sealing run r+1 queues its last frame, then
+//! settles run r. A catalog therefore holds at most one more writer's
+//! `SPILL_PIPELINE_DEPTH + 1` frames than a blocking seal would (768 KiB at
+//! the default block). Dropping the catalog cancels a pending run as
+//! dropping its writer would, then deletes every object.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -12,6 +26,7 @@ use std::sync::{Arc, Mutex};
 use histok_types::{Result, SortKey, SortOrder};
 
 use crate::backend::StorageBackend;
+use crate::pipeline::SpillPipeline;
 use crate::run::{KeyRange, RunMeta, RunReader, RunWriter};
 use crate::scheduler::{lock, IoScheduler, IoSchedulerHandle};
 use crate::stats::IoStats;
@@ -29,6 +44,9 @@ pub struct RunCatalog<K: SortKey> {
     /// run on this shared pool (gated on this catalog's backend); when
     /// not, both move inline on the calling thread.
     io_scheduler: Mutex<Option<IoSchedulerHandle>>,
+    /// The registered run whose last writes may still be in flight, by
+    /// name, with the pipeline writing them (module docs).
+    pending: Mutex<Option<(String, SpillPipeline)>>,
 }
 
 /// Process-global counter backing [`RunCatalog::unique_prefix`].
@@ -59,6 +77,7 @@ impl<K: SortKey> RunCatalog<K> {
             order,
             block_bytes: AtomicUsize::new(crate::run::DEFAULT_BLOCK_BYTES),
             io_scheduler: Mutex::new(None),
+            pending: Mutex::new(None),
         }
     }
 
@@ -101,8 +120,7 @@ impl<K: SortKey> RunCatalog<K> {
         lock(&self.io_scheduler).clone()
     }
 
-    /// Starts a new run; call [`RunCatalog::register`] with the meta
-    /// returned by `RunWriter::finish`.
+    /// Starts a new run; hand it back to [`RunCatalog::finish_run`].
     pub fn start_run(&self) -> Result<RunWriter<K>> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let name = format!("{}-{:06}", self.prefix, id);
@@ -126,8 +144,44 @@ impl<K: SortKey> RunCatalog<K> {
         Ok(())
     }
 
+    /// Seals `writer`'s run and registers it write-behind (module docs):
+    /// a pooled run's last frame is queued, not waited for, and the run
+    /// previously pending is settled. An empty run is deleted instead of
+    /// registered. Returns the run's metadata.
+    pub fn finish_run(&self, writer: RunWriter<K>) -> Result<RunMeta<K>> {
+        let (meta, pipeline) = writer.seal()?;
+        let mut pending = lock(&self.pending);
+        let previous = pending.take();
+        lock(&self.runs).push(meta.clone());
+        *pending = pipeline.map(|pipeline| (meta.name.clone(), pipeline));
+        previous.map_or(Ok(()), |(_, mut pipeline)| pipeline.settle())?;
+        drop(pending);
+        if meta.is_empty() {
+            self.remove(&meta.name)?;
+        }
+        Ok(meta)
+    }
+
+    /// Waits until every registered run is on storage and surfaces the
+    /// pending run's write error, if any.
+    pub fn settle(&self) -> Result<()> {
+        self.settle_pending(None)
+    }
+
+    /// Settles the pending run if it is `name` (any pending run for
+    /// `None`). The lock is held throughout, so another caller that needs
+    /// the same run waits for it too.
+    fn settle_pending(&self, name: Option<&str>) -> Result<()> {
+        let mut pending = lock(&self.pending);
+        match pending.take_if(|(run, _)| name.is_none_or(|name| name == run.as_str())) {
+            Some((_, mut pipeline)) => pipeline.settle(),
+            None => Ok(()),
+        }
+    }
+
     /// Opens a reader over a registered run.
     pub fn open(&self, meta: &RunMeta<K>) -> Result<RunReader<K>> {
+        self.settle_pending(Some(&meta.name))?;
         RunReader::open(self.backend.as_ref(), meta, self.stats.clone())
     }
 
@@ -135,6 +189,7 @@ impl<K: SortKey> RunCatalog<K> {
     /// skipping out-of-range blocks via the per-block key index (see
     /// [`RunReader::open_range`]).
     pub fn open_range(&self, meta: &RunMeta<K>, range: KeyRange<K>) -> Result<RunReader<K>> {
+        self.settle_pending(Some(&meta.name))?;
         RunReader::open_range(self.backend.as_ref(), meta, self.stats.clone(), range)
     }
 
@@ -156,12 +211,14 @@ impl<K: SortKey> RunCatalog<K> {
     /// Removes a run from the catalog and deletes its object (after a merge
     /// has consumed it).
     pub fn remove(&self, name: &str) -> Result<()> {
+        self.settle_pending(Some(name))?;
         lock(&self.runs).retain(|m| m.name != name);
         self.backend.delete(name)
     }
 
     /// Replaces the whole run set (after a merge rewrote the runs).
     pub fn replace_all(&self, new_runs: Vec<RunMeta<K>>) -> Result<()> {
+        self.settle()?;
         let old = std::mem::replace(&mut *lock(&self.runs), new_runs);
         let kept: Vec<String> = lock(&self.runs).iter().map(|m| m.name.clone()).collect();
         for meta in old {
@@ -190,6 +247,9 @@ impl<K: SortKey> RunCatalog<K> {
 
 impl<K: SortKey> Drop for RunCatalog<K> {
     fn drop(&mut self) {
+        // Cancel the pending run first: its job may still finish the
+        // object, and only then can the object be deleted.
+        drop(lock(&self.pending).take());
         for meta in lock(&self.runs).drain(..) {
             let _ = self.backend.delete(&meta.name);
         }

@@ -225,26 +225,24 @@ impl SpillPipeline {
         Ok(())
     }
 
-    /// Queues the run's last frame, waits out the background side — which
-    /// finishes the backend object behind that frame — and surfaces any
-    /// latched error. The wait (drain + completion) is booked as
-    /// compute-side I/O wait; the component's overlap ledger settles here.
-    pub(crate) fn finish(&mut self, last: Frame) -> Result<()> {
-        debug_assert!(last.last);
-        let queued = self.write_block(last);
+    /// Waits until the background side has written the run's last frame
+    /// and finished the object behind it, or the run failed, and surfaces
+    /// any latched error. Call only once the last frame is queued
+    /// ([`SpillPipeline::write_block`] with a `last` frame). The wait is
+    /// booked as compute-side I/O wait; the component's overlap ledger
+    /// settles here.
+    pub(crate) fn settle(&mut self) -> Result<()> {
         let started = Instant::now();
-        let drained = {
+        let failed = {
             let mut st = lock(&self.shared.state);
-            // If the last frame never made it into the queue, nothing will
-            // ever finish the run: only wait out a running job.
-            while st.job_active || (queued.is_ok() && !st.finished && st.failed.is_none()) {
+            while st.job_active || (!st.finished && st.failed.is_none()) {
                 st = wait(&self.shared.cond, st);
             }
             st.failed.take()
         };
         self.shared.ledger.record_wait(started.elapsed());
         self.shared.ledger.settle();
-        queued.and(drained.map_or(Ok(()), Err))
+        failed.map_or(Ok(()), Err)
     }
 }
 

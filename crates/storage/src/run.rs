@@ -501,15 +501,14 @@ impl<K: SortKey> RunWriter<K> {
                 written.map(|elapsed| self.stats.record_io_wait(elapsed))
             }
             // Hand the frame to the background side (it CRCs, patches the
-            // headers, writes, and books the stats) and start filling a
-            // fresh buffer. Blocks only when ≥2 frames are in flight — or,
-            // behind the last frame, until the object is finished.
-            BlockSink::Pooled(pipeline) if last => pipeline.finish(frame),
+            // headers, writes, and books the stats; behind the last frame
+            // it finishes the object) and start filling a fresh buffer.
+            // Blocks only when ≥2 frames are in flight.
             BlockSink::Pooled(pipeline) => pipeline.write_block(frame),
         };
         // Open the next frame even after a failed send, so a caller that
         // keeps appending meets the sink's error again, not a torn buffer.
-        // (`last` comes from `finish`, which consumes the writer.)
+        // (`last` comes from `seal`, which consumes the writer.)
         if !last {
             self.reserve_block_header();
         }
@@ -536,20 +535,36 @@ impl<K: SortKey> RunWriter<K> {
         self.decode_last_key()
     }
 
-    /// Seals the run and returns its metadata.
-    pub fn finish(mut self) -> Result<RunMeta<K>> {
+    /// Seals the run and returns its metadata once its object is finished:
+    /// the blocking seal, for writers used outside a
+    /// [`RunCatalog`](crate::RunCatalog). A catalog's runs are sealed
+    /// write-behind instead ([`RunCatalog::finish_run`](crate::RunCatalog::finish_run)).
+    pub fn finish(self) -> Result<RunMeta<K>> {
+        let (meta, pending) = self.seal()?;
+        pending.map_or(Ok(()), |mut pipeline| pipeline.settle())?;
+        Ok(meta)
+    }
+
+    /// Sends the run's last frame: an inline writer writes it and finishes
+    /// the object before returning; a pooled one only queues it and hands
+    /// back the pipeline still writing it, for the caller to settle.
+    pub(crate) fn seal(mut self) -> Result<(RunMeta<K>, Option<SpillPipeline>)> {
         self.seal_block(true)?;
-        self.bytes += BLOCK_HEADER_BYTES as u64;
         self.stats.record_run_created();
-        Ok(RunMeta {
-            name: self.name.clone(),
+        let meta = RunMeta {
+            name: self.name,
             rows: self.rows,
-            bytes: self.bytes,
-            first_key: self.first_key.clone(),
-            last_key: self.boundary_key.clone(),
-            blocks: std::mem::take(&mut self.blocks),
+            bytes: self.bytes + BLOCK_HEADER_BYTES as u64,
+            first_key: self.first_key,
+            last_key: self.boundary_key,
+            blocks: self.blocks,
             order: self.order,
-        })
+        };
+        let pending = match self.sink {
+            BlockSink::Pooled(pipeline) => Some(pipeline),
+            BlockSink::Inline(_) => None,
+        };
+        Ok((meta, pending))
     }
 }
 
