@@ -316,8 +316,8 @@ pub fn merge_runs_to_new<K: SortKey>(
         Ok(())
     })();
     drop(tree); // release readers before deleting their objects
-    // Sealed write-behind: the output is registered (or, empty, deleted)
-    // while its last frame may still be on its way to storage.
+                // Sealed write-behind: the output is registered (or, empty, deleted)
+                // while its last frame may still be on its way to storage.
     let meta = match merged.and_then(|()| catalog.finish_run(writer)) {
         Ok(meta) => meta,
         Err(e) => {
@@ -491,11 +491,11 @@ impl<K: SortKey> FinalMerge<K> {
         let mut cascade = CascadeStats::default();
         let mut planned = Vec::with_capacity(inputs.len());
         for (catalog, residue) in inputs {
-            // Every run's last writes land (or fail the query) here, before
-            // the cascade reads the run set.
-            catalog.settle()?;
             let (runs, stats) =
                 plan_merges(&catalog, self.fan_in, self.limit, self.cutoff.as_ref(), &self.tuning)?;
+            // Every run left lands on storage (or fails the query) here, so
+            // no merge worker ever meets a write error.
+            catalog.settle()?;
             cascade = cascade.merged(&stats);
             planned.push(Planned { catalog, runs, residue });
         }

@@ -24,6 +24,11 @@ pub struct FaultPlan {
     pub fail_read_after_bytes: Option<u64>,
     /// XOR-corrupt the byte at this global write offset.
     pub corrupt_write_byte_at: Option<u64>,
+    /// Fail the last request of the n-th object created (from 0): the
+    /// write that carries its run's end marker.
+    pub fail_last_write_of: Option<u64>,
+    /// Fail the `finish` of the n-th object created (from 0).
+    pub fail_finish_of: Option<u64>,
 }
 
 impl FaultPlan {
@@ -35,6 +40,7 @@ impl FaultPlan {
 
 #[derive(Debug, Default)]
 struct FaultState {
+    objects_created: AtomicU64,
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
     tripped: AtomicBool,
@@ -67,12 +73,26 @@ impl<B: StorageBackend> FaultBackend<B> {
 
 struct FaultWriter {
     inner: Box<dyn SpillWriter>,
+    /// Creation order of this writer's object.
+    object: u64,
     plan: Arc<FaultPlan>,
     state: Arc<FaultState>,
 }
 
+impl FaultWriter {
+    fn fail(&self, what: &str) -> Result<()> {
+        self.state.tripped.store(true, Ordering::Relaxed);
+        Err(Error::Injected(format!("{what} of object {} failed by plan", self.object)))
+    }
+}
+
 impl SpillWriter for FaultWriter {
     fn write_all(&mut self, data: &[u8]) -> Result<()> {
+        if self.plan.fail_last_write_of == Some(self.object)
+            && data.ends_with(&crate::run::encode_block_header(0, 0, 0))
+        {
+            return self.fail("last request");
+        }
         let start = self.state.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
         if let Some(limit) = self.plan.fail_write_after_bytes {
             if start + data.len() as u64 > limit {
@@ -92,6 +112,9 @@ impl SpillWriter for FaultWriter {
     }
 
     fn finish(&mut self) -> Result<u64> {
+        if self.plan.fail_finish_of == Some(self.object) {
+            self.fail("finish")?;
+        }
         self.inner.finish()
     }
 }
@@ -127,6 +150,7 @@ impl<B: StorageBackend> StorageBackend for FaultBackend<B> {
         }
         Ok(Box::new(FaultWriter {
             inner: self.inner.create(name)?,
+            object: self.state.objects_created.fetch_add(1, Ordering::Relaxed),
             plan: self.plan.clone(),
             state: self.state.clone(),
         }))
@@ -220,6 +244,28 @@ mod tests {
         let mut reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
         let result: Result<Vec<_>> = reader.by_ref().collect();
         assert!(matches!(result, Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn the_last_request_and_the_finish_of_one_object_fail_by_plan() {
+        let write_run = |be: &FaultBackend<MemoryBackend>, name: &str| {
+            let mut w: RunWriter<u64> =
+                RunWriter::with_block_bytes(be, name, SortOrder::Ascending, IoStats::new(), 64)
+                    .unwrap();
+            (0..100u64).try_for_each(|k| w.append(&Row::key_only(k))).and_then(|()| w.finish())
+        };
+        for plan in [
+            FaultPlan { fail_last_write_of: Some(1), ..FaultPlan::none() },
+            FaultPlan { fail_finish_of: Some(1), ..FaultPlan::none() },
+        ] {
+            let be = FaultBackend::new(MemoryBackend::new(), plan);
+            assert!(write_run(&be, "a").is_ok());
+            assert!(!be.fault_fired(), "object 0's requests all pass");
+            assert!(matches!(write_run(&be, "b"), Err(Error::Injected(_))));
+            assert!(be.fault_fired());
+            assert!(write_run(&be, "c").is_ok());
+            assert_eq!(be.inner().object_count(), 2);
+        }
     }
 
     #[test]

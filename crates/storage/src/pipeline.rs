@@ -17,7 +17,10 @@
 //!   Per open writer that is at most `SPILL_PIPELINE_DEPTH + 2` frames —
 //!   the one in the backend's hands, the queued ones, the one being
 //!   filled or waiting for room — of `REQUEST_BLOCKS` blocks each:
-//!   **1 MiB** at the default 64 KiB block.
+//!   **1 MiB** at the default 64 KiB block. A run sealed write-behind
+//!   ([`RunCatalog::finish_run`](crate::RunCatalog::finish_run)) keeps its
+//!   pipeline until it settles: at most `SPILL_PIPELINE_DEPTH + 1` more
+//!   frames, **768 KiB**, since a catalog keeps one run pending.
 //! * [`PrefetchingRunReader`] — read-ahead per merge input. The background
 //!   side fetches requests and CRC-checks and decodes their blocks one at
 //!   a time into a bounded buffer of decoded row batches, so loser-tree
@@ -52,6 +55,9 @@
 //! **Cancellation.** Dropping either wrapper marks the component abandoned,
 //! waits out at most one in-flight block job, and discards any unfinished
 //! backend object (same contract as dropping an inline `RunWriter`). A
+//! pending run is cancelled the same way when its catalog is dropped: a
+//! job already writing the last frame finishes the object, which the
+//! catalog then deletes; a frame still queued is never written. A
 //! consumer that abandons a merge stream mid-way therefore tears down
 //! every prefetch source deterministically. Before that, a prefetcher
 //! settles the read-ahead its consumer already asked for, so a reader
@@ -66,7 +72,10 @@
 //! component shutdown the ledger settles `busy − wait` (saturating) as
 //! `overlapped_io_ns` — the latency genuinely *hidden* from the compute
 //! thread — so the two counters never book the same nanoseconds twice and
-//! their per-component sum never exceeds the component's wall time.
+//! their per-component sum never exceeds the component's wall time. A
+//! pending run is no exception: whoever settles it (the next seal, an
+//! open, the final merge) books the time it blocks as `io_wait_ns`, and
+//! its ledger settles `busy − wait` then, or at cancellation.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};

@@ -71,7 +71,11 @@ const BLOCK_HEADER_BYTES: usize = 16;
 /// Builds the 16-byte framing header for a sealed block payload. The
 /// end-of-run marker is the header of an empty block: all-zero counts and
 /// the CRC of no bytes, which is 0.
-fn encode_block_header(rows: u32, payload_len: u32, crc: u32) -> [u8; BLOCK_HEADER_BYTES] {
+pub(crate) fn encode_block_header(
+    rows: u32,
+    payload_len: u32,
+    crc: u32,
+) -> [u8; BLOCK_HEADER_BYTES] {
     let mut header = [0u8; BLOCK_HEADER_BYTES];
     header[0..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
     header[4..8].copy_from_slice(&rows.to_le_bytes());
