@@ -316,8 +316,9 @@ pub fn merge_runs_to_new<K: SortKey>(
         Ok(())
     })();
     drop(tree); // release readers before deleting their objects
-                // Sealed write-behind: the output is registered (or, empty, deleted)
-                // while its last frame may still be on its way to storage.
+
+    // Sealed write-behind: the output is registered (or, empty, deleted)
+    // while its last frame may still be on its way to storage.
     let meta = match merged.and_then(|()| catalog.finish_run(writer)) {
         Ok(meta) => meta,
         Err(e) => {
@@ -493,9 +494,6 @@ impl<K: SortKey> FinalMerge<K> {
         for (catalog, residue) in inputs {
             let (runs, stats) =
                 plan_merges(&catalog, self.fan_in, self.limit, self.cutoff.as_ref(), &self.tuning)?;
-            // Every run left lands on storage (or fails the query) here, so
-            // no merge worker ever meets a write error.
-            catalog.settle()?;
             cascade = cascade.merged(&stats);
             planned.push(Planned { catalog, runs, residue });
         }
@@ -608,7 +606,7 @@ mod tests {
         for &k in keys {
             w.append(&Row::key_only(k)).unwrap();
         }
-        cat.register(w.finish().unwrap()).unwrap();
+        cat.finish_run(w).unwrap();
     }
 
     fn read_run(cat: &RunCatalog<u64>, meta: &RunMeta<u64>) -> Vec<u64> {

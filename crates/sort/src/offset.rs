@@ -219,7 +219,7 @@ mod tests {
             for j in 0..rows_per_run {
                 w.append(&Row::key_only(j * n_runs + r)).unwrap();
             }
-            cat.register(w.finish().unwrap()).unwrap();
+            cat.finish_run(w).unwrap();
         }
         cat
     }
@@ -303,7 +303,7 @@ mod tests {
         for j in 100..300u64 {
             w.append(&Row::key_only(j)).unwrap();
         }
-        cat.register(w.finish().unwrap()).unwrap();
+        cat.finish_run(w).unwrap();
         let residue: Vec<Row<u64>> = (0..100).map(Row::key_only).collect();
 
         let offset = 50u64;
@@ -338,7 +338,7 @@ mod tests {
             for j in (0..300u64).rev() {
                 w.append(&Row::key_only(j * 3 + r)).unwrap();
             }
-            cat.register(w.finish().unwrap()).unwrap();
+            cat.finish_run(w).unwrap();
         }
         let s = skip(&cat, Vec::new(), 123);
         let tree = merge(s.sources, SortOrder::Descending);

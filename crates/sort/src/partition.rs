@@ -498,7 +498,7 @@ mod tests {
         for k in keys {
             w.append(&Row::key_only(k)).unwrap();
         }
-        cat.register(w.finish().unwrap()).unwrap();
+        cat.finish_run(w).unwrap();
     }
 
     fn drain(m: PartitionedMerge<u64>) -> Vec<u64> {

@@ -72,7 +72,7 @@ fn write_runs<K: SortKey>(cat: &RunCatalog<K>, seeds: &[u64], key_fn: impl Fn(u6
         for row in &rows {
             w.append(row).unwrap();
         }
-        cat.register(w.finish().unwrap()).unwrap();
+        cat.finish_run(w).unwrap();
     }
 }
 

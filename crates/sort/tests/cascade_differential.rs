@@ -74,7 +74,7 @@ fn fresh_catalog<K: GridKey>(order: SortOrder) -> RunCatalog<K> {
         for (row, s) in seeds.into_iter().enumerate() {
             w.append(&Row::new(K::from_seed(s), payload(run, row))).unwrap();
         }
-        cat.register(w.finish().unwrap()).unwrap();
+        cat.finish_run(w).unwrap();
     }
     cat
 }

@@ -21,9 +21,7 @@ fn write_run(cat: &RunCatalog<u64>, keys: impl Iterator<Item = u64>) -> RunMeta<
     for k in keys {
         w.append(&Row::new(k, vec![0u8; 16])).unwrap();
     }
-    let meta = w.finish().unwrap();
-    cat.register(meta.clone()).unwrap();
-    meta
+    cat.finish_run(w).unwrap()
 }
 
 fn catalog(mem: &MemoryBackend, prefix: &str) -> RunCatalog<u64> {

@@ -35,7 +35,7 @@ fn write_count_run(cat: &RunCatalog<u64>, keys: impl Iterator<Item = u64>) {
     for k in keys {
         w.append(&Row::new(k, 1u64.to_le_bytes().to_vec())).unwrap();
     }
-    cat.register(w.finish().unwrap()).unwrap();
+    cat.finish_run(w).unwrap();
 }
 
 fn count_fold() -> MergeTuning {

@@ -34,7 +34,7 @@ fn write_run(cat: &RunCatalog<u64>, keys: impl Iterator<Item = u64>) {
     for k in keys {
         w.append(&Row::new(k, vec![0u8; 8])).unwrap();
     }
-    cat.register(w.finish().unwrap()).unwrap();
+    cat.finish_run(w).unwrap();
 }
 
 #[test]

@@ -137,7 +137,7 @@ proptest! {
             for k in sorted {
                 w.append(&Row::key_only(k)).unwrap();
             }
-            cat.register(w.finish().unwrap()).unwrap();
+            cat.finish_run(w).unwrap();
         }
         let final_runs =
             plan_merges(&cat, fan_in, None, None, &MergeTuning::default()).unwrap().0;
@@ -173,7 +173,7 @@ proptest! {
             for k in sorted {
                 w.append(&Row::key_only(k)).unwrap();
             }
-            cat.register(w.finish().unwrap()).unwrap();
+            cat.finish_run(w).unwrap();
         }
         let all = cat.runs();
         let merged = histok_sort::merge_runs_to_new(&cat, &all, Some(limit), None, &MergeTuning::default()).unwrap();

@@ -12,8 +12,9 @@
 //! goes on with the next run instead of waiting out the last round trip of
 //! each. Whatever needs a run's bytes waits for exactly that run and
 //! surfaces its write error: [`RunCatalog::open`], [`RunCatalog::open_range`],
-//! [`RunCatalog::remove`], [`RunCatalog::replace_all`] and
-//! [`RunCatalog::settle`], which the final merge calls before its cascade.
+//! [`RunCatalog::remove`] and [`RunCatalog::replace_all`]. The final merge
+//! opens every run it merges on the operator's thread, so a write error
+//! reaches the operator's `finish` at the latest.
 //! At most one run is pending: sealing run r+1 queues its last frame, then
 //! settles run r. A catalog therefore holds at most one more writer's
 //! `SPILL_PIPELINE_DEPTH + 1` frames than a blocking seal would (768 KiB at
@@ -162,12 +163,6 @@ impl<K: SortKey> RunCatalog<K> {
         Ok(meta)
     }
 
-    /// Waits until every registered run is on storage and surfaces the
-    /// pending run's write error, if any.
-    pub fn settle(&self) -> Result<()> {
-        self.settle_pending(None)
-    }
-
     /// Settles the pending run if it is `name` (any pending run for
     /// `None`). The lock is held throughout, so another caller that needs
     /// the same run waits for it too.
@@ -218,7 +213,7 @@ impl<K: SortKey> RunCatalog<K> {
 
     /// Replaces the whole run set (after a merge rewrote the runs).
     pub fn replace_all(&self, new_runs: Vec<RunMeta<K>>) -> Result<()> {
-        self.settle()?;
+        self.settle_pending(None)?;
         let old = std::mem::replace(&mut *lock(&self.runs), new_runs);
         let kept: Vec<String> = lock(&self.runs).iter().map(|m| m.name.clone()).collect();
         for meta in old {

@@ -73,9 +73,10 @@
 //! `overlapped_io_ns` — the latency genuinely *hidden* from the compute
 //! thread — so the two counters never book the same nanoseconds twice and
 //! their per-component sum never exceeds the component's wall time. A
-//! pending run is no exception: whoever settles it (the next seal, an
-//! open, the final merge) books the time it blocks as `io_wait_ns`, and
-//! its ledger settles `busy − wait` then, or at cancellation.
+//! pending run is no exception: whoever settles it (the next seal, or
+//! whoever opens or removes the run) books the time it blocks as
+//! `io_wait_ns`, and its ledger settles `busy − wait` then, or at
+//! cancellation.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};

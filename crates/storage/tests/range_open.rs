@@ -22,7 +22,7 @@ fn write_run(cat: &RunCatalog<u64>, keys: impl IntoIterator<Item = u64>) {
     for k in keys {
         w.append(&Row::key_only(k)).unwrap();
     }
-    cat.register(w.finish().unwrap()).unwrap();
+    cat.finish_run(w).unwrap();
 }
 
 fn read_range(cat: &RunCatalog<u64>, range: KeyRange<u64>) -> Vec<u64> {
