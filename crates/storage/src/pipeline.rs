@@ -55,16 +55,16 @@
 //! **Cancellation.** Dropping either wrapper marks the component abandoned,
 //! waits out at most one in-flight block job, and discards any unfinished
 //! backend object (same contract as dropping an inline `RunWriter`). A
-//! pending run is cancelled the same way when its catalog is dropped: a
-//! job already writing the last frame finishes the object, which the
-//! catalog then deletes; a frame still queued is never written. A
 //! consumer that abandons a merge stream mid-way therefore tears down
 //! every prefetch source deterministically. Before that, a prefetcher
 //! settles the read-ahead its consumer already asked for, so a reader
 //! fetches exactly min(batches taken + [`READAHEAD_BLOCKS`], blocks in its
 //! range): reads are a count of what the merge consumed, not of how far
 //! the pool got. On latency-bound storage the drop may wait out one
-//! request that an earlier drop would have skipped.
+//! request that an earlier drop would have skipped. A pending run
+//! is cancelled the same way when its catalog is dropped: a job already
+//! writing the last frame finishes the object, which the catalog then
+//! deletes; a frame still queued is never written.
 //!
 //! **Accounting.** Background I/O books its storage busy time into a
 //! per-component `OverlapLedger`; the compute thread books its blocked
