@@ -128,6 +128,43 @@ fn prefetch<T: ?Sized>(data: &T) {
     let _ = data;
 }
 
+/// Asks the CPU for the cache line at `addr` with intent to write
+/// (`PREFETCHW`): fetched exclusive, so a later atomic update of it does
+/// not have to ask the other cores for ownership again. A no-op off x86-64
+/// and on CPUs without the instruction.
+#[inline]
+#[allow(unsafe_code)]
+fn prefetch_for_write(addr: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::__cpuid;
+        use std::sync::LazyLock;
+        /// CPUID leaf 0x8000_0001, ECX bit 8: `PREFETCHW` is there.
+        static PREFETCHW: LazyLock<bool> = LazyLock::new(|| {
+            __cpuid(0x8000_0000).eax >= 0x8000_0001 && __cpuid(0x8000_0001).ecx & 1 << 8 != 0
+        });
+        if *PREFETCHW {
+            // SAFETY: the CPU has `PREFETCHW`, checked once above. A
+            // prefetch is a hint: it never faults, whatever the address,
+            // reads and writes nothing the program sees, and the
+            // instruction touches no register but its input, no flag and
+            // no stack.
+            unsafe {
+                std::arch::asm!(
+                    "prefetchw [{}]",
+                    in(reg) addr,
+                    options(readonly, nostack, preserves_flags)
+                )
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = addr;
+}
+
+/// Bytes an `Arc` keeps in front of its data: the strong and weak counts.
+const ARC_COUNTS_BYTES: usize = 2 * std::mem::size_of::<usize>();
+
 /// Where buffered rows park: a slot keeps its row until the row leaves.
 /// A row costs its slot, a 16-byte pair and a free-list word, against the
 /// 16 bytes [`row_footprint`] charges (ROADMAP item 1).
@@ -437,7 +474,10 @@ impl<K: SortKey> SelectionTree<K> {
     /// Rows leave in key order, not in the order they arrived, so the slot
     /// and payload of a row about to be written are usually cold lines: hint
     /// the payload of the row [`PREFETCH_AHEAD`] places after `chunk[i]`,
-    /// and the slot of the one twice as far (DESIGN.md §7).
+    /// and the slot of the one twice as far (DESIGN.md §7). The payload's
+    /// reference counts are hinted for writing: the write loop drops the
+    /// row, and the count's line was last written by the thread that made
+    /// the row, usually another core.
     #[inline]
     fn prefetch_ahead(&self, chunk: &[Leaving], i: usize) {
         if let Some(&(_, _, slot)) = chunk.get(i + 2 * PREFETCH_AHEAD) {
@@ -447,6 +487,9 @@ impl<K: SortKey> SelectionTree<K> {
             chunk.get(i + PREFETCH_AHEAD).map(|&(_, _, slot)| &self.slab.slots[slot as usize])
         {
             prefetch(&ahead.payload[..]);
+            if let Some(data) = ahead.payload.backing_ptr() {
+                prefetch_for_write(data.wrapping_sub(ARC_COUNTS_BYTES));
+            }
         }
     }
 }

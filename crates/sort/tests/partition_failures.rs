@@ -24,8 +24,16 @@ fn with_watchdog<F: FnOnce() + Send + 'static>(body: F) {
         let _ = tx.send(());
     });
     match rx.recv_timeout(TEST_TIMEOUT) {
-        Ok(()) => handle.join().unwrap(),
-        Err(_) => panic!("test body deadlocked (exceeded {TEST_TIMEOUT:?})"),
+        // A body that panicked drops the sender unsent: its panic is the
+        // failure, not a hang.
+        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("test body deadlocked (exceeded {TEST_TIMEOUT:?})")
+        }
     }
 }
 

@@ -23,7 +23,7 @@
 //!   given a pool moves its runs' bytes there; without one, inline.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod backend;
 pub mod catalog;

@@ -740,10 +740,15 @@ impl<K: SortKey> RunReader<K> {
     fn fetch_request(&mut self) -> Result<()> {
         let blocks = self.fetched..self.end_block.min(self.fetched + REQUEST_BLOCKS);
         let sizes = blocks.clone().map(|i| frame_bytes(i, self.index[i].1));
-        let mut request = vec![0u8; sizes.clone().sum()];
+        // Rows decode as zero-copy slices of this one refcounted buffer
+        // (`Buf for &[u8]` copies; `Buf for Bytes` does not), so the bytes
+        // land in it directly.
+        let mut request: Arc<[u8]> = std::iter::repeat_n(0, sizes.clone().sum()).collect();
+        let into = Arc::get_mut(&mut request)
+            .ok_or_else(|| Error::Io(std::io::Error::other("request buffer already shared")))?;
         // One Instant pair around the whole request — never per row.
         let started = Instant::now();
-        self.reader.read_exact(&mut request)?;
+        self.reader.read_exact(into)?;
         let elapsed = started.elapsed();
         let file_header = if blocks.start == 0 { FILE_HEADER_BYTES } else { 0 };
         self.stats.record_read_timed(
@@ -755,8 +760,6 @@ impl<K: SortKey> RunReader<K> {
             Some(ledger) => ledger.record_busy(elapsed),
             None => self.stats.record_io_wait(elapsed),
         }
-        // Rows decode as zero-copy slices of this one refcounted buffer
-        // (`Buf for &[u8]` copies; `Buf for Bytes` does not).
         let request = bytes::Bytes::from(request);
         let mut at = 0;
         for size in sizes {

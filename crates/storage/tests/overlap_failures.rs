@@ -29,8 +29,16 @@ fn with_watchdog<F: FnOnce() + Send + 'static>(body: F) {
         let _ = tx.send(());
     });
     match rx.recv_timeout(TEST_TIMEOUT) {
-        Ok(()) => handle.join().unwrap(),
-        Err(_) => panic!("test body deadlocked (exceeded {TEST_TIMEOUT:?})"),
+        // A body that panicked drops the sender unsent: its panic is the
+        // failure, not a hang.
+        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("test body deadlocked (exceeded {TEST_TIMEOUT:?})")
+        }
     }
 }
 
@@ -215,6 +223,8 @@ fn pipelined_spill_under_sleeping_throttle_does_not_deadlock() {
 struct GateState {
     arrived: u64,
     allowed: u64,
+    /// Requests that have run to completion.
+    passed: u64,
 }
 
 /// Where every request of a [`GatedBackend`] waits its turn: the `n`-th
@@ -230,7 +240,7 @@ struct Gate {
 
 impl Gate {
     fn open() -> Arc<Gate> {
-        let state = GateState { arrived: 0, allowed: u64::MAX };
+        let state = GateState { arrived: 0, allowed: u64::MAX, passed: 0 };
         Arc::new(Gate {
             state: std::sync::Mutex::new(state),
             cond: std::sync::Condvar::new(),
@@ -252,7 +262,10 @@ impl Gate {
             st = self.cond.wait(st).unwrap();
         }
         drop(st);
-        request()
+        let done = request();
+        self.lock().passed += 1;
+        self.cond.notify_all();
+        done
     }
 
     /// Holds every request that arrives from now on.
@@ -341,6 +354,16 @@ impl StorageBackend for GatedBackend {
     }
 }
 
+/// Rows of the inline run that the compute thread writes and reads while a
+/// pooled request is held. The held request is busy for all of that work;
+/// what the compute thread then waits for, unhidden, ends with its own
+/// wake-up, which no storage time covers. At 2,000 rows (~1.4 ms in a
+/// release build) that wake-up on a loaded two-core machine outlasted the
+/// work, and the pooled catalog booked no overlap, in 5 of 20 runs beside
+/// a second copy of the test; at 50,000 rows, in 1 of 300 runs with three
+/// copies at a time.
+const INLINE_ROWS: u64 = 50_000;
+
 /// Both catalogs book what they should, in the order the test imposes
 /// through a [`Gate`]: the pooled catalog's first write request and first
 /// read request are held while the compute thread does other work (the
@@ -373,8 +396,12 @@ fn io_wait_and_overlap_are_both_recorded_through_a_gate() {
         }
         drop(w);
 
-        // Writes. The pooled writer's first request is held while the
-        // compute thread writes and reads the whole inline run.
+        // Writes. The pooled writer's first request is held, and the two
+        // behind it queued, while the compute thread writes and reads the
+        // whole inline run. The compute thread then waits for the three to
+        // pass (not a storage wait) before it appends the rest, so the
+        // seal is all it waits for; the held request alone has been busy
+        // for the whole inline run.
         let started = std::time::Instant::now();
         pooled_gate.hold();
         let mut w = pooled.start_run().unwrap();
@@ -382,12 +409,16 @@ fn io_wait_and_overlap_are_both_recorded_through_a_gate() {
             w.append(&row(k)).unwrap();
         }
         pooled_gate.wait_until(|st| st.arrived >= 1);
-        let inline_meta = write_run(&inline, 2_000).unwrap();
+        for k in per_request..3 * per_request {
+            w.append(&row(k)).unwrap();
+        }
+        let inline_meta = write_run(&inline, INLINE_ROWS).unwrap();
         let inline_written = inline.stats().snapshot();
-        assert_eq!(read_run(&inline, &inline_meta).count(), 2_000);
+        assert_eq!(read_run(&inline, &inline_meta).count() as u64, INLINE_ROWS);
         let inline_read = inline.stats().snapshot().since(&inline_written);
         pooled_gate.release_all();
-        for k in per_request..4 * per_request {
+        pooled_gate.wait_until(|st| st.passed >= 3);
+        for k in 3 * per_request..4 * per_request {
             w.append(&row(k)).unwrap();
         }
         let meta = w.finish().unwrap();
@@ -402,7 +433,7 @@ fn io_wait_and_overlap_are_both_recorded_through_a_gate() {
         let held = pooled_gate.arrived();
         let mut rows = read_run(&pooled, &meta);
         pooled_gate.wait_until(|st| st.arrived > held);
-        assert_eq!(read_run(&inline, &inline_meta).count(), 2_000);
+        assert_eq!(read_run(&inline, &inline_meta).count() as u64, INLINE_ROWS);
         let read_rows = std::thread::scope(|scope| {
             scope.spawn(|| pooled_gate.release_when_asked());
             pooled_gate.ask();

@@ -60,6 +60,15 @@ impl Bytes {
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes { data: Some(Arc::from(data)), start: 0, end: data.len() }
     }
+
+    /// The first byte of the shared allocation behind this view (not of
+    /// the view), or `None` when the buffer owns no allocation. Only for
+    /// hints about the allocation, such as a prefetch of the `Arc`'s
+    /// reference counts, which sit in front of this byte: no method of
+    /// this crate takes the pointer back.
+    pub fn backing_ptr(&self) -> Option<*const u8> {
+        self.data.as_ref().map(|data| Arc::as_ptr(data).cast::<u8>())
+    }
 }
 
 impl Default for Bytes {
@@ -139,6 +148,13 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
         Bytes { data: Some(Arc::from(v.into_boxed_slice())), start: 0, end: len }
+    }
+}
+impl From<Arc<[u8]>> for Bytes {
+    /// Takes the allocation over as it is: no copy.
+    fn from(data: Arc<[u8]>) -> Self {
+        let len = data.len();
+        Bytes { data: Some(data), start: 0, end: len }
     }
 }
 impl From<Box<[u8]>> for Bytes {
@@ -312,6 +328,24 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
         assert!(Bytes::new().is_empty());
+    }
+
+    #[test]
+    fn an_arc_becomes_bytes_without_a_copy() {
+        let data: Arc<[u8]> = Arc::from(&[1u8, 2, 3][..]);
+        let at = Arc::as_ptr(&data).cast::<u8>();
+        let b = Bytes::from(data);
+        assert_eq!(b.as_slice(), &[1, 2, 3]);
+        assert_eq!(b.as_slice().as_ptr(), at, "the allocation was copied");
+    }
+
+    #[test]
+    fn backing_ptr_names_the_allocation_not_the_view() {
+        let b = Bytes::from(vec![1u8, 2, 3, 4, 5]);
+        let at = b.as_slice().as_ptr();
+        assert_eq!(b.backing_ptr(), Some(at));
+        assert_eq!(b.slice(2..4).backing_ptr(), Some(at));
+        assert_eq!(Bytes::new().backing_ptr(), None);
     }
 
     #[test]
