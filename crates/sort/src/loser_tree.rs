@@ -1,39 +1,47 @@
-//! Tournament (loser-tree) k-way merge with offset-value coding, batched.
+//! Tournament (loser-tree) k-way merge, batched, in two kernels.
 //!
 //! The standard structure for merging many sorted runs: each output row
-//! costs one leaf-to-root path of ⌈log₂ n⌉ duels, independent of how many
-//! sources are exhausted. Sources are [`RowSource`]s — rows arrive in
-//! block-granular [`RowBatch`]es whose pre-computed normalized-prefix
-//! column doubles as the duel code column, and [`LoserTree::merge_into`]
-//! drains the tree a batch at a time so refill and error checks are
+//! costs one leaf-to-root path of ⌈log₂ n⌉ matches, independent of how
+//! many sources are exhausted. Sources are [`RowSource`]s — rows arrive in
+//! block-granular [`RowBatch`]es with a pre-computed normalized-prefix
+//! column. Each source's head is a cursor into its current batch, so a
+//! merged row moves once, from that batch into the caller's, and
+//! [`LoserTree::merge_into`] drains a batch at a time so error checks are
 //! amortized per batch instead of per row.
 //!
-//! With offset-value coding enabled (the default), each source's head row
-//! carries an [`Ovc`] relative to the key it last lost a duel to. The
-//! invariant that makes single-integer duels sound: along the winner's
-//! leaf-to-root path, every parked loser's code is relative to the
-//! departing winner — exactly the base the refilled head's fresh code is
-//! taken against. When two codes differ, the smaller sorts earlier and the
-//! loser's existing code is already correct relative to the new winner
-//! (the classic OVC theorem); only equal codes fall back further.
+//! **Exact-prefix keys** ([`SortKey::norm_prefix_is_exact`]: the integers,
+//! `F64Key`) with coding on, the default, need no key bytes at all: the
+//! output-order prefix is the whole key. Each source's head is one `u128`
+//! code, `(prefix << 64) | source index`, or `u128::MAX` once the source is
+//! exhausted, and the tree's nodes hold codes, not sources. Ties between
+//! equal keys fall to the lower index inside the same compare, and no real
+//! code reaches the sentinel, since an index is below `u64::MAX`. A replay
+//! is then one compare and two `select_unpredictable`s per level, the
+//! branch-free form of replacement selection's `climb` (DESIGN.md §8).
 //!
-//! The batch prefix column makes both the fallback and the refill
-//! derivation branch-light. Normalized encodings are prefix-free across
-//! distinct keys, so when two 8-byte prefixes differ, the first differing
-//! byte is the keys' first normalized difference — `offset` is the xor's
+//! **Wide keys** keep offset-value coding: each head carries an [`Ovc`]
+//! relative to the key it last lost a match to. The invariant that makes
+//! single-integer matches sound: along the winner's leaf-to-root path,
+//! every parked loser's code is relative to the departing winner — exactly
+//! the base the refilled head's fresh code is taken against. When two
+//! codes differ, the smaller sorts earlier and the loser's existing code is
+//! already correct relative to the new winner (the classic OVC theorem);
+//! only equal codes fall back further. When two 8-byte prefixes differ,
+//! the first differing byte is the keys' first normalized difference
+//! (normalized encodings are prefix-free), so `offset` is the xor's
 //! leading-zero byte count and `value` is the loser's byte there, exactly
-//! the code a byte-level [`ovc_resolve`] would build. Keys whose whole
-//! normalized form fits the prefix ([`SortKey::norm_prefix_is_exact`]:
-//! the integers, `F64Key`) therefore never touch key bytes at all; only
-//! wide keys whose prefixes tie fall back to comparing full normalized
-//! suffixes, and those norms are (re-)encoded lazily. Duels decided on
-//! codes or prefixes alone count into `ovc_cmps`; byte-level resolutions
-//! count into `full_cmps`.
-//!
-//! Codes are derived within one tree only — batch boundaries never cross
-//! an OVC seam, because a refilled head's code is always taken against the
-//! row that just departed the same source, regardless of which batch
+//! the code a byte-level [`ovc_resolve`] would build. Only keys whose
+//! prefixes tie compare full normalized suffixes, encoded lazily. Codes
+//! are derived within one tree only: a refilled head's code is always
+//! taken against the row that just left the same source, whichever batch
 //! either row arrived in.
+//!
+//! Either way, a match decided on codes or prefixes alone counts into
+//! `ovc_cmps` and a byte-level resolution into `full_cmps`; a match is
+//! counted only when both heads are live. With coding off, every match of
+//! two live heads compares full keys.
+
+use std::hint::select_unpredictable;
 
 use histok_types::{
     norm_cmp, ovc_resolve, Aggregator, Ovc, Result, Row, RowBatch, SortKey, SortOrder,
@@ -42,6 +50,9 @@ use histok_types::{
 use crate::cmp_stats::CmpStats;
 use crate::fold::FoldSpec;
 use crate::source::{RowSource, DEFAULT_BATCH_ROWS};
+
+/// The code of an exhausted source: loses to every live head.
+const SPENT: u128 = u128::MAX;
 
 /// Builds the loser's code against the winner from two differing
 /// output-order prefixes. Sound because normalized encodings are
@@ -55,57 +66,32 @@ fn prefix_ovc(winner: u64, loser: u64) -> Ovc {
     Ovc::pack(at, (loser >> (56 - 8 * at)) as u8)
 }
 
-/// A partially consumed batch parked between a source and its head slot.
-struct Pending<K> {
+/// A source's current batch, consumed front to back: the first row left
+/// is the source's head.
+struct Cursor<K> {
     rows: std::vec::IntoIter<Row<K>>,
     prefixes: std::vec::IntoIter<u64>,
 }
 
-impl<K: SortKey> Pending<K> {
-    fn empty() -> Self {
-        Pending { rows: Vec::new().into_iter(), prefixes: Vec::new().into_iter() }
-    }
-
-    fn from_batch(batch: RowBatch<K>) -> Self {
-        Pending { rows: batch.rows.into_iter(), prefixes: batch.prefixes.into_iter() }
+impl<K> Cursor<K> {
+    fn new(batch: RowBatch<K>) -> Self {
+        Cursor { rows: batch.rows.into_iter(), prefixes: batch.prefixes.into_iter() }
     }
 
     #[inline]
-    fn next(&mut self) -> Option<(Row<K>, u64)> {
-        match (self.rows.next(), self.prefixes.next()) {
-            (Some(row), Some(prefix)) => Some((row, prefix)),
-            _ => None,
-        }
+    fn head(&self) -> Option<&Row<K>> {
+        self.rows.as_slice().first()
     }
-}
 
-/// Pulls the next `(row, raw_prefix)` from `source`, refilling the parked
-/// batch as needed. A source error is latched into `pending_error` (first
-/// one wins) and reads as exhaustion — the tree surfaces it between rows.
-fn pull_from<K: SortKey, S: RowSource<K>>(
-    source: &mut S,
-    pending: &mut Pending<K>,
-    target: usize,
-    pending_error: &mut Option<histok_types::Error>,
-) -> Option<(Row<K>, u64)> {
-    loop {
-        if let Some(pair) = pending.next() {
-            return Some(pair);
-        }
-        match source.next_batch(target) {
-            Ok(Some(batch)) => {
-                if !batch.is_empty() {
-                    *pending = Pending::from_batch(batch);
-                }
-            }
-            Ok(None) => return None,
-            Err(e) => {
-                if pending_error.is_none() {
-                    *pending_error = Some(e);
-                }
-                return None;
-            }
-        }
+    /// The head's raw (ascending-order) prefix.
+    #[inline]
+    fn prefix(&self) -> Option<u64> {
+        self.prefixes.as_slice().first().copied()
+    }
+
+    #[inline]
+    fn take(&mut self) -> Option<(Row<K>, u64)> {
+        Some((self.rows.next()?, self.prefixes.next()?))
     }
 }
 
@@ -132,34 +118,35 @@ fn pull_from<K: SortKey, S: RowSource<K>>(
 /// ```
 pub struct LoserTree<K: SortKey, S: RowSource<K>> {
     sources: Vec<S>,
-    /// Partially consumed batch per source, drained before pulling again.
-    pending: Vec<Pending<K>>,
-    /// `tree[t]` = loser (source index) parked at internal node `t`;
-    /// nodes `1..n`, node 0 unused.
+    /// Each source's current batch; empty once the source is exhausted.
+    cursors: Vec<Cursor<K>>,
+    /// Whether the code kernel runs: exact-prefix keys with coding on.
+    exact: bool,
+    /// Code kernel: `codes[t]` = code of the loser parked at internal node
+    /// `t` (nodes `1..n`); `codes[0]` = the winner's.
+    codes: Vec<u128>,
+    /// OVC kernel: `tree[t]` = loser (source index) parked at internal node
+    /// `t`; nodes `1..n`, node 0 unused.
     tree: Vec<usize>,
-    /// Head row of each source (`None` = exhausted).
-    heads: Vec<Option<Row<K>>>,
-    /// Output-order normalized prefix of each head (`raw ^ out_mask`;
-    /// stale when the head is `None`).
-    head_prefixes: Vec<u64>,
+    /// OVC kernel: the winning source.
+    winner: usize,
     /// XOR mask mapping raw (ascending) prefixes into output order:
     /// 0 ascending, `!0` descending.
     out_mask: u64,
     /// Full normalized bytes of each head — maintained lazily, only for
     /// key types whose prefix is not exact (see `norm_valid`).
     norms: Vec<Vec<u8>>,
-    /// Whether `norms[i]` currently encodes `heads[i]`.
+    /// Whether `norms[i]` currently encodes source `i`'s head.
     norm_valid: Vec<bool>,
     /// Each head's code relative to the key it last lost to.
     ovcs: Vec<Ovc>,
     /// Scratch for encoding a refilled head before swapping into `norms`.
     scratch: Vec<u8>,
-    winner: usize,
     order: SortOrder,
     ovc_enabled: bool,
     /// Batch-size hint passed to the sources on refill.
     batch_target: usize,
-    /// Duels decided by comparing two codes or two prefixes (one integer
+    /// Matches decided by comparing two codes or two prefixes (one integer
     /// compare each).
     ovc_cmps: u64,
     /// Byte-level key resolutions (wide-key prefix ties).
@@ -189,41 +176,28 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
     /// Builds a merge with explicit control over offset-value coding and
     /// an optional shared comparison-counter sink (flushed on drop).
     pub fn with_ovc(
-        mut sources: Vec<S>,
+        sources: Vec<S>,
         order: SortOrder,
         ovc_enabled: bool,
         stats: Option<CmpStats>,
     ) -> Result<Self> {
         let n = sources.len();
-        let out_mask = match order {
-            SortOrder::Ascending => 0,
-            SortOrder::Descending => !0u64,
-        };
-        let mut pending: Vec<Pending<K>> = (0..n).map(|_| Pending::empty()).collect();
-        let mut heads = Vec::with_capacity(n);
-        let mut head_prefixes = vec![0u64; n];
-        let mut pending_error = None;
-        for (i, s) in sources.iter_mut().enumerate() {
-            match pull_from(s, &mut pending[i], DEFAULT_BATCH_ROWS, &mut pending_error) {
-                Some((row, raw)) => {
-                    head_prefixes[i] = raw ^ out_mask;
-                    heads.push(Some(row));
-                }
-                None => heads.push(None),
-            }
-        }
+        let exact = ovc_enabled && K::norm_prefix_is_exact();
         let mut lt = LoserTree {
             sources,
-            pending,
-            tree: vec![usize::MAX; n.max(1)],
-            heads,
-            head_prefixes,
-            out_mask,
+            cursors: (0..n).map(|_| Cursor::new(RowBatch::new())).collect(),
+            exact,
+            codes: if exact { vec![SPENT; n.max(1)] } else { Vec::new() },
+            tree: if exact { Vec::new() } else { vec![usize::MAX; n.max(1)] },
+            winner: 0,
+            out_mask: match order {
+                SortOrder::Ascending => 0,
+                SortOrder::Descending => !0u64,
+            },
             norms: vec![Vec::new(); n],
             norm_valid: vec![false; n],
             ovcs: vec![Ovc::EQUAL; n],
             scratch: Vec::new(),
-            winner: 0,
             order,
             ovc_enabled,
             batch_target: DEFAULT_BATCH_ROWS,
@@ -233,9 +207,12 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
             stats,
             fold: None,
             rows_folded: 0,
-            pending_error,
+            pending_error: None,
             done: n == 0,
         };
+        for i in 0..n {
+            lt.refill(i);
+        }
         if n > 0 {
             lt.rebuild();
         }
@@ -255,9 +232,8 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
 
     /// Enables (or disables) duplicate folding: successive equal-key rows
     /// are combined into one output row, their payloads merged by the
-    /// spec's aggregator. The double-EQUAL tie-break path already
-    /// identifies equal keys without touching key bytes, so folding adds
-    /// no comparisons for exact-prefix key types.
+    /// spec's aggregator. Exact-prefix keys recognise an equal winner on
+    /// its code, so folding adds no comparisons for them.
     pub fn set_fold(&mut self, fold: Option<FoldSpec>) {
         self.fold = fold;
     }
@@ -267,45 +243,74 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
         self.rows_folded
     }
 
+    /// Pulls batches into source `i`'s cursor until it shows a row and
+    /// returns that head's raw prefix, or `None` once the source is
+    /// exhausted. A source error is latched into `pending_error` (first one
+    /// wins) and reads as exhaustion — the tree surfaces it between rows.
+    #[cold]
+    fn refill(&mut self, i: usize) -> Option<u64> {
+        loop {
+            if let Some(prefix) = self.cursors[i].prefix() {
+                return Some(prefix);
+            }
+            match self.sources[i].next_batch(self.batch_target) {
+                Ok(Some(batch)) => self.cursors[i] = Cursor::new(batch),
+                Ok(None) => return None,
+                Err(e) => {
+                    self.pending_error.get_or_insert(e);
+                    return None;
+                }
+            }
+        }
+    }
+
+    /// Source `i`'s code for a head with output-order prefix `out`.
+    #[inline]
+    fn code(out: u64, i: usize) -> u128 {
+        u128::from(out) << 64 | i as u128
+    }
+
+    /// The source whose head is emitted next (out of range once every
+    /// source is exhausted in the code kernel).
+    #[inline]
+    fn winner(&self) -> usize {
+        if self.exact {
+            self.codes[0] as usize
+        } else {
+            self.winner
+        }
+    }
+
+    /// The output-order prefix of source `i`'s head.
+    fn out_prefix(&self, i: usize) -> u64 {
+        self.cursors[i].prefix().unwrap_or(0) ^ self.out_mask
+    }
+
     /// Re-encodes `norms[i]` from the current head if it is stale.
     fn ensure_norm(&mut self, i: usize) {
         if !self.norm_valid[i] {
             self.norms[i].clear();
-            if let Some(row) = &self.heads[i] {
+            if let Some(row) = self.cursors[i].head() {
                 row.key.norm_encode(&mut self.norms[i]);
             }
             self.norm_valid[i] = true;
         }
     }
 
-    /// Decides a duel between sources `a` and `b`, returning the winner
-    /// (the source whose head is emitted first) and reseating the loser's
-    /// code relative to the winner when codes alone could not decide.
+    /// OVC kernel: decides a match between sources `a` and `b`, returning
+    /// the winner (the source whose head is emitted first) and reseating
+    /// the loser's code relative to the winner when codes alone could not
+    /// decide.
     ///
     /// `fresh` requests an unconditional resolution — used while
     /// (re)building the tournament, when the two heads' codes are not yet
     /// relative to a common base.
     fn duel(&mut self, a: usize, b: usize, fresh: bool) -> usize {
-        match (&self.heads[a], &self.heads[b]) {
+        match (self.cursors[a].head(), self.cursors[b].head()) {
             (Some(ra), Some(rb)) => {
                 if !self.ovc_enabled {
                     self.full_cmps += 1;
                     return match self.order.cmp_keys(&ra.key, &rb.key) {
-                        std::cmp::Ordering::Less => a,
-                        std::cmp::Ordering::Greater => b,
-                        std::cmp::Ordering::Equal => a.min(b),
-                    };
-                }
-                if K::norm_prefix_is_exact() {
-                    // Exact-prefix keys: the output-order prefix *is* the
-                    // whole key, so one integer duel on the flat prefix
-                    // column decides — cheaper than both code maintenance
-                    // (no derivation on refill) and a full comparison (no
-                    // `Row` dereference). Codes are not maintained for
-                    // these key types; see `refill_winner`.
-                    self.ovc_cmps += 1;
-                    let (pa, pb) = (self.head_prefixes[a], self.head_prefixes[b]);
-                    return match pa.cmp(&pb) {
                         std::cmp::Ordering::Less => a,
                         std::cmp::Ordering::Greater => b,
                         std::cmp::Ordering::Equal => a.min(b),
@@ -339,12 +344,12 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
         }
     }
 
-    /// Resolves a duel the codes could not decide: on the prefix column
+    /// Resolves a match the codes could not decide: on the prefix column
     /// when the prefixes differ (one integer compare, and the loser's
     /// code falls out of the xor), otherwise on the full normalized keys
     /// from byte `from`.
     fn duel_resolve(&mut self, a: usize, b: usize, from: usize) -> usize {
-        let (oa, ob) = (self.head_prefixes[a], self.head_prefixes[b]);
+        let (oa, ob) = (self.out_prefix(a), self.out_prefix(b));
         if oa != ob {
             self.ovc_cmps += 1;
             return if oa < ob {
@@ -355,16 +360,6 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
                 b
             };
         }
-        if K::norm_prefix_is_exact() {
-            // The whole normalized key fits the prefix: equal prefixes are
-            // equal keys. Stable tie-break; the loser is byte-identical to
-            // the winner, so its code against the winner is EQUAL. The
-            // winner keeps its code (still relative to its previous base).
-            self.ovc_cmps += 1;
-            let (w, l) = if a < b { (a, b) } else { (b, a) };
-            self.ovcs[l] = Ovc::EQUAL;
-            return w;
-        }
         // Wide keys agreeing through the prefix: compare the normalized
         // suffixes. Equal prefixes guarantee agreement through byte
         // min(8, len) (prefix-free encodings), so the scan starts there.
@@ -374,7 +369,7 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
         if from >= self.norms[a].len() && from >= self.norms[b].len() {
             // Both normalized strings end at or before the scan start, so
             // the resolve touches zero key bytes (prefix-freeness makes
-            // the keys equal): this duel was decided on the prefix/OVC
+            // the keys equal): this match was decided on the prefix/OVC
             // column alone and books as an OVC comparison.
             self.ovc_cmps += 1;
         } else {
@@ -398,19 +393,29 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
         }
     }
 
-    /// Full bottom-up tournament; O(n). Every duel resolves fully so each
-    /// parked loser's code ends up relative to the winner it lost to.
+    /// Full bottom-up tournament; O(n). In the OVC kernel every match
+    /// resolves fully, so each parked loser's code ends up relative to the
+    /// winner it lost to.
     fn rebuild(&mut self) {
         let n = self.sources.len();
-        if n == 1 {
-            self.winner = 0;
+        if self.exact {
+            // at[t]: the winning code at node t; leaves are n..2n.
+            let mut at = vec![SPENT; 2 * n];
+            for i in 0..n {
+                at[n + i] =
+                    self.cursors[i].prefix().map_or(SPENT, |p| Self::code(p ^ self.out_mask, i));
+            }
+            for t in (1..n).rev() {
+                let (a, b) = (at[2 * t], at[2 * t + 1]);
+                self.ovc_cmps += u64::from(a != SPENT && b != SPENT);
+                at[t] = a.min(b);
+                self.codes[t] = a.max(b);
+            }
+            self.codes[0] = at[1];
             return;
         }
         // winner_at[t] for internal nodes 1..n; leaves are n..2n.
-        let mut winner_at = vec![usize::MAX; 2 * n];
-        for (i, slot) in winner_at.iter_mut().enumerate().take(2 * n).skip(n) {
-            *slot = i - n;
-        }
+        let mut winner_at: Vec<usize> = (0..2 * n).map(|t| t.wrapping_sub(n)).collect();
         for t in (1..n).rev() {
             let a = winner_at[2 * t];
             let b = winner_at[2 * t + 1];
@@ -421,15 +426,31 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
         self.winner = winner_at[1];
     }
 
-    /// Replays the tournament along the winner's path after its head
-    /// changed; O(log n). Parked losers along this path last lost to the
-    /// departed winner — the same base the climber's code was derived
-    /// against — so code-only duels are sound.
+    /// Code kernel: replays source `i`'s new `code` from its leaf to the
+    /// root, one compare and two selects per level; the smaller code climbs
+    /// on, the larger stays parked. No branch depends on a key.
+    #[inline]
+    fn replay(&mut self, i: usize, mut code: u128) {
+        let mut t = (i + self.codes.len()) >> 1;
+        let mut live = 0;
+        while t > 0 {
+            let parked = self.codes[t];
+            live += u64::from((parked != SPENT) & (code != SPENT));
+            let climbs = parked < code;
+            self.codes[t] = select_unpredictable(climbs, code, parked);
+            code = select_unpredictable(climbs, parked, code);
+            t >>= 1;
+        }
+        self.codes[0] = code;
+        self.ovc_cmps += live;
+    }
+
+    /// OVC kernel: replays the tournament along the winner's path after
+    /// its head changed; O(log n). Parked losers along this path last lost
+    /// to the departed winner — the same base the climber's code was
+    /// derived against — so code-only matches are sound.
     fn adjust(&mut self) {
         let n = self.sources.len();
-        if n == 1 {
-            return;
-        }
         let mut s = self.winner;
         let mut t = (s + n) / 2;
         while t > 0 {
@@ -442,102 +463,97 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
         self.winner = s;
     }
 
-    /// Refills the winner's head from its source, deriving the new head's
-    /// code against `departed` (its run predecessor). With prefix codes
-    /// the derivation is a xor and a shift; only wide keys whose prefixes
-    /// tie re-encode and scan normalized bytes.
-    fn refill_winner(&mut self, departed: &Row<K>) {
+    /// OVC kernel: derives the winner's refilled head's code against the
+    /// row that just left it (output-order prefix `prev_out`), then
+    /// replays. With prefix codes the derivation is a xor and a shift;
+    /// only prefix ties re-encode and scan normalized bytes.
+    fn derive_and_adjust(&mut self, departed: &Row<K>, prev_out: u64) {
         let i = self.winner;
-        let prev_out = self.head_prefixes[i];
-        let pulled = pull_from(
-            &mut self.sources[i],
-            &mut self.pending[i],
-            self.batch_target,
-            &mut self.pending_error,
-        );
-        match pulled {
-            Some((row, raw)) => {
-                let out = raw ^ self.out_mask;
-                if self.ovc_enabled {
-                    if K::norm_prefix_is_exact() {
-                        // Duels on exact keys read the prefix column
-                        // directly (see `duel`); no code to derive.
-                        debug_assert!(prev_out <= out, "source not sorted in the requested order");
-                    } else if out != prev_out {
-                        debug_assert!(prev_out < out, "source not sorted in the requested order");
-                        self.ovc_cmps += 1;
-                        self.ovcs[i] = prefix_ovc(prev_out, out);
-                        self.norm_valid[i] = false;
-                    } else {
-                        // Prefix tie on a wide key: resolve on the full
-                        // normalized bytes. The departed row's norm may
-                        // never have been encoded (it is kept lazily);
-                        // rebuild the base from the row itself.
-                        if !self.norm_valid[i] {
-                            self.norms[i].clear();
-                            departed.key.norm_encode(&mut self.norms[i]);
-                        }
-                        self.scratch.clear();
-                        row.key.norm_encode(&mut self.scratch);
-                        debug_assert!(
-                            norm_cmp(&self.norms[i], &self.scratch, self.order)
-                                != std::cmp::Ordering::Greater,
-                            "source not sorted in the requested order"
-                        );
-                        if self.norms[i].len() <= 8 && self.scratch.len() <= 8 {
-                            // Equal keys recognized without scanning a
-                            // byte (see `duel_resolve`).
-                            self.ovc_cmps += 1;
-                        } else {
-                            self.full_cmps += 1;
-                        }
-                        self.ovcs[i] =
-                            ovc_resolve(&self.norms[i], &self.scratch, 8, self.order).loser_ovc;
-                        std::mem::swap(&mut self.norms[i], &mut self.scratch);
-                        self.norm_valid[i] = true;
-                    }
+        if let (true, Some(raw)) = (self.ovc_enabled, self.cursors[i].prefix()) {
+            let out = raw ^ self.out_mask;
+            if out != prev_out {
+                debug_assert!(prev_out < out, "source not sorted in the requested order");
+                self.ovc_cmps += 1;
+                self.ovcs[i] = prefix_ovc(prev_out, out);
+                self.norm_valid[i] = false;
+            } else {
+                // Prefix tie on a wide key: resolve on the full normalized
+                // bytes. The departed row's norm may never have been
+                // encoded (it is kept lazily); rebuild the base from the
+                // row itself.
+                if !self.norm_valid[i] {
+                    self.norms[i].clear();
+                    departed.key.norm_encode(&mut self.norms[i]);
                 }
-                self.heads[i] = Some(row);
-                self.head_prefixes[i] = out;
-            }
-            None => {
-                self.heads[i] = None;
+                self.scratch.clear();
+                if let Some(head) = self.cursors[i].head() {
+                    head.key.norm_encode(&mut self.scratch);
+                }
+                debug_assert!(
+                    norm_cmp(&self.norms[i], &self.scratch, self.order)
+                        != std::cmp::Ordering::Greater,
+                    "source not sorted in the requested order"
+                );
+                if self.norms[i].len() <= 8 && self.scratch.len() <= 8 {
+                    // Equal keys recognized without scanning a byte (see
+                    // `duel_resolve`).
+                    self.ovc_cmps += 1;
+                } else {
+                    self.full_cmps += 1;
+                }
+                self.ovcs[i] = ovc_resolve(&self.norms[i], &self.scratch, 8, self.order).loser_ovc;
+                std::mem::swap(&mut self.norms[i], &mut self.scratch);
+                self.norm_valid[i] = true;
             }
         }
         self.adjust();
     }
 
-    /// Absorbs every successive winning head equal to `row`'s key into
-    /// `row`'s payload (fold mode). Runs until the winning key changes or
-    /// the sources drain, so a fold never straddles a batch boundary and
-    /// every emitted key is distinct. Equality rides the duel machinery's
-    /// invariants: with coding enabled, equal output-order prefixes plus
-    /// an exact prefix (or a confirming key compare for wide keys) mean
-    /// equal keys.
-    fn fold_equal_heads(&mut self, agg: &dyn Aggregator, row: &mut Row<K>, out_prefix: u64) {
-        while self.pending_error.is_none() {
-            let w = self.winner;
-            let equal = match &self.heads[w] {
-                Some(h) => {
-                    if self.ovc_enabled {
-                        self.head_prefixes[w] == out_prefix
-                            && (K::norm_prefix_is_exact() || h.key == row.key)
-                    } else {
-                        h.key == row.key
-                    }
-                }
-                None => false,
-            };
-            if !equal {
-                break;
-            }
-            let dup = self.heads[w].take().expect("head checked above");
-            self.refill_winner(&dup);
-            if let Some(folded) = agg.fold(&row.payload, &dup.payload) {
-                row.payload = folded;
-            }
-            self.rows_folded += 1;
+    /// Takes the winning head out of its batch, with its raw prefix, and
+    /// replays the tournament for its source's next row; `None` once every
+    /// source is exhausted.
+    #[inline]
+    fn step(&mut self) -> Option<(Row<K>, u64)> {
+        let i = self.winner();
+        let (row, raw) = self.cursors.get_mut(i)?.take()?;
+        let next = self.cursors[i].prefix().or_else(|| self.refill(i));
+        if self.exact {
+            let code = next.map_or(SPENT, |p| Self::code(p ^ self.out_mask, i));
+            debug_assert!(Self::code(raw ^ self.out_mask, i) <= code, "source not sorted");
+            self.replay(i, code);
+        } else {
+            self.derive_and_adjust(&row, raw ^ self.out_mask);
         }
+        Some((row, raw))
+    }
+
+    /// Whether the next head's key equals `key` (output-order prefix
+    /// `out`): on the code alone for exact-prefix keys.
+    fn winner_is(&self, key: &K, out: u64) -> bool {
+        if self.exact {
+            let code = self.codes[0];
+            return code != SPENT && (code >> 64) as u64 == out;
+        }
+        self.cursors[self.winner].head().is_some_and(|h| h.key == *key)
+    }
+
+    /// The next output row with its raw prefix. In fold mode it absorbs
+    /// every following equal-key row into its payload, until the winning
+    /// key changes or the sources drain, so a fold never straddles a batch
+    /// boundary and every emitted key is distinct.
+    #[inline]
+    fn pop(&mut self, agg: Option<&dyn Aggregator>) -> Option<(Row<K>, u64)> {
+        let (mut row, raw) = self.step()?;
+        if let Some(agg) = agg {
+            while self.pending_error.is_none() && self.winner_is(&row.key, raw ^ self.out_mask) {
+                let Some((dup, _)) = self.step() else { break };
+                if let Some(folded) = agg.fold(&row.payload, &dup.payload) {
+                    row.payload = folded;
+                }
+                self.rows_folded += 1;
+            }
+        }
+        Some((row, raw))
     }
 
     /// Peeks at the key that would be produced next.
@@ -545,7 +561,7 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
         if self.done {
             return None;
         }
-        self.heads[self.winner].as_ref().map(|r| &r.key)
+        self.cursors.get(self.winner())?.head().map(|r| &r.key)
     }
 
     /// Drains up to `max_rows` rows into `out` (cleared first), carrying
@@ -569,23 +585,13 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
         }
         let agg = self.fold.as_ref().map(|f| f.agg.clone());
         while out.len() < max_rows {
-            let i = self.winner;
-            match self.heads[i].take() {
-                Some(mut row) => {
-                    let out_prefix = self.head_prefixes[i];
-                    self.refill_winner(&row);
-                    if let Some(agg) = &agg {
-                        self.fold_equal_heads(agg.as_ref(), &mut row, out_prefix);
-                    }
-                    out.push_with_prefix(row, out_prefix ^ self.out_mask);
-                    if self.pending_error.is_some() {
-                        break;
-                    }
-                }
-                None => {
-                    self.done = true;
-                    break;
-                }
+            let Some((row, raw)) = self.pop(agg.as_deref()) else {
+                self.done = true;
+                break;
+            };
+            out.push_with_prefix(row, raw);
+            if self.pending_error.is_some() {
+                break;
             }
         }
         if !out.is_empty() {
@@ -616,32 +622,16 @@ impl<K: SortKey, S: RowSource<K>> Iterator for LoserTree<K, S> {
         }
         // Deferred-error protocol: an error parked by construction or by a
         // previous call's refill surfaces here, before any further rows,
-        // and fuses the tree.
+        // and fuses the tree. An error hit while taking this row is parked
+        // the same way: the row in hand is valid and must not be lost.
         if let Some(e) = self.pending_error.take() {
             self.done = true;
             return Some(Err(e));
         }
-        let i = self.winner;
-        match self.heads[i].take() {
-            Some(mut row) => {
-                // A source error hit during this refill is parked in
-                // `pending_error`, not returned: the row in hand is valid
-                // and must not be lost. The next call emits the error (or
-                // drops it if the caller stops early — standard iterator
-                // semantics).
-                let out_prefix = self.head_prefixes[i];
-                self.refill_winner(&row);
-                if let Some(spec) = &self.fold {
-                    let agg = spec.agg.clone();
-                    self.fold_equal_heads(agg.as_ref(), &mut row, out_prefix);
-                }
-                Some(Ok(row))
-            }
-            None => {
-                self.done = true;
-                None
-            }
-        }
+        let agg = self.fold.as_ref().map(|f| f.agg.clone());
+        let popped = self.pop(agg.as_deref());
+        self.done = popped.is_none();
+        popped.map(|(row, _)| Ok(row))
     }
 }
 

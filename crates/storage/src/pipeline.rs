@@ -68,26 +68,29 @@
 //!
 //! **Accounting.** Background I/O books its storage busy time into a
 //! per-component `OverlapLedger`; the compute thread books its blocked
-//! intervals both as live `io_wait_ns` and into the same ledger. At
-//! component shutdown the ledger settles `busy − wait` (saturating) as
-//! `overlapped_io_ns` — the latency genuinely *hidden* from the compute
-//! thread — so the two counters never book the same nanoseconds twice and
-//! their per-component sum never exceeds the component's wall time. A
+//! intervals both as live `io_wait_ns` and into the same ledger. A job
+//! stamps when it serves the component and when it last made progress, so
+//! each wait splits exactly at those stamps into queue, service and
+//! wake-up (`Stamps`). At component shutdown the ledger settles
+//! `busy − service` (saturating) as `overlapped_io_ns` — the latency
+//! genuinely *hidden* from the compute thread — so the two counters never
+//! book the same nanoseconds twice, their per-component sum never exceeds
+//! the component's wall time, and the compute thread's own wake-up, which
+//! no storage time covers, cannot eat the overlap. A
 //! pending run is no exception: whoever settles it (the next seal, or
 //! whoever opens or removes the run) books the time it blocks as
-//! `io_wait_ns`, and its ledger settles `busy − wait` then, or at
+//! `io_wait_ns`, and its ledger settles `busy − service` then, or at
 //! cancellation.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 use histok_types::{Error, Result, Row, RowBatch, SortKey};
 
 use crate::backend::SpillWriter;
 use crate::run::{Frame, RunReader};
 use crate::scheduler::{lock, wait, IoClass, IoPriority, IoSchedulerHandle};
-use crate::stats::{IoStats, OverlapLedger};
+use crate::stats::{IoStats, OverlapLedger, Stamps};
 
 /// Maximum sealed blocks in flight between the operator thread and the
 /// pipeline's background side (double buffering).
@@ -115,6 +118,7 @@ struct PipeState {
     finished: bool,
     failed: Option<Error>,
     abandoned: bool,
+    stamps: Stamps,
 }
 
 /// One scheduler job: write queued frames until the queue is empty, the
@@ -129,16 +133,17 @@ fn pipe_job(shared: &Arc<PipeShared>) {
                 st.writer = None;
                 st.queue.clear();
                 st.job_active = false;
-                shared.cond.notify_all();
+                st.stamps.wake(&shared.cond);
                 return;
             }
             let Some(frame) = st.queue.pop_front() else {
                 st.job_active = false;
-                shared.cond.notify_all();
+                st.stamps.wake(&shared.cond);
                 return;
             };
             // Queue space freed: a producer blocked on backpressure can go.
-            shared.cond.notify_all();
+            st.stamps.wake(&shared.cond);
+            st.stamps.start();
             (frame, st.writer.take())
         };
         let Some(mut writer) = writer else {
@@ -146,11 +151,13 @@ fn pipe_job(shared: &Arc<PipeShared>) {
             st.failed = Some(Error::Io(std::io::Error::other("spill job ran without a writer")));
             st.queue.clear();
             st.job_active = false;
-            shared.cond.notify_all();
+            st.stamps.stop();
+            st.stamps.wake(&shared.cond);
             return;
         };
         let outcome = frame.write(writer.as_mut(), &shared.stats);
         let mut st = lock(&shared.state);
+        st.stamps.stop();
         match outcome {
             Ok(busy) => {
                 shared.ledger.record_busy(busy);
@@ -169,7 +176,7 @@ fn pipe_job(shared: &Arc<PipeShared>) {
         // it unfinished discards the object).
         drop(writer);
         st.job_active = false;
-        shared.cond.notify_all();
+        st.stamps.wake(&shared.cond);
         return;
     }
 }
@@ -201,6 +208,7 @@ impl SpillPipeline {
                 finished: false,
                 failed: None,
                 abandoned: false,
+                stamps: Stamps::default(),
             }),
             cond: Condvar::new(),
             ledger: OverlapLedger::new(stats.clone()),
@@ -214,12 +222,12 @@ impl SpillPipeline {
     /// booked as compute-side I/O wait.
     pub(crate) fn write_block(&mut self, frame: Frame) -> Result<()> {
         let shared = &self.shared;
-        let started = Instant::now();
         let mut st = lock(&shared.state);
+        let mark = st.stamps.mark();
         while st.queue.len() >= SPILL_PIPELINE_DEPTH && st.failed.is_none() {
             st = wait(&shared.cond, st);
         }
-        shared.ledger.record_wait(started.elapsed());
+        shared.ledger.record_wait(st.stamps.split(mark));
         if let Some(e) = st.failed.take() {
             return Err(e);
         }
@@ -242,15 +250,15 @@ impl SpillPipeline {
     /// booked as compute-side I/O wait; the component's overlap ledger
     /// settles here.
     pub(crate) fn settle(&mut self) -> Result<()> {
-        let started = Instant::now();
         let failed = {
             let mut st = lock(&self.shared.state);
+            let mark = st.stamps.mark();
             while st.job_active || (!st.finished && st.failed.is_none()) {
                 st = wait(&self.shared.cond, st);
             }
+            self.shared.ledger.record_wait(st.stamps.split(mark));
             st.failed.take()
         };
-        self.shared.ledger.record_wait(started.elapsed());
         self.shared.ledger.settle();
         failed.map_or(Ok(()), Err)
     }
@@ -289,6 +297,7 @@ struct PrefetchState<K: SortKey> {
     job_active: bool,
     eof: bool,
     dropped: bool,
+    stamps: Stamps,
 }
 
 /// One scheduler job: decode blocks until the buffer is full, the run
@@ -301,25 +310,29 @@ fn prefetch_job<K: SortKey>(shared: &Arc<PrefetchShared<K>>) {
                 st.reader = None;
                 st.ready.clear();
                 st.job_active = false;
-                shared.cond.notify_all();
+                st.stamps.wake(&shared.cond);
                 return;
             }
             if st.eof || st.ready.len() >= READAHEAD_BLOCKS {
                 st.job_active = false;
-                shared.cond.notify_all();
+                st.stamps.wake(&shared.cond);
                 return;
             }
             match st.reader.take() {
-                Some(reader) => reader,
+                Some(reader) => {
+                    st.stamps.start();
+                    reader
+                }
                 None => {
                     st.job_active = false;
-                    shared.cond.notify_all();
+                    st.stamps.wake(&shared.cond);
                     return;
                 }
             }
         };
         let res = reader.next_batch();
         let mut st = lock(&shared.state);
+        st.stamps.stop();
         match res {
             Ok(Some(batch)) => {
                 st.ready.push_back(Ok(batch));
@@ -331,7 +344,7 @@ fn prefetch_job<K: SortKey>(shared: &Arc<PrefetchShared<K>>) {
                 st.eof = true;
             }
         }
-        shared.cond.notify_all();
+        st.stamps.wake(&shared.cond);
     }
 }
 
@@ -370,6 +383,7 @@ impl<K: SortKey> PrefetchingRunReader<K> {
                 job_active: false,
                 eof: false,
                 dropped: false,
+                stamps: Stamps::default(),
             }),
             cond: Condvar::new(),
         });
@@ -461,9 +475,9 @@ impl<K: SortKey> PrefetchingRunReader<K> {
     ) -> MutexGuard<'a, PrefetchState<K>> {
         self.class.set(IoPriority::MergeReadAhead);
         self.start_fill(&mut st);
-        let started = Instant::now();
+        let mark = st.stamps.mark();
         st = wait(&self.shared.cond, st);
-        self.ledger.record_wait(started.elapsed());
+        self.ledger.record_wait(st.stamps.split(mark));
         st
     }
 
@@ -532,7 +546,7 @@ mod tests {
     use crate::scheduler::IoScheduler;
     use crate::throttle::{ThrottleModel, ThrottledBackend};
     use histok_types::SortOrder;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// A writer on `pool` when given, inline otherwise.
     fn writer(
@@ -614,6 +628,10 @@ mod tests {
         let snap = stats.snapshot();
         assert!(snap.write_ops > 1);
         assert!(snap.overlapped_io_ns > 0, "pipeline writes should book overlapped time");
+        assert_eq!(
+            snap.io_wait_queue_ns + snap.io_wait_service_ns + snap.io_wait_wake_ns,
+            snap.io_wait_ns
+        );
         assert_eq!(snap.rows_written, 260);
         assert!(
             snap.io_wait_ns + snap.overlapped_io_ns <= wall,
@@ -648,6 +666,10 @@ mod tests {
         let wall = started.elapsed().as_nanos() as u64;
         let snap = stats.snapshot();
         assert!(snap.io_wait_ns > 0, "a saturated pipeline must book wait");
+        assert_eq!(
+            snap.io_wait_queue_ns + snap.io_wait_service_ns + snap.io_wait_wake_ns,
+            snap.io_wait_ns
+        );
         assert!(
             snap.io_wait_ns + snap.overlapped_io_ns <= wall,
             "io_wait {} + overlapped {} exceeds wall {wall}",
@@ -787,6 +809,38 @@ mod tests {
         let rest: usize = std::iter::from_fn(|| pf.next_batch().unwrap()).map(|b| b.len()).sum();
         assert_eq!(in_hand.len() + rest, 1000);
         assert_eq!(gate.requests(), meta.blocks.len().div_ceil(REQUEST_BLOCKS));
+    }
+
+    /// A consumer waits on a job held inside storage since before the wait:
+    /// the hold is service, the wait splits exactly into its three parts,
+    /// and the hold before the wait settles as overlap.
+    #[test]
+    fn a_wait_on_a_held_job_splits_into_queue_service_and_wake_up() {
+        let sched = IoScheduler::new(1);
+        let gate = Gate::new(false);
+        let meta = write_run(&gate.inner, "split", 0..200, 96, None);
+        let stats = IoStats::new();
+        let reader = RunReader::open(&gate, &meta, stats.clone()).unwrap();
+        let mut pf = PrefetchingRunReader::new(reader, sched.handle());
+        settle(|| gate.requests() >= 1);
+        std::thread::scope(|s| {
+            // Escalation happens under the lock the job needs to report
+            // progress, so the gate opens on a consumer already waiting.
+            let class = pf.class.clone();
+            s.spawn(move || {
+                settle(|| class.get() == IoPriority::MergeReadAhead);
+                gate.open();
+            });
+            assert!(pf.next_batch().unwrap().is_some());
+        });
+        let waited = stats.snapshot();
+        assert!(waited.io_wait_service_ns > 0, "{waited:?}");
+        assert_eq!(std::iter::from_fn(|| pf.next_batch().unwrap()).count(), meta.blocks.len() - 1);
+        drop(pf);
+        let snap = stats.snapshot();
+        let parts = snap.io_wait_queue_ns + snap.io_wait_service_ns + snap.io_wait_wake_ns;
+        assert_eq!(parts, snap.io_wait_ns, "{snap:?}");
+        assert!(snap.overlapped_io_ns > 0, "{snap:?}");
     }
 
     #[test]

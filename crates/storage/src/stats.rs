@@ -7,8 +7,8 @@
 //! and figures: rows spilled, runs created, bytes moved.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar};
+use std::time::{Duration, Instant};
 
 use histok_types::{LatencyHistogram, LatencySnapshot};
 
@@ -36,6 +36,10 @@ struct Counters {
     /// block reads/writes, plus stalls against a full spill pipeline or an
     /// empty read-ahead channel.
     io_wait_ns: AtomicU64,
+    /// The parts of `io_wait_ns` (see [`IoStatsSnapshot::io_wait_queue_ns`]).
+    io_wait_queue_ns: AtomicU64,
+    io_wait_service_ns: AtomicU64,
+    io_wait_wake_ns: AtomicU64,
     /// Time background I/O threads spent moving bytes — latency that was
     /// hidden behind computation instead of added to it.
     overlapped_io_ns: AtomicU64,
@@ -79,6 +83,17 @@ pub struct IoStatsSnapshot {
     /// Nanoseconds the compute thread spent blocked on storage (synchronous
     /// I/O, pipeline backpressure, read-ahead waits).
     pub io_wait_ns: u64,
+    /// The part of `io_wait_ns` before the awaited background job started
+    /// serving the wait (its turn in the pool queue, or between two of its
+    /// steps). `io_wait_queue_ns + io_wait_service_ns + io_wait_wake_ns =
+    /// io_wait_ns`.
+    pub io_wait_queue_ns: u64,
+    /// The part of `io_wait_ns` while the awaited job ran; synchronous I/O
+    /// on the compute thread is all service.
+    pub io_wait_service_ns: u64,
+    /// The part of `io_wait_ns` after the awaited job's last progress,
+    /// until the compute thread ran again: OS wake-up, not storage.
+    pub io_wait_wake_ns: u64,
     /// Nanoseconds of I/O performed on background threads, i.e. latency
     /// overlapped with computation rather than added to it.
     pub overlapped_io_ns: u64,
@@ -145,10 +160,20 @@ impl IoStats {
         self.inner.modelled_io_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// Records time the compute thread spent blocked on storage.
+    /// Records time the compute thread spent blocked on storage it served
+    /// itself (synchronous I/O): all of it is service.
     pub fn record_io_wait(&self, waited: Duration) {
-        let ns = waited.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.inner.io_wait_ns.fetch_add(ns, Ordering::Relaxed);
+        self.record_wait_split(WaitSplit { service: waited, ..WaitSplit::default() });
+    }
+
+    /// Records a compute-side wait on a background job, by its parts.
+    pub(crate) fn record_wait_split(&self, split: WaitSplit) {
+        let ns = |d: Duration| d.as_nanos().min(u128::from(u64::MAX)) as u64;
+        let c = &self.inner;
+        c.io_wait_ns.fetch_add(ns(split.queue + split.service + split.wake), Ordering::Relaxed);
+        c.io_wait_queue_ns.fetch_add(ns(split.queue), Ordering::Relaxed);
+        c.io_wait_service_ns.fetch_add(ns(split.service), Ordering::Relaxed);
+        c.io_wait_wake_ns.fetch_add(ns(split.wake), Ordering::Relaxed);
     }
 
     /// Records I/O time spent on a background thread (overlapped with
@@ -176,6 +201,9 @@ impl IoStats {
             read_ops: self.inner.read_ops.load(Ordering::Relaxed),
             modelled_io_ns: self.inner.modelled_io_ns.load(Ordering::Relaxed),
             io_wait_ns: self.inner.io_wait_ns.load(Ordering::Relaxed),
+            io_wait_queue_ns: self.inner.io_wait_queue_ns.load(Ordering::Relaxed),
+            io_wait_service_ns: self.inner.io_wait_service_ns.load(Ordering::Relaxed),
+            io_wait_wake_ns: self.inner.io_wait_wake_ns.load(Ordering::Relaxed),
             overlapped_io_ns: self.inner.overlapped_io_ns.load(Ordering::Relaxed),
             blocks_skipped: self.inner.blocks_skipped.load(Ordering::Relaxed),
             bytes_skipped: self.inner.bytes_skipped.load(Ordering::Relaxed),
@@ -195,6 +223,72 @@ impl IoStats {
     }
 }
 
+/// A compute-side wait on a background job, split at the job's own
+/// stamps: *queue* before the job started serving it, *service* while it
+/// ran, *wake-up* after its last progress until the waiter ran again.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WaitSplit {
+    pub(crate) queue: Duration,
+    pub(crate) service: Duration,
+    pub(crate) wake: Duration,
+}
+
+/// When an overlap component's background jobs served it, kept under the
+/// component's lock: a job calls [`Stamps::start`] and [`Stamps::stop`]
+/// around each step's service and [`Stamps::wake`] whenever a waiter may
+/// go on; a waiter takes a [`Stamps::mark`] as it starts to wait and
+/// [`Stamps::split`]s the wait when it ends.
+#[derive(Debug, Default)]
+pub(crate) struct Stamps {
+    /// Service time of finished spans, and the start of a running one.
+    served: Duration,
+    since: Option<Instant>,
+    /// The last progress a waiter can wake on, with the service then.
+    progress: Option<(Instant, Duration)>,
+}
+
+impl Stamps {
+    fn served_at(&self, t: Instant) -> Duration {
+        self.served + self.since.map_or(Duration::ZERO, |s| t.saturating_duration_since(s))
+    }
+
+    pub(crate) fn start(&mut self) {
+        self.since = Some(Instant::now());
+    }
+
+    pub(crate) fn stop(&mut self) {
+        self.served += self.since.take().map_or(Duration::ZERO, |s| s.elapsed());
+    }
+
+    /// Where a wait begins: now, and the service so far.
+    pub(crate) fn mark(&self) -> (Instant, Duration) {
+        let now = Instant::now();
+        (now, self.served_at(now))
+    }
+
+    /// Splits the wait from `w0` to now. Up to the last progress inside it
+    /// (or to now, if none), the job's service is service and the rest
+    /// queue; after that progress it is wake-up.
+    pub(crate) fn split(&self, (w0, s0): (Instant, Duration)) -> WaitSplit {
+        let w1 = Instant::now();
+        let (ready, s_ready) = match self.progress {
+            Some((t, s)) if t >= w0 => (t.min(w1), s),
+            _ => (w1, self.served_at(w1)),
+        };
+        let service = s_ready.saturating_sub(s0).min(ready - w0);
+        let split = WaitSplit { queue: ready - w0 - service, service, wake: w1 - ready };
+        debug_assert_eq!(split.queue + split.service + split.wake, w1 - w0);
+        split
+    }
+
+    /// Stamps progress and wakes the component's waiters.
+    pub(crate) fn wake(&mut self, cond: &Condvar) {
+        let now = Instant::now();
+        self.progress = Some((now, self.served_at(now)));
+        cond.notify_all();
+    }
+}
+
 /// Per-component reconciliation of background-I/O time against the
 /// compute thread's waits, so `io_wait_ns` and `overlapped_io_ns` never
 /// count the same nanoseconds twice.
@@ -202,18 +296,18 @@ impl IoStats {
 /// One ledger belongs to one overlap component (a spill pipeline or a
 /// prefetching reader). Background work books its storage busy time with
 /// [`OverlapLedger::record_busy`]; the compute thread books every blocked
-/// interval with [`OverlapLedger::record_wait`], which also records it as
-/// live `io_wait`. When the component shuts down,
-/// [`OverlapLedger::settle`] credits `busy − wait` (saturating) as
-/// overlapped I/O: the storage time that was genuinely hidden from the
-/// compute thread. Per component, `io_wait + overlapped = max(wait, busy)`
-/// — never more than the component's own wall time, so summing components
-/// can only exceed wall clock when background threads truly ran in
-/// parallel.
+/// interval with [`OverlapLedger::record_wait`], split into its parts,
+/// which also records it as live `io_wait`. When the component shuts
+/// down, [`OverlapLedger::settle`] credits `busy − service` (saturating)
+/// as overlapped I/O: the storage time that was genuinely hidden from the
+/// compute thread. Storage is busy only inside the job's service spans,
+/// so per component `io_wait + overlapped` never exceeds the component's
+/// own wall time, and a slow wake-up of the compute thread, which no
+/// storage time covers, no longer eats the overlap.
 #[derive(Debug)]
 pub(crate) struct OverlapLedger {
     busy_ns: AtomicU64,
-    wait_ns: AtomicU64,
+    service_ns: AtomicU64,
     settled: AtomicBool,
     stats: IoStats,
 }
@@ -223,7 +317,7 @@ impl OverlapLedger {
     pub(crate) fn new(stats: IoStats) -> Arc<Self> {
         Arc::new(OverlapLedger {
             busy_ns: AtomicU64::new(0),
-            wait_ns: AtomicU64::new(0),
+            service_ns: AtomicU64::new(0),
             settled: AtomicBool::new(false),
             stats,
         })
@@ -236,22 +330,23 @@ impl OverlapLedger {
     }
 
     /// Books an interval the compute thread spent blocked on this
-    /// component, both as live `io_wait` and against the busy time.
-    pub(crate) fn record_wait(&self, waited: Duration) {
-        self.stats.record_io_wait(waited);
-        let ns = waited.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.wait_ns.fetch_add(ns, Ordering::Relaxed);
+    /// component, both as live `io_wait` and, its service part, against
+    /// the busy time.
+    pub(crate) fn record_wait(&self, split: WaitSplit) {
+        self.stats.record_wait_split(split);
+        let ns = split.service.as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.service_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Credits the hidden portion of the busy time (`busy − wait`) as
+    /// Credits the hidden portion of the busy time (`busy − service`) as
     /// overlapped I/O. Idempotent; call on every shutdown path.
     pub(crate) fn settle(&self) {
         if self.settled.swap(true, Ordering::AcqRel) {
             return;
         }
         let busy = self.busy_ns.load(Ordering::Relaxed);
-        let wait = self.wait_ns.load(Ordering::Relaxed);
-        self.stats.record_overlapped_io(Duration::from_nanos(busy.saturating_sub(wait)));
+        let service = self.service_ns.load(Ordering::Relaxed);
+        self.stats.record_overlapped_io(Duration::from_nanos(busy.saturating_sub(service)));
     }
 }
 
@@ -269,6 +364,9 @@ impl IoStatsSnapshot {
             read_ops: self.read_ops.saturating_sub(earlier.read_ops),
             modelled_io_ns: self.modelled_io_ns.saturating_sub(earlier.modelled_io_ns),
             io_wait_ns: self.io_wait_ns.saturating_sub(earlier.io_wait_ns),
+            io_wait_queue_ns: self.io_wait_queue_ns.saturating_sub(earlier.io_wait_queue_ns),
+            io_wait_service_ns: self.io_wait_service_ns.saturating_sub(earlier.io_wait_service_ns),
+            io_wait_wake_ns: self.io_wait_wake_ns.saturating_sub(earlier.io_wait_wake_ns),
             overlapped_io_ns: self.overlapped_io_ns.saturating_sub(earlier.overlapped_io_ns),
             blocks_skipped: self.blocks_skipped.saturating_sub(earlier.blocks_skipped),
             bytes_skipped: self.bytes_skipped.saturating_sub(earlier.bytes_skipped),
@@ -290,6 +388,9 @@ impl IoStatsSnapshot {
             read_ops: self.read_ops.saturating_add(other.read_ops),
             modelled_io_ns: self.modelled_io_ns.saturating_add(other.modelled_io_ns),
             io_wait_ns: self.io_wait_ns.saturating_add(other.io_wait_ns),
+            io_wait_queue_ns: self.io_wait_queue_ns.saturating_add(other.io_wait_queue_ns),
+            io_wait_service_ns: self.io_wait_service_ns.saturating_add(other.io_wait_service_ns),
+            io_wait_wake_ns: self.io_wait_wake_ns.saturating_add(other.io_wait_wake_ns),
             overlapped_io_ns: self.overlapped_io_ns.saturating_add(other.overlapped_io_ns),
             blocks_skipped: self.blocks_skipped.saturating_add(other.blocks_skipped),
             bytes_skipped: self.bytes_skipped.saturating_add(other.bytes_skipped),
@@ -402,6 +503,7 @@ mod tests {
         s.record_block_skip(1024);
         let early = s.snapshot();
         assert_eq!(early.io_wait_ns, 10_000);
+        assert_eq!(early.io_wait_service_ns, 10_000, "synchronous waits are all service");
         assert_eq!(early.overlapped_io_ns, 7_000);
         assert_eq!(early.blocks_skipped, 2);
         assert_eq!(early.bytes_skipped, 5120);
@@ -423,9 +525,18 @@ mod tests {
         let s = IoStats::new();
         let ledger = OverlapLedger::new(s.clone());
         ledger.record_busy(Duration::from_micros(10));
-        ledger.record_wait(Duration::from_micros(3));
+        // Only the wait's service part was storage time the compute
+        // thread saw; its queue and wake-up parts hide nothing.
+        let us = Duration::from_micros;
+        ledger.record_wait(WaitSplit { queue: us(4), service: us(3), wake: us(5) });
         ledger.settle();
         assert_eq!(s.snapshot().overlapped_io_ns, 7_000);
+        assert_eq!(s.snapshot().io_wait_ns, 12_000);
+        let snap = s.snapshot();
+        assert_eq!(
+            (snap.io_wait_queue_ns, snap.io_wait_service_ns, snap.io_wait_wake_ns),
+            (4_000, 3_000, 5_000)
+        );
         // Idempotent: a second settle books nothing more.
         ledger.settle();
         assert_eq!(s.snapshot().overlapped_io_ns, 7_000);
@@ -436,7 +547,7 @@ mod tests {
         let s = IoStats::new();
         let ledger = OverlapLedger::new(s.clone());
         ledger.record_busy(Duration::from_micros(5));
-        ledger.record_wait(Duration::from_micros(9));
+        ledger.record_wait(WaitSplit { service: Duration::from_micros(9), ..WaitSplit::default() });
         ledger.settle();
         assert_eq!(s.snapshot().overlapped_io_ns, 0, "nothing was hidden");
     }

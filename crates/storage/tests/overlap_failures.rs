@@ -450,6 +450,11 @@ fn io_wait_and_overlap_are_both_recorded_through_a_gate() {
         assert!(read.overlapped_io_ns > 0, "read {read:?}");
         assert!(written.io_wait_ns + written.overlapped_io_ns <= write_wall);
         assert!(read.io_wait_ns + read.overlapped_io_ns <= read_wall);
+        // Every wait splits exactly into queue, service and wake-up.
+        for snap in [&written, &read] {
+            let parts = snap.io_wait_queue_ns + snap.io_wait_service_ns + snap.io_wait_wake_ns;
+            assert_eq!(parts, snap.io_wait_ns, "{snap:?}");
+        }
         // Nothing runs behind an inline catalog's back.
         assert!(inline_written.io_wait_ns > 0 && inline_read.io_wait_ns > 0);
         assert_eq!((inline_written.overlapped_io_ns, inline_read.overlapped_io_ns), (0, 0));
