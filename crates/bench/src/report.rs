@@ -184,6 +184,9 @@ pub fn io_to_json(io: &IoStatsSnapshot) -> JsonValue {
         ("read_ops".to_owned(), JsonValue::from(io.read_ops)),
         ("modelled_io_ns".to_owned(), JsonValue::from(io.modelled_io_ns)),
         ("io_wait_ns".to_owned(), JsonValue::from(io.io_wait_ns)),
+        ("io_wait_queue_ns".to_owned(), JsonValue::from(io.io_wait_queue_ns)),
+        ("io_wait_service_ns".to_owned(), JsonValue::from(io.io_wait_service_ns)),
+        ("io_wait_wake_ns".to_owned(), JsonValue::from(io.io_wait_wake_ns)),
         ("overlapped_io_ns".to_owned(), JsonValue::from(io.overlapped_io_ns)),
         ("blocks_skipped".to_owned(), JsonValue::from(io.blocks_skipped)),
         ("bytes_skipped".to_owned(), JsonValue::from(io.bytes_skipped)),

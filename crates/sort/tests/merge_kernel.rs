@@ -191,7 +191,8 @@ fn differential<K: SortKey>(name: &str, key: impl Fn(&mut Lcg, SortOrder) -> K) 
                     if fold {
                         want = first_of_each_key(want);
                     }
-                    let what = format!("{name} fan-in {fan_in} {order:?} fold {fold} by {max_rows}");
+                    let what =
+                        format!("{name} fan-in {fan_in} {order:?} fold {fold} by {max_rows}");
                     let spec = || fold.then(|| FoldSpec::new(AggregateOp::First.aggregator()));
 
                     let mut tree = LoserTree::new(sources, order).unwrap();
@@ -334,11 +335,8 @@ fn seeded_merge<K: SortKey>(
             };
             let mut keys: Vec<K> = (0..len).map(|_| key(rng.below(4_000))).collect();
             keys.sort_by(|a, b| order.cmp_keys(a, b));
-            let rows: Vec<Result<Row<K>>> = keys
-                .into_iter()
-                .enumerate()
-                .map(|(pos, k)| Ok(Row::new(k, tag(s, pos))))
-                .collect();
+            let rows: Vec<Result<Row<K>>> =
+                keys.into_iter().enumerate().map(|(pos, k)| Ok(Row::new(k, tag(s, pos)))).collect();
             IterSource::new(rows.into_iter())
         })
         .collect();

@@ -226,7 +226,7 @@ impl IoStats {
 /// A compute-side wait on a background job, split at the job's own
 /// stamps: *queue* before the job started serving it, *service* while it
 /// ran, *wake-up* after its last progress until the waiter ran again.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WaitSplit {
     pub(crate) queue: Duration,
     pub(crate) service: Duration,

@@ -355,13 +355,10 @@ impl StorageBackend for GatedBackend {
 }
 
 /// Rows of the inline run that the compute thread writes and reads while a
-/// pooled request is held. The held request is busy for all of that work;
-/// what the compute thread then waits for, unhidden, ends with its own
-/// wake-up, which no storage time covers. At 2,000 rows (~1.4 ms in a
-/// release build) that wake-up on a loaded two-core machine outlasted the
-/// work, and the pooled catalog booked no overlap, in 5 of 20 runs beside
-/// a second copy of the test; at 50,000 rows, in 1 of 300 runs with three
-/// copies at a time.
+/// pooled request is held. The held request is busy for all of that work,
+/// and only the service part of the compute thread's later wait is netted
+/// out of it, so that work settles as overlap however late the compute
+/// thread wakes up.
 const INLINE_ROWS: u64 = 50_000;
 
 /// Both catalogs book what they should, in the order the test imposes
