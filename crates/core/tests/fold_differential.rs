@@ -6,13 +6,21 @@
 //! must be byte-identical — keys AND accumulator payloads. Dedup is asked
 //! for both ways, `dedup(true)` and `aggregate(First)`: the two must agree
 //! row for row and count for count. (Merge batch sizes are varied one
-//! layer down, in `histok-sort`'s `batched_differential`.)
+//! layer down, in `histok-sort`'s `batched_differential`.) A Zipf stream
+//! then checks what folding saves: spilled bytes against deduplicating at
+//! the output.
+
+use std::collections::HashMap;
 
 use histok_core::{
-    FilterSites, HistogramTopK, OperatorMetrics, TopKConfig, TopKConfigBuilder, TopKOperator,
+    FilterSites, GroupedAggTopK, HistogramTopK, OperatorMetrics, TopKConfig, TopKConfigBuilder,
+    TopKOperator,
 };
 use histok_storage::MemoryBackend;
-use histok_types::{encode_f64, AggregateOp, BytesKey, F64Key, KeyPair, Row, SortKey, SortSpec};
+use histok_types::{
+    encode_f64, AggregateOp, BytesKey, F64Key, KeyPair, Row, SortKey, SortOrder, SortSpec,
+};
+use histok_workload::{Distribution, Workload};
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
 const DISTINCT: u64 = 150;
@@ -195,4 +203,64 @@ fn fold_grid_bytes() {
 #[test]
 fn fold_grid_key_pair() {
     grid_for_key("KeyPair", |v| KeyPair(v / 10, v % 10));
+}
+
+/// Zipf(1.2) ranks over 1,000 keys in 20,000 rows, so duplicates dominate.
+/// Folding inside the sort must write at least 5x fewer bytes than
+/// carrying every duplicate through it and deduplicating at the output.
+/// Dedup and grouped COUNT must equal the post-hoc answers byte for byte.
+#[test]
+fn zipf_folding_spills_a_fifth_of_dedup_at_the_output() {
+    const ROWS: u64 = 20_000;
+    const DEDUP_K: usize = 300;
+    const GROUP_K: usize = 50;
+    let keys = || {
+        Workload::uniform(ROWS, 0xD5F0)
+            .with_distribution(Distribution::Zipf { s: 1.2, n: 1_000 })
+            .keys()
+    };
+    let config = || TopKConfig::builder().memory_budget(8 * 1024).block_bytes(4096);
+    // Duplicates share one payload, so FIRST is deterministic.
+    let rows = || keys().map(|k| Row::new(k, k.get().to_le_bytes().to_vec())).collect();
+
+    let (mut posthoc, at_output) =
+        run(SortSpec::ascending(ROWS), config().build().expect("valid"), rows());
+    assert_eq!(posthoc.len() as u64, ROWS, "the full sort lost rows");
+    posthoc.dedup_by(|later, kept| later.0 == kept.0);
+    posthoc.truncate(DEDUP_K);
+    let (folded, in_sort) = run(
+        SortSpec::ascending(DEDUP_K as u64),
+        config().dedup(true).build().expect("valid"),
+        rows(),
+    );
+    assert_eq!(folded, posthoc, "in-sort dedup diverged from dedup at the output");
+    assert!(in_sort.spilled, "the dedup query must spill");
+    let (folded_bytes, raw_bytes) = (in_sort.io.bytes_written, at_output.io.bytes_written);
+    assert!(
+        folded_bytes * 5 <= raw_bytes,
+        "folding wrote {folded_bytes} B against {raw_bytes} B deduplicated at the output"
+    );
+
+    let count = config().aggregate(AggregateOp::Count).build().expect("valid");
+    let mut op =
+        GroupedAggTopK::new(GROUP_K as u64, SortOrder::Descending, count, MemoryBackend::new())
+            .expect("operator");
+    for k in keys() {
+        op.push(Row::key_only(k)).expect("push");
+    }
+    let groups = op.finish().expect("finish");
+    let mut counts: HashMap<u64, u64> = HashMap::new();
+    for k in keys() {
+        *counts.entry(k.get().to_bits()).or_default() += 1;
+    }
+    // Positive f64 bits order like the values: (count, bits) descending is
+    // the operator's (value, group key) order.
+    let mut want: Vec<(u64, u64)> = counts.into_iter().map(|(bits, c)| (c, bits)).collect();
+    want.sort_unstable_by(|a, b| b.cmp(a));
+    want.truncate(GROUP_K);
+    let got: Vec<(f64, u64, Vec<u8>)> =
+        groups.iter().map(|g| (g.value, g.key.get().to_bits(), g.acc.to_vec())).collect();
+    let want: Vec<(f64, u64, Vec<u8>)> =
+        want.into_iter().map(|(c, bits)| (c as f64, bits, c.to_le_bytes().to_vec())).collect();
+    assert_eq!(got, want, "grouped COUNT diverged from the post-hoc count");
 }

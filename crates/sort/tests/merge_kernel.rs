@@ -14,7 +14,9 @@
 use std::collections::VecDeque;
 
 use histok_sort::{CmpStats, FoldSpec, IterSource, LoserTree, RowSource};
-use histok_types::{AggregateOp, Error, F64Key, Result, Row, RowBatch, SortKey, SortOrder};
+use histok_types::{
+    AggregateOp, BytesKey, Error, F64Key, Result, Row, RowBatch, SortKey, SortOrder,
+};
 
 /// A source that hands out the batches it was given, in order, then
 /// reports exhaustion.
@@ -364,17 +366,26 @@ fn seeded_merge<K: SortKey>(
     }
 }
 
-/// The work of three seeded merges, taken from the kernel that duelled on
-/// `Option` heads before the code column: a change to the tree must leave
-/// every count and every output byte as it was.
+/// The work of five seeded merges, the integer ones taken from the kernel
+/// that duelled on `Option` heads before the code column: a change to the
+/// tree must leave every count and every output byte as it was. The byte
+/// keys share a 14-byte prefix, so only offset-value coding spares a duel
+/// the full comparison; with coding off it must take at least twice as
+/// many.
 #[test]
 fn a_seeded_sixteen_source_merge_does_pinned_work() {
+    let shared = |k: u64| BytesKey::new(format!("shared-prefix-{k:012}"));
     let cases = [
         ("u64 ascending", seeded_merge(SortOrder::Ascending, true, false, |k| k)),
         ("u64 ascending, coding off", seeded_merge(SortOrder::Ascending, false, false, |k| k)),
         (
             "F64Key descending, folding",
             seeded_merge(SortOrder::Descending, true, true, |k| F64Key(k as f64 / 8.0)),
+        ),
+        ("shared-prefix bytes", seeded_merge(SortOrder::Ascending, true, false, shared)),
+        (
+            "shared-prefix bytes, coding off",
+            seeded_merge(SortOrder::Ascending, false, false, shared),
         ),
     ];
     let pinned = [
@@ -402,8 +413,31 @@ fn a_seeded_sixteen_source_merge_does_pinned_work() {
             rows: 2_447,
             hash: 11_739_870_026_536_850_965,
         },
+        Work {
+            ovc_cmps: 11_145,
+            full_cmps: 6_874,
+            batches_out: 15,
+            rows_folded: 0,
+            rows: 3_760,
+            hash: 16_096_483_667_843_785_106,
+        },
+        Work {
+            ovc_cmps: 0,
+            full_cmps: 14_273,
+            batches_out: 15,
+            rows_folded: 0,
+            rows: 3_760,
+            hash: 16_096_483_667_843_785_106,
+        },
     ];
     for ((name, got), want) in cases.iter().zip(&pinned) {
         assert_eq!(got, want, "{name}");
     }
+    let (coded, plain) = (&cases[3].1, &cases[4].1);
+    assert!(
+        plain.full_cmps >= 2 * coded.full_cmps,
+        "coding cut full compares only from {} to {}",
+        plain.full_cmps,
+        coded.full_cmps
+    );
 }

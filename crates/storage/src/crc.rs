@@ -33,9 +33,8 @@
 //!   other targets and on CPUs without `pclmulqdq`, and as the one for
 //!   inputs shorter than four lanes and for the tail of every input.
 //!
-//! `storage/crc32` criterion group (`crates/bench/benches/storage.rs`), in
-//! cache: the carry-less kernel runs at about seven times the table
-//! kernel's speed (DESIGN.md §7 has the figures).
+//! In cache, the carry-less kernel runs at about seven times the table
+//! kernel's speed (DESIGN.md §7 has the figures and how they were taken).
 //!
 //! **Why not the CPU's CRC instruction.** x86 `crc32` and Arm `crc32c*`
 //! compute CRC-32C (Castagnoli), another polynomial: every stored checksum

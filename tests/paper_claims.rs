@@ -5,8 +5,8 @@
 
 use histok::analysis::{simulate, ModelParams};
 use histok::core::{
-    HistogramTopK, OptimizedExternalTopK, RunGenKind, SizingPolicy, TopKConfig, TopKOperator,
-    TraditionalExternalTopK,
+    FilterSites, HistogramTopK, OptimizedExternalTopK, RunGenKind, SizingPolicy, TopKConfig,
+    TopKOperator, TraditionalExternalTopK,
 };
 use histok::sort::run_gen::ResiduePolicy;
 use histok::storage::MemoryBackend;
@@ -199,10 +199,40 @@ fn more_buckets_spill_less_on_the_real_operator() {
     assert!(s100 <= s10 + s10 / 10, "100 buckets ({s100}) should not lose to 10 ({s10})");
 }
 
+#[test]
+fn each_filter_site_cuts_rows_spilled() {
+    // DESIGN.md §6's filter ablation on the real operator. Filtering at
+    // spill time only can shift run boundaries a little (doomed rows hold
+    // workspace until they die at spill time), so the full filter gets 10 %
+    // slack against it; against no filter it must spill under a quarter.
+    let w = Workload::uniform(100_000, 4242);
+    let spilled = |filter| {
+        let cfg = TopKConfig::builder()
+            .memory_budget(1_000 * 64)
+            .sizing(SizingPolicy::TargetBuckets(50))
+            .filter(filter)
+            .build()
+            .unwrap();
+        let mut op =
+            HistogramTopK::new(SortSpec::ascending(5_000), cfg, MemoryBackend::new()).unwrap();
+        for row in w.rows() {
+            op.push(row).unwrap();
+        }
+        assert_eq!(op.finish().unwrap().count(), 5_000);
+        op.metrics().rows_spilled()
+    };
+    let full = spilled(FilterSites::InputAndSpill);
+    let spill_only = spilled(FilterSites::SpillOnly);
+    let off = spilled(FilterSites::Off);
+    assert!(full <= spill_only + spill_only / 10, "full {full} vs spill-only {spill_only}");
+    assert!(spill_only <= off, "spill-only {spill_only} vs off {off}");
+    assert!(full * 4 < off, "the filter barely helped: {full} vs {off}");
+}
+
 /// Goldens for the three external algorithms on one uniform input: rows
-/// spilled, runs created, bytes written and early merges at `k` = mem/2,
-/// 2·mem and 8·mem (Figures 2–6 vary exactly these). Each algorithm is a
-/// recipe of one operator, so any change to the shared skeleton that moves
+/// spilled, runs created, bytes written, early merges, bytes read and read
+/// requests at `k` = mem/2, 2·mem and 8·mem (Figures 2–6 vary exactly
+/// these). Each algorithm is a recipe of one operator, so any change to the shared skeleton that moves
 /// a baseline's I/O shows here, not only in the figures.
 #[test]
 fn spill_counts_of_each_algorithm_are_pinned() {
@@ -219,7 +249,14 @@ fn spill_counts_of_each_algorithm_are_pinned() {
         oracle.sort();
         assert_eq!(keys, oracle[..k as usize], "{}", op.algorithm());
         let m = op.metrics();
-        [m.rows_spilled(), m.runs(), m.io.bytes_written, m.early_merges]
+        [
+            m.rows_spilled(),
+            m.runs(),
+            m.io.bytes_written,
+            m.early_merges,
+            m.io.bytes_read,
+            m.io.read_ops,
+        ]
     };
     let mut got = Vec::new();
     for k in [MEM / 2, 2 * MEM, 8 * MEM] {
@@ -232,18 +269,19 @@ fn spill_counts_of_each_algorithm_are_pinned() {
             TraditionalExternalTopK::new(spec, config.memory_budget, backend()).unwrap();
         got.push(counts(k, Box::new(traditional)));
     }
-    // [rows spilled, runs, bytes written, early merges]; per k: histogram,
-    // optimized, traditional.
-    let want: [[u64; 4]; 9] = [
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-        [40_000, 71, 481_136, 0],
-        [3_978, 7, 47_848, 0],
-        [17_536, 34, 210_976, 0],
-        [40_000, 71, 481_136, 0],
-        [12_612, 14, 151_568, 0],
-        [28_735, 24, 345_204, 1],
-        [40_000, 71, 481_136, 0],
+    // [rows spilled, runs, bytes written, early merges, bytes read, read
+    // requests]; per k: histogram, optimized, traditional. Reads repeated
+    // exactly over 100 release runs, half of them beside a second copy.
+    let want: [[u64; 6]; 9] = [
+        [0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0],
+        [40_000, 71, 481_136, 0, 481_136, 71],
+        [3_978, 7, 47_848, 0, 47_848, 7],
+        [17_536, 34, 210_976, 0, 210_976, 34],
+        [40_000, 71, 481_136, 0, 481_136, 71],
+        [12_612, 14, 151_568, 0, 151_568, 14],
+        [28_735, 24, 345_204, 1, 481_172, 32],
+        [40_000, 71, 481_136, 0, 481_136, 71],
     ];
     assert_eq!(got, want);
 }

@@ -10,8 +10,8 @@
 //! recomputed JSON on failure; copy it over `results/surface.json` and say
 //! in `CHANGES.md` why any number rose.
 //!
-//! Line totals (non-test lines per crate, files and lines of the test
-//! suites) move with almost every edit, so they are printed for
+//! Line totals (non-test lines per crate and of the shims, files and lines
+//! of the test suites) move with almost every edit, so they are printed for
 //! information (`cargo test --test surface -- --nocapture`), not compared.
 //!
 //! Counting is plain line scanning, no parser:
@@ -160,6 +160,12 @@ fn ledger(root: &Path) -> (String, String) {
         .expect("write to String");
         write!(lines, " {name} {}", c.non_test_lines).expect("write to String");
     }
+    let shim_lines: usize = fs::read_dir(root.join("shims"))
+        .expect("shims/ directory")
+        .map(|e| count_crate(&e.expect("readable directory entry").path().join("src")))
+        .map(|c| c.non_test_lines)
+        .sum();
+    write!(lines, " shims {shim_lines}").expect("write to String");
     out.push_str("  },\n  \"workspace\": {\n");
 
     let workspace = [
