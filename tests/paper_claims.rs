@@ -232,8 +232,9 @@ fn each_filter_site_cuts_rows_spilled() {
 /// Goldens for the three external algorithms on one uniform input: rows
 /// spilled, runs created, bytes written, early merges, bytes read and read
 /// requests at `k` = mem/2, 2·mem and 8·mem (Figures 2–6 vary exactly
-/// these). Each algorithm is a recipe of one operator, so any change to the shared skeleton that moves
-/// a baseline's I/O shows here, not only in the figures.
+/// these). Each algorithm is a recipe of one operator, so any change to the
+/// shared skeleton that moves a baseline's I/O shows here, not only in the
+/// figures.
 #[test]
 fn spill_counts_of_each_algorithm_are_pinned() {
     const ROWS: u64 = 40_000;
