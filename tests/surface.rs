@@ -112,11 +112,12 @@ fn builder_setters(file: &Path, name: &str) -> usize {
 }
 
 /// Crate directories under `shims/`.
-fn shim_crates(root: &Path) -> usize {
+fn shim_crates(root: &Path) -> Vec<PathBuf> {
     fs::read_dir(root.join("shims"))
         .expect("shims/ directory")
-        .filter(|e| e.as_ref().expect("readable directory entry").path().is_dir())
-        .count()
+        .map(|e| e.expect("readable directory entry").path())
+        .filter(|p| p.is_dir())
+        .collect()
 }
 
 /// `pub fn with_*` in the non-test part of `file`.
@@ -160,11 +161,8 @@ fn ledger(root: &Path) -> (String, String) {
         .expect("write to String");
         write!(lines, " {name} {}", c.non_test_lines).expect("write to String");
     }
-    let shim_lines: usize = fs::read_dir(root.join("shims"))
-        .expect("shims/ directory")
-        .map(|e| count_crate(&e.expect("readable directory entry").path().join("src")))
-        .map(|c| c.non_test_lines)
-        .sum();
+    let shims = shim_crates(root);
+    let shim_lines: usize = shims.iter().map(|d| count_crate(&d.join("src")).non_test_lines).sum();
     write!(lines, " shims {shim_lines}").expect("write to String");
     out.push_str("  },\n  \"workspace\": {\n");
 
@@ -182,7 +180,7 @@ fn ledger(root: &Path) -> (String, String) {
             pub_fields(&root.join("crates/exec/src/server.rs"), "ServerConfig"),
         ),
         ("external_sorter_with_builders", with_builders(&root.join("crates/sort/src/external.rs"))),
-        ("shim_crates", shim_crates(root)),
+        ("shim_crates", shims.len()),
     ];
     for (i, (name, value)) in workspace.iter().enumerate() {
         let comma = if i + 1 < workspace.len() { "," } else { "" };
