@@ -12,8 +12,9 @@ pub enum RunGenKind {
     /// Replacement selection (production default, §5.1.2).
     #[default]
     ReplacementSelection,
-    /// Quicksort load-sort-store runs (PostgreSQL-style; also what the
-    /// §3.2 analysis assumes).
+    /// Memory-sized load-sort-store runs (PostgreSQL-style; also what the
+    /// §3.2 analysis assumes), sorted by the radix
+    /// [`BatchSort`](histok_sort::BatchSort) for every key type.
     LoadSortStore,
 }
 
@@ -59,10 +60,8 @@ pub struct TopKConfig {
     /// Emit tail buckets at run end (strictly more information than the
     /// paper's idealized model; ablation switch).
     pub tail_buckets: bool,
-    /// Run-generation strategy. Load-sort-store over keys whose 8-byte
-    /// normalized prefix is exact (integers, `F64Key`) runs as the radix
-    /// [`BatchSort`](histok_sort::BatchSort): same flush points, same run
-    /// contents, no comparator on the hot path.
+    /// Run-generation strategy: replacement selection or load-sort-store;
+    /// see [`RunGenKind`].
     pub run_generation: RunGenKind,
     /// Cap runs at `offset + limit` rows (the [Graefe'08] optimization).
     pub limit_run_size: bool,
@@ -82,10 +81,6 @@ pub struct TopKConfig {
     /// positions are best-effort and the row count may fall short of `k`.
     /// 0.0 (the default) = exact.
     pub approx_slack: f64,
-    /// Offset-value coding on the sort hot path (loser-tree duels,
-    /// selection-tree matches, cutoff prefix checks). On by default; off
-    /// forces full key comparisons everywhere (differential baseline).
-    pub ovc_enabled: bool,
     /// Worker threads for the final merge. With 2 or more, the final
     /// merge is range-partitioned across histogram-guided splitter keys
     /// once it holds at least
@@ -158,7 +153,6 @@ impl Default for TopKConfig {
             filter: FilterSites::default(),
             block_bytes: histok_storage::DEFAULT_BLOCK_BYTES,
             approx_slack: 0.0,
-            ovc_enabled: true,
             merge_threads: default_merge_threads(),
             io_threads: 4,
             io_scheduler_handle: None,
@@ -321,12 +315,6 @@ impl TopKConfigBuilder {
     /// Approximation slack (§4.5); see [`TopKConfig::approx_slack`].
     pub fn approx_slack(mut self, slack: f64) -> Self {
         self.config.approx_slack = slack;
-        self
-    }
-
-    /// Offset-value coding switch; see [`TopKConfig::ovc_enabled`].
-    pub fn ovc_enabled(mut self, on: bool) -> Self {
-        self.config.ovc_enabled = on;
         self
     }
 

@@ -97,8 +97,7 @@ pub(crate) fn filter_from_config<K: SortKey>(
     let mut filter = CutoffFilter::with_policy(filter_k.max(1), spec.order, sizing)
         .with_memory_budget(config.histogram_memory)
         .with_tail_buckets(config.tail_buckets)
-        .with_spill_elimination(config.filter.spill() && pre_agg_filtering)
-        .with_norm_prefix(config.ovc_enabled);
+        .with_spill_elimination(config.filter.spill() && pre_agg_filtering);
     if enabled && fold == Some(AggregateOp::First) {
         filter = filter.with_distinct_tracking();
     }
@@ -226,8 +225,6 @@ pub(crate) struct Cutoff<K> {
     key: Option<K>,
     /// `key`'s normalized 8-byte prefix: the common-case check is one compare.
     prefix: u64,
-    /// Gates the prefix fast path (off = always full comparisons).
-    norm_prefix: bool,
     order: SortOrder,
 }
 
@@ -236,27 +233,23 @@ impl<K: SortKey> Cutoff<K> {
         self.key.as_ref()
     }
 
-    /// True iff a cutoff exists and `key` sorts strictly after it. With the
-    /// prefix fast path on, a differing normalized 8-byte prefix decides
-    /// with one integer compare; only keys matching the cutoff's prefix
-    /// (and wider than 8 normalized bytes) pay a full comparison.
+    /// True iff a cutoff exists and `key` sorts strictly after it. A
+    /// differing normalized 8-byte prefix decides with one integer compare;
+    /// only keys matching the cutoff's prefix (and wider than 8 normalized
+    /// bytes) pay a full comparison.
     #[inline]
     pub(crate) fn eliminate(&self, key: &K) -> bool {
         match &self.key {
             Some(cut) => {
-                if self.norm_prefix {
-                    let p = key.norm_prefix();
-                    if p != self.prefix {
-                        return match self.order {
-                            SortOrder::Ascending => p > self.prefix,
-                            SortOrder::Descending => p < self.prefix,
-                        };
-                    }
-                    if K::norm_prefix_is_exact() {
-                        return false; // equal keys: ties survive
-                    }
+                let p = key.norm_prefix();
+                if p != self.prefix {
+                    return match self.order {
+                        SortOrder::Ascending => p > self.prefix,
+                        SortOrder::Descending => p < self.prefix,
+                    };
                 }
-                self.order.follows(key, cut)
+                // Equal exact prefixes are equal keys: ties survive.
+                !K::norm_prefix_is_exact() && self.order.follows(key, cut)
             }
             None => false,
         }
@@ -366,7 +359,7 @@ impl<K: SortKey> CutoffFilter<K> {
             k: k.max(1),
             heap: BinaryHeapBy::new(cmp),
             sum: 0,
-            cut: Cutoff { key: None, prefix: 0, norm_prefix: true, order },
+            cut: Cutoff { key: None, prefix: 0, order },
             builder: HistogramBuilder::new(),
             policy,
             emit_tail: true,
@@ -434,13 +427,6 @@ impl<K: SortKey> CutoffFilter<K> {
         self.cut.key.is_some()
     }
 
-    /// Controls the cached normalized-prefix fast path in
-    /// [`CutoffFilter::eliminate`] (on by default).
-    pub fn with_norm_prefix(mut self, enabled: bool) -> Self {
-        self.cut.norm_prefix = enabled;
-        self
-    }
-
     /// Switches the filter to distinct (dedup) mode: an exact tracker of
     /// the best `k` *distinct* keys replaces the row-count histogram as the
     /// cutoff source. Bucket callbacks from the spill path become no-ops —
@@ -487,9 +473,7 @@ impl<K: SortKey> CutoffFilter<K> {
         if let Some(shadow) = &mut self.shadow {
             shadow.tightened(&key, self.order);
         }
-        if self.cut.norm_prefix {
-            self.cut.prefix = key.norm_prefix();
-        }
+        self.cut.prefix = key.norm_prefix();
         self.cut.key = Some(key);
         self.metrics.refinements += 1;
     }
@@ -936,16 +920,11 @@ mod tests {
         use histok_types::BytesKey;
         // Byte keys sharing 8+ byte prefixes with the cutoff force the
         // full-comparison fallback; everything else must be decided by the
-        // prefix with the same verdict as the slow path.
+        // prefix with the verdict of a full comparison.
         for order in [SortOrder::Ascending, SortOrder::Descending] {
             let cut = BytesKey::from("prefix-prefix-m");
-            let mk = |fast: bool| {
-                let mut f: CutoffFilter<BytesKey> =
-                    CutoffFilter::new(2, order).with_norm_prefix(fast);
-                f.insert_bucket(Bucket::new(cut.clone(), 2));
-                f
-            };
-            let (fast, slow) = (mk(true), mk(false));
+            let mut filter: CutoffFilter<BytesKey> = CutoffFilter::new(2, order);
+            filter.insert_bucket(Bucket::new(cut.clone(), 2));
             let probes = [
                 "prefix-prefix-a",
                 "prefix-prefix-m",
@@ -960,8 +939,8 @@ mod tests {
             for p in probes {
                 let key = BytesKey::from(p);
                 assert_eq!(
-                    fast.eliminate(&key),
-                    slow.eliminate(&key),
+                    filter.eliminate(&key),
+                    order.follows(&key, &cut),
                     "probe {p:?}, order {order:?}"
                 );
             }

@@ -121,7 +121,6 @@ impl<K: SortKey> GroupedAggTopK<K> {
         .with_fan_in(config.fan_in)
         .with_merge_threads(config.merge_threads)
         .with_tuning(MergeTuning {
-            ovc: config.ovc_enabled,
             stats: Some(cmp_stats.clone()),
             // The fold is re-applied from `with_fold` at finish time.
             ..MergeTuning::default()

@@ -231,11 +231,10 @@ impl<K: SortKey> ParallelTopK<K> {
             let run_limit = if config.limit_run_size { Some(spec.retained()) } else { None };
             let residue_policy = config.residue;
             let worker_spec = spec;
-            let worker_ovc = config.ovc_enabled;
             let worker_cmp_stats = cmp_stats.clone();
             let handle = std::thread::spawn(move || -> Result<WorkerOutput<K>> {
                 let mut gen = ReplacementSelection::with_budget(worker_catalog.clone(), budget)
-                    .with_ovc(worker_ovc, Some(worker_cmp_stats));
+                    .with_stats(Some(worker_cmp_stats));
                 if let Some(limit) = run_limit {
                     gen = gen.with_run_limit(limit);
                 }
@@ -290,11 +289,7 @@ impl<K: SortKey> ParallelTopK<K> {
     }
 
     fn merge_tuning(&self) -> MergeTuning {
-        MergeTuning {
-            ovc: self.config.ovc_enabled,
-            stats: Some(self.cmp_stats.clone()),
-            ..MergeTuning::default()
-        }
+        MergeTuning { stats: Some(self.cmp_stats.clone()), ..MergeTuning::default() }
     }
 
     /// Offers one row (round-robin across workers). Rows past the shared

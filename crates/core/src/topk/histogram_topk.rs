@@ -24,9 +24,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use histok_sort::run_gen::{
-    BatchSort, LoadSortStore, ReplacementSelection, ResiduePolicy, RunGenerator,
-};
+use histok_sort::run_gen::{BatchSort, ReplacementSelection, ResiduePolicy, RunGenerator};
 use histok_sort::{CmpStats, FinalMerge, FoldSpec, FoldStats, MergeTuning};
 use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Aggregator, Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
@@ -555,7 +553,6 @@ impl<K: SortKey, R: Recipe> TopK<K, R> {
 
     fn merge_tuning(&self) -> MergeTuning {
         MergeTuning {
-            ovc: self.config.ovc_enabled,
             stats: Some(self.cmp_stats.clone()),
             fold: self.fold_spec(),
             ..MergeTuning::default()
@@ -568,26 +565,18 @@ impl<K: SortKey, R: Recipe> TopK<K, R> {
         // admission controller can resize a running query's workspace.
         let budget = self.config.make_budget();
         let mut gen: Box<dyn RunGenerator<K>> = match self.config.run_generation {
-            // Replacement selection's run shape *is* its strategy: it
-            // keeps its pipelined heap whatever the key.
             RunGenKind::ReplacementSelection => {
                 let mut gen = ReplacementSelection::with_budget(catalog, budget)
-                    .with_ovc(self.config.ovc_enabled, Some(self.cmp_stats.clone()));
+                    .with_stats(Some(self.cmp_stats.clone()));
                 if self.config.limit_run_size {
                     gen = gen.with_run_limit(self.spec.retained());
                 }
                 Box::new(gen)
             }
-            // Radix batching is a faster load-sort-store with identical
-            // run shapes, where the key's prefix is exact.
-            RunGenKind::LoadSortStore if K::norm_prefix_is_exact() => {
-                Box::new(BatchSort::with_budget(catalog, budget))
-            }
-            RunGenKind::LoadSortStore => Box::new(LoadSortStore::with_budget(catalog, budget)),
+            RunGenKind::LoadSortStore => Box::new(BatchSort::with_budget(catalog, budget)),
         };
-        // Fold mode: duplicates collapse inside run generation where the
-        // generator supports it; generators that ignore the hint still
-        // yield deduplicated output because every merge duel folds too.
+        // Fold mode: duplicates collapse before they spill; every merge
+        // folds again.
         gen.set_fold(self.fold_spec());
         gen
     }

@@ -13,8 +13,8 @@
 use std::collections::HashMap;
 
 use histok_core::{
-    FilterSites, GroupedAggTopK, HistogramTopK, OperatorMetrics, TopKConfig, TopKConfigBuilder,
-    TopKOperator,
+    FilterSites, GroupedAggTopK, HistogramTopK, OperatorMetrics, RunGenKind, TopKConfig,
+    TopKConfigBuilder, TopKOperator,
 };
 use histok_storage::MemoryBackend;
 use histok_types::{
@@ -203,6 +203,45 @@ fn fold_grid_bytes() {
 #[test]
 fn fold_grid_key_pair() {
     grid_for_key("KeyPair", |v| KeyPair(v / 10, v % 10));
+}
+
+/// One SUM cell of the grid (u64, ascending, filter on, fan-in 64) folds
+/// pinned bytes before it spills and writes pinned bytes: the output alone
+/// cannot show whether run generation folds, since every merge folds too.
+#[test]
+fn a_sum_cell_folds_pinned_bytes_before_it_spills() {
+    let rows = arrivals(41)
+        .iter()
+        .map(|&(v, j)| Row::new(v, encode_f64(sum_term(v, j))))
+        .collect::<Vec<Row<u64>>>();
+    let cfg = config(true, 64).aggregate(AggregateOp::Sum).build().expect("valid");
+    let (got, m) = run(SortSpec::ascending(K), cfg, rows);
+    let want: Vec<(u64, Vec<u8>)> =
+        expected_groups(true).iter().map(|&v| (v, encode_f64(group_sum(v)).to_vec())).collect();
+    assert_eq!(got, want, "SUM diverged from post-hoc oracle");
+    assert_eq!((m.bytes_folded_pre_spill, m.io.bytes_written), (2_560, 15_268));
+}
+
+/// Load-sort-store folds wide keys before they spill: a dedup query over
+/// `BytesKey`s whose normalized prefixes tie, with the filter off so that
+/// every duplicate reaches run generation, writes fewer bytes than the
+/// 24,640 it wrote when only the in-memory phase and the merges folded.
+#[test]
+fn load_sort_store_folds_wide_keys_before_they_spill() {
+    let key = |v: u64| BytesKey::new(format!("wide-key-{v:05}"));
+    // Each group's duplicates arrive together, worst group first.
+    let rows = (0..DISTINCT)
+        .rev()
+        .flat_map(|v| (0..REPS).map(move |_| v))
+        .map(|v| Row::new(key(v), dedup_payload(v)))
+        .collect();
+    let cfg = config(false, 64).run_generation(RunGenKind::LoadSortStore).dedup(true);
+    let (got, m) = run(SortSpec::ascending(K), cfg.build().expect("valid"), rows);
+    let want: Vec<(BytesKey, Vec<u8>)> =
+        expected_groups(true).iter().map(|&v| (key(v), dedup_payload(v))).collect();
+    assert_eq!(got, want, "dedup diverged from the oracle");
+    assert!(m.bytes_folded_pre_spill > 0, "run generation folded nothing");
+    assert!(m.io.bytes_written < 24_640, "{} B written", m.io.bytes_written);
 }
 
 /// Zipf(1.2) ranks over 1,000 keys in 20,000 rows, so duplicates dominate.

@@ -1,13 +1,16 @@
-//! Differential grid: offset-value coding must be invisible in the output.
+//! Differential grid: offset-value coding against plain sorts.
 //!
-//! Every {key type} × {sort order} × duplicate-heavy-workload cell runs the
-//! same input twice — OVC on and OVC off — at two levels:
+//! Every {key type} × {sort order} × duplicate-heavy-workload cell is
+//! checked at two levels against a reference built in the test:
 //!
-//! 1. the bare multi-source merge ([`merge_sources`]), and
+//! 1. the bare multi-source merge ([`merge_sources`]) must equal a stable
+//!    sort of its rows by (key, source index);
 //! 2. the full [`HistogramTopK`] operator (run generation through the
-//!    selection heap, cutoff prefix filtering, intermediate + final merges),
+//!    selection tree, cutoff prefix filtering, intermediate + final
+//!    merges) must return the key sequence of sort-then-take-`k`, every
+//!    row of each key before the `k`-th, distinct rows of the `k`-th key,
+//!    and the same bytes on a second run.
 //!
-//! and asserts the outputs are identical row-for-row, payloads included.
 //! Payloads are unique per input row, so any difference in tie-breaking
 //! among equal keys (the duplicate-heavy edge case where codes collide on
 //! `Ovc::EQUAL`) shows up as a payload mismatch, not just a key mismatch.
@@ -73,33 +76,28 @@ fn spec_for(order: SortOrder) -> SortSpec {
 }
 
 /// Level 1: the bare merge. The input is split into many pre-sorted
-/// sources; OVC-on and OVC-off merges of the same sources must agree.
+/// sources; the merge must equal a stable sort by (key, source index).
 fn merge_differential<K: KeyGen>(label: &str, order: SortOrder) {
     let rows = workload::<K>(0xA5A5);
-    let sources = |n: usize| -> Vec<MergeSource<K>> {
+    for n in [2usize, 5, 16] {
         let mut parts: Vec<Vec<Row<K>>> = vec![Vec::new(); n];
         for (i, row) in rows.iter().enumerate() {
             parts[i % n].push(row.clone());
         }
-        parts
-            .into_iter()
-            .map(|mut p| {
-                p.sort_by(|a, b| order.cmp_keys(&a.key, &b.key));
-                MergeSource::Memory(p.into_iter())
-            })
-            .collect()
-    };
-    for n in [2usize, 5, 16] {
-        let with_ovc: Vec<Row<K>> = merge_sources(sources(n), order, &MergeTuning::default())
-            .expect("ovc merge")
+        let mut want: Vec<(usize, Row<K>)> = Vec::new();
+        let mut sources = Vec::new();
+        for (s, mut part) in parts.into_iter().enumerate() {
+            part.sort_by(|a, b| order.cmp_keys(&a.key, &b.key));
+            want.extend(part.iter().map(|row| (s, row.clone())));
+            sources.push(MergeSource::Memory(part.into_iter()));
+        }
+        want.sort_by(|(sa, a), (sb, b)| order.cmp_keys(&a.key, &b.key).then(sa.cmp(sb)));
+        let got: Vec<Row<K>> = merge_sources(sources, order, &MergeTuning::default())
+            .expect("merge")
             .map(|r| r.expect("row"))
             .collect();
-        let without: Vec<Row<K>> = merge_sources(sources(n), order, &MergeTuning::without_ovc())
-            .expect("plain merge")
-            .map(|r| r.expect("row"))
-            .collect();
-        assert_eq!(with_ovc.len(), without.len(), "{label} n={n}: row counts diverged");
-        for (i, (a, b)) in with_ovc.iter().zip(&without).enumerate() {
+        assert_eq!(got.len(), want.len(), "{label} n={n}: row counts diverged");
+        for (i, (a, (_, b))) in got.iter().zip(&want).enumerate() {
             assert_eq!(a.key, b.key, "{label} n={n}: key diverged at row {i}");
             assert_eq!(a.payload, b.payload, "{label} n={n}: tie-break diverged at row {i}");
         }
@@ -107,15 +105,16 @@ fn merge_differential<K: KeyGen>(label: &str, order: SortOrder) {
 }
 
 /// Level 2: the full operator, spilling through tiny memory so the sort
-/// path (selection heap, cutoff filter, merges) actually runs.
+/// path (selection tree, cutoff filter, merges) actually runs, against
+/// sort-then-take-`k`. Which rows of the `k`-th key survive is the
+/// operator's choice; they must be distinct rows of that key.
 fn operator_differential<K: KeyGen>(label: &str, order: SortOrder) {
     let rows = workload::<K>(0x5A5A);
-    let run = |ovc: bool| -> Vec<Row<K>> {
+    let run = || -> Vec<Row<K>> {
         let cfg = TopKConfig::builder()
             .memory_budget(16 * 1024)
             .block_bytes(1024)
             .fan_in(4)
-            .ovc_enabled(ovc)
             .build()
             .expect("grid config");
         let mut op =
@@ -125,15 +124,32 @@ fn operator_differential<K: KeyGen>(label: &str, order: SortOrder) {
         }
         op.finish().expect("finish").map(|r| r.expect("row")).collect()
     };
-    let with_ovc = run(true);
-    let without = run(false);
-    let m = spec_for(order);
-    assert_eq!(with_ovc.len(), m.retained().min(INPUT as u64) as usize, "{label}: short output");
-    assert_eq!(with_ovc.len(), without.len(), "{label}: row counts diverged");
-    for (i, (a, b)) in with_ovc.iter().zip(&without).enumerate() {
+    let got = run();
+    let k = spec_for(order).retained().min(INPUT as u64) as usize;
+    let mut sorted = rows.clone();
+    sorted.sort_by(|a, b| order.cmp_keys(&a.key, &b.key));
+    assert_eq!(got.len(), k, "{label}: short output");
+    for (i, (a, b)) in got.iter().zip(&sorted).enumerate() {
         assert_eq!(a.key, b.key, "{label}: key diverged at row {i}");
-        assert_eq!(a.payload, b.payload, "{label}: tie-break diverged at row {i}");
     }
+    let payloads = |rows: &[Row<K>], key: &K| -> Vec<Vec<u8>> {
+        let mut p: Vec<Vec<u8>> =
+            rows.iter().filter(|r| r.key == *key).map(|r| r.payload.to_vec()).collect();
+        p.sort();
+        p
+    };
+    let last = &got[k - 1].key;
+    for group in got.chunk_by(|a, b| a.key == b.key) {
+        let key = &group[0].key;
+        let (out, input) = (payloads(group, key), payloads(&rows, key));
+        if key == last {
+            assert!(out.windows(2).all(|w| w[0] != w[1]), "{label}: a row of {key:?} twice");
+            assert!(out.iter().all(|p| input.contains(p)), "{label}: {key:?} row not in input");
+        } else {
+            assert_eq!(out, input, "{label}: rows of {key:?} differ from the input's");
+        }
+    }
+    assert_eq!(run(), got, "{label}: two runs differ");
 }
 
 macro_rules! grid_cell {

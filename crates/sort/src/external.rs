@@ -15,7 +15,7 @@ use crate::budget::MemoryBudget;
 use crate::fold::FoldSpec;
 use crate::merge::{FinalMerge, MergeTuning, SortedStream};
 use crate::observer::NoopObserver;
-use crate::run_gen::{BatchSort, LoadSortStore, ResiduePolicy, RunGenerator};
+use crate::run_gen::{BatchSort, ResiduePolicy, RunGenerator};
 
 /// A full external merge sort: push rows, then stream them back sorted.
 ///
@@ -41,7 +41,7 @@ use crate::run_gen::{BatchSort, LoadSortStore, ResiduePolicy, RunGenerator};
 /// ```
 pub struct ExternalSorter<K: SortKey> {
     catalog: Arc<RunCatalog<K>>,
-    generator: Box<dyn RunGenerator<K>>,
+    generator: BatchSort<K>,
     fan_in: usize,
     tuning: MergeTuning,
     rows_in: u64,
@@ -76,14 +76,8 @@ impl<K: SortKey> ExternalSorter<K> {
             order,
             stats,
         ));
-        // Load-sort-store run generation either way; keys whose normalized
-        // prefix is exact take the radix batch sort (same flush points and
-        // run contents, no comparator on the hot path).
-        let generator: Box<dyn RunGenerator<K>> = if K::norm_prefix_is_exact() {
-            Box::new(BatchSort::with_budget(catalog.clone(), budget))
-        } else {
-            Box::new(LoadSortStore::with_budget(catalog.clone(), budget))
-        };
+        // Load-sort-store run generation: the radix batch sort.
+        let generator = BatchSort::with_budget(catalog.clone(), budget);
         ExternalSorter {
             catalog,
             generator,
@@ -111,8 +105,7 @@ impl<K: SortKey> ExternalSorter<K> {
         self
     }
 
-    /// Overrides the merge tuning (offset-value coding switch, comparison
-    /// counters, batch size). The I/O pool is the catalog's, set by
+    /// Overrides the merge tuning (comparison counters, batch size). The I/O pool is the catalog's, set by
     /// [`ExternalSorter::with_io_scheduler`] in either order.
     pub fn with_tuning(mut self, tuning: MergeTuning) -> Self {
         self.tuning = tuning;
@@ -313,6 +306,40 @@ mod tests {
             folded * 5 <= unfolded,
             "early folding should slash spill bytes: folded {folded}, unfolded {unfolded}"
         );
+    }
+
+    /// Run generation folds wide keys before they spill: the same sort
+    /// wrote 63,856 bytes when only the merges folded.
+    #[test]
+    fn wide_keys_fold_before_they_spill() {
+        use crate::fold::{FoldSpec, FoldStats};
+        use histok_types::{decode_count, AggregateOp, Bytes, BytesKey};
+        let key = |k: u64| BytesKey::new(format!("wide-key-{k:05}"));
+        let mut keys: Vec<u64> = (0..2000).map(|i| i % 40).collect();
+        keys.shuffle(&mut StdRng::seed_from_u64(17));
+        let (agg, fold_stats, io) =
+            (AggregateOp::Count.aggregator(), FoldStats::new(), IoStats::new());
+        let mut sorter = ExternalSorter::new(
+            Arc::new(MemoryBackend::new()),
+            SortOrder::Ascending,
+            200 * 80,
+            io.clone(),
+        )
+        .with_fan_in(4)
+        .with_fold(FoldSpec::new(agg.clone()).with_stats(fold_stats.clone()));
+        for k in keys {
+            sorter.push(Row::new(key(k), agg.init(Bytes::new()))).unwrap();
+        }
+        let got: Vec<(BytesKey, u64)> = sorter
+            .finish()
+            .unwrap()
+            .map(|r| r.unwrap())
+            .map(|r| (r.key, decode_count(&r.payload)))
+            .collect();
+        assert_eq!(got, (0..40).map(|k| (key(k), 50)).collect::<Vec<_>>());
+        assert!(fold_stats.snapshot().bytes_folded_pre_spill > 0, "run generation folded nothing");
+        let written = io.snapshot().bytes_written;
+        assert!(written < 63_856, "{written} B written");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! * [`MemoryBudget`] — byte accounting for an operator's workspace.
 //! * [`RunGenerator`] implementations — [`ReplacementSelection`] (the
 //!   paper's production choice, §5.1.2: pipelined, no stop-the-world sort,
-//!   runs ~2× memory, optional run-size limit) and [`LoadSortStore`]
-//!   (quicksort runs — what PostgreSQL does, §5.2).
+//!   runs ~2× memory, optional run-size limit) and [`BatchSort`]
+//!   (load-sort-store with a radix sort — what PostgreSQL does, §5.2).
 //! * [`SpillObserver`] — the hook through which the histogram cutoff filter
 //!   of `histok-core` watches and vetoes spills (Algorithm 1 lines 8–13).
 //! * [`LoserTree`] — the classic tournament merge over any number of
@@ -48,5 +48,5 @@ pub use merge::{
 };
 pub use observer::{NoopObserver, SpillObserver};
 pub use partition::PartitionCounters;
-pub use run_gen::{BatchSort, LoadSortStore, ReplacementSelection, ResiduePolicy, RunGenerator};
+pub use run_gen::{BatchSort, ReplacementSelection, ResiduePolicy, RunGenerator};
 pub use source::{IterSource, RowSource, DEFAULT_BATCH_ROWS};

@@ -10,14 +10,14 @@
 //! amortized per batch instead of per row.
 //!
 //! **Exact-prefix keys** ([`SortKey::norm_prefix_is_exact`]: the integers,
-//! `F64Key`) with coding on, the default, need no key bytes at all: the
-//! output-order prefix is the whole key. Each source's head is one `u128`
-//! code, `(prefix << 64) | source index`, or `u128::MAX` once the source is
-//! exhausted, and the tree's nodes hold codes, not sources. Ties between
-//! equal keys fall to the lower index inside the same compare, and no real
-//! code reaches the sentinel, since an index is below `u64::MAX`. A replay
-//! is then one compare and two `select_unpredictable`s per level, the
-//! branch-free form of replacement selection's `climb` (DESIGN.md §8).
+//! `F64Key`) need no key bytes at all: the output-order prefix is the whole
+//! key. Each source's head is one `u128` code, `(prefix << 64) | source
+//! index`, or `u128::MAX` once the source is exhausted, and the tree's
+//! nodes hold codes, not sources. Ties between equal keys fall to the lower
+//! index inside the same compare, and no real code reaches the sentinel,
+//! since an index is below `u64::MAX`. A replay is then one compare and two
+//! `select_unpredictable`s per level, the branch-free form of replacement
+//! selection's `climb` (DESIGN.md §8).
 //!
 //! **Wide keys** keep offset-value coding: each head carries an [`Ovc`]
 //! relative to the key it last lost a match to. The invariant that makes
@@ -38,8 +38,7 @@
 //!
 //! Either way, a match decided on codes or prefixes alone counts into
 //! `ovc_cmps` and a byte-level resolution into `full_cmps`; a match is
-//! counted only when both heads are live. With coding off, every match of
-//! two live heads compares full keys.
+//! counted only when both heads are live.
 
 use std::hint::select_unpredictable;
 
@@ -120,8 +119,6 @@ pub struct LoserTree<K: SortKey, S: RowSource<K>> {
     sources: Vec<S>,
     /// Each source's current batch; empty once the source is exhausted.
     cursors: Vec<Cursor<K>>,
-    /// Whether the code kernel runs: exact-prefix keys with coding on.
-    exact: bool,
     /// Code kernel: `codes[t]` = code of the loser parked at internal node
     /// `t` (nodes `1..n`); `codes[0]` = the winner's.
     codes: Vec<u128>,
@@ -143,7 +140,6 @@ pub struct LoserTree<K: SortKey, S: RowSource<K>> {
     /// Scratch for encoding a refilled head before swapping into `norms`.
     scratch: Vec<u8>,
     order: SortOrder,
-    ovc_enabled: bool,
     /// Batch-size hint passed to the sources on refill.
     batch_target: usize,
     /// Matches decided by comparing two codes or two prefixes (one integer
@@ -168,25 +164,19 @@ pub struct LoserTree<K: SortKey, S: RowSource<K>> {
 
 impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
     /// Builds a merge over `sources`, each already sorted in `order`, with
-    /// offset-value coding enabled and no stats sink.
+    /// no stats sink.
     pub fn new(sources: Vec<S>, order: SortOrder) -> Result<Self> {
-        Self::with_ovc(sources, order, true, None)
+        Self::with_stats(sources, order, None)
     }
 
-    /// Builds a merge with explicit control over offset-value coding and
-    /// an optional shared comparison-counter sink (flushed on drop).
-    pub fn with_ovc(
-        sources: Vec<S>,
-        order: SortOrder,
-        ovc_enabled: bool,
-        stats: Option<CmpStats>,
-    ) -> Result<Self> {
+    /// Builds a merge with an optional shared comparison-counter sink
+    /// (flushed on drop).
+    pub fn with_stats(sources: Vec<S>, order: SortOrder, stats: Option<CmpStats>) -> Result<Self> {
         let n = sources.len();
-        let exact = ovc_enabled && K::norm_prefix_is_exact();
+        let exact = K::norm_prefix_is_exact();
         let mut lt = LoserTree {
             sources,
             cursors: (0..n).map(|_| Cursor::new(RowBatch::new())).collect(),
-            exact,
             codes: if exact { vec![SPENT; n.max(1)] } else { Vec::new() },
             tree: if exact { Vec::new() } else { vec![usize::MAX; n.max(1)] },
             winner: 0,
@@ -199,7 +189,6 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
             ovcs: vec![Ovc::EQUAL; n],
             scratch: Vec::new(),
             order,
-            ovc_enabled,
             batch_target: DEFAULT_BATCH_ROWS,
             ovc_cmps: 0,
             full_cmps: 0,
@@ -274,7 +263,7 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
     /// source is exhausted in the code kernel).
     #[inline]
     fn winner(&self) -> usize {
-        if self.exact {
+        if K::norm_prefix_is_exact() {
             self.codes[0] as usize
         } else {
             self.winner
@@ -307,15 +296,7 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
     /// relative to a common base.
     fn duel(&mut self, a: usize, b: usize, fresh: bool) -> usize {
         match (self.cursors[a].head(), self.cursors[b].head()) {
-            (Some(ra), Some(rb)) => {
-                if !self.ovc_enabled {
-                    self.full_cmps += 1;
-                    return match self.order.cmp_keys(&ra.key, &rb.key) {
-                        std::cmp::Ordering::Less => a,
-                        std::cmp::Ordering::Greater => b,
-                        std::cmp::Ordering::Equal => a.min(b),
-                    };
-                }
+            (Some(_), Some(_)) => {
                 if !fresh {
                     let (ca, cb) = (self.ovcs[a], self.ovcs[b]);
                     if ca != cb {
@@ -398,7 +379,7 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
     /// winner it lost to.
     fn rebuild(&mut self) {
         let n = self.sources.len();
-        if self.exact {
+        if K::norm_prefix_is_exact() {
             // at[t]: the winning code at node t; leaves are n..2n.
             let mut at = vec![SPENT; 2 * n];
             for i in 0..n {
@@ -469,7 +450,7 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
     /// only prefix ties re-encode and scan normalized bytes.
     fn derive_and_adjust(&mut self, departed: &Row<K>, prev_out: u64) {
         let i = self.winner;
-        if let (true, Some(raw)) = (self.ovc_enabled, self.cursors[i].prefix()) {
+        if let Some(raw) = self.cursors[i].prefix() {
             let out = raw ^ self.out_mask;
             if out != prev_out {
                 debug_assert!(prev_out < out, "source not sorted in the requested order");
@@ -517,7 +498,7 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
         let i = self.winner();
         let (row, raw) = self.cursors.get_mut(i)?.take()?;
         let next = self.cursors[i].prefix().or_else(|| self.refill(i));
-        if self.exact {
+        if K::norm_prefix_is_exact() {
             let code = next.map_or(SPENT, |p| Self::code(p ^ self.out_mask, i));
             debug_assert!(Self::code(raw ^ self.out_mask, i) <= code, "source not sorted");
             self.replay(i, code);
@@ -530,7 +511,7 @@ impl<K: SortKey, S: RowSource<K>> LoserTree<K, S> {
     /// Whether the next head's key equals `key` (output-order prefix
     /// `out`): on the code alone for exact-prefix keys.
     fn winner_is(&self, key: &K, out: u64) -> bool {
-        if self.exact {
+        if K::norm_prefix_is_exact() {
             let code = self.codes[0];
             return code != SPENT && (code >> 64) as u64 == out;
         }
@@ -708,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn ovc_disabled_merges_identically() {
+    fn duplicate_keys_merge_equal_to_a_sort() {
         for n in [2usize, 3, 7, 16] {
             for order in [SortOrder::Ascending, SortOrder::Descending] {
                 let make = || -> Vec<VecSource> {
@@ -724,15 +705,15 @@ mod tests {
                         })
                         .collect()
                 };
-                let on: Vec<u64> = LoserTree::with_ovc(make(), order, true, None)
-                    .unwrap()
-                    .map(|r| r.unwrap().key)
+                let got = merge_keys(make(), order);
+                let mut want: Vec<u64> = (0..n)
+                    .flat_map(|i| (0..30).map(move |j| ((j * n + i) as u64 * 7) % 50))
                     .collect();
-                let off: Vec<u64> = LoserTree::with_ovc(make(), order, false, None)
-                    .unwrap()
-                    .map(|r| r.unwrap().key)
-                    .collect();
-                assert_eq!(on, off, "n = {n}, order = {order:?}");
+                want.sort_unstable();
+                if order == SortOrder::Descending {
+                    want.reverse();
+                }
+                assert_eq!(got, want, "n = {n}, order = {order:?}");
             }
         }
     }
@@ -750,7 +731,7 @@ mod tests {
             .collect();
         let stats = CmpStats::new();
         let mut lt =
-            LoserTree::with_ovc(sources, SortOrder::Ascending, true, Some(stats.clone())).unwrap();
+            LoserTree::with_stats(sources, SortOrder::Ascending, Some(stats.clone())).unwrap();
         let mut count = 0u64;
         for r in &mut lt {
             r.unwrap();
@@ -772,62 +753,54 @@ mod tests {
         // Many sources, every key identical: output must drain sources in
         // index order (ties break toward the lower source), with each
         // source's payloads in their original sequence.
-        for ovc in [true, false] {
-            let n = 6usize;
-            let rows_per = 5usize;
-            let sources: Vec<_> = (0..n)
-                .map(|i| {
-                    iter_src(
-                        (0..rows_per)
-                            .map(|j| Ok(Row::new(42u64, format!("s{i}r{j}").into_bytes())))
-                            .collect::<Vec<Result<Row<u64>>>>(),
-                    )
-                })
-                .collect();
-            let got: Vec<String> = LoserTree::with_ovc(sources, SortOrder::Ascending, ovc, None)
-                .unwrap()
-                .map(|r| String::from_utf8(r.unwrap().payload.to_vec()).unwrap())
-                .collect();
-            let expected: Vec<String> =
-                (0..n).flat_map(|i| (0..rows_per).map(move |j| format!("s{i}r{j}"))).collect();
-            assert_eq!(got, expected, "ovc = {ovc}");
-        }
+        let n = 6usize;
+        let rows_per = 5usize;
+        let sources: Vec<_> = (0..n)
+            .map(|i| {
+                iter_src(
+                    (0..rows_per)
+                        .map(|j| Ok(Row::new(42u64, format!("s{i}r{j}").into_bytes())))
+                        .collect::<Vec<Result<Row<u64>>>>(),
+                )
+            })
+            .collect();
+        let got: Vec<String> = LoserTree::new(sources, SortOrder::Ascending)
+            .unwrap()
+            .map(|r| String::from_utf8(r.unwrap().payload.to_vec()).unwrap())
+            .collect();
+        let expected: Vec<String> =
+            (0..n).flat_map(|i| (0..rows_per).map(move |j| format!("s{i}r{j}"))).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
     fn duplicate_runs_interleave_stably() {
         // Duplicates spanning sources: each tie group must list source 0's
         // rows before source 1's.
-        for ovc in [true, false] {
-            let a: Vec<Result<Row<u64>>> = vec![
-                Ok(Row::new(1u64, &b"a0"[..])),
-                Ok(Row::new(1u64, &b"a1"[..])),
-                Ok(Row::new(2u64, &b"a2"[..])),
-            ];
-            let b: Vec<Result<Row<u64>>> = vec![
-                Ok(Row::new(1u64, &b"b0"[..])),
-                Ok(Row::new(2u64, &b"b1"[..])),
-                Ok(Row::new(2u64, &b"b2"[..])),
-            ];
-            let got: Vec<(u64, Vec<u8>)> = LoserTree::with_ovc(
-                vec![iter_src(a), iter_src(b)],
-                SortOrder::Ascending,
-                ovc,
-                None,
-            )
-            .unwrap()
-            .map(|r| r.map(|row| (row.key, row.payload.to_vec())).unwrap())
-            .collect();
-            let expected: Vec<(u64, Vec<u8>)> = vec![
-                (1, b"a0".to_vec()),
-                (1, b"a1".to_vec()),
-                (1, b"b0".to_vec()),
-                (2, b"a2".to_vec()),
-                (2, b"b1".to_vec()),
-                (2, b"b2".to_vec()),
-            ];
-            assert_eq!(got, expected, "ovc = {ovc}");
-        }
+        let a: Vec<Result<Row<u64>>> = vec![
+            Ok(Row::new(1u64, &b"a0"[..])),
+            Ok(Row::new(1u64, &b"a1"[..])),
+            Ok(Row::new(2u64, &b"a2"[..])),
+        ];
+        let b: Vec<Result<Row<u64>>> = vec![
+            Ok(Row::new(1u64, &b"b0"[..])),
+            Ok(Row::new(2u64, &b"b1"[..])),
+            Ok(Row::new(2u64, &b"b2"[..])),
+        ];
+        let got: Vec<(u64, Vec<u8>)> =
+            LoserTree::new(vec![iter_src(a), iter_src(b)], SortOrder::Ascending)
+                .unwrap()
+                .map(|r| r.map(|row| (row.key, row.payload.to_vec())).unwrap())
+                .collect();
+        let expected: Vec<(u64, Vec<u8>)> = vec![
+            (1, b"a0".to_vec()),
+            (1, b"a1".to_vec()),
+            (1, b"b0".to_vec()),
+            (2, b"a2".to_vec()),
+            (2, b"b1".to_vec()),
+            (2, b"b2".to_vec()),
+        ];
+        assert_eq!(got, expected);
     }
 
     #[test]
@@ -1035,29 +1008,27 @@ mod tests {
     fn fold_dedup_emits_each_key_once() {
         use crate::fold::{FoldSpec, FoldStats};
         use histok_types::AggregateOp;
-        for ovc in [true, false] {
-            for order in [SortOrder::Ascending, SortOrder::Descending] {
-                let mut a = vec![1u64, 3, 3, 5, 5, 5];
-                let mut b = vec![1, 1, 3, 6];
-                if order == SortOrder::Descending {
-                    a.reverse();
-                    b.reverse();
-                }
-                let stats = FoldStats::new();
-                let mut lt = LoserTree::with_ovc(vec![src(&a), src(&b)], order, ovc, None).unwrap();
-                lt.set_fold(Some(
-                    FoldSpec::new(AggregateOp::First.aggregator()).with_stats(stats.clone()),
-                ));
-                let got: Vec<u64> = (&mut lt).map(|r| r.unwrap().key).collect();
-                let mut expected = vec![1u64, 3, 5, 6];
-                if order == SortOrder::Descending {
-                    expected.reverse();
-                }
-                assert_eq!(got, expected, "ovc = {ovc}, order = {order:?}");
-                assert_eq!(lt.rows_folded(), 6);
-                drop(lt);
-                assert_eq!(stats.snapshot().rows_folded, 6);
+        for order in [SortOrder::Ascending, SortOrder::Descending] {
+            let mut a = vec![1u64, 3, 3, 5, 5, 5];
+            let mut b = vec![1, 1, 3, 6];
+            if order == SortOrder::Descending {
+                a.reverse();
+                b.reverse();
             }
+            let stats = FoldStats::new();
+            let mut lt = LoserTree::new(vec![src(&a), src(&b)], order).unwrap();
+            lt.set_fold(Some(
+                FoldSpec::new(AggregateOp::First.aggregator()).with_stats(stats.clone()),
+            ));
+            let got: Vec<u64> = (&mut lt).map(|r| r.unwrap().key).collect();
+            let mut expected = vec![1u64, 3, 5, 6];
+            if order == SortOrder::Descending {
+                expected.reverse();
+            }
+            assert_eq!(got, expected, "order = {order:?}");
+            assert_eq!(lt.rows_folded(), 6);
+            drop(lt);
+            assert_eq!(stats.snapshot().rows_folded, 6);
         }
     }
 
@@ -1130,24 +1101,20 @@ mod tests {
                     .collect::<Vec<Result<Row<BytesKey>>>>(),
             )
         };
-        for ovc in [true, false] {
-            let mut lt = LoserTree::with_ovc(
-                vec![
-                    mk(&["prefix-0001-a", "prefix-0001-a", "prefix-0002-b"]),
-                    mk(&["prefix-0001-a", "prefix-0002-c"]),
-                ],
-                SortOrder::Ascending,
-                ovc,
-                None,
-            )
-            .unwrap();
-            lt.set_fold(Some(FoldSpec::new(AggregateOp::First.aggregator())));
-            let got: Vec<String> = (&mut lt)
-                .map(|r| String::from_utf8(r.unwrap().key.as_slice().to_vec()).unwrap())
-                .collect();
-            assert_eq!(got, vec!["prefix-0001-a", "prefix-0002-b", "prefix-0002-c"], "ovc = {ovc}");
-            assert_eq!(lt.rows_folded(), 2);
-        }
+        let mut lt = LoserTree::new(
+            vec![
+                mk(&["prefix-0001-a", "prefix-0001-a", "prefix-0002-b"]),
+                mk(&["prefix-0001-a", "prefix-0002-c"]),
+            ],
+            SortOrder::Ascending,
+        )
+        .unwrap();
+        lt.set_fold(Some(FoldSpec::new(AggregateOp::First.aggregator())));
+        let got: Vec<String> = (&mut lt)
+            .map(|r| String::from_utf8(r.unwrap().key.as_slice().to_vec()).unwrap())
+            .collect();
+        assert_eq!(got, vec!["prefix-0001-a", "prefix-0002-b", "prefix-0002-c"]);
+        assert_eq!(lt.rows_folded(), 2);
     }
 
     #[test]
@@ -1164,10 +1131,9 @@ mod tests {
             )
         };
         let stats = CmpStats::new();
-        let mut lt = LoserTree::with_ovc(
+        let mut lt = LoserTree::with_stats(
             vec![mk(&["aa", "aa", "aa", "bb"]), mk(&["aa", "aa", "bb", "bb"])],
             SortOrder::Ascending,
-            true,
             Some(stats.clone()),
         )
         .unwrap();

@@ -26,15 +26,14 @@ use crate::loser_tree::LoserTree;
 use crate::partition::{merge_partitioned, plan_partitions, PartitionCounters, PartitionedMerge};
 use crate::source::{RowSource, DEFAULT_BATCH_ROWS};
 
-/// Knobs an operator threads into every merge step it triggers: whether
-/// the loser tree uses offset-value coding, an optional shared
-/// comparison-counter sink the trees flush into, how many rows each merge
-/// drain batches, and whether equal keys fold. How run inputs are read
-/// (inline or prefetched on a pool) is the run catalog's to decide.
+/// Knobs an operator threads into every merge step it triggers: an
+/// optional shared comparison-counter sink the trees flush into, how many
+/// rows each merge drain batches, and whether equal keys fold. How run
+/// inputs are read (inline or prefetched on a pool) is the run catalog's to
+/// decide; how keys compare is the loser tree's (offset-value coding, see
+/// [`LoserTree`]).
 #[derive(Debug, Clone)]
 pub struct MergeTuning {
-    /// Resolve tournament duels on offset-value codes (default on).
-    pub ovc: bool,
     /// Shared comparison counters; `None` skips the accounting.
     pub stats: Option<CmpStats>,
     /// Rows per merge output batch (and the refill hint passed to batched
@@ -48,17 +47,11 @@ pub struct MergeTuning {
 
 impl Default for MergeTuning {
     fn default() -> Self {
-        MergeTuning { ovc: true, stats: None, batch_rows: DEFAULT_BATCH_ROWS, fold: None }
+        MergeTuning { stats: None, batch_rows: DEFAULT_BATCH_ROWS, fold: None }
     }
 }
 
 impl MergeTuning {
-    /// Tuning with offset-value coding switched off (full comparisons
-    /// everywhere) — the differential-testing baseline.
-    pub fn without_ovc() -> Self {
-        MergeTuning { ovc: false, ..MergeTuning::default() }
-    }
-
     /// Overrides the merge batch size (clamped to at least 1).
     pub fn with_batch_rows(mut self, rows: usize) -> Self {
         self.batch_rows = rows.max(1);
@@ -227,13 +220,13 @@ pub fn open_source<K: SortKey>(
 }
 
 /// Builds a merging iterator over heterogeneous sources, tuned by
-/// `tuning` (offset-value coding, counter sink, batch size, folding).
+/// `tuning` (counter sink, batch size, folding).
 pub fn merge_sources<K: SortKey>(
     sources: Vec<MergeSource<K>>,
     order: SortOrder,
     tuning: &MergeTuning,
 ) -> Result<LoserTree<K, MergeSource<K>>> {
-    let mut tree = LoserTree::with_ovc(sources, order, tuning.ovc, tuning.stats.clone())?;
+    let mut tree = LoserTree::with_stats(sources, order, tuning.stats.clone())?;
     tree.set_batch_target(tuning.batch_rows);
     tree.set_fold(tuning.fold.clone());
     Ok(tree)

@@ -259,7 +259,6 @@ fn merge_sources_partitioned<K: SortKey>(
     let mut workers: Vec<Option<JoinHandle<()>>> = Vec::with_capacity(partitions.len());
     for (i, sources) in partitions.into_iter().enumerate() {
         let (tx, rx) = std::sync::mpsc::sync_channel(CHANNEL_DEPTH);
-        let ovc = tuning.ovc;
         let stats = tuning.stats.clone();
         let batch_rows = tuning.batch_rows.max(1);
         // Partition ranges are half-open on keys, so every duplicate of a
@@ -270,7 +269,7 @@ fn merge_sources_partitioned<K: SortKey>(
         let progress = progress.clone();
         let spawned = std::thread::Builder::new().name(format!("pmerge-{i}")).spawn(move || {
             let _done = WorkerDone(&progress, i);
-            merge_worker(sources, order, ovc, stats, fold, batch_rows, tx, counters, i, &progress);
+            merge_worker(sources, order, stats, fold, batch_rows, tx, counters, i, &progress);
         });
         match spawned {
             Ok(handle) => {
@@ -352,7 +351,6 @@ impl Drop for WorkerDone<'_> {
 fn merge_worker<K: SortKey>(
     sources: Vec<MergeSource<K>>,
     order: SortOrder,
-    ovc: bool,
     stats: Option<crate::cmp_stats::CmpStats>,
     fold: Option<crate::fold::FoldSpec>,
     batch_rows: usize,
@@ -361,7 +359,7 @@ fn merge_worker<K: SortKey>(
     partition: usize,
     progress: &Progress,
 ) {
-    let mut tree = match LoserTree::with_ovc(sources, order, ovc, stats) {
+    let mut tree = match LoserTree::with_stats(sources, order, stats) {
         Ok(t) => t,
         Err(e) => {
             let _ = tx.send(Err(e));

@@ -1,23 +1,21 @@
-//! Batched (radix) run generation.
+//! Load-sort-store run generation, by radix sort.
 //!
-//! The bandwidth-oriented alternative to comparison-based load-sort-store:
-//! fill the workspace, sort an index of `(prefix, row)` pairs by an LSB
-//! radix pass over the 8-byte normalized key prefixes (digit passes that
-//! carry no information are skipped), fall back to a stable comparison sort
-//! only inside groups of rows whose prefixes tie, and write the rows in
-//! index order; they never move. For keys whose whole normalized form fits
-//! the prefix — the integers, `F64Key` — the sort never touches a key byte
-//! and never calls a comparator.
+//! The strategy the paper's §3.2 analysis assumes ("to create a run we fill
+//! our available memory with input rows, sort and write them to disk") and
+//! the one PostgreSQL's top-k uses (§5.2). Fill the workspace, sort an index
+//! of `(prefix, row)` pairs by an LSB radix pass over the 8-byte normalized
+//! key prefixes (digit passes that carry no information are skipped), fall
+//! back to a stable comparison sort only inside groups of rows whose
+//! prefixes tie, and write the rows in index order; they never move. For
+//! keys whose whole normalized form fits the prefix — the integers,
+//! `F64Key` — the sort never touches a key byte and never calls a
+//! comparator. The sort is stable for every key type.
 //!
-//! Same run shape and observer protocol as [`LoadSortStore`]: memory-sized
-//! runs, `run_started`/`row_spilled`/`run_finished` per run, and Algorithm 1
-//! per row as it is written (`should_eliminate`, append, `row_spilled`,
-//! lines 10–13), so a cutoff that tightens inside a run eliminates the
-//! run's later rows. An observer that exposes a plain cutoff lets the flush
-//! drop the sorted tail past it with one scan first. Unlike
-//! `LoadSortStore`, the sort is stable.
-//!
-//! [`LoadSortStore`]: crate::run_gen::LoadSortStore
+//! Runs are memory-sized, with `run_started`/`row_spilled`/`run_finished`
+//! per run and Algorithm 1 per row as it is written (`should_eliminate`,
+//! append, `row_spilled`, lines 10–13), so a cutoff that tightens inside a
+//! run eliminates the run's later rows. An observer that exposes a plain
+//! cutoff lets the flush drop the sorted tail past it with one scan first.
 
 use std::sync::Arc;
 
@@ -235,8 +233,8 @@ impl<K: SortKey> BatchSort<K> {
             return Ok(());
         }
         self.sort_buffer();
-        // As in load-sort-store, the run estimate is the buffer being
-        // flushed — known exactly, before spill-time elimination.
+        // The run estimate is the buffer being flushed — known exactly,
+        // before spill-time elimination.
         let estimated_rows = self.pairs.len() as u64;
         let mut writer = None;
         for i in 0..self.clip(obs) {
@@ -378,49 +376,122 @@ mod tests {
         }
     }
 
+    /// Load-sort-store written out in full: fill the buffer until the next
+    /// row's footprint would pass `budget` (one row always fits), stable
+    /// sort, one run per buffer.
+    fn load_sort_store_oracle<K: SortKey>(
+        rows: &[Row<K>],
+        budget: usize,
+        order: SortOrder,
+    ) -> Vec<Vec<Row<K>>> {
+        let (mut runs, mut buffer, mut used) = (Vec::new(), Vec::<Row<K>>::new(), 0);
+        for row in rows {
+            let fp = row_footprint(row);
+            if used + fp > budget && !buffer.is_empty() {
+                runs.push(std::mem::take(&mut buffer));
+                used = 0;
+            }
+            used += fp;
+            buffer.push(row.clone());
+        }
+        runs.extend((!buffer.is_empty()).then_some(buffer));
+        for run in &mut runs {
+            run.sort_by(|a, b| order.cmp_keys(&a.key, &b.key));
+        }
+        runs
+    }
+
     #[test]
     fn matches_load_sort_store_output_on_wide_keys() {
-        // Same inputs through BatchSort and LoadSortStore must produce the
-        // same multiset of spilled keys, each run sorted — including byte
-        // keys that exercise the prefix-tie fallback.
-        use crate::run_gen::LoadSortStore;
-        let words: Vec<String> =
-            (0..200).map(|i| format!("commonprefix-{:03}-{}", i % 50, i)).collect();
-        let collect = |spill: &dyn Fn() -> Vec<Vec<BytesKey>>| -> Vec<BytesKey> {
-            let mut all: Vec<BytesKey> = spill().into_iter().flatten().collect();
-            all.sort();
-            all
-        };
-        let run = |use_batch: bool| -> Vec<Vec<BytesKey>> {
+        // Byte keys sharing their first 13 bytes exercise the prefix-tie
+        // fallback; equal keys carry their arrival number, so the runs must
+        // equal the oracle's row for row, in both orders.
+        let rows: Vec<Row<BytesKey>> = (0..200u32)
+            .map(|i| {
+                let key = BytesKey::from(format!("commonprefix-{:03}", i * 7 % 50).as_str());
+                Row::new(key, i.to_le_bytes().to_vec())
+            })
+            .collect();
+        let budget = 40 * row_footprint(&rows[0]);
+        for order in [SortOrder::Ascending, SortOrder::Descending] {
             let cat = Arc::new(RunCatalog::<BytesKey>::new(
                 Arc::new(MemoryBackend::new()),
                 "w",
-                SortOrder::Ascending,
+                order,
                 IoStats::new(),
             ));
-            let budget = 40 * row_footprint(&Row::key_only(BytesKey::from(words[0].as_str())));
-            let mut obs = NoopObserver;
-            let mut push_all = |g: &mut dyn RunGenerator<BytesKey>| {
-                for w in &words {
-                    g.push(Row::key_only(BytesKey::from(w.as_str())), &mut obs).unwrap();
-                }
-                g.finish(&mut obs, ResiduePolicy::SpillToRuns).unwrap();
-            };
-            if use_batch {
-                push_all(&mut BatchSort::new(cat.clone(), budget));
-            } else {
-                push_all(&mut LoadSortStore::new(cat.clone(), budget));
+            let mut gen = BatchSort::new(cat.clone(), budget);
+            for row in &rows {
+                gen.push(row.clone(), &mut NoopObserver).unwrap();
             }
-            cat.runs()
+            gen.finish(&mut NoopObserver, ResiduePolicy::SpillToRuns).unwrap();
+            let got: Vec<Vec<Row<BytesKey>>> = cat
+                .runs()
                 .iter()
-                .map(|m| {
-                    let run: Vec<BytesKey> = cat.open(m).unwrap().map(|r| r.unwrap().key).collect();
-                    assert!(run.windows(2).all(|w| w[0] <= w[1]), "run not sorted");
-                    run
-                })
-                .collect()
-        };
-        assert_eq!(collect(&|| run(true)), collect(&|| run(false)));
+                .map(|m| cat.open(m).unwrap().map(|r| r.unwrap()).collect())
+                .collect();
+            assert_eq!(got, load_sort_store_oracle(&rows, budget, order), "{order:?}");
+        }
+    }
+
+    #[test]
+    fn sorted_input_still_produces_memory_sized_runs() {
+        // Unlike replacement selection, load-sort-store gains nothing from
+        // sorted input.
+        let cat = catalog(SortOrder::Ascending);
+        let row_bytes = row_footprint(&Row::key_only(0u64));
+        let mut gen = BatchSort::new(cat.clone(), 10 * row_bytes);
+        let mut obs = NoopObserver;
+        for k in 0..100u64 {
+            gen.push(Row::key_only(k), &mut obs).unwrap();
+        }
+        gen.finish(&mut obs, ResiduePolicy::SpillToRuns).unwrap();
+        assert_eq!(read_all(&cat).len(), 10);
+    }
+
+    #[test]
+    fn run_estimate_matches_buffer_for_wide_payload_rows() {
+        struct Estimates(Vec<u64>, Vec<u64>, u64);
+        impl SpillObserver<u64> for Estimates {
+            fn run_started(&mut self, estimated_rows: u64) {
+                self.0.push(estimated_rows);
+                self.2 = 0;
+            }
+            fn row_spilled(&mut self, _key: &u64) {
+                self.2 += 1;
+            }
+            fn run_finished(&mut self) {
+                self.1.push(self.2);
+            }
+        }
+        let cat = catalog(SortOrder::Ascending);
+        let payload = 400usize;
+        let row_bytes = row_footprint(&Row::new(0u64, vec![0u8; payload]));
+        let mut gen = BatchSort::new(cat.clone(), 40 * row_bytes);
+        let mut obs = Estimates(Vec::new(), Vec::new(), 0);
+        for k in 0..500u64 {
+            gen.push(Row::new(k, vec![0u8; payload]), &mut obs).unwrap();
+        }
+        gen.finish(&mut obs, ResiduePolicy::SpillToRuns).unwrap();
+        assert_eq!(obs.0.len(), obs.1.len());
+        for (est, actual) in obs.0.iter().zip(&obs.1) {
+            assert!(
+                *est <= 2 * actual && *est >= actual / 2,
+                "estimate {est} not within 2x of actual run length {actual}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_single_row_does_not_wedge() {
+        let cat = catalog(SortOrder::Ascending);
+        let mut gen = BatchSort::new(cat.clone(), 64); // tiny budget
+        let mut obs = NoopObserver;
+        gen.push(Row::new(1u64, vec![0u8; 1024]), &mut obs).unwrap();
+        gen.push(Row::new(2u64, vec![0u8; 1024]), &mut obs).unwrap();
+        gen.finish(&mut obs, ResiduePolicy::SpillToRuns).unwrap();
+        assert_eq!(read_all(&cat), vec![vec![1], vec![2]]);
+        assert_eq!(gen.buffered_bytes(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Run generation: turning an unsorted stream into sorted runs on storage.
 //!
-//! Three strategies are provided, matching the paper's discussion:
+//! The paper's two strategies are provided:
 //!
 //! * [`ReplacementSelection`] — the production choice (§5.1.2). A selection
 //!   tree over radix-sorted mini-runs keeps consuming input while it
@@ -9,23 +9,20 @@
 //!   next run. Runs average about twice the memory size on random input and
 //!   can be capped at `k` rows (one of the optimizations of [Graefe'08] the
 //!   paper builds on).
-//! * [`LoadSortStore`] — fill memory, quicksort, write, repeat. This is what
-//!   "vanilla" engines such as PostgreSQL do (§5.2) and what the paper's
-//!   §3.2 analysis assumes "for simplicity".
-//! * [`BatchSort`] — load-sort-store with a radix sort of an index over
-//!   the 8-byte normalized key prefixes; the bandwidth-oriented choice for
-//!   narrow keys.
+//! * [`BatchSort`] — load-sort-store: fill memory, sort, write, repeat.
+//!   This is what "vanilla" engines such as PostgreSQL do (§5.2) and what
+//!   the paper's §3.2 analysis assumes "for simplicity". The sort is a
+//!   stable radix sort of an index over the 8-byte normalized key prefixes,
+//!   with full key comparisons only inside prefix ties of wide keys.
 //!
-//! All re-check every row against the [`SpillObserver`] at spill time
+//! Both re-check every row against the [`SpillObserver`] at spill time
 //! (Algorithm 1 line 11) and report every surviving spilled row to it
 //! (line 13), which is where the histogram model is built.
 
 mod batch_sort;
-mod load_sort_store;
 mod replacement_selection;
 
 pub use batch_sort::BatchSort;
-pub use load_sort_store::LoadSortStore;
 pub use replacement_selection::ReplacementSelection;
 
 use histok_types::{Result, Row, SortKey};
@@ -68,7 +65,7 @@ pub trait RunGenerator<K: SortKey>: Send {
     fn buffered_bytes(&self) -> usize;
 
     /// Comparison counts so far as `(ovc_cmps, full_cmps)`. Generators
-    /// without normalized-key support report zeros.
+    /// that do not count report zeros.
     fn cmp_counts(&self) -> (u64, u64) {
         (0, 0)
     }
@@ -76,8 +73,7 @@ pub trait RunGenerator<K: SortKey>: Send {
     /// Enables in-sort duplicate folding: equal keys are combined by the
     /// spec's aggregator before rows reach storage, so runs leave the
     /// generator duplicate-free (or at least duplicate-reduced — see each
-    /// generator's notes). Generators without fold support ignore the
-    /// call; merge-time folding downstream still guarantees distinct
-    /// output, this only saves the spill bandwidth.
-    fn set_fold(&mut self, _fold: Option<FoldSpec>) {}
+    /// generator's notes). Merge-time folding downstream still guarantees
+    /// distinct output; this saves the spill bandwidth.
+    fn set_fold(&mut self, fold: Option<FoldSpec>);
 }

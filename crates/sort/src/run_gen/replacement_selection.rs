@@ -54,7 +54,7 @@ const BATCHES_PER_LOAD: u64 = 24;
 struct Node {
     run: u64,
     /// First 8 normalized key bytes, complemented for descending sorts so
-    /// that a smaller value always pops first (0 with the fast path off).
+    /// that a smaller value always pops first.
     prefix: u64,
     /// The mini-run's formation number: arrival order across mini-runs.
     seq: u64,
@@ -218,8 +218,8 @@ struct MiniRun {
 /// Matches compare normalized key prefixes: differing prefixes decide a
 /// match outright, and for fixed-width keys of at most 8 bytes
 /// ([`SortKey::norm_prefix_is_exact`]) equal prefixes are equal keys, so
-/// formation order decides. Only wider keys with equal prefixes, and every
-/// same-run match with the fast path off, compare full keys.
+/// formation order decides. Only wider keys with equal prefixes compare full
+/// keys.
 struct SelectionTree<K: SortKey> {
     nodes: Vec<Node>,
     leaves: Vec<MiniRun>,
@@ -234,7 +234,6 @@ struct SelectionTree<K: SortKey> {
     scratch: Vec<(u64, u32)>,
     seq: u64,
     order: SortOrder,
-    ovc_enabled: bool,
     /// Matches played (one per level per replay) and key comparisons made
     /// by sorts; `full_cmps` of them needed the full keys.
     cmps: u64,
@@ -254,7 +253,6 @@ impl<K: SortKey> SelectionTree<K> {
             scratch: Vec::new(),
             seq: 0,
             order,
-            ovc_enabled: true,
             cmps: 0,
             full_cmps: 0,
         }
@@ -265,18 +263,11 @@ impl<K: SortKey> SelectionTree<K> {
         (self.cmps - self.full_cmps, self.full_cmps)
     }
 
-    /// True if full keys are what separates rows with equal `(run, prefix)`.
-    fn key_ties(&self) -> bool {
-        !(self.ovc_enabled && K::norm_prefix_is_exact())
-    }
-
-    /// The prefix a key is ordered by: in output order, 0 with the fast
-    /// path off.
+    /// The prefix a key is ordered by, in output order.
     fn prefix(&self, key: &K) -> u64 {
-        match (self.ovc_enabled, self.order) {
-            (false, _) => 0,
-            (true, SortOrder::Ascending) => key.norm_prefix(),
-            (true, SortOrder::Descending) => !key.norm_prefix(),
+        match self.order {
+            SortOrder::Ascending => key.norm_prefix(),
+            SortOrder::Descending => !key.norm_prefix(),
         }
     }
 
@@ -305,7 +296,7 @@ impl<K: SortKey> SelectionTree<K> {
     /// Sorts `pairs` (the fill buffer or the pending rows) into output
     /// order, keeping their order among equal keys.
     fn sort(&mut self, pairs: &mut Vec<(u64, u32)>) {
-        let (order, slab, exact) = (self.order, &self.slab, !self.key_ties());
+        let (order, slab, exact) = (self.order, &self.slab, K::norm_prefix_is_exact());
         let cmps = sort_pairs(pairs, &mut self.scratch, exact, |a, b| {
             order.cmp_keys(&slab.get(a).key, &slab.get(b).key)
         });
@@ -339,7 +330,8 @@ impl<K: SortKey> SelectionTree<K> {
     /// `tag`.
     fn plant_fill(&mut self, bound: Option<&K>, tag: u64) {
         let split = bound.map_or(0, |b| {
-            let (bp, ties, order, slab) = (self.prefix(b), self.key_ties(), self.order, &self.slab);
+            let (bp, ties, order, slab) =
+                (self.prefix(b), !K::norm_prefix_is_exact(), self.order, &self.slab);
             self.fill.partition_point(|&(p, s)| {
                 p < bp || (ties && p == bp && order.precedes(&slab.get(s).key, b))
             })
@@ -368,7 +360,7 @@ impl<K: SortKey> SelectionTree<K> {
         let mut i = self.leaves.len() + leaf;
         self.nodes[i] = w;
         self.cmps += u64::from(self.leaves.len().trailing_zeros());
-        if !self.key_ties() {
+        if K::norm_prefix_is_exact() {
             climb::<false>(&mut self.nodes, i);
             return;
         }
@@ -560,10 +552,8 @@ impl<K: SortKey> ReplacementSelection<K> {
         self
     }
 
-    /// Controls the normalized-prefix comparison fast path (on by default)
-    /// and optionally attaches a shared counter sink (flushed on drop).
-    pub fn with_ovc(mut self, enabled: bool, stats: Option<CmpStats>) -> Self {
-        self.tree.ovc_enabled = enabled;
+    /// Attaches a shared comparison-counter sink (flushed on drop).
+    pub fn with_stats(mut self, stats: Option<CmpStats>) -> Self {
         self.cmp_stats = stats;
         self
     }
@@ -724,11 +714,7 @@ impl<K: SortKey> ReplacementSelection<K> {
                 obs.run_started(self.estimated_run_rows());
             }
             let writer = self.writer.as_mut().expect("writer just ensured");
-            if self.tree.ovc_enabled {
-                writer.append_with_prefix(&row, prefix ^ mask)?;
-            } else {
-                writer.append(&row)?;
-            }
+            writer.append_with_prefix(&row, prefix ^ mask)?;
             obs.row_spilled(&row.key);
             self.last_written = Some(row.key);
             self.rows_in_run += 1;
@@ -830,10 +816,10 @@ mod tests {
     use histok_types::Bytes;
 
     /// A sift-based binary heap over single rows, ordered by `(run, key,
-    /// arrival)`: the reference the tree's pop sequences are compared with.
+    /// arrival)` on full key comparisons: the reference the tree's pop
+    /// sequences are compared with.
     struct Entry<K> {
         run: u64,
-        prefix: u64,
         seq: u64,
         row: Row<K>,
         footprint: usize,
@@ -842,7 +828,6 @@ mod tests {
     struct BinaryHeapRef<K: SortKey> {
         items: Vec<Entry<K>>,
         order: SortOrder,
-        ovc_enabled: bool,
         seq: u64,
     }
 
@@ -853,30 +838,16 @@ mod tests {
             match a.run.cmp(&b.run) {
                 Less => true,
                 Greater => false,
-                Equal => {
-                    if self.ovc_enabled {
-                        if a.prefix != b.prefix {
-                            return match self.order {
-                                SortOrder::Ascending => a.prefix < b.prefix,
-                                SortOrder::Descending => a.prefix > b.prefix,
-                            };
-                        }
-                        if K::norm_prefix_is_exact() {
-                            return a.seq < b.seq;
-                        }
-                    }
-                    match self.order.cmp_keys(&a.row.key, &b.row.key) {
-                        Less => true,
-                        Greater => false,
-                        Equal => a.seq < b.seq,
-                    }
-                }
+                Equal => match self.order.cmp_keys(&a.row.key, &b.row.key) {
+                    Less => true,
+                    Greater => false,
+                    Equal => a.seq < b.seq,
+                },
             }
         }
 
         fn push(&mut self, run: u64, row: Row<K>, footprint: usize) {
-            let prefix = if self.ovc_enabled { row.key.norm_prefix() } else { 0 };
-            self.items.push(Entry { run, prefix, seq: self.seq, row, footprint });
+            self.items.push(Entry { run, seq: self.seq, row, footprint });
             self.seq += 1;
             let mut i = self.items.len() - 1;
             while i > 0 {
@@ -947,12 +918,10 @@ mod tests {
     }
 
     impl<K: SortKey> Pair<K> {
-        fn new(order: SortOrder, ovc: bool, budget: usize, what: String) -> Self {
-            let mut tree = SelectionTree::new(order);
-            tree.ovc_enabled = ovc;
+        fn new(order: SortOrder, budget: usize, what: String) -> Self {
             Pair {
-                tree,
-                heap: BinaryHeapRef { items: Vec::new(), order, ovc_enabled: ovc, seq: 0 },
+                tree: SelectionTree::new(order),
+                heap: BinaryHeapRef { items: Vec::new(), order, seq: 0 },
                 fill: Vec::new(),
                 budget: MemoryBudget::new(budget),
                 fold: false,
@@ -1057,15 +1026,15 @@ mod tests {
     /// tree had.
     fn pops_match_reference<K: SortKey>(
         order: SortOrder,
-        (ovc, fold, run_limit): (bool, bool, Option<u64>),
+        (fold, run_limit): (bool, Option<u64>),
         seed: u64,
         key: impl Fn(u64) -> K,
     ) -> usize {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let row_bytes = row_footprint(&Row::new(key(0), vec![0u8; 28]));
-        let what = format!("{order:?} ovc={ovc} fold={fold} limit={run_limit:?} seed={seed}");
-        let mut p = Pair::new(order, ovc, 40 * row_bytes, what);
+        let what = format!("{order:?} fold={fold} limit={run_limit:?} seed={seed}");
+        let mut p = Pair::new(order, 40 * row_bytes, what);
         (p.fold, p.run_limit) = (fold, run_limit);
         let (mut batch, mut leaves) = (batch_rows(&p.budget), 0);
         for arrival in 0..4_000u64 {
@@ -1094,7 +1063,7 @@ mod tests {
         assert_eq!(p.budget.used(), 0, "{}: footprints leaked", p.what);
         let (ovc_cmps, full_cmps) = p.tree.cmp_counts();
         assert!(ovc_cmps > 0, "{}", p.what);
-        if ovc && K::norm_prefix_is_exact() {
+        if K::norm_prefix_is_exact() {
             assert_eq!(full_cmps, 0, "{}: exact prefixes never need the key", p.what);
         }
         leaves
@@ -1105,23 +1074,21 @@ mod tests {
         use histok_types::{BytesKey, F64Key, KeyPair};
         let mut seed = 0;
         for order in [SortOrder::Ascending, SortOrder::Descending] {
-            for ovc in [true, false] {
-                for fold in [true, false] {
-                    for limit in [None, Some(7)] {
-                        seed += 1;
-                        let mode = (ovc, fold, limit);
-                        // Duplicate-heavy: 37 values, stability is by arrival.
-                        let leaves = pops_match_reference(order, mode, seed, |r| r % 37);
-                        assert!(leaves > INITIAL_LEAVES, "the stream must make the tree double");
-                        pops_match_reference(order, mode, seed, |r| {
-                            F64Key((r % 2_000) as f64 - 1_000.0)
-                        });
-                        // Prefixes shared past byte 8: the full key decides.
-                        pops_match_reference(order, mode, seed, |r| {
-                            BytesKey::new(format!("lineitem-{:05}", r % 500))
-                        });
-                        pops_match_reference(order, mode, seed, |r| KeyPair(r % 5, (r >> 8) % 50));
-                    }
+            for fold in [true, false] {
+                for limit in [None, Some(7)] {
+                    seed += 1;
+                    let mode = (fold, limit);
+                    // Duplicate-heavy: 37 values, stability is by arrival.
+                    let leaves = pops_match_reference(order, mode, seed, |r| r % 37);
+                    assert!(leaves > INITIAL_LEAVES, "the stream must make the tree double");
+                    pops_match_reference(order, mode, seed, |r| {
+                        F64Key((r % 2_000) as f64 - 1_000.0)
+                    });
+                    // Prefixes shared past byte 8: the full key decides.
+                    pops_match_reference(order, mode, seed, |r| {
+                        BytesKey::new(format!("lineitem-{:05}", r % 500))
+                    });
+                    pops_match_reference(order, mode, seed, |r| KeyPair(r % 5, (r >> 8) % 50));
                 }
             }
         }
@@ -1133,7 +1100,7 @@ mod tests {
     /// of every line the hint steps over. Each pop must be the reference's.
     #[test]
     fn prefetch_edges_pop_what_the_binary_heap_popped() {
-        let mut p = Pair::<u64>::new(SortOrder::Ascending, true, 1 << 30, "prefetch".into());
+        let mut p = Pair::<u64>::new(SortOrder::Ascending, 1 << 30, "prefetch".into());
         // A one-row tree popped to empty: its root is vacant.
         p.admit(Row::new(5, Bytes::new()));
         p.form();
@@ -1486,25 +1453,27 @@ mod tests {
 
     #[test]
     fn prefix_path_matches_full_comparisons() {
-        // Same shuffled input through the prefix fast path and the plain
-        // comparator must produce identical runs, for both orders.
+        // The tree, ordered on prefixes, pops what the reference heap pops
+        // on full key comparisons, for the same shuffled input under run
+        // generation's schedule, in both orders.
         use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
         for order in [SortOrder::Ascending, SortOrder::Descending] {
             let mut keys: Vec<u64> = (0..500).map(|k| k % 97).collect();
             keys.shuffle(&mut StdRng::seed_from_u64(11));
-            let run_one = |ovc: bool| -> Vec<Vec<u64>> {
-                let be = MemoryBackend::new();
-                let cat: Arc<RunCatalog<u64>> =
-                    Arc::new(RunCatalog::new(Arc::new(be), "p", order, IoStats::new()));
-                let mut gen = ReplacementSelection::new(cat.clone(), 20 * 60).with_ovc(ovc, None);
-                let mut obs = NoopObserver;
-                for &k in &keys {
-                    gen.push(Row::key_only(k), &mut obs).unwrap();
+            let mut p = Pair::<u64>::new(order, 20 * 60, format!("{order:?}"));
+            let batch = batch_rows(&p.budget);
+            for (arrival, &k) in keys.iter().enumerate() {
+                p.admit(Row::new(k, (arrival as u64).to_le_bytes().to_vec()));
+                if p.fill.len() >= batch {
+                    p.form();
                 }
-                gen.finish(&mut obs, ResiduePolicy::SpillToRuns).unwrap();
-                read_all(&cat)
-            };
-            assert_eq!(run_one(true), run_one(false), "order = {order:?}");
+                p.spill_if_over(batch);
+            }
+            if !p.fill.is_empty() {
+                p.form();
+            }
+            while p.pop() {}
+            assert_eq!(p.budget.used(), 0, "{order:?}");
         }
     }
 
@@ -1515,7 +1484,7 @@ mod tests {
         let stats = CmpStats::new();
         let (_be, cat) = catalog(SortOrder::Ascending);
         let mut gen =
-            ReplacementSelection::new(cat.clone(), 10 * 60).with_ovc(true, Some(stats.clone()));
+            ReplacementSelection::new(cat.clone(), 10 * 60).with_stats(Some(stats.clone()));
         let mut obs = NoopObserver;
         for k in [5u64, 2, 8, 2, 9, 1, 7, 7, 3, 0, 6, 4] {
             gen.push(Row::key_only(k), &mut obs).unwrap();

@@ -1,9 +1,9 @@
 //! Differential grid: batched execution against row-at-a-time execution.
 //!
-//! The batched merge drain (`LoserTree::merge_into`) and the radix
-//! run generator ([`BatchSort`]) are pure performance refactors — their
-//! output must be byte-identical to the iterator drain and to
-//! [`LoadSortStore`] on every cell of the grid
+//! The batched merge drain (`LoserTree::merge_into`) must be byte-identical
+//! to the iterator drain, and the radix run generator ([`BatchSort`]) to a
+//! load-sort-store written out in the test (fill to the budget, stable
+//! sort, Algorithm 1 per row), on every cell of the grid
 //! {u64, F64Key, BytesKey, KeyPair} × {asc, desc} × {filter on/off} ×
 //! batch_rows ∈ {1, 7, 1024}, plus duplicate-heavy inputs, a cutoff that
 //! tightens as rows spill (run generation only), and the
@@ -11,15 +11,16 @@
 //! folding equal keys (`AggregateOp::First`, duplicate removal), so the
 //! batched drain's in-merge folding is held to the iterator's too.
 //!
-//! Payloads are derived from the key seed alone, so rows with equal keys
-//! are byte-identical and stable-vs-unstable sort differences between the
-//! radix and comparison paths cannot masquerade as output differences.
+//! Payloads are derived from the key seed, so rows with equal keys but
+//! different seeds differ, and a sort or merge that reorders equal keys
+//! shows as an output difference.
 
 use std::sync::Arc;
 
-use histok_sort::run_gen::{BatchSort, LoadSortStore, ResiduePolicy, RunGenerator};
+use histok_sort::run_gen::{BatchSort, ResiduePolicy, RunGenerator};
 use histok_sort::{
-    merge_sources, open_source, FoldSpec, IterSource, LoserTree, MergeTuning, SpillObserver,
+    merge_sources, open_source, row_footprint, FoldSpec, IterSource, LoserTree, MergeTuning,
+    SpillObserver,
 };
 use histok_storage::{IoStats, MemoryBackend, RunCatalog};
 use histok_types::{
@@ -199,7 +200,7 @@ fn merge_grid_duplicate_heavy() {
 }
 
 /// A counting cutoff observer shared by both run-generation paths. The
-/// baseline ([`LoadSortStore`]) filters row by row through
+/// oracle ([`load_sort_store`]) filters row by row through
 /// `should_eliminate`; [`BatchSort`] reads `cutoff_key` once per flush,
 /// reports that clip through `rows_clipped` and checks the rest row by row.
 /// Both feed the same elimination counter, so the accounting must agree
@@ -237,35 +238,85 @@ impl<K: SortKey> SpillObserver<K> for CutoffObs<K> {
     }
 }
 
-/// Pushes every seed through `gen`, returning (runs, residue, eliminated,
-/// spilled) with each run fully decoded back from storage.
-///
-/// Run-generation payloads are derived from the *key* (its normalized
-/// prefix), not the seed: the radix sort is stable, the comparison sort
-/// is not, and equal keys must stay byte-identical either way.
-#[allow(clippy::type_complexity)]
-fn generate<K: SortKey>(
-    gen: &mut dyn RunGenerator<K>,
-    cat: &RunCatalog<K>,
-    obs: &mut CutoffObs<K>,
-    seeds: &[u64],
-    key_fn: impl Fn(u64) -> K,
-    residue: ResiduePolicy,
-) -> (Vec<Vec<Row<K>>>, Vec<Vec<Row<K>>>, u64, u64) {
-    for &s in seeds {
-        let key = key_fn(s);
-        let pl = payload(key.norm_prefix());
-        gen.push(Row::new(key, pl), obs).unwrap();
-    }
-    let residue = gen.finish(obs, residue).unwrap();
-    let runs: Vec<Vec<Row<K>>> =
-        cat.runs().iter().map(|m| cat.open(m).unwrap().map(|r| r.unwrap()).collect()).collect();
-    (runs, residue, obs.eliminated, obs.spilled)
+/// The rows run generation is fed: one per seed, its payload from the seed.
+fn input_rows<K: SortKey>(seeds: &[u64], key_fn: impl Fn(u64) -> K) -> Vec<Row<K>> {
+    seeds.iter().map(|&s| Row::new(key_fn(s), payload(s))).collect()
 }
 
-/// One run-generation cell: radix [`BatchSort`] against comparison-based
-/// [`LoadSortStore`], same budget, same observer logic, byte-identical
-/// runs and residue.
+/// Spilled runs and in-memory residue, each a list of row sequences.
+type Generated<K> = (Vec<Vec<Row<K>>>, Vec<Vec<Row<K>>>);
+
+/// Pushes every row through [`BatchSort`], returning (runs, residue) with
+/// each run fully decoded back from storage.
+fn generate<K: SortKey>(
+    rows: &[Row<K>],
+    budget: usize,
+    obs: &mut CutoffObs<K>,
+    residue: ResiduePolicy,
+) -> Generated<K> {
+    let cat = catalog::<K>(obs.order, "rg-batch");
+    let mut gen = BatchSort::new(cat.clone(), budget);
+    for row in rows {
+        gen.push(row.clone(), obs).unwrap();
+    }
+    let residue = gen.finish(obs, residue).unwrap();
+    let runs =
+        cat.runs().iter().map(|m| cat.open(m).unwrap().map(|r| r.unwrap()).collect()).collect();
+    (runs, residue)
+}
+
+/// Load-sort-store written out in full, the reference for [`BatchSort`]:
+/// fill the buffer until the next row's footprint would pass `budget` (one
+/// row always fits), stable-sort it, and check each row against the
+/// observer as it is written (Algorithm 1 lines 11–13). The last buffer is
+/// spilled or kept as `residue` says; a buffer with no survivor is no run.
+fn load_sort_store<K: SortKey>(
+    rows: &[Row<K>],
+    budget: usize,
+    obs: &mut CutoffObs<K>,
+    residue: ResiduePolicy,
+) -> Generated<K> {
+    let order = obs.order;
+    let flush = |buffer: &mut Vec<Row<K>>, obs: &mut CutoffObs<K>, spill: bool| {
+        buffer.sort_by(|a, b| order.cmp_keys(&a.key, &b.key));
+        let mut out = Vec::new();
+        for row in buffer.drain(..) {
+            if !obs.should_eliminate(&row.key) {
+                if spill {
+                    obs.row_spilled(&row.key);
+                }
+                out.push(row);
+            }
+        }
+        out
+    };
+    let (mut runs, mut buffer, mut used) = (Vec::new(), Vec::new(), 0);
+    for row in rows.iter().cloned() {
+        let fp = row_footprint(&row);
+        if used + fp > budget && !buffer.is_empty() {
+            runs.push(flush(&mut buffer, obs, true));
+            used = 0;
+        }
+        used += fp;
+        buffer.push(row);
+    }
+    let spill = residue == ResiduePolicy::SpillToRuns;
+    let last = flush(&mut buffer, obs, spill);
+    let mut kept = Vec::new();
+    if spill {
+        runs.push(last);
+    } else {
+        kept.push(last);
+    }
+    runs.retain(|r| !r.is_empty());
+    kept.retain(|r| !r.is_empty());
+    (runs, kept)
+}
+
+/// One run-generation cell: radix [`BatchSort`] against the
+/// [`load_sort_store`] oracle, same budget, same observer logic:
+/// byte-identical runs and residue, and the same eliminated and spilled
+/// counts.
 fn rungen_grid<K: SortKey>(
     key_fn: impl Fn(u64) -> K + Copy,
     order: SortOrder,
@@ -274,38 +325,27 @@ fn rungen_grid<K: SortKey>(
     tag: &str,
 ) {
     let seeds = seeds(N_KEYS, 0xBEEF);
-    // The cutoff admits roughly the better half of the key space.
-    let cut = {
-        let mut keys: Vec<K> = seeds.iter().map(|&s| key_fn(s)).collect();
-        keys.sort_by(|a, b| order.cmp_keys(a, b));
-        keys[keys.len() / 2].clone()
-    };
+    let rows = input_rows(&seeds, key_fn);
+    let mut keys: Vec<K> = rows.iter().map(|r| r.key.clone()).collect();
+    keys.sort_by(|a, b| order.cmp_keys(a, b));
+    // The cutoff admits roughly the better half of the key space. Without
+    // the filter dimension, it is the worst key: `follows` never fires.
+    let cut = if filter { keys[keys.len() / 2].clone() } else { keys[keys.len() - 1].clone() };
     let budget = 4096;
-    let run = |gen_batch: bool| {
-        let cat = catalog::<K>(order, if gen_batch { "rg-batch" } else { "rg-cmp" });
-        let mut gen: Box<dyn RunGenerator<K>> = if gen_batch {
-            Box::new(BatchSort::new(cat.clone(), budget))
-        } else {
-            Box::new(LoadSortStore::new(cat.clone(), budget))
-        };
-        let tighten_every = tighten.then_some(16);
-        let mut obs =
-            CutoffObs { cut: cut.clone(), order, eliminated: 0, spilled: 0, tighten_every };
-        // Without the filter dimension, neutralize the cutoff by making it
-        // the worst admitted key: `follows` never fires.
-        if !filter {
-            let mut keys: Vec<K> = seeds.iter().map(|&s| key_fn(s)).collect();
-            keys.sort_by(|a, b| order.cmp_keys(a, b));
-            obs.cut = keys.last().unwrap().clone();
-        }
-        generate(gen.as_mut(), &cat, &mut obs, &seeds, key_fn, residue)
+    let observer = || CutoffObs {
+        cut: cut.clone(),
+        order,
+        eliminated: 0,
+        spilled: 0,
+        tighten_every: tighten.then_some(16),
     };
-    let (runs_b, res_b, elim_b, spill_b) = run(true);
-    let (runs_c, res_c, elim_c, spill_c) = run(false);
-    assert_eq!(runs_b, runs_c, "{tag}: run contents diverged");
-    assert_eq!(res_b, res_c, "{tag}: residue diverged");
-    assert_eq!(elim_b, elim_c, "{tag}: elimination counts diverged");
-    assert_eq!(spill_b, spill_c, "{tag}: spill counts diverged");
+    let (mut obs_b, mut obs_o) = (observer(), observer());
+    let (runs_b, res_b) = generate(&rows, budget, &mut obs_b, residue);
+    let (runs_o, res_o) = load_sort_store(&rows, budget, &mut obs_o, residue);
+    assert_eq!(runs_b, runs_o, "{tag}: run contents diverged");
+    assert_eq!(res_b, res_o, "{tag}: residue diverged");
+    assert_eq!(obs_b.eliminated, obs_o.eliminated, "{tag}: elimination counts diverged");
+    assert_eq!(obs_b.spilled, obs_o.spilled, "{tag}: spill counts diverged");
 }
 
 #[test]

@@ -5,12 +5,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use histok_sort::run_gen::{LoadSortStore, ReplacementSelection, ResiduePolicy, RunGenerator};
+use histok_sort::run_gen::{BatchSort, ReplacementSelection, ResiduePolicy, RunGenerator};
 use histok_sort::{
     merge_sources, plan_merges, IterSource, LoserTree, MergeSource, MergeTuning, NoopObserver,
 };
 use histok_storage::{IoStats, MemoryBackend, RunCatalog};
-use histok_types::{Result, Row, SortOrder};
+use histok_types::{BytesKey, Result, Row, SortKey, SortOrder};
 
 type VecSource = IterSource<std::vec::IntoIter<Result<Row<u64>>>>;
 
@@ -18,16 +18,37 @@ fn source(keys: &[u64]) -> VecSource {
     IterSource::new(keys.iter().map(|&k| Ok(Row::key_only(k))).collect::<Vec<_>>().into_iter())
 }
 
-fn catalog(order: SortOrder) -> Arc<RunCatalog<u64>> {
+fn catalog<K: SortKey>(order: SortOrder) -> Arc<RunCatalog<K>> {
     Arc::new(
         RunCatalog::new(
             Arc::new(MemoryBackend::new()),
-            RunCatalog::<u64>::unique_prefix("prop"),
+            RunCatalog::<K>::unique_prefix("prop"),
             order,
             IoStats::new(),
         )
         .with_block_bytes(256),
     )
+}
+
+/// Pushes `keys` through [`BatchSort`] under `budget` bytes: every run
+/// comes back sorted, and together they hold exactly the input.
+fn batch_sort_conserves<K: SortKey + Ord>(keys: &[u64], budget: usize, key: impl Fn(u64) -> K) {
+    let cat = catalog::<K>(SortOrder::Ascending);
+    let mut gen = BatchSort::new(cat.clone(), budget);
+    for &k in keys {
+        gen.push(Row::key_only(key(k)), &mut NoopObserver).unwrap();
+    }
+    gen.finish(&mut NoopObserver, ResiduePolicy::SpillToRuns).unwrap();
+    let mut collected = Vec::new();
+    for meta in cat.runs().iter() {
+        let run: Vec<K> = cat.open(meta).unwrap().map(|r| r.unwrap().key).collect();
+        assert!(run.windows(2).all(|w| w[0] <= w[1]), "run not sorted");
+        collected.extend(run);
+    }
+    let mut expected: Vec<K> = keys.iter().map(|&k| key(k)).collect();
+    expected.sort();
+    collected.sort();
+    assert_eq!(collected, expected);
 }
 
 proptest! {
@@ -83,7 +104,7 @@ proptest! {
         let mut collected: Vec<u64> = Vec::new();
         for meta in cat.runs() {
             let run: Vec<u64> = cat.open(&meta).unwrap().map(|r| r.unwrap().key).collect();
-            prop_assert!(run.windows(2).all(|w| w[0] <= w[1]), "run not sorted");
+            assert!(run.windows(2).all(|w| w[0] <= w[1]), "run not sorted");
             collected.extend(run);
         }
         for seq in &residue {
@@ -96,28 +117,15 @@ proptest! {
         prop_assert_eq!(collected, expected);
     }
 
-    /// Load-sort-store obeys the same conservation law.
+    /// Load-sort-store obeys the same conservation law, with every run
+    /// sorted, for exact-prefix keys and for wide keys whose prefixes tie.
     #[test]
     fn load_sort_store_conserves_rows(
         keys in proptest::collection::vec(0u64..5_000, 0..1_500),
         mem_rows in 2usize..64,
     ) {
-        let cat = catalog(SortOrder::Ascending);
-        let mut gen = LoadSortStore::new(cat.clone(), mem_rows * 60);
-        let mut obs = NoopObserver;
-        for &k in &keys {
-            gen.push(Row::key_only(k), &mut obs).unwrap();
-        }
-        gen.finish(&mut obs, ResiduePolicy::SpillToRuns).unwrap();
-        let mut collected: Vec<u64> = cat
-            .runs()
-            .iter()
-            .flat_map(|m| cat.open(m).unwrap().map(|r| r.unwrap().key).collect::<Vec<_>>())
-            .collect();
-        let mut expected = keys.clone();
-        expected.sort_unstable();
-        collected.sort_unstable();
-        prop_assert_eq!(collected, expected);
+        batch_sort_conserves(&keys, mem_rows * 60, |k| k);
+        batch_sort_conserves(&keys, mem_rows * 90, |k| BytesKey::new(format!("key-{k:05}")));
     }
 
     /// Multi-level merge planning preserves content exactly (no limit/cutoff).

@@ -4,7 +4,7 @@
 //! Only counts that record a decision are compared: public config fields,
 //! `TopKConfigBuilder` setters, `ExternalSorter::with_*` builders, the
 //! std-only shim crates under `shims/`, and per crate the `unwrap`/
-//! `expect`/`panic!` sites and `unsafe` blocks. A change that adds or removes one
+//! `expect`/`panic!` sites, `unsafe` blocks and public items. A change that adds or removes one
 //! fails this test until it updates the ledger, so the ledger's diff shows
 //! the reviewer what the change cost or saved. The test prints the
 //! recomputed JSON on failure; copy it over `results/surface.json` and say
@@ -19,7 +19,10 @@
 //!   followed by `mod tests`; everything above is non-test code;
 //! * comment lines (`//`, `///`, `//!`) are skipped when counting sites;
 //! * a site is each occurrence of `.unwrap()`, `.expect(`, `panic!(` or
-//!   `unsafe {` on a non-test, non-comment line.
+//!   `unsafe {` on a non-test, non-comment line;
+//! * a public item is a non-test line that starts, after indentation, with
+//!   `pub fn`, `pub struct`, `pub enum`, `pub trait`, `pub type` or
+//!   `pub const` (`pub(crate)` items are not public).
 
 use std::fmt::Write as _;
 use std::fs;
@@ -33,7 +36,12 @@ struct CrateCounts {
     expect: usize,
     panic: usize,
     unsafe_blocks: usize,
+    pub_items: usize,
 }
+
+/// How a public item's line starts (see the module doc).
+const PUB_ITEMS: [&str; 6] =
+    ["pub fn ", "pub struct ", "pub enum ", "pub trait ", "pub type ", "pub const "];
 
 fn rust_files(dir: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
@@ -78,6 +86,7 @@ fn count_crate(src: &Path) -> CrateCounts {
             c.expect += line.matches(".expect(").count();
             c.panic += line.matches("panic!(").count();
             c.unsafe_blocks += line.matches("unsafe {").count();
+            c.pub_items += usize::from(PUB_ITEMS.iter().any(|p| line.trim_start().starts_with(p)));
         }
     }
     c
@@ -155,8 +164,8 @@ fn ledger(root: &Path) -> (String, String) {
         let comma = if i + 1 < crates.len() { "," } else { "" };
         writeln!(
             out,
-            "    \"{name}\": {{\"unwrap\": {}, \"expect\": {}, \"panic\": {}, \"unsafe_blocks\": {}}}{comma}",
-            c.unwrap, c.expect, c.panic, c.unsafe_blocks
+            "    \"{name}\": {{\"unwrap\": {}, \"expect\": {}, \"panic\": {}, \"unsafe_blocks\": {}, \"pub_items\": {}}}{comma}",
+            c.unwrap, c.expect, c.panic, c.unsafe_blocks, c.pub_items
         )
         .expect("write to String");
         write!(lines, " {name} {}", c.non_test_lines).expect("write to String");
