@@ -238,11 +238,6 @@ impl<K: SortKey> SpillObserver<K> for CutoffObs<K> {
     }
 }
 
-/// The rows run generation is fed: one per seed, its payload from the seed.
-fn input_rows<K: SortKey>(seeds: &[u64], key_fn: impl Fn(u64) -> K) -> Vec<Row<K>> {
-    seeds.iter().map(|&s| Row::new(key_fn(s), payload(s))).collect()
-}
-
 /// Spilled runs and in-memory residue, each a list of row sequences.
 type Generated<K> = (Vec<Vec<Row<K>>>, Vec<Vec<Row<K>>>);
 
@@ -325,7 +320,7 @@ fn rungen_grid<K: SortKey>(
     tag: &str,
 ) {
     let seeds = seeds(N_KEYS, 0xBEEF);
-    let rows = input_rows(&seeds, key_fn);
+    let rows: Vec<Row<K>> = seeds.iter().map(|&s| Row::new(key_fn(s), payload(s))).collect();
     let mut keys: Vec<K> = rows.iter().map(|r| r.key.clone()).collect();
     keys.sort_by(|a, b| order.cmp_keys(a, b));
     // The cutoff admits roughly the better half of the key space. Without
