@@ -20,6 +20,7 @@
 //! (line 13), which is where the histogram model is built.
 
 mod batch_sort;
+mod load_sort_store;
 mod replacement_selection;
 
 pub use batch_sort::BatchSort;
