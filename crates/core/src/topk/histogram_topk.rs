@@ -14,8 +14,9 @@
 //!
 //! Externally, run generation moves to a worker thread if a slot is free
 //! ([`live_rungen_workers`]). The query thread tests input on the worker's
-//! last cutoff, the worker every row again on the exact one, so runs,
-//! cutoffs and counters stay the single thread's (DESIGN.md §10).
+//! last cutoff, the worker every row again on the exact one and, in dedup
+//! mode, against the distinct tracker, so runs, cutoffs and counters stay
+//! the single thread's (DESIGN.md §10).
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -24,7 +25,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use histok_sort::run_gen::{BatchSort, ReplacementSelection, ResiduePolicy, RunGenerator};
+use histok_sort::run_gen::{
+    prefetch_payload_counts, BatchSort, ReplacementSelection, ResiduePolicy, RunGenerator,
+};
 use histok_sort::{CmpStats, FinalMerge, FoldSpec, FoldStats, MergeTuning};
 use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Aggregator, Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
@@ -77,10 +80,6 @@ pub struct TopK<K: SortKey, R> {
     state: State<K>,
     rows_in: u64,
     eliminated_at_input: u64,
-    /// Duplicates the distinct tracker folded away at operator input and
-    /// their encoded bytes; `metrics` adds them to what `fold_stats` holds.
-    folded_at_input: u64,
-    bytes_folded_at_input: u64,
     peak_bytes: usize,
     /// The query thread's waits on a run-generation worker, banked at finish.
     rungen_wait_ns: u64,
@@ -201,19 +200,23 @@ impl<K: SortKey> MemStore<K> {
 const BATCH_ROWS: usize = 1024;
 const BATCHES_IN_FLIGHT: usize = 2;
 
+/// How many rows ahead of the one it tests the worker hints a dedup row's
+/// reference count for writing ([`RunGen::run`]).
+const DROP_HINT_AHEAD: usize = 8;
+
 /// Rows on their way to run generation, in input order.
-struct Batch<K: SortKey> {
-    rows: Vec<Row<K>>,
-    /// `(i, key)`: install cutoff `key`, which the tracker proved, at `rows[i]`.
-    cutoffs: Vec<(usize, K)>,
-}
+type Batch<K> = Vec<Row<K>>;
 
 /// Run generation's counters, for `metrics`.
 #[derive(Clone, Copy, Default)]
 struct Counts {
     filter: FilterMetrics,
-    /// Rows the re-check on the exact cutoff dropped.
+    /// Rows the input test on the exact cutoff or the distinct tracker dropped.
     eliminated: u64,
+    /// Duplicates the distinct tracker folded away, and their encoded bytes;
+    /// `metrics` adds them to what `fold_stats` holds.
+    folded: u64,
+    bytes_folded: u64,
     peak_bytes: usize,
     early_merges: u64,
 }
@@ -226,7 +229,7 @@ struct Seen<K> {
 
 /// Phase 2: the input test on the query thread, and run generation.
 struct External<K: SortKey> {
-    input: Input<K>,
+    input: Input,
     at: Place<K>,
 }
 
@@ -237,11 +240,9 @@ enum Place<K: SortKey> {
 }
 
 /// The query thread's half of Algorithm 1 line 4.
-enum Input<K: SortKey> {
-    /// Plain top-k: rows past run generation's cutoff end here.
+enum Input {
+    /// Plain top-k and dedup: rows past run generation's cutoff end here.
     Cutoff,
-    /// Dedup: the distinct tracker, and its refinements when last asked.
-    Distinct { tracker: Box<CutoffFilter<K>>, refinements: u64 },
     /// No input site, or a value aggregate: every row goes on.
     Forward,
 }
@@ -257,26 +258,18 @@ impl<K: SortKey> External<K> {
     }
 }
 
-impl<K: SortKey> Input<K> {
-    /// The cutoff the distinct tracker proved since the last call, if any.
-    fn proved(&mut self) -> Option<K> {
-        let Input::Distinct { tracker, refinements } = self else { return None };
-        let now = tracker.metrics().refinements;
-        (now != std::mem::replace(refinements, now)).then(|| tracker.cutoff().cloned())?
-    }
-}
-
 /// Run generation and its cutoff filter: what the worker owns.
 struct RunGen<K: SortKey> {
     catalog: Arc<RunCatalog<K>>,
     gen: Box<dyn RunGenerator<K>>,
     filter: CutoffFilter<K>,
-    /// Plain top-k: test input again on the exact cutoff; count the drops.
+    /// Plain top-k and dedup: test input again on the exact cutoff and, in
+    /// dedup mode, against the filter's distinct tracker; count the drops.
     recheck: bool,
     /// The optimized recipe's early merge step.
     early: Option<EarlyMerge>,
-    eliminated: u64,
-    peak_bytes: usize,
+    /// What `admit` counts; `counts` fills in the rest.
+    tally: Counts,
     /// The error a worker stopped on.
     failed: Option<Error>,
 }
@@ -284,24 +277,49 @@ struct RunGen<K: SortKey> {
 impl<K: SortKey> RunGen<K> {
     /// One row: the input test again, then run generation.
     fn admit(&mut self, row: Row<K>) -> Result<()> {
-        if self.recheck && self.filter.eliminate(&row.key) {
-            self.eliminated += 1;
+        if self.recheck && !self.survives(&row) {
             return Ok(());
         }
         self.gen.push(row, &mut self.filter)?;
-        self.peak_bytes = self.peak_bytes.max(self.gen.buffered_bytes());
+        self.tally.peak_bytes = self.tally.peak_bytes.max(self.gen.buffered_bytes());
         match &mut self.early {
             Some(early) => early.maybe_merge(&self.catalog, &mut self.filter),
             None => Ok(()),
         }
     }
 
-    /// The worker's step: each row in order, after the cutoffs it carries.
+    /// Algorithm 1 line 4 on the exact cutoff: false when `row` ends here,
+    /// counted. In dedup mode (line 4 adapted to DISTINCT) a duplicate of a
+    /// tracked key folds into nothing — its representative is in the
+    /// pipeline; its bytes are the raw row's, which FIRST's identity `init`
+    /// makes the accumulator's — and a key strictly worse than `retained`
+    /// known distinct keys dies. Elsewhere the tracker admits every row.
+    fn survives(&mut self, row: &Row<K>) -> bool {
+        let verdict = match self.filter.eliminate(&row.key) {
+            true => DistinctVerdict::Worse,
+            false => self.filter.observe_input(&row.key),
+        };
+        match verdict {
+            DistinctVerdict::Admit => return true,
+            DistinctVerdict::Duplicate => {
+                self.tally.folded += 1;
+                self.tally.bytes_folded += row.encoded_len() as u64;
+            }
+            DistinctVerdict::Worse => self.tally.eliminated += 1,
+        }
+        false
+    }
+
+    /// The worker's step: each row in order. In dedup mode most rows fold
+    /// away here, and dropping one writes its payload's reference count, a
+    /// line the query thread's scan wrote last: hint it for writing a few
+    /// rows ahead.
     fn run(&mut self, batch: &mut Batch<K>) -> bool {
-        let mut cutoffs = batch.cutoffs.drain(..).peekable();
-        for (i, row) in batch.rows.drain(..).enumerate() {
-            while let Some((_, key)) = cutoffs.next_if(|(at, _)| *at == i) {
-                self.filter.tighten(&key);
+        let hint = self.recheck && self.filter.distinct_mode();
+        let mut rows = batch.drain(..);
+        while let Some(row) = rows.next() {
+            if let Some(ahead) = rows.as_slice().get(DROP_HINT_AHEAD).filter(|_| hint) {
+                prefetch_payload_counts(&ahead.payload);
             }
             if let Err(e) = self.admit(row) {
                 self.failed = Some(e);
@@ -314,9 +332,8 @@ impl<K: SortKey> RunGen<K> {
     fn counts(&self) -> Counts {
         Counts {
             filter: self.filter.metrics(),
-            eliminated: self.eliminated,
-            peak_bytes: self.peak_bytes,
             early_merges: self.early.as_ref().map_or(0, |early| early.merges),
+            ..self.tally
         }
     }
 
@@ -368,7 +385,7 @@ impl<K: SortKey> Worker<K> {
             rungen
         });
         let thread = Some(thread.inspect_err(|_| _ = WORKERS.fetch_sub(1, Ordering::AcqRel))?);
-        let pending = Batch { rows: Vec::with_capacity(BATCH_ROWS), cutoffs: Vec::new() };
+        let pending = Vec::with_capacity(BATCH_ROWS);
         let (tx, spare) = (Some(tx), Vec::new());
         let worker = Worker { tx, back, thread, pending, spare, in_flight: 0, seen, wait_ns: 0 };
         Ok(Place::Worker(Box::new(Mutex::new(worker))))
@@ -380,7 +397,7 @@ impl<K: SortKey> Worker<K> {
         if self.in_flight == BATCHES_IN_FLIGHT && !self.receive() {
             return false;
         }
-        let next = self.spare.pop().unwrap_or_else(|| Batch { rows: Vec::new(), cutoffs: vec![] });
+        let next = self.spare.pop().unwrap_or_default();
         let batch = std::mem::replace(&mut self.pending, next);
         let sent = self.tx.as_ref().is_some_and(|tx| tx.send(batch).is_ok());
         self.in_flight += usize::from(sent);
@@ -401,7 +418,7 @@ impl<K: SortKey> Worker<K> {
     /// The barrier: every row handed over and every batch back.
     fn sync(worker: &Mutex<Self>) -> MutexGuard<'_, Self> {
         let mut w = worker.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut ok = w.pending.rows.is_empty() || w.hand_off();
+        let mut ok = w.pending.is_empty() || w.hand_off();
         while ok && w.in_flight > 0 {
             ok = w.receive();
         }
@@ -505,8 +522,6 @@ impl<K: SortKey, R: Recipe> TopK<K, R> {
             stats: IoStats::new(),
             rows_in: 0,
             eliminated_at_input: 0,
-            folded_at_input: 0,
-            bytes_folded_at_input: 0,
             peak_bytes: 0,
             rungen_wait_ns: 0,
             final_counts: Counts::default(),
@@ -573,7 +588,9 @@ impl<K: SortKey, R: Recipe> TopK<K, R> {
                 }
                 Box::new(gen)
             }
-            RunGenKind::LoadSortStore => Box::new(BatchSort::with_budget(catalog, budget)),
+            RunGenKind::LoadSortStore => Box::new(
+                BatchSort::with_budget(catalog, budget).with_stats(Some(self.cmp_stats.clone())),
+            ),
         };
         // Fold mode: duplicates collapse before they spill; every merge
         // folds again.
@@ -597,45 +614,25 @@ impl<K: SortKey, R: Recipe> TopK<K, R> {
         );
         let gen = self.build_generator(catalog.clone());
         let filter = crate::cutoff::filter_from_config(&self.spec, &self.config);
-        let input_site = self.config.filter.input();
         // Value aggregates eliminate nothing at input: every duplicate must
         // reach its group's accumulator (DESIGN.md §14).
-        let recheck = input_site && self.agg.is_none();
-        let mut input = match (input_site && filter.distinct_mode(), recheck) {
-            (true, _) => {
-                let tracker = crate::cutoff::filter_from_config(&self.spec, &self.config);
-                Input::Distinct { tracker: Box::new(tracker), refinements: 0 }
-            }
-            (false, true) => Input::Cutoff,
-            (false, false) => Input::Forward,
-        };
+        let recheck = self.config.filter.input() && (self.agg.is_none() || filter.distinct_mode());
+        let input = if recheck { Input::Cutoff } else { Input::Forward };
         let early = (R::KIND == RecipeKind::Optimized).then(|| {
             EarlyMerge::new(self.spec.retained(), self.resharpen_every, self.merge_tuning())
         });
-        let mut rungen = RunGen {
-            catalog,
-            gen,
-            filter,
-            recheck,
-            early,
-            eliminated: 0,
-            peak_bytes: 0,
-            failed: None,
-        };
+        let mut rungen =
+            RunGen { catalog, gen, filter, recheck, early, tally: Counts::default(), failed: None };
         // In dedup mode the re-entering rows (distinct by construction)
         // seed the distinct tracker, so the cutoff is established before
-        // the first external-phase row arrives.
+        // the first external-phase row arrives. The tracker admits every
+        // row outside dedup mode.
         for row in heap_rows {
-            if let Input::Distinct { tracker, .. } = &mut input {
-                if tracker.observe_input(&row.key) == DistinctVerdict::Worse {
-                    // The store retained more groups than the (slack-reduced)
-                    // filter target; groups past the target are already out.
-                    self.eliminated_at_input += 1;
-                    continue;
-                }
-                if let Some(cut) = input.proved() {
-                    rungen.filter.tighten(&cut);
-                }
+            if recheck && rungen.filter.observe_input(&row.key) == DistinctVerdict::Worse {
+                // The store retained more groups than the (slack-reduced)
+                // filter target; groups past the target are already out.
+                rungen.tally.eliminated += 1;
+                continue;
             }
             rungen.gen.push(row, &mut rungen.filter)?;
         }
@@ -662,46 +659,18 @@ impl<K: SortKey, R: Recipe> TopK<K, R> {
         Ok(())
     }
 
-    /// The phase-2 input filter (Algorithm 1 line 4): false when `row` ends
-    /// here, counted. It reads the key (and, for a folded duplicate, the
-    /// row's size) and nothing else, so it runs ahead of `agg.init`.
+    /// The query thread's phase-2 input filter (Algorithm 1 line 4): false
+    /// when `row` ends here, counted. It reads the key and nothing else, so
+    /// it runs ahead of `agg.init`. In dedup mode a key past the cutoff is
+    /// one the distinct tracker would call worse, so it never crosses.
     fn survives_input(&mut self, row: &Row<K>) -> bool {
         let State::External(ext) = &mut self.state else { unreachable!() };
-        let verdict = match &mut ext.input {
-            Input::Forward => return true,
-            Input::Cutoff => {
-                let eliminated = ext.cut().eliminate(&row.key);
-                self.eliminated_at_input += u64::from(eliminated);
-                return !eliminated;
-            }
-            // Dedup mode (line 4 adapted to DISTINCT): a duplicate of a
-            // tracked key folds into nothing — its representative is in the
-            // pipeline; its bytes are the raw row's, which FIRST's identity
-            // `init` makes the accumulator's — and a key strictly worse than
-            // `retained` known distinct keys dies.
-            Input::Distinct { tracker, .. } => tracker.observe_input(&row.key),
-        };
-        debug_assert_eq!(self.config.fold_op(), Some(histok_types::AggregateOp::First));
-        match verdict {
-            DistinctVerdict::Admit => {
-                // Installed ahead of the row that proved it.
-                match (&mut ext.at, ext.input.proved()) {
-                    (Place::Inline(rungen), Some(cut)) => rungen.filter.tighten(&cut),
-                    (Place::Worker(worker), Some(cut)) => {
-                        let pending = &mut lock_mut(worker).pending;
-                        pending.cutoffs.push((pending.rows.len(), cut));
-                    }
-                    (_, None) => {}
-                }
-                return true;
-            }
-            DistinctVerdict::Duplicate => {
-                self.folded_at_input += 1;
-                self.bytes_folded_at_input += row.encoded_len() as u64;
-            }
-            DistinctVerdict::Worse => self.eliminated_at_input += 1,
+        if matches!(ext.input, Input::Forward) {
+            return true;
         }
-        false
+        let eliminated = ext.cut().eliminate(&row.key);
+        self.eliminated_at_input += u64::from(eliminated);
+        !eliminated
     }
 
     /// A row that passed the input filter enters run generation, as an
@@ -713,8 +682,8 @@ impl<K: SortKey, R: Recipe> TopK<K, R> {
             Place::Worker(worker) => worker,
         };
         let worker = lock_mut(worker);
-        worker.pending.rows.push(row);
-        if worker.pending.rows.len() < BATCH_ROWS || worker.hand_off() {
+        worker.pending.push(row);
+        if worker.pending.len() < BATCH_ROWS || worker.hand_off() {
             return Ok(());
         }
         Err(worker.join().err().unwrap_or_else(|| Error::InvalidConfig("worker stopped".into())))
@@ -765,10 +734,10 @@ impl<K: SortKey, R: Recipe> TopKOperator<K> for TopK<K, R> {
     }
 
     /// As `push` row by row, with the cutoff test (Algorithm 1 line 4)
-    /// ahead of all per-row bookkeeping: a row a full phase-1 heap rejects,
-    /// the phase-2 filter eliminates, or the distinct tracker has seen
-    /// before is counted and dropped on one key compare or probe; only
-    /// survivors reach the `push` body (DESIGN.md §10).
+    /// ahead of all per-row bookkeeping: a row a full phase-1 heap rejects
+    /// or the phase-2 filter eliminates is counted and dropped on one key
+    /// compare; only survivors reach the `push` body or run generation,
+    /// where dedup's distinct tracker runs (DESIGN.md §10).
     ///
     /// One stated difference: `push` re-reads the `budget_lease` after
     /// every row, a rejected row skips that read, so a lease shrunk below
@@ -776,22 +745,6 @@ impl<K: SortKey, R: Recipe> TopKOperator<K> for TopK<K, R> {
     /// operator to external mode at the end of the batch, not on the next
     /// row.
     fn push_batch(&mut self, rows: &mut Vec<Row<K>>) -> Result<()> {
-        let dedup = match &self.state {
-            State::External(ext) => matches!(ext.input, Input::Distinct { .. }),
-            _ => false,
-        };
-        // Phase-2 dedup: `push`'s external arm per row, in arrival order,
-        // minus the call and state matches (−6.5 % `zipf_dedup` `query_s`,
-        // DESIGN.md §10). Decided once: phase 2 lasts until `finish`.
-        if dedup {
-            for row in rows.drain(..) {
-                self.rows_in += 1;
-                if self.survives_input(&row) {
-                    self.admit_external(accumulator(&self.agg, row))?;
-                }
-            }
-            return Ok(());
-        }
         // Value aggregates eliminate nothing at input (see `survives_input`)
         // and go through `push`, as does dedup while it is in phase 1.
         for row in rows.drain(..) {
@@ -811,8 +764,8 @@ impl<K: SortKey, R: Recipe> TopKOperator<K> for TopK<K, R> {
             if eliminated {
                 self.eliminated_at_input += 1;
             } else {
-                // A phase-2 survivor is not tested a second time.
-                self.admit_external(row)?;
+                // A phase-2 survivor is not tested a second time here.
+                self.admit_external(accumulator(&self.agg, row))?;
             }
         }
         self.spill_if_over_budget()
@@ -908,8 +861,8 @@ impl<K: SortKey, R: Recipe> TopKOperator<K> for TopK<K, R> {
             partition_rows: self.merged.partition_rows(),
             cascade: self.merged.cascade,
             queued_ns: 0,
-            rows_folded: fold.rows_folded + self.folded_at_input,
-            bytes_folded_pre_spill: fold.bytes_folded_pre_spill + self.bytes_folded_at_input,
+            rows_folded: fold.rows_folded + counts.folded,
+            bytes_folded_pre_spill: fold.bytes_folded_pre_spill + counts.bytes_folded,
         }
     }
 
@@ -1029,6 +982,36 @@ mod tests {
         let (out, m) = run_op(SortSpec::ascending(600), cfg, &keys);
         assert_eq!(out, (0..600).collect::<Vec<_>>());
         assert!(m.rows_spilled() < 30_000);
+    }
+
+    /// Load-sort-store books the full key comparisons its sorts of prefix
+    /// ties make, as replacement selection books its own: over keys that
+    /// share their 8-byte prefix the query's count is the final merge's
+    /// plus the sorts'. Over `F64Key`s, whose prefix is the whole key,
+    /// neither compares a key.
+    #[test]
+    fn load_sort_store_books_its_comparisons() {
+        fn full_cmps<K: SortKey>(key: fn(u64) -> K) -> u64 {
+            let row_bytes = histok_sort::row_footprint(&Row::key_only(key(0)));
+            let cfg = TopKConfig::builder()
+                .memory_budget(150 * row_bytes)
+                .run_generation(RunGenKind::LoadSortStore)
+                .block_bytes(1024)
+                .build()
+                .unwrap();
+            let mut op =
+                HistogramTopK::new(SortSpec::ascending(600), cfg, MemoryBackend::new()).unwrap();
+            for k in shuffled(30_000, 7) {
+                op.push(Row::key_only(key(k))).unwrap();
+            }
+            let out: Vec<K> = op.finish().unwrap().map(|r| r.unwrap().key).collect();
+            assert_eq!(out, (0..600).map(key).collect::<Vec<_>>());
+            op.metrics().cmp.full_cmps
+        }
+        let (merge, sorts) = (1_716, 24_731);
+        let shared = full_cmps(|k| histok_types::BytesKey::new(format!("shared-prefix-{k:05}")));
+        assert_eq!(shared, merge + sorts);
+        assert_eq!(full_cmps(|k| histok_types::F64Key(k as f64)), 0);
     }
 
     #[test]

@@ -95,17 +95,18 @@ fn config(mode: Mode, sites: FilterSites, mem_rows: usize) -> TopKConfig {
 #[derive(Debug, PartialEq)]
 struct Outcome<K> {
     rows: Vec<(K, Vec<u8>)>,
-    counts: [u64; 7],
+    counts: [u64; 8],
     filter: histok_core::FilterMetrics,
     cutoff: Option<K>,
 }
 
-fn counts(m: &OperatorMetrics) -> [u64; 7] {
+fn counts(m: &OperatorMetrics) -> [u64; 8] {
     [
         m.rows_in,
         m.eliminated_at_input,
         m.eliminated_at_spill,
         m.rows_folded,
+        m.bytes_folded_pre_spill,
         m.io.runs_created,
         m.io.bytes_written,
         m.io.write_ops,
@@ -300,4 +301,57 @@ fn eight_spilling_groups_never_exceed_the_worker_cap() {
     drop(op);
     assert_eq!(live_rungen_workers(), 0);
     assert_eq!(memory.object_count(), 0);
+}
+
+/// The work of a reduced `zipf_dedup` query, pinned: 100,000 Zipf(1.2)
+/// keys over 10,000 ranks with 82-byte payloads, `dedup`, `k` = 1,500 and
+/// memory for 350 rows — the benchmark's shape at 1/40 of its size — fed
+/// in batches of 1,024 as a planned scan feeds it, once on a worker and
+/// once inline. Every count is a decision of the algorithm, so a change
+/// that moves one changes the work the query does.
+#[test]
+fn reduced_zipf_dedup_does_pinned_work() {
+    use histok_workload::{Distribution, Workload, LINEITEM_PAYLOAD_BYTES};
+    let _serial = serial();
+    let rows: Vec<Row<F64Key>> = Workload::uniform(100_000, 42)
+        .with_distribution(Distribution::Zipf { s: 1.2, n: 10_000 })
+        .with_payload_bytes(LINEITEM_PAYLOAD_BYTES)
+        .rows()
+        .collect();
+    let cfg = || {
+        TopKConfig::builder()
+            .memory_budget(350 * (8 + LINEITEM_PAYLOAD_BYTES + 56))
+            .dedup(true)
+            .build()
+            .expect("valid config")
+    };
+    let work = |on_worker: bool| {
+        let blockers = (!on_worker).then(hold_every_slot);
+        let mut op = HistogramTopK::new(SortSpec::ascending(1_500), cfg(), MemoryBackend::new())
+            .expect("op");
+        let live = live_rungen_workers();
+        for chunk in rows.chunks(1_024) {
+            op.push_batch(&mut chunk.to_vec()).expect("push_batch");
+        }
+        let placed = live_rungen_workers() - live;
+        assert_eq!(placed, usize::from(on_worker && cap() > 0), "placement");
+        let out = op.finish().expect("finish").count();
+        assert_eq!(out, 1_500);
+        drop(blockers);
+        let m = op.metrics();
+        [
+            m.rows_in,
+            m.eliminated_at_input,
+            m.eliminated_at_spill,
+            m.rows_folded,
+            m.bytes_folded_pre_spill,
+            m.io.runs_created,
+            m.io.bytes_written,
+            m.io.write_ops,
+            m.filter.refinements,
+        ]
+    };
+    let want = [100_000, 6_201, 386, 91_225, 8_575_150, 4, 177_364, 4, 1_075];
+    assert_eq!(work(true), want, "on a worker");
+    assert_eq!(work(false), want, "inline");
 }

@@ -105,9 +105,12 @@ impl<K: SortKey> ExternalSorter<K> {
         self
     }
 
-    /// Overrides the merge tuning (comparison counters, batch size). The I/O pool is the catalog's, set by
-    /// [`ExternalSorter::with_io_scheduler`] in either order.
+    /// Overrides the merge tuning (comparison counters, batch size); run
+    /// generation books its comparisons into the same counters. The I/O
+    /// pool is the catalog's, set by [`ExternalSorter::with_io_scheduler`]
+    /// in either order.
     pub fn with_tuning(mut self, tuning: MergeTuning) -> Self {
+        self.generator = self.generator.with_stats(tuning.stats.clone());
         self.tuning = tuning;
         self
     }

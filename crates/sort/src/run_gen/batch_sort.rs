@@ -23,6 +23,7 @@ use histok_storage::RunCatalog;
 use histok_types::{Result, Row, SortKey, SortOrder};
 
 use crate::budget::{row_footprint, MemoryBudget};
+use crate::cmp_stats::CmpStats;
 use crate::fold::FoldSpec;
 use crate::observer::SpillObserver;
 use crate::run_gen::{ResiduePolicy, RunGenerator};
@@ -121,6 +122,10 @@ pub struct BatchSort<K: SortKey> {
     fold: Option<FoldSpec>,
     rows_folded: u64,
     bytes_folded: u64,
+    /// Full key comparisons the sorts of prefix ties made.
+    full_cmps: u64,
+    /// Shared sink `full_cmps` flushes into on drop.
+    cmp_stats: Option<CmpStats>,
 }
 
 impl<K: SortKey> BatchSort<K> {
@@ -150,7 +155,15 @@ impl<K: SortKey> BatchSort<K> {
             fold: None,
             rows_folded: 0,
             bytes_folded: 0,
+            full_cmps: 0,
+            cmp_stats: None,
         }
+    }
+
+    /// Attaches a shared comparison-counter sink (flushed on drop).
+    pub fn with_stats(mut self, stats: Option<CmpStats>) -> Self {
+        self.cmp_stats = stats;
+        self
     }
 
     /// Enables duplicate folding: after each buffer sort, adjacent equal
@@ -173,7 +186,7 @@ impl<K: SortKey> BatchSort<K> {
     /// index (its row is dropped with the buffer).
     fn sort_buffer(&mut self) {
         let (order, rows, exact) = (self.order, &self.rows, K::norm_prefix_is_exact());
-        sort_pairs(&mut self.pairs, &mut self.scratch, exact, |a, b| {
+        self.full_cmps += sort_pairs(&mut self.pairs, &mut self.scratch, exact, |a, b| {
             order.cmp_keys(&rows[a as usize].key, &rows[b as usize].key)
         });
         let Some(spec) = self.fold.clone() else { return };
@@ -308,6 +321,10 @@ impl<K: SortKey> RunGenerator<K> for BatchSort<K> {
         self.budget.used()
     }
 
+    fn cmp_counts(&self) -> (u64, u64) {
+        (0, self.full_cmps)
+    }
+
     fn set_fold(&mut self, fold: Option<FoldSpec>) {
         self.fold = fold;
     }
@@ -315,6 +332,9 @@ impl<K: SortKey> RunGenerator<K> for BatchSort<K> {
 
 impl<K: SortKey> Drop for BatchSort<K> {
     fn drop(&mut self) {
+        if let Some(stats) = &self.cmp_stats {
+            stats.record(0, self.full_cmps);
+        }
         if let Some(spec) = &self.fold {
             spec.flush_pre_spill(self.rows_folded, self.bytes_folded);
         }
@@ -698,5 +718,48 @@ mod tests {
         let mut expected = vals.to_vec();
         expected.sort_by(|a, b| b.partial_cmp(a).unwrap());
         assert_eq!(got, expected);
+    }
+
+    /// Wide keys whose prefixes tie are sorted by full key, and each of
+    /// those comparisons reaches the stats sink at drop; a key whose prefix
+    /// is the whole key is sorted without one.
+    #[test]
+    fn prefix_ties_book_their_full_comparisons() {
+        use histok_types::F64Key;
+        fn sorted_with_stats<K: SortKey>(keys: &[K]) -> (u64, crate::CmpSnapshot) {
+            let cat = Arc::new(RunCatalog::<K>::new(
+                Arc::new(MemoryBackend::new()),
+                "cmp",
+                SortOrder::Ascending,
+                IoStats::new(),
+            ));
+            let stats = CmpStats::new();
+            let mut gen = BatchSort::new(cat, 1 << 20).with_stats(Some(stats.clone()));
+            for key in keys {
+                gen.push(Row::key_only(key.clone()), &mut NoopObserver).unwrap();
+            }
+            gen.finish(&mut NoopObserver, ResiduePolicy::SpillToRuns).unwrap();
+            let counted = gen.cmp_counts().1;
+            drop(gen);
+            (counted, stats.snapshot())
+        }
+        // One buffer of keys sharing their 8-byte prefix: a single tie
+        // group of `(prefix, index)` pairs in arrival order, sorted by the
+        // same stable sort as this reference, which counts its comparisons.
+        let keys: Vec<BytesKey> = (0..300u64)
+            .map(|i| BytesKey::new(format!("shared-prefix-{:05}", i * 7919 % 300)))
+            .collect();
+        let mut pairs: Vec<(u64, u32)> = (0..300).map(|i| (keys[0].norm_prefix(), i)).collect();
+        let mut want = 0u64;
+        pairs.sort_by(|a, b| {
+            want += 1;
+            keys[a.1 as usize].cmp(&keys[b.1 as usize])
+        });
+        let (counted, snap) = sorted_with_stats(&keys);
+        assert!(want > 0);
+        assert_eq!((counted, snap.full_cmps, snap.ovc_cmps), (want, want, 0));
+        let floats: Vec<F64Key> = (0..300u64).map(|i| F64Key((i * 7919 % 300) as f64)).collect();
+        let (counted, snap) = sorted_with_stats(&floats);
+        assert_eq!((counted, snap.full_cmps, snap.ovc_cmps), (0, 0, 0));
     }
 }
