@@ -25,9 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use histok_sort::run_gen::{
-    prefetch_payload_counts, BatchSort, ReplacementSelection, ResiduePolicy, RunGenerator,
-};
+use histok_sort::run_gen::{BatchSort, ReplacementSelection, ResiduePolicy, RunGenerator};
 use histok_sort::{CmpStats, FinalMerge, FoldSpec, FoldStats, MergeTuning};
 use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Aggregator, Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
@@ -200,10 +198,6 @@ impl<K: SortKey> MemStore<K> {
 const BATCH_ROWS: usize = 1024;
 const BATCHES_IN_FLIGHT: usize = 2;
 
-/// How many rows ahead of the one it tests the worker hints a dedup row's
-/// reference count for writing ([`RunGen::run`]).
-const DROP_HINT_AHEAD: usize = 8;
-
 /// Rows on their way to run generation, in input order.
 type Batch<K> = Vec<Row<K>>;
 
@@ -310,17 +304,9 @@ impl<K: SortKey> RunGen<K> {
         false
     }
 
-    /// The worker's step: each row in order. In dedup mode most rows fold
-    /// away here, and dropping one writes its payload's reference count, a
-    /// line the query thread's scan wrote last: hint it for writing a few
-    /// rows ahead.
+    /// The worker's step: each row in order.
     fn run(&mut self, batch: &mut Batch<K>) -> bool {
-        let hint = self.recheck && self.filter.distinct_mode();
-        let mut rows = batch.drain(..);
-        while let Some(row) = rows.next() {
-            if let Some(ahead) = rows.as_slice().get(DROP_HINT_AHEAD).filter(|_| hint) {
-                prefetch_payload_counts(&ahead.payload);
-            }
+        for row in batch.drain(..) {
             if let Err(e) = self.admit(row) {
                 self.failed = Some(e);
                 return false;

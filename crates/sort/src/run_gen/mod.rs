@@ -24,7 +24,7 @@ mod load_sort_store;
 mod replacement_selection;
 
 pub use batch_sort::BatchSort;
-pub use replacement_selection::{prefetch_payload_counts, ReplacementSelection};
+pub use replacement_selection::ReplacementSelection;
 
 use histok_types::{Result, Row, SortKey};
 

@@ -28,7 +28,7 @@ use std::hint::select_unpredictable;
 use std::sync::Arc;
 
 use histok_storage::{RunCatalog, RunWriter};
-use histok_types::{Aggregator, Bytes, Result, Row, SortKey, SortOrder};
+use histok_types::{Aggregator, Result, Row, SortKey, SortOrder};
 
 use crate::budget::{row_footprint, MemoryBudget};
 use crate::cmp_stats::CmpStats;
@@ -164,18 +164,6 @@ fn prefetch_for_write(addr: *const u8) {
 
 /// Bytes an `Arc` keeps in front of its data: the strong and weak counts.
 const ARC_COUNTS_BYTES: usize = 2 * std::mem::size_of::<usize>();
-
-/// Hints the cache line of `payload`'s reference counts for writing: the
-/// thread that drops the payload updates that count, and it was usually
-/// last written by the thread that made the row, on another core. Call it
-/// a few rows ahead of the drop. Changes no value; a no-op for a payload
-/// with no backing allocation.
-#[inline]
-pub fn prefetch_payload_counts(payload: &Bytes) {
-    if let Some(data) = payload.backing_ptr() {
-        prefetch_for_write(data.wrapping_sub(ARC_COUNTS_BYTES));
-    }
-}
 
 /// Where buffered rows park: a slot keeps its row until the row leaves.
 /// A row costs its slot, a 16-byte pair and a free-list word, against the
@@ -491,7 +479,9 @@ impl<K: SortKey> SelectionTree<K> {
             chunk.get(i + PREFETCH_AHEAD).map(|&(_, _, slot)| &self.slab.slots[slot as usize])
         {
             prefetch(&ahead.payload[..]);
-            prefetch_payload_counts(&ahead.payload);
+            if let Some(data) = ahead.payload.backing_ptr() {
+                prefetch_for_write(data.wrapping_sub(ARC_COUNTS_BYTES));
+            }
         }
     }
 }
@@ -823,6 +813,7 @@ mod tests {
     use super::*;
     use crate::observer::NoopObserver;
     use histok_storage::{IoStats, MemoryBackend};
+    use histok_types::Bytes;
 
     /// A sift-based binary heap over single rows, ordered by `(run, key,
     /// arrival)` on full key comparisons: the reference the tree's pop
