@@ -285,9 +285,10 @@ impl<K: SortKey> RunGen<K> {
     /// Algorithm 1 line 4 on the exact cutoff: false when `row` ends here,
     /// counted. In dedup mode (line 4 adapted to DISTINCT) a duplicate of a
     /// tracked key folds into nothing — its representative is in the
-    /// pipeline; its bytes are the raw row's, which FIRST's identity `init`
-    /// makes the accumulator's — and a key strictly worse than `retained`
-    /// known distinct keys dies. Elsewhere the tracker admits every row.
+    /// pipeline; its bytes are the accumulator's, which FIRST's identity
+    /// `init` leaves the raw row's — and a key strictly worse than
+    /// `retained` known distinct keys dies. Elsewhere the tracker admits
+    /// every row.
     fn survives(&mut self, row: &Row<K>) -> bool {
         let verdict = match self.filter.eliminate(&row.key) {
             true => DistinctVerdict::Worse,
