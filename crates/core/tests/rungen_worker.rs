@@ -1,8 +1,9 @@
 //! Run generation on a worker thread (DESIGN.md §10, *Run generation on a
 //! worker*): the query thread filters on the last cutoff the worker
-//! handed back, the worker tests every row again on the exact cutoff, so
-//! which thread runs run generation must not show in any output byte or
-//! counter — and a worker must never outlive its operator.
+//! handed back, the worker tests every row again on the exact cutoff and
+//! gives dedup's distinct verdicts, so which thread runs run generation
+//! must not show in any output byte or counter — and a worker must never
+//! outlive its operator.
 //!
 //! The worker slots are process-global, so the tests serialize through one
 //! mutex and check that no worker is alive when they start. This file must
